@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 lint chaos cluster bench bench-quick
+.PHONY: all tier1 lint chaos cluster bench
 
 all: tier1
 
@@ -29,9 +29,7 @@ chaos:
 cluster:
 	./scripts/cluster_smoke.sh
 
-# Benchmark suite; appends measurements to BENCH_sim.json.
+# The repository benchmark (BENCHMARK.json): all five workloads; see
+# bench/README.md for single workloads, -check-repeat and -spread.
 bench:
-	./scripts/bench.sh
-
-bench-quick:
-	./scripts/bench.sh -quick -label quick
+	$(GO) run -C bench . -all

@@ -13,7 +13,6 @@ import (
 
 	"github.com/hydrogen-sim/hydrogen/experiments"
 	"github.com/hydrogen-sim/hydrogen/internal/chash"
-	"github.com/hydrogen-sim/hydrogen/internal/microbench"
 	"github.com/hydrogen-sim/hydrogen/internal/system"
 	"github.com/hydrogen-sim/hydrogen/internal/workloads"
 )
@@ -297,16 +296,6 @@ func BenchmarkAblationRemapCache(b *testing.B) {
 		})
 	}
 }
-
-// Sub-component benchmarks: the simulation hot spots measured in
-// isolation (ns per trace op / DRAM request / MSHR-table op). Bodies
-// live in internal/microbench so cmd/hydrobench records the same
-// measurements in the BENCH_sim.json trajectory.
-
-func BenchmarkTraceGenCPU(b *testing.B) { microbench.TraceGenCPU(b) }
-func BenchmarkTraceGenGPU(b *testing.B) { microbench.TraceGenGPU(b) }
-func BenchmarkDRAMChannel(b *testing.B) { microbench.DRAMChannel(b) }
-func BenchmarkMSHRTable(b *testing.B)   { microbench.MSHRTable(b) }
 
 func sizeName(kb uint64) string {
 	switch kb {

@@ -174,8 +174,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if !*quiet {
-		// Lifecycle events go out as structured records (text or JSON);
-		// the legacy Logf sink stays off so each event is logged once.
+		// Lifecycle events go out as structured records (text or JSON).
 		opts.Logger = obs.NewLogger(stderr, *logJSON, slog.LevelInfo)
 	}
 	srv, err := serve.New(opts)

@@ -125,3 +125,24 @@ func BenchmarkTableChurn(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTable measures the table under the cores' MSHR access
+// pattern: membership probe, insert, a missing-key probe, and every
+// other iteration a backward-shift delete.
+func BenchmarkTable(b *testing.B) {
+	b.ReportAllocs()
+	var tab Table
+	for i := 0; i < b.N; i++ {
+		k := uint64(i) & 1023
+		if !tab.Has(k) {
+			tab.Put(k, int64(i))
+		}
+		tab.Get(k ^ 0x2a5)
+		if i&1 == 1 {
+			tab.Delete(k)
+		}
+	}
+	if tab.Len() > 1024 {
+		b.Fatalf("table holds %d keys, want <= 1024", tab.Len())
+	}
+}

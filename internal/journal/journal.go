@@ -90,8 +90,9 @@ func Open(path string) (*Journal, error) {
 
 // OpenUnbatched opens the journal with group commit disabled: every
 // Append performs its own write+fsync, the one-fsync-per-record
-// behavior group commit replaced. It exists as the baseline arm of
-// BenchAppendThroughput; production callers want Open.
+// behavior group commit replaced. It exists as the baseline arm of the
+// benchmark's journal.append_us_serial metric (bench/); production
+// callers want Open.
 func OpenUnbatched(path string) (*Journal, error) {
 	j, err := Open(path)
 	if err != nil {

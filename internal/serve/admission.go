@@ -16,7 +16,8 @@ package serve
 //     queue is standing, not bursting, and batch work is shed until it
 //     drains. This catches overload even when the cost model is cold.
 //
-// Shedding rules, applied at submit (serve.acceptLocal):
+// Shedding rules, applied at submit (shedSubmission, called by
+// acceptLocal):
 //
 //   - Any job whose projected completion (projected queue wait + its
 //     own estimated cost) lands past its propagated deadline is shed:
@@ -32,6 +33,7 @@ package serve
 // instead of hot-retrying against a wall.
 
 import (
+	"fmt"
 	"math"
 	"net/http"
 	"strconv"
@@ -39,7 +41,7 @@ import (
 	"sync"
 	"time"
 
-	"github.com/hydrogen-sim/hydrogen/internal/obs"
+	"github.com/hydrogen-sim/hydrogen/internal/faultinject"
 )
 
 // costEWMAAlpha weights the newest observation: high enough to track a
@@ -174,15 +176,36 @@ func (s *Server) projectedWait(class string) time.Duration {
 	return time.Duration(ahead / workers * float64(time.Second))
 }
 
-// shed rejects a submission with 429, an honest Retry-After derived
-// from the projected wait, and the shed-cause counter bumped alongside
-// the aggregate.
-func (s *Server) shed(w http.ResponseWriter, cause *obs.Counter, wait time.Duration, format string, args ...any) {
+// shedSubmission applies the shedding rules to a submission intake
+// would otherwise accept, and answers it when it is shed: 429, an
+// honest Retry-After derived from the projected wait, and the
+// shed-cause counter bumped alongside the aggregate.
+func (s *Server) shedSubmission(w http.ResponseWriter, sub *submission) bool {
+	now := time.Now()
+	wait := s.projectedWait(sub.class)
+	est := s.adm.estimate(sub.design, sub.spec.ID, sub.cfg.Cycles)
+	cause, msg := s.m.shedOverload, ""
+	if _, fired := faultinject.Hit(faultinject.AdmissionShed); fired {
+		msg = "admission: shed by failpoint"
+	} else if !sub.deadline.IsZero() && now.Add(wait+est).After(sub.deadline) {
+		// On a cold cost model wait and est are both zero, so this arm
+		// only fires for a deadline already in the past — admission
+		// never sheds on a guess it has no data for.
+		cause = s.m.shedDeadline
+		msg = fmt.Sprintf("admission: projected completion in %s exceeds deadline in %s",
+			(wait + est).Round(time.Millisecond), time.Until(sub.deadline).Round(time.Millisecond))
+	} else if sub.class == classBatch && s.adm.target > 0 && (s.adm.overloaded(now) || wait > s.adm.target) {
+		msg = fmt.Sprintf("admission: queue overloaded (projected wait %s, target %s); batch work shed",
+			wait.Round(time.Millisecond), s.adm.target)
+	} else {
+		return false
+	}
 	s.m.rejected.Add(1)
 	s.m.shedTotal.Add(1)
 	cause.Add(1)
 	w.Header().Set("Retry-After", retryAfterSecs(wait))
-	httpError(w, http.StatusTooManyRequests, format, args...)
+	httpError(w, http.StatusTooManyRequests, "%s", msg)
+	return true
 }
 
 // parseDeadlineHeader decodes X-Hydro-Deadline: the remaining budget in

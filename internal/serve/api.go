@@ -25,7 +25,6 @@
 //	                               ?format=csv, or ?stream=1 for SSE
 //	GET    /v1/designs             design names
 //	GET    /v1/combos              Table II combo IDs
-//	GET    /healthz                liveness + drain state (legacy combined)
 //	GET    /livez                  liveness: 200 while the process serves
 //	GET    /readyz                 readiness: 503 while draining or replaying;
 //	                               clustered daemons stay 200 with

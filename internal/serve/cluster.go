@@ -26,6 +26,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -35,8 +36,6 @@ import (
 	"github.com/hydrogen-sim/hydrogen/internal/cluster"
 	"github.com/hydrogen-sim/hydrogen/internal/faultinject"
 	"github.com/hydrogen-sim/hydrogen/internal/obs"
-	"github.com/hydrogen-sim/hydrogen/internal/system"
-	"github.com/hydrogen-sim/hydrogen/internal/workloads"
 )
 
 // maxRelayBody bounds a relayed peer response; results are a few KB,
@@ -60,28 +59,11 @@ type clusterState struct {
 	// fully resolved job, so a dead owner's jobs can be promoted into
 	// the local queue without re-deriving anything from the client.
 	mu        sync.Mutex
-	forwarded map[string]*forwardedJob
+	forwarded map[string]*submission
 
 	stopOnce  sync.Once
 	stealStop chan struct{}
 	stealDone chan struct{}
-}
-
-// forwardedJob is the promoted-on-failover payload: everything
-// acceptLocal needs, captured at proxy time.
-type forwardedJob struct {
-	cfg      system.Config
-	design   string
-	combo    workloads.Combo
-	spec     ComboSpec
-	timeout  time.Duration
-	class    string
-	deadline time.Time
-
-	// Identity of the original submission, so a promoted job keeps the
-	// client's request ID and trace across the failover.
-	reqID string
-	trace obs.TraceContext
 }
 
 // initCluster validates the peer config and starts the cluster loops.
@@ -95,7 +77,7 @@ func (s *Server) initCluster(cfg *cluster.Config) error {
 		cfg:       cfg,
 		router:    cluster.NewRouter(cfg.Members),
 		pc:        cluster.NewPeerClient(cfg.Self, cfg.ProxyTimeout, cfg.ProbeTimeout),
-		forwarded: make(map[string]*forwardedJob),
+		forwarded: make(map[string]*submission),
 		stealStop: make(chan struct{}),
 		stealDone: make(chan struct{}),
 	}
@@ -150,34 +132,49 @@ func (s *Server) stopCluster() {
 	<-cl.stealDone
 }
 
-// proxyContext bounds a proxied request to peer id: a peer the prober
-// considers alive gets the caller's full deadline, a dead-marked one
-// gets only the probe timeout — we still try it (the verdict may be a
-// flap), but we will not hang a client request on it.
-func proxyContext(parent context.Context, cl *clusterState, id string) (context.Context, context.CancelFunc) {
-	if cl.prober.Alive(id) {
-		return parent, func() {}
-	}
-	return context.WithTimeout(parent, cl.cfg.ProbeTimeout)
-}
+// errBreakerOpen is callPeer's answer for a call it short-circuited.
+var errBreakerOpen = errors.New("breaker open")
 
-// allowPeer consults peer id's circuit breaker. A false return means
-// the call must be short-circuited: the peer has been failing, and
-// burning a proxy timeout on it would stall this request for nothing.
-// Callers that get true MUST follow the call with recordPeer.
-func (cl *clusterState) allowPeer(id string) bool {
-	ok, _ := cl.breaker.Allow(id)
-	if !ok {
+// callPeer makes one cluster call to peer id the one way every such
+// call is made: short-circuited (errBreakerOpen, the wire untouched)
+// while the peer's circuit breaker is open — it has been failing, and
+// burning a timeout on it would stall the caller for nothing — and with
+// the outcome fed to both the breaker and the prober's liveness view.
+// Only transport-level failures count against the peer: an HTTP
+// response of any status proves it is alive and serving.
+func (cl *clusterState) callPeer(id string, call func() error) error {
+	if ok, _ := cl.breaker.Allow(id); !ok {
 		cl.cm.BreakerShortCircuits.Add(1)
+		return errBreakerOpen
 	}
-	return ok
+	err := call()
+	cl.breaker.Record(id, err == nil)
+	if err != nil {
+		cl.prober.MarkDead(id, err)
+	} else {
+		cl.prober.MarkSeen(id)
+	}
+	return err
 }
 
-// recordPeer feeds one call outcome into peer id's breaker. Only
-// transport-level failures count against the peer: an HTTP response of
-// any status proves the peer is alive and serving.
-func (cl *clusterState) recordPeer(id string, err error) {
-	cl.breaker.Record(id, err == nil)
+// proxyCall is callPeer for a request relayed on a client's behalf. A
+// peer the prober considers alive gets the caller's full deadline; a
+// dead-marked one is still tried — the verdict can be stale or a flap,
+// and skipping a live owner would fork a duplicate simulation elsewhere
+// — but on the probe timeout only, so no client request hangs on it.
+func (cl *clusterState) proxyCall(ctx context.Context, m cluster.Member, call func(context.Context) (*http.Response, error)) (resp *http.Response, err error) {
+	err = cl.callPeer(m.ID, func() (err error) {
+		if !cl.prober.Alive(m.ID) {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, cl.cfg.ProbeTimeout)
+			defer cancel()
+		}
+		if err = peerErrInjected(); err == nil {
+			resp, err = call(ctx)
+		}
+		return err
+	})
+	return resp, err
 }
 
 // errPeerInjected is the transport-level failure the peer-error
@@ -215,8 +212,9 @@ func remainingMS(deadline time.Time) int64 {
 // circuit breaker is open are skipped without touching the wire; the
 // caller's deadline budget is re-minted (time already spent subtracted)
 // for each attempt.
-func (s *Server) clusterProxySubmit(w http.ResponseWriter, r *http.Request, body []byte, req *JobRequest, cfg system.Config, combo workloads.Combo, spec ComboSpec, key string, class string, deadline time.Time, reqID string, tc obs.TraceContext) bool {
+func (s *Server) clusterProxySubmit(w http.ResponseWriter, r *http.Request, body []byte, sub *submission) bool {
 	cl := s.cl
+	key := sub.id
 	start := time.Now()
 	for i, m := range cl.router.Rank(key) {
 		if m.ID == cl.cfg.Self {
@@ -226,30 +224,16 @@ func (s *Server) clusterProxySubmit(w http.ResponseWriter, r *http.Request, body
 			}
 			return false
 		}
-		if !cl.allowPeer(m.ID) {
-			s.logj(key, "peer short-circuited by breaker", "peer", m.ID)
-			continue
-		}
-		// A dead-marked peer still gets one short-fused attempt: the
-		// prober's verdict can be stale or a flap, and skipping a live
-		// owner here would fork a duplicate simulation elsewhere.
-		ctx, cancel := proxyContext(r.Context(), cl, m.ID)
-		var resp *http.Response
-		err := peerErrInjected()
-		if err == nil {
-			resp, err = cl.pc.Submit(ctx, m, body, reqID, tc.Header(), remainingMS(deadline))
-		}
-		cancel()
-		cl.recordPeer(m.ID, err)
+		resp, err := cl.proxyCall(r.Context(), m, func(ctx context.Context) (*http.Response, error) {
+			return cl.pc.Submit(ctx, m, body, sub.reqID, sub.tc.Header(), remainingMS(sub.deadline))
+		})
 		if err != nil {
-			cl.prober.MarkDead(m.ID, err)
 			s.logj(key, "peer submit failed", "peer", m.ID, "err", err)
 			continue
 		}
-		cl.prober.MarkSeen(m.ID)
 		cl.cm.ProxiedSubmits.Add(1)
-		s.relayPeerResponse(w, resp, m, key, req, cfg, combo, spec, class, deadline, reqID, tc)
-		s.recordSpan(tc, "proxy", start)
+		s.relayPeerResponse(w, resp, m, sub)
+		s.recordSpan(sub.tc, "proxy", start)
 		return true
 	}
 	return false
@@ -259,20 +243,16 @@ func (s *Server) clusterProxySubmit(w http.ResponseWriter, r *http.Request, body
 // with which peer produced it, and records the side effects: the
 // forwarded-job ledger entry (for promote-on-failover) and, when the
 // response already carries the finished result, the local cache fill.
-func (s *Server) relayPeerResponse(w http.ResponseWriter, resp *http.Response, m cluster.Member, key string, req *JobRequest, cfg system.Config, combo workloads.Combo, spec ComboSpec, class string, deadline time.Time, reqID string, tc obs.TraceContext) {
+func (s *Server) relayPeerResponse(w http.ResponseWriter, resp *http.Response, m cluster.Member, sub *submission) {
 	cl := s.cl
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxRelayBody))
-	if err != nil {
-		cl.prober.MarkDead(m.ID, err)
-		w.Header().Set(cluster.HeaderPeer, m.ID)
-		w.Header().Set(cluster.HeaderPeerURL, m.URL)
-		httpError(w, http.StatusBadGateway, "peer %s: reading response: %v", m.ID, err)
+	body, ok := s.readPeerBody(w, resp, m)
+	if !ok {
 		return
 	}
 	remember := func() {
+		fw := *sub // the ledger outlives the request
 		cl.mu.Lock()
-		cl.forwarded[key] = &forwardedJob{cfg: cfg, design: req.Design, combo: combo, spec: spec, timeout: time.Duration(req.Timeout), class: class, deadline: deadline, reqID: reqID, trace: tc}
+		cl.forwarded[sub.id] = &fw
 		cl.mu.Unlock()
 	}
 	switch resp.StatusCode {
@@ -286,16 +266,30 @@ func (s *Server) relayPeerResponse(w http.ResponseWriter, resp *http.Response, m
 		// ledger entry just like a fresh 202: the submitter holds an
 		// ack for a job only the owner is running.
 		var st JobStatus
-		if err := json.Unmarshal(body, &st); err == nil && st.ID == key {
+		if err := json.Unmarshal(body, &st); err == nil && st.ID == sub.id {
 			switch st.State {
 			case StateQueued, StateRunning:
 				remember()
 			case StateDone:
-				s.peerFill(key, cfg, req.Design, combo, spec, time.Duration(req.Timeout), class, body)
+				s.peerFill(sub, body)
 			}
 		}
 	}
 	relayRaw(w, resp, m, body)
+}
+
+// readPeerBody drains and closes a proxied response. When the body
+// cannot be read it answers the client 502 itself and reports false.
+func (s *Server) readPeerBody(w http.ResponseWriter, resp *http.Response, m cluster.Member) ([]byte, bool) {
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxRelayBody))
+	if err != nil {
+		s.cl.prober.MarkDead(m.ID, err)
+		w.Header().Set(cluster.HeaderPeer, m.ID)
+		w.Header().Set(cluster.HeaderPeerURL, m.URL)
+		httpError(w, http.StatusBadGateway, "peer %s: reading response: %v", m.ID, err)
+	}
+	return body, err == nil
 }
 
 // relayRaw writes a peer's response through to the client: status,
@@ -324,28 +318,23 @@ func relayRaw(w http.ResponseWriter, resp *http.Response, m cluster.Member, body
 // done job record, so every subsequent hit for this ID is local. The
 // result bytes are stored verbatim — determinism plus content
 // addressing make them identical to the owner's.
-func (s *Server) peerFill(key string, cfg system.Config, design string, combo workloads.Combo, spec ComboSpec, timeout time.Duration, class string, body []byte) {
+func (s *Server) peerFill(sub *submission, body []byte) {
 	var st JobStatus
-	if err := json.Unmarshal(body, &st); err != nil || st.State != StateDone || len(st.Result) == 0 || st.ID != key {
+	if err := json.Unmarshal(body, &st); err != nil || st.State != StateDone || len(st.Result) == 0 || st.ID != sub.id {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, exists := s.jobs[key]; exists || s.draining {
+	if _, exists := s.jobs[sub.id]; exists || s.draining {
 		return
 	}
-	s.cache.Put(key, st.Result)
-	j := s.newJobLocked(key, cfg, design, combo, spec, timeout, class, time.Time{}, false)
-	j.markDurable(nil) // the result exists; nothing to journal
-	j.state = StateDone
-	j.finished = time.Now()
-	j.result = st.Result
-	close(j.done)
+	s.cache.Put(sub.id, st.Result)
+	s.synthesizeDoneLocked(sub, st.Result)
 	s.cl.cm.PeerFills.Add(1)
 	s.cl.mu.Lock()
-	delete(s.cl.forwarded, key)
+	delete(s.cl.forwarded, sub.id)
 	s.cl.mu.Unlock()
-	s.logj(key, "cache filled from peer")
+	s.logj(sub.id, "cache filled from peer")
 }
 
 // clusterGet chases an unknown job ID down its rendezvous ranking. If
@@ -360,149 +349,84 @@ func (s *Server) clusterGet(w http.ResponseWriter, r *http.Request, id string) {
 		if m.ID == cl.cfg.Self {
 			break
 		}
-		if !cl.allowPeer(m.ID) {
-			continue
-		}
-		// As on the submit path: never silently skip a ranked peer on
-		// the prober's say-so alone — attempt it (short-fused when
-		// dead-marked) and let the request outcome decide.
-		ctx, cancel := proxyContext(r.Context(), cl, m.ID)
-		var resp *http.Response
-		err := peerErrInjected()
-		if err == nil {
-			resp, err = cl.pc.GetJob(ctx, m, id, r.Header.Get("If-None-Match"), reqID, trace)
-		}
-		cancel()
-		cl.recordPeer(m.ID, err)
+		resp, err := cl.proxyCall(r.Context(), m, func(ctx context.Context) (*http.Response, error) {
+			return cl.pc.GetJob(ctx, m, id, r.Header.Get("If-None-Match"), reqID, trace)
+		})
 		if err != nil {
-			cl.prober.MarkDead(m.ID, err)
-			if i == 0 {
+			if i == 0 && err != errBreakerOpen {
 				cl.cm.Failovers.Add(1)
 			}
 			continue
 		}
-		cl.prober.MarkSeen(m.ID)
 		if resp.StatusCode == http.StatusNotFound {
 			resp.Body.Close()
 			continue // this peer never saw it; try further down the ring
 		}
 		cl.cm.ProxiedGets.Add(1)
-		func() {
-			defer resp.Body.Close()
-			if resp.StatusCode == http.StatusNotModified {
-				relayRaw(w, resp, m, nil)
-				return
+		if resp.StatusCode == http.StatusNotModified {
+			resp.Body.Close()
+			relayRaw(w, resp, m, nil)
+			return
+		}
+		body, ok := s.readPeerBody(w, resp, m)
+		if !ok {
+			return
+		}
+		if resp.StatusCode == http.StatusOK {
+			if fw := s.lookupForwarded(id); fw != nil {
+				s.peerFill(fw, body)
 			}
-			body, err := io.ReadAll(io.LimitReader(resp.Body, maxRelayBody))
-			if err != nil {
-				w.Header().Set(cluster.HeaderPeer, m.ID)
-				w.Header().Set(cluster.HeaderPeerURL, m.URL)
-				httpError(w, http.StatusBadGateway, "peer %s: reading response: %v", m.ID, err)
-				return
-			}
-			if resp.StatusCode == http.StatusOK {
-				if fw := s.lookupForwarded(id); fw != nil {
-					s.peerFill(id, fw.cfg, fw.design, fw.combo, fw.spec, fw.timeout, fw.class, body)
-				}
-			}
-			relayRaw(w, resp, m, body)
-		}()
+		}
+		relayRaw(w, resp, m, body)
 		return
 	}
-	j, err := s.promoteForwarded(id)
-	if err != nil {
+	j, ref := s.promoteForwarded(id)
+	switch {
+	case ref != nil && ref.kind != refusedQuarantined:
 		// This daemon forwarded the submission, the owner is gone, and
-		// adoption failed (full queue or a dead journal): the client's
-		// 202 is still backed by a journaled record here, so tell it to
-		// retry rather than pretend the job never existed.
+		// adoption was refused for now (draining, full lane, dead journal,
+		// low disk): the client holds a 202, so tell it to retry rather
+		// than pretend the job never existed. A quarantined ID is refused
+		// for good and keeps the 404 — no Retry-After could satisfy it.
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "owner unreachable; local adoption failed: %v", err)
-		return
-	}
-	if j != nil {
+		httpError(w, http.StatusServiceUnavailable, "owner unreachable; local adoption failed: %v", ref)
+	case j != nil:
 		writeJSON(w, http.StatusOK, j.snapshot())
-		return
+	default:
+		httpError(w, http.StatusNotFound, "no such job")
 	}
-	httpError(w, http.StatusNotFound, "no such job")
 }
 
-func (s *Server) lookupForwarded(id string) *forwardedJob {
+func (s *Server) lookupForwarded(id string) *submission {
 	s.cl.mu.Lock()
 	defer s.cl.mu.Unlock()
 	return s.cl.forwarded[id]
 }
 
-// promoteForwarded adopts a job this daemon proxied out whose owner is
-// now unreachable: journal the submit record here (the 202 the client
-// holds must stay replayable from SOME journal) and enqueue it. Returns
+// promoteForwarded is the failover entry to the lifecycle: it adopts a
+// job this daemon proxied out whose owner is now unreachable, so the
+// 202 the client holds stays replayable from SOME journal. It returns
 // the local job, existing or new; (nil, nil) when this daemon never
-// forwarded the ID or is legitimately refusing it (draining,
-// quarantined); a non-nil error when adoption was attempted and failed
-// — the job was NOT silently dropped (its submit record is neutralized
-// in the journal) and the caller owes the client an honest 503.
-func (s *Server) promoteForwarded(id string) (*job, error) {
+// forwarded the ID; or intake's refusal — the job was then NOT silently
+// dropped (a submit record that reached the journal is neutralized).
+func (s *Server) promoteForwarded(id string) (*job, *refusal) {
 	fw := s.lookupForwarded(id)
 	if fw == nil {
 		return nil, nil
 	}
-	s.mu.Lock()
-	if j, ok := s.jobs[id]; ok {
-		s.mu.Unlock()
-		return j, nil // already adopted (earlier poll, steal, or a racing submit)
+	sub := *fw
+	sub.via = "promote"
+	j, fresh, ref := s.intake(&sub)
+	if fresh {
+		s.cl.cm.PromotedJobs.Add(1)
+		s.logj(id, "promoted after owner failure", "design", j.design, "combo", j.spec.ID)
 	}
-	if s.draining || s.failCount[id] >= s.opts.QuarantineAfter {
-		s.mu.Unlock()
-		return nil, nil
-	}
-	j := s.newJobLocked(id, fw.cfg, fw.design, fw.combo, fw.spec, fw.timeout, fw.class, fw.deadline, false)
-	j.reqID = fw.reqID
-	j.trace.SetContext(fw.trace, s.node)
-	// A zero-length interval marking the adoption: the merged trace shows
-	// which node picked the job up after the owner died.
-	j.trace.AddInterval("promote", time.Now(), 0)
-	s.mu.Unlock()
-	rec := journalRecord{Type: recSubmit, ID: id, Config: &j.cfg, Design: j.design, Combo: &j.spec, Timeout: Duration(fw.timeout), Deadline: fw.deadline, Spans: j.tracedSpans()}
-	if j.class == classBatch {
-		rec.Priority = j.class
-	}
-	if err := s.appendRecord(rec); err != nil {
-		j.markDurable(err)
-		s.abandonJob(j, "canceled: journal write failed")
-		return nil, err
-	}
-	j.markDurable(nil)
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.abandonJob(j, msgShutdown)
-		return nil, nil
-	}
-	if !s.queue.Push(j) {
-		s.mu.Unlock()
-		s.abandonJob(j, msgQueueFull)
-		// Neutralize the submit record just journaled: without this, a
-		// restart would resurrect a job whose adoption we reported as
-		// failed — the silent-drop bug this path used to have, inverted.
-		if err := s.appendRecord(journalRecord{Type: StateCanceled, ID: id, Error: msgQueueFull}); err != nil {
-			s.logj(id, "journal cancel failed", "err", err)
-		}
-		return nil, errors.New(msgQueueFull)
-	}
-	s.mu.Unlock()
-	s.m.enqueued.Add(1)
-	s.m.queued.Add(1)
-	s.cl.cm.PromotedJobs.Add(1)
-	s.logj(id, "promoted after owner failure", "design", j.design, "combo", j.spec.ID)
-	return j, nil
+	return j, ref
 }
 
 // handlePeerz serves this daemon's self-status plus its view of the
 // rest of the ring — the gossip surface the prober and stealer read.
 func (s *Server) handlePeerz(w http.ResponseWriter, r *http.Request) {
-	if s.cl == nil {
-		httpError(w, http.StatusNotFound, "not clustered")
-		return
-	}
 	s.mu.Lock()
 	draining, replaying := s.draining, s.replaying
 	s.mu.Unlock()
@@ -523,10 +447,6 @@ func (s *Server) handlePeerz(w http.ResponseWriter, r *http.Request) {
 // goroutine mirrors the thief's terminal state back (or reclaims the
 // job if the thief dies).
 func (s *Server) handleSteal(w http.ResponseWriter, r *http.Request) {
-	if s.cl == nil {
-		httpError(w, http.StatusNotFound, "not clustered")
-		return
-	}
 	thiefID := r.Header.Get(cluster.HeaderForwarded)
 	thief, ok := s.cl.router.Member(thiefID)
 	if !ok {
@@ -592,18 +512,15 @@ func (s *Server) requeueStolen(j *job) {
 	j.stolen = false
 	j.mu.Unlock()
 	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.abandonJob(j, msgShutdown)
-		return
-	}
-	if !s.queue.ForcePush(j) {
-		s.mu.Unlock()
-		s.abandonJob(j, msgShutdown)
+	pushed := !s.draining && s.queue.ForcePush(j)
+	s.mu.Unlock()
+	if !pushed {
+		// Shutting down: the submit record stays live, so the job replays
+		// from the journal on the next start.
+		s.abandonJob(j, &refusal{kind: refusedDraining})
 		return
 	}
 	s.m.queued.Add(1)
-	s.mu.Unlock()
 }
 
 // watchStolen polls the thief for the stolen job's fate: terminal
@@ -643,40 +560,17 @@ func (s *Server) watchStolen(j *job, thief cluster.Member) {
 		}
 		misses = 0
 		switch st.State {
-		case StateDone:
-			s.cache.Put(j.id, st.Result)
+		case StateDone, StateFailed, StateCanceled, StateDeadline:
+			if st.State == StateDone {
+				s.cache.Put(j.id, st.Result)
+			}
 			// The thief's spans (already stamped with its node name) merge
 			// into the local record before the terminal journal write, so
 			// the trace survives both the migration and a later replay.
 			j.trace.AddAll(st.Spans)
-			if err := s.appendRecord(journalRecord{Type: StateDone, ID: j.id, Spans: j.tracedSpans()}); err != nil {
-				s.logj(j.id, "journal append failed", "state", StateDone, "err", err)
+			if s.terminate(j, StateQueued, st.State, st.Error, st.Result) {
+				s.logj(j.id, "finished remotely", "thief", thief.ID, "state", st.State)
 			}
-			j.mu.Lock()
-			if j.state == StateQueued {
-				j.finish(StateDone, "", st.Result)
-			}
-			j.mu.Unlock()
-			s.m.completed.Add(1)
-			s.logj(j.id, "done remotely", "thief", thief.ID)
-			s.collectTrace(j, time.Since(j.submitted))
-			return
-		case StateFailed, StateCanceled, StateDeadline:
-			j.trace.AddAll(st.Spans)
-			if err := s.appendRecord(journalRecord{Type: st.State, ID: j.id, Error: st.Error, Spans: j.tracedSpans()}); err != nil {
-				s.logj(j.id, "journal append failed", "state", st.State, "err", err)
-			}
-			j.mu.Lock()
-			if j.state == StateQueued {
-				j.finish(st.State, st.Error, nil)
-			}
-			j.mu.Unlock()
-			if st.State == StateFailed {
-				s.m.failed.Add(1)
-				s.noteFailure(j.id)
-			}
-			s.logj(j.id, "finished remotely", "thief", thief.ID, "state", st.State)
-			s.collectTrace(j, time.Since(j.submitted))
 			return
 		}
 	}
@@ -687,7 +581,7 @@ func (s *Server) watchStolen(j *job, thief cluster.Member) {
 // miss counter advances toward reclaim.
 func (s *Server) pollStolen(j *job, thief cluster.Member) (JobStatus, error) {
 	resp, err := s.cl.pc.GetJob(context.Background(), thief, j.id, "", j.reqID, j.trace.Context().Header())
-	s.cl.recordPeer(thief.ID, err)
+	s.cl.breaker.Record(thief.ID, err == nil)
 	if err != nil {
 		s.cl.prober.MarkDead(thief.ID, err)
 		return JobStatus{}, err
@@ -695,7 +589,7 @@ func (s *Server) pollStolen(j *job, thief cluster.Member) (JobStatus, error) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		return JobStatus{}, errStatus(resp.StatusCode)
+		return JobStatus{}, fmt.Errorf("HTTP %d", resp.StatusCode)
 	}
 	var st JobStatus
 	if err := json.NewDecoder(io.LimitReader(resp.Body, maxRelayBody)).Decode(&st); err != nil {
@@ -703,10 +597,6 @@ func (s *Server) pollStolen(j *job, thief cluster.Member) (JobStatus, error) {
 	}
 	return st, nil
 }
-
-type errStatus int
-
-func (e errStatus) Error() string { return "HTTP " + strconv.Itoa(int(e)) }
 
 // stealLoop is the thief side: when this daemon is idle, poll the
 // prober's gossip for the deepest-queued live peer and take one job.
@@ -751,91 +641,51 @@ func (s *Server) stealOnce() {
 	if victim.ID == "" {
 		return
 	}
-	if !cl.allowPeer(victim.ID) {
-		return // breaker open: don't poke a peer we just watched fail
+	var sj *cluster.StolenJob
+	err := cl.callPeer(victim.ID, func() (err error) {
+		if sj, err = cl.pc.Steal(context.Background(), victim); err == nil {
+			err = peerErrInjected()
+		}
+		return err
+	})
+	if err == nil && sj != nil {
+		s.adoptStolen(sj, victim)
 	}
-	sj, err := cl.pc.Steal(context.Background(), victim)
-	if err == nil {
-		err = peerErrInjected()
-	}
-	cl.recordPeer(victim.ID, err)
-	if err != nil {
-		cl.prober.MarkDead(victim.ID, err)
-		return
-	}
-	if sj == nil {
-		return
-	}
-	s.adoptStolen(sj, victim)
 }
 
-// adoptStolen installs a stolen job locally: verify the handoff (the
-// request must hash to the advertised ID — content addressing is the
-// integrity check), journal the submit record, and enqueue. On any
-// failure before journaling the job is simply not adopted; the owner's
-// watcher reclaims it after a few missed polls. After journaling, a
-// refused enqueue must neutralize the submit record — otherwise a
-// restart replays a job this daemon never owned up to running.
-func (s *Server) adoptStolen(sj *cluster.StolenJob, from cluster.Member) {
+// adoptStolen is the steal entry to the lifecycle: verify the handoff
+// (the request must hash to the advertised ID — content addressing is
+// the integrity check) and hand it to intake. Whatever the refusal, the
+// job is simply not adopted here; the owner's watcher reclaims it after
+// a few missed polls.
+func (s *Server) adoptStolen(sj *cluster.StolenJob, from cluster.Member) *refusal {
 	var req JobRequest
 	if err := json.Unmarshal(sj.Request, &req); err != nil {
 		s.logj(sj.ID, "steal handoff undecodable", "from", from.ID, "err", err)
-		return
+		return nil
 	}
-	cfg, combo, spec, key, err := s.resolveRequest(&req)
-	if err != nil || key != sj.ID {
-		s.logj(sj.ID, "steal handoff rejected", "from", from.ID, "key", short(key), "err", err)
-		return
+	sub, err := s.resolveRequest(&req)
+	if err != nil || sub.id != sj.ID {
+		s.logj(sj.ID, "steal handoff rejected", "from", from.ID, "key", short(sub.id), "err", err)
+		return nil
 	}
 	// A peer minted this priority, so an unknown value is a version skew,
 	// not a client error: fall back to interactive rather than reject.
-	class, ok := normalizeClass(req.Priority)
-	if !ok {
-		class = classInteractive
-	}
-	var deadline time.Time
+	sub.class, _ = normalizeClass(req.Priority)
 	if sj.DeadlineMS > 0 {
-		deadline = time.Now().Add(time.Duration(sj.DeadlineMS) * time.Millisecond)
+		sub.deadline = time.Now().Add(time.Duration(sj.DeadlineMS) * time.Millisecond)
 	}
-	s.mu.Lock()
-	if _, exists := s.jobs[key]; exists || s.draining {
-		s.mu.Unlock()
-		return
-	}
-	j := s.newJobLocked(key, cfg, req.Design, combo, spec, time.Duration(req.Timeout), class, deadline, false)
-	j.reqID = sj.RequestID
+	sub.reqID = sj.RequestID
 	if tc, ok := obs.ParseTraceHeader(sj.Trace); ok && tc.Sampled {
-		j.trace.SetContext(tc, s.node)
+		sub.tc = tc
 	}
-	s.mu.Unlock()
-	rec := journalRecord{Type: recSubmit, ID: key, Config: &j.cfg, Design: j.design, Combo: &j.spec, Timeout: req.Timeout, Deadline: deadline}
-	if class == classBatch {
-		rec.Priority = class
+	_, fresh, ref := s.intake(&sub)
+	switch {
+	case ref != nil:
+		s.logj(sub.id, "steal adoption refused", "from", from.ID, "err", ref)
+	case fresh:
+		s.cl.cm.StealsIn.Add(1)
+		s.logj(sub.id, "adopted stolen job", "from", from.ID)
 	}
-	if err := s.appendRecord(rec); err != nil {
-		j.markDurable(err)
-		s.abandonJob(j, "canceled: journal write failed")
-		return
-	}
-	j.markDurable(nil)
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.abandonJob(j, msgShutdown)
-		return
-	}
-	if !s.queue.Push(j) {
-		s.mu.Unlock()
-		s.abandonJob(j, msgQueueFull)
-		if err := s.appendRecord(journalRecord{Type: StateCanceled, ID: key, Error: msgQueueFull}); err != nil {
-			s.logj(key, "journal cancel failed", "err", err)
-		}
-		s.logj(key, "steal adoption refused: queue full", "from", from.ID)
-		return
-	}
-	s.mu.Unlock()
-	s.m.enqueued.Add(1)
-	s.m.queued.Add(1)
-	s.cl.cm.StealsIn.Add(1)
-	s.logj(key, "adopted stolen job", "from", from.ID)
+	return ref
 }

@@ -56,12 +56,7 @@ func (s *Server) Crash() {
 		s.jl = nil
 	}
 	s.jlMu.Unlock()
-	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		s.queue.Close()
-	}
-	s.mu.Unlock()
+	s.beginShutdown()
 	s.cancelAll()
 	s.workers.Wait()
 }

@@ -75,6 +75,9 @@ func (s *Server) appendRecord(rec journalRecord) error {
 		return err
 	}
 	s.m.journalAppends.Add(1)
+	if s.afterAppend != nil {
+		s.afterAppend(rec)
+	}
 	return nil
 }
 
@@ -82,9 +85,7 @@ func (s *Server) appendRecord(rec journalRecord) error {
 // replay.
 type replayedJob struct {
 	submit   journalRecord
-	started  bool
 	terminal string // last terminal state, "" if none
-	errMsg   string
 	fails    int
 }
 
@@ -112,12 +113,10 @@ func replayJournal(path string) (pending []*replayedJob, fails map[string]int, t
 			} else {
 				// Resubmission of a terminal job: fresh attempt.
 				byID[rec.ID].submit = rec
-				byID[rec.ID].started = false
 				byID[rec.ID].terminal = ""
 			}
 		case recStart:
 			if j, ok := byID[rec.ID]; ok {
-				j.started = true
 				j.terminal = ""
 			}
 		case StateDone, StateFailed, StateCanceled, StateDeadline:
@@ -130,7 +129,6 @@ func replayJournal(path string) (pending []*replayedJob, fails map[string]int, t
 				byID[rec.ID] = j
 			}
 			j.terminal = rec.Type
-			j.errMsg = rec.Error
 			if rec.Type == StateFailed {
 				n := rec.Fails
 				if n <= 0 {

@@ -80,25 +80,8 @@ func (m *metrics) classLatency(class string) *obs.Histogram {
 
 // newMetrics builds the daemon's registry. The function arguments feed
 // scrape-time series for state owned elsewhere (cache entry count and
-// bytes, journal file length and fsync-batch count); a nil callback
-// reads as zero.
+// bytes, journal file length and fsync-batch count, free disk).
 func newMetrics(cacheEntries, cacheBytes, journalBytes, journalSyncs, diskFree func() int64) *metrics {
-	zero := func() int64 { return 0 }
-	if cacheEntries == nil {
-		cacheEntries = zero
-	}
-	if cacheBytes == nil {
-		cacheBytes = zero
-	}
-	if journalBytes == nil {
-		journalBytes = zero
-	}
-	if journalSyncs == nil {
-		journalSyncs = zero
-	}
-	if diskFree == nil {
-		diskFree = zero
-	}
 	r := obs.NewRegistry()
 	m := &metrics{reg: r}
 	m.submitted = r.Counter("hydroserved_jobs_submitted_total", "Job submissions accepted.")

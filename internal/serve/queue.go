@@ -64,27 +64,19 @@ func newJobQueue(capacity int) *jobQueue {
 
 // Push appends j to its class lane; false when the lane is at capacity
 // or the queue is closed.
-func (q *jobQueue) Push(j *job) bool {
-	lane := laneOf(j.class)
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed || len(q.lanes[lane]) >= q.cap {
-		return false
-	}
-	q.lanes[lane] = append(q.lanes[lane], j)
-	q.cond.Signal()
-	return true
-}
+func (q *jobQueue) Push(j *job) bool { return q.push(j, false) }
 
 // ForcePush appends j regardless of capacity — for jobs that MUST be
 // queued (journal replay, a stolen job reclaimed from a dead thief):
 // an accepted job is never dropped because the lane happens to be full.
 // Only a closed queue refuses.
-func (q *jobQueue) ForcePush(j *job) bool {
+func (q *jobQueue) ForcePush(j *job) bool { return q.push(j, true) }
+
+func (q *jobQueue) push(j *job, force bool) bool {
 	lane := laneOf(j.class)
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed {
+	if q.closed || (!force && len(q.lanes[lane]) >= q.cap) {
 		return false
 	}
 	q.lanes[lane] = append(q.lanes[lane], j)

@@ -423,9 +423,9 @@ func TestListingsAndMetrics(t *testing.T) {
 		t.Fatalf("job listing: %+v", jobs)
 	}
 	var health map[string]any
-	mustGetJSON(t, ts.URL+"/healthz", &health)
+	mustGetJSON(t, ts.URL+"/livez", &health)
 	if health["ok"] != true {
-		t.Fatalf("healthz: %v", health)
+		t.Fatalf("livez: %v", health)
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")

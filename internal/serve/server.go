@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -58,12 +57,8 @@ type Options struct {
 	// pathological config cannot crash-loop the daemon. Failures are
 	// counted across restarts via the journal. <=0 selects 3.
 	QuarantineAfter int
-	// Logf, when set, receives one formatted line per job state change
-	// — the legacy logging hook, kept for simple sinks like log.Printf.
-	Logf func(format string, args ...any)
 	// Logger, when set, receives every lifecycle event as a structured
 	// record with the job ID attached as an attribute; nil discards.
-	// Logf and Logger are independent sinks and may both be set.
 	Logger *slog.Logger
 	// AccessLog enables one structured log record per HTTP request
 	// (method, path, status, bytes, duration, request ID) on Logger.
@@ -132,58 +127,6 @@ type Options struct {
 	TraceBuffer int
 }
 
-// job is one submission's record. Its identity is its cache key, which
-// is what makes dedupe structural: an identical submission cannot mint
-// a second job while the first is in flight.
-type job struct {
-	id       string
-	cfg      system.Config
-	design   string
-	combo    workloads.Combo
-	spec     ComboSpec
-	timeout  time.Duration // execution deadline, 0 = none
-	class    string        // admission lane: classInteractive or classBatch
-	deadline time.Time     // propagated caller deadline, zero = none
-	replayed bool          // re-enqueued from the journal after a restart
-	reqID    string        // submitter's X-Request-ID, propagated on cluster hops
-
-	// telem and trace carry their own locks: handlers snapshot them
-	// without j.mu, and the worker records spans into trace while
-	// handlers hold j.mu in snapshot().
-	telem *obs.Ring
-	trace *obs.Trace
-
-	mu        sync.Mutex
-	state     string
-	stolen    bool // popped off the queue and running on a peer
-	err       string
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-	epochs    []system.EpochSample
-	subs      map[chan system.EpochSample]struct{}
-	tsubs     map[chan obs.EpochPoint]struct{}
-	cancel    context.CancelFunc
-	result    []byte
-	done      chan struct{} // closed on any terminal state
-
-	// durable is closed once the job's fate at the durability barrier is
-	// known: durErr nil means the submit record is fsynced. Singleflight
-	// attachers wait on it, so no dedup ack is issued on the strength of
-	// a frame that may not exist after a crash. Jobs that need no record
-	// (replayed, cache-synthesized) are born durable.
-	durable chan struct{}
-	durErr  error
-
-	// encMu guards the memoized wire encoding of the terminal status,
-	// built once after the job completes and then served as raw bytes
-	// with Content-Length — the pre-encoded hit path. One shared buffer
-	// backs both the GET /v1/jobs/{id} body and the POST cache-hit body
-	// (Cached=true); see jobEnc.
-	encMu sync.Mutex
-	enc   *jobEnc
-}
-
 // jobEnc is a done job's memoized terminal wire encoding. The GET body
 // and the POST cache-hit body differ only by the "cached":true field,
 // so both variants are spans over one shared buffer — get = pre+post,
@@ -237,6 +180,10 @@ type Server struct {
 	// jlMu before mu.
 	jlMu sync.RWMutex
 	jl   *journal.Journal
+	// afterAppend is a test-only hook run after a record is durable
+	// (still under the shared jlMu), for staging the races that live
+	// between an fsync and what follows it. Nil in production.
+	afterAppend func(journalRecord)
 
 	// adm is the adaptive admission controller (cost model + CoDel
 	// queue-delay window); see admission.go.
@@ -315,6 +262,7 @@ func New(opts Options) (*Server, error) {
 		cache:     newResultCache(opts.CacheEntries, opts.CacheDir),
 		jobs:      make(map[string]*job),
 		failCount: make(map[string]int),
+		queue:     newJobQueue(opts.QueueDepth),
 		reqMemo:   make(map[[sha256.Size]byte]string),
 		adm:       newAdmission(opts.CodelTarget),
 		tracer:    obs.NewSpanCollector(opts.TraceBuffer),
@@ -345,24 +293,8 @@ func New(opts Options) (*Server, error) {
 	s.m = newMetrics(
 		func() int64 { return int64(s.cache.Len()) },
 		s.cache.Bytes,
-		func() int64 {
-			s.jlMu.RLock()
-			jl := s.jl
-			s.jlMu.RUnlock()
-			if jl == nil {
-				return 0
-			}
-			return jl.Size()
-		},
-		func() int64 {
-			s.jlMu.RLock()
-			jl := s.jl
-			s.jlMu.RUnlock()
-			if jl == nil {
-				return 0
-			}
-			return jl.Syncs()
-		},
+		s.journalStat((*journal.Journal).Size),
+		s.journalStat((*journal.Journal).Syncs),
 		s.diskFree.Load,
 	)
 	s.cache.onEvict = func(spilled bool) {
@@ -380,7 +312,6 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/jobs/{id}/telemetry", s.handleTelemetry)
 	s.mux.HandleFunc("GET /v1/designs", s.handleDesigns)
 	s.mux.HandleFunc("GET /v1/combos", s.handleCombos)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /livez", s.handleLivez)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -398,21 +329,9 @@ func New(opts Options) (*Server, error) {
 		AccessLog: opts.AccessLog,
 	}
 
-	pending, err := s.recover()
-	if err != nil {
+	if err := s.recover(); err != nil {
 		return nil, err
 	}
-	// Replayed jobs re-enter through ForcePush: a journaled 202 is a
-	// promise, so the configured depth never turns replayed work away.
-	s.queue = newJobQueue(opts.QueueDepth)
-	for _, j := range pending {
-		s.queue.ForcePush(j)
-		s.m.enqueued.Add(1)
-		s.m.queued.Add(1)
-		s.m.replayed.Add(1)
-		s.logj(j.id, "re-enqueued from journal", "design", j.design, "combo", j.spec.ID)
-	}
-
 	for i := 0; i < opts.Workers; i++ {
 		s.workers.Add(1)
 		go s.worker()
@@ -423,8 +342,8 @@ func New(opts Options) (*Server, error) {
 		s.wmStop = make(chan struct{})
 		go s.watermarkLoop()
 	}
-	// The cluster loops start last: the stealer pushes into s.queue, so
-	// the queue must exist before any peer can hand this daemon work.
+	// The cluster loops start last: the stealer feeds intake, so the
+	// workers must exist before any peer can hand this daemon work.
 	if opts.Cluster != nil {
 		if err := s.initCluster(opts.Cluster); err != nil {
 			s.Close()
@@ -434,153 +353,139 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// recover replays the journal at Options.JournalPath: jobs that were
-// queued or running when the previous process died come back as
-// pending (unless their result already reached the cache — the
-// content-addressed ID makes replay idempotent — or their ID is
-// quarantined), failure counts are restored, and the log is compacted
-// to the minimal equivalent state before being reopened for appends.
-func (s *Server) recover() ([]*job, error) {
+// journalStat adapts a journal accessor into a scrape-time metric
+// source that reads zero while no journal is attached.
+func (s *Server) journalStat(read func(*journal.Journal) int64) func() int64 {
+	return func() int64 {
+		s.jlMu.RLock()
+		jl := s.jl
+		s.jlMu.RUnlock()
+		if jl == nil {
+			return 0
+		}
+		return read(jl)
+	}
+}
+
+// recover is the replay entry to the lifecycle: it reads the journal at
+// Options.JournalPath and hands every job that was queued or running
+// when the previous process died back to intake (unless its result
+// already reached the cache — the content-addressed ID makes replay
+// idempotent — or its ID is quarantined). Failure counts are restored,
+// and the log is compacted to the minimal equivalent state before being
+// reopened for appends.
+func (s *Server) recover() error {
 	if s.opts.JournalPath == "" {
-		return nil, nil
+		return nil
 	}
 	s.replaying = true
 	defer func() { s.replaying = false }()
 	replayed, fails, torn, err := replayJournal(s.opts.JournalPath)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if torn {
 		s.logf("journal: torn tail detected (crash mid-append); discarding it")
 	}
 	s.failCount = fails
-	if s.failCount == nil {
-		s.failCount = make(map[string]int)
-	}
-	var pending []*job
 	var still []*replayedJob
 	for _, r := range replayed {
 		rec := r.submit
+		sub := &submission{
+			id: rec.ID, cfg: *rec.Config, design: rec.Design, spec: *rec.Combo,
+			timeout: time.Duration(rec.Timeout), class: rec.Priority, deadline: rec.Deadline,
+			replayed: true,
+		}
 		if data, ok := s.cache.Get(rec.ID); ok {
 			// The crash landed between the result reaching the cache
 			// and the terminal record reaching the journal: the work is
 			// done, so synthesize the finished job instead of re-running.
-			j := s.newJobLocked(rec.ID, *rec.Config, rec.Design, workloads.Combo{}, *rec.Combo, time.Duration(rec.Timeout), rec.Priority, rec.Deadline, true)
-			j.markDurable(nil) // its submit record is already in the journal
-			j.trace.AddAll(rec.Spans)
-			j.state = StateDone
-			j.finished = time.Now()
-			j.result = data
-			close(j.done)
+			s.mu.Lock()
+			s.synthesizeDoneLocked(sub, data).trace.AddAll(rec.Spans)
+			s.mu.Unlock()
 			continue
 		}
-		if s.failCount[rec.ID] >= s.opts.QuarantineAfter {
-			s.logj(rec.ID, "not replayed: quarantined", "failures", s.failCount[rec.ID])
-			continue
-		}
-		combo, spec, err := rec.Combo.resolve()
-		if err != nil {
+		if sub.combo, sub.spec, err = rec.Combo.resolve(); err != nil {
 			s.logj(rec.ID, "not replayed", "err", err)
 			continue
 		}
-		j := s.newJobLocked(rec.ID, *rec.Config, rec.Design, combo, spec, time.Duration(rec.Timeout), rec.Priority, rec.Deadline, true)
-		j.markDurable(nil) // replayed from the journal: durable by definition
+		j, _, ref := s.intake(sub)
+		if ref != nil {
+			s.logj(rec.ID, "not replayed", "err", ref)
+			continue
+		}
 		j.trace.AddAll(rec.Spans)
-		pending = append(pending, j)
+		s.m.replayed.Add(1)
+		s.logj(j.id, "re-enqueued from journal", "design", j.design, "combo", j.spec.ID)
 		still = append(still, r)
 	}
 	records, err := compactRecords(still, s.failCount)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := journal.Rewrite(s.opts.JournalPath, records); err != nil {
-		return nil, err
+		return err
 	}
 	jl, err := journal.Open(s.opts.JournalPath)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.jlMu.Lock()
 	s.jl = jl
 	s.jlMu.Unlock()
-	return pending, nil
+	return nil
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
-// logf feeds one formatted line to the legacy Options.Logf sink and
-// mirrors it to the structured logger — for daemon-level messages that
-// have no job to correlate with.
+// logf logs a daemon-level message that has no job to correlate with.
 func (s *Server) logf(format string, args ...any) {
-	if s.opts.Logf != nil {
-		s.opts.Logf(format, args...)
-	}
 	s.log.Info(fmt.Sprintf(format, args...))
 }
 
-// logj records one job lifecycle event: a structured record carrying
-// the (short) job ID as an attribute, mirrored to the legacy Logf sink
-// as a "job <id> <event> k=v ..." line.
+// logj records one job lifecycle event as a structured record carrying
+// the (short) job ID as an attribute.
 func (s *Server) logj(id, event string, attrs ...any) {
 	s.log.Info(event, append([]any{"job", short(id)}, attrs...)...)
-	if s.opts.Logf == nil {
-		return
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "job %s %s", short(id), event)
-	for i := 0; i+1 < len(attrs); i += 2 {
-		fmt.Fprintf(&b, " %v=%v", attrs[i], attrs[i+1])
-	}
-	s.opts.Logf("%s", b.String())
 }
 
-// resolveRequest turns a JobRequest into a runnable (config, design,
-// combo) triple plus its cache key.
-func (s *Server) resolveRequest(req *JobRequest) (system.Config, workloads.Combo, ComboSpec, string, error) {
-	var cfg system.Config
+// resolveRequest turns a JobRequest into the runnable core of a
+// submission — config, design, combo, timeout — plus its cache key.
+func (s *Server) resolveRequest(req *JobRequest) (submission, error) {
+	sub := submission{design: req.Design, timeout: time.Duration(req.Timeout)}
 	switch {
 	case req.Config != nil:
-		cfg = *req.Config
+		sub.cfg = *req.Config
 	case s.opts.DefaultConfig != nil:
-		cfg = *s.opts.DefaultConfig
+		sub.cfg = *s.opts.DefaultConfig
 	case req.Paper:
-		cfg = system.Paper()
+		sub.cfg = system.Paper()
 	default:
-		cfg = system.Quick()
+		sub.cfg = system.Quick()
 	}
 	if req.Cycles > 0 {
-		cfg.Cycles = req.Cycles
+		sub.cfg.Cycles = req.Cycles
 	}
 	if req.Seed != 0 {
-		cfg.Seed = req.Seed
+		sub.cfg.Seed = req.Seed
 	}
 	if req.Design == "" {
-		return cfg, workloads.Combo{}, ComboSpec{}, "", fmt.Errorf("missing design")
+		return sub, fmt.Errorf("missing design")
 	}
-	probe := cfg
+	probe := sub.cfg
 	if _, err := system.ApplyDesign(&probe, req.Design); err != nil {
-		return cfg, workloads.Combo{}, ComboSpec{}, "", err
+		return sub, err
 	}
-	if err := cfg.Hybrid.Validate(); err != nil {
-		return cfg, workloads.Combo{}, ComboSpec{}, "", err
+	if err := sub.cfg.Hybrid.Validate(); err != nil {
+		return sub, err
 	}
-	combo, spec, err := req.Combo.resolve()
-	if err != nil {
-		return cfg, combo, spec, "", err
+	var err error
+	if sub.combo, sub.spec, err = req.Combo.resolve(); err != nil {
+		return sub, err
 	}
-	return cfg, combo, spec, CacheKey(cfg, req.Design, spec), nil
+	sub.id = CacheKey(sub.cfg, sub.design, sub.spec)
+	return sub, nil
 }
-
-// Cancellation reasons the submit path writes into jobs it turns away
-// after the durability barrier; awaitDurable maps them back onto the
-// rejection the primary submitter saw.
-const (
-	msgQueueFull = "canceled: queue full"
-	msgShutdown  = "canceled: server shutting down"
-	// msgExpiredQueued marks a job whose propagated deadline passed
-	// while it sat in the queue: finished honestly, never run.
-	msgExpiredQueued = "deadline exceeded before start"
-)
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(r.Body)
@@ -605,204 +510,117 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad job payload: unknown priority %q (want %q or %q)", req.Priority, classInteractive, classBatch)
 		return
 	}
-	cfg, combo, spec, key, err := s.resolveRequest(&req)
+	sub, err := s.resolveRequest(&req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad job payload: %v", err)
 		return
 	}
-	deadline := parseDeadlineHeader(r.Header.Get(cluster.HeaderDeadline))
-	reqID := r.Header.Get(obs.HeaderRequestID)
-	tc := s.traceFor(r)
-	s.rememberBody(body, key)
+	sub.class = class
+	sub.deadline = parseDeadlineHeader(r.Header.Get(cluster.HeaderDeadline))
+	sub.reqID = r.Header.Get(obs.HeaderRequestID)
+	sub.tc = s.traceFor(r)
+	s.rememberBody(body, sub.id)
 	s.m.submitted.Add(1)
 
 	s.mu.Lock()
-	if j, ok := s.jobs[key]; ok {
-		switch j.snapshot().State {
-		case StateQueued, StateRunning:
-			// Singleflight: attach to the in-flight identical job — after
-			// its durability barrier resolves, so the dedup ack carries
-			// the same guarantee as the original 202.
-			s.mu.Unlock()
-			s.awaitDurable(w, j)
-			return
-		case StateDone:
-			if enc := s.encodedDone(j, true); enc != nil {
-				s.mu.Unlock()
-				s.m.cacheHits.Add(1)
-				writeRaw(w, http.StatusOK, etagFor(key), enc...)
-				return
-			}
-			// Result evicted with no spill copy: fall through and rerun.
+	j := s.reusableLocked(sub.id)
+	if j == nil {
+		if data, ok := s.cache.Get(sub.id); ok {
+			// No usable job record (e.g. fresh daemon with a warm spill
+			// directory) but the result exists: synthesize a done record.
+			j = s.synthesizeDoneLocked(&sub, data)
 		}
-		// Terminal without a reusable result (failed/canceled/evicted):
-		// replace the record with a fresh attempt below.
-	} else if data, ok := s.cache.Get(key); ok {
-		// No job record (e.g. fresh daemon with a warm spill directory)
-		// but the result exists: synthesize a done record.
-		j := s.newJobLocked(key, cfg, req.Design, combo, spec, time.Duration(req.Timeout), class, time.Time{}, false)
-		j.markDurable(nil) // nothing in flight: the result already exists
-		j.state = StateDone
-		j.finished = time.Now()
-		j.result = data
-		close(j.done)
-		enc := s.encodedDone(j, true)
-		s.mu.Unlock()
-		s.m.cacheHits.Add(1)
-		writeRaw(w, http.StatusOK, etagFor(key), enc...)
-		return
 	}
 	s.mu.Unlock()
+	if j != nil {
+		s.answerExisting(w, j)
+		return
+	}
 
 	// Unknown here. In a cluster the job belongs to its rendezvous owner:
 	// proxy unless this request was itself forwarded (the loop guard) or
 	// this daemon is the owner. A false return means every live candidate
 	// ranked above this daemon is gone — fail over and accept locally.
-	if s.cl != nil && r.Header.Get(cluster.HeaderForwarded) == "" && !s.cl.router.Owns(s.cl.cfg.Self, key) {
-		if s.clusterProxySubmit(w, r, body, &req, cfg, combo, spec, key, class, deadline, reqID, tc) {
+	if s.cl != nil && r.Header.Get(cluster.HeaderForwarded) == "" && !s.cl.router.Owns(s.cl.cfg.Self, sub.id) {
+		if s.clusterProxySubmit(w, r, body, &sub) {
 			return
 		}
 	}
-	s.acceptLocal(w, &req, cfg, combo, spec, key, class, deadline, reqID, tc)
+	s.acceptLocal(w, &sub)
 }
 
-// acceptLocal runs the accept tail of handleSubmit: re-check the job
-// table under the lock (the routing decision ran without s.mu, so an
-// identical submission may have landed meanwhile), apply admission
-// control, then queue the job behind the durability barrier.
-func (s *Server) acceptLocal(w http.ResponseWriter, req *JobRequest, cfg system.Config, combo workloads.Combo, spec ComboSpec, key string, class string, deadline time.Time, reqID string, tc obs.TraceContext) {
+// acceptLocal is the local-submit entry to the lifecycle: apply
+// admission control, hand the submission to intake, and translate the
+// outcome into the 202, the dedup/hit answer, or the refusal's status.
+func (s *Server) acceptLocal(w http.ResponseWriter, sub *submission) {
+	// Adaptive admission stays out of intake: the other three entries
+	// carry a 202 that was already issued, so only a fresh submission
+	// may be shed — before minting the job record or burning a journal
+	// fsync on work that cannot finish usefully. It applies only when
+	// intake would otherwise mint, so an attach, a hit or a hard refusal
+	// keeps its precedence over a 429. (The routing decision ran without
+	// s.mu, so an identical submission may have landed meanwhile.)
 	s.mu.Lock()
-	if j, ok := s.jobs[key]; ok {
-		switch j.snapshot().State {
-		case StateQueued, StateRunning:
-			s.mu.Unlock()
-			s.awaitDurable(w, j)
-			return
-		case StateDone:
-			if enc := s.encodedDone(j, true); enc != nil {
-				s.mu.Unlock()
-				s.m.cacheHits.Add(1)
-				writeRaw(w, http.StatusOK, etagFor(key), enc...)
-				return
-			}
-		}
-	}
-
-	if s.draining {
-		s.mu.Unlock()
-		s.m.rejected.Add(1)
-		w.Header().Set("Retry-After", "5")
-		httpError(w, http.StatusServiceUnavailable, "draining: not accepting new jobs")
-		return
-	}
-	if n := s.failCount[key]; n >= s.opts.QuarantineAfter {
-		s.mu.Unlock()
-		s.m.rejected.Add(1)
-		httpError(w, http.StatusUnprocessableEntity, "job quarantined after %d failures; refusing to run it again", n)
-		return
-	}
-	if s.diskCritical.Load() && s.opts.JournalPath != "" {
-		// Acking 202 now would promise a journal write the disk is about
-		// to refuse; turning the job away first is the honest order.
-		s.mu.Unlock()
-		s.m.rejected.Add(1)
-		s.m.diskLowRejects.Add(1)
-		w.Header().Set("Retry-After", "5")
-		httpError(w, http.StatusServiceUnavailable, "disk critically low: refusing durable work")
-		return
-	}
-
-	// Adaptive admission: shed before minting the job record or burning
-	// a journal fsync on work that cannot finish usefully.
-	now := time.Now()
-	wait := s.projectedWait(class)
-	est := s.adm.estimate(req.Design, spec.ID, cfg.Cycles)
-	if _, fired := faultinject.Hit(faultinject.AdmissionShed); fired {
-		s.mu.Unlock()
-		s.shed(w, s.m.shedOverload, wait, "admission: shed by failpoint")
-		return
-	}
-	if !deadline.IsZero() && now.Add(wait+est).After(deadline) {
-		// On a cold cost model wait and est are both zero, so this arm
-		// only fires for a deadline already in the past — admission
-		// never sheds on a guess it has no data for.
-		s.mu.Unlock()
-		s.shed(w, s.m.shedDeadline, wait,
-			"admission: projected completion in %s exceeds deadline in %s",
-			(wait + est).Round(time.Millisecond), time.Until(deadline).Round(time.Millisecond))
-		return
-	}
-	if class == classBatch && s.adm.target > 0 && (s.adm.overloaded(now) || wait > s.adm.target) {
-		s.mu.Unlock()
-		s.shed(w, s.m.shedOverload, wait,
-			"admission: queue overloaded (projected wait %s, target %s); batch work shed",
-			wait.Round(time.Millisecond), s.adm.target)
-		return
-	}
-
-	j := s.newJobLocked(key, cfg, req.Design, combo, spec, time.Duration(req.Timeout), class, deadline, false)
-	j.reqID = reqID
-	j.trace.SetContext(tc, s.node) // no-op for an untraced submission
+	wouldMint := s.reusableLocked(sub.id) == nil && s.refusalLocked(sub.id) == nil
 	s.mu.Unlock()
+	if wouldMint && s.shedSubmission(w, sub) {
+		return
+	}
+	j, fresh, ref := s.intake(sub)
+	switch {
+	case ref != nil:
+		s.writeRefusal(w, ref, sub.class)
+	case !fresh:
+		s.answerExisting(w, j)
+	default:
+		s.m.cacheMisses.Add(1)
+		s.logj(j.id, "queued", "design", j.design, "combo", j.spec.ID)
+		writeJSON(w, http.StatusAccepted, j.snapshot())
+	}
+}
 
-	// Durability barrier: the submit record must be on disk before the
-	// submitter is told 202 — an accepted job survives kill -9. The
-	// fsync runs OUTSIDE s.mu so concurrent submissions share
-	// group-commit batches in the journal instead of serializing one
-	// fsync each behind the server lock; attachers that found the job
-	// meanwhile block on j.durable until the fate of this record is
-	// known.
-	rec := journalRecord{Type: recSubmit, ID: key, Config: &j.cfg, Design: j.design, Combo: &j.spec, Timeout: req.Timeout, Deadline: deadline}
-	if class == classBatch {
-		rec.Priority = class
+// writeRefusal answers a submission intake turned away: 422 for a
+// quarantined ID, 429 with a Retry-After derived from the projected wait
+// for a full lane, 503 + Retry-After for everything transient.
+func (s *Server) writeRefusal(w http.ResponseWriter, ref *refusal, class string) {
+	s.m.rejected.Add(1)
+	code, retry := http.StatusServiceUnavailable, "5"
+	switch ref.kind {
+	case refusedQuarantined:
+		code, retry = http.StatusUnprocessableEntity, ""
+	case refusedQueueFull:
+		code, retry = http.StatusTooManyRequests, retryAfterSecs(s.projectedWait(class))
 	}
-	if err := s.appendRecord(rec); err != nil {
-		j.markDurable(err)
-		s.abandonJob(j, "canceled: journal write failed")
-		s.m.rejected.Add(1)
-		w.Header().Set("Retry-After", "5")
-		httpError(w, http.StatusServiceUnavailable, "journal write failed: %v", err)
-		return
+	if retry != "" {
+		w.Header().Set("Retry-After", retry)
 	}
-	j.markDurable(nil)
+	httpError(w, code, "%s", ref.Error())
+}
 
-	s.mu.Lock()
-	if s.draining {
-		// Drain closed the queue while the record was being flushed;
-		// sending would panic, so turn the submitter away and neutralize
-		// the record.
-		s.mu.Unlock()
-		s.abandonJob(j, msgShutdown)
-		if err := s.appendRecord(journalRecord{Type: StateCanceled, ID: key, Error: msgShutdown}); err != nil {
-			// The submit record stays live, so a restart will resurrect a
-			// job whose submitter was told 503; make that observable.
-			s.logj(key, "journal cancel failed", "err", err)
-		}
-		s.m.rejected.Add(1)
-		w.Header().Set("Retry-After", "5")
-		httpError(w, http.StatusServiceUnavailable, "draining: not accepting new jobs")
+// answerExisting answers a submission that found a record already
+// standing for its ID: the memoized cache-hit body when the job is done,
+// otherwise a singleflight attach — answered only once the primary
+// submission's durability barrier resolves, so the dedup ack carries
+// the same guarantee as the original 202, and a primary that intake
+// abandoned yields the refusal the primary saw.
+func (s *Server) answerExisting(w http.ResponseWriter, j *job) {
+	if enc := s.encodedDone(j, true); enc != nil {
+		s.m.cacheHits.Add(1)
+		writeRaw(w, http.StatusOK, etagFor(j.id), enc...)
 		return
 	}
-	if s.queue.Push(j) {
-		s.mu.Unlock()
-	} else {
-		s.mu.Unlock()
-		s.abandonJob(j, msgQueueFull)
-		// Neutralize the submit record so a restart does not resurrect
-		// a job whose submitter was told to back off and retry.
-		if err := s.appendRecord(journalRecord{Type: StateCanceled, ID: key, Error: msgQueueFull}); err != nil {
-			s.logj(key, "journal cancel failed", "err", err)
-		}
-		s.m.rejected.Add(1)
-		w.Header().Set("Retry-After", retryAfterSecs(s.projectedWait(j.class)))
-		httpError(w, http.StatusTooManyRequests, "job queue full (%d deep)", s.opts.QueueDepth)
+	<-j.durable
+	j.mu.Lock()
+	ref := j.refused
+	j.mu.Unlock()
+	if ref != nil {
+		s.writeRefusal(w, ref, j.class)
 		return
 	}
-	s.m.cacheMisses.Add(1)
-	s.m.enqueued.Add(1)
-	s.m.queued.Add(1)
-	s.logj(key, "queued", "design", req.Design, "combo", spec.ID)
-	writeJSON(w, http.StatusAccepted, j.snapshot())
+	s.m.deduped.Add(1)
+	st := j.snapshot()
+	st.Deduped = true
+	writeJSON(w, http.StatusOK, st)
 }
 
 // fastHit answers a POST whose raw body bytes hash to a known completed
@@ -848,88 +666,6 @@ func (s *Server) rememberBody(body []byte, id string) {
 		s.reqPos = (s.reqPos + 1) % reqMemoMax
 	}
 	s.reqMemo[sum] = id
-}
-
-// awaitDurable answers a deduped submission once the primary
-// submission's durability barrier resolves, mirroring its outcome: a
-// failed journal write or a turned-away primary yields the same
-// rejection the primary saw, anything else the classic 200 Deduped.
-func (s *Server) awaitDurable(w http.ResponseWriter, j *job) {
-	<-j.durable
-	if err := j.durErr; err != nil {
-		s.m.rejected.Add(1)
-		w.Header().Set("Retry-After", "5")
-		httpError(w, http.StatusServiceUnavailable, "journal write failed: %v", err)
-		return
-	}
-	st := j.snapshot()
-	if st.State == StateCanceled {
-		switch st.Error {
-		case msgQueueFull:
-			s.m.rejected.Add(1)
-			w.Header().Set("Retry-After", retryAfterSecs(s.projectedWait(j.class)))
-			httpError(w, http.StatusTooManyRequests, "job queue full (%d deep)", s.opts.QueueDepth)
-			return
-		case msgShutdown:
-			s.m.rejected.Add(1)
-			w.Header().Set("Retry-After", "5")
-			httpError(w, http.StatusServiceUnavailable, "draining: not accepting new jobs")
-			return
-		}
-		// A user cancellation races like it always did: report the attach.
-	}
-	s.m.deduped.Add(1)
-	st.Deduped = true
-	writeJSON(w, http.StatusOK, st)
-}
-
-// abandonJob removes a job that will never run (failed durability
-// barrier, queue full, drain race) from the table and finishes it so
-// dedup attachers and event subscribers are released rather than left
-// waiting on a job no worker will ever pop.
-func (s *Server) abandonJob(j *job, reason string) {
-	j.mu.Lock()
-	if j.state == StateQueued {
-		j.finish(StateCanceled, reason, nil)
-	}
-	j.mu.Unlock()
-	s.mu.Lock()
-	if s.jobs[j.id] == j {
-		delete(s.jobs, j.id)
-	}
-	s.mu.Unlock()
-}
-
-// newJobLocked creates and registers a job record; s.mu must be held.
-// A pre-existing terminal record under the same key is replaced.
-func (s *Server) newJobLocked(key string, cfg system.Config, design string, combo workloads.Combo, spec ComboSpec, timeout time.Duration, class string, deadline time.Time, replayed bool) *job {
-	if class == "" {
-		class = classInteractive
-	}
-	j := &job{
-		id:        key,
-		cfg:       cfg,
-		design:    design,
-		combo:     combo,
-		spec:      spec,
-		timeout:   timeout,
-		class:     class,
-		deadline:  deadline,
-		replayed:  replayed,
-		telem:     obs.NewRing(s.opts.TelemetryPoints),
-		trace:     obs.NewTrace(),
-		state:     StateQueued,
-		submitted: time.Now(),
-		subs:      make(map[chan system.EpochSample]struct{}),
-		tsubs:     make(map[chan obs.EpochPoint]struct{}),
-		done:      make(chan struct{}),
-		durable:   make(chan struct{}),
-	}
-	if _, existed := s.jobs[key]; !existed {
-		s.order = append(s.order, key)
-	}
-	s.jobs[key] = j
-	return j
 }
 
 func (s *Server) lookup(id string) *job {
@@ -1015,14 +751,6 @@ func (s *Server) encodedDone(j *job, hit bool) [][]byte {
 	return j.enc.get
 }
 
-// markDurable publishes the fate of the job's durability barrier (a
-// nil err means its submit record is fsynced) and releases everyone
-// blocked in awaitDurable. Called exactly once per job.
-func (j *job) markDurable(err error) {
-	j.durErr = err
-	close(j.durable)
-}
-
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	ids := append([]string(nil), s.order...)
@@ -1046,30 +774,13 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	j.mu.Lock()
-	switch j.state {
+	switch st := s.cancelJob(j, "canceled while queued"); st {
 	case StateQueued:
 		// The worker will skip it when it reaches the head of the queue.
-		// (A stolen job was already popped, so its gauge slot is gone.)
-		stolen := j.stolen
-		j.finish(StateCanceled, "canceled while queued", nil)
-		j.mu.Unlock()
-		if !stolen {
-			s.m.queued.Add(-1)
-		}
-		s.m.canceled.Add(1)
-		if err := s.appendRecord(journalRecord{Type: StateCanceled, ID: j.id, Error: "canceled while queued"}); err != nil {
-			s.logj(j.id, "journal cancel failed", "err", err)
-		}
 		s.logj(j.id, "canceled while queued")
 	case StateRunning:
-		cancel := j.cancel
-		j.mu.Unlock()
-		cancel() // the worker observes ctx at the next epoch boundary
 		s.logj(j.id, "cancel requested")
 	default:
-		st := j.state
-		j.mu.Unlock()
 		httpError(w, http.StatusConflict, "job already %s", st)
 		return
 	}
@@ -1085,22 +796,6 @@ func (s *Server) handleDesigns(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCombos(w http.ResponseWriter, r *http.Request) {
 	writeRaw(w, http.StatusOK, "", s.combosJSON)
-}
-
-// handleHealthz is the legacy combined endpoint: always 200 while the
-// process serves (liveness semantics), with readiness detail inline.
-// Orchestrators should probe /livez and /readyz instead.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining, replaying := s.draining, s.replaying
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"ok":       true,
-		"ready":    !draining && !replaying,
-		"draining": draining,
-		"queued":   s.m.queued.Load(),
-		"running":  s.m.running.Load(),
-	})
 }
 
 // handleLivez reports process liveness: 200 as long as the handler can
@@ -1202,25 +897,18 @@ func budgetSimParallel(requested, workers, maxprocs int) int {
 }
 
 func (s *Server) runJob(j *job) {
-	j.mu.Lock()
-	if j.state != StateQueued { // canceled while waiting
-		j.mu.Unlock()
-		return
-	}
 	if !j.deadline.IsZero() && !time.Now().Before(j.deadline) {
 		// The propagated deadline expired while the job sat queued:
 		// nobody is waiting for this answer, so finish it honestly
-		// without burning a worker on it.
-		j.finish(StateDeadline, msgExpiredQueued, nil)
-		j.mu.Unlock()
-		s.m.queued.Add(-1)
-		s.m.deadlined.Add(1)
-		s.m.classLatency(j.class).ObserveExemplar(time.Since(j.submitted).Seconds(), j.traceID())
-		if err := s.appendRecord(journalRecord{Type: StateDeadline, ID: j.id, Error: msgExpiredQueued, Spans: j.tracedSpans()}); err != nil {
-			s.logj(j.id, "journal deadline failed", "err", err)
+		// without burning a worker on it. (False: canceled meanwhile.)
+		if s.terminate(j, StateQueued, StateDeadline, msgExpiredQueued, nil) {
+			s.logj(j.id, "deadline expired before start")
 		}
-		s.logj(j.id, "deadline expired before start")
-		s.collectTrace(j, time.Since(j.submitted))
+		return
+	}
+	j.mu.Lock()
+	if j.state != StateQueued { // canceled while waiting
+		j.mu.Unlock()
 		return
 	}
 	// The execution budget is the tighter of the per-job timeout and
@@ -1303,13 +991,11 @@ func (s *Server) runJob(j *job) {
 	case panicked:
 		state, errMsg = StateFailed, err.Error()
 		s.m.panics.Add(1)
-		s.m.failed.Add(1)
 		s.logj(j.id, "worker panic recovered", "err", firstLine(errMsg))
 	case err == nil:
 		data, merr := json.Marshal(res)
 		if merr != nil {
 			state, errMsg = StateFailed, "marshal results: "+merr.Error()
-			s.m.failed.Add(1)
 			s.logj(j.id, "failed", "err", errMsg)
 		} else {
 			// The cache write precedes the terminal journal record: if
@@ -1320,69 +1006,33 @@ func (s *Server) runJob(j *job) {
 			s.cache.Put(j.id, data)
 			cspan.EndInto(j.trace)
 			state, result = StateDone, data
-			s.m.completed.Add(1)
 			s.m.simCycles.Add(int64(res.Cycles))
 			s.adm.observe(j.design, j.spec.ID, j.cfg.Cycles, elapsed)
 		}
 	case errors.Is(ctx.Err(), context.DeadlineExceeded):
 		state = StateDeadline
 		errMsg = fmt.Sprintf("deadline exceeded: ran %s of a %s budget", elapsed.Round(time.Millisecond), budget)
-		s.m.deadlined.Add(1)
 		s.logj(j.id, "deadline exceeded", "budget", budget)
 	case ctx.Err() != nil:
 		state, errMsg = StateCanceled, "canceled"
-		s.m.canceled.Add(1)
 		s.logj(j.id, "canceled", "elapsed", elapsed.Round(time.Millisecond))
 	default:
 		state, errMsg = StateFailed, err.Error()
-		s.m.failed.Add(1)
 		s.logj(j.id, "failed", "err", err)
 	}
-
-	tspan := obs.StartSpan("journal.terminal")
-	// The terminal record carries the span list so a job that migrates
-	// (steal, failover promotion) or replays keeps its trace history.
-	jerr := s.appendRecord(journalRecord{Type: state, ID: j.id, Error: errMsg, Spans: j.tracedSpans()})
-	tspan.EndInto(j.trace)
-
-	j.mu.Lock()
-	j.finish(state, errMsg, result)
-	epochs := len(j.epochs)
-	j.mu.Unlock()
-	total := time.Since(j.submitted)
-	s.m.classLatency(j.class).ObserveExemplar(total.Seconds(), j.traceID())
-	s.collectTrace(j, total)
+	s.terminate(j, StateRunning, state, errMsg, result)
 	if state == StateDone {
+		j.mu.Lock()
+		epochs := len(j.epochs)
+		j.mu.Unlock()
 		s.logj(j.id, "done", "elapsed", elapsed.Round(time.Millisecond), "epochs", epochs)
 	}
-	if state == StateFailed {
-		s.noteFailure(j.id)
-	}
-	if jerr != nil {
-		s.logj(j.id, "journal append failed", "state", state, "err", jerr)
-	}
 }
 
-// noteFailure counts a failed attempt toward quarantine. Crossing the
-// threshold quarantines the ID: submissions are refused with 422 and a
-// restart will not replay it, so a config that panics the simulator
-// cannot crash-loop the daemon no matter how persistent the client.
-func (s *Server) noteFailure(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.failCount[id]++
-	if s.failCount[id] == s.opts.QuarantineAfter {
-		s.m.quarantined.Add(1)
-		s.logj(id, "quarantined", "failures", s.failCount[id])
-	}
-}
-
-// Drain stops accepting submissions, lets queued and running jobs
-// finish (canceling whatever is still unfinished when ctx expires),
-// waits for the worker pool to exit, and spills the in-memory cache to
-// the spill directory. It is the SIGTERM path of cmd/hydroserved and is
-// idempotent.
-func (s *Server) Drain(ctx context.Context) error {
+// beginShutdown stops the cluster loops, refuses new work, closes the
+// queue (workers keep draining what is already in it) and ends the
+// watermark loop. Idempotent.
+func (s *Server) beginShutdown() {
 	s.stopCluster()
 	s.mu.Lock()
 	if !s.draining {
@@ -1393,7 +1043,15 @@ func (s *Server) Drain(ctx context.Context) error {
 		}
 	}
 	s.mu.Unlock()
+}
 
+// Drain stops accepting submissions, lets queued and running jobs
+// finish (canceling whatever is still unfinished when ctx expires),
+// waits for the worker pool to exit, and spills the in-memory cache to
+// the spill directory. It is the SIGTERM path of cmd/hydroserved and is
+// idempotent.
+func (s *Server) Drain(ctx context.Context) error {
+	s.beginShutdown()
 	idle := make(chan struct{})
 	go func() { s.workers.Wait(); close(idle) }()
 	select {
@@ -1422,22 +1080,17 @@ func (s *Server) closeJournal() {
 // Close force-cancels everything and waits for the workers; for tests
 // and defer-style cleanup.
 func (s *Server) Close() error {
-	s.stopCluster()
-	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		s.queue.Close()
-		if s.wmStop != nil {
-			close(s.wmStop)
-		}
-	}
-	s.mu.Unlock()
+	s.beginShutdown()
 	s.cancelAll()
 	s.workers.Wait()
 	s.closeJournal()
 	return nil
 }
 
+// cancelAll cancels every unfinished job. Queued ones are journaled as
+// canceled so a restart does not resurrect jobs the shutdown already
+// reported as canceled; running ones write their own terminal records
+// as their contexts land.
 func (s *Server) cancelAll() {
 	s.mu.Lock()
 	jobs := make([]*job, 0, len(s.jobs))
@@ -1445,32 +1098,8 @@ func (s *Server) cancelAll() {
 		jobs = append(jobs, j)
 	}
 	s.mu.Unlock()
-	var droppedQueued []string
 	for _, j := range jobs {
-		j.mu.Lock()
-		switch j.state {
-		case StateQueued:
-			stolen := j.stolen
-			j.finish(StateCanceled, msgShutdown, nil)
-			if !stolen {
-				s.m.queued.Add(-1)
-			}
-			s.m.canceled.Add(1)
-			droppedQueued = append(droppedQueued, j.id)
-		case StateRunning:
-			if j.cancel != nil {
-				j.cancel()
-			}
-		}
-		j.mu.Unlock()
-	}
-	// Journal the queued cancellations so a restart does not resurrect
-	// jobs the shutdown already reported as canceled. (Running jobs
-	// write their own terminal records as their contexts land.)
-	for _, id := range droppedQueued {
-		if err := s.appendRecord(journalRecord{Type: StateCanceled, ID: id, Error: msgShutdown}); err != nil {
-			s.logj(id, "journal shutdown cancel failed", "err", err)
-		}
+		s.cancelJob(j, msgShutdown)
 	}
 }
 
@@ -1482,135 +1111,6 @@ func (s *Server) SimulationsStarted() int64 { return s.m.enqueued.Load() }
 // re-enqueued — the daemon logs it, and chaos tests assert on it.
 func (s *Server) ReplayedJobs() int64 { return s.m.replayed.Load() }
 
-// --- job helpers ---
-
-// finish moves the job to a terminal state and wakes subscribers and
-// waiters. j.mu must be held.
-func (j *job) finish(state, errMsg string, result []byte) {
-	j.state = state
-	j.err = errMsg
-	j.result = result
-	j.finished = time.Now()
-	for ch := range j.subs {
-		close(ch) // subscribers emit the final SSE event on close
-	}
-	j.subs = nil
-	for ch := range j.tsubs {
-		close(ch)
-	}
-	j.tsubs = nil
-	select {
-	case <-j.done:
-	default:
-		close(j.done)
-	}
-}
-
-// publishTelemetry appends a point to the job's telemetry ring and fans
-// it out to live telemetry subscribers (same contract as publishEpoch:
-// a full subscriber buffer drops that point for that subscriber; the
-// ring snapshot on subscribe keeps late joiners complete).
-func (j *job) publishTelemetry(p obs.EpochPoint) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	// Append under j.mu so a concurrent subscribe sees each point exactly
-	// once: either in its ring snapshot or on its live channel.
-	j.telem.Append(p)
-	for ch := range j.tsubs {
-		select {
-		case ch <- p:
-		default:
-		}
-	}
-}
-
-// subscribeTelemetry registers a live telemetry channel and returns the
-// ring's backlog; terminal reports whether the job already finished (in
-// which case ch is not registered).
-func (j *job) subscribeTelemetry(ch chan obs.EpochPoint) (backlog []obs.EpochPoint, terminal bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	backlog = j.telem.Snapshot()
-	switch j.state {
-	case StateQueued, StateRunning:
-		j.tsubs[ch] = struct{}{}
-		return backlog, false
-	}
-	return backlog, true
-}
-
-func (j *job) unsubscribeTelemetry(ch chan obs.EpochPoint) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	delete(j.tsubs, ch)
-}
-
-// publishEpoch appends a sample to the backlog and fans it out to
-// subscribers; a subscriber whose buffer is full misses that sample
-// (the backlog replay on subscribe keeps late joiners complete).
-func (j *job) publishEpoch(e system.EpochSample) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.epochs = append(j.epochs, e)
-	for ch := range j.subs {
-		select {
-		case ch <- e:
-		default:
-		}
-	}
-}
-
-// subscribe registers a live channel and returns the backlog of samples
-// already taken; terminal reports whether the job has already finished
-// (in which case ch is not registered).
-func (j *job) subscribe(ch chan system.EpochSample) (backlog []system.EpochSample, terminal bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	backlog = append(backlog, j.epochs...)
-	switch j.state {
-	case StateQueued, StateRunning:
-		j.subs[ch] = struct{}{}
-		return backlog, false
-	}
-	return backlog, true
-}
-
-func (j *job) unsubscribe(ch chan system.EpochSample) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	delete(j.subs, ch)
-}
-
-func (j *job) snapshot() JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := JobStatus{
-		ID:          j.id,
-		State:       j.state,
-		Design:      j.design,
-		Combo:       j.spec,
-		Deadline:    j.deadline,
-		Replayed:    j.replayed,
-		Timeout:     Duration(j.timeout),
-		SubmittedAt: j.submitted,
-		StartedAt:   j.started,
-		FinishedAt:  j.finished,
-		Epochs:      len(j.epochs),
-		Error:       j.err,
-		TraceID:     j.trace.Context().TraceID,
-		Spans:       j.trace.Records(),
-	}
-	if j.class == classBatch {
-		// Interactive is the default lane; leaving it implicit keeps the
-		// wire bytes of pre-priority submissions unchanged.
-		st.Priority = j.class
-	}
-	if j.state == StateDone {
-		st.Result = j.result
-	}
-	return st
-}
-
 // handleEvents streams SSE: one `epoch` event per sample (backlog
 // first, then live), then a single `done` event carrying the terminal
 // status. The stream ends when the job finishes or the client goes
@@ -1621,59 +1121,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusNotImplemented, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-
-	ch := make(chan system.EpochSample, 256)
-	backlog, terminal := j.subscribe(ch)
-	defer j.unsubscribe(ch)
-
-	writeEvent := func(event string, v any) bool {
-		data, err := json.Marshal(v)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data); err != nil {
-			return false
-		}
-		flusher.Flush()
-		return true
-	}
-	writeDone := func() {
-		st := j.snapshot()
-		st.Result = nil // results are fetched via GET, not pushed over SSE
-		writeEvent("done", st)
-	}
-
-	for _, e := range backlog {
-		if !writeEvent("epoch", e) {
-			return
-		}
-	}
-	if terminal {
-		writeDone()
-		return
-	}
-	for {
-		select {
-		case e, open := <-ch:
-			if !open {
-				writeDone()
-				return
-			}
-			if !writeEvent("epoch", e) {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
+	streamSSE(w, r, j, "epoch", &j.epochSubs, func() []system.EpochSample {
+		return append([]system.EpochSample(nil), j.epochs...)
+	})
 }
 
 // TelemetrySnapshot is the GET /v1/jobs/{id}/telemetry JSON payload: the
@@ -1689,8 +1139,9 @@ type TelemetrySnapshot struct {
 // handleTelemetry serves a job's epoch telemetry. Default is a JSON
 // snapshot of the ring; ?format=csv renders the same points as the CSV
 // artifact hydrosim -telemetry writes; ?stream=1 (or an Accept header
-// asking for text/event-stream) streams SSE — ring backlog first, then
-// live points as epochs complete, then a single `done` event.
+// asking for text/event-stream) streams SSE — one `point` event per
+// telemetry point, ring backlog first, then live points as epochs
+// complete, then a single `done` event.
 func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
@@ -1699,7 +1150,7 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	}
 	q := r.URL.Query()
 	if q.Get("stream") != "" || strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
-		s.streamTelemetry(w, r, j)
+		streamSSE(w, r, j, "point", &j.telemSubs, j.telem.Snapshot)
 		return
 	}
 	if q.Get("format") == "csv" {
@@ -1718,10 +1169,12 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// streamTelemetry is the SSE arm of handleTelemetry, mirroring
-// handleEvents: one `point` event per telemetry point (backlog first,
-// then live), then a single `done` event with the terminal status.
-func (s *Server) streamTelemetry(w http.ResponseWriter, r *http.Request, j *job) {
+// streamSSE streams one of a job's topics as server-sent events: one
+// event named event per value (the backlog first, then live values as
+// they are published), then a single `done` event carrying the
+// terminal status. The stream ends when the job finishes or the client
+// goes away.
+func streamSSE[T any](w http.ResponseWriter, r *http.Request, j *job, event string, t *topic[T], backlog func() []T) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		httpError(w, http.StatusNotImplemented, "streaming unsupported")
@@ -1731,9 +1184,11 @@ func (s *Server) streamTelemetry(w http.ResponseWriter, r *http.Request, j *job)
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 
-	ch := make(chan obs.EpochPoint, 256)
-	backlog, terminal := j.subscribeTelemetry(ch)
-	defer j.unsubscribeTelemetry(ch)
+	// 256 buffered values ride out a slow client for a few hundred
+	// epochs; past that publish drops rather than stall the simulation.
+	ch := make(chan T, 256)
+	past, terminal := t.subscribe(j, ch, backlog)
+	defer t.unsubscribe(j, ch)
 
 	writeEvent := func(event string, v any) bool {
 		data, err := json.Marshal(v)
@@ -1752,8 +1207,8 @@ func (s *Server) streamTelemetry(w http.ResponseWriter, r *http.Request, j *job)
 		writeEvent("done", st)
 	}
 
-	for _, p := range backlog {
-		if !writeEvent("point", p) {
+	for _, v := range past {
+		if !writeEvent(event, v) {
 			return
 		}
 	}
@@ -1763,12 +1218,12 @@ func (s *Server) streamTelemetry(w http.ResponseWriter, r *http.Request, j *job)
 	}
 	for {
 		select {
-		case p, open := <-ch:
+		case v, open := <-ch:
 			if !open {
 				writeDone()
 				return
 			}
-			if !writeEvent("point", p) {
+			if !writeEvent(event, v) {
 				return
 			}
 		case <-r.Context().Done():
@@ -1861,31 +1316,4 @@ func firstLine(s string) string {
 		return s[:i]
 	}
 	return s
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// sortedStates is a tiny helper for deterministic debug output of the
-// job table (used by tests).
-func (s *Server) sortedStates() map[string]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := map[string]int{}
-	ids := make([]string, 0, len(s.jobs))
-	for id := range s.jobs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		j := s.jobs[id]
-		j.mu.Lock()
-		out[j.state]++
-		j.mu.Unlock()
-	}
-	return out
 }

@@ -137,18 +137,15 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	partial := false
 	if cl := s.cl; cl != nil && r.Header.Get(cluster.HeaderForwarded) == "" {
 		for _, m := range cl.cfg.Peers() {
-			if !cl.allowPeer(m.ID) {
-				partial = true
-				continue
-			}
-			p, err := cl.pc.TraceFetch(r.Context(), m, id)
-			cl.recordPeer(m.ID, err)
+			var p *cluster.TracePayload
+			err := cl.callPeer(m.ID, func() (err error) {
+				p, err = cl.pc.TraceFetch(r.Context(), m, id)
+				return err
+			})
 			if err != nil {
-				cl.prober.MarkDead(m.ID, err)
 				partial = true
 				continue
 			}
-			cl.prober.MarkSeen(m.ID)
 			spans = append(spans, p.Spans...)
 		}
 	}
@@ -247,24 +244,18 @@ func (s *Server) handleClusterz(w http.ResponseWriter, r *http.Request) {
 	partial := false
 	if cl := s.cl; cl != nil && r.Header.Get(cluster.HeaderForwarded) == "" {
 		for _, m := range cl.cfg.Peers() {
-			if !cl.allowPeer(m.ID) {
-				partial = true
-				members = append(members, cluster.MemberStats{
-					ID: m.ID, URL: m.URL, Breaker: cl.breaker.State(m.ID), Error: "breaker open",
-				})
-				continue
-			}
-			st, err := cl.pc.Clusterz(r.Context(), m)
-			cl.recordPeer(m.ID, err)
+			var st *cluster.MemberStats
+			err := cl.callPeer(m.ID, func() (err error) {
+				st, err = cl.pc.Clusterz(r.Context(), m)
+				return err
+			})
 			if err != nil {
-				cl.prober.MarkDead(m.ID, err)
 				partial = true
 				members = append(members, cluster.MemberStats{
 					ID: m.ID, URL: m.URL, Breaker: cl.breaker.State(m.ID), Error: err.Error(),
 				})
 				continue
 			}
-			cl.prober.MarkSeen(m.ID)
 			entry := *st
 			entry.ID = m.ID // trust the ring, not the peer's self-report
 			entry.URL = m.URL

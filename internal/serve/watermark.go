@@ -38,16 +38,10 @@ func (s *Server) watermarkLoop() {
 		case <-s.wmStop:
 			return
 		case <-t.C:
-			s.checkWatermarks()
+			s.checkDisk()
+			s.checkJournalSize()
 		}
 	}
-}
-
-// checkWatermarks runs one pass of both checks; split out so tests can
-// drive it synchronously instead of waiting on the ticker.
-func (s *Server) checkWatermarks() {
-	s.checkDisk()
-	s.checkJournalSize()
 }
 
 // watermarkDir is the filesystem the watermarks police: where the
@@ -102,14 +96,7 @@ func (s *Server) checkJournalSize() {
 	if max <= 0 {
 		return
 	}
-	s.jlMu.RLock()
-	jl := s.jl
-	var size int64
-	if jl != nil {
-		size = jl.Size()
-	}
-	s.jlMu.RUnlock()
-	if jl == nil || size <= max {
+	if s.journalStat((*journal.Journal).Size)() <= max {
 		return
 	}
 	if err := s.compactJournal(); err != nil {
@@ -143,19 +130,7 @@ func (s *Server) compactJournal() error {
 		if state != StateQueued && state != StateRunning {
 			continue
 		}
-		rec := journalRecord{
-			Type:     recSubmit,
-			ID:       j.id,
-			Config:   &j.cfg,
-			Design:   j.design,
-			Combo:    &j.spec,
-			Timeout:  Duration(j.timeout),
-			Deadline: j.deadline,
-		}
-		if j.class == classBatch {
-			rec.Priority = j.class
-		}
-		still = append(still, &replayedJob{submit: rec})
+		still = append(still, &replayedJob{submit: j.submitRecord()})
 	}
 	fails := make(map[string]int, len(s.failCount))
 	for id, n := range s.failCount {

@@ -55,7 +55,7 @@ base0="http://127.0.0.1:$p0"; base1="http://127.0.0.1:$p1"; base2="http://127.0.
 for b in "$base0" "$base1" "$base2"; do
     up=""
     for _ in $(seq 1 100); do
-        curl -sf "$b/healthz" >/dev/null 2>&1 && { up=1; break; }
+        curl -sf "$b/livez" >/dev/null 2>&1 && { up=1; break; }
         sleep 0.1
     done
     [ -n "$up" ] || { echo "member at $b never came up"; cat "$workdir"/n*.log; exit 1; }

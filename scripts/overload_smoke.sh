@@ -38,7 +38,7 @@ metric() {
 
 wait_up() {
     for _ in $(seq 1 100); do
-        curl -sf "$1/healthz" >/dev/null 2>&1 && return 0
+        curl -sf "$1/livez" >/dev/null 2>&1 && return 0
         sleep 0.1
     done
     echo "daemon at $1 never came up"; cat "$workdir"/*.log; return 1
