@@ -86,23 +86,6 @@ func BenchmarkFigure5(b *testing.B) {
 	}
 }
 
-// benchmarkFigure5Par is BenchmarkFigure5 with the conservative-PDES
-// channel shards enabled. Results are bit-identical to serial
-// (fingerprint_test.go), so ns/op is directly comparable.
-func benchmarkFigure5Par(b *testing.B, shards int) {
-	b.ReportAllocs()
-	o := benchOptions()
-	o.Base.SimParallel = shards
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig5(o, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure5Par2(b *testing.B) { benchmarkFigure5Par(b, 2) }
-func BenchmarkFigure5Par4(b *testing.B) { benchmarkFigure5Par(b, 4) }
-
 // BenchmarkFigure5Telemetry is BenchmarkFigure5 with per-run epoch
 // telemetry capture and CSV artifact writing enabled — the pair
 // quantifies the observability overhead on the main comparison.

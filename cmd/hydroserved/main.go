@@ -109,7 +109,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		accessLog    = fs.Bool("access-log", false, "log one structured line per HTTP request")
 		debugAddr    = fs.String("debug-addr", "", "separate listener for /debug/pprof and /debug/runtimez (e.g. 127.0.0.1:6060); empty disables")
 		telemPoints  = fs.Int("telemetry-points", 0, "per-job telemetry ring size; 0 = default")
-		simParallel  = fs.Int("sim-parallel", 1, "per-simulation channel-shard parallelism; budgeted against the worker pool (workers x sim-parallel <= GOMAXPROCS), 1 = serial")
 		peers        = fs.String("peers", "", `static cluster member list as "id=url,id=url,..." including this daemon; empty runs standalone`)
 		self         = fs.String("self", "", "this daemon's member ID within -peers (required with -peers)")
 		peerProbe    = fs.Duration("peer-probe", 2*time.Second, "peer health probe interval")
@@ -148,7 +147,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		QuarantineAfter: *quarantine,
 		AccessLog:       *accessLog,
 		TelemetryPoints: *telemPoints,
-		SimParallel:     *simParallel,
 		CodelTarget:     *codelTarget,
 		MaxJournalBytes: *maxJournal,
 		DiskLowBytes:    *diskLow,

@@ -67,14 +67,6 @@ type Options struct {
 	// selects obs.DefaultRingPoints. Older points are overwritten (and
 	// counted as dropped) once a run outgrows the ring.
 	TelemetryPoints int
-	// SimParallel requests conservative-PDES parallelism inside each
-	// simulation (system.Config.SimParallel). The server budgets it
-	// against the worker pool: the effective value is clamped to
-	// GOMAXPROCS/Workers and forced to 1 (serial) when the pool alone
-	// saturates the machine, so job-level and sim-level parallelism
-	// never oversubscribe. Results are bit-identical either way, so
-	// this knob never affects cache keys or cached bytes.
-	SimParallel int
 	// Cluster, when set, joins this daemon to a static peer group:
 	// content-addressed job IDs route to their rendezvous-hash owner,
 	// non-owners proxy submissions and polls (filling their local cache
@@ -255,7 +247,6 @@ func New(opts Options) (*Server, error) {
 	if opts.TraceBuffer <= 0 {
 		opts.TraceBuffer = 256
 	}
-	opts.SimParallel = budgetSimParallel(opts.SimParallel, opts.Workers, runtime.GOMAXPROCS(0))
 	s := &Server{
 		opts:      opts,
 		mux:       http.NewServeMux(),
@@ -876,24 +867,8 @@ func (s *Server) simulate(ctx context.Context, j *job, hooks system.Hooks) (res 
 			panicked = true
 		}
 	}()
-	cfg := j.cfg
-	cfg.SimParallel = s.opts.SimParallel
-	res, err = system.RunDesignObserved(ctx, cfg, j.design, j.combo, hooks)
+	res, err = system.RunDesignObserved(ctx, j.cfg, j.design, j.combo, hooks)
 	return res, err, false
-}
-
-// budgetSimParallel resolves the requested per-simulation parallelism
-// against the worker pool: workers × sim-parallel must not exceed
-// GOMAXPROCS. A saturated pool (workers >= GOMAXPROCS) forces serial
-// simulations.
-func budgetSimParallel(requested, workers, maxprocs int) int {
-	if requested <= 1 || workers >= maxprocs {
-		return 1
-	}
-	if budget := maxprocs / workers; requested > budget {
-		return budget
-	}
-	return requested
 }
 
 func (s *Server) runJob(j *job) {

@@ -9,7 +9,7 @@ func TestLateOrderByKey(t *testing.T) {
 	var got []int
 	for _, k := range []uint64{3, 0, 2, 1} {
 		k := k
-		e.ScheduleLate(10, k, func() { got = append(got, int(k)) })
+		e.ScheduleLateCall(10, k, func(uint64) { got = append(got, int(k)) })
 	}
 	e.Run()
 	for i, k := range got {
@@ -29,7 +29,7 @@ func TestLateOrderSeqTiebreak(t *testing.T) {
 	var got []int
 	for i := 0; i < 4; i++ {
 		i := i
-		e.ScheduleLate(10, 7, func() { got = append(got, i) })
+		e.ScheduleLateCall(10, 7, func(uint64) { got = append(got, i) })
 	}
 	e.Run()
 	for i, v := range got {
@@ -44,13 +44,13 @@ func TestLateOrderSeqTiebreak(t *testing.T) {
 func TestLanePriority(t *testing.T) {
 	e := New()
 	var got []string
-	e.ScheduleLate(5, 1, func() {
+	e.ScheduleLateCall(5, 1, func(uint64) {
 		got = append(got, "late1")
 		// Zero-delay lane-0 follow-up must run before the next late
 		// event at this tick (the hybrid controller relies on this).
 		e.After(0, func() { got = append(got, "wheel-nested") })
 	})
-	e.ScheduleLate(5, 2, func() { got = append(got, "late2") })
+	e.ScheduleLateCall(5, 2, func(uint64) { got = append(got, "late2") })
 	e.Schedule(5, func() { got = append(got, "wheel") })
 	e.Run()
 
@@ -70,8 +70,8 @@ func TestLanePriority(t *testing.T) {
 func TestLatePendingAndStop(t *testing.T) {
 	e := New()
 	e.Schedule(3, func() {})
-	e.ScheduleLate(5, 0, func() {})
-	e.ScheduleLate(9000, 1, func() {}) // far future
+	e.ScheduleLateCall(5, 0, func(uint64) {})
+	e.ScheduleLateCall(9000, 1, func(uint64) {}) // far future
 	if got := e.Pending(); got != 3 {
 		t.Fatalf("Pending = %d, want 3", got)
 	}
@@ -90,8 +90,8 @@ func TestLatePendingAndStop(t *testing.T) {
 func TestStopFromLateEvent(t *testing.T) {
 	e := New()
 	ran := 0
-	e.ScheduleLate(5, 0, func() { ran++; e.Stop() })
-	e.ScheduleLate(5, 1, func() { ran++ })
+	e.ScheduleLateCall(5, 0, func(uint64) { ran++; e.Stop() })
+	e.ScheduleLateCall(5, 1, func(uint64) { ran++ })
 	e.Schedule(6, func() { ran++ })
 	e.RunUntil(100)
 	if ran != 1 {
@@ -101,11 +101,11 @@ func TestStopFromLateEvent(t *testing.T) {
 
 // TestLateRunUntilBoundary checks RunUntil(t) excludes late events AT t
 // but leaves the clock parked there, and a later RunUntil picks them
-// up — the exact contract the window coordinator leans on.
+// up — the same boundary contract RunUntil gives lane-0 events.
 func TestLateRunUntilBoundary(t *testing.T) {
 	e := New()
 	ran := false
-	e.ScheduleLate(10, 0, func() { ran = true })
+	e.ScheduleLateCall(10, 0, func(uint64) { ran = true })
 	e.RunUntil(10)
 	if ran {
 		t.Fatal("event at window end ran inside the window")
@@ -121,15 +121,15 @@ func TestLateRunUntilBoundary(t *testing.T) {
 
 // TestOverflowPromotionAcrossBoundary schedules wheel work beyond the
 // wheel span (forcing the overflow heap) interleaved with late events,
-// and drives the engine in small windows across the promotion point —
-// the access pattern parallel windows create.
+// and drives the engine in small RunUntil windows across the promotion
+// point.
 func TestOverflowPromotionAcrossBoundary(t *testing.T) {
 	e := New()
 	const span = 4096 // wheelSpan
 	var got []uint64
 	// Beyond the wheel horizon: lands in the overflow heap.
 	e.Schedule(span+100, func() { got = append(got, e.Now()) })
-	e.ScheduleLate(span+100, 0, func() { got = append(got, e.Now()+1_000_000) })
+	e.ScheduleLateCall(span+100, 0, func(uint64) { got = append(got, e.Now()+1_000_000) })
 	e.Schedule(5, func() { got = append(got, e.Now()) })
 
 	// Advance in windows that straddle the promotion boundary.
@@ -144,20 +144,6 @@ func TestOverflowPromotionAcrossBoundary(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("got %v, want %v", got, want)
 		}
-	}
-}
-
-// TestCompleteAliases checks Complete/CompleteCtx land in the late lane
-// with the given key (the serial dram.Port implementation).
-func TestCompleteAliases(t *testing.T) {
-	e := New()
-	var got []uint64
-	e.CompleteCtx(7, 1, func(ctx, now uint64) { got = append(got, ctx, now) }, 42)
-	e.Complete(7, 0, func(now uint64) { got = append(got, now) })
-	e.Run()
-	// Key 0 before key 1 despite scheduling order.
-	if len(got) != 3 || got[0] != 7 || got[1] != 42 || got[2] != 7 {
-		t.Fatalf("got %v, want [7 42 7]", got)
 	}
 }
 
@@ -181,7 +167,7 @@ func TestSchedulePastLatePanics(t *testing.T) {
 				t.Error("scheduling a late event in the past did not panic")
 			}
 		}()
-		e.ScheduleLate(5, 0, func() {})
+		e.ScheduleLateCall(5, 0, func(uint64) {})
 	})
 	e.Run()
 }
