@@ -21,7 +21,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -175,14 +174,13 @@ func (e *apiError) Error() string {
 }
 
 // ErrOverloaded is the sentinel every 429 rejection unwraps to: the
-// server shed the request under admission control (queue full, CoDel
-// overload, or a deadline it projected as unmeetable). Callers match it
-// with errors.Is and pace themselves with RetryAfterHint, which carries
-// the server's own projected-wait estimate.
+// server's run queue was full. Callers match it with errors.Is, back
+// off for RetryAfterHint, and resubmit; content addressing makes the
+// resubmission attach to any work already admitted.
 var ErrOverloaded = errors.New("hydroserved: overloaded")
 
-// Unwrap lets errors.Is(err, ErrOverloaded) recognize shed requests
-// without exporting the concrete error type.
+// Unwrap lets errors.Is(err, ErrOverloaded) recognize queue-full
+// rejections without exporting the concrete error type.
 func (e *apiError) Unwrap() error {
 	if e.Code == http.StatusTooManyRequests {
 		return ErrOverloaded
@@ -191,21 +189,15 @@ func (e *apiError) Unwrap() error {
 }
 
 // RetryAfterHint extracts the server's Retry-After duration from an
-// error returned by this client — the honest projected wait the daemon
-// computed when it shed the request. Zero when err carries no hint.
+// error returned by this client: how long the daemon asked the caller
+// to wait before resubmitting (one second for a full queue). Zero when
+// err carries no hint.
 func RetryAfterHint(err error) time.Duration {
 	var ae *apiError
 	if errors.As(err, &ae) {
 		return ae.RetryAfter
 	}
 	return 0
-}
-
-// IsQueueFull reports whether err is the server's queue-full rejection,
-// which a submitter may retry after a backoff.
-func IsQueueFull(err error) bool {
-	ae, ok := err.(*apiError)
-	return ok && ae.Code == http.StatusTooManyRequests
 }
 
 // IsQuarantined reports whether err is the server's quarantine
@@ -269,14 +261,6 @@ func (c *Client) doCond(ctx context.Context, method, path, etag, trace string, b
 		req.Header.Set(obs.HeaderRequestID, reqID)
 		if trace != "" {
 			req.Header.Set(obs.HeaderTrace, trace)
-		}
-		// Propagate the caller's remaining budget so the server can shed
-		// work it cannot finish in time instead of burning a worker on it.
-		// Minted per attempt: a retry after a backoff has less time left.
-		if dl, ok := ctx.Deadline(); ok {
-			if ms := time.Until(dl).Milliseconds(); ms > 0 {
-				req.Header.Set(cluster.HeaderDeadline, strconv.FormatInt(ms, 10))
-			}
 		}
 		if data != nil {
 			req.Header.Set("Content-Type", "application/json")

@@ -6,12 +6,9 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"github.com/hydrogen-sim/hydrogen/internal/cluster"
 )
 
 // fastRetry keeps test wall-clock low while exercising the real loop.
@@ -142,8 +139,8 @@ func TestMaxAttemptsExhausted(t *testing.T) {
 	c.Retry = fastRetry()
 
 	_, err := c.Designs(context.Background())
-	if !IsQueueFull(err) {
-		t.Fatalf("err = %v, want queue-full", err)
+	if !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("err = %v, want errors.Is(err, ErrOverloaded)", err)
 	}
 	if got := calls.Load(); got != 4 {
 		t.Fatalf("server saw %d requests, want MaxAttempts=4", got)
@@ -218,8 +215,7 @@ func TestWaitTreatsDeadlineTerminal(t *testing.T) {
 
 // TestDelayFloorsAtRetryAfter pins the pacing contract: jitter may
 // stretch a backoff step but must never cut a wait below the server's
-// Retry-After — the server's projected drain time is a floor, not a
-// suggestion.
+// Retry-After — the server's hint is a floor, not a suggestion.
 func TestDelayFloorsAtRetryAfter(t *testing.T) {
 	p := RetryPolicy{BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond}.withDefaults()
 	const ra = 250 * time.Millisecond
@@ -240,7 +236,7 @@ func TestDelayFloorsAtRetryAfter(t *testing.T) {
 
 // TestErrOverloadedAndHint: a 429 surfaces as ErrOverloaded with the
 // server's Retry-After recoverable via RetryAfterHint, so sweep
-// runners can pace resubmission to the daemon's own projection.
+// runners can pace resubmission to the daemon's hint.
 func TestErrOverloadedAndHint(t *testing.T) {
 	h := func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "7")
@@ -269,40 +265,5 @@ func TestErrOverloadedAndHint(t *testing.T) {
 	_, err = c2.Job(context.Background(), "deadbeef")
 	if errors.Is(err, ErrOverloaded) {
 		t.Fatalf("404 reported as ErrOverloaded: %v", err)
-	}
-}
-
-// TestDeadlineHeaderMinted: a context deadline rides every request as
-// X-Hydro-Deadline so the server can shed work it cannot finish in
-// time.
-func TestDeadlineHeaderMinted(t *testing.T) {
-	var got atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if v := r.Header.Get(cluster.HeaderDeadline); v != "" {
-			ms, _ := strconv.ParseInt(v, 10, 64)
-			got.Store(ms)
-		}
-		serveDesigns(w, r)
-	}))
-	defer ts.Close()
-	c := New(ts.URL)
-	c.Retry = NoRetry
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if _, err := c.Designs(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if ms := got.Load(); ms <= 0 || ms > 30_000 {
-		t.Fatalf("minted deadline = %dms, want (0, 30000]", ms)
-	}
-
-	// No context deadline -> no header.
-	got.Store(-1)
-	if _, err := c.Designs(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got.Load() != -1 {
-		t.Fatal("deadline header sent without a context deadline")
 	}
 }

@@ -86,10 +86,10 @@ func main() {
 			}
 			for {
 				res, _, err := cl.Run(context.Background(), req)
-				// A sweep has no deadline of its own: when the daemon sheds
-				// under load, pace to its projected wait and resubmit rather
-				// than fail the whole experiment. Content addressing makes
-				// the resubmit attach to any work already admitted.
+				// A sweep has no deadline of its own: when the daemon's
+				// queue is full, wait out its Retry-After and resubmit
+				// rather than fail the whole experiment. Content addressing
+				// makes the resubmit attach to any work already admitted.
 				if errors.Is(err, client.ErrOverloaded) {
 					wait := client.RetryAfterHint(err)
 					if wait <= 0 {

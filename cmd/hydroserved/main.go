@@ -113,7 +113,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		self         = fs.String("self", "", "this daemon's member ID within -peers (required with -peers)")
 		peerProbe    = fs.Duration("peer-probe", 2*time.Second, "peer health probe interval")
 		stealInt     = fs.Duration("steal-interval", time.Second, "how often an idle member tries to steal queued work from a saturated peer; <0 disables stealing")
-		codelTarget  = fs.Duration("codel-target", 0, "CoDel queue-delay target: shed batch submissions while queue waits stay above it (0 disables)")
 		maxJournal   = fs.Int64("max-journal-bytes", 0, "compact the journal in place once it grows past this many bytes (0 disables)")
 		diskLow      = fs.Int64("disk-low-watermark", 0, "free-bytes floor on the journal/cache filesystem: below 2x prune spills, below 1x reject durable submits with 503 (0 disables)")
 		traceSample  = fs.Float64("trace-sample", 1.0, "fraction of untraced submissions to head-sample into a server-minted trace (0 disables minting; client-sampled traces are always honored)")
@@ -147,7 +146,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		QuarantineAfter: *quarantine,
 		AccessLog:       *accessLog,
 		TelemetryPoints: *telemPoints,
-		CodelTarget:     *codelTarget,
 		MaxJournalBytes: *maxJournal,
 		DiskLowBytes:    *diskLow,
 		TraceSample:     *traceSample,

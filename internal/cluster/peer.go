@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"github.com/hydrogen-sim/hydrogen/internal/obs"
@@ -32,12 +31,6 @@ const (
 	// HeaderSelf is attached to every response a clustered daemon
 	// serves: its own member ID.
 	HeaderSelf = "X-Hydro-Self"
-	// HeaderDeadline carries the caller's remaining time budget in
-	// whole milliseconds. Clients mint it from their context deadline;
-	// each proxy hop re-mints it with the time already spent
-	// subtracted, so the budget shrinks as it crosses the cluster
-	// instead of resetting at every hop.
-	HeaderDeadline = "X-Hydro-Deadline"
 )
 
 // Trace and request-ID context crosses every cluster hop — proxy,
@@ -81,10 +74,6 @@ type PeerzPayload struct {
 type StolenJob struct {
 	ID      string          `json:"id"`
 	Request json.RawMessage `json:"request"`
-	// DeadlineMS is the job's remaining deadline budget at handoff time
-	// in milliseconds (0 = none): the same decrement-per-hop contract
-	// as HeaderDeadline, applied to stolen work.
-	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// RequestID and Trace carry the submitting request's identity across
 	// the steal hop (same contract as the X-Request-ID and
 	// obs.HeaderTrace headers on proxy hops), so the thief's logs and
@@ -115,22 +104,17 @@ func NewPeerClient(self string, proxyTimeout, probeTimeout time.Duration) *PeerC
 	}
 }
 
-// Submit forwards a raw POST /v1/jobs body to m. deadlineMS, when
-// positive, propagates the caller's remaining budget (HeaderDeadline)
-// to the peer; reqID and trace, when non-empty, propagate the caller's
-// request ID and trace context so the hop keeps one identity in both
-// members' logs. The response is returned as-is for relaying; the
-// caller owns closing its body.
-func (p *PeerClient) Submit(ctx context.Context, m Member, body []byte, reqID, trace string, deadlineMS int64) (*http.Response, error) {
+// Submit forwards a raw POST /v1/jobs body to m. reqID and trace, when
+// non-empty, propagate the caller's request ID and trace context so the
+// hop keeps one identity in both members' logs. The response is
+// returned as-is for relaying; the caller owns closing its body.
+func (p *PeerClient) Submit(ctx context.Context, m Member, body []byte, reqID, trace string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, m.URL+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(HeaderForwarded, p.self)
-	if deadlineMS > 0 {
-		req.Header.Set(HeaderDeadline, strconv.FormatInt(deadlineMS, 10))
-	}
 	setIdentity(req, reqID, trace)
 	return p.hc.Do(req)
 }

@@ -39,10 +39,6 @@ const (
 	// stand-in for a simulation bug — exercising worker panic
 	// isolation and poison-job quarantine.
 	PanicOnEpoch = "panic-on-epoch"
-	// AdmissionShed forces the adaptive admission controller to shed
-	// the next submission as if its projected completion were
-	// unmeetable, exercising the 429 + Retry-After path on demand.
-	AdmissionShed = "admission-shed"
 	// PeerError makes the next cluster proxy/steal call to a peer fail
 	// without touching the wire — the hook chaos tests use to trip a
 	// circuit breaker deterministically.

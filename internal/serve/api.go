@@ -171,22 +171,14 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 // as the deadline_exceeded terminal state. The timeout is not part of
 // the job's content address: identical configurations share one job
 // and the first-submitted timeout governs the run.
-//
-// Priority selects the admission lane: "interactive" (the default —
-// figure runs, humans waiting) or "batch" (sweeps). Batch work is
-// capped to a strict share of worker pops while interactive work
-// waits, and is the first to be shed under overload. Like Timeout,
-// Priority is not part of the content address: identical
-// configurations share one job and the first-submitted class governs.
 type JobRequest struct {
-	Config   *system.Config `json:"config,omitempty"`
-	Paper    bool           `json:"paper,omitempty"`
-	Cycles   uint64         `json:"cycles,omitempty"`
-	Seed     int64          `json:"seed,omitempty"`
-	Design   string         `json:"design"`
-	Combo    ComboSpec      `json:"combo"`
-	Timeout  Duration       `json:"timeout,omitempty"`
-	Priority string         `json:"priority,omitempty"`
+	Config  *system.Config `json:"config,omitempty"`
+	Paper   bool           `json:"paper,omitempty"`
+	Cycles  uint64         `json:"cycles,omitempty"`
+	Seed    int64          `json:"seed,omitempty"`
+	Design  string         `json:"design"`
+	Combo   ComboSpec      `json:"combo"`
+	Timeout Duration       `json:"timeout,omitempty"`
 }
 
 // Job states.
@@ -210,16 +202,6 @@ type JobStatus struct {
 	State  string    `json:"state"`
 	Design string    `json:"design"`
 	Combo  ComboSpec `json:"combo"`
-
-	// Priority is the job's admission lane; empty means interactive
-	// (the default lane), keeping the wire bytes of pre-priority jobs
-	// unchanged.
-	Priority string `json:"priority,omitempty"`
-
-	// Deadline is the absolute wall-clock point past which the caller
-	// no longer wants the answer, propagated from the X-Hydro-Deadline
-	// header; zero when none was set.
-	Deadline time.Time `json:"deadline,omitzero"`
 
 	// Cached marks a submission answered from the result cache without
 	// queueing; Deduped marks one coalesced onto an identical in-flight

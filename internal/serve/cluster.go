@@ -190,28 +190,11 @@ func peerErrInjected() error {
 	return nil
 }
 
-// remainingMS converts an absolute deadline to the wire budget for the
-// next hop: whole milliseconds still available, floored at 1 so an
-// almost-expired deadline still propagates as a deadline (the receiver
-// sheds it honestly) instead of vanishing. Zero means no deadline.
-func remainingMS(deadline time.Time) int64 {
-	if deadline.IsZero() {
-		return 0
-	}
-	ms := int64(time.Until(deadline) / time.Millisecond)
-	if ms < 1 {
-		ms = 1
-	}
-	return ms
-}
-
 // clusterProxySubmit walks the job's rendezvous ranking and relays the
 // submission to the first live peer ranked above this daemon. It
 // returns false when the walk reaches self before any peer answers —
 // the caller then accepts the job locally (failover). Peers whose
-// circuit breaker is open are skipped without touching the wire; the
-// caller's deadline budget is re-minted (time already spent subtracted)
-// for each attempt.
+// circuit breaker is open are skipped without touching the wire.
 func (s *Server) clusterProxySubmit(w http.ResponseWriter, r *http.Request, body []byte, sub *submission) bool {
 	cl := s.cl
 	key := sub.id
@@ -225,7 +208,7 @@ func (s *Server) clusterProxySubmit(w http.ResponseWriter, r *http.Request, body
 			return false
 		}
 		resp, err := cl.proxyCall(r.Context(), m, func(ctx context.Context) (*http.Response, error) {
-			return cl.pc.Submit(ctx, m, body, sub.reqID, sub.tc.Header(), remainingMS(sub.deadline))
+			return cl.pc.Submit(ctx, m, body, sub.reqID, sub.tc.Header())
 		})
 		if err != nil {
 			s.logj(key, "peer submit failed", "peer", m.ID, "err", err)
@@ -384,7 +367,7 @@ func (s *Server) clusterGet(w http.ResponseWriter, r *http.Request, id string) {
 	switch {
 	case ref != nil && ref.kind != refusedQuarantined:
 		// This daemon forwarded the submission, the owner is gone, and
-		// adoption was refused for now (draining, full lane, dead journal,
+		// adoption was refused for now (draining, full queue, dead journal,
 		// low disk): the client holds a 202, so tell it to retry rather
 		// than pretend the job never existed. A quarantined ID is refused
 		// for good and keeps the 404 — no Retry-After could satisfy it.
@@ -458,11 +441,7 @@ func (s *Server) handleSteal(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	req := JobRequest{Config: &j.cfg, Design: j.design, Combo: j.spec, Timeout: Duration(j.timeout)}
-	if j.class == classBatch {
-		req.Priority = j.class
-	}
-	raw, err := json.Marshal(req)
+	raw, err := json.Marshal(JobRequest{Config: &j.cfg, Design: j.design, Combo: j.spec, Timeout: Duration(j.timeout)})
 	if err != nil {
 		// Cannot serialize the handoff; keep the job for ourselves.
 		s.requeueStolen(j)
@@ -472,10 +451,9 @@ func (s *Server) handleSteal(w http.ResponseWriter, r *http.Request) {
 	s.cl.cm.StealsOut.Add(1)
 	s.logj(j.id, "stolen", "thief", thiefID)
 	go s.watchStolen(j, thief)
-	// The deadline budget crosses the handoff as remaining milliseconds,
-	// same contract as HeaderDeadline on proxied submits; the request ID
-	// and trace context ride along so the thief's spans join the tree.
-	writeJSON(w, http.StatusOK, cluster.StolenJob{ID: j.id, Request: raw, DeadlineMS: remainingMS(j.deadline), RequestID: j.reqID, Trace: j.trace.Context().Header()})
+	// The request ID and trace context ride along so the thief's spans
+	// join the tree.
+	writeJSON(w, http.StatusOK, cluster.StolenJob{ID: j.id, Request: raw, RequestID: j.reqID, Trace: j.trace.Context().Header()})
 }
 
 // popQueuedJob takes one runnable job off the queue without blocking;
@@ -505,7 +483,7 @@ func (s *Server) popQueuedJob() *job {
 }
 
 // requeueStolen puts a popped job back on the queue. ForcePush ignores
-// the lane cap — an accepted job is never dropped for depth — and only
+// the queue cap — an accepted job is never dropped for depth — and only
 // refuses when the queue is closed, i.e. the daemon is shutting down.
 func (s *Server) requeueStolen(j *job) {
 	j.mu.Lock()
@@ -668,12 +646,6 @@ func (s *Server) adoptStolen(sj *cluster.StolenJob, from cluster.Member) *refusa
 	if err != nil || sub.id != sj.ID {
 		s.logj(sj.ID, "steal handoff rejected", "from", from.ID, "key", short(sub.id), "err", err)
 		return nil
-	}
-	// A peer minted this priority, so an unknown value is a version skew,
-	// not a client error: fall back to interactive rather than reject.
-	sub.class, _ = normalizeClass(req.Priority)
-	if sj.DeadlineMS > 0 {
-		sub.deadline = time.Now().Add(time.Duration(sj.DeadlineMS) * time.Millisecond)
 	}
 	sub.reqID = sj.RequestID
 	if tc, ok := obs.ParseTraceHeader(sj.Trace); ok && tc.Sampled {

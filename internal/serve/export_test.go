@@ -38,6 +38,10 @@ func (s *Server) LegacyStatusJSON(id string, hit bool) ([]byte, bool) {
 	return buf.Bytes(), true
 }
 
+// SpillForTest flushes the in-memory cache to the spill directory so
+// chaos tests can stage precise on-disk states.
+func (s *Server) SpillForTest() error { return s.cache.SpillAll() }
+
 // Crash simulates a kill -9 for chaos tests: it detaches the journal
 // WITHOUT writing terminal records, force-cancels everything, and
 // waits for the workers to exit — leaving the journal and spill
@@ -45,10 +49,6 @@ func (s *Server) LegacyStatusJSON(id string, hit bool) ([]byte, bool) {
 // and start records present, no terminal records, nothing spilled).
 // The server is unusable afterward; tests construct a fresh one over
 // the same paths to exercise recovery.
-// SpillForTest flushes the in-memory cache to the spill directory so
-// chaos tests can stage precise on-disk states.
-func (s *Server) SpillForTest() error { return s.cache.SpillAll() }
-
 func (s *Server) Crash() {
 	s.jlMu.Lock()
 	if s.jl != nil {

@@ -22,16 +22,11 @@ type journalRecord struct {
 	ID   string    `json:"id"`
 	Time time.Time `json:"time,omitzero"`
 
-	// Submit-only fields. Priority and Deadline ride along so a replay
-	// restores the job to its lane with its caller's deadline intact
-	// (an expired deadline replays as an honest deadline_exceeded
-	// instead of burning a worker).
-	Config   *system.Config `json:"config,omitempty"`
-	Design   string         `json:"design,omitempty"`
-	Combo    *ComboSpec     `json:"combo,omitempty"`
-	Timeout  Duration       `json:"timeout,omitempty"`
-	Priority string         `json:"priority,omitempty"`
-	Deadline time.Time      `json:"deadline,omitzero"`
+	// Submit-only fields.
+	Config  *system.Config `json:"config,omitempty"`
+	Design  string         `json:"design,omitempty"`
+	Combo   *ComboSpec     `json:"combo,omitempty"`
+	Timeout Duration       `json:"timeout,omitempty"`
 
 	// Terminal detail: the failure message, and — in compacted logs —
 	// the aggregated failure count for quarantine persistence.

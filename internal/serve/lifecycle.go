@@ -36,14 +36,12 @@ import (
 // every entry hands to intake, and what a front remembers about a job
 // it proxied out.
 type submission struct {
-	id       string // content address: CacheKey(cfg, design, spec)
-	cfg      system.Config
-	design   string
-	combo    workloads.Combo
-	spec     ComboSpec
-	timeout  time.Duration // execution deadline, 0 = none
-	class    string        // admission lane; "" means classInteractive
-	deadline time.Time     // propagated caller deadline, zero = none
+	id      string // content address: CacheKey(cfg, design, spec)
+	cfg     system.Config
+	design  string
+	combo   workloads.Combo
+	spec    ComboSpec
+	timeout time.Duration // execution deadline, 0 = none
 
 	// Identity of the original request, kept across proxy, steal and
 	// failover hops so every node's logs and spans join up.
@@ -52,7 +50,7 @@ type submission struct {
 
 	// replayed marks a job coming back from this daemon's own journal:
 	// already durable, already acknowledged, so intake neither journals
-	// it again nor lets lane depth refuse it.
+	// it again nor lets queue depth refuse it.
 	replayed bool
 	// via names the hop that brought the job here when it was not a
 	// client ("promote"); stamped as a zero-length span at mint so the
@@ -71,8 +69,6 @@ type job struct {
 	combo    workloads.Combo
 	spec     ComboSpec
 	timeout  time.Duration
-	class    string
-	deadline time.Time
 	replayed bool
 	reqID    string
 
@@ -129,7 +125,7 @@ const (
 type refusal struct {
 	kind refusalKind
 	err  error // refusedJournal: the append failure
-	n    int   // refusedQuarantined: failures counted; refusedQueueFull: lane depth
+	n    int   // refusedQuarantined: failures counted; refusedQueueFull: queue depth
 }
 
 func (r *refusal) Error() string {
@@ -147,13 +143,9 @@ func (r *refusal) Error() string {
 	}
 }
 
-// Cancellation reasons written into jobs that end without running.
-const (
-	msgShutdown = "canceled: server shutting down"
-	// msgExpiredQueued marks a job whose propagated deadline passed
-	// while it sat in the queue: finished honestly, never run.
-	msgExpiredQueued = "deadline exceeded before start"
-)
+// msgShutdown is the cancellation reason written into jobs that end
+// without running because the daemon is shutting down.
+const msgShutdown = "canceled: server shutting down"
 
 // reusableLocked returns the record already answering for id, if it is
 // worth attaching to: a queued or running job (singleflight), or a done
@@ -201,8 +193,6 @@ func (s *Server) mintLocked(sub *submission) *job {
 		combo:     sub.combo,
 		spec:      sub.spec,
 		timeout:   sub.timeout,
-		class:     sub.class,
-		deadline:  sub.deadline,
 		replayed:  sub.replayed,
 		reqID:     sub.reqID,
 		telem:     obs.NewRing(s.opts.TelemetryPoints),
@@ -211,9 +201,6 @@ func (s *Server) mintLocked(sub *submission) *job {
 		submitted: time.Now(),
 		done:      make(chan struct{}),
 		durable:   make(chan struct{}),
-	}
-	if j.class == "" {
-		j.class = classInteractive
 	}
 	j.trace.SetContext(sub.tc, s.node) // no-op for an untraced submission
 	if sub.via != "" {
@@ -266,7 +253,7 @@ func (s *Server) intake(sub *submission) (j *job, fresh bool, ref *refusal) {
 		// Drain closed the queue while the record was being flushed.
 		ref = &refusal{kind: refusedDraining}
 	case sub.replayed:
-		// A journaled 202 is a promise: lane depth never turns replayed
+		// A journaled 202 is a promise: queue depth never turns replayed
 		// work away, and only a closed queue (draining, ruled out just
 		// above) refuses ForcePush.
 		s.queue.ForcePush(j)
@@ -294,21 +281,15 @@ func (s *Server) intake(sub *submission) (j *job, fresh bool, ref *refusal) {
 // intake and rewritten by live compaction, so both agree on every field
 // — including the spans a promoted job carried in with it.
 func (j *job) submitRecord() journalRecord {
-	rec := journalRecord{
-		Type:     recSubmit,
-		ID:       j.id,
-		Config:   &j.cfg,
-		Design:   j.design,
-		Combo:    &j.spec,
-		Timeout:  Duration(j.timeout),
-		Deadline: j.deadline,
-		Spans:    j.tracedSpans(),
+	return journalRecord{
+		Type:    recSubmit,
+		ID:      j.id,
+		Config:  &j.cfg,
+		Design:  j.design,
+		Combo:   &j.spec,
+		Timeout: Duration(j.timeout),
+		Spans:   j.tracedSpans(),
 	}
-	if j.class == classBatch {
-		// Interactive stays implicit, as on the wire.
-		rec.Priority = j.class
-	}
-	return rec
 }
 
 // synthesizeDoneLocked registers a finished job for a result that
@@ -316,11 +297,11 @@ func (j *job) submitRecord() journalRecord {
 // between cache put and terminal record (rule 2), or filled from a
 // peer — so every later hit is answered locally. The record describes
 // the result, not the request that happened to find it: it carries no
-// caller deadline, request ID or trace, and since nothing ran here
-// nothing is journaled. s.mu must be held.
+// request ID or trace, and since nothing ran here nothing is journaled.
+// s.mu must be held.
 func (s *Server) synthesizeDoneLocked(sub *submission, result []byte) *job {
 	found := *sub
-	found.deadline, found.reqID, found.tc = time.Time{}, "", obs.TraceContext{}
+	found.reqID, found.tc = "", obs.TraceContext{}
 	j := s.mintLocked(&found)
 	close(j.durable)
 	j.state = StateDone
@@ -382,7 +363,7 @@ func (s *Server) terminate(j *job, from, state, errMsg string, result []byte) bo
 		s.m.deadlined.Add(1)
 	}
 	total := time.Since(j.submitted)
-	s.m.classLatency(j.class).ObserveExemplar(total.Seconds(), j.traceID())
+	s.m.jobLatency.ObserveExemplar(total.Seconds(), j.traceID())
 	s.collectTrace(j, total)
 	return true
 }
@@ -529,7 +510,6 @@ func (j *job) snapshot() JobStatus {
 		State:       j.state,
 		Design:      j.design,
 		Combo:       j.spec,
-		Deadline:    j.deadline,
 		Replayed:    j.replayed,
 		Timeout:     Duration(j.timeout),
 		SubmittedAt: j.submitted,
@@ -539,11 +519,6 @@ func (j *job) snapshot() JobStatus {
 		Error:       j.err,
 		TraceID:     j.trace.Context().TraceID,
 		Spans:       j.trace.Records(),
-	}
-	if j.class == classBatch {
-		// Interactive is the default lane; leaving it implicit keeps the
-		// wire bytes of pre-priority submissions unchanged.
-		st.Priority = j.class
 	}
 	if j.state == StateDone {
 		st.Result = j.result

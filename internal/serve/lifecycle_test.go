@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 
 	"github.com/hydrogen-sim/hydrogen/internal/cluster"
 	"github.com/hydrogen-sim/hydrogen/internal/faultinject"
+	"github.com/hydrogen-sim/hydrogen/internal/journal"
 	"github.com/hydrogen-sim/hydrogen/internal/obs"
 	"github.com/hydrogen-sim/hydrogen/internal/system"
 )
@@ -158,6 +160,55 @@ func TestIntakeRefusalNeutralizes(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestReplayIgnoresPriorityAndDeadline: a journal whose submit record
+// still carries the "priority" and "deadline" keys that earlier daemons
+// wrote replays like any other. The past deadline is not read, so the
+// job runs to done instead of ending deadline_exceeded before start.
+func TestReplayIgnoresPriorityAndDeadline(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal")
+	req := lifecycleRequest(200_000)
+	probe := &Server{}
+	sub, err := probe.resolveRequest(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := json.Marshal(sub.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	combo, err := json.Marshal(sub.spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	rec := fmt.Sprintf(`{"t":"submit","id":%q,"time":%q,"config":%s,"design":%q,"combo":%s,"priority":"batch","deadline":%q}`,
+		sub.id, now.Format(time.RFC3339Nano), cfg, sub.design, combo, now.Add(-time.Hour).Format(time.RFC3339Nano))
+	if err := journal.Rewrite(path, [][]byte{[]byte(rec)}); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(Options{Workers: 1, JournalPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if n := s.ReplayedJobs(); n != 1 {
+		t.Fatalf("replayed %d jobs, want 1", n)
+	}
+	j := s.lookup(sub.id)
+	if j == nil {
+		t.Fatal("replayed job missing from the job table")
+	}
+	select {
+	case <-j.done:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("replayed job never finished")
+	}
+	if st := j.snapshot(); st.State != StateDone {
+		t.Fatalf("replayed job ended %s (%q), want done", st.State, st.Error)
 	}
 }
 

@@ -40,10 +40,6 @@ type metrics struct {
 	notModified *obs.Counter // conditional GETs answered 304 Not Modified
 	fastPath    *obs.Counter // submits served via the body-hash fast path
 
-	shedTotal    *obs.Counter // admission-control rejections, all causes
-	shedDeadline *obs.Counter // shed: projected completion past the deadline
-	shedOverload *obs.Counter // shed: CoDel standing queue or projected wait
-
 	journalCompactions *obs.Counter // runtime journal rewrites (size watermark)
 	diskLowRejects     *obs.Counter // durable submits refused on critical disk
 	spillPrunes        *obs.Counter // spill files removed under disk pressure
@@ -62,20 +58,7 @@ type metrics struct {
 	queueWaitSeconds *obs.Histogram // queue wait per started job
 	epochSeconds     *obs.Histogram // wall time between epoch samples
 	httpSeconds      *obs.Histogram // HTTP request latency
-
-	// Per-class end-to-end latency (submit to terminal state): the
-	// overload smoke test pins interactive p99 against these while a
-	// batch flood runs.
-	interactiveLatency *obs.Histogram
-	batchLatency       *obs.Histogram
-}
-
-// classLatency selects the end-to-end latency histogram for a lane.
-func (m *metrics) classLatency(class string) *obs.Histogram {
-	if class == classBatch {
-		return m.batchLatency
-	}
-	return m.interactiveLatency
+	jobLatency       *obs.Histogram // submit to terminal state, per job
 }
 
 // newMetrics builds the daemon's registry. The function arguments feed
@@ -104,9 +87,6 @@ func newMetrics(cacheEntries, cacheBytes, journalBytes, journalSyncs, diskFree f
 	m.cacheCorrupt = r.Counter("hydroserved_cache_corrupt_total", "Corrupt spill files rejected and removed.")
 	m.notModified = r.Counter("hydroserved_http_not_modified_total", "Conditional requests answered 304 Not Modified.")
 	m.fastPath = r.Counter("hydroserved_submit_fastpath_total", "Submissions served from the body-hash fast path without JSON decode.")
-	m.shedTotal = r.Counter("hydroserved_admission_shed_total", "Submissions shed by adaptive admission control.")
-	m.shedDeadline = r.Counter("hydroserved_admission_shed_deadline_total", "Submissions shed because projected completion exceeded their deadline.")
-	m.shedOverload = r.Counter("hydroserved_admission_shed_overload_total", "Batch submissions shed by the CoDel queue-delay window.")
 	m.journalCompactions = r.Counter("hydroserved_journal_compactions_total", "Runtime journal rewrites triggered by the size watermark.")
 	m.diskLowRejects = r.Counter("hydroserved_disk_low_rejects_total", "Durable submissions refused while free disk was critically low.")
 	m.spillPrunes = r.Counter("hydroserved_cache_spill_prunes_total", "Spill files removed under disk pressure.")
@@ -151,10 +131,8 @@ func newMetrics(cacheEntries, cacheBytes, journalBytes, journalSyncs, diskFree f
 		"Wall-clock duration of simulation epochs.", obs.DurationBuckets)
 	m.httpSeconds = r.Histogram("hydroserved_http_request_seconds",
 		"HTTP request handling latency.", obs.DurationBuckets)
-	m.interactiveLatency = r.Histogram("hydroserved_interactive_latency_seconds",
-		"End-to-end latency (submit to terminal) of interactive-class jobs.", obs.DurationBuckets)
-	m.batchLatency = r.Histogram("hydroserved_batch_latency_seconds",
-		"End-to-end latency (submit to terminal) of batch-class jobs.", obs.DurationBuckets)
+	m.jobLatency = r.Histogram("hydroserved_job_latency_seconds",
+		"End-to-end latency (submit to terminal) of jobs.", obs.DurationBuckets)
 	return m
 }
 

@@ -1,9 +1,8 @@
 package serve_test
 
-// Overload-resilience tests: priority classes, adaptive admission
-// (deadline + CoDel shedding with honest Retry-After), deadline
-// propagation across cluster hops, circuit-breaker peer routing, disk
-// watermarks, and live journal compaction.
+// Back-pressure and resilience tests: the one FIFO queue's submit
+// contract, circuit-breaker peer routing, refused adoption on a full
+// queue, disk watermarks, and live journal compaction.
 
 import (
 	"bytes"
@@ -11,11 +10,9 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
 	"testing"
 	"time"
 
-	"github.com/hydrogen-sim/hydrogen/internal/cluster"
 	"github.com/hydrogen-sim/hydrogen/internal/faultinject"
 	"github.com/hydrogen-sim/hydrogen/internal/serve"
 )
@@ -50,207 +47,62 @@ func submitHdr(t *testing.T, base string, req serve.JobRequest, hdr map[string]s
 	return st, resp.StatusCode, resp.Header
 }
 
-func TestPriorityClassRoundtrip(t *testing.T) {
-	_, ts := newTestServer(t, serve.Options{Workers: 2})
-	cfg := tinyConfig()
-
-	st, code := submit(t, ts.URL, serve.JobRequest{
-		Config: &cfg, Design: "Hydrogen", Combo: serve.ComboSpec{ID: "C1"},
-		Priority: "batch",
-	})
-	if code != http.StatusAccepted {
-		t.Fatalf("batch submit: HTTP %d, want 202", code)
-	}
-	if st.Priority != "batch" {
-		t.Fatalf("submit status priority = %q, want batch", st.Priority)
-	}
-	final := waitState(t, ts.URL, st.ID, serve.StateDone)
-	if final.Priority != "batch" {
-		t.Fatalf("final status priority = %q, want batch", final.Priority)
-	}
-
-	// Interactive is the default and stays off the wire (the pre-class
-	// format had no priority field; byte identity preserves that).
-	cfg2 := cfg
-	cfg2.Seed = 777
-	st2, code := submit(t, ts.URL, serve.JobRequest{Config: &cfg2, Design: "Hydrogen", Combo: serve.ComboSpec{ID: "C1"}})
-	if code != http.StatusAccepted {
-		t.Fatalf("interactive submit: HTTP %d, want 202", code)
-	}
-	if st2.Priority != "" {
-		t.Fatalf("interactive priority = %q, want empty", st2.Priority)
-	}
-
-	_, code = submit(t, ts.URL, serve.JobRequest{
-		Config: &cfg, Design: "Hydrogen", Combo: serve.ComboSpec{ID: "C1"},
-		Priority: "urgent",
-	})
-	if code != http.StatusBadRequest {
-		t.Fatalf("unknown priority: HTTP %d, want 400", code)
-	}
-}
-
-func TestAdmissionShedFailpointAndRetryAfter(t *testing.T) {
-	defer faultinject.Reset()
-	_, ts := newTestServer(t, serve.Options{Workers: 1})
+// TestPriorityAndDeadlineIgnored: the run queue is one FIFO, so a
+// "priority" key is an unknown key like any other and X-Hydro-Deadline
+// is not read. Such a submission is accepted and runs to done under the
+// same content address, ETag and result bytes as the bare request.
+func TestPriorityAndDeadlineIgnored(t *testing.T) {
 	cfg := tinyConfig()
 	req := serve.JobRequest{Config: &cfg, Design: "Hydrogen", Combo: serve.ComboSpec{ID: "C1"}}
-
-	faultinject.Set(faultinject.AdmissionShed, 1, 0)
-	_, code, hdr := submitHdr(t, ts.URL, req, nil)
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("shed submit: HTTP %d, want 429", code)
+	raw, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ra, err := strconv.Atoi(hdr.Get("Retry-After"))
-	if err != nil || ra < 1 {
-		t.Fatalf("shed Retry-After = %q, want integer >= 1", hdr.Get("Retry-After"))
-	}
-	if n := metric(t, ts.URL, "hydroserved_admission_shed_total"); n != 1 {
-		t.Fatalf("shed_total = %d, want 1", n)
-	}
-	if n := metric(t, ts.URL, "hydroserved_admission_shed_overload_total"); n != 1 {
-		t.Fatalf("shed_overload_total = %d, want 1", n)
-	}
-
-	// Disarmed, the identical submission is admitted and completes.
-	st, code := submit(t, ts.URL, req)
-	if code != http.StatusAccepted {
-		t.Fatalf("post-shed submit: HTTP %d, want 202", code)
-	}
-	waitState(t, ts.URL, st.ID, serve.StateDone)
-}
-
-func TestDeadlineExpiresBeforeStart(t *testing.T) {
-	defer faultinject.Reset()
-	_, ts := newTestServer(t, serve.Options{Workers: 1})
-	cfg := tinyConfig()
-
-	// Hold the only worker so the deadlined job sits queued past its
-	// budget.
-	faultinject.Set(faultinject.SlowWorker, 1, 1500)
-	blocker, code := submit(t, ts.URL, serve.JobRequest{Config: &cfg, Design: "Hydrogen", Combo: serve.ComboSpec{ID: "C1"}})
-	if code != http.StatusAccepted {
-		t.Fatalf("blocker submit: HTTP %d, want 202", code)
-	}
-	waitState(t, ts.URL, blocker.ID, serve.StateRunning)
-
-	cfg2 := cfg
-	cfg2.Seed = 99
-	st, code, _ := submitHdr(t, ts.URL,
-		serve.JobRequest{Config: &cfg2, Design: "Hydrogen", Combo: serve.ComboSpec{ID: "C1"}},
-		map[string]string{cluster.HeaderDeadline: "300"})
-	if code != http.StatusAccepted {
-		t.Fatalf("deadlined submit: HTTP %d, want 202 (cold cost model must admit)", code)
-	}
-	if st.Deadline.IsZero() {
-		t.Fatal("accepted status does not echo the propagated deadline")
-	}
-
-	final := waitState(t, ts.URL, st.ID, serve.StateDeadline)
-	if final.Error != "deadline exceeded before start" {
-		t.Fatalf("expired-in-queue error = %q, want %q", final.Error, "deadline exceeded before start")
-	}
-	waitState(t, ts.URL, blocker.ID, serve.StateDone)
-}
-
-func TestBatchCodelShedKeepsInteractiveOpen(t *testing.T) {
-	defer faultinject.Reset()
-	_, ts := newTestServer(t, serve.Options{Workers: 1, CodelTarget: time.Millisecond})
-	cfg := tinyConfig()
-	mkReq := func(seed int64, prio string) serve.JobRequest {
-		c := cfg
-		c.Seed = seed
-		return serve.JobRequest{Config: &c, Design: "Hydrogen", Combo: serve.ComboSpec{ID: "C1"}, Priority: prio}
-	}
-
-	// Prime the cost model: one completed job teaches the EWMA this
-	// family's real cost (far above the 1ms CoDel target).
-	prime, code := submit(t, ts.URL, mkReq(1, ""))
-	if code != http.StatusAccepted {
-		t.Fatalf("prime submit: HTTP %d", code)
-	}
-	waitState(t, ts.URL, prime.ID, serve.StateDone)
-
-	// Occupy the worker, then queue one batch job to stand behind it.
-	faultinject.Set(faultinject.SlowWorker, 1, 3000)
-	blocker, code := submit(t, ts.URL, mkReq(2, ""))
-	if code != http.StatusAccepted {
-		t.Fatalf("blocker submit: HTTP %d", code)
-	}
-	waitState(t, ts.URL, blocker.ID, serve.StateRunning)
-	if _, code = submit(t, ts.URL, mkReq(3, "batch")); code != http.StatusAccepted {
-		t.Fatalf("first batch submit: HTTP %d, want 202 (empty queue projects no wait)", code)
-	}
-
-	// The next batch job projects a wait behind the queued one — above
-	// target — and is shed with an honest Retry-After.
-	_, code, hdr := submitHdr(t, ts.URL, mkReq(4, "batch"), nil)
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("standing-queue batch submit: HTTP %d, want 429", code)
-	}
-	if ra, err := strconv.Atoi(hdr.Get("Retry-After")); err != nil || ra < 1 {
-		t.Fatalf("batch shed Retry-After = %q, want integer >= 1", hdr.Get("Retry-After"))
-	}
-	if n := metric(t, ts.URL, "hydroserved_admission_shed_overload_total"); n < 1 {
-		t.Fatalf("shed_overload_total = %d, want >= 1", n)
-	}
-
-	// Interactive work is never CoDel-shed: same load, still admitted.
-	if _, code = submit(t, ts.URL, mkReq(5, "interactive")); code != http.StatusAccepted {
-		t.Fatalf("interactive submit under batch backlog: HTTP %d, want 202", code)
-	}
-}
-
-func TestClusterDeadlinePropagation(t *testing.T) {
-	tc := newTestCluster(t, 2, nil)
-	cfg := tinyConfig()
-
-	// Pick a front that does NOT own the family's jobs, so every submit
-	// crosses one proxy hop.
-	mkReq := func(seed int64) serve.JobRequest {
-		c := cfg
-		c.Seed = seed
-		return serve.JobRequest{Config: &c, Design: "Hydrogen", Combo: serve.ComboSpec{ID: "C1"}}
-	}
-	prime := mkReq(1)
-	owner := tc.ownerIdx(t, jobKey(t, prime))
-	front := 1 - owner
-
-	// Generous budget: the deadline survives the hop (the owner echoes
-	// it in the status) and the job completes normally.
-	st, code, _ := submitHdr(t, tc.urls[front], prime, map[string]string{cluster.HeaderDeadline: "600000"})
-	if code != http.StatusAccepted && code != http.StatusOK {
-		t.Fatalf("proxied submit: HTTP %d", code)
-	}
-	final := waitState(t, tc.urls[front], st.ID, serve.StateDone)
-	if final.Deadline.IsZero() {
-		t.Fatal("deadline did not survive the proxy hop into the owner's job record")
-	}
-	// The owner's cost model is now warm for this family.
-
-	// Find another job of the same family owned by the same node: its
-	// 1ms budget is provably unmeetable against the warmed estimate, so
-	// the OWNER sheds it and the front relays the 429.
-	var shedReq serve.JobRequest
-	for seed := int64(100); ; seed++ {
-		r := mkReq(seed)
-		if tc.ownerIdx(t, jobKey(t, r)) == owner {
-			shedReq = r
-			break
+	// run posts body to a fresh daemon, so neither run is a cache hit of
+	// the other, and returns the finished status and its ETag.
+	run := func(name string, body []byte, hdr map[string]string) (serve.JobStatus, string) {
+		t.Helper()
+		_, ts := newTestServer(t, serve.Options{Workers: 1})
+		hreq, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
+		for k, v := range hdr {
+			hreq.Header.Set(k, v)
+		}
+		resp, err := http.DefaultClient.Do(hreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st serve.JobStatus
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted || err != nil {
+			t.Fatalf("%s submit: HTTP %d (decode err %v), want 202", name, resp.StatusCode, err)
+		}
+		done := waitState(t, ts.URL, st.ID, serve.StateDone, serve.StateFailed, serve.StateCanceled, serve.StateDeadline)
+		if done.State != serve.StateDone {
+			t.Fatalf("%s job ended %s (%s), want done", name, done.State, done.Error)
+		}
+		get, err := http.Get(ts.URL + "/v1/jobs/" + st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		get.Body.Close()
+		return done, get.Header.Get("ETag")
 	}
-	_, code, hdr := submitHdr(t, tc.urls[front], shedReq, map[string]string{cluster.HeaderDeadline: "1"})
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("unmeetable-deadline submit: HTTP %d, want 429 relayed from the owner", code)
+
+	bare, bareTag := run("bare", raw, nil)
+	withPrio := append([]byte(`{"priority":"urgent",`), raw[1:]...)
+	got, gotTag := run("priority+deadline", withPrio, map[string]string{"X-Hydro-Deadline": "1"})
+	if got.ID != bare.ID {
+		t.Fatalf("job ID %s, want the bare request's %s", got.ID, bare.ID)
 	}
-	if hdr.Get(cluster.HeaderPeer) != tc.ids[owner] {
-		t.Fatalf("429 tagged %q, want the owner %q (proof the OWNER shed it)", hdr.Get(cluster.HeaderPeer), tc.ids[owner])
+	if gotTag == "" || gotTag != bareTag {
+		t.Fatalf("ETag %q, want the bare request's %q", gotTag, bareTag)
 	}
-	if ra, err := strconv.Atoi(hdr.Get("Retry-After")); err != nil || ra < 1 {
-		t.Fatalf("relayed Retry-After = %q, want integer >= 1", hdr.Get("Retry-After"))
-	}
-	if n := metric(t, tc.urls[owner], "hydroserved_admission_shed_deadline_total"); n < 1 {
-		t.Fatalf("owner shed_deadline_total = %d, want >= 1", n)
+	if !bytes.Equal(got.Result, bare.Result) {
+		t.Fatal("result bytes differ from the bare request's")
 	}
 }
 
@@ -306,7 +158,7 @@ func TestClusterBreakerTripsOnDeadPeer(t *testing.T) {
 
 // TestClusterPromoteQueueFullNeutralized is the satellite regression
 // test: when a daemon adopts a forwarded job after its owner dies but
-// cannot enqueue it (lane full), the adoption must fail OBSERVABLY —
+// cannot enqueue it (queue full), the adoption must fail OBSERVABLY —
 // 503 to the poller, neutralizing cancel record in the journal — and a
 // restart must not resurrect the job.
 func TestClusterPromoteQueueFullNeutralized(t *testing.T) {
@@ -332,7 +184,7 @@ func TestClusterPromoteQueueFullNeutralized(t *testing.T) {
 	front := 1 - owner
 
 	// Fill jobs owned by the FRONT keep its single worker busy and its
-	// one-deep interactive lane full.
+	// one-deep queue full.
 	var fill []serve.JobRequest
 	for seed := int64(50); len(fill) < 2; seed++ {
 		r := mkReq(seed)

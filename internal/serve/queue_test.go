@@ -2,70 +2,49 @@ package serve
 
 import "testing"
 
-func qjob(class string) *job { return &job{class: class} }
+func qjob(id string) *job { return &job{id: id} }
 
-func TestQueueInteractiveFirstWithBatchShare(t *testing.T) {
-	q := newJobQueue(16)
-	for i := 0; i < 8; i++ {
-		if !q.Push(qjob(classInteractive)) {
-			t.Fatal("interactive push refused")
-		}
-		if !q.Push(qjob(classBatch)) {
-			t.Fatal("batch push refused")
+func TestQueuePopsFIFO(t *testing.T) {
+	q := newJobQueue(8)
+	for _, id := range []string{"a", "b", "c"} {
+		if !q.Push(qjob(id)) {
+			t.Fatalf("push %s refused under cap", id)
 		}
 	}
-	// Under contention batch gets exactly one pop in every batchEvery.
-	batchPops := 0
-	for i := 0; i < 8; i++ {
+	for _, want := range []string{"a", "b", "c"} {
 		j, ok := q.Pop()
-		if !ok {
-			t.Fatal("pop failed with work queued")
-		}
-		if j.class == classBatch {
-			batchPops++
-		}
-	}
-	if batchPops != 8/batchEvery {
-		t.Fatalf("batch received %d of 8 contended pops, want %d", batchPops, 8/batchEvery)
-	}
-	// Once the interactive lane empties, batch drains freely.
-	for q.Len() > 0 {
-		if _, ok := q.Pop(); !ok {
-			t.Fatal("pop failed during drain")
+		if !ok || j.id != want {
+			t.Fatalf("Pop = %+v, %v; want job %s", j, ok, want)
 		}
 	}
 }
 
-func TestQueuePerLaneCapacityAndForcePush(t *testing.T) {
+func TestQueueCapacityAndForcePush(t *testing.T) {
 	q := newJobQueue(2)
-	if !q.Push(qjob(classBatch)) || !q.Push(qjob(classBatch)) {
+	if !q.Push(qjob("a")) || !q.Push(qjob("b")) {
 		t.Fatal("pushes under cap refused")
 	}
-	if q.Push(qjob(classBatch)) {
-		t.Fatal("push above lane cap accepted")
-	}
-	// A full batch lane must not consume interactive admission slots.
-	if !q.Push(qjob(classInteractive)) {
-		t.Fatal("interactive push refused while only the batch lane is full")
+	if q.Push(qjob("c")) {
+		t.Fatal("push above cap accepted")
 	}
 	// ForcePush ignores the cap: owed jobs are never dropped for depth.
-	if !q.ForcePush(qjob(classBatch)) {
-		t.Fatal("ForcePush refused on a full (but open) lane")
+	if !q.ForcePush(qjob("d")) {
+		t.Fatal("ForcePush refused on a full (but open) queue")
 	}
-	if got := q.LaneLen(1); got != 3 {
-		t.Fatalf("batch lane depth = %d, want 3", got)
+	if got := q.Len(); got != 3 {
+		t.Fatalf("queue depth = %d, want 3", got)
 	}
 }
 
 func TestQueueDrainsAfterClose(t *testing.T) {
 	q := newJobQueue(8)
-	q.Push(qjob(classInteractive))
-	q.Push(qjob(classBatch))
+	q.Push(qjob("a"))
+	q.Push(qjob("b"))
 	q.Close()
-	if q.Push(qjob(classInteractive)) {
+	if q.Push(qjob("c")) {
 		t.Fatal("push accepted after close")
 	}
-	if q.ForcePush(qjob(classInteractive)) {
+	if q.ForcePush(qjob("c")) {
 		t.Fatal("ForcePush accepted after close")
 	}
 	for i := 0; i < 2; i++ {
@@ -78,16 +57,14 @@ func TestQueueDrainsAfterClose(t *testing.T) {
 	}
 }
 
-func TestQueueTryPopPrefersBatch(t *testing.T) {
+func TestQueueTryPopTakesOldest(t *testing.T) {
 	q := newJobQueue(8)
-	q.Push(qjob(classInteractive))
-	q.Push(qjob(classBatch))
-	// Stealing ships batch backlog first; interactive stays local.
-	if j := q.TryPop(); j == nil || j.class != classBatch {
-		t.Fatalf("TryPop = %+v, want the batch job", j)
-	}
-	if j := q.TryPop(); j == nil || j.class != classInteractive {
-		t.Fatalf("TryPop = %+v, want the interactive job", j)
+	q.Push(qjob("a"))
+	q.Push(qjob("b"))
+	for _, want := range []string{"a", "b"} {
+		if j := q.TryPop(); j == nil || j.id != want {
+			t.Fatalf("TryPop = %+v, want job %s", j, want)
+		}
 	}
 	if j := q.TryPop(); j != nil {
 		t.Fatalf("TryPop on empty queue = %+v, want nil", j)

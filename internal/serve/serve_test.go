@@ -268,7 +268,7 @@ func TestCancelRunningJob(t *testing.T) {
 }
 
 // TestQueueFullRejects: with one worker busy and a depth-1 queue, a
-// third submission is rejected with 429.
+// third submission is rejected with 429 and Retry-After: 1.
 func TestQueueFullRejects(t *testing.T) {
 	_, ts := newTestServer(t, serve.Options{Workers: 1, QueueDepth: 1})
 	long := tinyConfig()
@@ -285,9 +285,12 @@ func TestQueueFullRejects(t *testing.T) {
 	if code2 != http.StatusAccepted {
 		t.Fatalf("second submit: %d", code2)
 	}
-	_, code3 := submit(t, ts.URL, mk(3))
+	_, code3, hdr := submitHdr(t, ts.URL, mk(3), nil)
 	if code3 != http.StatusTooManyRequests {
 		t.Fatalf("third submit: %d, want 429", code3)
+	}
+	if ra := hdr.Get("Retry-After"); ra != "1" {
+		t.Fatalf("queue-full Retry-After = %q, want \"1\"", ra)
 	}
 }
 

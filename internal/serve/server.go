@@ -75,13 +75,6 @@ type Options struct {
 	// its own journal-backed queue. Nil runs the daemon standalone.
 	Cluster *cluster.Config
 
-	// CodelTarget is the CoDel-style queue-delay target for batch
-	// admission: when measured queue waits stay above it for a full
-	// interval, or a batch submission's projected wait alone exceeds
-	// it, batch work is shed with 429 + an honest Retry-After.
-	// Interactive work is never CoDel-shed. <=0 disables overload
-	// shedding (deadline-based shedding stays on).
-	CodelTarget time.Duration
 	// MaxJournalBytes triggers live journal compaction: when the
 	// journal file outgrows it, the log is rewritten in place to the
 	// minimal equivalent state (one submit record per queued/running
@@ -177,10 +170,6 @@ type Server struct {
 	// between an fsync and what follows it. Nil in production.
 	afterAppend func(journalRecord)
 
-	// adm is the adaptive admission controller (cost model + CoDel
-	// queue-delay window); see admission.go.
-	adm *admission
-
 	// diskCritical flips when free disk falls under DiskLowBytes; the
 	// submit path then refuses durable work with 503. diskFree mirrors
 	// the last free-bytes sample for /metrics. wmStop ends the
@@ -255,7 +244,6 @@ func New(opts Options) (*Server, error) {
 		failCount: make(map[string]int),
 		queue:     newJobQueue(opts.QueueDepth),
 		reqMemo:   make(map[[sha256.Size]byte]string),
-		adm:       newAdmission(opts.CodelTarget),
 		tracer:    obs.NewSpanCollector(opts.TraceBuffer),
 	}
 	s.node = opts.NodeName
@@ -384,8 +372,7 @@ func (s *Server) recover() error {
 		rec := r.submit
 		sub := &submission{
 			id: rec.ID, cfg: *rec.Config, design: rec.Design, spec: *rec.Combo,
-			timeout: time.Duration(rec.Timeout), class: rec.Priority, deadline: rec.Deadline,
-			replayed: true,
+			timeout: time.Duration(rec.Timeout), replayed: true,
 		}
 		if data, ok := s.cache.Get(rec.ID); ok {
 			// The crash landed between the result reaching the cache
@@ -496,18 +483,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad job payload: negative timeout")
 		return
 	}
-	class, ok := normalizeClass(req.Priority)
-	if !ok {
-		httpError(w, http.StatusBadRequest, "bad job payload: unknown priority %q (want %q or %q)", req.Priority, classInteractive, classBatch)
-		return
-	}
 	sub, err := s.resolveRequest(&req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad job payload: %v", err)
 		return
 	}
-	sub.class = class
-	sub.deadline = parseDeadlineHeader(r.Header.Get(cluster.HeaderDeadline))
 	sub.reqID = r.Header.Get(obs.HeaderRequestID)
 	sub.tc = s.traceFor(r)
 	s.rememberBody(body, sub.id)
@@ -540,27 +520,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.acceptLocal(w, &sub)
 }
 
-// acceptLocal is the local-submit entry to the lifecycle: apply
-// admission control, hand the submission to intake, and translate the
-// outcome into the 202, the dedup/hit answer, or the refusal's status.
+// acceptLocal is the local-submit entry to the lifecycle: hand the
+// submission to intake and translate the outcome into the 202, the
+// dedup/hit answer, or the refusal's status.
 func (s *Server) acceptLocal(w http.ResponseWriter, sub *submission) {
-	// Adaptive admission stays out of intake: the other three entries
-	// carry a 202 that was already issued, so only a fresh submission
-	// may be shed — before minting the job record or burning a journal
-	// fsync on work that cannot finish usefully. It applies only when
-	// intake would otherwise mint, so an attach, a hit or a hard refusal
-	// keeps its precedence over a 429. (The routing decision ran without
-	// s.mu, so an identical submission may have landed meanwhile.)
-	s.mu.Lock()
-	wouldMint := s.reusableLocked(sub.id) == nil && s.refusalLocked(sub.id) == nil
-	s.mu.Unlock()
-	if wouldMint && s.shedSubmission(w, sub) {
-		return
-	}
 	j, fresh, ref := s.intake(sub)
 	switch {
 	case ref != nil:
-		s.writeRefusal(w, ref, sub.class)
+		s.writeRefusal(w, ref)
 	case !fresh:
 		s.answerExisting(w, j)
 	default:
@@ -571,16 +538,16 @@ func (s *Server) acceptLocal(w http.ResponseWriter, sub *submission) {
 }
 
 // writeRefusal answers a submission intake turned away: 422 for a
-// quarantined ID, 429 with a Retry-After derived from the projected wait
-// for a full lane, 503 + Retry-After for everything transient.
-func (s *Server) writeRefusal(w http.ResponseWriter, ref *refusal, class string) {
+// quarantined ID, 429 + Retry-After: 1 for a full queue, 503 +
+// Retry-After for everything transient.
+func (s *Server) writeRefusal(w http.ResponseWriter, ref *refusal) {
 	s.m.rejected.Add(1)
 	code, retry := http.StatusServiceUnavailable, "5"
 	switch ref.kind {
 	case refusedQuarantined:
 		code, retry = http.StatusUnprocessableEntity, ""
 	case refusedQueueFull:
-		code, retry = http.StatusTooManyRequests, retryAfterSecs(s.projectedWait(class))
+		code, retry = http.StatusTooManyRequests, "1"
 	}
 	if retry != "" {
 		w.Header().Set("Retry-After", retry)
@@ -605,7 +572,7 @@ func (s *Server) answerExisting(w http.ResponseWriter, j *job) {
 	ref := j.refused
 	j.mu.Unlock()
 	if ref != nil {
-		s.writeRefusal(w, ref, j.class)
+		s.writeRefusal(w, ref)
 		return
 	}
 	s.m.deduped.Add(1)
@@ -872,39 +839,17 @@ func (s *Server) simulate(ctx context.Context, j *job, hooks system.Hooks) (res 
 }
 
 func (s *Server) runJob(j *job) {
-	if !j.deadline.IsZero() && !time.Now().Before(j.deadline) {
-		// The propagated deadline expired while the job sat queued:
-		// nobody is waiting for this answer, so finish it honestly
-		// without burning a worker on it. (False: canceled meanwhile.)
-		if s.terminate(j, StateQueued, StateDeadline, msgExpiredQueued, nil) {
-			s.logj(j.id, "deadline expired before start")
-		}
-		return
-	}
 	j.mu.Lock()
 	if j.state != StateQueued { // canceled while waiting
 		j.mu.Unlock()
 		return
 	}
-	// The execution budget is the tighter of the per-job timeout and
-	// the propagated caller deadline; both land at the next epoch
-	// boundary via the same context plumbing as cancellation. (The
-	// per-job timeout is measured from start; the propagated deadline
-	// is absolute and has been paying for queue wait all along.)
-	budget := j.timeout
-	if !j.deadline.IsZero() {
-		rem := time.Until(j.deadline)
-		if rem <= 0 {
-			rem = time.Nanosecond // raced past the check above; expire at once
-		}
-		if budget == 0 || rem < budget {
-			budget = rem
-		}
-	}
+	// The per-job timeout is measured from start and lands at the next
+	// epoch boundary via the same context plumbing as cancellation.
 	var ctx context.Context
 	var cancel context.CancelFunc
-	if budget > 0 {
-		ctx, cancel = context.WithTimeout(context.Background(), budget)
+	if j.timeout > 0 {
+		ctx, cancel = context.WithTimeout(context.Background(), j.timeout)
 	} else {
 		ctx, cancel = context.WithCancel(context.Background())
 	}
@@ -918,7 +863,6 @@ func (s *Server) runJob(j *job) {
 	s.m.running.Add(1)
 	s.m.queueWaitNanos.Add(wait.Nanoseconds())
 	s.m.queueWaitSeconds.Observe(wait.Seconds())
-	s.adm.noteWait(wait, j.started)
 	j.trace.AddInterval("queue", j.submitted, wait)
 	s.logj(j.id, "running", "queue_wait", wait.Round(time.Millisecond))
 	jspan := obs.StartSpan("journal.start")
@@ -982,12 +926,11 @@ func (s *Server) runJob(j *job) {
 			cspan.EndInto(j.trace)
 			state, result = StateDone, data
 			s.m.simCycles.Add(int64(res.Cycles))
-			s.adm.observe(j.design, j.spec.ID, j.cfg.Cycles, elapsed)
 		}
 	case errors.Is(ctx.Err(), context.DeadlineExceeded):
 		state = StateDeadline
-		errMsg = fmt.Sprintf("deadline exceeded: ran %s of a %s budget", elapsed.Round(time.Millisecond), budget)
-		s.logj(j.id, "deadline exceeded", "budget", budget)
+		errMsg = fmt.Sprintf("deadline exceeded: ran %s of a %s budget", elapsed.Round(time.Millisecond), j.timeout)
+		s.logj(j.id, "deadline exceeded", "budget", j.timeout)
 	case ctx.Err() != nil:
 		state, errMsg = StateCanceled, "canceled"
 		s.logj(j.id, "canceled", "elapsed", elapsed.Round(time.Millisecond))
