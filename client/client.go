@@ -76,11 +76,6 @@ type Client struct {
 	// deadUntil marks base URLs to skip until the deadline passes
 	// (RetryPolicy.PeerDownTTL); guarded by mu.
 	deadUntil map[string]time.Time
-
-	// traces maps submitted job IDs to the trace ID their submission
-	// carried (see TraceID). Bounded FIFO; guarded by mu.
-	traces     map[string]string
-	traceOrder []string
 }
 
 // statusCacheMax bounds the client-side terminal-status cache; a sweep
@@ -214,7 +209,7 @@ func IsQuarantined(err error) bool {
 // attaches to the original job instead of duplicating work — while
 // permanent rejections return immediately.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
-	_, err := c.doCond(ctx, method, path, "", "", body, out)
+	_, err := c.doCond(ctx, method, path, "", body, out)
 	return err
 }
 
@@ -230,10 +225,8 @@ type respMeta struct {
 
 // doCond is do with conditional-request support: when etag is
 // non-empty it is sent as If-None-Match, and a 304 response returns
-// immediately with notModified set instead of decoding a body. A
-// non-empty trace is sent as X-Hydro-Trace, enrolling the request in
-// a distributed trace the server's /v1/traces endpoint can replay.
-func (c *Client) doCond(ctx context.Context, method, path, etag, trace string, body, out any) (respMeta, error) {
+// immediately with notModified set instead of decoding a body.
+func (c *Client) doCond(ctx context.Context, method, path, etag string, body, out any) (respMeta, error) {
 	var data []byte
 	if body != nil {
 		var err error
@@ -259,9 +252,6 @@ func (c *Client) doCond(ctx context.Context, method, path, etag, trace string, b
 			return respMeta{}, err
 		}
 		req.Header.Set(obs.HeaderRequestID, reqID)
-		if trace != "" {
-			req.Header.Set(obs.HeaderTrace, trace)
-		}
 		if data != nil {
 			req.Header.Set("Content-Type", "application/json")
 		}
@@ -387,19 +377,12 @@ func (c *Client) remember(id, etag string, st JobStatus) {
 
 // Submit posts a job. The returned status may already be terminal: a
 // cache hit comes back done with the result attached, and a submission
-// identical to an in-flight job attaches to it (Deduped). Every
-// submission carries a client-minted trace context, so the cluster's
-// span collectors assemble a cross-node tree for it; the trace ID is
-// retrievable afterwards with TraceID.
+// identical to an in-flight job attaches to it (Deduped).
 func (c *Client) Submit(ctx context.Context, req JobRequest) (*JobStatus, error) {
-	tc := obs.NewTraceContext(true)
 	var st JobStatus
-	meta, err := c.doCond(ctx, http.MethodPost, "/v1/jobs", "", tc.Header(), req, &st)
+	meta, err := c.doCond(ctx, http.MethodPost, "/v1/jobs", "", req, &st)
 	if err != nil {
 		return nil, err
-	}
-	if st.ID != "" {
-		c.rememberTrace(st.ID, tc.TraceID)
 	}
 	// A cache hit arrives already terminal and tagged; remember it so a
 	// later Job() for the same ID revalidates instead of re-downloading.
@@ -407,36 +390,6 @@ func (c *Client) Submit(ctx context.Context, req JobRequest) (*JobStatus, error)
 		c.remember(st.ID, meta.etag, st)
 	}
 	return &st, nil
-}
-
-// rememberTrace maps a job ID to the trace ID its submission carried,
-// in the same bounded FIFO style as the status cache.
-func (c *Client) rememberTrace(jobID, traceID string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.traces == nil {
-		c.traces = make(map[string]string, statusCacheMax)
-	}
-	if _, ok := c.traces[jobID]; !ok {
-		if len(c.traceOrder) >= statusCacheMax {
-			delete(c.traces, c.traceOrder[0])
-			c.traceOrder = c.traceOrder[1:]
-		}
-		c.traceOrder = append(c.traceOrder, jobID)
-	}
-	c.traces[jobID] = traceID
-}
-
-// TraceID returns the distributed-trace ID this client minted when it
-// submitted jobID — the handle to feed GET /v1/traces/{id} — or ""
-// when the job was not submitted through this client (or the bounded
-// map has since evicted it). Note that a submission deduplicated onto
-// a job another caller started earlier keeps the EARLIER trace on the
-// server; this client's ID still names a valid (possibly empty) trace.
-func (c *Client) TraceID(jobID string) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.traces[jobID]
 }
 
 // Job fetches a job's status (with result when done). Once a job's
@@ -451,7 +404,7 @@ func (c *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
 		etag = cached.etag
 	}
 	var st JobStatus
-	meta, err := c.doCond(ctx, http.MethodGet, "/v1/jobs/"+id, etag, "", nil, &st)
+	meta, err := c.doCond(ctx, http.MethodGet, "/v1/jobs/"+id, etag, nil, &st)
 	if err != nil {
 		return nil, err
 	}

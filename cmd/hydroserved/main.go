@@ -51,12 +51,10 @@
 // forwarded the submission promotes it into its own journal-backed
 // queue. Any member can answer any request.
 //
-// Every submission may carry (or, per -trace-sample, is minted) an
-// X-Hydro-Trace context that rides proxy, steal, and failover hops;
-// GET /v1/traces/{id} merges the span slices held by every member into
-// one cross-node tree, GET /v1/clusterz federates every member's health
-// and metrics snapshot into one view, and jobs slower than
-// -slow-request log their whole span tree inline for forensics.
+// A request's X-Request-ID (client-minted, or minted here) rides every
+// proxy, steal and failover hop, so one grep over the members' access
+// logs (-access-log) follows it; a job's status lists its timing spans
+// (queue, journal, run, cache put).
 //
 // Exit codes: 0 clean drain, 1 runtime error (bind failure, journal
 // replay failure), 2 flag error.
@@ -115,9 +113,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stealInt     = fs.Duration("steal-interval", time.Second, "how often an idle member tries to steal queued work from a saturated peer; <0 disables stealing")
 		maxJournal   = fs.Int64("max-journal-bytes", 0, "compact the journal in place once it grows past this many bytes (0 disables)")
 		diskLow      = fs.Int64("disk-low-watermark", 0, "free-bytes floor on the journal/cache filesystem: below 2x prune spills, below 1x reject durable submits with 503 (0 disables)")
-		traceSample  = fs.Float64("trace-sample", 1.0, "fraction of untraced submissions to head-sample into a server-minted trace (0 disables minting; client-sampled traces are always honored)")
-		slowReq      = fs.Duration("slow-request", 2*time.Second, "emit a structured forensic log record, span tree inline, for jobs slower than this end to end (0 disables)")
-		traceBuffer  = fs.Int("trace-buffer", 0, "finished traces held for /v1/traces and /debug/tracez; 0 = default (256)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -148,9 +143,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		TelemetryPoints: *telemPoints,
 		MaxJournalBytes: *maxJournal,
 		DiskLowBytes:    *diskLow,
-		TraceSample:     *traceSample,
-		SlowRequest:     *slowReq,
-		TraceBuffer:     *traceBuffer,
 	}
 	if *paper {
 		cfg := system.Paper()

@@ -33,10 +33,9 @@ const (
 	HeaderSelf = "X-Hydro-Self"
 )
 
-// Trace and request-ID context crosses every cluster hop — proxy,
-// steal, failover — in the same headers the client uses
-// (obs.HeaderTrace, X-Request-ID), so one end-to-end request keeps one
-// identity in every member's logs and span collector.
+// The request ID crosses every cluster hop — proxy, steal, failover —
+// in the same X-Request-ID header the client uses, so one end-to-end
+// request keeps one identity in every member's logs.
 
 // PeerStatus is one peer's self-report: the /v1/peerz core payload.
 type PeerStatus struct {
@@ -74,13 +73,11 @@ type PeerzPayload struct {
 type StolenJob struct {
 	ID      string          `json:"id"`
 	Request json.RawMessage `json:"request"`
-	// RequestID and Trace carry the submitting request's identity across
-	// the steal hop (same contract as the X-Request-ID and
-	// obs.HeaderTrace headers on proxy hops), so the thief's logs and
-	// spans correlate with the submission even though it never saw the
-	// original HTTP request.
+	// RequestID carries the submitting request's identity across the
+	// steal hop (same contract as X-Request-ID on proxy hops), so the
+	// thief's logs correlate with the submission even though it never
+	// saw the original HTTP request.
 	RequestID string `json:"request_id,omitempty"`
-	Trace     string `json:"trace,omitempty"`
 }
 
 // PeerClient issues cluster-internal requests. It is a thin wrapper
@@ -104,25 +101,25 @@ func NewPeerClient(self string, proxyTimeout, probeTimeout time.Duration) *PeerC
 	}
 }
 
-// Submit forwards a raw POST /v1/jobs body to m. reqID and trace, when
-// non-empty, propagate the caller's request ID and trace context so the
-// hop keeps one identity in both members' logs. The response is
-// returned as-is for relaying; the caller owns closing its body.
-func (p *PeerClient) Submit(ctx context.Context, m Member, body []byte, reqID, trace string) (*http.Response, error) {
+// Submit forwards a raw POST /v1/jobs body to m. reqID, when non-empty,
+// propagates the caller's request ID so the hop keeps one identity in
+// both members' logs. The response is returned as-is for relaying; the
+// caller owns closing its body.
+func (p *PeerClient) Submit(ctx context.Context, m Member, body []byte, reqID string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, m.URL+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(HeaderForwarded, p.self)
-	setIdentity(req, reqID, trace)
+	setIdentity(req, reqID)
 	return p.hc.Do(req)
 }
 
 // GetJob forwards a GET /v1/jobs/{id} to m, propagating the caller's
 // If-None-Match so cross-peer 304 revalidation works. The response is
 // returned as-is for relaying; the caller owns closing its body.
-func (p *PeerClient) GetJob(ctx context.Context, m Member, id, ifNoneMatch, reqID, trace string) (*http.Response, error) {
+func (p *PeerClient) GetJob(ctx context.Context, m Member, id, ifNoneMatch, reqID string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.URL+"/v1/jobs/"+id, nil)
 	if err != nil {
 		return nil, err
@@ -131,17 +128,14 @@ func (p *PeerClient) GetJob(ctx context.Context, m Member, id, ifNoneMatch, reqI
 	if ifNoneMatch != "" {
 		req.Header.Set("If-None-Match", ifNoneMatch)
 	}
-	setIdentity(req, reqID, trace)
+	setIdentity(req, reqID)
 	return p.hc.Do(req)
 }
 
-// setIdentity stamps the cross-hop request identity headers.
-func setIdentity(req *http.Request, reqID, trace string) {
+// setIdentity stamps the cross-hop request ID header.
+func setIdentity(req *http.Request, reqID string) {
 	if reqID != "" {
 		req.Header.Set(obs.HeaderRequestID, reqID)
-	}
-	if trace != "" {
-		req.Header.Set(obs.HeaderTrace, trace)
 	}
 }
 
@@ -168,94 +162,8 @@ func (p *PeerClient) Peerz(ctx context.Context, m Member) (PeerStatus, error) {
 	return st.PeerStatus, nil
 }
 
-// TracePayload is the /v1/traces/{id} body: one node's slice of a
-// distributed trace, or — when served by the node the client asked —
-// the merged cross-node tree. Partial marks a merge that could not
-// reach every member (dead peer, open breaker), so a caller knows the
-// tree may be missing hops rather than silently trusting it.
-type TracePayload struct {
-	TraceID string           `json:"trace_id"`
-	Partial bool             `json:"partial,omitempty"`
-	Nodes   []string         `json:"nodes,omitempty"`
-	Spans   []obs.SpanRecord `json:"spans"`
-}
-
-// MemberStats is one member's entry in the federated /v1/clusterz view:
-// peerz-style health plus the member's full metrics snapshot, and the
-// serving node's local opinion of it (breaker state, reachability).
-type MemberStats struct {
-	ID       string               `json:"id"`
-	URL      string               `json:"url,omitempty"`
-	Self     bool                 `json:"self,omitempty"`
-	Alive    bool                 `json:"alive"`
-	Ready    bool                 `json:"ready,omitempty"`
-	Draining bool                 `json:"draining,omitempty"`
-	Queued   int64                `json:"queued"`
-	Running  int64                `json:"running"`
-	Breaker  string               `json:"breaker,omitempty"`
-	Error    string               `json:"error,omitempty"`
-	Metrics  []obs.SeriesSnapshot `json:"metrics,omitempty"`
-}
-
-// TraceFetch asks m for its local slice of a trace. The forwarded
-// header keeps the peer from fanning out again (same loop guard as
-// proxied jobs).
-func (p *PeerClient) TraceFetch(ctx context.Context, m Member, traceID string) (*TracePayload, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.URL+"/v1/traces/"+traceID, nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set(HeaderForwarded, p.self)
-	resp, err := p.probeHC.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return &TracePayload{TraceID: traceID}, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		return nil, fmt.Errorf("cluster: traces from %s: HTTP %d", m.ID, resp.StatusCode)
-	}
-	var tp TracePayload
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&tp); err != nil {
-		return nil, fmt.Errorf("cluster: traces from %s: %w", m.ID, err)
-	}
-	return &tp, nil
-}
-
-// Clusterz asks m for its own clusterz entry (health + metrics
-// snapshot). The forwarded header makes the peer answer about itself
-// only instead of fanning out.
-func (p *PeerClient) Clusterz(ctx context.Context, m Member) (*MemberStats, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.URL+"/v1/clusterz", nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set(HeaderForwarded, p.self)
-	resp, err := p.probeHC.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		return nil, fmt.Errorf("cluster: clusterz from %s: HTTP %d", m.ID, resp.StatusCode)
-	}
-	var ms struct {
-		Members []MemberStats `json:"members"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&ms); err != nil {
-		return nil, fmt.Errorf("cluster: clusterz from %s: %w", m.ID, err)
-	}
-	for i := range ms.Members {
-		if ms.Members[i].Self {
-			return &ms.Members[i], nil
-		}
-	}
-	return nil, fmt.Errorf("cluster: clusterz from %s: no self entry", m.ID)
-}
+// Steal asks m for one queued job. A nil StolenJob with a nil error
+// means m had nothing to give (204).
 func (p *PeerClient) Steal(ctx context.Context, m Member) (*StolenJob, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, m.URL+"/v1/steal", nil)
 	if err != nil {

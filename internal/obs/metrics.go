@@ -102,54 +102,27 @@ func (r *Registry) CounterFunc(name, help string, fn func() int64) {
 // style: counts per upper bound, a +Inf bucket, a sum, and a count.
 // Observations are lock-free atomics; the float sum is maintained with
 // a CAS loop over its bit pattern.
-//
-// Each bucket (including +Inf) can optionally hold one exemplar — the
-// trace ID and value of the most recent observation that landed there
-// via ObserveExemplar — rendered OpenMetrics-style after the bucket
-// sample so a dashboard's "what hit the 5s bucket?" has a trace to
-// click through to.
 type Histogram struct {
-	bounds    []float64 // sorted upper bounds, exclusive of +Inf
-	counts    []atomic.Int64
-	inf       atomic.Int64
-	sum       atomic.Uint64 // math.Float64bits
-	count     atomic.Int64
-	exemplars []atomic.Pointer[Exemplar] // len(bounds)+1; last is +Inf
-}
-
-// Exemplar links one observation to the trace that produced it.
-type Exemplar struct {
-	TraceID string  `json:"trace_id"`
-	Value   float64 `json:"value"`
+	bounds []float64 // sorted upper bounds, exclusive of +Inf
+	counts []atomic.Int64
+	inf    atomic.Int64
+	sum    atomic.Uint64 // math.Float64bits
+	count  atomic.Int64
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	h.observe(v, "")
-}
-
-// ObserveExemplar records one value and, when traceID is non-empty,
-// stores it as the landing bucket's exemplar (last writer wins).
-func (h *Histogram) ObserveExemplar(v float64, traceID string) {
-	h.observe(v, traceID)
-}
-
-func (h *Histogram) observe(v float64, traceID string) {
 	// Buckets are few (≤ ~16); linear scan beats binary search here.
-	placed := -1
+	placed := false
 	for i, b := range h.bounds {
 		if v <= b {
 			h.counts[i].Add(1)
-			placed = i
+			placed = true
 			break
 		}
 	}
-	if placed < 0 {
+	if !placed {
 		h.inf.Add(1)
-		placed = len(h.bounds)
-	}
-	if traceID != "" {
-		h.exemplars[placed].Store(&Exemplar{TraceID: traceID, Value: v})
 	}
 	h.count.Add(1)
 	for {
@@ -172,11 +145,7 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	bs := append([]float64(nil), bounds...)
 	sort.Float64s(bs)
-	h := &Histogram{
-		bounds:    bs,
-		counts:    make([]atomic.Int64, len(bs)),
-		exemplars: make([]atomic.Pointer[Exemplar], len(bs)+1),
-	}
+	h := &Histogram{bounds: bs, counts: make([]atomic.Int64, len(bs))}
 	r.register(series{name: name, help: help, kind: "histogram", hist: h})
 	return h
 }
@@ -188,9 +157,7 @@ var DurationBuckets = []float64{
 	0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 30, 120, 300,
 }
 
-// SeriesSnapshot is one family's values frozen at scrape time. It is
-// the unit of metrics federation: /v1/clusterz ships each member's
-// snapshot as JSON and re-renders the merged set with a node label.
+// SeriesSnapshot is one family's values frozen at scrape time.
 type SeriesSnapshot struct {
 	Name string `json:"name"`
 	Help string `json:"help,omitempty"`
@@ -199,26 +166,15 @@ type SeriesSnapshot struct {
 	Value int64 `json:"value"`
 	// Histogram shape: per-bucket (non-cumulative) counts aligned with
 	// Bounds, the +Inf overflow, and the sum/count pair.
-	Bounds    []float64        `json:"bounds,omitempty"`
-	Buckets   []int64          `json:"buckets,omitempty"`
-	Inf       int64            `json:"inf,omitempty"`
-	Sum       float64          `json:"sum,omitempty"`
-	Count     int64            `json:"count,omitempty"`
-	Exemplars []BucketExemplar `json:"exemplars,omitempty"`
-}
-
-// BucketExemplar is a histogram bucket's exemplar keyed by its upper
-// bound as rendered ("0.005", "+Inf").
-type BucketExemplar struct {
-	LE      string  `json:"le"`
-	TraceID string  `json:"trace_id"`
-	Value   float64 `json:"value"`
+	Bounds  []float64 `json:"bounds,omitempty"`
+	Buckets []int64   `json:"buckets,omitempty"`
+	Inf     int64     `json:"inf,omitempty"`
+	Sum     float64   `json:"sum,omitempty"`
+	Count   int64     `json:"count,omitempty"`
 }
 
 // Snapshot freezes every registered series in one pass of atomic loads,
-// in registration order. This is the single source for /metrics
-// rendering and for federation, so the two views can never disagree
-// about what a series is.
+// in registration order: the single source /metrics renders from.
 func (r *Registry) Snapshot() []SeriesSnapshot {
 	r.mu.Lock()
 	families := append([]series(nil), r.series...)
@@ -243,17 +199,6 @@ func (r *Registry) Snapshot() []SeriesSnapshot {
 			snap.Inf = s.hist.inf.Load()
 			snap.Sum = s.hist.Sum()
 			snap.Count = s.hist.count.Load()
-			for b := range s.hist.exemplars {
-				ex := s.hist.exemplars[b].Load()
-				if ex == nil {
-					continue
-				}
-				le := "+Inf"
-				if b < len(s.hist.bounds) {
-					le = formatFloat(s.hist.bounds[b])
-				}
-				snap.Exemplars = append(snap.Exemplars, BucketExemplar{LE: le, TraceID: ex.TraceID, Value: ex.Value})
-			}
 		}
 		snaps[i] = snap
 	}
@@ -264,72 +209,31 @@ func (r *Registry) Snapshot() []SeriesSnapshot {
 // format. All values are loaded into a snapshot first (one pass), then
 // rendered, so the output is internally consistent to within a single
 // pass of atomic loads regardless of how slowly w accepts bytes.
-// Buckets with exemplars carry an OpenMetrics-style annotation:
-//
-//	name_bucket{le="0.05"} 12 # {trace_id="4bf9..."} 0.031
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	var b strings.Builder
 	for _, s := range r.Snapshot() {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", s.Name, s.Help, s.Name, s.Kind)
-		writeFamily(&b, s, "")
+		writeFamily(&b, s)
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
 }
 
-// writeFamily renders one snapshot family, optionally tagging every
-// sample with extra pre-rendered labels (`node="a"`) for federation.
-func writeFamily(b *strings.Builder, s SeriesSnapshot, labels string) {
-	wrap := func(extra string) string {
-		switch {
-		case labels == "" && extra == "":
-			return ""
-		case extra == "":
-			return "{" + labels + "}"
-		case labels == "":
-			return "{" + extra + "}"
-		default:
-			return "{" + labels + "," + extra + "}"
-		}
-	}
+// writeFamily renders one snapshot family's samples.
+func writeFamily(b *strings.Builder, s SeriesSnapshot) {
 	if s.Kind != "histogram" {
-		fmt.Fprintf(b, "%s%s %d\n", s.Name, wrap(""), s.Value)
+		fmt.Fprintf(b, "%s %d\n", s.Name, s.Value)
 		return
-	}
-	ex := make(map[string]BucketExemplar, len(s.Exemplars))
-	for _, e := range s.Exemplars {
-		ex[e.LE] = e
-	}
-	writeBucket := func(le string, cum int64) {
-		fmt.Fprintf(b, "%s_bucket%s %d", s.Name, wrap(`le="`+le+`"`), cum)
-		if e, ok := ex[le]; ok {
-			fmt.Fprintf(b, " # {trace_id=%q} %s", e.TraceID, formatFloat(e.Value))
-		}
-		b.WriteByte('\n')
 	}
 	cum := int64(0)
 	for i, bound := range s.Bounds {
 		cum += s.Buckets[i]
-		writeBucket(formatFloat(bound), cum)
+		fmt.Fprintf(b, "%s_bucket{le=%q} %d\n", s.Name, formatFloat(bound), cum)
 	}
 	// The +Inf bucket equals _count by construction.
-	writeBucket("+Inf", cum+s.Inf)
-	fmt.Fprintf(b, "%s_sum%s %s\n", s.Name, wrap(""), formatFloat(s.Sum))
-	fmt.Fprintf(b, "%s_count%s %d\n", s.Name, wrap(""), s.Count)
-}
-
-// WriteFamilyHeader emits one family's # HELP / # TYPE pair — paired
-// with WriteSnapshotPrometheus this is the building block for the
-// federated /v1/clusterz?format=prometheus view, where each member's
-// samples carry a node label under a single family header.
-func WriteFamilyHeader(b *strings.Builder, s SeriesSnapshot) {
-	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", s.Name, s.Help, s.Name, s.Kind)
-}
-
-// WriteSnapshotPrometheus renders one snapshot family's samples with
-// optional extra pre-rendered labels (e.g. `node="a"`), no header.
-func WriteSnapshotPrometheus(b *strings.Builder, s SeriesSnapshot, labels string) {
-	writeFamily(b, s, labels)
+	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", s.Name, cum+s.Inf)
+	fmt.Fprintf(b, "%s_sum %s\n", s.Name, formatFloat(s.Sum))
+	fmt.Fprintf(b, "%s_count %d\n", s.Name, s.Count)
 }
 
 // --- exposition-format validation ---
@@ -338,7 +242,6 @@ var (
 	metricNameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 	sampleRe     = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})?\s+(\S+)(\s+-?\d+)?$`)
 	labelRe      = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"$`)
-	exemplarRe   = regexp.MustCompile(`^\{([^{}]*)\}\s+(\S+)$`)
 )
 
 // ValidateExposition checks that text is well-formed Prometheus text
@@ -350,10 +253,7 @@ var (
 //   - every sample's family has both # HELP and # TYPE declared before
 //     its first sample (histogram _bucket/_sum/_count resolve to their
 //     base family);
-//   - no family declares # TYPE twice;
-//   - OpenMetrics-style exemplar annotations (` # {labels} value` after
-//     a sample) are allowed only on histogram _bucket samples, and
-//     their labels and value must be well-formed.
+//   - no family declares # TYPE twice.
 //
 // It returns an error naming the first offending line.
 func ValidateExposition(text string) error {
@@ -363,13 +263,6 @@ func ValidateExposition(text string) error {
 	for ln, line := range lines {
 		if line == "" {
 			continue
-		}
-		// Peel an exemplar annotation off a sample line before the
-		// comment check: " # {" can only introduce an exemplar, while a
-		// leading "#" is a HELP/TYPE comment.
-		exemplar := ""
-		if i := strings.Index(line, " # "); i >= 0 && !strings.HasPrefix(line, "#") {
-			line, exemplar = line[:i], line[i+3:]
 		}
 		if strings.HasPrefix(line, "#") {
 			fields := strings.SplitN(line, " ", 4)
@@ -428,23 +321,6 @@ func ValidateExposition(text string) error {
 		}
 		if !helped[family] {
 			return fmt.Errorf("line %d: sample %s has no preceding # HELP", ln+1, name)
-		}
-		if exemplar != "" {
-			if typeOf[family] != "histogram" || !strings.HasSuffix(name, "_bucket") {
-				return fmt.Errorf("line %d: exemplar on non-bucket sample %s", ln+1, name)
-			}
-			em := exemplarRe.FindStringSubmatch(exemplar)
-			if em == nil {
-				return fmt.Errorf("line %d: malformed exemplar %q", ln+1, exemplar)
-			}
-			for _, pair := range splitLabels(em[1]) {
-				if !labelRe.MatchString(pair) {
-					return fmt.Errorf("line %d: bad exemplar label %q", ln+1, pair)
-				}
-			}
-			if _, err := strconv.ParseFloat(em[2], 64); err != nil {
-				return fmt.Errorf("line %d: bad exemplar value %q: %v", ln+1, em[2], err)
-			}
 		}
 	}
 	return nil

@@ -129,6 +129,26 @@ func TestValidateExpositionRejects(t *testing.T) {
 	}
 }
 
+// TestValidateExpositionRejectsBadExemplars: the registry renders no
+// exemplar annotations, so the validator accepts none — malformed or
+// well-formed, on a bucket or anywhere else.
+func TestValidateExpositionRejectsBadExemplars(t *testing.T) {
+	head := "# HELP h x\n# TYPE h histogram\n"
+	cases := []string{
+		head + `h_bucket{le="1"} 2 # {trace_id="4bf92f3577b34da6a3ce929d0e0e4736"} 0.5` + "\n", // well-formed
+		head + `h_bucket{le="1"} 2 # trace_id 0.5` + "\n",                                      // no braces
+		head + `h_bucket{le="1"} 2 # {trace_id=x} 0.5` + "\n",                                  // unquoted label
+		head + `h_bucket{le="1"} 2 # {trace_id="x"} y` + "\n",                                  // bad value
+		head + `h_sum 2 # {trace_id="x"} 0.5` + "\n",                                           // not a bucket
+		"# HELP c x\n# TYPE c counter\n" + `c 2 # {t="x"} 1` + "\n",                            // not a histogram
+	}
+	for i, text := range cases {
+		if err := ValidateExposition(text); err == nil {
+			t.Errorf("case %d accepted:\n%s", i, text)
+		}
+	}
+}
+
 func TestValidateExpositionAccepts(t *testing.T) {
 	good := strings.Join([]string{
 		"# HELP up Scrape health.",

@@ -10,45 +10,27 @@ import (
 // through the service (submit -> queue -> run -> cache -> journal). It
 // marshals with the duration in both float seconds (for dashboards)
 // and Go duration string form (for humans reading job status JSON).
-//
-// When the owning Trace carries a TraceContext the record also carries
-// distributed-trace identity: the trace ID, this span's own ID, the
-// parent span ID (the hop that caused this work), and the name of the
-// node that recorded it. All four are empty for untraced jobs, and are
-// omitted from the wire form so pre-tracing status JSON is unchanged.
 type SpanRecord struct {
 	Name     string
 	Start    time.Time
 	Duration time.Duration
-	TraceID  string
-	SpanID   string
-	ParentID string
-	Node     string
 }
 
 // spanJSON is the wire form of a SpanRecord.
 type spanJSON struct {
-	Name     string    `json:"name"`
-	Start    time.Time `json:"start"`
-	Seconds  float64   `json:"seconds"`
-	Human    string    `json:"duration"`
-	TraceID  string    `json:"trace_id,omitempty"`
-	SpanID   string    `json:"span_id,omitempty"`
-	ParentID string    `json:"parent_id,omitempty"`
-	Node     string    `json:"node,omitempty"`
+	Name    string    `json:"name"`
+	Start   time.Time `json:"start"`
+	Seconds float64   `json:"seconds"`
+	Human   string    `json:"duration"`
 }
 
 // MarshalJSON renders the span with a float-seconds duration.
 func (s SpanRecord) MarshalJSON() ([]byte, error) {
 	return json.Marshal(spanJSON{
-		Name:     s.Name,
-		Start:    s.Start,
-		Seconds:  s.Duration.Seconds(),
-		Human:    s.Duration.String(),
-		TraceID:  s.TraceID,
-		SpanID:   s.SpanID,
-		ParentID: s.ParentID,
-		Node:     s.Node,
+		Name:    s.Name,
+		Start:   s.Start,
+		Seconds: s.Duration.Seconds(),
+		Human:   s.Duration.String(),
 	})
 }
 
@@ -66,10 +48,6 @@ func (s *SpanRecord) UnmarshalJSON(b []byte) error {
 			s.Duration = d // exact form wins over the rounded float
 		}
 	}
-	s.TraceID = j.TraceID
-	s.SpanID = j.SpanID
-	s.ParentID = j.ParentID
-	s.Node = j.Node
 	return nil
 }
 
@@ -101,64 +79,26 @@ func (s *Span) EndInto(tr *Trace) {
 // Trace collects the spans of one job or request. Safe for concurrent
 // use; the zero value is NOT ready (use NewTrace), because a nil Trace
 // must stay a cheap no-op for callers that did not ask for tracing.
-//
-// A Trace may optionally carry a TraceContext and node name (SetContext);
-// from then on every span added is stamped with the trace ID, a freshly
-// minted span ID, the context's parent span ID, and the node name —
-// unless the record already carries identity (e.g. spans merged from a
-// peer), which is preserved as-is.
 type Trace struct {
 	mu    sync.Mutex
-	tc    TraceContext
-	node  string
 	spans []SpanRecord
 }
 
 // NewTrace returns an empty trace.
 func NewTrace() *Trace { return &Trace{} }
 
-// SetContext attaches distributed-trace identity: subsequent spans are
-// stamped with tc's trace ID (parent = tc.SpanID) and the node name.
-// Nil-safe; a zero tc is a no-op.
-func (t *Trace) SetContext(tc TraceContext, node string) {
-	if t == nil || tc.TraceID == "" {
-		return
-	}
-	t.mu.Lock()
-	t.tc = tc
-	t.node = node
-	t.mu.Unlock()
-}
-
-// Context returns the attached trace context (zero if none). Nil-safe.
-func (t *Trace) Context() TraceContext {
-	if t == nil {
-		return TraceContext{}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.tc
-}
-
-// Add appends a finished span, stamping trace identity when the trace
-// carries a context and the record does not already have one. Nil-safe.
+// Add appends a finished span. Nil-safe.
 func (t *Trace) Add(r SpanRecord) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	if t.tc.TraceID != "" && r.TraceID == "" {
-		r.TraceID = t.tc.TraceID
-		r.SpanID = NewSpanID()
-		r.ParentID = t.tc.SpanID
-		r.Node = t.node
-	}
 	t.spans = append(t.spans, r)
 	t.mu.Unlock()
 }
 
-// AddAll appends already-stamped records (e.g. spans recovered from a
-// journal or mirrored from the peer that ran a stolen job). Nil-safe.
+// AddAll appends finished records recorded elsewhere (the spans of a
+// stolen job, mirrored from the peer that ran it). Nil-safe.
 func (t *Trace) AddAll(rs []SpanRecord) {
 	if t == nil || len(rs) == 0 {
 		return

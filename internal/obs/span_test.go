@@ -33,6 +33,30 @@ func TestSpanRecordJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpanRecordJSONCompat pins the span wire form to name, start,
+// seconds and duration, and checks that a span written by an older
+// daemon — one that also carried trace_id, span_id, parent_id and node
+// — still decodes, the extra keys ignored.
+func TestSpanRecordJSONCompat(t *testing.T) {
+	r := SpanRecord{Name: "run", Start: time.Unix(100, 0).UTC(), Duration: 1500 * time.Millisecond}
+	b, err := r.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"name":"run","start":"1970-01-01T00:01:40Z","seconds":1.5,"duration":"1.5s"}`; string(b) != want {
+		t.Fatalf("wire form %s, want %s", b, want)
+	}
+	old := `{"name":"run","start":"1970-01-01T00:01:40Z","seconds":1.5,"duration":"1.5s",` +
+		`"trace_id":"4bf92f3577b34da6a3ce929d0e0e4736","span_id":"00f067aa0ba902b7","parent_id":"a3ce929d0e0e4736","node":"n0"}`
+	var back SpanRecord
+	if err := json.Unmarshal([]byte(old), &back); err != nil {
+		t.Fatal(err)
+	}
+	if back != r {
+		t.Fatalf("older span decoded as %+v, want %+v", back, r)
+	}
+}
+
 func TestSpanEndInto(t *testing.T) {
 	tr := NewTrace()
 	sp := StartSpan("queue")

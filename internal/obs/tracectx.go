@@ -3,41 +3,27 @@ package obs
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"hash/fnv"
 	"strings"
 )
 
-// HeaderTrace carries distributed trace context between the client and
-// the daemons, and between cluster members on proxy / steal / failover
-// hops. The value is W3C-traceparent-shaped but simpler:
-//
-//	<trace-id>-<span-id>-<flags>
-//
-// where trace-id is 32 lowercase hex chars (16 random bytes) naming the
-// whole end-to-end request, span-id is 16 hex chars naming the sender's
-// span (the receiver's parent), and flags is "01" when the trace is
-// sampled, "00" when it is not. Receivers treat a malformed value as no
-// trace at all rather than failing the request.
+// HeaderTrace, TraceContext, NewTraceContext and TraceContext.Header
+// are kept only because the benchmark module (bench/serve.go) still
+// compiles against them: it times a POST hit carrying this header. The
+// daemon ignores the header — no code in this module reads it — and
+// X-Request-ID is the one identity a request keeps across hops. They go
+// when that benchmark leg does.
 const HeaderTrace = "X-Hydro-Trace"
 
-// TraceContext is the parsed form of an X-Hydro-Trace header: which
-// trace a request belongs to, which span caused it, and whether the
-// head of the trace decided to sample it.
+// TraceContext is the value the benchmark sends in HeaderTrace.
 type TraceContext struct {
-	TraceID string // 32 hex chars; empty means "not traced"
-	SpanID  string // 16 hex chars; the parent of spans recorded under this context
+	TraceID string // 32 hex chars
+	SpanID  string // 16 hex chars
 	Sampled bool
 }
 
-// Valid reports whether the context names a trace.
-func (tc TraceContext) Valid() bool { return len(tc.TraceID) == 32 && len(tc.SpanID) == 16 }
-
-// Header renders the context in X-Hydro-Trace wire form. Returns ""
-// for an invalid context so callers can set the header unconditionally.
+// Header renders the context as <trace-id>-<span-id>-<flags>, flags
+// "01" when sampled and "00" when not.
 func (tc TraceContext) Header() string {
-	if !tc.Valid() {
-		return ""
-	}
 	flags := "00"
 	if tc.Sampled {
 		flags = "01"
@@ -45,84 +31,18 @@ func (tc TraceContext) Header() string {
 	return tc.TraceID + "-" + tc.SpanID + "-" + flags
 }
 
-// Child returns a context with the same trace ID and sampling decision
-// but a fresh span ID, for stamping the next hop's parent.
-func (tc TraceContext) Child() TraceContext {
-	if !tc.Valid() {
-		return TraceContext{}
-	}
-	return TraceContext{TraceID: tc.TraceID, SpanID: NewSpanID(), Sampled: tc.Sampled}
-}
-
-// ParseTraceHeader parses an X-Hydro-Trace value. ok is false (and the
-// context zero) for anything malformed: tracing is best-effort and a
-// bad header must never fail the request carrying it.
-func ParseTraceHeader(v string) (tc TraceContext, ok bool) {
-	parts := strings.Split(v, "-")
-	if len(parts) != 3 || len(parts[0]) != 32 || len(parts[1]) != 16 || len(parts[2]) != 2 {
-		return TraceContext{}, false
-	}
-	if !isHex(parts[0]) || !isHex(parts[1]) {
-		return TraceContext{}, false
-	}
-	switch parts[2] {
-	case "01":
-		tc.Sampled = true
-	case "00":
-		tc.Sampled = false
-	default:
-		return TraceContext{}, false
-	}
-	tc.TraceID, tc.SpanID = parts[0], parts[1]
-	return tc, true
-}
-
-func isHex(s string) bool {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-// NewTraceContext mints a root context (fresh trace ID and span ID)
-// with the given sampling decision. This is what the client does at the
-// head of a request; everything downstream inherits the decision.
+// NewTraceContext mints a context with a fresh random trace ID and span
+// ID and the given sampled flag.
 func NewTraceContext(sampled bool) TraceContext {
-	return TraceContext{TraceID: NewTraceID(), SpanID: NewSpanID(), Sampled: sampled}
+	return TraceContext{TraceID: randHex(16), SpanID: randHex(8), Sampled: sampled}
 }
-
-// NewTraceID returns 16 random bytes in lowercase hex.
-func NewTraceID() string { return randHex(16) }
-
-// NewSpanID returns 8 random bytes in lowercase hex.
-func NewSpanID() string { return randHex(8) }
 
 func randHex(n int) string {
 	b := make([]byte, n)
 	if _, err := rand.Read(b); err != nil {
 		// crypto/rand failing means the process is in deep trouble; a
-		// constant ID keeps tracing degraded rather than panicking.
+		// constant ID beats panicking over a header nobody reads.
 		return strings.Repeat("0", 2*n)
 	}
 	return hex.EncodeToString(b)
-}
-
-// SampleTrace is the head-based sampling decision for a fraction in
-// [0, 1]: deterministic on the trace ID (an FNV hash of it lands in a
-// fixed slice of the hash space) so every node that consults the same
-// fraction agrees, and so retries of one trace are all-or-nothing.
-func SampleTrace(traceID string, fraction float64) bool {
-	if fraction >= 1 {
-		return true
-	}
-	if fraction <= 0 {
-		return false
-	}
-	h := fnv.New64a()
-	h.Write([]byte(traceID))
-	const span = 1 << 63
-	return float64(h.Sum64()>>1) < fraction*span
 }

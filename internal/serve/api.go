@@ -30,20 +30,11 @@
 //	                               clustered daemons stay 200 with
 //	                               degraded:true + per-peer state when a
 //	                               peer is unreachable
-//	GET    /metrics                Prometheus text format, with exemplar
-//	                               trace IDs on latency histogram buckets
+//	GET    /metrics                Prometheus text format
 //	GET    /v1/peerz               cluster only: self status + the view
 //	                               of every peer (gossip surface)
 //	POST   /v1/steal               cluster only: hand one queued job to
 //	                               the idle peer named by X-Hydro-Forwarded
-//	GET    /v1/traces/{id}         the distributed trace tree for one
-//	                               trace ID; clustered daemons fan out to
-//	                               peers and merge every node's spans
-//	GET    /v1/clusterz            federated view: every member's health,
-//	                               queue depths, breaker state, and full
-//	                               metric snapshot (?format=prometheus
-//	                               for one node-labeled exposition)
-//	GET    /debug/tracez           this node's recent and slowest traces
 //
 // Clustering (Options.Cluster): N daemons with a static member list
 // form one deduplicating tier. Content-addressed job IDs route to a
@@ -221,13 +212,11 @@ type JobStatus struct {
 	Epochs int    `json:"epochs"` // progress samples taken so far
 	Error  string `json:"error,omitempty"`
 
-	// TraceID names the distributed trace this job belongs to, when the
-	// submission carried (or the daemon minted) a sampled trace context;
-	// feed it to GET /v1/traces/{id} for the cross-node span tree.
-	TraceID string `json:"trace_id,omitempty"`
-
-	// Spans are the job's finished trace intervals (queue wait, the run
-	// itself, cache and journal writes), in completion order.
+	// Spans are the job's finished timing intervals (queue wait, journal
+	// start record, the run itself, cache put, journal terminal record),
+	// in completion order; a stolen job's owner lists the spans its thief
+	// recorded. They are not journaled, so a replayed or promoted job
+	// lists only the spans recorded since.
 	Spans []obs.SpanRecord `json:"spans,omitempty"`
 
 	Result json.RawMessage `json:"result,omitempty"`

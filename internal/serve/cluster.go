@@ -198,7 +198,6 @@ func peerErrInjected() error {
 func (s *Server) clusterProxySubmit(w http.ResponseWriter, r *http.Request, body []byte, sub *submission) bool {
 	cl := s.cl
 	key := sub.id
-	start := time.Now()
 	for i, m := range cl.router.Rank(key) {
 		if m.ID == cl.cfg.Self {
 			if i > 0 {
@@ -208,7 +207,7 @@ func (s *Server) clusterProxySubmit(w http.ResponseWriter, r *http.Request, body
 			return false
 		}
 		resp, err := cl.proxyCall(r.Context(), m, func(ctx context.Context) (*http.Response, error) {
-			return cl.pc.Submit(ctx, m, body, sub.reqID, sub.tc.Header())
+			return cl.pc.Submit(ctx, m, body, sub.reqID)
 		})
 		if err != nil {
 			s.logj(key, "peer submit failed", "peer", m.ID, "err", err)
@@ -216,7 +215,6 @@ func (s *Server) clusterProxySubmit(w http.ResponseWriter, r *http.Request, body
 		}
 		cl.cm.ProxiedSubmits.Add(1)
 		s.relayPeerResponse(w, resp, m, sub)
-		s.recordSpan(sub.tc, "proxy", start)
 		return true
 	}
 	return false
@@ -327,13 +325,12 @@ func (s *Server) peerFill(sub *submission, body []byte) {
 func (s *Server) clusterGet(w http.ResponseWriter, r *http.Request, id string) {
 	cl := s.cl
 	reqID := r.Header.Get(obs.HeaderRequestID)
-	trace := r.Header.Get(obs.HeaderTrace)
 	for i, m := range cl.router.Rank(id) {
 		if m.ID == cl.cfg.Self {
 			break
 		}
 		resp, err := cl.proxyCall(r.Context(), m, func(ctx context.Context) (*http.Response, error) {
-			return cl.pc.GetJob(ctx, m, id, r.Header.Get("If-None-Match"), reqID, trace)
+			return cl.pc.GetJob(ctx, m, id, r.Header.Get("If-None-Match"), reqID)
 		})
 		if err != nil {
 			if i == 0 && err != errBreakerOpen {
@@ -397,9 +394,7 @@ func (s *Server) promoteForwarded(id string) (*job, *refusal) {
 	if fw == nil {
 		return nil, nil
 	}
-	sub := *fw
-	sub.via = "promote"
-	j, fresh, ref := s.intake(&sub)
+	j, fresh, ref := s.intake(fw)
 	if fresh {
 		s.cl.cm.PromotedJobs.Add(1)
 		s.logj(id, "promoted after owner failure", "design", j.design, "combo", j.spec.ID)
@@ -451,9 +446,8 @@ func (s *Server) handleSteal(w http.ResponseWriter, r *http.Request) {
 	s.cl.cm.StealsOut.Add(1)
 	s.logj(j.id, "stolen", "thief", thiefID)
 	go s.watchStolen(j, thief)
-	// The request ID and trace context ride along so the thief's spans
-	// join the tree.
-	writeJSON(w, http.StatusOK, cluster.StolenJob{ID: j.id, Request: raw, RequestID: j.reqID, Trace: j.trace.Context().Header()})
+	// The request ID rides along so the thief's logs join the owner's.
+	writeJSON(w, http.StatusOK, cluster.StolenJob{ID: j.id, Request: raw, RequestID: j.reqID})
 }
 
 // popQueuedJob takes one runnable job off the queue without blocking;
@@ -542,9 +536,8 @@ func (s *Server) watchStolen(j *job, thief cluster.Member) {
 			if st.State == StateDone {
 				s.cache.Put(j.id, st.Result)
 			}
-			// The thief's spans (already stamped with its node name) merge
-			// into the local record before the terminal journal write, so
-			// the trace survives both the migration and a later replay.
+			// The thief's spans merge into the local record, so the
+			// owner's status shows where the job's time went.
 			j.trace.AddAll(st.Spans)
 			if s.terminate(j, StateQueued, st.State, st.Error, st.Result) {
 				s.logj(j.id, "finished remotely", "thief", thief.ID, "state", st.State)
@@ -558,7 +551,7 @@ func (s *Server) watchStolen(j *job, thief cluster.Member) {
 // (the thief rejected or lost the handoff) counts as an error so the
 // miss counter advances toward reclaim.
 func (s *Server) pollStolen(j *job, thief cluster.Member) (JobStatus, error) {
-	resp, err := s.cl.pc.GetJob(context.Background(), thief, j.id, "", j.reqID, j.trace.Context().Header())
+	resp, err := s.cl.pc.GetJob(context.Background(), thief, j.id, "", j.reqID)
 	s.cl.breaker.Record(thief.ID, err == nil)
 	if err != nil {
 		s.cl.prober.MarkDead(thief.ID, err)
@@ -648,9 +641,6 @@ func (s *Server) adoptStolen(sj *cluster.StolenJob, from cluster.Member) *refusa
 		return nil
 	}
 	sub.reqID = sj.RequestID
-	if tc, ok := obs.ParseTraceHeader(sj.Trace); ok && tc.Sampled {
-		sub.tc = tc
-	}
 	_, fresh, ref := s.intake(&sub)
 	switch {
 	case ref != nil:

@@ -2,24 +2,29 @@ package serve_test
 
 // Three-node in-process cluster tests: single simulation cluster-wide,
 // identical ETag/result bytes from every peer, journal-backed failover
-// when the owner is killed mid-job, work stealing, and the degraded
-// /readyz surface.
+// when the owner is killed mid-job, work stealing, the degraded /readyz
+// surface, and one request ID across a proxy hop.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/hydrogen-sim/hydrogen/internal/chash"
 	"github.com/hydrogen-sim/hydrogen/internal/cluster"
 	"github.com/hydrogen-sim/hydrogen/internal/faultinject"
+	"github.com/hydrogen-sim/hydrogen/internal/obs"
 	"github.com/hydrogen-sim/hydrogen/internal/serve"
 	"github.com/hydrogen-sim/hydrogen/internal/workloads"
 )
@@ -135,6 +140,35 @@ func metric(t *testing.T, base, name string) int64 {
 		t.Fatal(err)
 	}
 	return v
+}
+
+// submitWithHeaders is submit with extra request headers.
+func submitWithHeaders(t *testing.T, base string, req serve.JobRequest, hdr map[string]string) (serve.JobStatus, int) {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq, err := http.NewRequest(http.MethodPost, base+"/v1/jobs", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	for k, v := range hdr {
+		hreq.Header.Set(k, v)
+	}
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st serve.JobStatus
+	if resp.StatusCode == http.StatusAccepted || resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return st, resp.StatusCode
 }
 
 // getRaw fetches a job and returns the status plus response metadata.
@@ -434,5 +468,62 @@ func TestClusterPeerzGossip(t *testing.T) {
 		if n := metric(t, u, "hydro_cluster_peers"); n != 3 {
 			t.Fatalf("hydro_cluster_peers = %d, want 3", n)
 		}
+	}
+}
+
+// syncWriter serializes concurrent slog writes into one buffer so the
+// test can read the accumulated log text race-free.
+type syncWriter struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (w *syncWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.Write(p)
+}
+
+func (w *syncWriter) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.String()
+}
+
+// TestClusterRequestIDPropagation: a submission carrying an X-Request-ID
+// through a non-owner appears under that SAME request ID in both the
+// front's and the owner's access logs, so one grep correlates the hop
+// chain.
+func TestClusterRequestIDPropagation(t *testing.T) {
+	logs := make([]*syncWriter, 3)
+	tc := newTestCluster(t, 3, func(i int, o *serve.Options) {
+		logs[i] = &syncWriter{}
+		o.AccessLog = true
+		o.Logger = obs.NewLogger(logs[i], true, slog.LevelInfo)
+	})
+	cfg := tinyConfig()
+	req := serve.JobRequest{Config: &cfg, Design: "Hydrogen", Combo: serve.ComboSpec{ID: "C1"}}
+	key := jobKey(t, req)
+	owner := tc.ownerIdx(t, key)
+	front := (owner + 1) % 3
+
+	const reqID = "reqid-e2e-regression-0001"
+	if _, code := submitWithHeaders(t, tc.urls[front], req, map[string]string{obs.HeaderRequestID: reqID}); code != http.StatusAccepted && code != http.StatusOK {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	waitState(t, tc.urls[front], key, serve.StateDone)
+
+	// The access line lands after the handler returns; give each log a
+	// beat to flush.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if strings.Contains(logs[front].String(), reqID) && strings.Contains(logs[owner].String(), reqID) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("request ID %s missing from access logs: front has it %v, owner has it %v",
+				reqID, strings.Contains(logs[front].String(), reqID), strings.Contains(logs[owner].String(), reqID))
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/hydrogen-sim/hydrogen/internal/journal"
-	"github.com/hydrogen-sim/hydrogen/internal/obs"
 	"github.com/hydrogen-sim/hydrogen/internal/system"
 )
 
@@ -32,11 +31,6 @@ type journalRecord struct {
 	// the aggregated failure count for quarantine persistence.
 	Error string `json:"error,omitempty"`
 	Fails int    `json:"fails,omitempty"`
-
-	// Spans is the job's finished span list, carried on terminal records
-	// so a job that migrates across the cluster (steal, failover
-	// promotion) or is replayed after a crash keeps its trace history.
-	Spans []obs.SpanRecord `json:"spans,omitempty"`
 }
 
 const (

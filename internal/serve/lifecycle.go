@@ -43,19 +43,14 @@ type submission struct {
 	spec    ComboSpec
 	timeout time.Duration // execution deadline, 0 = none
 
-	// Identity of the original request, kept across proxy, steal and
-	// failover hops so every node's logs and spans join up.
+	// reqID is the original request's X-Request-ID, kept across proxy,
+	// steal and failover hops so every node's logs join up.
 	reqID string
-	tc    obs.TraceContext
 
 	// replayed marks a job coming back from this daemon's own journal:
 	// already durable, already acknowledged, so intake neither journals
 	// it again nor lets queue depth refuse it.
 	replayed bool
-	// via names the hop that brought the job here when it was not a
-	// client ("promote"); stamped as a zero-length span at mint so the
-	// merged trace shows which node picked the job up.
-	via string
 }
 
 // job is one submission's record. Its identity is its cache key, which
@@ -202,10 +197,6 @@ func (s *Server) mintLocked(sub *submission) *job {
 		done:      make(chan struct{}),
 		durable:   make(chan struct{}),
 	}
-	j.trace.SetContext(sub.tc, s.node) // no-op for an untraced submission
-	if sub.via != "" {
-		j.trace.AddInterval(sub.via, j.submitted, 0)
-	}
 	if _, existed := s.jobs[j.id]; !existed {
 		s.order = append(s.order, j.id)
 	}
@@ -278,8 +269,7 @@ func (s *Server) intake(sub *submission) (j *job, fresh bool, ref *refusal) {
 
 // submitRecord is the job's journal submit record: everything needed
 // to re-run it after a crash without the original request. Written by
-// intake and rewritten by live compaction, so both agree on every field
-// — including the spans a promoted job carried in with it.
+// intake and rewritten by live compaction, so both agree on every field.
 func (j *job) submitRecord() journalRecord {
 	return journalRecord{
 		Type:    recSubmit,
@@ -288,7 +278,6 @@ func (j *job) submitRecord() journalRecord {
 		Design:  j.design,
 		Combo:   &j.spec,
 		Timeout: Duration(j.timeout),
-		Spans:   j.tracedSpans(),
 	}
 }
 
@@ -297,11 +286,11 @@ func (j *job) submitRecord() journalRecord {
 // between cache put and terminal record (rule 2), or filled from a
 // peer — so every later hit is answered locally. The record describes
 // the result, not the request that happened to find it: it carries no
-// request ID or trace, and since nothing ran here nothing is journaled.
+// request ID, and since nothing ran here nothing is journaled.
 // s.mu must be held.
 func (s *Server) synthesizeDoneLocked(sub *submission, result []byte) *job {
 	found := *sub
-	found.reqID, found.tc = "", obs.TraceContext{}
+	found.reqID = ""
 	j := s.mintLocked(&found)
 	close(j.durable)
 	j.state = StateDone
@@ -315,14 +304,11 @@ func (s *Server) synthesizeDoneLocked(sub *submission, result []byte) *job {
 // claimed under j.mu, so of two racing terminators (cancel against
 // worker pop, a thief's report against a local cancel) one wins and the
 // other gets false and does nothing. The winner journals the terminal
-// record with the job's spans, wakes waiters, and does all the
-// accounting a job's end implies. A result must already be in the cache
-// (rule 2).
+// record, wakes waiters, and does all the accounting a job's end
+// implies. A result must already be in the cache (rule 2).
 func (s *Server) terminate(j *job, from, state, errMsg string, result []byte) bool {
 	journal := func() {
-		// The record carries the span list so a job that migrates
-		// (steal, failover promotion) or replays keeps its trace history.
-		if err := s.appendRecord(journalRecord{Type: state, ID: j.id, Error: errMsg, Spans: j.tracedSpans()}); err != nil {
+		if err := s.appendRecord(journalRecord{Type: state, ID: j.id, Error: errMsg}); err != nil {
 			s.logj(j.id, "journal append failed", "state", state, "err", err)
 		}
 	}
@@ -362,9 +348,7 @@ func (s *Server) terminate(j *job, from, state, errMsg string, result []byte) bo
 	case StateDeadline:
 		s.m.deadlined.Add(1)
 	}
-	total := time.Since(j.submitted)
-	s.m.jobLatency.ObserveExemplar(total.Seconds(), j.traceID())
-	s.collectTrace(j, total)
+	s.m.jobLatency.Observe(time.Since(j.submitted).Seconds())
 	return true
 }
 
@@ -517,7 +501,6 @@ func (j *job) snapshot() JobStatus {
 		FinishedAt:  j.finished,
 		Epochs:      len(j.epochs),
 		Error:       j.err,
-		TraceID:     j.trace.Context().TraceID,
 		Spans:       j.trace.Records(),
 	}
 	if j.state == StateDone {

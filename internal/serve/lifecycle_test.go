@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -14,7 +15,6 @@ import (
 	"github.com/hydrogen-sim/hydrogen/internal/cluster"
 	"github.com/hydrogen-sim/hydrogen/internal/faultinject"
 	"github.com/hydrogen-sim/hydrogen/internal/journal"
-	"github.com/hydrogen-sim/hydrogen/internal/obs"
 	"github.com/hydrogen-sim/hydrogen/internal/system"
 )
 
@@ -51,23 +51,28 @@ func lifecycleRequest(cycles uint64) JobRequest {
 }
 
 // TestIntakeRefusalNeutralizes drives every entry that can be refused
-// after minting a job through every way intake can refuse one, and
-// requires the same outcome each time: the expected refusal kind, no
-// record left in the job table, and a journal that replays to zero
-// pending jobs — a refused job must stay dead across a restart no
-// matter which door it came in by.
+// through every way intake can refuse a job, before minting it
+// (quarantine, low disk) or after, and requires the same outcome each
+// time: the expected refusal kind, no record left in the job table, and
+// a journal that replays to zero pending jobs — a refused job must stay
+// dead across a restart no matter which door it came in by.
 func TestIntakeRefusalNeutralizes(t *testing.T) {
-	faults := []struct {
+	type fault struct {
 		name   string
-		arm    func(*Server)
+		arm    func(s *Server, id string)
 		kind   refusalKind
 		status int    // what a submitter is told
 		body   string // the refusal's text, as every HTTP entry relays it
-	}{
-		{"journal append error", func(*Server) {
+		// promoteStatus is what a poller of a refused promote is told:
+		// 503 + Retry-After while the refusal is transient, 404 for a
+		// quarantined ID, which no retry could satisfy.
+		promoteStatus int
+	}
+	faults := []fault{
+		{"journal append error", func(*Server, string) {
 			faultinject.Set(faultinject.JournalAppendErr, 1, 0)
-		}, refusedJournal, http.StatusServiceUnavailable, "journal write failed"},
-		{"drain after durable", func(s *Server) {
+		}, refusedJournal, http.StatusServiceUnavailable, "journal write failed", http.StatusServiceUnavailable},
+		{"drain after durable", func(s *Server, _ string) {
 			// Drain wins the race in the window between the submit
 			// record's fsync and the push.
 			s.afterAppend = func(rec journalRecord) {
@@ -75,45 +80,58 @@ func TestIntakeRefusalNeutralizes(t *testing.T) {
 					s.beginShutdown()
 				}
 			}
-		}, refusedDraining, http.StatusServiceUnavailable, "draining: not accepting new jobs"},
-		{"queue full", func(s *Server) {
+		}, refusedDraining, http.StatusServiceUnavailable, "draining: not accepting new jobs", http.StatusServiceUnavailable},
+		{"queue full", func(s *Server, _ string) {
 			s.queue.mu.Lock()
 			s.queue.cap = 0
 			s.queue.mu.Unlock()
-		}, refusedQueueFull, http.StatusTooManyRequests, "job queue full"},
+		}, refusedQueueFull, http.StatusTooManyRequests, "job queue full", http.StatusServiceUnavailable},
+		{"quarantined", func(s *Server, id string) {
+			s.mu.Lock()
+			s.failCount[id] = s.opts.QuarantineAfter
+			s.mu.Unlock()
+		}, refusedQuarantined, http.StatusUnprocessableEntity, "job quarantined", http.StatusNotFound},
+		{"disk low", func(s *Server, _ string) {
+			s.diskCritical.Store(true)
+		}, refusedDiskLow, http.StatusServiceUnavailable, "disk critically low", http.StatusServiceUnavailable},
 	}
 	// Each entry reports the refusal it saw: as a value where the adapter
 	// returns one, as an HTTP answer where it has a client.
 	entries := []struct {
 		name string
-		run  func(*testing.T, *Server, *submission, []byte) (*refusal, *httptest.ResponseRecorder)
+		run  func(*testing.T, *Server, *submission, []byte, fault) (*refusal, *httptest.ResponseRecorder)
 	}{
-		{"submit", func(t *testing.T, s *Server, sub *submission, raw []byte) (*refusal, *httptest.ResponseRecorder) {
+		{"submit", func(t *testing.T, s *Server, sub *submission, raw []byte, _ fault) (*refusal, *httptest.ResponseRecorder) {
 			r := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(raw))
 			r.Header.Set(cluster.HeaderForwarded, "b") // loop guard: accept here, do not proxy
 			w := httptest.NewRecorder()
 			s.ServeHTTP(w, r)
 			return nil, w
 		}},
-		{"steal-adopt", func(t *testing.T, s *Server, sub *submission, raw []byte) (*refusal, *httptest.ResponseRecorder) {
+		{"steal-adopt", func(t *testing.T, s *Server, sub *submission, raw []byte, _ fault) (*refusal, *httptest.ResponseRecorder) {
 			ref := s.adoptStolen(&cluster.StolenJob{ID: sub.id, Request: raw}, cluster.Member{ID: "b"})
 			if ref == nil {
 				t.Fatal("adoption was not refused")
 			}
 			return ref, nil
 		}},
-		{"promote", func(t *testing.T, s *Server, sub *submission, raw []byte) (*refusal, *httptest.ResponseRecorder) {
+		{"promote", func(t *testing.T, s *Server, sub *submission, raw []byte, f fault) (*refusal, *httptest.ResponseRecorder) {
 			s.cl.mu.Lock()
 			s.cl.forwarded[sub.id] = sub
 			s.cl.mu.Unlock()
 			// Polling a job this daemon forwarded walks to the dead owner,
-			// fails, and promotes. The poller holds a 202, so whatever the
-			// refusal it is told to retry, never that the job is unknown.
+			// fails, and promotes. The poller holds a 202, so a transient
+			// refusal tells it to retry, never that the job is unknown.
 			w := httptest.NewRecorder()
 			s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+sub.id, nil))
-			if w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") == "" {
-				t.Errorf("refused promote answered %d (Retry-After %q), want 503 + Retry-After",
-					w.Code, w.Header().Get("Retry-After"))
+			if w.Code != f.promoteStatus {
+				t.Errorf("refused promote answered %d, want %d", w.Code, f.promoteStatus)
+			}
+			if f.promoteStatus == http.StatusNotFound {
+				return nil, nil // the refusal itself is not relayed
+			}
+			if w.Header().Get("Retry-After") == "" {
+				t.Error("refused promote answered without Retry-After")
 			}
 			w.Code = 0 // checked above; differs from the submitter's status by design
 			return nil, w
@@ -134,8 +152,8 @@ func TestIntakeRefusalNeutralizes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				f.arm(s)
-				ref, w := e.run(t, s, &sub, raw)
+				f.arm(s, sub.id)
+				ref, w := e.run(t, s, &sub, raw, f)
 				if ref != nil && ref.kind != f.kind {
 					t.Errorf("refusal kind %d, want %d", ref.kind, f.kind)
 				}
@@ -212,44 +230,110 @@ func TestReplayIgnoresPriorityAndDeadline(t *testing.T) {
 	}
 }
 
-// TestCompactionKeepsPromoteSpans pins that live compaction rewrites a
-// job's submit record exactly as intake wrote it: a promoted job's
-// record carries the spans it was promoted with (the promote marker
-// among them), and they must survive compaction, a crash and the replay
-// that follows.
-func TestCompactionKeepsPromoteSpans(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal")
-	s := newLifecycleServer(t, path)
-	req := lifecycleRequest(500_000_000) // still running when the journal is compacted
-	sub, err := s.resolveRequest(&req)
+// TestReplayIgnoresJournaledSpans: a journal written by an older daemon,
+// whose records carry "spans" with trace identity on them, replays like
+// any other. The finished job stays finished and keeps its cached
+// result; the pending one runs to done and lists only the spans this
+// daemon recorded — none read back from the journal.
+func TestReplayIgnoresJournaledSpans(t *testing.T) {
+	path, cacheDir := filepath.Join(t.TempDir(), "journal"), t.TempDir()
+	probe := &Server{}
+	doneReq, pendingReq := lifecycleRequest(200_000), lifecycleRequest(300_000)
+	doneSub, err := probe.resolveRequest(&doneReq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub.tc = obs.NewTraceContext(true) // only traced jobs journal their spans
-	s.cl.mu.Lock()
-	s.cl.forwarded[sub.id] = &sub
-	s.cl.mu.Unlock()
-	if j, ref := s.promoteForwarded(sub.id); j == nil || ref != nil {
-		t.Fatalf("promote: job %v, refusal %v", j, ref)
-	}
-	if err := s.compactJournal(); err != nil {
+	pendingSub, err := probe.resolveRequest(&pendingReq)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s.Crash()
 
-	s2, err := New(Options{Workers: 1, JournalPath: path})
+	// The finished job's result, spilled where the older daemon left it.
+	s, err := New(Options{Workers: 1, CacheDir: cacheDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _, ref := s.intake(&doneSub)
+	if ref != nil {
+		t.Fatal(ref)
+	}
+	<-j.done
+	want := j.snapshot().Result
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	now := time.Now().Format(time.RFC3339Nano)
+	spans := fmt.Sprintf(`[{"name":"promote","start":%q,"seconds":0,"duration":"0s",`+
+		`"trace_id":"4bf92f3577b34da6a3ce929d0e0e4736","span_id":"00f067aa0ba902b7","parent_id":"a3ce929d0e0e4736","node":"n1"}]`, now)
+	submitRec := func(sub submission) []byte {
+		cfg, err := json.Marshal(sub.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		combo, err := json.Marshal(sub.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []byte(fmt.Sprintf(`{"t":"submit","id":%q,"time":%q,"config":%s,"design":%q,"combo":%s,"spans":%s}`,
+			sub.id, now, cfg, sub.design, combo, spans))
+	}
+	records := [][]byte{
+		submitRec(doneSub),
+		[]byte(fmt.Sprintf(`{"t":"done","id":%q,"time":%q,"spans":%s}`, doneSub.id, now, spans)),
+		submitRec(pendingSub),
+	}
+	if err := journal.Rewrite(path, records); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := New(Options{Workers: 1, JournalPath: path, CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	j := s2.lookup(sub.id)
-	if j == nil {
-		t.Fatal("promoted job not replayed after compaction + crash")
+	if n := s2.ReplayedJobs(); n != 1 {
+		t.Fatalf("replayed %d jobs, want 1 (the pending one)", n)
 	}
-	for _, sp := range j.snapshot().Spans {
+	pending := s2.lookup(pendingSub.id)
+	if pending == nil {
+		t.Fatal("pending job missing from the job table")
+	}
+	select {
+	case <-pending.done:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("replayed job never finished")
+	}
+	st := pending.snapshot()
+	if st.State != StateDone {
+		t.Fatalf("replayed job ended %s (%q), want done", st.State, st.Error)
+	}
+	for _, sp := range st.Spans {
 		if sp.Name == "promote" {
-			return
+			t.Fatalf("replayed job lists a span read back from the journal: %+v", st.Spans)
 		}
 	}
-	t.Fatalf("replayed job lost its promote span across compaction: %+v", j.snapshot().Spans)
+	if raw, err := json.Marshal(st); err != nil {
+		t.Fatal(err)
+	} else if bytes.Contains(raw, []byte("trace_id")) || bytes.Contains(raw, []byte(`"node"`)) {
+		t.Fatalf("replayed job's status carries trace identity: %s", raw)
+	}
+
+	// Resubmitting the finished job is a cache hit on the spilled result.
+	w := httptest.NewRecorder()
+	body, err := json.Marshal(doneReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+	var hit JobStatus
+	if err := json.Unmarshal(w.Body.Bytes(), &hit); err != nil {
+		t.Fatal(err)
+	}
+	if w.Code != http.StatusOK || !hit.Cached || !bytes.Equal(hit.Result, want) {
+		t.Fatalf("resubmitted finished job: HTTP %d cached=%v, same result %v", w.Code, hit.Cached, bytes.Equal(hit.Result, want))
+	}
+	if n := s2.SimulationsStarted(); n != 1 {
+		t.Fatalf("restarted daemon ran %d simulations, want 1 (the pending job)", n)
+	}
 }

@@ -44,8 +44,6 @@ type metrics struct {
 	diskLowRejects     *obs.Counter // durable submits refused on critical disk
 	spillPrunes        *obs.Counter // spill files removed under disk pressure
 
-	slowRequests *obs.Counter // jobs past the slow-request threshold (forensic log emitted)
-
 	queued  *obs.Gauge
 	running *obs.Gauge
 
@@ -90,7 +88,6 @@ func newMetrics(cacheEntries, cacheBytes, journalBytes, journalSyncs, diskFree f
 	m.journalCompactions = r.Counter("hydroserved_journal_compactions_total", "Runtime journal rewrites triggered by the size watermark.")
 	m.diskLowRejects = r.Counter("hydroserved_disk_low_rejects_total", "Durable submissions refused while free disk was critically low.")
 	m.spillPrunes = r.Counter("hydroserved_cache_spill_prunes_total", "Spill files removed under disk pressure.")
-	m.slowRequests = r.Counter("hydroserved_slow_requests_total", "Jobs whose end-to-end latency crossed the slow-request threshold.")
 	r.GaugeFunc("hydroserved_disk_free_bytes", "Free bytes on the journal/spill filesystem at the last watermark check.", diskFree)
 	r.GaugeFunc("hydroserved_cache_entries", "Results held in memory.", cacheEntries)
 	r.GaugeFunc("hydroserved_cache_bytes", "Bytes of results held in memory.", cacheBytes)

@@ -90,26 +90,6 @@ type Options struct {
 	// WatermarkInterval is the disk/journal watermark check cadence;
 	// <=0 selects 5s.
 	WatermarkInterval time.Duration
-
-	// NodeName stamps this daemon's spans in distributed traces. Empty
-	// selects the cluster member ID when clustered, else "local".
-	NodeName string
-	// TraceSample is the head-sampling fraction in [0, 1] for
-	// submissions that arrive without an X-Hydro-Trace header: the
-	// daemon mints a trace context and samples it with this probability
-	// (deterministic on the trace ID). 0 — the zero-value default —
-	// never mints server-side traces; incoming sampled headers are
-	// always honored regardless.
-	TraceSample float64
-	// SlowRequest is the end-to-end latency threshold past which a
-	// finished job emits a structured slow-request record carrying its
-	// full span tree inline (and bumps
-	// hydroserved_slow_requests_total). <=0 disables the forensic log.
-	SlowRequest time.Duration
-	// TraceBuffer bounds the per-node span collector, counted in traces
-	// (the /debug/tracez and /v1/traces/{id} backing store). <=0
-	// selects 256.
-	TraceBuffer int
 }
 
 // jobEnc is a done job's memoized terminal wire encoding. The GET body
@@ -150,11 +130,6 @@ type Server struct {
 	cache   *resultCache
 	m       *metrics
 	log     *slog.Logger
-
-	// tracer holds this node's slice of recent distributed traces; node
-	// is the name stamped on every span recorded here.
-	tracer *obs.SpanCollector
-	node   string
 
 	// jlMu guards the journal handle. Appenders hold it shared (the
 	// journal serializes appends internally, and RLock keeps
@@ -233,9 +208,6 @@ func New(opts Options) (*Server, error) {
 	if opts.WatermarkInterval <= 0 {
 		opts.WatermarkInterval = 5 * time.Second
 	}
-	if opts.TraceBuffer <= 0 {
-		opts.TraceBuffer = 256
-	}
 	s := &Server{
 		opts:      opts,
 		mux:       http.NewServeMux(),
@@ -244,15 +216,6 @@ func New(opts Options) (*Server, error) {
 		failCount: make(map[string]int),
 		queue:     newJobQueue(opts.QueueDepth),
 		reqMemo:   make(map[[sha256.Size]byte]string),
-		tracer:    obs.NewSpanCollector(opts.TraceBuffer),
-	}
-	s.node = opts.NodeName
-	if s.node == "" {
-		if opts.Cluster != nil {
-			s.node = opts.Cluster.Self
-		} else {
-			s.node = "local"
-		}
 	}
 	var err error
 	if s.designsJSON, err = encodeJSON(system.Designs()); err != nil {
@@ -294,13 +257,6 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /livez", s.handleLivez)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /v1/traces/{id}", s.handleTrace)
-	s.mux.HandleFunc("GET /v1/clusterz", s.handleClusterz)
-	s.mux.HandleFunc("GET /debug/tracez", s.handleTracez)
-	s.m.reg.GaugeFunc("hydroserved_traces_held", "Traces currently held by the span collector.",
-		func() int64 { return int64(s.tracer.Len()) })
-	s.m.reg.CounterFunc("hydroserved_traces_evicted_total", "Traces evicted from the bounded span collector.",
-		s.tracer.Evicted)
 	s.handler = &obs.Middleware{
 		Next:      s.mux,
 		Latency:   s.m.httpSeconds,
@@ -379,7 +335,7 @@ func (s *Server) recover() error {
 			// and the terminal record reaching the journal: the work is
 			// done, so synthesize the finished job instead of re-running.
 			s.mu.Lock()
-			s.synthesizeDoneLocked(sub, data).trace.AddAll(rec.Spans)
+			s.synthesizeDoneLocked(sub, data)
 			s.mu.Unlock()
 			continue
 		}
@@ -392,7 +348,6 @@ func (s *Server) recover() error {
 			s.logj(rec.ID, "not replayed", "err", ref)
 			continue
 		}
-		j.trace.AddAll(rec.Spans)
 		s.m.replayed.Add(1)
 		s.logj(j.id, "re-enqueued from journal", "design", j.design, "combo", j.spec.ID)
 		still = append(still, r)
@@ -489,7 +444,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sub.reqID = r.Header.Get(obs.HeaderRequestID)
-	sub.tc = s.traceFor(r)
 	s.rememberBody(body, sub.id)
 	s.m.submitted.Add(1)
 
@@ -902,7 +856,7 @@ func (s *Server) runJob(j *job) {
 	elapsed := time.Since(j.started)
 	s.m.running.Add(-1)
 	s.m.simNanos.Add(elapsed.Nanoseconds())
-	s.m.jobSeconds.ObserveExemplar(elapsed.Seconds(), j.traceID())
+	s.m.jobSeconds.Observe(elapsed.Seconds())
 
 	var state, errMsg string
 	var result []byte

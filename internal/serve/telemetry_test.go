@@ -2,9 +2,12 @@ package serve_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -22,7 +25,7 @@ import (
 // simulator is deterministic per seed, and observation hooks must not
 // perturb it).
 func TestTelemetryEndToEnd(t *testing.T) {
-	_, ts := newTestServer(t, serve.Options{Workers: 2, QueueDepth: 8})
+	_, ts := newTestServer(t, serve.Options{Workers: 2, QueueDepth: 8, JournalPath: filepath.Join(t.TempDir(), "journal")})
 
 	cfg := tinyConfig()
 	st, code := submit(t, ts.URL, serve.JobRequest{
@@ -101,16 +104,97 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Fatalf("CSV has %d rows, want %d", rows, len(want))
 	}
 
-	// The finished job's status carries its trace: queue wait, the run
-	// itself, and the persistence spans.
+	// The finished job's status carries its spans: queue wait, the run
+	// itself, and the persistence spans of a journaled daemon — every
+	// name the benchmark's per-layer breakdown reads.
 	final2 := getJob(t, ts.URL, st.ID)
 	names := make(map[string]bool)
 	for _, sp := range final2.Spans {
 		names[sp.Name] = true
 	}
-	for _, wantSpan := range []string{"queue", "run"} {
+	for _, wantSpan := range []string{"queue", "journal.start", "run", "cache.put", "journal.terminal"} {
 		if !names[wantSpan] {
 			t.Errorf("job status spans missing %q (have %v)", wantSpan, names)
+		}
+	}
+}
+
+// TestTraceHeaderIgnored: a submission carrying a sampled X-Hydro-Trace
+// header is accepted like any other and leaves no trace identity
+// behind — not on its status, not on its spans, not in the journal.
+func TestTraceHeaderIgnored(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal")
+	_, ts := newTestServer(t, serve.Options{Workers: 1, JournalPath: path})
+	cfg := tinyConfig()
+	req := serve.JobRequest{Config: &cfg, Design: "Hydrogen", Combo: serve.ComboSpec{ID: "C1"}}
+	trace := obs.NewTraceContext(true)
+	if _, code := submitWithHeaders(t, ts.URL, req, map[string]string{obs.HeaderTrace: trace.Header()}); code != http.StatusAccepted {
+		t.Fatalf("traced submit: HTTP %d, want 202", code)
+	}
+	key := jobKey(t, req)
+	waitState(t, ts.URL, key, serve.StateDone)
+
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st struct {
+		TraceID *string                      `json:"trace_id"`
+		Spans   []map[string]json.RawMessage `json:"spans"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.TraceID != nil {
+		t.Errorf("status carries trace_id %q", *st.TraceID)
+	}
+	if len(st.Spans) == 0 {
+		t.Fatal("finished job lists no spans")
+	}
+	for _, sp := range st.Spans {
+		for _, field := range []string{"trace_id", "span_id", "parent_id", "node"} {
+			if _, ok := sp[field]; ok {
+				t.Errorf("span %s carries %q", sp["name"], field)
+			}
+		}
+	}
+
+	// Journal appends are durable before the terminal state is
+	// observable, so the file is current by now.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte(trace.TraceID)) {
+		t.Error("journal carries the trace ID")
+	}
+	if bytes.Contains(raw, []byte(`"spans"`)) {
+		t.Error("journal carries a span list")
+	}
+}
+
+// TestTracePlaneRoutesGone: a daemon serves no trace lookup, federated
+// cluster view or trace listing, even for a job submitted with a
+// sampled X-Hydro-Trace header.
+func TestTracePlaneRoutesGone(t *testing.T) {
+	_, ts := newTestServer(t, serve.Options{Workers: 1})
+	cfg := tinyConfig()
+	req := serve.JobRequest{Config: &cfg, Design: "Hydrogen", Combo: serve.ComboSpec{ID: "C1"}}
+	trace := obs.NewTraceContext(true)
+	if _, code := submitWithHeaders(t, ts.URL, req, map[string]string{obs.HeaderTrace: trace.Header()}); code != http.StatusAccepted {
+		t.Fatalf("traced submit: HTTP %d, want 202", code)
+	}
+	waitState(t, ts.URL, jobKey(t, req), serve.StateDone)
+	for _, path := range []string{"/v1/traces/" + trace.TraceID, "/v1/clusterz", "/debug/tracez"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: HTTP %d, want 404", path, resp.StatusCode)
 		}
 	}
 }
