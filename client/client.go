@@ -1,7 +1,7 @@
 // Package client is a thin Go client for the hydroserved simulation
 // service (cmd/hydroserved): job submission, status polling, waiting,
-// cancellation, and SSE progress consumption. The wire types are shared
-// with the server, so a submitted config round-trips losslessly.
+// cancellation, and telemetry snapshots. The wire types are shared with
+// the server, so a submitted config round-trips losslessly.
 //
 //	c := client.New("http://127.0.0.1:8077")
 //	res, st, err := c.Run(ctx, client.JobRequest{
@@ -12,7 +12,6 @@
 package client
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -58,8 +57,7 @@ type Client struct {
 	PollInterval time.Duration
 	// Retry governs transparent retries of transient failures (see
 	// RetryPolicy); the zero value selects the defaults. Assign NoRetry
-	// to disable. Events streams are never retried — a consumer that
-	// loses a stream re-subscribes and gets the backlog replayed.
+	// to disable.
 	Retry RetryPolicy
 	// Logger, when set, receives one debug record per API call with the
 	// request ID the call carried, so client and server logs correlate.
@@ -502,64 +500,4 @@ func (c *Client) Run(ctx context.Context, req JobRequest) (hydrogen.Results, *Jo
 		return hydrogen.Results{}, st, fmt.Errorf("hydroserved: decode result: %w", err)
 	}
 	return res, st, nil
-}
-
-// Event is one SSE message from a job's progress stream.
-type Event struct {
-	// Name is "epoch" or "done".
-	Name string
-	// Data is the raw JSON payload: an EpochSample for epoch events, a
-	// JobStatus (without result) for the final done event.
-	Data json.RawMessage
-}
-
-// Epoch decodes an epoch event's sample.
-func (e Event) Epoch() (hydrogen.EpochSample, error) {
-	var s hydrogen.EpochSample
-	err := json.Unmarshal(e.Data, &s)
-	return s, err
-}
-
-// Events consumes a job's SSE progress stream, calling fn for every
-// event until the stream ends (after the "done" event), fn returns an
-// error, or ctx expires. A nil return from fn continues the stream.
-func (c *Client) Events(ctx context.Context, id string, fn func(Event) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.pickBase()+"/v1/jobs/"+id+"/events", nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return &apiError{Code: resp.StatusCode, Msg: resp.Status}
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	var ev Event
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			ev.Name = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			ev.Data = json.RawMessage(strings.TrimPrefix(line, "data: "))
-		case line == "" && ev.Name != "":
-			done := ev.Name == "done"
-			if err := fn(ev); err != nil {
-				return err
-			}
-			ev = Event{}
-			if done {
-				return nil
-			}
-		}
-	}
-	if err := sc.Err(); err != nil && ctx.Err() == nil {
-		return err
-	}
-	return ctx.Err()
 }

@@ -1,7 +1,7 @@
 // Command hydroserved is the simulation-as-a-service daemon: it exposes
 // the simulator over an HTTP/JSON API with a bounded job queue, a
 // worker pool, a content-addressed result cache with singleflight
-// dedupe, SSE progress streaming, and Prometheus-text metrics.
+// dedupe, per-epoch telemetry snapshots, and Prometheus-text metrics.
 //
 // Usage:
 //
@@ -22,7 +22,6 @@
 //
 //	curl -s localhost:8077/v1/jobs -d '{"design":"Hydrogen","combo":"C1"}'
 //	curl -s localhost:8077/v1/jobs/<id>
-//	curl -N  localhost:8077/v1/jobs/<id>/events
 //	curl -s  localhost:8077/v1/jobs/<id>/telemetry?format=csv
 //	curl -s  localhost:8077/metrics
 //
@@ -46,13 +45,13 @@
 // tier: content-addressed job IDs route to a rendezvous-hash owner,
 // non-owners proxy submissions and polls to it and fill their local
 // caches from peer responses (a hit anywhere is a hit everywhere, with
-// identical result bytes and ETag), idle members steal queued work from
-// saturated peers, and when a member dies mid-job the daemon that
-// forwarded the submission promotes it into its own journal-backed
-// queue. Any member can answer any request.
+// identical result bytes and ETag), a job runs only on its owner, and
+// when a member dies mid-job the daemon that forwarded the submission
+// promotes it into its own journal-backed queue. Any member can answer
+// any request.
 //
 // A request's X-Request-ID (client-minted, or minted here) rides every
-// proxy, steal and failover hop, so one grep over the members' access
+// proxy and failover hop, so one grep over the members' access
 // logs (-access-log) follows it; a job's status lists its timing spans
 // (queue, journal, run, cache put).
 //
@@ -110,7 +109,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		peers        = fs.String("peers", "", `static cluster member list as "id=url,id=url,..." including this daemon; empty runs standalone`)
 		self         = fs.String("self", "", "this daemon's member ID within -peers (required with -peers)")
 		peerProbe    = fs.Duration("peer-probe", 2*time.Second, "peer health probe interval")
-		stealInt     = fs.Duration("steal-interval", time.Second, "how often an idle member tries to steal queued work from a saturated peer; <0 disables stealing")
 		maxJournal   = fs.Int64("max-journal-bytes", 0, "compact the journal in place once it grows past this many bytes (0 disables)")
 		diskLow      = fs.Int64("disk-low-watermark", 0, "free-bytes floor on the journal/cache filesystem: below 2x prune spills, below 1x reject durable submits with 503 (0 disables)")
 	)
@@ -155,7 +153,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		ccfg.ProbeInterval = *peerProbe
-		ccfg.StealInterval = *stealInt
 		opts.Cluster = ccfg
 	} else if *self != "" {
 		fmt.Fprintf(stderr, "hydroserved: -self requires -peers\n")

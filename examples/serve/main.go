@@ -1,7 +1,7 @@
 // Serve: drive a running hydroserved daemon through the client
-// package — submit a job, stream its per-epoch progress over SSE, and
-// show that the identical resubmission is answered from the daemon's
-// content-addressed result cache without simulating again.
+// package — submit a job, wait for it, read its per-epoch telemetry,
+// and show that the identical resubmission is answered from the
+// daemon's content-addressed result cache without simulating again.
 //
 // Start the daemon first, then run this example:
 //
@@ -44,24 +44,19 @@ func main() {
 	}
 	fmt.Printf("job %s: %s\n", st.ID[:12], st.State)
 
-	// Follow the per-epoch progress stream until the job finishes.
-	epochs := 0
-	err = c.Events(ctx, st.ID, func(ev client.Event) error {
-		switch ev.Name {
-		case "epoch":
-			e, err := ev.Epoch()
-			if err != nil {
-				return err
-			}
-			epochs++
-			fmt.Printf("  epoch %3d  cycle %9d  weighted IPC %.3f\n", epochs, e.EndCycle, e.WeightedIPC)
-		case "done":
-			fmt.Println("stream done")
-		}
-		return nil
-	})
+	// Poll until the job finishes, then read its telemetry snapshot.
+	if st, err = c.Wait(ctx, st.ID); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("job %s: %s after %d epochs\n", st.ID[:12], st.State, st.Epochs)
+	ts, err := c.Telemetry(ctx, st.ID)
 	if err != nil {
 		log.Fatal(err)
+	}
+	if n := len(ts.Points); n > 0 {
+		p := ts.Points[n-1]
+		fmt.Printf("telemetry: %d points; final operating point cap=%d bw=%d tok=%d\n",
+			n, p.CapWays, p.BwGroups, p.TokIdx)
 	}
 
 	res, final, err := c.Run(ctx, req) // already finished: served instantly

@@ -9,17 +9,17 @@
 //     cluster placement, so adding or removing a peer relocates each
 //     job to at most one new owner.
 //   - PeerClient: the cluster-internal HTTP client for proxying
-//     submissions and polls to a job's owner, probing /v1/peerz, and
-//     stealing queued work from saturated peers.
-//   - Prober: a background health/gossip loop maintaining a live view
-//     of every peer (reachability, queue depth) that drives failover
-//     and work stealing.
+//     submissions and polls to a job's owner and probing /v1/peerz.
+//   - Prober: a background health loop maintaining a live view of
+//     every peer's reachability, which drives failover.
+//   - Breaker: a per-peer circuit breaker that short-circuits calls to
+//     a peer that keeps failing.
 //   - Metrics: the hydro_cluster_* counter/gauge family.
 //
-// The package is deliberately wire-agnostic about job payloads: stolen
-// jobs carry the serving layer's JobRequest as raw JSON, so cluster
-// has no dependency on internal/serve and the serving layer stays the
-// single owner of its wire types.
+// The package is deliberately wire-agnostic about job payloads: proxied
+// bodies pass through as raw bytes, so cluster has no dependency on
+// internal/serve and the serving layer stays the single owner of its
+// wire types.
 package cluster
 
 import (
@@ -52,12 +52,10 @@ type Config struct {
 	// ProxyTimeout bounds one proxied submit or GET to a peer; <=0
 	// selects 15s.
 	ProxyTimeout time.Duration
-	// StealInterval is the idle-peer work-stealing poll cadence; 0
-	// selects 1s, negative disables stealing.
+	// StealInterval is ignored: a job runs only on its owner, or on the
+	// front that promotes it. The field remains so callers that still
+	// set it compile.
 	StealInterval time.Duration
-	// StealThreshold is the minimum queue depth at a peer before an
-	// idle peer steals from it; <=0 selects 1.
-	StealThreshold int
 
 	// BreakerWindow is the sliding outcome window the per-peer circuit
 	// breaker judges failure rate over; <=0 selects 10.
@@ -93,12 +91,6 @@ func (c *Config) withDefaults() {
 	}
 	if c.ProxyTimeout <= 0 {
 		c.ProxyTimeout = 15 * time.Second
-	}
-	if c.StealInterval == 0 {
-		c.StealInterval = time.Second
-	}
-	if c.StealThreshold <= 0 {
-		c.StealThreshold = 1
 	}
 	if c.BreakerWindow <= 0 {
 		c.BreakerWindow = 10

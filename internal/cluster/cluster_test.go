@@ -34,7 +34,7 @@ func TestParsePeers(t *testing.T) {
 	if len(peers) != 2 || peers[0].ID != "a" || peers[1].ID != "c" {
 		t.Fatalf("Peers = %+v", peers)
 	}
-	if cfg.ProbeInterval <= 0 || cfg.ProxyTimeout <= 0 || cfg.StealInterval <= 0 || cfg.StealThreshold <= 0 {
+	if cfg.ProbeInterval <= 0 || cfg.ProxyTimeout <= 0 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 }
@@ -118,7 +118,7 @@ func TestProberMarksDeadAndRecovers(t *testing.T) {
 			w.WriteHeader(http.StatusInternalServerError)
 			return
 		}
-		json.NewEncoder(w).Encode(PeerzPayload{PeerStatus: PeerStatus{ID: "b", Queued: 3, Ready: true}})
+		json.NewEncoder(w).Encode(PeerzPayload{PeerStatus: PeerStatus{ID: "b", Ready: true}})
 	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
@@ -158,7 +158,7 @@ func TestProberMarksDeadAndRecovers(t *testing.T) {
 		t.Fatalf("AliveCount = %d, want 1", got)
 	}
 	snap := p.Snapshot()
-	if v := snap["b"]; !v.Alive || v.Queued != 3 || v.LastSeen.IsZero() {
+	if v := snap["b"]; !v.Alive || v.LastSeen.IsZero() {
 		t.Fatalf("view of healthy peer: %+v", v)
 	}
 	if v := snap["ghost"]; v.Alive || v.Error == "" {
@@ -193,42 +193,18 @@ func TestProberMarksDeadAndRecovers(t *testing.T) {
 	}
 }
 
-func TestPeerClientStealAndPeerz(t *testing.T) {
-	var gotForwarded atomic.Value
-	var empty atomic.Bool
-	empty.Store(true)
+func TestPeerClientPeerz(t *testing.T) {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/steal", func(w http.ResponseWriter, r *http.Request) {
-		gotForwarded.Store(r.Header.Get(HeaderForwarded))
-		if empty.Load() {
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		json.NewEncoder(w).Encode(StolenJob{ID: "deadbeef", Request: json.RawMessage(`{"mode":"quick"}`)})
-	})
 	mux.HandleFunc("/v1/peerz", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(PeerzPayload{PeerStatus: PeerStatus{ID: "b", Running: 2, Draining: true}})
+		json.NewEncoder(w).Encode(PeerzPayload{PeerStatus: PeerStatus{ID: "b", Ready: true}})
 	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 	m := Member{ID: "b", URL: srv.URL}
 	pc := NewPeerClient("a", time.Second, time.Second)
 
-	sj, err := pc.Steal(context.Background(), m)
-	if err != nil || sj != nil {
-		t.Fatalf("empty steal = (%+v, %v), want (nil, nil)", sj, err)
-	}
-	if got, _ := gotForwarded.Load().(string); got != "a" {
-		t.Fatalf("steal did not identify the thief: %q", got)
-	}
-	empty.Store(false)
-	sj, err = pc.Steal(context.Background(), m)
-	if err != nil || sj == nil || sj.ID != "deadbeef" {
-		t.Fatalf("steal = (%+v, %v)", sj, err)
-	}
-
 	st, err := pc.Peerz(context.Background(), m)
-	if err != nil || st.ID != "b" || st.Running != 2 || !st.Draining {
+	if err != nil || st.ID != "b" || !st.Ready {
 		t.Fatalf("peerz = (%+v, %v)", st, err)
 	}
 }
@@ -237,7 +213,6 @@ func TestMetricsRegisterAndExpose(t *testing.T) {
 	r := obs.NewRegistry()
 	m := NewMetrics(r, func() int64 { return 3 }, func() int64 { return 2 }, func() int64 { return 1 })
 	m.ProxiedSubmits.Add(1)
-	m.StealsIn.Add(2)
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -248,14 +223,11 @@ func TestMetricsRegisterAndExpose(t *testing.T) {
 	}
 	for _, want := range []string{
 		"hydro_cluster_proxied_submits_total 1",
-		"hydro_cluster_steals_total 2",
 		"hydro_cluster_peers 3",
 		"hydro_cluster_peers_alive 2",
 		"hydro_cluster_failovers_total 0",
 		"hydro_cluster_promoted_jobs_total 0",
 		"hydro_cluster_peer_fills_total 0",
-		"hydro_cluster_stolen_total 0",
-		"hydro_cluster_steal_returns_total 0",
 		"hydro_cluster_probe_errors_total 0",
 		"hydro_cluster_proxied_gets_total 0",
 		"hydro_cluster_breaker_opens_total 0",

@@ -7,9 +7,9 @@ import (
 )
 
 // Prober maintains a live view of every peer by polling /v1/peerz on a
-// fixed cadence. The view drives three decisions in the serving layer:
-// whether /readyz reports degraded, which peers are worth proxying to,
-// and which saturated peers are worth stealing from.
+// fixed cadence. The view drives two decisions in the serving layer:
+// whether /readyz reports degraded, and which peers get the full proxy
+// deadline.
 //
 // Liveness here is advisory, not authoritative: a proxy attempt to a
 // "dead" peer is allowed (it may have just come back), and a proxy
@@ -84,7 +84,7 @@ func (p *Prober) probeAll() {
 		wg.Add(1)
 		go func(m Member) {
 			defer wg.Done()
-			st, err := p.pc.Peerz(context.Background(), m)
+			_, err := p.pc.Peerz(context.Background(), m)
 			if err != nil {
 				p.MarkDead(m.ID, err)
 				if p.onProbeErr != nil {
@@ -92,45 +92,21 @@ func (p *Prober) probeAll() {
 				}
 				return
 			}
-			p.MarkAlive(m.ID, st)
+			p.MarkSeen(m.ID)
 		}(m)
 	}
 	wg.Wait()
 }
 
-// MarkAlive records a successful contact with peer id and its
-// self-reported status. The serving layer also calls this on any
-// successful proxied request, so recovery is noticed at traffic speed,
-// not probe speed.
-func (p *Prober) MarkAlive(id string, st PeerStatus) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, known := p.state[id]; !known {
-		return
-	}
-	p.state[id] = PeerView{
-		Alive:    true,
-		Queued:   st.Queued,
-		Running:  st.Running,
-		Draining: st.Draining,
-		LastSeen: time.Now().UTC(),
-	}
-}
-
-// MarkSeen records a successful contact that carried no status payload
-// (a proxied job request, not a probe): the peer is alive, its queue
-// counters are whatever the last probe said.
+// MarkSeen records a successful contact with peer id: a probe, or a
+// proxied request, so recovery is noticed at traffic speed, not probe
+// speed.
 func (p *Prober) MarkSeen(id string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	prev, known := p.state[id]
-	if !known {
-		return
+	if _, known := p.state[id]; known {
+		p.state[id] = PeerView{Alive: true, LastSeen: time.Now().UTC()}
 	}
-	prev.Alive = true
-	prev.Error = ""
-	prev.LastSeen = time.Now().UTC()
-	p.state[id] = prev
 }
 
 // MarkDead records a failed contact with peer id, preserving LastSeen

@@ -11,9 +11,6 @@ type Metrics struct {
 	PeerFills      *obs.Counter
 	Failovers      *obs.Counter
 	PromotedJobs   *obs.Counter
-	StealsIn       *obs.Counter
-	StealsOut      *obs.Counter
-	StealReturns   *obs.Counter
 	ProbeErrors    *obs.Counter
 
 	BreakerOpens         *obs.Counter
@@ -38,12 +35,6 @@ func NewMetrics(r *obs.Registry, peers, alive, openBreakers func() int64) *Metri
 			"Requests re-routed past a dead owner to the next peer in rendezvous order."),
 		PromotedJobs: r.Counter("hydro_cluster_promoted_jobs_total",
 			"Forwarded jobs adopted locally after their owner died."),
-		StealsIn: r.Counter("hydro_cluster_steals_total",
-			"Queued jobs this peer stole from saturated owners."),
-		StealsOut: r.Counter("hydro_cluster_stolen_total",
-			"Queued jobs handed to idle peers via /v1/steal."),
-		StealReturns: r.Counter("hydro_cluster_steal_returns_total",
-			"Stolen jobs reclaimed after the thief died or rejected the handoff."),
 		ProbeErrors: r.Counter("hydro_cluster_probe_errors_total",
 			"Failed peer health probes."),
 		BreakerOpens: r.Counter("hydro_cluster_breaker_opens_total",

@@ -33,27 +33,23 @@ const (
 	HeaderSelf = "X-Hydro-Self"
 )
 
-// The request ID crosses every cluster hop — proxy, steal, failover —
-// in the same X-Request-ID header the client uses, so one end-to-end
+// The request ID crosses every cluster hop — proxy and failover — in
+// the same X-Request-ID header the client uses, so one end-to-end
 // request keeps one identity in every member's logs.
 
 // PeerStatus is one peer's self-report: the /v1/peerz core payload.
+// Queue depth is not part of it; each member exports its own as
+// hydroserved_jobs_queued.
 type PeerStatus struct {
-	ID       string `json:"id"`
-	Queued   int64  `json:"queued"`
-	Running  int64  `json:"running"`
-	Draining bool   `json:"draining"`
-	Ready    bool   `json:"ready"`
+	ID    string `json:"id"`
+	Ready bool   `json:"ready"`
 }
 
-// PeerView is a prober's opinion of one peer: the last self-report
-// plus reachability. Peerz gossips these, so any member's /v1/peerz
-// also shows how the rest of the ring looks from there.
+// PeerView is a prober's opinion of one peer: reachability and when it
+// last answered. Any member's /v1/peerz shows these, so it also shows
+// how the rest of the ring looks from there.
 type PeerView struct {
 	Alive    bool      `json:"alive"`
-	Queued   int64     `json:"queued"`
-	Running  int64     `json:"running"`
-	Draining bool      `json:"draining,omitempty"`
 	Error    string    `json:"error,omitempty"`
 	LastSeen time.Time `json:"last_seen"`
 }
@@ -65,25 +61,10 @@ type PeerzPayload struct {
 	Peers map[string]PeerView `json:"peers,omitempty"`
 }
 
-// StolenJob is the /v1/steal response: one queued job handed from a
-// saturated owner to an idle thief. Request is the serving layer's
-// JobRequest in wire form — cluster does not interpret it, it only
-// moves it — and ID is the job's content address, which the thief
-// re-derives from the request as a handoff integrity check.
-type StolenJob struct {
-	ID      string          `json:"id"`
-	Request json.RawMessage `json:"request"`
-	// RequestID carries the submitting request's identity across the
-	// steal hop (same contract as X-Request-ID on proxy hops), so the
-	// thief's logs correlate with the submission even though it never
-	// saw the original HTTP request.
-	RequestID string `json:"request_id,omitempty"`
-}
-
 // PeerClient issues cluster-internal requests. It is a thin wrapper
 // over http.Client: proxied submits and GETs return the raw
-// *http.Response for the caller to relay, while peerz and steal decode
-// their small payloads.
+// *http.Response for the caller to relay, while peerz decodes its small
+// payload.
 type PeerClient struct {
 	self    string
 	hc      *http.Client
@@ -91,8 +72,8 @@ type PeerClient struct {
 }
 
 // NewPeerClient builds a peer client identifying as self. proxyTimeout
-// bounds proxied submits/GETs; probeTimeout bounds peerz and steal
-// calls (short — a probe that hangs is a probe that failed).
+// bounds proxied submits/GETs; probeTimeout bounds peerz probes
+// (short — a probe that hangs is a probe that failed).
 func NewPeerClient(self string, proxyTimeout, probeTimeout time.Duration) *PeerClient {
 	return &PeerClient{
 		self:    self,
@@ -160,35 +141,4 @@ func (p *PeerClient) Peerz(ctx context.Context, m Member) (PeerStatus, error) {
 		return PeerStatus{}, fmt.Errorf("cluster: peerz %s: %w", m.ID, err)
 	}
 	return st.PeerStatus, nil
-}
-
-// Steal asks m for one queued job. A nil StolenJob with a nil error
-// means m had nothing to give (204).
-func (p *PeerClient) Steal(ctx context.Context, m Member) (*StolenJob, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, m.URL+"/v1/steal", nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set(HeaderForwarded, p.self)
-	resp, err := p.probeHC.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNoContent:
-		return nil, nil
-	case http.StatusOK:
-		var sj StolenJob
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&sj); err != nil {
-			return nil, fmt.Errorf("cluster: steal from %s: %w", m.ID, err)
-		}
-		if sj.ID == "" || len(sj.Request) == 0 {
-			return nil, fmt.Errorf("cluster: steal from %s: incomplete handoff", m.ID)
-		}
-		return &sj, nil
-	default:
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		return nil, fmt.Errorf("cluster: steal from %s: HTTP %d", m.ID, resp.StatusCode)
-	}
 }

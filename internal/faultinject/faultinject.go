@@ -39,7 +39,7 @@ const (
 	// stand-in for a simulation bug — exercising worker panic
 	// isolation and poison-job quarantine.
 	PanicOnEpoch = "panic-on-epoch"
-	// PeerError makes the next cluster proxy/steal call to a peer fail
+	// PeerError makes the next cluster proxy call to a peer fail
 	// without touching the wire — the hook chaos tests use to trip a
 	// circuit breaker deterministically.
 	PeerError = "peer-error"

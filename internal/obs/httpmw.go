@@ -36,8 +36,8 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return n, err
 }
 
-// Flush forwards to the underlying flusher so SSE streaming keeps
-// working through the middleware.
+// Flush forwards to the underlying flusher so a handler that flushes
+// keeps working through the middleware.
 func (w *statusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()

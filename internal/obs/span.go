@@ -97,17 +97,6 @@ func (t *Trace) Add(r SpanRecord) {
 	t.mu.Unlock()
 }
 
-// AddAll appends finished records recorded elsewhere (the spans of a
-// stolen job, mirrored from the peer that ran it). Nil-safe.
-func (t *Trace) AddAll(rs []SpanRecord) {
-	if t == nil || len(rs) == 0 {
-		return
-	}
-	t.mu.Lock()
-	t.spans = append(t.spans, rs...)
-	t.mu.Unlock()
-}
-
 // AddInterval records a span from explicit endpoints — for intervals
 // whose boundaries were stamped before tracing existed (e.g. a job's
 // queue wait, measured between two fields the server already keeps).

@@ -9,9 +9,9 @@
 // tier of the stack — the system core, the serving layer, the CLIs, and
 // the client — can depend on it without cycles. EpochPoint is a flat
 // struct of plain numbers the system core fills in at each sampling
-// epoch; everything downstream (SSE streams, CSV artifacts, the
-// knob-trajectory tables of Figs. 8-11) is a view over a sequence of
-// them.
+// epoch; everything downstream (the /telemetry snapshots, CSV
+// artifacts, the knob-trajectory tables of Figs. 8-11) is a view over a
+// sequence of them.
 package obs
 
 import (

@@ -2,8 +2,9 @@
 // over the simulator with a bounded job queue, a worker pool, a
 // content-addressed result cache (SHA-256 of the canonical job
 // payload) with singleflight dedupe and LRU + disk-spill eviction,
-// live per-epoch progress streaming over SSE, cancellation, graceful
-// drain, and Prometheus-text metrics.
+// per-epoch telemetry snapshots, cancellation, graceful drain, and
+// Prometheus-text metrics. Clients follow a job by polling its status
+// and telemetry.
 //
 // Sweep-style studies (the per-configuration tuning sweeps of Vaverka
 // et al. and the batch characterization campaigns of Schieffer et al.)
@@ -20,9 +21,8 @@
 //	                               job's ETag is its content-addressed
 //	                               ID, and If-None-Match yields 304
 //	DELETE /v1/jobs/{id}           cancel a queued or running job
-//	GET    /v1/jobs/{id}/events    SSE per-epoch progress stream
-//	GET    /v1/jobs/{id}/telemetry epoch telemetry: JSON snapshot,
-//	                               ?format=csv, or ?stream=1 for SSE
+//	GET    /v1/jobs/{id}/telemetry epoch telemetry: JSON snapshot, or
+//	                               ?format=csv
 //	GET    /v1/designs             design names
 //	GET    /v1/combos              Table II combo IDs
 //	GET    /livez                  liveness: 200 while the process serves
@@ -31,10 +31,8 @@
 //	                               degraded:true + per-peer state when a
 //	                               peer is unreachable
 //	GET    /metrics                Prometheus text format
-//	GET    /v1/peerz               cluster only: self status + the view
-//	                               of every peer (gossip surface)
-//	POST   /v1/steal               cluster only: hand one queued job to
-//	                               the idle peer named by X-Hydro-Forwarded
+//	GET    /v1/peerz               cluster only: self id and readiness +
+//	                               this daemon's view of every peer
 //
 // Clustering (Options.Cluster): N daemons with a static member list
 // form one deduplicating tier. Content-addressed job IDs route to a
@@ -43,9 +41,10 @@
 // local caches from peer responses, so a hit anywhere is a hit
 // everywhere with identical result bytes and ETag. Relayed responses
 // carry X-Hydro-Peer/X-Hydro-Peer-Url; every clustered response carries
-// X-Hydro-Self. When the owner dies mid-job, the daemon that forwarded
-// the submission promotes the job into its own journal-backed queue —
-// the 202-implies-replayable contract survives owner loss.
+// X-Hydro-Self. A job runs only on its owner; when the owner dies
+// mid-job, the daemon that forwarded the submission promotes the job
+// into its own journal-backed queue — the 202-implies-replayable
+// contract survives owner loss.
 //
 // Crash safety: with Options.JournalPath set, every accepted job is
 // recorded in an append-only CRC-framed journal (internal/journal)
@@ -214,9 +213,8 @@ type JobStatus struct {
 
 	// Spans are the job's finished timing intervals (queue wait, journal
 	// start record, the run itself, cache put, journal terminal record),
-	// in completion order; a stolen job's owner lists the spans its thief
-	// recorded. They are not journaled, so a replayed or promoted job
-	// lists only the spans recorded since.
+	// in completion order. They are not journaled, so a replayed or
+	// promoted job lists only the spans recorded since.
 	Spans []obs.SpanRecord `json:"spans,omitempty"`
 
 	Result json.RawMessage `json:"result,omitempty"`

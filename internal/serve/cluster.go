@@ -17,21 +17,18 @@ package serve
 //   - Failover: when every live peer ranked above this daemon is gone,
 //     submissions are accepted locally, and forwarded jobs whose owner
 //     died are promoted into the local journal-backed queue.
-//   - Work stealing: /v1/peerz gossips queue depth; an idle peer calls
-//     a saturated owner's /v1/steal, adopts one queued job, and the
-//     owner watches the thief, mirroring the terminal state (or
-//     reclaiming the job if the thief dies too).
+//
+// A job runs only on its owner, or on the front that promotes it: a
+// queued job waits for its owner's workers.
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 
 	"github.com/hydrogen-sim/hydrogen/internal/cluster"
 	"github.com/hydrogen-sim/hydrogen/internal/faultinject"
@@ -41,10 +38,6 @@ import (
 // maxRelayBody bounds a relayed peer response; results are a few KB,
 // so 32 MiB is generous headroom, not a real ceiling.
 const maxRelayBody = 32 << 20
-
-// stolenMissLimit is how many consecutive failed polls of a thief the
-// owner tolerates before reclaiming a stolen job.
-const stolenMissLimit = 3
 
 // clusterState is the serve-side composition of the cluster package.
 type clusterState struct {
@@ -60,15 +53,11 @@ type clusterState struct {
 	// the local queue without re-deriving anything from the client.
 	mu        sync.Mutex
 	forwarded map[string]*submission
-
-	stopOnce  sync.Once
-	stealStop chan struct{}
-	stealDone chan struct{}
 }
 
-// initCluster validates the peer config and starts the cluster loops.
-// Called at the end of New, after the queue exists — the stealer pushes
-// into it.
+// initCluster validates the peer config, registers the cluster route
+// and starts the prober. Called at the end of New, after the workers
+// exist — a promoted job is pushed into the local queue.
 func (s *Server) initCluster(cfg *cluster.Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -78,8 +67,6 @@ func (s *Server) initCluster(cfg *cluster.Config) error {
 		router:    cluster.NewRouter(cfg.Members),
 		pc:        cluster.NewPeerClient(cfg.Self, cfg.ProxyTimeout, cfg.ProbeTimeout),
 		forwarded: make(map[string]*submission),
-		stealStop: make(chan struct{}),
-		stealDone: make(chan struct{}),
 	}
 	cl.breaker = cluster.NewBreaker(cluster.BreakerConfig{
 		Window:       cfg.BreakerWindow,
@@ -99,7 +86,6 @@ func (s *Server) initCluster(cfg *cluster.Config) error {
 	)
 	s.cl = cl
 	s.mux.HandleFunc("GET /v1/peerz", s.handlePeerz)
-	s.mux.HandleFunc("POST /v1/steal", s.handleSteal)
 	// Every response names the daemon that produced it, so clients and
 	// smoke tests can tell which member of the tier they reached.
 	inner := s.handler
@@ -108,28 +94,16 @@ func (s *Server) initCluster(cfg *cluster.Config) error {
 		inner.ServeHTTP(w, r)
 	})
 	cl.prober.Start()
-	if cfg.StealInterval > 0 {
-		go s.stealLoop()
-	} else {
-		close(cl.stealDone)
-	}
 	s.logf("cluster: joined as %s (%d members)", cfg.Self, len(cfg.Members))
 	return nil
 }
 
-// stopCluster halts the prober and stealer; idempotent, no-op when the
-// daemon is standalone. Watcher goroutines for stolen jobs observe the
-// same stop channel.
+// stopCluster halts the prober; idempotent, no-op when the daemon is
+// standalone.
 func (s *Server) stopCluster() {
-	cl := s.cl
-	if cl == nil {
-		return
+	if s.cl != nil {
+		s.cl.prober.Stop()
 	}
-	cl.stopOnce.Do(func() {
-		close(cl.stealStop)
-		cl.prober.Stop()
-	})
-	<-cl.stealDone
 }
 
 // errBreakerOpen is callPeer's answer for a call it short-circuited.
@@ -403,251 +377,16 @@ func (s *Server) promoteForwarded(id string) (*job, *refusal) {
 }
 
 // handlePeerz serves this daemon's self-status plus its view of the
-// rest of the ring — the gossip surface the prober and stealer read.
+// rest of the ring — the surface the prober reads.
 func (s *Server) handlePeerz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	draining, replaying := s.draining, s.replaying
+	ready := !s.draining && !s.replaying
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, cluster.PeerzPayload{
 		PeerStatus: cluster.PeerStatus{
-			ID:       s.cl.cfg.Self,
-			Queued:   s.m.queued.Load(),
-			Running:  s.m.running.Load(),
-			Draining: draining,
-			Ready:    !draining && !replaying,
+			ID:    s.cl.cfg.Self,
+			Ready: ready,
 		},
 		Peers: s.cl.prober.Snapshot(),
 	})
-}
-
-// handleSteal hands one queued job to an idle peer. The job record
-// stays here — the owner keeps answering polls for it — and a watcher
-// goroutine mirrors the thief's terminal state back (or reclaims the
-// job if the thief dies).
-func (s *Server) handleSteal(w http.ResponseWriter, r *http.Request) {
-	thiefID := r.Header.Get(cluster.HeaderForwarded)
-	thief, ok := s.cl.router.Member(thiefID)
-	if !ok {
-		httpError(w, http.StatusBadRequest, "unknown thief %q", thiefID)
-		return
-	}
-	j := s.popQueuedJob()
-	if j == nil {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	raw, err := json.Marshal(JobRequest{Config: &j.cfg, Design: j.design, Combo: j.spec, Timeout: Duration(j.timeout)})
-	if err != nil {
-		// Cannot serialize the handoff; keep the job for ourselves.
-		s.requeueStolen(j)
-		httpError(w, http.StatusInternalServerError, "marshal handoff: %v", err)
-		return
-	}
-	s.cl.cm.StealsOut.Add(1)
-	s.logj(j.id, "stolen", "thief", thiefID)
-	go s.watchStolen(j, thief)
-	// The request ID rides along so the thief's logs join the owner's.
-	writeJSON(w, http.StatusOK, cluster.StolenJob{ID: j.id, Request: raw, RequestID: j.reqID})
-}
-
-// popQueuedJob takes one runnable job off the queue without blocking;
-// nil when the queue is empty, closed, or the daemon is draining.
-func (s *Server) popQueuedJob() *job {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		return nil
-	}
-	for {
-		j := s.queue.TryPop()
-		if j == nil {
-			return nil
-		}
-		j.mu.Lock()
-		if j.state != StateQueued {
-			j.mu.Unlock()
-			continue // canceled while queued; the worker would skip it too
-		}
-		j.stolen = true
-		j.mu.Unlock()
-		s.m.queued.Add(-1)
-		return j
-	}
-}
-
-// requeueStolen puts a popped job back on the queue. ForcePush ignores
-// the queue cap — an accepted job is never dropped for depth — and only
-// refuses when the queue is closed, i.e. the daemon is shutting down.
-func (s *Server) requeueStolen(j *job) {
-	j.mu.Lock()
-	j.stolen = false
-	j.mu.Unlock()
-	s.mu.Lock()
-	pushed := !s.draining && s.queue.ForcePush(j)
-	s.mu.Unlock()
-	if !pushed {
-		// Shutting down: the submit record stays live, so the job replays
-		// from the journal on the next start.
-		s.abandonJob(j, &refusal{kind: refusedDraining})
-		return
-	}
-	s.m.queued.Add(1)
-}
-
-// watchStolen polls the thief for the stolen job's fate: terminal
-// states are mirrored into the local record and journal (the job was
-// accepted HERE; its 202 contract is this daemon's), and a thief that
-// stops answering forfeits the job back to the local queue.
-func (s *Server) watchStolen(j *job, thief cluster.Member) {
-	cl := s.cl
-	// Floor the watch cadence: the thief needs time to journal and start
-	// the adopted job, and reclaiming while it is merely slow would run
-	// the simulation twice.
-	interval := cl.cfg.ProbeInterval
-	if interval < 500*time.Millisecond {
-		interval = 500 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	misses := 0
-	for {
-		select {
-		case <-cl.stealStop:
-			return // shutting down; the job replays from the journal
-		case <-j.done:
-			return // canceled locally while stolen
-		case <-t.C:
-		}
-		st, err := s.pollStolen(j, thief)
-		if err != nil {
-			misses++
-			if misses >= stolenMissLimit {
-				cl.cm.StealReturns.Add(1)
-				s.logj(j.id, "reclaiming stolen job", "thief", thief.ID, "err", err)
-				s.requeueStolen(j)
-				return
-			}
-			continue
-		}
-		misses = 0
-		switch st.State {
-		case StateDone, StateFailed, StateCanceled, StateDeadline:
-			if st.State == StateDone {
-				s.cache.Put(j.id, st.Result)
-			}
-			// The thief's spans merge into the local record, so the
-			// owner's status shows where the job's time went.
-			j.trace.AddAll(st.Spans)
-			if s.terminate(j, StateQueued, st.State, st.Error, st.Result) {
-				s.logj(j.id, "finished remotely", "thief", thief.ID, "state", st.State)
-			}
-			return
-		}
-	}
-}
-
-// pollStolen fetches the stolen job's status from the thief. A 404
-// (the thief rejected or lost the handoff) counts as an error so the
-// miss counter advances toward reclaim.
-func (s *Server) pollStolen(j *job, thief cluster.Member) (JobStatus, error) {
-	resp, err := s.cl.pc.GetJob(context.Background(), thief, j.id, "", j.reqID)
-	s.cl.breaker.Record(thief.ID, err == nil)
-	if err != nil {
-		s.cl.prober.MarkDead(thief.ID, err)
-		return JobStatus{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		return JobStatus{}, fmt.Errorf("HTTP %d", resp.StatusCode)
-	}
-	var st JobStatus
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxRelayBody)).Decode(&st); err != nil {
-		return JobStatus{}, err
-	}
-	return st, nil
-}
-
-// stealLoop is the thief side: when this daemon is idle, poll the
-// prober's gossip for the deepest-queued live peer and take one job.
-func (s *Server) stealLoop() {
-	cl := s.cl
-	defer close(cl.stealDone)
-	t := time.NewTicker(cl.cfg.StealInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-cl.stealStop:
-			return
-		case <-t.C:
-			s.stealOnce()
-		}
-	}
-}
-
-// stealOnce steals at most one job: only when this daemon has an empty
-// queue and a free worker, and only from a live, non-draining peer at
-// or above the configured queue-depth threshold.
-func (s *Server) stealOnce() {
-	cl := s.cl
-	if s.m.queued.Load() > 0 || s.m.running.Load() >= int64(s.opts.Workers) {
-		return
-	}
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		return
-	}
-	var victim cluster.Member
-	depth := int64(cl.cfg.StealThreshold) - 1
-	for id, v := range cl.prober.Snapshot() {
-		if v.Alive && !v.Draining && v.Queued > depth {
-			if m, ok := cl.router.Member(id); ok {
-				victim, depth = m, v.Queued
-			}
-		}
-	}
-	if victim.ID == "" {
-		return
-	}
-	var sj *cluster.StolenJob
-	err := cl.callPeer(victim.ID, func() (err error) {
-		if sj, err = cl.pc.Steal(context.Background(), victim); err == nil {
-			err = peerErrInjected()
-		}
-		return err
-	})
-	if err == nil && sj != nil {
-		s.adoptStolen(sj, victim)
-	}
-}
-
-// adoptStolen is the steal entry to the lifecycle: verify the handoff
-// (the request must hash to the advertised ID — content addressing is
-// the integrity check) and hand it to intake. Whatever the refusal, the
-// job is simply not adopted here; the owner's watcher reclaims it after
-// a few missed polls.
-func (s *Server) adoptStolen(sj *cluster.StolenJob, from cluster.Member) *refusal {
-	var req JobRequest
-	if err := json.Unmarshal(sj.Request, &req); err != nil {
-		s.logj(sj.ID, "steal handoff undecodable", "from", from.ID, "err", err)
-		return nil
-	}
-	sub, err := s.resolveRequest(&req)
-	if err != nil || sub.id != sj.ID {
-		s.logj(sj.ID, "steal handoff rejected", "from", from.ID, "key", short(sub.id), "err", err)
-		return nil
-	}
-	sub.reqID = sj.RequestID
-	_, fresh, ref := s.intake(&sub)
-	switch {
-	case ref != nil:
-		s.logj(sub.id, "steal adoption refused", "from", from.ID, "err", ref)
-	case fresh:
-		s.cl.cm.StealsIn.Add(1)
-		s.logj(sub.id, "adopted stolen job", "from", from.ID)
-	}
-	return ref
 }

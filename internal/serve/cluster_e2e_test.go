@@ -2,8 +2,9 @@ package serve_test
 
 // Three-node in-process cluster tests: single simulation cluster-wide,
 // identical ETag/result bytes from every peer, journal-backed failover
-// when the owner is killed mid-job, work stealing, the degraded /readyz
-// surface, and one request ID across a proxy hop.
+// when the owner is killed mid-job, a saturated owner keeping its own
+// jobs, the degraded /readyz surface, and one request ID across a proxy
+// hop.
 
 import (
 	"bytes"
@@ -62,7 +63,6 @@ func newTestCluster(t *testing.T, n int, optsFn func(i int, o *serve.Options)) *
 				ProbeInterval: 50 * time.Millisecond,
 				ProbeTimeout:  2 * time.Second,
 				ProxyTimeout:  10 * time.Second,
-				StealInterval: -1, // stealing off unless a test opts in
 			},
 		}
 		if optsFn != nil {
@@ -221,10 +221,9 @@ func TestClusterSingleSimulation(t *testing.T) {
 	}
 	if started != 1 {
 		for i, srv := range tc.servers {
-			t.Logf("peer %s (owner=%v front=%v): enqueued=%d promoted=%d stolen_in=%d",
+			t.Logf("peer %s (owner=%v front=%v): enqueued=%d promoted=%d",
 				tc.ids[i], i == owner, i == front, srv.SimulationsStarted(),
-				metric(t, tc.urls[i], "hydro_cluster_promoted_jobs_total"),
-				metric(t, tc.urls[i], "hydro_cluster_steals_total"))
+				metric(t, tc.urls[i], "hydro_cluster_promoted_jobs_total"))
 		}
 		t.Fatalf("cluster ran %d simulations, want 1", started)
 	}
@@ -361,14 +360,14 @@ func TestClusterFailoverOwnerKill(t *testing.T) {
 	}
 }
 
-// TestClusterWorkStealing saturates one owner (one worker, held by a
-// failpoint) with several jobs it owns and asserts idle peers pull the
-// queued ones over /v1/steal and the owner mirrors their results.
-func TestClusterWorkStealing(t *testing.T) {
+// TestClusterSaturatedOwnerKeepsItsJobs saturates one owner (one
+// worker, held by a failpoint) with several jobs it owns and requires
+// that they wait for that worker: every job reaches done on its owner,
+// every member serves it under the same ETag and bytes, and no other
+// member runs a simulation.
+func TestClusterSaturatedOwnerKeepsItsJobs(t *testing.T) {
 	tc := newTestCluster(t, 3, func(i int, o *serve.Options) {
 		o.Workers = 1
-		o.Cluster.StealInterval = 50 * time.Millisecond
-		o.Cluster.StealThreshold = 1
 	})
 	cfg := tinyConfig()
 
@@ -411,20 +410,22 @@ func TestClusterWorkStealing(t *testing.T) {
 		}
 	}
 
-	var stolen int64
-	for i, u := range tc.urls {
+	for _, k := range keys {
+		want, wantTag, _ := getRaw(t, tc.urls[owner], k)
+		for i, u := range tc.urls {
+			st, etag, _ := getRaw(t, u, k)
+			if etag != wantTag || !bytes.Equal(st.Result, want.Result) {
+				t.Fatalf("peer %s serves job %.12s under ETag %q with other bytes than its owner (%q)", tc.ids[i], k, etag, wantTag)
+			}
+		}
+	}
+	for i, srv := range tc.servers {
 		if i == owner {
 			continue
 		}
-		stolen += metric(t, u, "hydro_cluster_steals_total")
-	}
-	if stolen < 1 {
-		t.Fatalf("idle peers stole %d jobs, want >=1", stolen)
-	}
-	// A reclaim/re-steal round can legitimately hand a job out more than
-	// once, so the owner's hand-out count bounds the adopt count.
-	if n := metric(t, tc.urls[owner], "hydro_cluster_stolen_total"); n < stolen {
-		t.Fatalf("owner handed out %d jobs but peers adopted %d", n, stolen)
+		if n := srv.SimulationsStarted(); n != 0 {
+			t.Fatalf("non-owner %s ran %d simulations, want 0", tc.ids[i], n)
+		}
 	}
 }
 

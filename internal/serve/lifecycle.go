@@ -2,12 +2,11 @@ package serve
 
 // The job lifecycle, with no knowledge of the wire: handlers, the
 // journal replay and the cluster loops are adapters that build a
-// submission, call intake, and translate what comes back. Four entries
+// submission, call intake, and translate what comes back. Three entries
 // feed intake — local submit (acceptLocal), startup replay (recover),
-// a job stolen from a saturated peer (adoptStolen), a forwarded job
-// whose owner died (promoteForwarded) — and every job ends in
-// terminate. DESIGN.md §10 has the state diagram. Three ordering rules
-// hold on every path:
+// a forwarded job whose owner died (promoteForwarded) — and every job
+// ends in terminate. DESIGN.md §10 has the state diagram. Three
+// ordering rules hold on every path:
 //
 //  1. Submit record before 202: intake fsyncs the submit record before
 //     it reports the job accepted, so an acknowledged job survives
@@ -43,8 +42,8 @@ type submission struct {
 	spec    ComboSpec
 	timeout time.Duration // execution deadline, 0 = none
 
-	// reqID is the original request's X-Request-ID, kept across proxy,
-	// steal and failover hops so every node's logs join up.
+	// reqID is the original request's X-Request-ID, kept across proxy
+	// and failover hops so every node's logs join up.
 	reqID string
 
 	// replayed marks a job coming back from this daemon's own journal:
@@ -75,14 +74,11 @@ type job struct {
 
 	mu        sync.Mutex
 	state     string
-	stolen    bool // popped off the queue and running on a peer
 	err       string
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	epochs    []system.EpochSample
-	epochSubs topic[system.EpochSample]
-	telemSubs topic[obs.EpochPoint]
+	epochs    int // progress samples taken so far
 	cancel    context.CancelFunc
 	result    []byte
 	refused   *refusal      // why intake abandoned the job, if it did
@@ -302,10 +298,10 @@ func (s *Server) synthesizeDoneLocked(sub *submission, result []byte) *job {
 
 // terminate is the one way a job ends. The transition out of from is
 // claimed under j.mu, so of two racing terminators (cancel against
-// worker pop, a thief's report against a local cancel) one wins and the
-// other gets false and does nothing. The winner journals the terminal
-// record, wakes waiters, and does all the accounting a job's end
-// implies. A result must already be in the cache (rule 2).
+// worker pop, two cancels) one wins and the other gets false and does
+// nothing. The winner journals the terminal record, does all the
+// accounting a job's end implies, and wakes waiters. A result must
+// already be in the cache (rule 2).
 func (s *Server) terminate(j *job, from, state, errMsg string, result []byte) bool {
 	journal := func() {
 		if err := s.appendRecord(journalRecord{Type: state, ID: j.id, Error: errMsg}); err != nil {
@@ -325,30 +321,30 @@ func (s *Server) terminate(j *job, from, state, errMsg string, result []byte) bo
 		j.mu.Unlock()
 		return false
 	}
-	// A queued job still holds its slot in the queued gauge unless a
-	// thief's pop already released it.
-	held := from == StateQueued && !j.stolen
-	j.finish(state, errMsg, result)
-	j.mu.Unlock()
+	// The counters move before the terminal state is visible, so whoever
+	// sees the job end also sees its accounting.
 	if from == StateQueued {
-		journal()
-	}
-
-	if held {
-		s.m.queued.Add(-1)
+		s.m.queued.Add(-1) // a queued job still holds its gauge slot
 	}
 	switch state {
 	case StateDone:
 		s.m.completed.Add(1)
 	case StateFailed:
 		s.m.failed.Add(1)
-		s.noteFailure(j.id)
 	case StateCanceled:
 		s.m.canceled.Add(1)
 	case StateDeadline:
 		s.m.deadlined.Add(1)
 	}
 	s.m.jobLatency.Observe(time.Since(j.submitted).Seconds())
+	j.finish(state, errMsg, result)
+	j.mu.Unlock()
+	if from == StateQueued {
+		journal()
+	}
+	if state == StateFailed {
+		s.noteFailure(j.id) // takes s.mu, which orders before j.mu
+	}
 	return true
 }
 
@@ -386,9 +382,9 @@ func (s *Server) noteFailure(id string) {
 }
 
 // abandonJob removes a job intake minted but will never run from the
-// table and finishes it, so dedup attachers and event subscribers are
-// released — with the refusal its submitter got — rather than left
-// waiting on a job no worker will ever pop.
+// table and finishes it, so dedup attachers are released — with the
+// refusal its submitter got — rather than left waiting on a job no
+// worker will ever pop.
 func (s *Server) abandonJob(j *job, ref *refusal) {
 	j.mu.Lock()
 	if j.state == StateQueued {
@@ -403,87 +399,22 @@ func (s *Server) abandonJob(j *job, ref *refusal) {
 	s.mu.Unlock()
 }
 
-// finish moves the job to a terminal state and wakes subscribers and
-// waiters. j.mu must be held, and the caller must have checked that the
-// job is not terminal yet: a job finishes once.
+// finish moves the job to a terminal state and wakes waiters. j.mu
+// must be held, and the caller must have checked that the job is not
+// terminal yet: a job finishes once.
 func (j *job) finish(state, errMsg string, result []byte) {
 	j.state = state
 	j.err = errMsg
 	j.result = result
 	j.finished = time.Now()
-	j.epochSubs.close() // subscribers emit the final event on close
-	j.telemSubs.close()
 	close(j.done)
 }
 
-// topic is the subscriber set of one of a job's live streams. The
-// owning job's mutex guards it: publishing a value and appending it to
-// the stream's backlog happen in one critical section, and so do
-// snapshotting the backlog and subscribing, which is what gives a late
-// joiner every value exactly once. The map is allocated on first
-// subscribe, so a job nobody streams pays for none.
-type topic[T any] struct {
-	subs map[chan T]struct{}
-}
-
-// publish offers v to every subscriber without blocking: one whose
-// buffer is full misses that value (its backlog replay on subscribe
-// already made it complete up to the moment it joined). j.mu held.
-func (t *topic[T]) publish(v T) {
-	for ch := range t.subs {
-		select {
-		case ch <- v:
-		default:
-		}
-	}
-}
-
-// close closes every subscriber channel, which is how a subscriber
-// learns the stream has ended. j.mu held.
-func (t *topic[T]) close() {
-	for ch := range t.subs {
-		close(ch)
-	}
-	t.subs = nil
-}
-
-// subscribe returns the stream's backlog as of this instant and, unless
-// j has already finished (terminal: the backlog is the whole stream),
-// registers ch for everything published after it.
-func (t *topic[T]) subscribe(j *job, ch chan T, backlog func() []T) (past []T, terminal bool) {
+// countEpoch records that the run took one more progress sample.
+func (j *job) countEpoch() {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	past = backlog()
-	if j.state != StateQueued && j.state != StateRunning {
-		return past, true
-	}
-	if t.subs == nil {
-		t.subs = make(map[chan T]struct{})
-	}
-	t.subs[ch] = struct{}{}
-	return past, false
-}
-
-func (t *topic[T]) unsubscribe(j *job, ch chan T) {
-	j.mu.Lock()
-	delete(t.subs, ch)
+	j.epochs++
 	j.mu.Unlock()
-}
-
-// publishEpoch appends a progress sample to the backlog and fans it out.
-func (j *job) publishEpoch(e system.EpochSample) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.epochs = append(j.epochs, e)
-	j.epochSubs.publish(e)
-}
-
-// publishTelemetry appends a point to the telemetry ring and fans it out.
-func (j *job) publishTelemetry(p obs.EpochPoint) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.telem.Append(p)
-	j.telemSubs.publish(p)
 }
 
 func (j *job) snapshot() JobStatus {
@@ -499,7 +430,7 @@ func (j *job) snapshot() JobStatus {
 		SubmittedAt: j.submitted,
 		StartedAt:   j.started,
 		FinishedAt:  j.finished,
-		Epochs:      len(j.epochs),
+		Epochs:      j.epochs,
 		Error:       j.err,
 		Spans:       j.trace.Records(),
 	}

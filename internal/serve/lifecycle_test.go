@@ -19,8 +19,8 @@ import (
 )
 
 // newLifecycleServer boots a journaled daemon that believes it has one
-// peer (nothing listens there), so the steal and promote entries have
-// the cluster state they need without any traffic.
+// peer (nothing listens there), so the promote entry has the cluster
+// state it needs without any traffic.
 func newLifecycleServer(t *testing.T, journal string) *Server {
 	t.Helper()
 	s, err := New(Options{
@@ -29,7 +29,6 @@ func newLifecycleServer(t *testing.T, journal string) *Server {
 		Cluster: &cluster.Config{
 			Self:          "a",
 			Members:       []cluster.Member{{ID: "a", URL: "http://127.0.0.1:1"}, {ID: "b", URL: "http://127.0.0.1:2"}},
-			StealInterval: -1,
 			ProbeInterval: time.Hour,
 		},
 	})
@@ -53,14 +52,13 @@ func lifecycleRequest(cycles uint64) JobRequest {
 // TestIntakeRefusalNeutralizes drives every entry that can be refused
 // through every way intake can refuse a job, before minting it
 // (quarantine, low disk) or after, and requires the same outcome each
-// time: the expected refusal kind, no record left in the job table, and
+// time: the refusal's answer, no record left in the job table, and
 // a journal that replays to zero pending jobs — a refused job must stay
 // dead across a restart no matter which door it came in by.
 func TestIntakeRefusalNeutralizes(t *testing.T) {
 	type fault struct {
 		name   string
 		arm    func(s *Server, id string)
-		kind   refusalKind
 		status int    // what a submitter is told
 		body   string // the refusal's text, as every HTTP entry relays it
 		// promoteStatus is what a poller of a refused promote is told:
@@ -71,7 +69,7 @@ func TestIntakeRefusalNeutralizes(t *testing.T) {
 	faults := []fault{
 		{"journal append error", func(*Server, string) {
 			faultinject.Set(faultinject.JournalAppendErr, 1, 0)
-		}, refusedJournal, http.StatusServiceUnavailable, "journal write failed", http.StatusServiceUnavailable},
+		}, http.StatusServiceUnavailable, "journal write failed", http.StatusServiceUnavailable},
 		{"drain after durable", func(s *Server, _ string) {
 			// Drain wins the race in the window between the submit
 			// record's fsync and the push.
@@ -80,42 +78,35 @@ func TestIntakeRefusalNeutralizes(t *testing.T) {
 					s.beginShutdown()
 				}
 			}
-		}, refusedDraining, http.StatusServiceUnavailable, "draining: not accepting new jobs", http.StatusServiceUnavailable},
+		}, http.StatusServiceUnavailable, "draining: not accepting new jobs", http.StatusServiceUnavailable},
 		{"queue full", func(s *Server, _ string) {
 			s.queue.mu.Lock()
 			s.queue.cap = 0
 			s.queue.mu.Unlock()
-		}, refusedQueueFull, http.StatusTooManyRequests, "job queue full", http.StatusServiceUnavailable},
+		}, http.StatusTooManyRequests, "job queue full", http.StatusServiceUnavailable},
 		{"quarantined", func(s *Server, id string) {
 			s.mu.Lock()
 			s.failCount[id] = s.opts.QuarantineAfter
 			s.mu.Unlock()
-		}, refusedQuarantined, http.StatusUnprocessableEntity, "job quarantined", http.StatusNotFound},
+		}, http.StatusUnprocessableEntity, "job quarantined", http.StatusNotFound},
 		{"disk low", func(s *Server, _ string) {
 			s.diskCritical.Store(true)
-		}, refusedDiskLow, http.StatusServiceUnavailable, "disk critically low", http.StatusServiceUnavailable},
+		}, http.StatusServiceUnavailable, "disk critically low", http.StatusServiceUnavailable},
 	}
-	// Each entry reports the refusal it saw: as a value where the adapter
-	// returns one, as an HTTP answer where it has a client.
+	// Each entry reports the HTTP answer its client saw; nil when the
+	// entry checked the answer itself.
 	entries := []struct {
 		name string
-		run  func(*testing.T, *Server, *submission, []byte, fault) (*refusal, *httptest.ResponseRecorder)
+		run  func(*testing.T, *Server, *submission, []byte, fault) *httptest.ResponseRecorder
 	}{
-		{"submit", func(t *testing.T, s *Server, sub *submission, raw []byte, _ fault) (*refusal, *httptest.ResponseRecorder) {
+		{"submit", func(t *testing.T, s *Server, sub *submission, raw []byte, _ fault) *httptest.ResponseRecorder {
 			r := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(raw))
 			r.Header.Set(cluster.HeaderForwarded, "b") // loop guard: accept here, do not proxy
 			w := httptest.NewRecorder()
 			s.ServeHTTP(w, r)
-			return nil, w
+			return w
 		}},
-		{"steal-adopt", func(t *testing.T, s *Server, sub *submission, raw []byte, _ fault) (*refusal, *httptest.ResponseRecorder) {
-			ref := s.adoptStolen(&cluster.StolenJob{ID: sub.id, Request: raw}, cluster.Member{ID: "b"})
-			if ref == nil {
-				t.Fatal("adoption was not refused")
-			}
-			return ref, nil
-		}},
-		{"promote", func(t *testing.T, s *Server, sub *submission, raw []byte, f fault) (*refusal, *httptest.ResponseRecorder) {
+		{"promote", func(t *testing.T, s *Server, sub *submission, raw []byte, f fault) *httptest.ResponseRecorder {
 			s.cl.mu.Lock()
 			s.cl.forwarded[sub.id] = sub
 			s.cl.mu.Unlock()
@@ -128,13 +119,13 @@ func TestIntakeRefusalNeutralizes(t *testing.T) {
 				t.Errorf("refused promote answered %d, want %d", w.Code, f.promoteStatus)
 			}
 			if f.promoteStatus == http.StatusNotFound {
-				return nil, nil // the refusal itself is not relayed
+				return nil // the refusal itself is not relayed
 			}
 			if w.Header().Get("Retry-After") == "" {
 				t.Error("refused promote answered without Retry-After")
 			}
 			w.Code = 0 // checked above; differs from the submitter's status by design
-			return nil, w
+			return w
 		}},
 	}
 	for _, f := range faults {
@@ -153,11 +144,7 @@ func TestIntakeRefusalNeutralizes(t *testing.T) {
 					t.Fatal(err)
 				}
 				f.arm(s, sub.id)
-				ref, w := e.run(t, s, &sub, raw, f)
-				if ref != nil && ref.kind != f.kind {
-					t.Errorf("refusal kind %d, want %d", ref.kind, f.kind)
-				}
-				if w != nil {
+				if w := e.run(t, s, &sub, raw, f); w != nil {
 					if w.Code != 0 && w.Code != f.status {
 						t.Errorf("HTTP %d, want %d", w.Code, f.status)
 					}

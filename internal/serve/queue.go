@@ -5,7 +5,7 @@ import "sync"
 // jobQueue is the bounded FIFO run queue behind the worker pool. Push
 // refuses at cap — the submit path turns that into a 429 — while
 // ForcePush ignores the cap for work the daemon already owes an answer
-// for (journal replays, reclaimed steals).
+// for (journal replays).
 //
 // After Close, Pop keeps draining whatever is queued (mirroring a
 // closed buffered channel, which the drain path relied on) and reports
@@ -28,9 +28,8 @@ func newJobQueue(capacity int) *jobQueue {
 func (q *jobQueue) Push(j *job) bool { return q.push(j, false) }
 
 // ForcePush appends j regardless of capacity — for jobs that MUST be
-// queued (journal replay, a stolen job reclaimed from a dead thief):
-// an accepted job is never dropped because the queue happens to be
-// full. Only a closed queue refuses.
+// queued (journal replay): an accepted job is never dropped because
+// the queue happens to be full. Only a closed queue refuses.
 func (q *jobQueue) ForcePush(j *job) bool { return q.push(j, true) }
 
 func (q *jobQueue) push(j *job, force bool) bool {
@@ -55,27 +54,10 @@ func (q *jobQueue) Pop() (*job, bool) {
 		}
 		q.cond.Wait()
 	}
-	return q.takeLocked(), true
-}
-
-// TryPop takes the oldest job without blocking — the work-stealing
-// surface; nil when the queue is empty.
-func (q *jobQueue) TryPop() *job {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.jobs) == 0 {
-		return nil
-	}
-	return q.takeLocked()
-}
-
-// takeLocked removes and returns the head; q.mu must be held and the
-// queue non-empty.
-func (q *jobQueue) takeLocked() *job {
 	j := q.jobs[0]
 	q.jobs[0] = nil // release the reference for GC
 	q.jobs = q.jobs[1:]
-	return j
+	return j, true
 }
 
 // Close wakes every blocked Pop; queued jobs continue to drain.

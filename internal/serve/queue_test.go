@@ -56,17 +56,3 @@ func TestQueueDrainsAfterClose(t *testing.T) {
 		t.Fatal("pop reported ok on a closed empty queue")
 	}
 }
-
-func TestQueueTryPopTakesOldest(t *testing.T) {
-	q := newJobQueue(8)
-	q.Push(qjob("a"))
-	q.Push(qjob("b"))
-	for _, want := range []string{"a", "b"} {
-		if j := q.TryPop(); j == nil || j.id != want {
-			t.Fatalf("TryPop = %+v, want job %s", j, want)
-		}
-	}
-	if j := q.TryPop(); j != nil {
-		t.Fatalf("TryPop on empty queue = %+v, want nil", j)
-	}
-}

@@ -1,7 +1,6 @@
 package serve_test
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -154,89 +153,6 @@ func TestSingleflightAndCacheHit(t *testing.T) {
 	st2, _ := submit(t, ts.URL, inline)
 	if st2.ID != st.ID {
 		t.Fatalf("inline combo spelling minted a new job:\n  %s\n  %s", st.ID, st2.ID)
-	}
-}
-
-// TestSSEProgressBeforeCompletion: epoch events stream while the job is
-// still running — every epoch event must be received before the job's
-// FinishedAt timestamp — and the stream ends with a done event.
-func TestSSEProgressBeforeCompletion(t *testing.T) {
-	_, ts := newTestServer(t, serve.Options{Workers: 1})
-	cfg := tinyConfig()
-	cfg.Cycles = 2_000_000 // 20 epochs, so the stream outlives subscription
-	req := serve.JobRequest{Config: &cfg, Design: "Baseline", Combo: serve.ComboSpec{ID: "C1"}}
-
-	st, code := submit(t, ts.URL, req)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: %d", code)
-	}
-
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("events content type %q", ct)
-	}
-
-	var (
-		epochEvents int
-		firstEpoch  time.Time
-		doneStatus  *serve.JobStatus
-	)
-	sc := bufio.NewScanner(resp.Body)
-	event := ""
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data := strings.TrimPrefix(line, "data: ")
-			switch event {
-			case "epoch":
-				epochEvents++
-				if firstEpoch.IsZero() {
-					firstEpoch = time.Now()
-				}
-				if doneStatus != nil {
-					t.Fatal("epoch event after done event")
-				}
-				var e system.EpochSample
-				if err := json.Unmarshal([]byte(data), &e); err != nil {
-					t.Fatalf("bad epoch payload: %v", err)
-				}
-			case "done":
-				var d serve.JobStatus
-				if err := json.Unmarshal([]byte(data), &d); err != nil {
-					t.Fatalf("bad done payload: %v", err)
-				}
-				doneStatus = &d
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if epochEvents == 0 {
-		t.Fatal("no epoch events streamed")
-	}
-	if doneStatus == nil {
-		t.Fatal("stream ended without a done event")
-	}
-	if doneStatus.State != serve.StateDone {
-		t.Fatalf("done event state %q", doneStatus.State)
-	}
-	if doneStatus.Epochs != epochEvents {
-		t.Fatalf("streamed %d epoch events, done reports %d epochs", epochEvents, doneStatus.Epochs)
-	}
-	if len(doneStatus.Result) != 0 {
-		t.Fatal("done SSE event carries the result; results belong to GET")
-	}
-	if !firstEpoch.Before(doneStatus.FinishedAt) {
-		t.Fatalf("first epoch event at %v, after job finished at %v — progress did not arrive before completion",
-			firstEpoch, doneStatus.FinishedAt)
 	}
 }
 

@@ -70,9 +70,9 @@ type Options struct {
 	// Cluster, when set, joins this daemon to a static peer group:
 	// content-addressed job IDs route to their rendezvous-hash owner,
 	// non-owners proxy submissions and polls (filling their local cache
-	// from peer responses), idle peers steal queued work from saturated
-	// owners, and a front whose owner dies promotes forwarded jobs into
-	// its own journal-backed queue. Nil runs the daemon standalone.
+	// from peer responses), and a front whose owner dies promotes
+	// forwarded jobs into its own journal-backed queue. Nil runs the
+	// daemon standalone.
 	Cluster *cluster.Config
 
 	// MaxJournalBytes triggers live journal compaction: when the
@@ -250,7 +250,6 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/telemetry", s.handleTelemetry)
 	s.mux.HandleFunc("GET /v1/designs", s.handleDesigns)
 	s.mux.HandleFunc("GET /v1/combos", s.handleCombos)
@@ -277,8 +276,8 @@ func New(opts Options) (*Server, error) {
 		s.wmStop = make(chan struct{})
 		go s.watermarkLoop()
 	}
-	// The cluster loops start last: the stealer feeds intake, so the
-	// workers must exist before any peer can hand this daemon work.
+	// The cluster joins last: a promoted job feeds intake, so the workers
+	// must exist before any peer traffic arrives.
 	if opts.Cluster != nil {
 		if err := s.initCluster(opts.Cluster); err != nil {
 			s.Close()
@@ -836,7 +835,7 @@ func (s *Server) runJob(j *job) {
 
 	lastEpoch := time.Now()
 	hooks := system.Hooks{
-		OnEpoch: func(e system.EpochSample) {
+		OnEpoch: func(system.EpochSample) {
 			if _, fired := faultinject.Hit(faultinject.PanicOnEpoch); fired {
 				panic("faultinject: panic-on-epoch")
 			}
@@ -846,9 +845,9 @@ func (s *Server) runJob(j *job) {
 			s.m.epochSeconds.Observe(now.Sub(lastEpoch).Seconds())
 			lastEpoch = now
 			s.m.epochsStreamed.Add(1)
-			j.publishEpoch(e)
+			j.countEpoch()
 		},
-		OnTelemetry: j.publishTelemetry,
+		OnTelemetry: j.telem.Append,
 	}
 	runSpan := obs.StartSpan("run")
 	res, err, panicked := s.simulate(ctx, j, hooks)
@@ -895,7 +894,7 @@ func (s *Server) runJob(j *job) {
 	s.terminate(j, StateRunning, state, errMsg, result)
 	if state == StateDone {
 		j.mu.Lock()
-		epochs := len(j.epochs)
+		epochs := j.epochs
 		j.mu.Unlock()
 		s.logj(j.id, "done", "elapsed", elapsed.Round(time.Millisecond), "epochs", epochs)
 	}
@@ -983,21 +982,6 @@ func (s *Server) SimulationsStarted() int64 { return s.m.enqueued.Load() }
 // re-enqueued — the daemon logs it, and chaos tests assert on it.
 func (s *Server) ReplayedJobs() int64 { return s.m.replayed.Load() }
 
-// handleEvents streams SSE: one `epoch` event per sample (backlog
-// first, then live), then a single `done` event carrying the terminal
-// status. The stream ends when the job finishes or the client goes
-// away.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		httpError(w, http.StatusNotFound, "no such job")
-		return
-	}
-	streamSSE(w, r, j, "epoch", &j.epochSubs, func() []system.EpochSample {
-		return append([]system.EpochSample(nil), j.epochs...)
-	})
-}
-
 // TelemetrySnapshot is the GET /v1/jobs/{id}/telemetry JSON payload: the
 // job's retained telemetry points plus how many older ones the bounded
 // ring overwrote.
@@ -1008,24 +992,16 @@ type TelemetrySnapshot struct {
 	Points  []obs.EpochPoint `json:"points"`
 }
 
-// handleTelemetry serves a job's epoch telemetry. Default is a JSON
-// snapshot of the ring; ?format=csv renders the same points as the CSV
-// artifact hydrosim -telemetry writes; ?stream=1 (or an Accept header
-// asking for text/event-stream) streams SSE — one `point` event per
-// telemetry point, ring backlog first, then live points as epochs
-// complete, then a single `done` event.
+// handleTelemetry serves a job's epoch telemetry: a JSON snapshot of
+// the ring, or with ?format=csv the same points as the CSV artifact
+// hydrosim -telemetry writes. Progress is read by polling it.
 func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
 		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	q := r.URL.Query()
-	if q.Get("stream") != "" || strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
-		streamSSE(w, r, j, "point", &j.telemSubs, j.telem.Snapshot)
-		return
-	}
-	if q.Get("format") == "csv" {
+	if r.URL.Query().Get("format") == "csv" {
 		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
 		_ = obs.WriteCSV(w, j.telem.Snapshot())
 		return
@@ -1039,69 +1015,6 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		Dropped: j.telem.Dropped(),
 		Points:  j.telem.Snapshot(),
 	})
-}
-
-// streamSSE streams one of a job's topics as server-sent events: one
-// event named event per value (the backlog first, then live values as
-// they are published), then a single `done` event carrying the
-// terminal status. The stream ends when the job finishes or the client
-// goes away.
-func streamSSE[T any](w http.ResponseWriter, r *http.Request, j *job, event string, t *topic[T], backlog func() []T) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusNotImplemented, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-
-	// 256 buffered values ride out a slow client for a few hundred
-	// epochs; past that publish drops rather than stall the simulation.
-	ch := make(chan T, 256)
-	past, terminal := t.subscribe(j, ch, backlog)
-	defer t.unsubscribe(j, ch)
-
-	writeEvent := func(event string, v any) bool {
-		data, err := json.Marshal(v)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data); err != nil {
-			return false
-		}
-		flusher.Flush()
-		return true
-	}
-	writeDone := func() {
-		st := j.snapshot()
-		st.Result = nil // results are fetched via GET, not pushed over SSE
-		writeEvent("done", st)
-	}
-
-	for _, v := range past {
-		if !writeEvent(event, v) {
-			return
-		}
-	}
-	if terminal {
-		writeDone()
-		return
-	}
-	for {
-		select {
-		case v, open := <-ch:
-			if !open {
-				writeDone()
-				return
-			}
-			if !writeEvent(event, v) {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
 }
 
 // --- small helpers ---

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/hydrogen-sim/hydrogen/internal/cluster"
 	"github.com/hydrogen-sim/hydrogen/internal/obs"
 	"github.com/hydrogen-sim/hydrogen/internal/serve"
 	"github.com/hydrogen-sim/hydrogen/internal/system"
@@ -175,10 +177,11 @@ func TestTraceHeaderIgnored(t *testing.T) {
 	}
 }
 
-// TestTracePlaneRoutesGone: a daemon serves no trace lookup, federated
-// cluster view or trace listing, even for a job submitted with a
-// sampled X-Hydro-Trace header.
-func TestTracePlaneRoutesGone(t *testing.T) {
+// TestRemovedRoutesGone: a daemon serves no trace lookup, federated
+// cluster view, trace listing or per-job event stream, even for a job
+// submitted with a sampled X-Hydro-Trace header, and a cluster member
+// takes no steal request.
+func TestRemovedRoutesGone(t *testing.T) {
 	_, ts := newTestServer(t, serve.Options{Workers: 1})
 	cfg := tinyConfig()
 	req := serve.JobRequest{Config: &cfg, Design: "Hydrogen", Combo: serve.ComboSpec{ID: "C1"}}
@@ -186,8 +189,9 @@ func TestTracePlaneRoutesGone(t *testing.T) {
 	if _, code := submitWithHeaders(t, ts.URL, req, map[string]string{obs.HeaderTrace: trace.Header()}); code != http.StatusAccepted {
 		t.Fatalf("traced submit: HTTP %d, want 202", code)
 	}
-	waitState(t, ts.URL, jobKey(t, req), serve.StateDone)
-	for _, path := range []string{"/v1/traces/" + trace.TraceID, "/v1/clusterz", "/debug/tracez"} {
+	key := jobKey(t, req)
+	waitState(t, ts.URL, key, serve.StateDone)
+	for _, path := range []string{"/v1/traces/" + trace.TraceID, "/v1/clusterz", "/debug/tracez", "/v1/jobs/" + key + "/events"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -197,11 +201,26 @@ func TestTracePlaneRoutesGone(t *testing.T) {
 			t.Errorf("GET %s: HTTP %d, want 404", path, resp.StatusCode)
 		}
 	}
+
+	tc := newTestCluster(t, 2, nil)
+	hreq, err := http.NewRequest(http.MethodPost, tc.urls[0]+"/v1/steal", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq.Header.Set(cluster.HeaderForwarded, tc.ids[1])
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/steal on a cluster member: HTTP %d, want 404", resp.StatusCode)
+	}
 }
 
-// TestTelemetrySSE streams a finished job's telemetry: the ring backlog
-// replays as `point` events, then a single `done` event closes the
-// stream.
+// TestTelemetrySSE: a request for the telemetry stream, by ?stream=1 or
+// by Accept: text/event-stream, gets the same bytes as the plain JSON
+// snapshot.
 func TestTelemetrySSE(t *testing.T) {
 	_, ts := newTestServer(t, serve.Options{Workers: 1})
 
@@ -213,58 +232,42 @@ func TestTelemetrySSE(t *testing.T) {
 	})
 	waitState(t, ts.URL, st.ID, serve.StateDone)
 
-	var snap serve.TelemetrySnapshot
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/telemetry")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	resp, err = http.Get(ts.URL + "/v1/jobs/" + st.ID + "/telemetry?stream=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	points, gotDone := 0, false
-	var event string
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data := strings.TrimPrefix(line, "data: ")
-			switch event {
-			case "point":
-				var p obs.EpochPoint
-				if err := json.Unmarshal([]byte(data), &p); err != nil {
-					t.Fatalf("bad point payload: %v", err)
-				}
-				points++
-			case "done":
-				var fin serve.JobStatus
-				if err := json.Unmarshal([]byte(data), &fin); err != nil {
-					t.Fatalf("bad done payload: %v", err)
-				}
-				if fin.State != serve.StateDone || fin.Result != nil {
-					t.Fatalf("done event state=%s result=%v", fin.State, fin.Result != nil)
-				}
-				gotDone = true
-			}
+	get := func(query, accept string) ([]byte, string) {
+		t.Helper()
+		hreq, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/jobs/"+st.ID+"/telemetry"+query, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if accept != "" {
+			hreq.Header.Set("Accept", accept)
+		}
+		resp, err := http.DefaultClient.Do(hreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET telemetry%s: HTTP %d", query, resp.StatusCode)
+		}
+		return body, resp.Header.Get("Content-Type")
 	}
-	if !gotDone {
-		t.Fatal("stream ended without a done event")
+	snap, _ := get("", "")
+	var ts0 serve.TelemetrySnapshot
+	if err := json.Unmarshal(snap, &ts0); err != nil || len(ts0.Points) == 0 {
+		t.Fatalf("snapshot: %d points, err %v", len(ts0.Points), err)
 	}
-	if points != len(snap.Points) {
-		t.Fatalf("streamed %d points, snapshot holds %d", points, len(snap.Points))
+	for _, c := range []struct{ query, accept string }{{"?stream=1", ""}, {"", "text/event-stream"}} {
+		body, ct := get(c.query, c.accept)
+		if ct != "application/json" {
+			t.Errorf("query %q accept %q: Content-Type %q, want application/json", c.query, c.accept, ct)
+		}
+		if !bytes.Equal(body, snap) {
+			t.Errorf("query %q accept %q: body differs from the JSON snapshot", c.query, c.accept)
+		}
 	}
 }
 

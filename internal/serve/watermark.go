@@ -70,7 +70,6 @@ func (s *Server) checkDisk() {
 		// rather than refuse work on a probe failure.
 		return
 	}
-	s.diskFree.Store(free)
 	switch {
 	case free < low:
 		if !s.diskCritical.Swap(true) {
@@ -87,6 +86,9 @@ func (s *Server) checkDisk() {
 			s.logf("disk watermark: pruned %d spill files under pressure", n)
 		}
 	}
+	// The gauge is the tick's last write: a reader that sees it has
+	// changed also sees the flag and the prune counter this tick set.
+	s.diskFree.Store(free)
 }
 
 // checkJournalSize triggers a live compaction once the journal outgrows

@@ -159,7 +159,7 @@ func RunDesign(cfg Config, design string, combo workloads.Combo) (Results, error
 
 // RunDesignContext is RunDesign with cooperative cancellation and an
 // optional per-epoch progress callback (nil for none) — the hooks the
-// serving layer threads down to stream live progress and abandon
+// serving layer threads down to count live progress and abandon
 // canceled jobs. Neither hook perturbs the simulation.
 func RunDesignContext(ctx context.Context, cfg Config, design string, combo workloads.Combo, onEpoch func(EpochSample)) (Results, error) {
 	return RunDesignObserved(ctx, cfg, design, combo, Hooks{OnEpoch: onEpoch})
@@ -169,7 +169,7 @@ func RunDesignContext(ctx context.Context, cfg Config, design string, combo work
 // fields are optional; every hook runs on the simulation goroutine
 // between epochs and observes without perturbing results.
 type Hooks struct {
-	// OnEpoch receives every epoch's IPC sample (progress streaming).
+	// OnEpoch receives every epoch's IPC sample (progress reporting).
 	OnEpoch func(EpochSample)
 	// OnTelemetry receives every epoch's full telemetry point: the
 	// (cap, bw, tok) trajectory, token-faucet and migration activity,

@@ -43,7 +43,7 @@ i=1
 for port in "$p1" "$p2" "$p3"; do
     "$workdir/hydroserved" -addr "127.0.0.1:$port" -workers 2 \
         -journal "$workdir/n$i.wal" -self "n$i" -peers "$peers" \
-        -peer-probe 250ms -steal-interval -1s \
+        -peer-probe 250ms \
         >"$workdir/n$i.out" 2>"$workdir/n$i.log" &
     pids="$pids $!"
     eval "cpid$i=$!"

@@ -40,7 +40,7 @@ start_member() {
     _i=$1; _port=$2
     "$workdir/hydroserved" -addr "127.0.0.1:$_port" -workers 2 \
         -journal "$workdir/n$_i.wal" -self "n$_i" -peers "$peers" \
-        -peer-probe 250ms -steal-interval 250ms \
+        -peer-probe 250ms \
         >"$workdir/n$_i.out" 2>"$workdir/n$_i.log" &
     pids="$pids $!"
     eval "pid$_i=$!"
@@ -190,9 +190,7 @@ printf '%s\n' "$metrics" | "$workdir/promcheck" || { echo "metrics exposition ma
 for series in hydro_cluster_peers hydro_cluster_peers_alive \
     hydro_cluster_proxied_submits_total hydro_cluster_proxied_gets_total \
     hydro_cluster_peer_fills_total hydro_cluster_failovers_total \
-    hydro_cluster_promoted_jobs_total hydro_cluster_steals_total \
-    hydro_cluster_stolen_total hydro_cluster_steal_returns_total \
-    hydro_cluster_probe_errors_total; do
+    hydro_cluster_promoted_jobs_total hydro_cluster_probe_errors_total; do
     printf '%s\n' "$metrics" | grep -q "^$series " \
         || { echo "series $series missing from $front's exposition"; exit 1; }
 done
