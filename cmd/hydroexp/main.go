@@ -5,12 +5,17 @@
 //	hydroexp [flags] <experiment> [<experiment>...]
 //
 // Experiments: table1 table2 fig2a fig2b fig2c fig2d fig5a fig5b fig6
-// fig7a fig7b fig8 fig9a fig9b fig10a fig10b fig11 all
+// counters fig7a fig7b fig8 fig9a fig9b fig10a fig10b fig11 all
+//
+// counters is a third view of the fig5a runs beside fig5a and fig6: one
+// row of raw counters (hit rates, tier traffic, migrations, latencies,
+// energy) per combo and design. It is not part of all.
 //
 // Examples:
 //
 //	hydroexp fig5a                      # main comparison, quick scale
 //	hydroexp -combos C1,C5 -csv fig5a   # two combos, CSV output
+//	hydroexp -q -combos C5 counters     # per-run counters, all seven designs
 //	hydroexp -paper all                 # full-scale everything (slow)
 //	hydroexp -server http://:8077 fig5a # run against a hydroserved daemon
 //	hydroexp -telemetry /tmp/telem fig8 # dump per-run epoch telemetry CSVs
@@ -19,6 +24,9 @@
 // daemon instead of running in-process, so repeated sweeps hit its
 // content-addressed result cache (ablation runs that need bespoke
 // policy factories still execute locally).
+//
+// Exit codes: 0 success, 1 experiment error (including an unknown
+// -combos ID), 2 usage error (bad flag, unknown experiment).
 package main
 
 import (
@@ -26,6 +34,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/debug"
 	"strings"
@@ -38,21 +47,31 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its environment injected, so the CLI is testable
+// in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hydroexp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		paper    = flag.Bool("paper", false, "use the full Table I scale (slow)")
-		cycles   = flag.Uint64("cycles", 0, "override simulated cycles per run")
-		combos   = flag.String("combos", "", "comma-separated combo subset (e.g. C1,C5)")
-		csv      = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		parallel = flag.Int("parallel", 0, "concurrent simulations; 0 = all CPUs, 1 = serial")
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		quiet    = flag.Bool("q", false, "suppress progress output")
-		server   = flag.String("server", "", "hydroserved base URL; named-design runs are submitted there")
-		telemDir = flag.String("telemetry", "", "directory for per-run epoch telemetry CSVs (local runs only)")
+		paper    = fs.Bool("paper", false, "use the full Table I scale (slow)")
+		cycles   = fs.Uint64("cycles", 0, "override simulated cycles per run")
+		combos   = fs.String("combos", "", "comma-separated combo subset (e.g. C1,C5)")
+		csv      = fs.Bool("csv", false, "emit CSV instead of aligned text")
+		parallel = fs.Int("parallel", 0, "concurrent simulations; 0 = all CPUs, 1 = serial")
+		seed     = fs.Int64("seed", 1, "simulation seed")
+		quiet    = fs.Bool("q", false, "suppress progress output")
+		server   = fs.String("server", "", "hydroserved base URL; named-design runs are submitted there")
+		telemDir = fs.String("telemetry", "", "directory for per-run epoch telemetry CSVs (local runs only)")
 	)
-	flag.Parse()
-	if flag.NArg() == 0 {
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() == 0 {
+		fs.Usage()
+		return 2
 	}
 	debug.SetGCPercent(800)
 
@@ -67,12 +86,12 @@ func main() {
 
 	opts := experiments.Options{Base: base, Parallel: *parallel}
 	if !*quiet {
-		opts.Progress = os.Stderr
+		opts.Progress = stderr
 	}
 	if *telemDir != "" {
 		if err := os.MkdirAll(*telemDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "hydroexp: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "hydroexp: %v\n", err)
+			return 1
 		}
 		opts.TelemetryDir = *telemDir
 	}
@@ -116,7 +135,7 @@ func main() {
 		return o
 	}
 
-	names := flag.Args()
+	names := fs.Args()
 	if len(names) == 1 && names[0] == "all" {
 		names = []string{"table1", "table2", "fig2a", "fig2b", "fig2c", "fig2d",
 			"fig5a", "fig5b", "fig6", "fig7a", "fig7b", "fig8", "fig9a", "fig9b",
@@ -125,14 +144,14 @@ func main() {
 
 	emit := func(t *experiments.Table) {
 		if *csv {
-			t.WriteCSV(os.Stdout)
+			t.WriteCSV(stdout)
 		} else {
-			t.WriteText(os.Stdout)
+			t.WriteText(stdout)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
-	// fig6 reuses the fig5a runs; cache them across requested experiments.
+	// fig6 and counters reuse the fig5a runs; cache them across requested experiments.
 	var fig5Cache *experiments.Fig5Result
 	fig5a := func() (*experiments.Fig5Result, error) {
 		if fig5Cache != nil {
@@ -170,7 +189,7 @@ func main() {
 			if r, err = fig5a(); err == nil {
 				emit(r.Table("Fig. 5(a): weighted speedup over baseline (HBM2E)"))
 				ratio, best := r.HydrogenVsBest()
-				fmt.Printf("Hydrogen vs best baseline (%s): %.3fx geomean\n\n", best, ratio)
+				fmt.Fprintf(stdout, "Hydrogen vs best baseline (%s): %.3fx geomean\n\n", best, ratio)
 			}
 		case "fig5b":
 			var r *experiments.Fig5Result
@@ -181,6 +200,11 @@ func main() {
 			var r *experiments.Fig5Result
 			if r, err = fig5a(); err == nil {
 				emit(r.Fig6Table())
+			}
+		case "counters":
+			var r *experiments.Fig5Result
+			if r, err = fig5a(); err == nil {
+				emit(r.CountersTable())
 			}
 		case "fig7a":
 			var m map[string]float64
@@ -196,7 +220,7 @@ func main() {
 			var r *experiments.Fig8Result
 			if r, err = experiments.Fig8(opts, "C5", experiments.Full); err == nil {
 				emit(r.Table())
-				fmt.Printf("Hydrogen reaches %.1f%% of the static optimum %s\n\n",
+				fmt.Fprintf(stdout, "Hydrogen reaches %.1f%% of the static optimum %s\n\n",
 					100*r.HydrogenVsOptimal(), r.Best().Point)
 			}
 		case "fig9a":
@@ -225,12 +249,13 @@ func main() {
 				emit(experiments.Fig11Table(rows))
 			}
 		default:
-			fmt.Fprintf(os.Stderr, "hydroexp: unknown experiment %q\n", name)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "hydroexp: unknown experiment %q\n", name)
+			return 2
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hydroexp: %s: %v\n", name, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "hydroexp: %s: %v\n", name, err)
+			return 1
 		}
 	}
+	return 0
 }

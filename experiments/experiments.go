@@ -106,17 +106,21 @@ func DefaultOptions() Options {
 	return Options{Base: system.Quick()}
 }
 
-func (o *Options) combos() []workloads.Combo {
+// combos resolves Options.Combos; an unknown ID is an error, so a typo
+// fails the experiment before any simulation starts.
+func (o *Options) combos() ([]workloads.Combo, error) {
 	if len(o.Combos) == 0 {
-		return workloads.Combos
+		return workloads.Combos, nil
 	}
-	var out []workloads.Combo
-	for _, id := range o.Combos {
-		if c, err := workloads.ComboByID(id); err == nil {
-			out = append(out, c)
+	out := make([]workloads.Combo, len(o.Combos))
+	for i, id := range o.Combos {
+		c, err := workloads.ComboByID(id)
+		if err != nil {
+			return nil, err
 		}
+		out[i] = c
 	}
-	return out
+	return out, nil
 }
 
 // progressMu serializes progress output: experiment workers log from

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -123,6 +124,41 @@ func TestFig5Smoke(t *testing.T) {
 	// HAShCache normalized to itself must be 1.
 	if energy.Rows[0][1] != "1.000" {
 		t.Fatalf("HAShCache self-normalization = %s", energy.Rows[0][1])
+	}
+	// So does the counters view: one row per design.
+	counters := r.CountersTable()
+	if len(counters.Rows) != 7 {
+		t.Fatalf("counters rows %d, want 7", len(counters.Rows))
+	}
+	col := map[string]int{}
+	for i, c := range counters.Columns {
+		col[c] = i
+	}
+	for _, row := range counters.Rows {
+		if len(row) != len(counters.Columns) {
+			t.Fatalf("row %v has %d cells for %d columns", row[:2], len(row), len(counters.Columns))
+		}
+		h := r.Raw[row[0]][row[1]].Hybrid
+		cpu, _ := strconv.ParseUint(row[col["migr_cpu"]], 10, 64)
+		gpu, _ := strconv.ParseUint(row[col["migr_gpu"]], 10, 64)
+		if cpu != h.Migrations[0] || gpu != h.Migrations[1] {
+			t.Fatalf("%s %s migrations cells %d+%d, want %d+%d",
+				row[0], row[1], cpu, gpu, h.Migrations[0], h.Migrations[1])
+		}
+	}
+}
+
+// TestUnknownComboIsAnError: a typo in Options.Combos fails the
+// experiment up front instead of silently running fewer combos.
+func TestUnknownComboIsAnError(t *testing.T) {
+	o := tinyOptions()
+	o.Combos = []string{"C1", "c5"}
+	r, err := Fig5(o, false)
+	if err == nil {
+		t.Fatalf("Fig5 accepted an unknown combo; ran %v", r.Combos)
+	}
+	if !strings.Contains(err.Error(), "c5") {
+		t.Fatalf("error %q does not name the unknown combo", err)
 	}
 }
 

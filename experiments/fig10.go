@@ -80,7 +80,10 @@ func Fig10b(o Options, counts []int) ([]Fig10bRow, error) {
 	if len(counts) == 0 {
 		counts = []int{4, 8, 16}
 	}
-	combos := o.combos()
+	combos, err := o.combos()
+	if err != nil {
+		return nil, err
+	}
 	type pair struct{ hydro, prof float64 }
 	pairs, err := mapOrdered(o.parallelism(), len(counts)*len(combos), func(k int) (pair, error) {
 		n, combo := counts[k/len(combos)], combos[k%len(combos)]

@@ -39,7 +39,10 @@ func Fig11(o Options, configs []Fig11Config) ([]Fig11Row, error) {
 	if len(configs) == 0 {
 		configs = DefaultFig11Configs()
 	}
-	combos := o.combos()
+	combos, err := o.combos()
+	if err != nil {
+		return nil, err
+	}
 	wCPU, wGPU := weightsOf(o.Base)
 
 	sps, err := mapOrdered(o.parallelism(), len(configs)*len(combos), func(k int) ([3]float64, error) {

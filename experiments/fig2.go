@@ -41,7 +41,10 @@ type Fig2aRow struct {
 // running them together compared to running each alone" on the
 // unpartitioned baseline.
 func Fig2a(o Options) ([]Fig2aRow, error) {
-	combos := o.combos()
+	combos, err := o.combos()
+	if err != nil {
+		return nil, err
+	}
 	return mapOrdered(o.parallelism(), len(combos), func(i int) (Fig2aRow, error) {
 		c := combos[i]
 		ca, ga, tog, err := aloneAndTogether(&o, o.Base, system.DesignBaseline, c)

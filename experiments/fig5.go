@@ -36,7 +36,10 @@ func Fig5(o Options, hbm3 bool) (*Fig5Result, error) {
 		wCPU, wGPU = 12, 1
 	}
 
-	combos := o.combos()
+	combos, err := o.combos()
+	if err != nil {
+		return nil, err
+	}
 	designs := system.Designs()
 	res := &Fig5Result{
 		Designs: designs,
@@ -127,6 +130,48 @@ func (f *Fig5Result) Table(title string) *Table {
 		gm = append(gm, fmt.Sprintf("%.3f", f.GeomeanBy(d)))
 	}
 	t.Rows = append(t.Rows, gm)
+	return t
+}
+
+// CountersTable lists the raw counters behind the Fig. 5 runs, one row
+// per (combo, design): IPCs, fast-tier hit rates and tier traffic,
+// demand misses, migration outcomes, writebacks and swaps, remap-cache
+// behavior, average memory latency and the energy split. Percentages
+// are of the source's demand accesses; energy is in millijoules.
+func (f *Fig5Result) CountersTable() *Table {
+	t := &Table{
+		Title: fmt.Sprintf("Per-run counters of the Fig. 5 runs (weighted IPC at %g:%g)", f.WCPU, f.WGPU),
+		Columns: []string{"combo", "design", "cpu_ipc", "gpu_ipc", "weighted_ipc",
+			"fast_hit_cpu_%", "fast_hit_gpu_%", "fast_reads", "fast_writes",
+			"slow_reads", "slow_writes", "demand_miss_cpu", "demand_miss_gpu",
+			"migr_cpu", "migr_gpu", "bypassed", "no_victim", "queue_full",
+			"writebacks", "swaps", "misplaced", "remap_hit_%", "remap_misses",
+			"lat_cpu_cyc", "lat_gpu_cyc",
+			"energy_mj", "fast_dyn_mj", "fast_static_mj", "slow_dyn_mj", "slow_static_mj"},
+	}
+	u := func(v uint64) string { return fmt.Sprintf("%d", v) }
+	for _, c := range f.Combos {
+		for _, d := range f.Designs {
+			r := f.Raw[c][d]
+			h := r.Hybrid
+			remapHit := 100 * float64(h.RemapHits) / float64(max(h.RemapHits+h.RemapMisses, 1))
+			t.Add(c, d,
+				fmt.Sprintf("%.3f", r.CPUIPC), fmt.Sprintf("%.3f", r.GPUIPC),
+				fmt.Sprintf("%.3f", r.WeightedIPC(f.WCPU, f.WGPU)),
+				fmt.Sprintf("%.1f", 100*h.HitRate(0)), fmt.Sprintf("%.1f", 100*h.HitRate(1)),
+				u(r.Fast.Reads), u(r.Fast.Writes), u(r.Slow.Reads), u(r.Slow.Writes),
+				u(h.SlowDemandReads[0]), u(h.SlowDemandReads[1]),
+				u(h.Migrations[0]), u(h.Migrations[1]),
+				u(h.Bypasses[0]+h.Bypasses[1]), u(h.NoVictim[0]+h.NoVictim[1]),
+				u(h.FillQueueFull[0]+h.FillQueueFull[1]),
+				u(h.Writebacks[0]+h.Writebacks[1]), u(h.Swaps), u(h.Misplaced),
+				fmt.Sprintf("%.1f", remapHit), u(h.RemapMisses),
+				fmt.Sprintf("%.0f", h.AvgLatency(0)), fmt.Sprintf("%.0f", h.AvgLatency(1)),
+				fmt.Sprintf("%.2f", r.TotalEnergyPJ()/1e9),
+				fmt.Sprintf("%.2f", r.FastDynamicPJ/1e9), fmt.Sprintf("%.2f", r.FastStaticPJ/1e9),
+				fmt.Sprintf("%.2f", r.SlowDynamicPJ/1e9), fmt.Sprintf("%.2f", r.SlowStaticPJ/1e9))
+		}
+	}
 	return t
 }
 

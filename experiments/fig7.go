@@ -31,7 +31,10 @@ func runHydrogenVariant(o *Options, base system.Config, opts system.HydrogenOpti
 // variantGeomean evaluates a set of Hydrogen option variants over the
 // option's combos and returns geomean weighted speedups by variant name.
 func variantGeomean(o Options, variants map[string]system.HydrogenOptions) (map[string]float64, error) {
-	combos := o.combos()
+	combos, err := o.combos()
+	if err != nil {
+		return nil, err
+	}
 	wCPU, wGPU := weightsOf(o.Base)
 
 	names := sortedKeys(variants)
@@ -114,7 +117,10 @@ func Fig7b(o Options) (map[string]float64, error) {
 	}
 
 	// Offline exhaustive oracle over a coarse static grid.
-	combos := o.combos()
+	combos, err := o.combos()
+	if err != nil {
+		return nil, err
+	}
 	wCPU, wGPU := weightsOf(o.Base)
 	var xs []float64
 	for _, combo := range combos {

@@ -37,7 +37,10 @@ func Fig9Phase(o Options, factors []float64) ([]Fig9Row, error) {
 		factors = []float64{0.25, 0.5, 1, 2}
 	}
 	wCPU, wGPU := weightsOf(o.Base)
-	combos := o.combos()
+	combos, err := o.combos()
+	if err != nil {
+		return nil, err
+	}
 	speedups, err := mapOrdered(o.parallelism(), len(factors)*len(combos), func(k int) (float64, error) {
 		f, combo := factors[k/len(combos)], combos[k%len(combos)]
 		phaseEpochs := uint64(50 * f)
@@ -63,7 +66,10 @@ func Fig9Phase(o Options, factors []float64) ([]Fig9Row, error) {
 
 func fig9sweep(o Options, factors []float64, label string, mutate func(*system.Config, float64)) ([]Fig9Row, error) {
 	wCPU, wGPU := weightsOf(o.Base)
-	combos := o.combos()
+	combos, err := o.combos()
+	if err != nil {
+		return nil, err
+	}
 	speedups, err := mapOrdered(o.parallelism(), len(factors)*len(combos), func(k int) (float64, error) {
 		f, combo := factors[k/len(combos)], combos[k%len(combos)]
 		cfg := o.Base

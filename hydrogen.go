@@ -13,7 +13,12 @@
 //	fmt.Println(hydrogen.WeightedSpeedup(h, base, 12, 1))
 //
 // The experiments package regenerates every table and figure of the
-// paper; the cmd/hydroexp tool is its CLI.
+// paper; the cmd/hydroexp tool is its CLI, and `hydroexp counters`
+// prints the per-run counters (hit rates, migrations, latencies,
+// energy) of the Fig. 5 runs. Flat mode (Config.Hybrid.Mode) and the
+// IPC weights are Config fields that Run honours. A workload assignment
+// outside Table II is Config.CPUProfiles and GPUProfile with NewSystem,
+// or an inline combo in a job sent to a hydroserved daemon.
 //
 // Simulations are deterministic for their seed: each runs on one
 // serial event engine, so parallelism comes from running many
@@ -22,13 +27,9 @@
 package hydrogen
 
 import (
-	"context"
-
 	"github.com/hydrogen-sim/hydrogen/experiments"
 	"github.com/hydrogen-sim/hydrogen/internal/memory/hybrid"
-	"github.com/hydrogen-sim/hydrogen/internal/obs"
 	"github.com/hydrogen-sim/hydrogen/internal/system"
-	"github.com/hydrogen-sim/hydrogen/internal/trace"
 	"github.com/hydrogen-sim/hydrogen/internal/workloads"
 )
 
@@ -51,19 +52,6 @@ type (
 	System = system.System
 	// Combo is one Table II workload combination.
 	Combo = workloads.Combo
-	// TraceGenerator yields memory operations; trace.Reader (file
-	// replay) and the synthetic generators implement it.
-	TraceGenerator = trace.Generator
-	// HybridMode selects the fast-tier organization (Config.Hybrid.Mode).
-	HybridMode = hybrid.Mode
-	// TelemetryPoint is one epoch's full telemetry: IPCs, the Hydrogen
-	// (cap, bw, tok) operating point, token-faucet and migration
-	// activity, and fast/slow channel utilization — the signal the
-	// paper's Figures 8-11 visualize.
-	TelemetryPoint = obs.EpochPoint
-	// RunHooks bundles the optional observation callbacks of
-	// RunObserved (per-epoch progress and telemetry).
-	RunHooks = system.Hooks
 )
 
 // Fast-tier organization modes (Section II-A): ModeCache treats the
@@ -74,7 +62,7 @@ const (
 	ModeFlat  = hybrid.ModeFlat
 )
 
-// Design names accepted by Run and ApplyDesign (the Fig. 5 designs).
+// Design names accepted by Run (the Fig. 5 designs).
 const (
 	DesignBaseline        = system.DesignBaseline
 	DesignHAShCache       = system.DesignHAShCache
@@ -83,9 +71,6 @@ const (
 	DesignHydrogenDP      = system.DesignHydrogenDP
 	DesignHydrogenDPToken = system.DesignHydrogenDPToken
 	DesignHydrogen        = system.DesignHydrogen
-	// DesignSetPart is the decoupled set-partitioning extension
-	// (paper Section IV-F), not part of the Fig. 5 lineup.
-	DesignSetPart = system.DesignSetPart
 )
 
 // QuickConfig returns the scaled-down default configuration: Table I
@@ -129,46 +114,6 @@ func Run(cfg Config, design, comboID string) (Results, error) {
 	return system.RunDesign(cfg, design, combo)
 }
 
-// RunWithProgress is Run with cooperative cancellation and a live
-// per-epoch callback: onEpoch (nil for none) receives every epoch
-// sample as it is taken, and ctx is polled at epoch boundaries so a
-// canceled run stops early with partial results and ctx.Err(). A
-// context deadline behaves the same way — the run returns
-// context.DeadlineExceeded at the first epoch boundary past the
-// deadline, which is how hydroserved enforces per-job timeouts. The
-// hooks observe the simulation without perturbing it, so results are
-// bit-identical to Run's. cmd/hydroserved uses this to stream progress
-// events for queued jobs.
-func RunWithProgress(ctx context.Context, cfg Config, design, comboID string, onEpoch func(EpochSample)) (Results, error) {
-	combo, err := workloads.ComboByID(comboID)
-	if err != nil {
-		return Results{}, err
-	}
-	return system.RunDesignContext(ctx, cfg, design, combo, onEpoch)
-}
-
-// RunObserved is RunWithProgress with the full observation hook set:
-// alongside the per-epoch IPC sample, hooks.OnTelemetry receives every
-// epoch's TelemetryPoint — the knob trajectory and contention counters
-// behind Figs. 8-11. `hydrosim -telemetry` uses this to dump CSV/JSON
-// telemetry artifacts; hydroserved streams the same points over
-// GET /v1/jobs/{id}/telemetry. The hooks observe without perturbing, so
-// results stay bit-identical to Run's.
-func RunObserved(ctx context.Context, cfg Config, design, comboID string, hooks RunHooks) (Results, error) {
-	combo, err := workloads.ComboByID(comboID)
-	if err != nil {
-		return Results{}, err
-	}
-	return system.RunDesignObserved(ctx, cfg, design, combo, hooks)
-}
-
-// ApplyDesign resolves a design name to its policy factory, applying any
-// structural config changes the design needs (e.g. HAShCache's
-// direct-mapped organization). Use with NewSystem for custom workloads.
-func ApplyDesign(cfg *Config, design string) (PolicyFactory, error) {
-	return system.ApplyDesign(cfg, design)
-}
-
 // HydrogenFactory builds a Hydrogen policy factory with specific
 // mechanisms enabled — the hook for ablations beyond the stock designs.
 func HydrogenFactory(o HydrogenOptions) PolicyFactory { return system.HydrogenFactory(o) }
@@ -183,11 +128,4 @@ func NewSystem(cfg Config, factory PolicyFactory) (*System, error) {
 // with the given IPC weights — the paper's end metric.
 func WeightedSpeedup(r, baseline Results, wCPU, wGPU float64) float64 {
 	return experiments.WeightedSpeedup(r, baseline, wCPU, wGPU)
-}
-
-// NewSystemWithTraces wires a machine driven by explicit trace
-// generators (e.g. files written by cmd/tracegen, opened with
-// trace.NewReader); core and subslice counts follow the slice lengths.
-func NewSystemWithTraces(cfg Config, factory PolicyFactory, cpuGens, gpuGens []TraceGenerator) (*System, error) {
-	return system.NewWithGenerators(cfg, factory, cpuGens, gpuGens)
 }

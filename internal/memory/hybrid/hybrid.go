@@ -243,9 +243,8 @@ type Controller struct {
 
 	// Optional policy capabilities, asserted once at construction so the
 	// access path pays no per-request type switches.
-	setMapper SetMapper
-	lazy      Lazy
-	swapper   Swapper
+	lazy    Lazy
+	swapper Swapper
 
 	numSets       uint64
 	linesPerBlock uint64
@@ -363,7 +362,6 @@ func New(eng *sim.Engine, cfg Config, fast, slow *dram.Tier, pol Policy) (*Contr
 	c.fastChDiv = bitmath.NewInt(len(fast.Channels))
 	c.slowChDiv = bitmath.NewInt(len(slow.Channels))
 	c.perWay = cfg.BlockBytes / uint64(cfg.GroupSize)
-	c.setMapper, _ = pol.(SetMapper)
 	c.lazy, _ = pol.(Lazy)
 	c.swapper, _ = pol.(Swapper)
 	c.viewBuf = make([]WayView, 0, cfg.Assoc)
@@ -471,9 +469,6 @@ func (c *Controller) Access(addr uint64, write bool, src dram.Source, done func(
 	c.stats.Demand[src]++
 	blk := addr >> c.blockShift
 	set := c.setDiv.Mod(blk)
-	if c.setMapper != nil {
-		set = c.setDiv.Mod(c.setMapper.SetOf(blk, src, c.numSets))
-	}
 	a := c.getAccess()
 	a.start = c.eng.Now()
 	a.blk = blk

@@ -81,14 +81,6 @@ type Lazy interface {
 	Misplaced(set uint64, w int, view WayView) bool
 }
 
-// SetMapper is implemented by set-partitioning policies (the decoupled
-// set-partitioning design of Section IV-F): it overrides the default
-// blk %% numSets placement so CPU and GPU data land in disjoint set
-// ranges, the hardware analog of OS page coloring.
-type SetMapper interface {
-	SetOf(blk uint64, src dram.Source, numSets uint64) uint64
-}
-
 // EpochMetrics is the feedback adaptive policies receive once per
 // sampling epoch.
 type EpochMetrics struct {

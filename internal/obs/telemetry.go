@@ -15,7 +15,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -208,30 +207,6 @@ func writeRow(w io.Writer, fields []string) error {
 }
 
 func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-
-// WriteJSON renders points as a JSON array artifact.
-func WriteJSON(w io.Writer, points []EpochPoint) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(points)
-}
-
-// FormatKind classifies a telemetry artifact path by extension.
-func FormatKind(path string) string {
-	if len(path) > 5 && path[len(path)-5:] == ".json" {
-		return "json"
-	}
-	return "csv"
-}
-
-// WriteFileFormat writes points to w in the format FormatKind selects
-// for path ("json" or "csv").
-func WriteFileFormat(w io.Writer, path string, points []EpochPoint) error {
-	if FormatKind(path) == "json" {
-		return WriteJSON(w, points)
-	}
-	return WriteCSV(w, points)
-}
 
 // String renders a compact one-line summary for logs.
 func (p EpochPoint) String() string {

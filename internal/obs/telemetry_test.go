@@ -3,7 +3,6 @@ package obs
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -181,35 +180,5 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if rows != len(pts) {
 		t.Fatalf("wrote %d rows, want %d", rows, len(pts))
-	}
-}
-
-func TestWriteJSONRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	pts := []EpochPoint{point(3), point(4)}
-	if err := WriteJSON(&buf, pts); err != nil {
-		t.Fatal(err)
-	}
-	var back []EpochPoint
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 2 || back[0] != pts[0] || back[1] != pts[1] {
-		t.Fatalf("round trip mismatch: %+v", back)
-	}
-}
-
-func TestFormatKind(t *testing.T) {
-	cases := map[string]string{
-		"telem.csv":    "csv",
-		"telem.json":   "json",
-		"telem":        "csv",
-		".json":        "csv", // bare extension, no stem
-		"a/b/run.json": "json",
-	}
-	for path, want := range cases {
-		if got := FormatKind(path); got != want {
-			t.Errorf("FormatKind(%q) = %q, want %q", path, got, want)
-		}
 	}
 }

@@ -993,8 +993,8 @@ type TelemetrySnapshot struct {
 }
 
 // handleTelemetry serves a job's epoch telemetry: a JSON snapshot of
-// the ring, or with ?format=csv the same points as the CSV artifact
-// hydrosim -telemetry writes. Progress is read by polling it.
+// the ring, or with ?format=csv the same points in the CSV format
+// `hydroexp -telemetry DIR` writes. Progress is read by polling it.
 func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {

@@ -27,6 +27,7 @@ func TestHostileSubmissions(t *testing.T) {
 		{"missing design", `{"combo":"C1"}`},
 		{"empty design", `{"design":"","combo":"C1"}`},
 		{"unknown design", `{"design":"NoSuchDesign","combo":"C1"}`},
+		{"removed design SetPart", `{"design":"SetPart","combo":"C1"}`},
 		{"unknown combo", `{"design":"Baseline","combo":"C99"}`},
 		{"combo wrong type", `{"design":"Baseline","combo":42}`},
 		{"combo null bytes", "{\"design\":\"Baseline\",\"combo\":\"C1\\u0000\"}"},

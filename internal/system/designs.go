@@ -25,10 +25,6 @@ const (
 	DesignHydrogenDP      = "Hydrogen-DP"
 	DesignHydrogenDPToken = "Hydrogen-DP+Token"
 	DesignHydrogen        = "Hydrogen"
-
-	// DesignSetPart is the decoupled set-partitioning sketch of
-	// Section IV-F — an extension beyond the paper's evaluated designs.
-	DesignSetPart = "SetPart"
 )
 
 // Designs lists the Fig. 5 designs in presentation order.
@@ -111,11 +107,6 @@ func ApplyDesign(cfg *Config, design string) (PolicyFactory, error) {
 	case DesignWayPart:
 		return func(env PolicyEnv) (hybrid.Policy, error) {
 			return policy.NewWayPart(env.Groups, env.Assoc), nil
-		}, nil
-
-	case DesignSetPart:
-		return func(env PolicyEnv) (hybrid.Policy, error) {
-			return policy.NewSetPart(env.Groups, env.Assoc, env.NumSets), nil
 		}, nil
 
 	case DesignProfess:

@@ -153,7 +153,7 @@ func scaleOr1(s float64) float64 {
 	return s
 }
 
-// Canonical returns cfg with the runtime defaults build() applies
+// Canonical returns cfg with the runtime defaults New applies
 // filled in explicitly (the 12:1 IPC weights and the 250k-cycle
 // sampling epoch). Two configs with equal canonical forms simulate
 // identically; the serve layer hashes this form to derive stable
@@ -248,26 +248,6 @@ func New(cfg Config, factory PolicyFactory) (*System, error) {
 	if cfg.Cores > 0 && len(cfg.CPUProfiles) != cfg.Cores {
 		return nil, fmt.Errorf("system: %d cores but %d CPU profiles", cfg.Cores, len(cfg.CPUProfiles))
 	}
-	return build(cfg, factory, nil, nil)
-}
-
-// NewWithGenerators wires a machine from explicit trace generators
-// (e.g. trace.Reader instances replaying files written by tracegen).
-// cfg.Cores/GPU.Subslices are taken from the slice lengths; the
-// profile-name fields are ignored.
-func NewWithGenerators(cfg Config, factory PolicyFactory, cpuGens, gpuGens []trace.Generator) (*System, error) {
-	if len(cpuGens) == 0 && len(gpuGens) == 0 {
-		return nil, fmt.Errorf("system: no trace generators given (need at least one CPU or GPU stream)")
-	}
-	cfg.Cores = len(cpuGens)
-	if len(gpuGens) > 0 {
-		cfg.GPU.Subslices = len(gpuGens)
-		cfg.GPUProfile = "" // explicit generators take precedence
-	}
-	return build(cfg, factory, cpuGens, gpuGens)
-}
-
-func build(cfg Config, factory PolicyFactory, cpuGens, gpuGens []trace.Generator) (*System, error) {
 	cfg = Canonical(cfg)
 
 	eng := sim.New()
@@ -314,23 +294,16 @@ func build(cfg Config, factory PolicyFactory, cpuGens, gpuGens []trace.Generator
 		fastCap = cfg.Hybrid.FastCapacityBytes
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		var gen trace.Generator
-		if i < len(cpuGens) {
-			gen = cpuGens[i]
-		} else {
-			params, err := workloads.CPUProfile(cfg.CPUProfiles[i], fastCap)
-			if err != nil {
-				return nil, err
-			}
-			synth := trace.NewCPU(params, alloc(params.Footprint), cfg.Seed+int64(i)*7919)
-			gen = trace.NewPaged(synth, cfg.Seed+int64(i)*15013+1)
+		params, err := workloads.CPUProfile(cfg.CPUProfiles[i], fastCap)
+		if err != nil {
+			return nil, err
 		}
+		synth := trace.NewCPU(params, alloc(params.Footprint), cfg.Seed+int64(i)*7919)
+		gen := trace.NewPaged(synth, cfg.Seed+int64(i)*15013+1)
 		s.cores = append(s.cores, cpu.New(eng, cfg.CPU, i, gen, llc, ctl))
 	}
 
-	if len(gpuGens) > 0 {
-		s.gpu = gpu.New(eng, cfg.GPU, gpuGens, llc, ctl)
-	} else if cfg.GPUProfile != "" {
+	if cfg.GPUProfile != "" {
 		total, err := workloads.GPUProfile(cfg.GPUProfile, fastCap)
 		if err != nil {
 			return nil, err

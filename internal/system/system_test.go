@@ -138,16 +138,6 @@ func TestConfigMismatchRejected(t *testing.T) {
 	}
 }
 
-func TestSetPartDesignRuns(t *testing.T) {
-	r := run(t, tiny(), DesignSetPart, "C1")
-	if r.CPUIPC <= 0 || r.GPUIPC <= 0 {
-		t.Fatalf("SetPart made no progress: cpu=%.3f gpu=%.3f", r.CPUIPC, r.GPUIPC)
-	}
-	if r.Hybrid.FastHits[0] == 0 || r.Hybrid.FastHits[1] == 0 {
-		t.Fatalf("SetPart starved a side of fast-tier hits: %+v", r.Hybrid.FastHits)
-	}
-}
-
 func TestProfileScaleDecoupledFromCapacity(t *testing.T) {
 	// The Fig. 2(c) knob: shrinking the fast tier must not shrink the
 	// workloads when ProfileScaleBytes pins the original scale.

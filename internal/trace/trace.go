@@ -191,7 +191,7 @@ func (g *GPUGen) Next() (Op, bool) {
 }
 
 // Limit wraps a generator and ends the stream after n operations; used
-// to bound file exports and tests.
+// to bound finite streams in tests.
 type Limit struct {
 	G Generator
 	N uint64

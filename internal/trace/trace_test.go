@@ -1,11 +1,6 @@
 package trace
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func cpuParams() CPUParams {
 	return CPUParams{
@@ -150,125 +145,5 @@ func TestLimit(t *testing.T) {
 	}
 	if n != 5 {
 		t.Fatalf("limit yielded %d ops, want 5", n)
-	}
-}
-
-func TestFileRoundTrip(t *testing.T) {
-	ops := Slice(NewCPU(cpuParams(), 1<<28, 11), 5000)
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range ops {
-		if err := w.Write(op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Count() != 5000 {
-		t.Fatalf("writer count %d", w.Count())
-	}
-
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range ops {
-		got, ok := r.Next()
-		if !ok {
-			t.Fatalf("stream ended at op %d: %v", i, r.Err())
-		}
-		if got != want {
-			t.Fatalf("op %d: got %+v want %+v", i, got, want)
-		}
-	}
-	if _, ok := r.Next(); ok {
-		t.Fatal("reader yielded more ops than written")
-	}
-	if err := r.Err(); err != nil {
-		t.Fatalf("clean EOF reported error %v", err)
-	}
-}
-
-func TestFileCompression(t *testing.T) {
-	// A streaming trace should encode in well under 8 bytes/op.
-	g := NewGPU(GPUParams{Region: 1 << 20, MeanGap: 10}, 0, 1)
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	const n = 10000
-	for i := 0; i < n; i++ {
-		op, _ := g.Next()
-		if err := w.Write(op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Flush()
-	if perOp := float64(buf.Len()) / n; perOp > 6 {
-		t.Fatalf("%.1f bytes/op, want <= 6 for a streaming trace", perOp)
-	}
-}
-
-func TestReaderRejectsBadMagic(t *testing.T) {
-	if _, err := NewReader(strings.NewReader("NOTATRACE")); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-}
-
-func TestReaderTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	w.Write(Op{Gap: 3, Addr: 128})
-	w.Flush()
-	data := buf.Bytes()[:buf.Len()-1] // chop the flags byte
-	r, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r.Next(); ok {
-		t.Fatal("truncated record decoded")
-	}
-	if r.Err() == nil {
-		t.Fatal("truncation not reported")
-	}
-}
-
-// Property: any op sequence survives a file round trip.
-func TestPropertyFileRoundTrip(t *testing.T) {
-	f := func(gaps []uint16, addrs []uint32, writes []bool) bool {
-		n := len(gaps)
-		if len(addrs) < n {
-			n = len(addrs)
-		}
-		ops := make([]Op, n)
-		for i := 0; i < n; i++ {
-			ops[i] = Op{Gap: uint32(gaps[i]), Addr: uint64(addrs[i]) &^ 63,
-				Write: i < len(writes) && writes[i]}
-		}
-		var buf bytes.Buffer
-		w, _ := NewWriter(&buf)
-		for _, op := range ops {
-			if w.Write(op) != nil {
-				return false
-			}
-		}
-		w.Flush()
-		r, err := NewReader(&buf)
-		if err != nil {
-			return false
-		}
-		for _, want := range ops {
-			got, ok := r.Next()
-			if !ok || got != want {
-				return false
-			}
-		}
-		_, ok := r.Next()
-		return !ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,6 +1,6 @@
 #!/bin/sh
-# epoch_plot.sh — render a telemetry CSV (hydrosim -telemetry, hydroexp
-# -telemetry, or GET /v1/jobs/{id}/telemetry?format=csv) as the
+# epoch_plot.sh — render a telemetry CSV (one file of hydroexp
+# -telemetry DIR, or GET /v1/jobs/{id}/telemetry?format=csv) as the
 # knob-trajectory table behind the paper's Figs. 8-11: one row per epoch
 # where the (cap, bw, tok) operating point moved, plus the first and
 # last epochs, followed by a convergence summary line.
