@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 lint chaos cluster bench
+.PHONY: all tier1 lint bench
 
 all: tier1
 
@@ -19,15 +19,6 @@ lint:
 	else \
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
-
-# Crash-safety smoke: SIGKILL mid-job + journal replay + quarantine.
-chaos:
-	./scripts/chaos_smoke.sh
-
-# Cluster smoke: 3-member peer tier under -race — dedup, failover on
-# owner kill -9, metrics well-formedness.
-cluster:
-	./scripts/cluster_smoke.sh
 
 # The repository benchmark (BENCHMARK.json): all five workloads; see
 # bench/README.md for single workloads, -check-repeat and -spread.

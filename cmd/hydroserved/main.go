@@ -176,8 +176,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "hydroserved: %v\n", err)
 		return 1
 	}
-	// The parseable listen line is the contract scripts/serve_smoke.sh
-	// and the drain test rely on; keep its format stable.
+	// The parseable listen line is the contract TestSIGTERMDrainsRunningJobs
+	// and TestSIGKILLReplay read the address from; keep its format stable.
 	fmt.Fprintf(stdout, "hydroserved: listening on %s\n", ln.Addr())
 
 	if *debugAddr != "" {

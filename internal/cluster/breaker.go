@@ -13,7 +13,7 @@ const (
 )
 
 // BreakerConfig tunes the per-peer circuit breakers; zero fields take
-// the Config.withDefaults values.
+// NewBreaker's defaults (10 / 3 / 0.5 / 5s).
 type BreakerConfig struct {
 	// Window is the sliding count of recent call outcomes judged.
 	Window int

@@ -56,21 +56,6 @@ type Config struct {
 	// front that promotes it. The field remains so callers that still
 	// set it compile.
 	StealInterval time.Duration
-
-	// BreakerWindow is the sliding outcome window the per-peer circuit
-	// breaker judges failure rate over; <=0 selects 10.
-	BreakerWindow int
-	// BreakerMinSamples is the minimum outcomes in the window before
-	// the breaker may open — one failed call is not a trend; <=0
-	// selects 3.
-	BreakerMinSamples int
-	// BreakerRatio is the failure fraction (0..1] at which the breaker
-	// opens; <=0 selects 0.5.
-	BreakerRatio float64
-	// BreakerOpenFor is how long an open breaker short-circuits calls
-	// before letting one probe request through (half-open); <=0
-	// selects 5s.
-	BreakerOpenFor time.Duration
 }
 
 // withDefaults fills the zero knobs.
@@ -91,18 +76,6 @@ func (c *Config) withDefaults() {
 	}
 	if c.ProxyTimeout <= 0 {
 		c.ProxyTimeout = 15 * time.Second
-	}
-	if c.BreakerWindow <= 0 {
-		c.BreakerWindow = 10
-	}
-	if c.BreakerMinSamples <= 0 {
-		c.BreakerMinSamples = 3
-	}
-	if c.BreakerRatio <= 0 {
-		c.BreakerRatio = 0.5
-	}
-	if c.BreakerOpenFor <= 0 {
-		c.BreakerOpenFor = 5 * time.Second
 	}
 }
 

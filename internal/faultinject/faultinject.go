@@ -1,24 +1,17 @@
 // Package faultinject provides explicitly armed failpoints for
 // crash-safety testing: named hooks compiled into the serving path
-// that do nothing unless armed, either programmatically (tests) or via
-// the HYDRO_FAILPOINTS environment variable (chaos scripts).
+// that do nothing unless a test arms them with Set.
 //
 // A failpoint is a (name, charges, arg) triple: each Hit consumes one
 // charge and reports whether the point fired, plus the configured
 // integer argument (e.g. a sleep duration in milliseconds for
-// slow-worker). The environment spec is comma-separated
-// "name=charges[:arg]" entries:
-//
-//	HYDRO_FAILPOINTS="panic-on-epoch=2,slow-worker=100:50" hydroserved ...
+// slow-worker).
 //
 // The disarmed fast path is one atomic load, so leaving the hooks in
 // production builds costs nothing measurable.
 package faultinject
 
 import (
-	"os"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -62,8 +55,6 @@ var (
 	armed atomic.Bool
 )
 
-func init() { FromEnv(os.Getenv("HYDRO_FAILPOINTS")) }
-
 // Set arms name to fire for the next n hits with the given argument.
 // n <= 0 disarms the point.
 func Set(name string, n, arg int) {
@@ -83,34 +74,6 @@ func Reset() {
 	defer mu.Unlock()
 	points = map[string]*point{}
 	armed.Store(false)
-}
-
-// FromEnv arms failpoints from a "name=charges[:arg],..." spec.
-// Malformed entries are ignored: fault injection must never be the
-// thing that breaks the daemon.
-func FromEnv(spec string) {
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		name, val, ok := strings.Cut(entry, "=")
-		if !ok || name == "" {
-			continue
-		}
-		cnt, argStr, _ := strings.Cut(val, ":")
-		n, err := strconv.Atoi(cnt)
-		if err != nil {
-			continue
-		}
-		arg := 0
-		if argStr != "" {
-			if arg, err = strconv.Atoi(argStr); err != nil {
-				continue
-			}
-		}
-		Set(name, n, arg)
-	}
 }
 
 // Hit consumes one charge of name. fired reports whether the point was

@@ -31,20 +31,6 @@ func TestSetZeroDisarms(t *testing.T) {
 	}
 }
 
-func TestFromEnvSpec(t *testing.T) {
-	defer Reset()
-	FromEnv("a=1, b=2:50 ,garbage,=5,c=x,d=1:y")
-	if !Armed("a") || !Armed("b") {
-		t.Fatal("well-formed entries not armed")
-	}
-	if Armed("garbage") || Armed("c") || Armed("d") || Armed("") {
-		t.Fatal("malformed entries armed a point")
-	}
-	if arg, fired := Hit("b"); !fired || arg != 50 {
-		t.Fatalf("b: fired=%v arg=%d, want fired arg=50", fired, arg)
-	}
-}
-
 func TestUnknownPointNeverFires(t *testing.T) {
 	defer Reset()
 	if _, fired := Hit("never-set"); fired {

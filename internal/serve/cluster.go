@@ -68,12 +68,7 @@ func (s *Server) initCluster(cfg *cluster.Config) error {
 		pc:        cluster.NewPeerClient(cfg.Self, cfg.ProxyTimeout, cfg.ProbeTimeout),
 		forwarded: make(map[string]*submission),
 	}
-	cl.breaker = cluster.NewBreaker(cluster.BreakerConfig{
-		Window:       cfg.BreakerWindow,
-		MinSamples:   cfg.BreakerMinSamples,
-		FailureRatio: cfg.BreakerRatio,
-		OpenFor:      cfg.BreakerOpenFor,
-	}, nil, func(peer string) {
+	cl.breaker = cluster.NewBreaker(cluster.BreakerConfig{}, nil, func(peer string) {
 		cl.cm.BreakerOpens.Add(1)
 		s.logf("cluster: circuit breaker opened for peer %s", peer)
 	})
@@ -87,7 +82,7 @@ func (s *Server) initCluster(cfg *cluster.Config) error {
 	s.cl = cl
 	s.mux.HandleFunc("GET /v1/peerz", s.handlePeerz)
 	// Every response names the daemon that produced it, so clients and
-	// smoke tests can tell which member of the tier they reached.
+	// tests can tell which member of the tier they reached.
 	inner := s.handler
 	s.handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(cluster.HeaderSelf, cfg.Self)

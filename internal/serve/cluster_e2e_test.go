@@ -16,6 +16,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -32,12 +33,51 @@ import (
 
 // testCluster is n hydroserved daemons wired into one peer group.
 // Listeners are reserved before the servers are built — every member
-// needs the full URL list up front.
+// needs the full URL list up front. Each member's handler sits behind
+// a gate, open unless a test shuts it.
 type testCluster struct {
 	ids     []string
 	urls    []string
 	servers []*serve.Server
 	https   []*httptest.Server
+	gates   []*gate
+}
+
+// gate holds every request to one member while shut, so a test can
+// turn the member into a listener that accepts and never answers —
+// what a SIGSTOPped process looks like from the other side.
+type gate struct {
+	mu   sync.Mutex
+	shut chan struct{} // non-nil while shut; closed to release
+}
+
+func (g *gate) close() {
+	g.mu.Lock()
+	if g.shut == nil {
+		g.shut = make(chan struct{})
+	}
+	g.mu.Unlock()
+}
+
+func (g *gate) open() {
+	g.mu.Lock()
+	if g.shut != nil {
+		close(g.shut)
+		g.shut = nil
+	}
+	g.mu.Unlock()
+}
+
+func (g *gate) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		g.mu.Lock()
+		shut := g.shut
+		g.mu.Unlock()
+		if shut != nil {
+			<-shut
+		}
+		h.ServeHTTP(w, r)
+	})
 }
 
 func newTestCluster(t *testing.T, n int, optsFn func(i int, o *serve.Options)) *testCluster {
@@ -73,10 +113,14 @@ func newTestCluster(t *testing.T, n int, optsFn func(i int, o *serve.Options)) *
 			t.Fatal(err)
 		}
 		tc.servers = append(tc.servers, srv)
-		tc.https[i].Config.Handler = srv
+		tc.gates = append(tc.gates, &gate{})
+		tc.https[i].Config.Handler = tc.gates[i].wrap(srv)
 		tc.https[i].Start()
 	}
 	t.Cleanup(func() {
+		for _, g := range tc.gates {
+			g.open() // a held request would stall Close forever
+		}
 		for i := range tc.servers {
 			tc.https[i].Close()
 			tc.servers[i].Close()
@@ -281,15 +325,18 @@ func TestClusterSingleSimulation(t *testing.T) {
 // TestClusterFailoverOwnerKill kills the owner mid-job (journal
 // detached without terminal records, listener closed — the in-process
 // kill -9) and asserts the front promotes the forwarded job into its
-// own journal-backed queue and finishes it, and that /readyz reports
-// the cluster degraded.
+// own journal-backed queue and finishes it, that the other survivor
+// serves the same bytes, and that /readyz reports the cluster degraded.
 func TestClusterFailoverOwnerKill(t *testing.T) {
 	tc := newTestCluster(t, 3, nil)
 	cfg := tinyConfig()
 	req := serve.JobRequest{Config: &cfg, Design: "Hydrogen", Combo: serve.ComboSpec{ID: "C2"}}
 	key := jobKey(t, req)
-	owner := tc.ownerIdx(t, key)
-	front := (owner + 1) % 3
+	// The front is ranked right below the owner, so the third member's
+	// GET chase (owner, then front) reaches the promoted job; a member
+	// ranked above the front stops at itself and answers 404.
+	rank := chash.RankStrings(key, tc.ids)
+	owner, front, other := slices.Index(tc.ids, rank[0]), slices.Index(tc.ids, rank[1]), slices.Index(tc.ids, rank[2])
 
 	// Hold the owner's worker for a while so the kill lands mid-job.
 	faultinject.Set(faultinject.SlowWorker, 1, 2000)
@@ -325,6 +372,9 @@ func TestClusterFailoverOwnerKill(t *testing.T) {
 	_, etag, _ := getRaw(t, tc.urls[front], key)
 	if etag != `"`+key+`"` {
 		t.Fatalf("failover ETag %q, want the content address", etag)
+	}
+	if st, etag, _ := getRaw(t, tc.urls[other], key); etag != `"`+key+`"` || !bytes.Equal(st.Result, final.Result) {
+		t.Fatalf("survivor %s: ETag %q, result equal %v; want the front's", tc.ids[other], etag, bytes.Equal(st.Result, final.Result))
 	}
 
 	// /readyz stays 200 but reports the dead peer.

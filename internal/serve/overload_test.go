@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hydrogen-sim/hydrogen/internal/cluster"
 	"github.com/hydrogen-sim/hydrogen/internal/faultinject"
 	"github.com/hydrogen-sim/hydrogen/internal/serve"
 )
@@ -106,53 +107,126 @@ func TestPriorityAndDeadlineIgnored(t *testing.T) {
 	}
 }
 
+// TestClusterBreakerTripsOnDeadPeer takes node 2 out of service two
+// ways — refused (crashed, listener closed) and hung (every request
+// held behind its gate, the SIGSTOPped-process case) — and requires
+// that the front keeps accepting every submission while its breaker
+// for node 2 trips open and short-circuits; a hung peer that comes
+// back closes the breaker again on the next half-open probe.
 func TestClusterBreakerTripsOnDeadPeer(t *testing.T) {
-	tc := newTestCluster(t, 3, nil)
-	cfg := tinyConfig()
-	mkReq := func(seed int64) serve.JobRequest {
-		c := cfg
-		c.Seed = seed
-		return serve.JobRequest{Config: &c, Design: "Hydrogen", Combo: serve.ComboSpec{ID: "C1"}}
+	const dead, front = 2, 0
+	for _, tt := range []struct {
+		name string
+		// stop takes node dead out of service and returns the function
+		// that brings it back, or nil when it stays down.
+		stop func(tc *testCluster) (resume func())
+	}{
+		{"refused", func(tc *testCluster) func() {
+			tc.servers[dead].Crash()
+			tc.https[dead].CloseClientConnections()
+			tc.https[dead].Close()
+			return nil
+		}},
+		{"hung", func(tc *testCluster) func() {
+			tc.gates[dead].close()
+			return tc.gates[dead].open
+		}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			tc := newTestCluster(t, 3, func(i int, o *serve.Options) {
+				o.Cluster.ProbeTimeout = 500 * time.Millisecond
+			})
+			cfg := tinyConfig()
+			// ownedByDead returns the next n jobs, from seed on, that
+			// rendezvous onto the dead node, so every submit through the
+			// front attempts (or short-circuits) the dead peer first.
+			seed := int64(0)
+			ownedByDead := func(n int) []serve.JobRequest {
+				var owned []serve.JobRequest
+				for len(owned) < n {
+					seed++
+					c := cfg
+					c.Seed = seed
+					r := serve.JobRequest{Config: &c, Design: "Hydrogen", Combo: serve.ComboSpec{ID: "C1"}}
+					if tc.ownerIdx(t, jobKey(t, r)) == dead {
+						owned = append(owned, r)
+					}
+				}
+				return owned
+			}
+			submitAll := func(reqs []serve.JobRequest) {
+				t.Helper()
+				for i, r := range reqs {
+					if _, code := submit(t, tc.urls[front], r); code != http.StatusAccepted && code != http.StatusOK {
+						t.Fatalf("submit %d with node %d down: HTTP %d, want 202/200", i, dead, code)
+					}
+				}
+			}
+
+			resume := tt.stop(tc)
+			waitPeerDown(t, tc.urls[front], tc.ids[dead])
+
+			// Every submit succeeds despite the dead owner: the first few
+			// burn a failed call each, then the breaker opens and the rest
+			// skip the wire entirely.
+			submitAll(ownedByDead(5))
+			if n := metric(t, tc.urls[front], "hydro_cluster_breaker_opens_total"); n != 1 {
+				t.Fatalf("breaker_opens_total = %d, want 1", n)
+			}
+			if n := metric(t, tc.urls[front], "hydro_cluster_breaker_short_circuits_total"); n < 1 {
+				t.Fatalf("breaker_short_circuits_total = %d, want >= 1", n)
+			}
+			if n := metric(t, tc.urls[front], "hydro_cluster_breakers_open"); n != 1 {
+				t.Fatalf("breakers_open gauge = %d, want 1", n)
+			}
+			// Node 1's breaker is untouched by node 2's death: peers isolate.
+			if n := metric(t, tc.urls[1], "hydro_cluster_breaker_opens_total"); n != 0 {
+				t.Fatalf("bystander breaker_opens_total = %d, want 0", n)
+			}
+			if resume == nil {
+				return
+			}
+
+			// Breaker state only advances on routed calls: keep submitting
+			// until the half-open probe (after the 5s open window) reaches
+			// the resumed peer and closes the breaker.
+			resume()
+			deadline := time.Now().Add(10 * time.Second)
+			for metric(t, tc.urls[front], "hydro_cluster_breakers_open") != 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("breaker still open 10s after the peer resumed")
+				}
+				submitAll(ownedByDead(1))
+				time.Sleep(250 * time.Millisecond)
+			}
+		})
 	}
+}
 
-	// Kill node 2 outright: journal detached, listener gone.
-	dead := 2
-	tc.servers[dead].Crash()
-	tc.https[dead].CloseClientConnections()
-	tc.https[dead].Close()
-	front := 0
-
-	// Collect jobs owned by the dead node so every submit through the
-	// front attempts (or short-circuits) the dead peer first.
-	var owned []serve.JobRequest
-	for seed := int64(1); len(owned) < 5; seed++ {
-		r := mkReq(seed)
-		if tc.ownerIdx(t, jobKey(t, r)) == dead {
-			owned = append(owned, r)
+// waitPeerDown polls base's /readyz until it reports peer id not alive.
+func waitPeerDown(t *testing.T, base, id string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(base + "/readyz")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// Every submit succeeds locally despite the dead owner: the first
-	// few burn a connection failure each, then the breaker opens and
-	// the rest skip the dial entirely.
-	for i, r := range owned {
-		_, code := submit(t, tc.urls[front], r)
-		if code != http.StatusAccepted && code != http.StatusOK {
-			t.Fatalf("submit %d with dead owner: HTTP %d, want 202/200", i, code)
+		var body struct {
+			Peers map[string]cluster.PeerView `json:"peers"`
 		}
-	}
-	if n := metric(t, tc.urls[front], "hydro_cluster_breaker_opens_total"); n != 1 {
-		t.Fatalf("breaker_opens_total = %d, want 1", n)
-	}
-	if n := metric(t, tc.urls[front], "hydro_cluster_breaker_short_circuits_total"); n < 1 {
-		t.Fatalf("breaker_short_circuits_total = %d, want >= 1", n)
-	}
-	if n := metric(t, tc.urls[front], "hydro_cluster_breakers_open"); n != 1 {
-		t.Fatalf("breakers_open gauge = %d, want 1", n)
-	}
-	// Node 1's breaker is untouched by node 2's death: peers isolate.
-	if n := metric(t, tc.urls[1], "hydro_cluster_breaker_opens_total"); n != 0 {
-		t.Fatalf("bystander breaker_opens_total = %d, want 0", n)
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := body.Peers[id]; ok && !v.Alive {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s/readyz never marked %s alive:false: %+v", base, id, body.Peers)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 

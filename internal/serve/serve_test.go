@@ -323,8 +323,12 @@ func TestBadSubmissions(t *testing.T) {
 func TestListingsAndMetrics(t *testing.T) {
 	_, ts := newTestServer(t, serve.Options{Workers: 1})
 	cfg := tinyConfig()
-	st, _ := submit(t, ts.URL, serve.JobRequest{Config: &cfg, Design: "Baseline", Combo: serve.ComboSpec{ID: "C1"}})
+	req := serve.JobRequest{Config: &cfg, Design: "Baseline", Combo: serve.ComboSpec{ID: "C1"}}
+	st, _ := submit(t, ts.URL, req)
 	waitState(t, ts.URL, st.ID, serve.StateDone)
+	if re, code := submit(t, ts.URL, req); code != http.StatusOK || !re.Cached {
+		t.Fatalf("resubmit: HTTP %d cached=%v, want 200 from the cache", code, re.Cached)
+	}
 
 	var designs []string
 	mustGetJSON(t, ts.URL+"/v1/designs", &designs)
@@ -358,8 +362,9 @@ func TestListingsAndMetrics(t *testing.T) {
 	}
 	text := buf.String()
 	for _, want := range []string{
-		"hydroserved_jobs_submitted_total 1",
+		"hydroserved_jobs_submitted_total 2",
 		"hydroserved_jobs_completed_total 1",
+		"hydroserved_cache_hits_total 1",
 		"hydroserved_cache_entries 1",
 		"# TYPE hydroserved_jobs_running gauge",
 	} {
