@@ -20,10 +20,9 @@
 //	hydroexp -server http://:8077 fig5a # run against a hydroserved daemon
 //	hydroexp -telemetry /tmp/telem fig8 # dump per-run epoch telemetry CSVs
 //
-// With -server, every named-design simulation is submitted to the
-// daemon instead of running in-process, so repeated sweeps hit its
-// content-addressed result cache (ablation runs that need bespoke
-// policy factories still execute locally).
+// With -server, every simulation is submitted to the daemon instead of
+// running in-process, so repeated sweeps hit its content-addressed
+// result cache.
 //
 // Exit codes: 0 success, 1 experiment error (including an unknown
 // -combos ID), 2 usage error (bad flag, unknown experiment).
@@ -63,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		parallel = fs.Int("parallel", 0, "concurrent simulations; 0 = all CPUs, 1 = serial")
 		seed     = fs.Int64("seed", 1, "simulation seed")
 		quiet    = fs.Bool("q", false, "suppress progress output")
-		server   = fs.String("server", "", "hydroserved base URL; named-design runs are submitted there")
+		server   = fs.String("server", "", "hydroserved base URL; every simulation is submitted there")
 		telemDir = fs.String("telemetry", "", "directory for per-run epoch telemetry CSVs (local runs only)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -97,11 +96,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *server != "" {
 		cl := client.New(*server)
-		opts.Runner = func(cfg system.Config, design string, combo workloads.Combo) (system.Results, error) {
+		opts.Runner = func(cfg system.Config, design system.DesignSpec, combo workloads.Combo) (system.Results, error) {
 			req := client.JobRequest{
-				Config: &cfg,
-				Design: design,
-				Combo:  client.ComboSpec{ID: combo.ID, CPU: combo.CPU, GPU: combo.GPU},
+				Config:   &cfg,
+				Design:   design.Policy,
+				Hydrogen: design.Options(),
+				Combo:    client.ComboSpec{ID: combo.ID, CPU: combo.CPU, GPU: combo.GPU},
 			}
 			for {
 				res, _, err := cl.Run(context.Background(), req)

@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"github.com/hydrogen-sim/hydrogen/experiments"
+	"github.com/hydrogen-sim/hydrogen/internal/serve"
 	"github.com/hydrogen-sim/hydrogen/internal/system"
 )
 
@@ -54,5 +57,47 @@ func TestUnknownExperimentIsUsageError(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "fig99") {
 		t.Fatalf("error does not name the experiment: %q", stderr.String())
+	}
+}
+
+// TestServerParity: the ablation and sensitivity figures print the same
+// tables run locally and through -server, so every one of their runs
+// (swap variants, ideal reconfiguration, the Fig. 8 fixed points, phase
+// and epoch lengths, IPC weights) reaches the daemon as its own spec;
+// and a second -server invocation is all cache hits.
+func TestServerParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs each figure's simulations locally and remotely")
+	}
+	figs := []string{"-q", "-cycles", "10000", "-combos", "C1", "fig7a", "fig7b", "fig8", "fig9a", "fig9b", "fig10a"}
+	exp := func(args ...string) string {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		if code := run(append(args, figs...), &stdout, &stderr); code != 0 {
+			t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
+		}
+		return stdout.String()
+	}
+	srv, err := serve.New(serve.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+
+	local := exp()
+	if remote := exp("-server", ts.URL); remote != local {
+		t.Fatalf("tables differ.\nlocal:\n%s\nremote:\n%s", local, remote)
+	}
+	// Fig. 8's fixed points alone are 63 distinct specs.
+	started := srv.SimulationsStarted()
+	if grid := len(experiments.StaticGrid(experiments.Full)); started < int64(grid) {
+		t.Fatalf("%d simulations reached the daemon, fewer than Fig. 8's %d points", started, grid)
+	}
+	if again := exp("-server", ts.URL); again != local {
+		t.Fatal("second -server run printed different tables")
+	}
+	if n := srv.SimulationsStarted(); n != started {
+		t.Fatalf("second -server run started %d simulations, want 0", n-started)
 	}
 }

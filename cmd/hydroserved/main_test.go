@@ -101,10 +101,12 @@ func TestSIGTERMDrainsRunningJobs(t *testing.T) {
 	addr := strings.TrimPrefix(line, prefix)
 
 	cl := client.New("http://" + addr)
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	// Generous, as in TestSIGKILLReplay: under -race the 2 M-cycle job
+	// takes tens of seconds, and the drain waits for all of it.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 
-	req := smallJob("Baseline", 10_000_000) // long enough to still be running at SIGTERM
+	req := smallJob("Baseline", 2_000_000) // 20 epochs; waitRunning returns after the first
 	st, err := cl.Submit(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +121,7 @@ func TestSIGTERMDrainsRunningJobs(t *testing.T) {
 		if code != 0 {
 			t.Fatalf("run() exited %d after SIGTERM", code)
 		}
-	case <-time.After(90 * time.Second):
+	case <-ctx.Done():
 		t.Fatal("daemon did not exit after SIGTERM")
 	}
 

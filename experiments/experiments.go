@@ -33,17 +33,15 @@ type Options struct {
 	Progress io.Writer     // optional live progress sink
 	Parallel int           // concurrent simulations; <=0 = all CPUs, 1 = serial
 
-	// Runner overrides how named-design simulations execute. nil runs
-	// in-process via system.RunDesign; `hydroexp -server` installs a
-	// hydroserved client here so sweep re-runs hit the daemon's
-	// content-addressed result cache. Runner must be safe for
-	// concurrent use. Runs that need a bespoke policy factory (the
-	// ablation variants of Figs. 7-9 and the pinned operating points of
-	// Fig. 8) always execute locally.
-	Runner func(cfg system.Config, design string, combo workloads.Combo) (system.Results, error)
+	// Runner overrides how simulations execute. nil runs them
+	// in-process; `hydroexp -server` installs a hydroserved client here
+	// so sweep re-runs hit the daemon's content-addressed result cache.
+	// Every simulation an experiment makes goes through it. Runner must
+	// be safe for concurrent use.
+	Runner func(cfg system.Config, design system.DesignSpec, combo workloads.Combo) (system.Results, error)
 
-	// TelemetryDir, when set, makes every locally executed named-design
-	// simulation dump its per-epoch telemetry to
+	// TelemetryDir, when set, makes every locally executed simulation
+	// dump its per-epoch telemetry to
 	// telemetry_<seq>_<design>_<combo>.csv in that directory — the raw
 	// material of the knob-trajectory views (Figs. 8-11). Runs routed
 	// through Runner (a remote daemon) are not captured; stream those via
@@ -54,23 +52,28 @@ type Options struct {
 // telemetrySeq numbers telemetry artifacts across concurrent runs.
 var telemetrySeq atomic.Int64
 
-// run executes one named-design simulation through the configured
-// Runner (or locally when none is set).
-func (o *Options) run(cfg system.Config, design string, combo workloads.Combo) (system.Results, error) {
+// named is the spec of one of the system.Designs() aliases.
+func named(design string) system.DesignSpec {
+	d, _ := system.ParseDesign(design, nil)
+	return d
+}
+
+// run executes one simulation through the configured Runner (or
+// locally when none is set).
+func (o *Options) run(cfg system.Config, design system.DesignSpec, combo workloads.Combo) (system.Results, error) {
 	if o.Runner != nil {
 		return o.Runner(cfg, design, combo)
 	}
-	if o.TelemetryDir == "" {
-		return system.RunDesign(cfg, design, combo)
-	}
+	var hooks system.Hooks
 	var points []obs.EpochPoint
-	res, err := system.RunDesignObserved(context.Background(), cfg, design, combo, system.Hooks{
-		OnTelemetry: func(p obs.EpochPoint) { points = append(points, p) },
-	})
-	if err != nil {
+	if o.TelemetryDir != "" {
+		hooks.OnTelemetry = func(p obs.EpochPoint) { points = append(points, p) }
+	}
+	res, err := system.RunDesignObserved(context.Background(), cfg, design, combo, hooks)
+	if err != nil || o.TelemetryDir == "" {
 		return res, err
 	}
-	name := fmt.Sprintf("telemetry_%03d_%s_%s.csv", telemetrySeq.Add(1), sanitize(design), sanitize(combo.ID))
+	name := fmt.Sprintf("telemetry_%03d_%s_%s.csv", telemetrySeq.Add(1), sanitize(design.String()), sanitize(combo.ID))
 	if werr := writeTelemetryCSV(filepath.Join(o.TelemetryDir, name), points); werr != nil {
 		o.logf("telemetry: %v", werr)
 	}

@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strconv"
 	"strings"
 	"testing"
 
 	"github.com/hydrogen-sim/hydrogen/internal/system"
+	"github.com/hydrogen-sim/hydrogen/internal/workloads"
 )
 
 // tinyOptions returns options that keep experiment tests fast: one
@@ -175,10 +177,31 @@ func TestStaticGrid(t *testing.T) {
 		if p.CPUWays < 1 || p.CPUWays > 3 {
 			t.Fatalf("cap out of range: %+v", p)
 		}
+		cfg := system.Quick()
+		if _, err := p.Spec().Apply(&cfg); err != nil {
+			t.Fatalf("%s fails spec validation: %v", p, err)
+		}
 	}
 	// 9 (cap,bw) combos x 7 tok levels.
 	if len(full) != 63 {
 		t.Fatalf("full grid has %d points, want 63", len(full))
+	}
+}
+
+// TestFig7bPointErrorFails: a grid point of the exhaustive oracle that
+// fails (a transient daemon error, say) fails Fig. 7(b) instead of
+// silently lowering the reported optimum.
+func TestFig7bPointErrorFails(t *testing.T) {
+	o := tinyOptions()
+	boom := errors.New("daemon unavailable")
+	o.Runner = func(cfg system.Config, d system.DesignSpec, c workloads.Combo) (system.Results, error) {
+		if d.Hydrogen.FixedPoint != nil && d.Hydrogen.FixedPoint[2] == 6 {
+			return system.Results{}, boom
+		}
+		return system.Results{CPUIPC: 1, GPUIPC: 1}, nil
+	}
+	if _, err := Fig7b(o); !errors.Is(err, boom) {
+		t.Fatalf("Fig7b err = %v, want the failing point's error", err)
 	}
 }
 

@@ -27,7 +27,7 @@ func Fig10a(o Options, comboID string, weights [][2]float64) ([]Fig10aRow, error
 		weights = [][2]float64{{1, 1}, {4, 1}, {12, 1}, {32, 1}}
 	}
 	// Alone runs are weight-independent.
-	cpuAlone, gpuAlone, _, err := aloneAndTogether(&o, o.Base, system.DesignBaseline, combo)
+	cpuAlone, gpuAlone, _, err := aloneAndTogether(&o, o.Base, combo)
 	if err != nil {
 		return nil, err
 	}
@@ -36,15 +36,10 @@ func Fig10a(o Options, comboID string, weights [][2]float64) ([]Fig10aRow, error
 		w := weights[i]
 		cfg := o.Base
 		cfg.WeightCPU, cfg.WeightGPU = w[0], w[1]
-		cfg.CPUProfiles = combo.CPUAssignment(cfg.Cores)
-		cfg.GPUProfile = combo.GPU
-		sys, err := system.New(cfg, system.HydrogenFactory(system.HydrogenOptions{
-			Tokens: true, TokIdx: 3, Climb: true,
-		}))
+		r, err := o.run(cfg, named(system.DesignHydrogen), combo)
 		if err != nil {
 			return Fig10aRow{}, err
 		}
-		r := sys.Run()
 		row := Fig10aRow{
 			WCPU: w[0], WGPU: w[1],
 			CPUSlowdown: safeDiv(cpuAlone.CPUIPC, r.CPUIPC),
@@ -90,15 +85,15 @@ func Fig10b(o Options, counts []int) ([]Fig10bRow, error) {
 		cfg := o.Base
 		cfg.Cores = n
 		cfg.WeightCPU, cfg.WeightGPU = 96/float64(n), 1
-		baseline, err := o.run(cfg, system.DesignBaseline, combo)
+		baseline, err := o.run(cfg, named(system.DesignBaseline), combo)
 		if err != nil {
 			return pair{}, err
 		}
-		h, err := o.run(cfg, system.DesignHydrogen, combo)
+		h, err := o.run(cfg, named(system.DesignHydrogen), combo)
 		if err != nil {
 			return pair{}, err
 		}
-		p, err := o.run(cfg, system.DesignProfess, combo)
+		p, err := o.run(cfg, named(system.DesignProfess), combo)
 		if err != nil {
 			return pair{}, err
 		}

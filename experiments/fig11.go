@@ -54,13 +54,13 @@ func Fig11(o Options, configs []Fig11Config) ([]Fig11Row, error) {
 		setBytes := fc.BlockBytes * uint64(fc.Assoc)
 		cfg.Hybrid.FastCapacityBytes = cfg.Hybrid.FastCapacityBytes / setBytes * setBytes
 
-		baseline, err := o.run(cfg, system.DesignBaseline, combo)
+		baseline, err := o.run(cfg, named(system.DesignBaseline), combo)
 		if err != nil {
 			return [3]float64{}, err
 		}
 		var sp [3]float64
 		for j, d := range []string{system.DesignHAShCache, system.DesignProfess, system.DesignHydrogen} {
-			r, err := o.run(cfg, d, combo)
+			r, err := o.run(cfg, named(d), combo)
 			if err != nil {
 				return sp, err
 			}

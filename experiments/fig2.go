@@ -8,10 +8,10 @@ import (
 )
 
 // aloneAndTogether runs a combo's CPU-alone, GPU-alone, and co-run
-// configurations under the given design. All three are named-design
-// runs (the alone runs just blank out the other processor's workload),
-// so they route through o.run and benefit from a remote Runner's cache.
-func aloneAndTogether(o *Options, base system.Config, design string, combo workloads.Combo) (cpuAlone, gpuAlone, together system.Results, err error) {
+// configurations under the baseline design (the alone runs just blank
+// out the other processor's workload).
+func aloneAndTogether(o *Options, base system.Config, combo workloads.Combo) (cpuAlone, gpuAlone, together system.Results, err error) {
+	design := named(system.DesignBaseline)
 	cpuOnly := combo
 	cpuOnly.GPU = ""
 	cpuAlone, err = o.run(base, design, cpuOnly)
@@ -47,7 +47,7 @@ func Fig2a(o Options) ([]Fig2aRow, error) {
 	}
 	return mapOrdered(o.parallelism(), len(combos), func(i int) (Fig2aRow, error) {
 		c := combos[i]
-		ca, ga, tog, err := aloneAndTogether(&o, o.Base, system.DesignBaseline, c)
+		ca, ga, tog, err := aloneAndTogether(&o, o.Base, c)
 		if err != nil {
 			return Fig2aRow{}, err
 		}
@@ -129,7 +129,7 @@ func Fig2Sensitivity(o Options, comboID string, knob SensitivityKnob, scales []f
 			}
 			cfg.Hybrid.FastCapacityBytes = cap / setBytes * setBytes
 		}
-		r, err := o.run(cfg, system.DesignBaseline, combo)
+		r, err := o.run(cfg, named(system.DesignBaseline), combo)
 		o.logf("fig2 %s: scale %.2f done", knob, sc)
 		return r, err
 	})

@@ -65,7 +65,7 @@ func Fig5(o Options, hbm3 bool) (*Fig5Result, error) {
 	}
 	raw, err := mapOrdered(o.parallelism(), len(list), func(i int) (system.Results, error) {
 		j := list[i]
-		r, err := o.run(base, j.design, j.combo)
+		r, err := o.run(base, named(j.design), j.combo)
 		if err != nil {
 			return r, err
 		}

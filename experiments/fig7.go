@@ -8,24 +8,15 @@ import (
 	"github.com/hydrogen-sim/hydrogen/internal/workloads"
 )
 
-// runHydrogenVariant runs one combo under a Hydrogen options variant and
-// the baseline, returning the weighted speedup. The baseline is a
-// named-design run and goes through o.run (cacheable against a serve
-// Runner); the variant needs a bespoke factory and always runs locally.
-func runHydrogenVariant(o *Options, base system.Config, opts system.HydrogenOptions, combo workloads.Combo, wCPU, wGPU float64) (float64, error) {
-	baseline, err := o.run(base, system.DesignBaseline, combo)
+// speedup runs one combo under design and the baseline on cfg and
+// returns the weighted speedup.
+func (o *Options) speedup(cfg system.Config, design system.DesignSpec, combo workloads.Combo, wCPU, wGPU float64) (float64, error) {
+	baseline, err := o.run(cfg, named(system.DesignBaseline), combo)
 	if err != nil {
 		return 0, err
 	}
-	cfg := base
-	cfg.CPUProfiles = combo.CPUAssignment(cfg.Cores)
-	cfg.GPUProfile = combo.GPU
-	sys, err := system.New(cfg, system.HydrogenFactory(opts))
-	if err != nil {
-		return 0, err
-	}
-	r := sys.Run()
-	return WeightedSpeedup(r, baseline, wCPU, wGPU), nil
+	r, err := o.run(cfg, design, combo)
+	return WeightedSpeedup(r, baseline, wCPU, wGPU), err
 }
 
 // variantGeomean evaluates a set of Hydrogen option variants over the
@@ -38,20 +29,10 @@ func variantGeomean(o Options, variants map[string]system.HydrogenOptions) (map[
 	wCPU, wGPU := weightsOf(o.Base)
 
 	names := sortedKeys(variants)
-	type job struct {
-		name  string
-		combo workloads.Combo
-	}
-	var list []job
-	for _, name := range names {
-		for _, combo := range combos {
-			list = append(list, job{name, combo})
-		}
-	}
-	speedups, err := mapOrdered(o.parallelism(), len(list), func(i int) (float64, error) {
-		j := list[i]
-		s, err := runHydrogenVariant(&o, o.Base, variants[j.name], j.combo, wCPU, wGPU)
-		o.logf("fig7: %s %s speedup %.3f", j.name, j.combo.ID, s)
+	speedups, err := mapOrdered(o.parallelism(), len(names)*len(combos), func(k int) (float64, error) {
+		name, combo := names[k/len(combos)], combos[k%len(combos)]
+		s, err := o.speedup(o.Base, system.HydrogenSpec(variants[name]), combo, wCPU, wGPU)
+		o.logf("fig7: %s %s speedup %.3f", name, combo.ID, s)
 		return s, err
 	})
 	if err != nil {
@@ -126,18 +107,17 @@ func Fig7b(o Options) (map[string]float64, error) {
 	for _, combo := range combos {
 		combo := combo
 		points := StaticGrid(coarse)
-		baseline, err := o.run(o.Base, system.DesignBaseline, combo)
+		baseline, err := o.run(o.Base, named(system.DesignBaseline), combo)
 		if err != nil {
 			return nil, err
 		}
-		// Failed grid points simply drop out of the max, as before.
-		speedups, _ := mapOrdered(o.parallelism(), len(points), func(i int) (float64, error) {
-			s, err := runStaticPoint(o.Base, points[i], combo, baseline, wCPU, wGPU)
-			if err != nil {
-				return 0, nil
-			}
-			return s, nil
+		speedups, err := mapOrdered(o.parallelism(), len(points), func(i int) (float64, error) {
+			r, err := o.run(o.Base, points[i].Spec(), combo)
+			return WeightedSpeedup(r, baseline, wCPU, wGPU), err
 		})
+		if err != nil {
+			return nil, err
+		}
 		best := 0.0
 		for _, s := range speedups {
 			if s > best {

@@ -56,22 +56,12 @@ func StaticGrid(d GridDensity) []StaticPoint {
 	return out
 }
 
-// runStaticPoint runs one combo at a pinned operating point (climbing
-// disabled) and returns the weighted speedup over the provided baseline.
-func runStaticPoint(base system.Config, p StaticPoint, combo workloads.Combo, baseline system.Results, wCPU, wGPU float64) (float64, error) {
-	fixed := [3]int{p.CPUWays, p.CPUGroups, p.TokIdx}
-	cfg := base
-	cfg.CPUProfiles = combo.CPUAssignment(cfg.Cores)
-	cfg.GPUProfile = combo.GPU
-	sys, err := system.New(cfg, system.HydrogenFactory(system.HydrogenOptions{
+// Spec is the Hydrogen spec pinned at p, with climbing disabled.
+func (p StaticPoint) Spec() system.DesignSpec {
+	return system.HydrogenSpec(system.HydrogenOptions{
 		Tokens:     true,
-		FixedPoint: &fixed,
-	}))
-	if err != nil {
-		return 0, err
-	}
-	r := sys.Run()
-	return WeightedSpeedup(r, baseline, wCPU, wGPU), nil
+		FixedPoint: &[3]int{p.CPUWays, p.CPUGroups, p.TokIdx},
+	})
 }
 
 // Fig8Row is one static configuration's result.
@@ -97,7 +87,7 @@ func Fig8(o Options, comboID string, d GridDensity) (*Fig8Result, error) {
 		return nil, err
 	}
 	wCPU, wGPU := weightsOf(o.Base)
-	baseline, err := o.run(o.Base, system.DesignBaseline, combo)
+	baseline, err := o.run(o.Base, named(system.DesignBaseline), combo)
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +95,8 @@ func Fig8(o Options, comboID string, d GridDensity) (*Fig8Result, error) {
 	points := StaticGrid(d)
 	rows, err := mapOrdered(o.parallelism(), len(points), func(i int) (Fig8Row, error) {
 		p := points[i]
-		s, err := runStaticPoint(o.Base, p, combo, baseline, wCPU, wGPU)
+		r, err := o.run(o.Base, p.Spec(), combo)
+		s := WeightedSpeedup(r, baseline, wCPU, wGPU)
 		o.logf("fig8: %s -> %.3f", p, s)
 		return Fig8Row{Point: p, Speedup: s}, err
 	})
@@ -113,8 +104,7 @@ func Fig8(o Options, comboID string, d GridDensity) (*Fig8Result, error) {
 		return nil, err
 	}
 
-	hydro, err := runHydrogenVariant(&o, o.Base,
-		system.HydrogenOptions{Tokens: true, TokIdx: 3, Climb: true}, combo, wCPU, wGPU)
+	hydro, err := o.speedup(o.Base, named(system.DesignHydrogen), combo, wCPU, wGPU)
 	if err != nil {
 		return nil, err
 	}

@@ -21,11 +21,10 @@ func Fig9Epoch(o Options, factors []float64) ([]Fig9Row, error) {
 	if len(factors) == 0 {
 		factors = []float64{0.25, 0.5, 1, 2, 4}
 	}
-	return fig9sweep(o, factors, "epoch", func(cfg *system.Config, f float64) {
-		cfg.EpochLen = uint64(float64(cfg.EpochLen) * f)
-		if cfg.EpochLen == 0 {
-			cfg.EpochLen = 1
-		}
+	return fig9sweep(o, factors, "epoch", func(f float64) (system.Config, system.DesignSpec) {
+		cfg := o.Base
+		cfg.EpochLen = max(uint64(float64(cfg.EpochLen)*f), 1)
+		return cfg, named(system.DesignHydrogen)
 	})
 }
 
@@ -36,35 +35,16 @@ func Fig9Phase(o Options, factors []float64) ([]Fig9Row, error) {
 	if len(factors) == 0 {
 		factors = []float64{0.25, 0.5, 1, 2}
 	}
-	wCPU, wGPU := weightsOf(o.Base)
-	combos, err := o.combos()
-	if err != nil {
-		return nil, err
-	}
-	speedups, err := mapOrdered(o.parallelism(), len(factors)*len(combos), func(k int) (float64, error) {
-		f, combo := factors[k/len(combos)], combos[k%len(combos)]
-		phaseEpochs := uint64(50 * f)
-		if phaseEpochs == 0 {
-			phaseEpochs = 1
-		}
-		s, err := runHydrogenVariant(&o, o.Base, system.HydrogenOptions{
-			Tokens: true, TokIdx: 3, Climb: true, PhaseEpochs: phaseEpochs,
-		}, combo, wCPU, wGPU)
-		o.logf("fig9 phase x%.2f %s: %.3f", f, combo.ID, s)
-		return s, err
+	return fig9sweep(o, factors, "phase", func(f float64) (system.Config, system.DesignSpec) {
+		return o.Base, system.HydrogenSpec(system.HydrogenOptions{
+			Tokens: true, TokIdx: 3, Climb: true, PhaseEpochs: max(uint64(50*f), 1),
+		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Fig9Row, len(factors))
-	for i, f := range factors {
-		xs := speedups[i*len(combos) : (i+1)*len(combos)]
-		rows[i] = Fig9Row{Label: fmt.Sprintf("phase x%.2f", f), Factor: f, Speedup: Geomean(xs)}
-	}
-	return rows, nil
 }
 
-func fig9sweep(o Options, factors []float64, label string, mutate func(*system.Config, float64)) ([]Fig9Row, error) {
+// fig9sweep runs the (config, design) point of each factor on every
+// combo and reports geomean speedups over the baseline on that config.
+func fig9sweep(o Options, factors []float64, label string, point func(float64) (system.Config, system.DesignSpec)) ([]Fig9Row, error) {
 	wCPU, wGPU := weightsOf(o.Base)
 	combos, err := o.combos()
 	if err != nil {
@@ -72,25 +52,10 @@ func fig9sweep(o Options, factors []float64, label string, mutate func(*system.C
 	}
 	speedups, err := mapOrdered(o.parallelism(), len(factors)*len(combos), func(k int) (float64, error) {
 		f, combo := factors[k/len(combos)], combos[k%len(combos)]
-		cfg := o.Base
-		mutate(&cfg, f)
-		baseline, err := o.run(cfg, system.DesignBaseline, combo)
-		if err != nil {
-			return 0, err
-		}
-		c2 := cfg
-		c2.CPUProfiles = combo.CPUAssignment(c2.Cores)
-		c2.GPUProfile = combo.GPU
-		sys, err := system.New(c2, system.HydrogenFactory(system.HydrogenOptions{
-			Tokens: true, TokIdx: 3, Climb: true,
-		}))
-		if err != nil {
-			return 0, err
-		}
-		r := sys.Run()
-		s := WeightedSpeedup(r, baseline, wCPU, wGPU)
+		cfg, design := point(f)
+		s, err := o.speedup(cfg, design, combo, wCPU, wGPU)
 		o.logf("fig9 %s x%.2f %s: %.3f", label, f, combo.ID, s)
-		return s, nil
+		return s, err
 	})
 	if err != nil {
 		return nil, err

@@ -5,8 +5,10 @@
 // not change results is checked by this test passing unedited.
 //
 // A change that alters simulated behaviour on purpose (a model fix, a
-// new RNG, a different same-tick order) re-derives the goldens once,
-// from this test's log, and says so in its description. The goldens
+// new RNG, a different same-tick order) bumps system.ModelVersion and
+// adds the goldens re-derived from this test's log under the new
+// version, so the content addresses of served results change with the
+// model. A hash that changes under an unchanged version fails. The goldens
 // were derived on amd64; other architectures may fuse floating-point
 // multiply-adds differently, so there the hashes are only logged.
 // DESIGN.md §9 describes the workflow.
@@ -23,17 +25,19 @@ import (
 	"github.com/hydrogen-sim/hydrogen/internal/workloads"
 )
 
-// goldenFingerprints holds the first 8 bytes of each run's hash, keyed
-// by "combo design".
-var goldenFingerprints = map[string]string{
-	"C1 Baseline": "46b8e76e857408e3",
-	"C1 WayPart":  "bac95899af1cfd25",
-	"C1 Hydrogen": "4cddd0a3466aea94",
-	"C1 Profess":  "a8f7ed30f4165368",
-	"C5 Baseline": "8c15e75c333e6ac7",
-	"C5 WayPart":  "d32355366d7969ce",
-	"C5 Hydrogen": "88ac41b29c2c7738",
-	"C5 Profess":  "3c8d7cf7170be298",
+// goldenFingerprints holds, per system.ModelVersion, the first 8 bytes
+// of each run's hash, keyed by "combo design".
+var goldenFingerprints = map[string]map[string]string{
+	"1": {
+		"C1 Baseline": "46b8e76e857408e3",
+		"C1 WayPart":  "bac95899af1cfd25",
+		"C1 Hydrogen": "4cddd0a3466aea94",
+		"C1 Profess":  "a8f7ed30f4165368",
+		"C5 Baseline": "8c15e75c333e6ac7",
+		"C5 WayPart":  "d32355366d7969ce",
+		"C5 Hydrogen": "88ac41b29c2c7738",
+		"C5 Profess":  "3c8d7cf7170be298",
+	},
 }
 
 func TestResultFingerprint(t *testing.T) {
@@ -44,6 +48,10 @@ func TestResultFingerprint(t *testing.T) {
 	cfg.EpochLen = 50_000
 	cfg.Cycles = 200_000
 
+	golden, ok := goldenFingerprints[system.ModelVersion]
+	if !ok {
+		t.Fatalf("no goldens for model version %q", system.ModelVersion)
+	}
 	for _, comboID := range []string{"C1", "C5"} {
 		combo, err := workloads.ComboByID(comboID)
 		if err != nil {
@@ -65,8 +73,9 @@ func TestResultFingerprint(t *testing.T) {
 			name := comboID + " " + design
 			got := fmt.Sprintf("%x", sum[:8])
 			t.Logf("%s %s", name, got)
-			if want := goldenFingerprints[name]; runtime.GOARCH == "amd64" && got != want {
-				t.Errorf("%s: fingerprint %s, golden %s", name, got, want)
+			if want := golden[name]; runtime.GOARCH == "amd64" && got != want {
+				t.Errorf("%s: fingerprint %s, golden %s under model version %q; a model change bumps system.ModelVersion",
+					name, got, want, system.ModelVersion)
 			}
 		}
 	}

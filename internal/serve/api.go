@@ -13,9 +13,15 @@
 // is a cache hit, and concurrent identical submissions share one
 // simulation.
 //
+// A design is data: "design" names an alias of system.Designs(), or is
+// "Hydrogen" with a "hydrogen" object of system.HydrogenOptions. The
+// content address hashes the model version and the canonical spec, so
+// an alias and its spelled-out options are one job.
+//
 // Endpoints:
 //
-//	POST   /v1/jobs                submit {config?, design, combo}; dedupes
+//	POST   /v1/jobs                submit {config?, design, hydrogen?,
+//	                               combo}; dedupes
 //	GET    /v1/jobs                list job records
 //	GET    /v1/jobs/{id}           status + result when done; a done
 //	                               job's ETag is its content-addressed
@@ -148,10 +154,12 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// JobRequest is the POST /v1/jobs payload. Config is a full
-// system.Config (it round-trips JSON losslessly); when omitted the
-// daemon's default configuration is used — system.Quick(), or
-// system.Paper() when Paper is set. Cycles and Seed, when nonzero,
+// JobRequest is the POST /v1/jobs payload. Design is a name of
+// system.Designs(), or "Hydrogen" run under the Hydrogen options when
+// they are set; options that do not fit the config are a 400. Config
+// is a full system.Config (it round-trips JSON losslessly); when
+// omitted the daemon's default configuration is used — system.Quick(),
+// or system.Paper() when Paper is set. Cycles and Seed, when nonzero,
 // override the corresponding config fields, so sweep clients can vary
 // one knob without shipping the whole config.
 //
@@ -162,13 +170,14 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 // the job's content address: identical configurations share one job
 // and the first-submitted timeout governs the run.
 type JobRequest struct {
-	Config  *system.Config `json:"config,omitempty"`
-	Paper   bool           `json:"paper,omitempty"`
-	Cycles  uint64         `json:"cycles,omitempty"`
-	Seed    int64          `json:"seed,omitempty"`
-	Design  string         `json:"design"`
-	Combo   ComboSpec      `json:"combo"`
-	Timeout Duration       `json:"timeout,omitempty"`
+	Config   *system.Config          `json:"config,omitempty"`
+	Paper    bool                    `json:"paper,omitempty"`
+	Cycles   uint64                  `json:"cycles,omitempty"`
+	Seed     int64                   `json:"seed,omitempty"`
+	Design   string                  `json:"design"`
+	Hydrogen *system.HydrogenOptions `json:"hydrogen,omitempty"`
+	Combo    ComboSpec               `json:"combo"`
+	Timeout  Duration                `json:"timeout,omitempty"`
 }
 
 // Job states.
@@ -186,12 +195,15 @@ const (
 
 // JobStatus is the wire representation of a job record. Result is the
 // cached marshaling of the run's system.Results — byte-identical across
-// cache hits — present only once the job is done.
+// cache hits — present only once the job is done. Design names the
+// job's alias when one expands to its spec; otherwise it is "Hydrogen"
+// and Hydrogen carries the options.
 type JobStatus struct {
-	ID     string    `json:"id"`
-	State  string    `json:"state"`
-	Design string    `json:"design"`
-	Combo  ComboSpec `json:"combo"`
+	ID       string                  `json:"id"`
+	State    string                  `json:"state"`
+	Design   string                  `json:"design"`
+	Hydrogen *system.HydrogenOptions `json:"hydrogen,omitempty"`
+	Combo    ComboSpec               `json:"combo"`
 
 	// Cached marks a submission answered from the result cache without
 	// queueing; Deduped marks one coalesced onto an identical in-flight
@@ -220,22 +232,31 @@ type JobStatus struct {
 	Result json.RawMessage `json:"result,omitempty"`
 }
 
-// CacheKey derives a job's content address: the SHA-256 of the
-// canonical JSON encoding of (normalized config, design, resolved
-// combo). The config is canonicalized with system.Canonical and its
-// per-run workload-assignment fields cleared (RunDesign re-derives them
-// from the combo), so configs that simulate identically share a key.
-// encoding/json emits struct fields in declaration order, which makes
-// the encoding deterministic.
+// CacheKey derives the content address of a named-design job: the
+// address the daemon gives a request naming design with no options.
 func CacheKey(cfg system.Config, design string, combo ComboSpec) string {
+	d, _ := system.ParseDesign(design, nil)
+	return specKey(system.ModelVersion, cfg, d, combo)
+}
+
+// specKey derives a job's content address: the SHA-256 of the
+// canonical JSON encoding of (model version, normalized config,
+// canonical design spec, resolved combo). The config is canonicalized
+// with system.Canonical and its per-run workload-assignment fields
+// cleared (the run re-derives them from the combo), so configs that
+// simulate identically share a key, as do an alias and its spelled-out
+// spec. encoding/json emits struct fields in declaration order, which
+// makes the encoding deterministic.
+func specKey(model string, cfg system.Config, design system.DesignSpec, combo ComboSpec) string {
 	c := system.Canonical(cfg)
 	c.CPUProfiles = nil
 	c.GPUProfile = ""
 	payload, err := json.Marshal(struct {
-		Config system.Config `json:"config"`
-		Design string        `json:"design"`
-		Combo  ComboSpec     `json:"combo"`
-	}{c, design, combo})
+		Model  string            `json:"model"`
+		Config system.Config     `json:"config"`
+		Design system.DesignSpec `json:"design"`
+		Combo  ComboSpec         `json:"combo"`
+	}{model, c, design, combo})
 	if err != nil {
 		// system.Config contains only plain data; Marshal cannot fail.
 		panic("serve: marshal cache key: " + err.Error())

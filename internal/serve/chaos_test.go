@@ -15,6 +15,7 @@ import (
 	"github.com/hydrogen-sim/hydrogen/internal/faultinject"
 	"github.com/hydrogen-sim/hydrogen/internal/journal"
 	"github.com/hydrogen-sim/hydrogen/internal/serve"
+	"github.com/hydrogen-sim/hydrogen/internal/system"
 )
 
 // chaosServer builds a server over explicit options without the
@@ -74,53 +75,70 @@ func metricsText(t *testing.T, base string) string {
 // TestCrashReplayByteIdentical is the headline chaos scenario: a
 // simulated kill -9 lands while a journaled job is running; the next
 // daemon over the same journal re-enqueues it without any client
-// resubmission and produces a result byte-identical to a clean run.
+// resubmission and produces a result byte-identical to a clean run. It
+// runs once for an alias and once for a spec no alias names (Fig. 7(b)'s
+// ideal reconfiguration), which the journal must carry in full.
 func TestCrashReplayByteIdentical(t *testing.T) {
-	dir := t.TempDir()
-	jpath := filepath.Join(dir, "jobs.wal")
-	cacheDir := filepath.Join(dir, "cache")
-	if err := os.MkdirAll(cacheDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	cfg := tinyConfig()
-	cfg.Cycles = 4_000_000 // ~2s of work: long enough to still be mid-flight at crash time
-	req := serve.JobRequest{Config: &cfg, Design: "Hydrogen", Combo: serve.ComboSpec{ID: "C1"}}
+	ideal := system.HydrogenOptions{Tokens: true, TokIdx: 3, Climb: true, IdealReconfig: true}
+	for _, tc := range []struct {
+		name     string
+		hydrogen *system.HydrogenOptions
+	}{
+		{"alias", nil},
+		{"ideal reconfigure", &ideal},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			jpath := filepath.Join(dir, "jobs.wal")
+			cacheDir := filepath.Join(dir, "cache")
+			if err := os.MkdirAll(cacheDir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			cfg := tinyConfig()
+			cfg.Cycles = 2_000_000 // seconds of work: still mid-flight at crash time
+			req := serve.JobRequest{Config: &cfg, Design: "Hydrogen", Hydrogen: tc.hydrogen, Combo: serve.ComboSpec{ID: "C1"}}
 
-	srv1, ts1 := chaosServer(t, serve.Options{Workers: 1, JournalPath: jpath, CacheDir: cacheDir})
-	st, code := submit(t, ts1.URL, req)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: %d", code)
-	}
-	waitState(t, ts1.URL, st.ID, serve.StateRunning)
-	ts1.Close()
-	srv1.Crash() // kill -9 equivalent: no terminal records, no spill
+			srv1, ts1 := chaosServer(t, serve.Options{Workers: 1, JournalPath: jpath, CacheDir: cacheDir})
+			st, code := submit(t, ts1.URL, req)
+			if code != http.StatusAccepted {
+				t.Fatalf("submit: %d", code)
+			}
+			waitState(t, ts1.URL, st.ID, serve.StateRunning)
+			ts1.Close()
+			srv1.Crash() // kill -9 equivalent: no terminal records, no spill
 
-	srv2, ts2 := chaosServer(t, serve.Options{Workers: 1, JournalPath: jpath, CacheDir: cacheDir})
-	t.Cleanup(func() { ts2.Close(); srv2.Close() })
-	if n := srv2.ReplayedJobs(); n != 1 {
-		t.Fatalf("replayed %d jobs, want 1", n)
-	}
-	replayed := getJob(t, ts2.URL, st.ID)
-	if !replayed.Replayed {
-		t.Fatal("replayed job not marked Replayed")
-	}
-	done := waitState(t, ts2.URL, st.ID, serve.StateDone)
-	if len(done.Result) == 0 {
-		t.Fatal("replayed job finished without a result")
-	}
-	if !strings.Contains(metricsText(t, ts2.URL), "hydroserved_jobs_replayed_total 1") {
-		t.Fatal("metrics missing hydroserved_jobs_replayed_total 1")
-	}
+			srv2, ts2 := chaosServer(t, serve.Options{Workers: 1, JournalPath: jpath, CacheDir: cacheDir})
+			t.Cleanup(func() { ts2.Close(); srv2.Close() })
+			if n := srv2.ReplayedJobs(); n != 1 {
+				t.Fatalf("replayed %d jobs, want 1", n)
+			}
+			replayed := getJob(t, ts2.URL, st.ID)
+			if !replayed.Replayed {
+				t.Fatal("replayed job not marked Replayed")
+			}
+			if replayed.Design != st.Design || mustJSON(t, replayed.Hydrogen) != mustJSON(t, st.Hydrogen) {
+				t.Fatalf("replayed job runs %s %s, submitted %s %s", replayed.Design,
+					mustJSON(t, replayed.Hydrogen), st.Design, mustJSON(t, st.Hydrogen))
+			}
+			done := waitState(t, ts2.URL, st.ID, serve.StateDone)
+			if len(done.Result) == 0 {
+				t.Fatal("replayed job finished without a result")
+			}
+			if !strings.Contains(metricsText(t, ts2.URL), "hydroserved_jobs_replayed_total 1") {
+				t.Fatal("metrics missing hydroserved_jobs_replayed_total 1")
+			}
 
-	// Clean-room reference run: same request on a journal-less daemon.
-	_, ts3 := newTestServer(t, serve.Options{Workers: 1})
-	st3, _ := submit(t, ts3.URL, req)
-	if st3.ID != st.ID {
-		t.Fatalf("content address drifted across daemons:\n  %s\n  %s", st.ID, st3.ID)
-	}
-	clean := waitState(t, ts3.URL, st3.ID, serve.StateDone)
-	if !bytes.Equal(done.Result, clean.Result) {
-		t.Fatal("replayed result differs from a clean run")
+			// Clean-room reference run: same request on a journal-less daemon.
+			_, ts3 := newTestServer(t, serve.Options{Workers: 1})
+			st3, _ := submit(t, ts3.URL, req)
+			if st3.ID != st.ID {
+				t.Fatalf("content address drifted across daemons:\n  %s\n  %s", st.ID, st3.ID)
+			}
+			clean := waitState(t, ts3.URL, st3.ID, serve.StateDone)
+			if !bytes.Equal(done.Result, clean.Result) {
+				t.Fatal("replayed result differs from a clean run")
+			}
+		})
 	}
 }
 

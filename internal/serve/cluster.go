@@ -366,7 +366,7 @@ func (s *Server) promoteForwarded(id string) (*job, *refusal) {
 	j, fresh, ref := s.intake(fw)
 	if fresh {
 		s.cl.cm.PromotedJobs.Add(1)
-		s.logj(id, "promoted after owner failure", "design", j.design, "combo", j.spec.ID)
+		s.logj(id, "promoted after owner failure", "design", j.design.String(), "combo", j.spec.ID)
 	}
 	return j, ref
 }

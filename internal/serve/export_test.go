@@ -3,7 +3,16 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+
+	"github.com/hydrogen-sim/hydrogen/internal/system"
 )
+
+// CacheKeyUnderModel is CacheKey as a binary simulating another model
+// version computes it.
+func CacheKeyUnderModel(model string, cfg system.Config, design string, combo ComboSpec) string {
+	d, _ := system.ParseDesign(design, nil)
+	return specKey(model, cfg, d, combo)
+}
 
 // LegacyStatusJSON reconstructs a terminal job's response the way the
 // pre-memoization server did — fresh snapshot, cache fallback for an

@@ -12,8 +12,8 @@ import (
 
 // journalRecord is one entry in the durable job journal. A submit
 // record carries everything needed to re-run the job after a crash
-// without the original HTTP request (the fully resolved config, design
-// and canonical combo); later records reference the job by its
+// without the original HTTP request (the fully resolved config, the
+// spelled-out design spec and the canonical combo); later records reference the job by its
 // content-addressed ID only. Terminal records reuse the job-state
 // strings as their type.
 type journalRecord struct {
@@ -22,10 +22,11 @@ type journalRecord struct {
 	Time time.Time `json:"time,omitzero"`
 
 	// Submit-only fields.
-	Config  *system.Config `json:"config,omitempty"`
-	Design  string         `json:"design,omitempty"`
-	Combo   *ComboSpec     `json:"combo,omitempty"`
-	Timeout Duration       `json:"timeout,omitempty"`
+	Config   *system.Config          `json:"config,omitempty"`
+	Design   string                  `json:"design,omitempty"`
+	Hydrogen *system.HydrogenOptions `json:"hydrogen,omitempty"`
+	Combo    *ComboSpec              `json:"combo,omitempty"`
+	Timeout  Duration                `json:"timeout,omitempty"`
 
 	// Terminal detail: the failure message, and — in compacted logs —
 	// the aggregated failure count for quarantine persistence.

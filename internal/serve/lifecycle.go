@@ -35,9 +35,9 @@ import (
 // every entry hands to intake, and what a front remembers about a job
 // it proxied out.
 type submission struct {
-	id      string // content address: CacheKey(cfg, design, spec)
+	id      string // content address: specKey(model, cfg, design, spec)
 	cfg     system.Config
-	design  string
+	design  system.DesignSpec
 	combo   workloads.Combo
 	spec    ComboSpec
 	timeout time.Duration // execution deadline, 0 = none
@@ -59,7 +59,7 @@ type job struct {
 	// Copied from the submission at mint, immutable afterwards.
 	id       string
 	cfg      system.Config
-	design   string
+	design   system.DesignSpec
 	combo    workloads.Combo
 	spec     ComboSpec
 	timeout  time.Duration
@@ -268,12 +268,13 @@ func (s *Server) intake(sub *submission) (j *job, fresh bool, ref *refusal) {
 // intake and rewritten by live compaction, so both agree on every field.
 func (j *job) submitRecord() journalRecord {
 	return journalRecord{
-		Type:    recSubmit,
-		ID:      j.id,
-		Config:  &j.cfg,
-		Design:  j.design,
-		Combo:   &j.spec,
-		Timeout: Duration(j.timeout),
+		Type:     recSubmit,
+		ID:       j.id,
+		Config:   &j.cfg,
+		Design:   j.design.Policy,
+		Hydrogen: j.design.Options(),
+		Combo:    &j.spec,
+		Timeout:  Duration(j.timeout),
 	}
 }
 
@@ -423,7 +424,7 @@ func (j *job) snapshot() JobStatus {
 	st := JobStatus{
 		ID:          j.id,
 		State:       j.state,
-		Design:      j.design,
+		Design:      j.design.Name(),
 		Combo:       j.spec,
 		Replayed:    j.replayed,
 		Timeout:     Duration(j.timeout),
@@ -433,6 +434,9 @@ func (j *job) snapshot() JobStatus {
 		Epochs:      j.epochs,
 		Error:       j.err,
 		Spans:       j.trace.Records(),
+	}
+	if st.Design == "" {
+		st.Design, st.Hydrogen = j.design.Policy, j.design.Options()
 	}
 	if j.state == StateDone {
 		st.Result = j.result

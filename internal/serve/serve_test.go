@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +15,7 @@ import (
 
 	"github.com/hydrogen-sim/hydrogen/internal/serve"
 	"github.com/hydrogen-sim/hydrogen/internal/system"
+	"github.com/hydrogen-sim/hydrogen/internal/workloads"
 )
 
 // tinyConfig mirrors the root package's test config: small enough that
@@ -416,5 +419,74 @@ func TestCacheKeyStability(t *testing.T) {
 	}
 	if k5 := serve.CacheKey(cfg, "Baseline", spec); k5 == k1 {
 		t.Fatal("different designs share a cache key")
+	}
+	if serve.CacheKey(cfg, "Hydrogen-DP", spec) == k1 {
+		t.Fatal("Hydrogen-DP and Hydrogen share a cache key")
+	}
+	if serve.CacheKeyUnderModel("0", cfg, "Hydrogen", spec) == k1 {
+		t.Fatal("the model version is not part of the cache key")
+	}
+
+	// An alias and its spelled-out spec are one job, and the daemon
+	// addresses it exactly as CacheKey does.
+	_, ts := newTestServer(t, serve.Options{Workers: 1})
+	c1 := tableCombo(t, "C1")
+	for design, spelled := range map[string]system.HydrogenOptions{
+		"Hydrogen":    {Tokens: true, TokIdx: 3, Climb: true},
+		"Hydrogen-DP": {PhaseEpochs: 50},
+	} {
+		alias, _ := submit(t, ts.URL, serve.JobRequest{Config: &cfg, Design: design, Combo: serve.ComboSpec{ID: "C1"}})
+		full, _ := submit(t, ts.URL, serve.JobRequest{Config: &cfg, Design: "Hydrogen", Hydrogen: &spelled, Combo: serve.ComboSpec{ID: "C1"}})
+		if want := serve.CacheKey(cfg, design, c1); alias.ID != want || full.ID != want {
+			t.Fatalf("%s: alias %s, spelled out %s, CacheKey %s", design, short(alias.ID), short(full.ID), short(want))
+		}
+		if full.Design != design || full.Hydrogen != nil {
+			t.Fatalf("%s spelled out reports design %q options %v", design, full.Design, full.Hydrogen)
+		}
+	}
+}
+
+func short(id string) string { return id[:min(12, len(id))] }
+
+// tableCombo is the canonical spec a bare Table II combo ID resolves to.
+func tableCombo(t *testing.T, id string) serve.ComboSpec {
+	t.Helper()
+	c, err := workloads.ComboByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return serve.ComboSpec{ID: c.ID, CPU: c.CPU, GPU: c.GPU}
+}
+
+// TestSpillFromOtherModelMisses: a spill file written by a binary that
+// simulates another model version is never served as this model's
+// result; the identical request simulates afresh.
+func TestSpillFromOtherModelMisses(t *testing.T) {
+	dir := t.TempDir()
+	cfg := tinyConfig()
+	req := serve.JobRequest{Config: &cfg, Design: "Baseline", Combo: serve.ComboSpec{ID: "C2"}}
+
+	srv1, ts1 := newTestServer(t, serve.Options{Workers: 1, CacheDir: dir})
+	st, _ := submit(t, ts1.URL, req)
+	waitState(t, ts1.URL, st.ID, serve.StateDone)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv1.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// Stage the spill the same request leaves under model version "0".
+	old := serve.CacheKeyUnderModel("0", cfg, "Baseline", tableCombo(t, "C2"))
+	if err := os.Rename(filepath.Join(dir, st.ID+".json"), filepath.Join(dir, old+".json")); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, ts2 := newTestServer(t, serve.Options{Workers: 1, CacheDir: dir})
+	st2, code := submit(t, ts2.URL, req)
+	if code != http.StatusAccepted || st2.Cached || st2.ID != st.ID {
+		t.Fatalf("submit over another model's spill: code=%d cached=%v id %s, want 202 for %s", code, st2.Cached, short(st2.ID), short(st.ID))
+	}
+	waitState(t, ts2.URL, st2.ID, serve.StateDone)
+	if n := srv2.SimulationsStarted(); n != 1 {
+		t.Fatalf("started %d simulations, want 1", n)
 	}
 }

@@ -325,8 +325,13 @@ func (s *Server) recover() error {
 	var still []*replayedJob
 	for _, r := range replayed {
 		rec := r.submit
+		design, err := system.ParseDesign(rec.Design, rec.Hydrogen)
+		if err != nil {
+			s.logj(rec.ID, "not replayed", "err", err)
+			continue
+		}
 		sub := &submission{
-			id: rec.ID, cfg: *rec.Config, design: rec.Design, spec: *rec.Combo,
+			id: rec.ID, cfg: *rec.Config, design: design, spec: *rec.Combo,
 			timeout: time.Duration(rec.Timeout), replayed: true,
 		}
 		if data, ok := s.cache.Get(rec.ID); ok {
@@ -348,7 +353,7 @@ func (s *Server) recover() error {
 			continue
 		}
 		s.m.replayed.Add(1)
-		s.logj(j.id, "re-enqueued from journal", "design", j.design, "combo", j.spec.ID)
+		s.logj(j.id, "re-enqueued from journal", "design", j.design.String(), "combo", j.spec.ID)
 		still = append(still, r)
 	}
 	records, err := compactRecords(still, s.failCount)
@@ -384,7 +389,7 @@ func (s *Server) logj(id, event string, attrs ...any) {
 // resolveRequest turns a JobRequest into the runnable core of a
 // submission — config, design, combo, timeout — plus its cache key.
 func (s *Server) resolveRequest(req *JobRequest) (submission, error) {
-	sub := submission{design: req.Design, timeout: time.Duration(req.Timeout)}
+	sub := submission{timeout: time.Duration(req.Timeout)}
 	switch {
 	case req.Config != nil:
 		sub.cfg = *req.Config
@@ -404,18 +409,21 @@ func (s *Server) resolveRequest(req *JobRequest) (submission, error) {
 	if req.Design == "" {
 		return sub, fmt.Errorf("missing design")
 	}
+	var err error
+	if sub.design, err = system.ParseDesign(req.Design, req.Hydrogen); err != nil {
+		return sub, err
+	}
 	probe := sub.cfg
-	if _, err := system.ApplyDesign(&probe, req.Design); err != nil {
+	if _, err := sub.design.Apply(&probe); err != nil {
 		return sub, err
 	}
 	if err := sub.cfg.Hybrid.Validate(); err != nil {
 		return sub, err
 	}
-	var err error
 	if sub.combo, sub.spec, err = req.Combo.resolve(); err != nil {
 		return sub, err
 	}
-	sub.id = CacheKey(sub.cfg, sub.design, sub.spec)
+	sub.id = specKey(system.ModelVersion, sub.cfg, sub.design, sub.spec)
 	return sub, nil
 }
 
@@ -485,7 +493,7 @@ func (s *Server) acceptLocal(w http.ResponseWriter, sub *submission) {
 		s.answerExisting(w, j)
 	default:
 		s.m.cacheMisses.Add(1)
-		s.logj(j.id, "queued", "design", j.design, "combo", j.spec.ID)
+		s.logj(j.id, "queued", "design", j.design.String(), "combo", j.spec.ID)
 		writeJSON(w, http.StatusAccepted, j.snapshot())
 	}
 }

@@ -46,8 +46,12 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hydro, err := system.ParseDesign(system.DesignHydrogen, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var want []obs.EpochPoint
-	if _, err := system.RunDesignObserved(context.Background(), cfg, "Hydrogen", combo, system.Hooks{
+	if _, err := system.RunDesignObserved(context.Background(), cfg, hydro, combo, system.Hooks{
 		OnTelemetry: func(p obs.EpochPoint) { want = append(want, p) },
 	}); err != nil {
 		t.Fatal(err)

@@ -39,6 +39,12 @@ func TestHostileSubmissions(t *testing.T) {
 		{"timeout negative", `{"design":"Baseline","combo":"C1","timeout":"-1h"}`},
 		{"timeout wrong type", `{"design":"Baseline","combo":"C1","timeout":{}}`},
 		{"config wrong type", `{"design":"Baseline","combo":"C1","config":"quick"}`},
+		{"fixed point out of range", `{"design":"Hydrogen","hydrogen":{"fixed_point":[4,1,3]},"combo":"C1"}`},
+		{"token level out of range", `{"design":"Hydrogen","hydrogen":{"tok_idx":7},"combo":"C1"}`},
+		{"unknown swap mode", `{"design":"Hydrogen","hydrogen":{"swap":4},"combo":"C1"}`},
+		{"hydrogen options on Baseline", `{"design":"Baseline","hydrogen":{},"combo":"C1"}`},
+		{"hydrogen options on an alias", `{"design":"Hydrogen-DP","hydrogen":{"tokens":true},"combo":"C1"}`},
+		{"hydrogen wrong type", `{"design":"Hydrogen","hydrogen":"full","combo":"C1"}`},
 		{"config invalid hybrid", `{"design":"Hydrogen","combo":"C1","config":{"hybrid":{"fast_capacity_bytes":-1}}}`},
 		{"huge nesting", `{"design":` + strings.Repeat(`[`, 1000) + strings.Repeat(`]`, 1000) + `,"combo":"C1"}`},
 		{"long string field", `{"design":"` + strings.Repeat("A", 1<<16) + `","combo":"C1"}`},

@@ -10,9 +10,9 @@ import (
 )
 
 // TestRunDesignContextDeadline: a context deadline stops an oversized
-// run at an epoch boundary — well short of the full cycle budget — and
-// the error is context.DeadlineExceeded, which is what the serving
-// layer's per-job timeout maps to deadline_exceeded.
+// RunDesignObserved run at an epoch boundary — well short of the full
+// cycle budget — and the error is context.DeadlineExceeded, which is
+// what the serving layer's per-job timeout maps to deadline_exceeded.
 func TestRunDesignContextDeadline(t *testing.T) {
 	cfg := tiny()
 	cfg.Cycles = 4_000_000_000 // minutes of simulation against a 50ms budget
@@ -25,7 +25,7 @@ func TestRunDesignContextDeadline(t *testing.T) {
 
 	epochs := 0
 	start := time.Now()
-	_, err = RunDesignContext(ctx, cfg, "Baseline", combo, func(EpochSample) { epochs++ })
+	_, err = RunDesignObserved(ctx, cfg, aliases[DesignBaseline], combo, Hooks{OnEpoch: func(EpochSample) { epochs++ }})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -49,7 +49,7 @@ func TestRunDesignContextCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err = RunDesignContext(ctx, cfg, "Baseline", combo, func(EpochSample) { cancel() })
+	_, err = RunDesignObserved(ctx, cfg, aliases[DesignBaseline], combo, Hooks{OnEpoch: func(EpochSample) { cancel() }})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

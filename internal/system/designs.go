@@ -2,6 +2,7 @@ package system
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 
 	"github.com/hydrogen-sim/hydrogen/internal/core"
@@ -36,54 +37,58 @@ func Designs() []string {
 }
 
 // HydrogenOptions selects which Hydrogen mechanisms are active; the
-// breakdown variants of Fig. 5 and the overhead studies of Figs. 7–8
-// all reduce to combinations of these.
+// breakdown variants of Fig. 5 and the overhead studies of Figs. 7–9
+// all reduce to combinations of these. The JSON form is the "hydrogen"
+// field of a job request.
 type HydrogenOptions struct {
-	Tokens bool
-	Climb  bool
+	Tokens bool `json:"tokens,omitempty"`
+	Climb  bool `json:"climb,omitempty"`
 	// TokIdx fixes the token level when Climb is off; the DP+Token
 	// variant of Fig. 5 uses the 15% level (index 3).
-	TokIdx int
-	Swap   core.SwapMode
+	TokIdx int `json:"tok_idx,omitempty"`
+	// Swap is the Fig. 7(a) swap method: 0 on, 1 ideal, 2 prob, 3 off.
+	Swap core.SwapMode `json:"swap,omitempty"`
 	// IdealReconfig models the zero-cost reconfiguration of Fig. 7(b).
-	IdealReconfig bool
+	IdealReconfig bool `json:"ideal_reconfig,omitempty"`
 	// FixedPoint pins (cap, bw, tok) for the exhaustive search of
 	// Fig. 8; nil uses the default 3:1 capacity / 1:3 bandwidth point.
-	FixedPoint *[3]int
+	FixedPoint *[3]int `json:"fixed_point,omitempty"`
 	// PhaseEpochs is the phase length in epochs (paper: 500M cycles /
 	// 10M-cycle epochs = 50). Zero selects 50.
-	PhaseEpochs uint64
+	PhaseEpochs uint64 `json:"phase_epochs,omitempty"`
+}
+
+// coreConfig is the Hydrogen policy configuration o selects on env. It
+// reads only the canonical options, so specs that canonicalize alike
+// build alike.
+func (o HydrogenOptions) coreConfig(env PolicyEnv) core.Config {
+	o = HydrogenSpec(o).Hydrogen
+	cfg := core.Config{
+		Groups:            env.Groups,
+		Assoc:             env.Assoc,
+		CPUWays:           max(1, env.Assoc*3/4),
+		CPUGroups:         1,
+		EnableTokens:      o.Tokens,
+		TokIdx:            o.TokIdx,
+		TokenPeriod:       max(env.EpochLen/10, 1),
+		SlowBytesPerCycle: env.SlowBytesPerCycle,
+		BlockBytes:        env.BlockBytes,
+		EnableClimb:       o.Climb,
+		PhaseLen:          o.PhaseEpochs * env.EpochLen,
+		Swap:              o.Swap,
+		LazyReconfig:      !o.IdealReconfig,
+		Seed:              env.Seed,
+	}
+	if fp := o.FixedPoint; fp != nil {
+		cfg.CPUWays, cfg.CPUGroups = fp[0], fp[1] // the canonical TokIdx is fp[2]
+	}
+	return cfg
 }
 
 // HydrogenFactory builds a configurable Hydrogen policy factory.
 func HydrogenFactory(o HydrogenOptions) PolicyFactory {
 	return func(env PolicyEnv) (hybrid.Policy, error) {
-		phaseEpochs := o.PhaseEpochs
-		if phaseEpochs == 0 {
-			phaseEpochs = 50
-		}
-		cfg := core.Config{
-			Groups:            env.Groups,
-			Assoc:             env.Assoc,
-			CPUWays:           maxInt(1, env.Assoc*3/4),
-			CPUGroups:         1,
-			EnableTokens:      o.Tokens,
-			TokIdx:            o.TokIdx,
-			TokenPeriod:       maxU64(env.EpochLen/10, 1),
-			SlowBytesPerCycle: env.SlowBytesPerCycle,
-			BlockBytes:        env.BlockBytes,
-			EnableClimb:       o.Climb,
-			PhaseLen:          phaseEpochs * env.EpochLen,
-			Swap:              o.Swap,
-			LazyReconfig:      !o.IdealReconfig,
-			Seed:              env.Seed,
-		}
-		if o.FixedPoint != nil {
-			cfg.CPUWays = (*o.FixedPoint)[0]
-			cfg.CPUGroups = (*o.FixedPoint)[1]
-			cfg.TokIdx = (*o.FixedPoint)[2]
-		}
-		h, err := core.New(cfg)
+		h, err := core.New(o.coreConfig(env))
 		if err != nil {
 			return nil, err
 		}
@@ -92,13 +97,99 @@ func HydrogenFactory(o HydrogenOptions) PolicyFactory {
 	}
 }
 
+// DesignSpec is a design as data: a policy name (Baseline, HAShCache,
+// Profess, WayPart or Hydrogen) plus, for the Hydrogen policy, which of
+// its mechanisms are active. The names of Designs() are aliases for
+// canonical specs; two canonical specs are equal exactly when they
+// build the same policy, so a spec is what a content address hashes.
+type DesignSpec struct {
+	Policy   string          `json:"policy"`
+	Hydrogen HydrogenOptions `json:"hydrogen"`
+}
+
+// aliases maps each name of Designs() to its canonical spec.
+var aliases = map[string]DesignSpec{
+	DesignBaseline:        {Policy: DesignBaseline},
+	DesignHAShCache:       {Policy: DesignHAShCache},
+	DesignProfess:         {Policy: DesignProfess},
+	DesignWayPart:         {Policy: DesignWayPart},
+	DesignHydrogenDP:      HydrogenSpec(HydrogenOptions{}),
+	DesignHydrogenDPToken: HydrogenSpec(HydrogenOptions{Tokens: true, TokIdx: 3}),
+	DesignHydrogen:        HydrogenSpec(HydrogenOptions{Tokens: true, TokIdx: 3, Climb: true}),
+}
+
+// HydrogenSpec is the canonical spec of the Hydrogen policy under o.
+// It spells out only what the factory would fill in identically: the
+// default phase length, and the token level a fixed point overrides.
+func HydrogenSpec(o HydrogenOptions) DesignSpec {
+	if o.PhaseEpochs == 0 {
+		o.PhaseEpochs = 50
+	}
+	if o.FixedPoint != nil {
+		o.TokIdx = o.FixedPoint[2]
+	}
+	return DesignSpec{Policy: DesignHydrogen, Hydrogen: o}
+}
+
+// ParseDesign resolves a design as a job names it: with nil options, an
+// alias from Designs(); with options, the Hydrogen policy under them.
+// An unknown name parses to a spec of that policy, which Apply rejects.
+func ParseDesign(name string, h *HydrogenOptions) (DesignSpec, error) {
+	if h != nil {
+		if name != DesignHydrogen {
+			return DesignSpec{}, fmt.Errorf("system: hydrogen options need design %q, not %q", DesignHydrogen, name)
+		}
+		return HydrogenSpec(*h), nil
+	}
+	if d, ok := aliases[name]; ok {
+		return d, nil
+	}
+	return DesignSpec{Policy: name}, fmt.Errorf("system: unknown design %q", name)
+}
+
+// Name returns the alias that expands to d, or "" when none does.
+func (d DesignSpec) Name() string {
+	for name, a := range aliases {
+		if a == d { // a nil FixedPoint on both sides; a pinned d never matches
+			return name
+		}
+	}
+	return ""
+}
+
+// Options returns a Hydrogen spec's options, nil for other policies:
+// with Policy, the spelled-out form ParseDesign reads back.
+func (d DesignSpec) Options() *HydrogenOptions {
+	if d.Policy != DesignHydrogen {
+		return nil
+	}
+	o := d.Hydrogen
+	return &o
+}
+
+// String names d by its alias, or by its policy and options.
+func (d DesignSpec) String() string {
+	if name := d.Name(); name != "" {
+		return name
+	}
+	b, _ := json.Marshal(d.Hydrogen)
+	return d.Policy + string(b)
+}
+
 // ApplyDesign returns the policy factory for a named design and applies
-// any structural config changes it needs. The config's associativity is
-// respected (for the Fig. 11 sweeps); HAShCache gets chaining only in
-// its native direct-mapped organization and a tag-latency penalty
-// otherwise, as described in Section VI-C.
+// any structural config changes it needs; see DesignSpec.Apply.
 func ApplyDesign(cfg *Config, design string) (PolicyFactory, error) {
-	switch design {
+	d, _ := ParseDesign(design, nil)
+	return d.Apply(cfg)
+}
+
+// Apply validates d against cfg's geometry, returns its policy factory
+// and applies any structural config changes it needs. The config's
+// associativity is respected (for the Fig. 11 sweeps); HAShCache gets
+// chaining only in its native direct-mapped organization and a
+// tag-latency penalty otherwise, as described in Section VI-C.
+func (d DesignSpec) Apply(cfg *Config) (PolicyFactory, error) {
+	switch d.Policy {
 	case DesignBaseline:
 		return func(env PolicyEnv) (hybrid.Policy, error) {
 			return policy.NewBaseline(env.Groups, env.Assoc), nil
@@ -130,30 +221,28 @@ func ApplyDesign(cfg *Config, design string) (PolicyFactory, error) {
 			return policy.NewHAShCache(env.Groups, env.Assoc, env.Seed), nil
 		}, nil
 
-	case DesignHydrogenDP:
-		return HydrogenFactory(HydrogenOptions{}), nil
-
-	case DesignHydrogenDPToken:
-		return HydrogenFactory(HydrogenOptions{Tokens: true, TokIdx: 3}), nil
-
 	case DesignHydrogen:
-		return HydrogenFactory(HydrogenOptions{Tokens: true, TokIdx: 3, Climb: true}), nil
+		o := d.Hydrogen
+		if o.Swap > core.SwapOff {
+			return nil, fmt.Errorf("system: unknown swap mode %d", o.Swap)
+		}
+		if fp := o.FixedPoint; fp != nil && (fp[0] < 1 || fp[1] > fp[0]) {
+			return nil, fmt.Errorf("system: fixed point %v needs 1 <= cap and bw <= cap", *fp)
+		}
+		cc := o.coreConfig(cfg.Env())
+		if err := cc.Validate(); err != nil {
+			return nil, err
+		}
+		return HydrogenFactory(o), nil
 	}
-	return nil, fmt.Errorf("system: unknown design %q", design)
+	return nil, fmt.Errorf("system: unknown design %q", d.Policy)
 }
 
-// RunDesign builds and runs one simulation of a design on the given
-// workload combo.
+// RunDesign builds and runs one simulation of a named design on the
+// given workload combo.
 func RunDesign(cfg Config, design string, combo workloads.Combo) (Results, error) {
-	return RunDesignContext(context.Background(), cfg, design, combo, nil)
-}
-
-// RunDesignContext is RunDesign with cooperative cancellation and an
-// optional per-epoch progress callback (nil for none) — the hooks the
-// serving layer threads down to count live progress and abandon
-// canceled jobs. Neither hook perturbs the simulation.
-func RunDesignContext(ctx context.Context, cfg Config, design string, combo workloads.Combo, onEpoch func(EpochSample)) (Results, error) {
-	return RunDesignObserved(ctx, cfg, design, combo, Hooks{OnEpoch: onEpoch})
+	d, _ := ParseDesign(design, nil)
+	return RunDesignObserved(context.Background(), cfg, d, combo, Hooks{})
 }
 
 // Hooks bundles the observation callbacks a run can install. All
@@ -168,12 +257,13 @@ type Hooks struct {
 	OnTelemetry func(obs.EpochPoint)
 }
 
-// RunDesignObserved is RunDesignContext with the full observation hook
-// set — the entry point of the observability layer.
-func RunDesignObserved(ctx context.Context, cfg Config, design string, combo workloads.Combo, hooks Hooks) (Results, error) {
+// RunDesignObserved runs one design spec on combo with cooperative
+// cancellation and the given observation hooks — the one entry point
+// that every figure run and every served job goes through.
+func RunDesignObserved(ctx context.Context, cfg Config, design DesignSpec, combo workloads.Combo, hooks Hooks) (Results, error) {
 	cfg.CPUProfiles = combo.CPUAssignment(cfg.Cores)
 	cfg.GPUProfile = combo.GPU
-	factory, err := ApplyDesign(&cfg, design)
+	factory, err := design.Apply(&cfg)
 	if err != nil {
 		return Results{}, err
 	}
@@ -188,18 +278,4 @@ func RunDesignObserved(ctx context.Context, cfg Config, design string, combo wor
 		sys.SetTelemetry(hooks.OnTelemetry)
 	}
 	return sys.RunContext(ctx)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

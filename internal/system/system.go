@@ -21,6 +21,12 @@ import (
 	"github.com/hydrogen-sim/hydrogen/internal/workloads"
 )
 
+// ModelVersion names the simulated model. Content addresses fold it
+// in, so a change that alters any run's Results (and re-derives the
+// TestResultFingerprint goldens) bumps it, and results cached under
+// the old model miss instead of being served as the new model's.
+const ModelVersion = "1"
+
 // PolicyEnv gives policy factories the derived system geometry they
 // need (group count, associativity, set count, slow-tier bandwidth).
 type PolicyEnv struct {
