@@ -9,6 +9,13 @@
 // occupancy. Bandwidth contention emerges from bus serialization and
 // queueing, which is the effect the paper's partitioning schemes target.
 //
+// The scheduler is FR-FCFS over a window of the schedWindow oldest
+// waiting requests. Because only the window is ever picked from, the
+// queue is a value slice with a head offset: taking a request shifts
+// just the older requests of the window, and the slice is compacted in
+// place rather than grown, so a channel under a standing backlog
+// allocates nothing.
+//
 // A channel schedules all of its work through the engine's late lane
 // under a key fixed at construction, so at any tick DRAM work runs
 // after the tick's core, cache and hybrid-controller work, completions
@@ -231,7 +238,10 @@ type Channel struct {
 	cfg *Config
 	id  int
 
+	// queue[qhead:] holds the waiting requests, oldest first; tryIssue
+	// advances qhead and Enqueue compacts (see the package comment).
 	queue        []Request
+	qhead        int
 	banks        []bank
 	busBusyUntil uint64
 	issueAt      uint64 // earliest already-scheduled issue event, or 0
@@ -284,7 +294,7 @@ func (c *Channel) Config() *Config { return c.cfg }
 func (c *Channel) Stats() Stats { return c.stats }
 
 // QueueLen returns the number of requests waiting to issue.
-func (c *Channel) QueueLen() int { return len(c.queue) }
+func (c *Channel) QueueLen() int { return len(c.queue) - c.qhead }
 
 // Enqueue submits a request to the channel's scheduler queue. The
 // channel picks it up at its issue event for the current tick (no
@@ -296,6 +306,12 @@ func (c *Channel) Enqueue(r Request) {
 	}
 	r.arrive = c.eng.Now()
 	r.bank, r.row = c.decode(r.Addr)
+	if len(c.queue) == cap(c.queue) && c.qhead > 0 {
+		n := copy(c.queue, c.queue[c.qhead:])
+		clear(c.queue[n:]) // release Done refs
+		c.queue = c.queue[:n]
+		c.qhead = 0
+	}
 	c.queue = append(c.queue, r)
 	c.armIssue(r.arrive)
 }
@@ -338,16 +354,17 @@ const schedWindow = 16
 // pick implements FR-FCFS with optional CPU priority: choose the oldest
 // row-hitting request within the scheduling window; if none hits, the
 // oldest request. With CPUPriority, CPU requests are considered strictly
-// before GPU ones.
+// before GPU ones. It returns an index into the waiting requests
+// (queue[qhead:]), which must not be empty.
 func (c *Channel) pick(now uint64) int {
+	window := c.queue[c.qhead:]
 	// Starvation bound: the oldest request wins outright once it has
 	// waited too long, so streaming row hits cannot lock out row misses.
-	if len(c.queue) > 0 && now-c.queue[0].arrive >= c.cfg.maxStarve() {
+	if now-window[0].arrive >= c.cfg.maxStarve() {
 		return 0
 	}
 	best := -1
 	bestRank := -1
-	window := c.queue
 	if len(window) > schedWindow {
 		window = window[:schedWindow]
 	}
@@ -373,15 +390,20 @@ func (c *Channel) pick(now uint64) int {
 }
 
 func (c *Channel) tryIssue(now uint64) {
-	for len(c.queue) > 0 {
+	for c.qhead < len(c.queue) {
 		if la := c.lookahead(); c.busBusyUntil > now+la {
 			c.armIssue(c.busBusyUntil - la)
 			return
 		}
-		i := c.pick(now)
+		i := c.qhead + c.pick(now)
 		r := c.queue[i]
-		c.queue = append(c.queue[:i], c.queue[i+1:]...)
-		c.queue[:len(c.queue)+1][len(c.queue)] = Request{} // release Done refs
+		copy(c.queue[c.qhead+1:i+1], c.queue[c.qhead:i])
+		c.queue[c.qhead] = Request{} // release Done refs
+		c.qhead++
+		if c.qhead == len(c.queue) {
+			c.queue = c.queue[:0]
+			c.qhead = 0
+		}
 		c.service(&r, now)
 	}
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // TestLateOrderByKey checks same-tick late events run in key order
 // regardless of scheduling order.
@@ -170,4 +173,306 @@ func TestSchedulePastLatePanics(t *testing.T) {
 		e.ScheduleLateCall(5, 0, func(uint64) {})
 	})
 	e.Run()
+}
+
+// sched is the scheduling surface the differential test drives: the
+// engine, or refSched, which states the documented order directly.
+type sched interface {
+	now() uint64
+	lane0(at uint64, fn func())
+	late(at, key uint64, fn func())
+	stop()
+	pending() int
+}
+
+// refSched is a linear-scan reference for the engine's order: the next
+// event is always the pending one with the least (time, lane, key,
+// scheduling order) — lane 0 before the late lane at a tick, lane-0
+// keys ignored. That one rule is the documented nested behaviour: a
+// lane-0 follow-up a late event schedules for its own tick runs before
+// the next late event, and a same-tick late insert whose key sorts
+// below the running one runs next.
+type refSched struct {
+	t, seq uint64
+	evs    []refEvent
+}
+
+type refEvent struct {
+	at, key, seq uint64
+	late         bool
+	fn           func()
+}
+
+func (a *refEvent) before(b *refEvent) bool {
+	switch {
+	case a.at != b.at:
+		return a.at < b.at
+	case a.late != b.late:
+		return !a.late
+	case a.late && a.key != b.key:
+		return a.key < b.key
+	}
+	return a.seq < b.seq
+}
+
+func (r *refSched) now() uint64  { return r.t }
+func (r *refSched) stop()        { r.evs = nil }
+func (r *refSched) pending() int { return len(r.evs) }
+
+func (r *refSched) lane0(at uint64, fn func()) {
+	r.evs = append(r.evs, refEvent{at: at, seq: r.seq, fn: fn})
+	r.seq++
+}
+
+func (r *refSched) late(at, key uint64, fn func()) {
+	r.evs = append(r.evs, refEvent{at: at, key: key, seq: r.seq, late: true, fn: fn})
+	r.seq++
+}
+
+func (r *refSched) run() {
+	for len(r.evs) > 0 {
+		m := 0
+		for i := range r.evs {
+			if r.evs[i].before(&r.evs[m]) {
+				m = i
+			}
+		}
+		ev := r.evs[m]
+		r.evs = append(r.evs[:m], r.evs[m+1:]...)
+		r.t = ev.at
+		ev.fn()
+	}
+}
+
+// engineSched adapts the engine, rotating through every scheduling
+// form and checking each callback's firing time against Now.
+type engineSched struct {
+	t *testing.T
+	e *Engine
+	n int
+}
+
+func (s *engineSched) now() uint64  { return s.e.Now() }
+func (s *engineSched) stop()        { s.e.Stop() }
+func (s *engineSched) pending() int { return s.e.Pending() }
+
+func (s *engineSched) check(at uint64) {
+	if at != s.e.Now() {
+		s.t.Errorf("callback fired with now=%d at engine time %d", at, s.e.Now())
+	}
+}
+
+func (s *engineSched) lane0(at uint64, fn func()) {
+	s.n++
+	switch s.n % 3 {
+	case 0:
+		s.e.Schedule(at, fn)
+	case 1:
+		s.e.ScheduleCall(at, func(now uint64) { s.check(now); fn() })
+	default:
+		s.e.ScheduleCtx(at, func(ctx, now uint64) { s.check(now); fn() }, 0)
+	}
+}
+
+func (s *engineSched) late(at, key uint64, fn func()) {
+	s.n++
+	if s.n%2 == 0 {
+		s.e.ScheduleLateCall(at, key, func(now uint64) { s.check(now); fn() })
+	} else {
+		s.e.ScheduleLateCtx(at, key, func(ctx, now uint64) { s.check(now); fn() }, 0)
+	}
+}
+
+// lateStep is one executed event of a script: its id, the time it ran
+// at and how many events were pending while it ran.
+type lateStep struct {
+	id, at  uint64
+	pending int
+}
+
+// lateCoverage counts the script features a run exercised, so the test
+// can assert that the cases it exists for did occur.
+type lateCoverage struct {
+	belowRunning, lateFar, lane0FollowUp, stops int
+}
+
+// lateScript schedules a random program on s and records the run order.
+// drive runs s until it drains. Every random draw happens inside a
+// callback or before the first drive, so two schedulers that run the
+// events in the same order draw the same program.
+func lateScript(seed int64, s sched, drive func(), cov *lateCoverage) []lateStep {
+	rng := rand.New(rand.NewSource(seed))
+	var trace []lateStep
+	var nextID uint64
+	const budget = 2500
+	stopID := uint64(1 << 62)
+	if rng.Intn(2) == 0 {
+		stopID = uint64(300 + rng.Intn(1500))
+	}
+	// Half the programs draw from few keys, so events sharing (time, key)
+	// — the scheduling-order tie — are common.
+	keys := 41
+	if rng.Intn(2) == 0 {
+		keys = 3
+	}
+	// edge returns a delay just inside or just beyond a span, where
+	// direct inserts meet promoted overflow events.
+	edge := func(span uint64) uint64 { return span - 1 + uint64(rng.Intn(2)) }
+	randKey := func() uint64 {
+		k := uint64(rng.Intn(keys))
+		if rng.Intn(2) == 0 {
+			k |= 1 << 32 // the DRAM issue-class bit
+		}
+		return k
+	}
+	var add func(at uint64, late bool, key uint64)
+	add = func(at uint64, late bool, key uint64) {
+		id := nextID
+		nextID++
+		body := func() {
+			now := s.now()
+			trace = append(trace, lateStep{id, now, s.pending()})
+			if id == stopID {
+				cov.stops++
+				s.stop()
+				return
+			}
+			for n := rng.Intn(4); n > 0 && nextID < budget; n-- {
+				switch rng.Intn(9) {
+				case 0, 1: // same-tick late insert, any key
+					add(now, true, randKey())
+				case 2: // same-tick late insert sorting below the running key
+					if late && key&^(1<<32) > 0 {
+						cov.belowRunning++
+						add(now, true, key-1-uint64(rng.Intn(int(key&^(1<<32)))))
+					}
+				case 3: // late, inside the late span
+					add(now+1+uint64(rng.Intn(lateSpan-1)), true, randKey())
+				case 4: // late, at the edge of the late span
+					add(now+edge(lateSpan), true, randKey())
+				case 5: // late, beyond the late span
+					cov.lateFar++
+					add(now+lateSpan+uint64(rng.Intn(3*lateSpan)), true, randKey())
+				case 6: // lane-0 follow-up at this tick
+					if late {
+						cov.lane0FollowUp++
+					}
+					add(now, false, 0)
+				case 7:
+					add(now+uint64(rng.Intn(300)), false, 0)
+				default: // lane 0, at the wheel's edge or beyond it
+					d := edge(wheelSpan)
+					if rng.Intn(2) == 0 {
+						d = uint64(rng.Intn(2 * wheelSpan))
+					}
+					add(now+d, false, 0)
+				}
+			}
+		}
+		if late {
+			s.late(at, key, body)
+		} else {
+			s.lane0(at, body)
+		}
+	}
+	seedBatch := func(base uint64) {
+		for i := 0; i < 40; i++ {
+			at := base + uint64(rng.Intn(600))
+			if rng.Intn(3) == 0 {
+				add(at, false, 0)
+			} else {
+				add(at, true, randKey())
+			}
+		}
+	}
+	seedBatch(0)
+	drive()
+	// A second program after the first drains (or was stopped): the
+	// engine must stay usable, with nothing left from the first.
+	base := uint64(0)
+	if len(trace) > 0 {
+		base = trace[len(trace)-1].at + 1000
+	}
+	stopID = 1 << 62
+	seedBatch(base)
+	drive()
+	return trace
+}
+
+// TestPropertyLateMatchesReference checks the engine's run order and
+// Pending against refSched on random programs mixing both lanes: keys
+// 0–40 with and without the issue-class bit, late events inside and
+// beyond the late span, same-tick late inserts from late callbacks
+// (some sorting below the running key), lane-0 follow-ups, and a
+// mid-tick Stop. The engine runs each program twice: event at a time
+// (Run) and tick at a time in RunUntil windows.
+func TestPropertyLateMatchesReference(t *testing.T) {
+	var cov lateCoverage
+	for trial := int64(0); trial < 40; trial++ {
+		ref := &refSched{}
+		want := lateScript(trial, ref, ref.run, &cov)
+		for _, windows := range []bool{false, true} {
+			es := &engineSched{t: t, e: New()}
+			e := es.e
+			drive := e.Run
+			if windows {
+				drive = func() {
+					for e.Pending() > 0 {
+						e.RunUntil(e.Now() + 37)
+					}
+				}
+			}
+			got := lateScript(trial, es, drive, &lateCoverage{})
+			if len(got) != len(want) {
+				t.Fatalf("trial %d windows=%v: ran %d events, reference %d", trial, windows, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d windows=%v: step %d = %+v, reference %+v", trial, windows, i, got[i], want[i])
+				}
+			}
+			if e.Pending() != 0 {
+				t.Fatalf("trial %d windows=%v: %d events pending after drain", trial, windows, e.Pending())
+			}
+		}
+	}
+	if cov.belowRunning == 0 || cov.lateFar == 0 || cov.lane0FollowUp == 0 || cov.stops == 0 {
+		t.Fatalf("programs missed a case: %+v", cov)
+	}
+	t.Logf("coverage over all trials: %+v", cov)
+}
+
+// BenchmarkLateLane times the late lane the way the DRAM channels use
+// it: 20 channel keys, each with an issue event (issue-class key) that
+// re-arms itself 1–8 ticks ahead, as a bus-busy channel does, and
+// schedules a completion (bare key) 20–144 ticks ahead. One op is a
+// fresh engine running 1<<16 events; ns/event is the layer's number.
+func BenchmarkLateLane(b *testing.B) {
+	const channels, events = 20, 1 << 16
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := New()
+		x := uint64(1)
+		draw := func(n uint64) uint64 {
+			x = x*6364136223846793005 + 1442695040888963407 // LCG
+			return (x >> 33) % n
+		}
+		complete := func(_, _ uint64) {}
+		var issue func(ch, now uint64)
+		issue = func(ch, now uint64) {
+			if e.Steps() >= events {
+				return
+			}
+			e.ScheduleLateCtx(now+20+draw(125), ch, complete, ch)
+			e.ScheduleLateCtx(now+1+draw(8), 1<<32|ch, issue, ch)
+		}
+		for ch := uint64(0); ch < channels; ch++ {
+			e.ScheduleLateCtx(0, 1<<32|ch, issue, ch)
+		}
+		e.RunUntil(1 << 40)
+		if e.Pending() != 0 {
+			b.Fatalf("%d events left", e.Pending())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
 }
