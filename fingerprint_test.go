@@ -12,6 +12,9 @@
 // were derived on amd64; other architectures may fuse floating-point
 // multiply-adds differently, so there the hashes are only logged.
 // DESIGN.md §9 describes the workflow.
+//
+// Each run's engine event count is logged too, and on amd64 must not
+// exceed its ceiling in eventCeilings.
 package hydrogen
 
 import (
@@ -40,6 +43,21 @@ var goldenFingerprints = map[string]map[string]string{
 	},
 }
 
+// eventCeilings bounds each golden run's engine event count. Counts
+// repeat exactly, so they guard the simulator's cost per run without
+// timing noise: a change that cuts events lowers a ceiling to the new
+// count, and one that adds events must raise it here, in the open.
+var eventCeilings = map[string]uint64{
+	"C1 Baseline": 1164912,
+	"C1 WayPart":  1018664,
+	"C1 Hydrogen": 1179154,
+	"C1 Profess":  1140841,
+	"C5 Baseline": 419741,
+	"C5 WayPart":  416485,
+	"C5 Hydrogen": 400095,
+	"C5 Profess":  411240,
+}
+
 func TestResultFingerprint(t *testing.T) {
 	cfg := system.Quick()
 	cfg.Hybrid.FastCapacityBytes = 4 << 20
@@ -61,10 +79,18 @@ func TestResultFingerprint(t *testing.T) {
 			system.DesignBaseline, system.DesignWayPart,
 			system.DesignHydrogen, system.DesignProfess,
 		} {
-			r, err := system.RunDesign(cfg, design, combo)
+			run := cfg
+			run.CPUProfiles = combo.CPUAssignment(run.Cores)
+			run.GPUProfile = combo.GPU
+			factory, err := system.ApplyDesign(&run, design)
 			if err != nil {
 				t.Fatalf("%s %s: %v", comboID, design, err)
 			}
+			sys, err := system.New(run, factory)
+			if err != nil {
+				t.Fatalf("%s %s: %v", comboID, design, err)
+			}
+			r := sys.Run()
 			b, err := json.Marshal(r)
 			if err != nil {
 				t.Fatal(err)
@@ -72,10 +98,14 @@ func TestResultFingerprint(t *testing.T) {
 			sum := sha256.Sum256(b)
 			name := comboID + " " + design
 			got := fmt.Sprintf("%x", sum[:8])
-			t.Logf("%s %s", name, got)
+			steps := sys.Engine().Steps()
+			t.Logf("%s %s %d events", name, got, steps)
 			if want := golden[name]; runtime.GOARCH == "amd64" && got != want {
 				t.Errorf("%s: fingerprint %s, golden %s under model version %q; a model change bumps system.ModelVersion",
 					name, got, want, system.ModelVersion)
+			}
+			if ceil := eventCeilings[name]; runtime.GOARCH == "amd64" && steps > ceil {
+				t.Errorf("%s: %d engine events, ceiling %d", name, steps, ceil)
 			}
 		}
 	}

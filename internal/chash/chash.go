@@ -8,7 +8,10 @@
 // CPU's capacity share relocates at most one way per set.
 package chash
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // Score returns a deterministic 64-bit weight for the (key, bucket) pair.
 // It is a splitmix64-style finalizer over the mixed inputs; quality only
@@ -46,6 +49,35 @@ func Select(key uint64, buckets []int, k int) []int {
 		k = len(r)
 	}
 	return r[:k]
+}
+
+// SelectBits is Select over the buckets 0..63 given as a bit set: it
+// returns, as a bit set, the k highest-ranked buckets of the set for
+// key, under Rank's order (score descending, then bucket ascending). It
+// ranks in a fixed buffer, so it does not allocate.
+func SelectBits(key, buckets uint64, k int) uint64 {
+	var cand [64]struct{ score, bucket uint64 }
+	n := 0
+	for b := buckets; b != 0; b &= b - 1 {
+		i := uint64(bits.TrailingZeros64(b))
+		cand[n].score, cand[n].bucket = Score(key, i), i
+		n++
+	}
+	var out uint64
+	// Partial selection sort: each pass moves the best remaining
+	// candidate to the front.
+	for j := 0; j < k && j < n; j++ {
+		best := j
+		for i := j + 1; i < n; i++ {
+			c, b := &cand[i], &cand[best]
+			if c.score > b.score || c.score == b.score && c.bucket < b.bucket {
+				best = i
+			}
+		}
+		out |= 1 << cand[best].bucket
+		cand[j], cand[best] = cand[best], cand[j]
+	}
+	return out
 }
 
 // --- string-keyed rendezvous ---

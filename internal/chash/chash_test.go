@@ -243,3 +243,30 @@ func TestPropertyPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// SelectBits must pick exactly Select's buckets, for every bucket subset
+// of a 16-way set and every k, and must not allocate.
+func TestSelectBitsMatchesSelect(t *testing.T) {
+	for key := uint64(0); key < 64; key++ {
+		for set := uint64(0); set < 1<<16; set += 97 {
+			var buckets []int
+			for b := 0; b < 16; b++ {
+				if set&(1<<b) != 0 {
+					buckets = append(buckets, b)
+				}
+			}
+			for k := 0; k <= len(buckets)+1; k++ {
+				var want uint64
+				for _, b := range Select(key, buckets, k) {
+					want |= 1 << b
+				}
+				if got := SelectBits(key, set, k); got != want {
+					t.Fatalf("SelectBits(%d, %#x, %d) = %#x, Select gives %#x", key, set, k, got, want)
+				}
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { SelectBits(7, 0xfff0, 5) }); n != 0 {
+		t.Fatalf("SelectBits allocates %.0f times per call", n)
+	}
+}

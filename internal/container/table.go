@@ -18,16 +18,21 @@ import "math/bits"
 // therefore cannot hold the key ^uint64(0), which never occurs in the
 // simulator (keys are block or line indices).
 type Table struct {
-	keys []uint64 // key+1; 0 = empty
-	vals []int64
-	n    int
+	keys  []uint64 // key+1; 0 = empty
+	vals  []int64
+	n     int
+	shift uint8 // 64 - log2(len(keys)): home takes the hash's top bits
 }
 
 const minTableSize = 64
 
-func tableHash(k uint64) uint64 {
-	// Fibonacci scrambling; the caller masks to table size.
-	return k * 0x9E3779B97F4A7C15
+// home is the key's home slot by Fibonacci hashing: the top log2(size)
+// bits of k times 2^64/phi. The product's low bits would not do: they
+// depend only on k's low bits, and the cores' pending-miss sets key on
+// line addresses, whose low six bits are zero, so the masked product
+// gives every line key one of 4 home slots in a 256-slot table.
+func (t *Table) home(k uint64) uint64 {
+	return (k * 0x9E3779B97F4A7C15) >> t.shift
 }
 
 func (t *Table) mask() uint64 { return uint64(len(t.keys) - 1) }
@@ -41,7 +46,7 @@ func (t *Table) Get(k uint64) (int64, bool) {
 		return 0, false
 	}
 	m := t.mask()
-	for i := tableHash(k) & m; ; i = (i + 1) & m {
+	for i := t.home(k); ; i = (i + 1) & m {
 		stored := t.keys[i]
 		if stored == 0 {
 			return 0, false
@@ -65,7 +70,7 @@ func (t *Table) Put(k uint64, v int64) {
 		t.grow()
 	}
 	m := t.mask()
-	for i := tableHash(k) & m; ; i = (i + 1) & m {
+	for i := t.home(k); ; i = (i + 1) & m {
 		stored := t.keys[i]
 		if stored == 0 {
 			t.keys[i] = k + 1
@@ -87,7 +92,7 @@ func (t *Table) Delete(k uint64) {
 		return
 	}
 	m := t.mask()
-	i := tableHash(k) & m
+	i := t.home(k)
 	for {
 		stored := t.keys[i]
 		if stored == 0 {
@@ -110,7 +115,7 @@ func (t *Table) Delete(k uint64) {
 			if stored == 0 {
 				return
 			}
-			home := tableHash(stored-1) & m
+			home := t.home(stored - 1)
 			// The element at j may move to i only if its home slot does
 			// not lie strictly between i (exclusive) and j (inclusive)
 			// on the probe circle.
@@ -136,6 +141,7 @@ func (t *Table) grow() {
 	oldKeys, oldVals := t.keys, t.vals
 	t.keys = make([]uint64, size)
 	t.vals = make([]int64, size)
+	t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
 	t.n = 0
 	for i, stored := range oldKeys {
 		if stored != 0 {

@@ -113,6 +113,40 @@ func FuzzTableVsMap(f *testing.F) {
 	})
 }
 
+// probes returns how many slots a lookup of the stored key k examines.
+func probes(tab *Table, k uint64) int {
+	m := tab.mask()
+	n := 1
+	for i := tab.home(k); tab.keys[i] != k+1; i = (i + 1) & m {
+		n++
+	}
+	return n
+}
+
+// TestTableSpreadsLineKeys checks the hash on the keys the miss paths
+// use: a GPU subslice holds up to 128 misses on line addresses, which
+// share their low bits, and lookups of them must stay near one probe.
+func TestTableSpreadsLineKeys(t *testing.T) {
+	for _, stride := range []uint64{64, 256} {
+		var tab Table
+		const n = 128
+		base := uint64(0x7f3a_c000)
+		for i := uint64(0); i < n; i++ {
+			tab.Put(base+i*stride, int64(i))
+		}
+		total := 0
+		for i := uint64(0); i < n; i++ {
+			total += probes(&tab, base+i*stride)
+		}
+		mean := float64(total) / n
+		t.Logf("stride %d: %.2f probes per lookup", stride, mean)
+		if mean > 2 {
+			t.Errorf("stride %d: %d keys in %d slots take %.1f probes on average, want <= 2",
+				stride, n, len(tab.keys), mean)
+		}
+	}
+}
+
 func BenchmarkTableChurn(b *testing.B) {
 	b.ReportAllocs()
 	var tab Table
@@ -127,17 +161,18 @@ func BenchmarkTableChurn(b *testing.B) {
 }
 
 // BenchmarkTable measures the table under the cores' MSHR access
-// pattern: membership probe, insert, a missing-key probe, and every
-// other iteration a backward-shift delete.
+// pattern: membership probe, insert, a second line's probe, and every
+// other iteration a backward-shift delete, all on line addresses (the
+// cores key their pending-miss sets on addr &^ 63).
 func BenchmarkTable(b *testing.B) {
 	b.ReportAllocs()
 	var tab Table
 	for i := 0; i < b.N; i++ {
-		k := uint64(i) & 1023
+		k := uint64(i) & 1023 << 6
 		if !tab.Has(k) {
 			tab.Put(k, int64(i))
 		}
-		tab.Get(k ^ 0x2a5)
+		tab.Get(k ^ 0x2a5<<6)
 		if i&1 == 1 {
 			tab.Delete(k)
 		}

@@ -152,8 +152,9 @@ type Hydrogen struct {
 	// (the alloc bits). Rebuilt when the operating point changes; ways
 	// themselves stay pinned to channel groups, so reconfiguration moves
 	// ownership, never data layout — the key to cheap reconfiguration.
-	cpuMask []uint16
-	numSets uint64
+	cpuMask   []uint16
+	maskStale bool // cpuMask predates the operating point; rebuilt on next read
+	numSets   uint64
 
 	tokens     float64
 	lastRefill uint64
@@ -225,7 +226,7 @@ func (h *Hydrogen) SetPoint(cpuWays, cpuGroups, tokIdx int) {
 		return
 	}
 	h.c, h.b, h.tokIdx = cpuWays, cpuGroups, tokIdx
-	h.cpuMask = nil // rebuild the alloc bits lazily
+	h.maskStale = true // rebuild the alloc bits lazily
 	h.stats.Reconfigs++
 }
 
@@ -243,7 +244,7 @@ func (h *Hydrogen) quota() float64 {
 
 // SetNumSets fixes the set count so the alloc-bit table can be built
 // eagerly. The system builder calls it once.
-func (h *Hydrogen) SetNumSets(n uint64) { h.numSets = n; h.cpuMask = nil }
+func (h *Hydrogen) SetNumSets(n uint64) { h.numSets = n; h.maskStale = true }
 
 // dedicatedWays is the number of ways per set that live entirely in
 // CPU-dedicated channel groups.
@@ -282,17 +283,9 @@ func (h *Hydrogen) ownerMaskFor(set uint64) uint16 {
 			}
 		}
 	}
-	extra := h.c - ded
-	if extra > 0 {
-		shared := make([]int, 0, a)
-		for w := 0; w < a; w++ {
-			if mask&(1<<w) == 0 {
-				shared = append(shared, w)
-			}
-		}
-		for _, w := range chash.Select(set, shared, extra) {
-			mask |= 1 << w
-		}
+	if extra := h.c - ded; extra > 0 {
+		shared := (uint64(1)<<a - 1) &^ uint64(mask)
+		mask |= uint16(chash.SelectBits(set, shared, extra))
 	}
 	return mask
 }
@@ -301,11 +294,14 @@ func (h *Hydrogen) allocBits(set uint64) uint16 {
 	if h.numSets == 0 || set >= h.numSets {
 		return h.ownerMaskFor(set)
 	}
-	if h.cpuMask == nil {
-		h.cpuMask = make([]uint16, h.numSets)
-		for s := uint64(0); s < h.numSets; s++ {
-			h.cpuMask[s] = h.ownerMaskFor(s)
+	if h.maskStale {
+		if uint64(len(h.cpuMask)) != h.numSets {
+			h.cpuMask = make([]uint16, h.numSets)
 		}
+		for s := range h.cpuMask {
+			h.cpuMask[s] = h.ownerMaskFor(uint64(s))
+		}
+		h.maskStale = false
 	}
 	return h.cpuMask[set]
 }

@@ -244,8 +244,7 @@ type Channel struct {
 	qhead        int
 	banks        []bank
 	busBusyUntil uint64
-	issueAt      uint64 // earliest already-scheduled issue event, or 0
-	issueArmed   bool
+	issueArmed   bool             // an issue event is pending (at most one is)
 	issueFn      func(now uint64) // issueEvent bound once, so arming never allocates
 	key          uint64           // engine-unique late-lane key, fixed at construction
 
@@ -297,9 +296,10 @@ func (c *Channel) Stats() Stats { return c.stats }
 func (c *Channel) QueueLen() int { return len(c.queue) - c.qhead }
 
 // Enqueue submits a request to the channel's scheduler queue. The
-// channel picks it up at its issue event for the current tick (no
-// latency is added), which runs on the late lane after the tick's core
-// and cache work.
+// channel picks it up at its next issue event: this tick's (no latency
+// is added), which runs on the late lane after the tick's core and cache
+// work, or, while the bus is reserved beyond the lookahead, the first
+// tick the reservation lets it issue.
 func (c *Channel) Enqueue(r Request) {
 	if r.Bytes == 0 {
 		r.Bytes = 64
@@ -316,6 +316,24 @@ func (c *Channel) Enqueue(r Request) {
 	c.armIssue(r.arrive)
 }
 
+// armIssue ensures an issue event is pending at the first tick from now
+// at which the bus reservation lets a request issue. The bus is reserved
+// only by issuing, and issuing first consumes the pending event, so while
+// one is armed busBusyUntil is fixed and the pending event already sits
+// at that tick (or at now): a channel has at most one pending issue
+// event, and every issue event issues at least one request.
+func (c *Channel) armIssue(now uint64) {
+	if c.issueArmed {
+		return
+	}
+	at := now
+	if la := c.lookahead(); c.busBusyUntil > now+la {
+		at = c.busBusyUntil - la
+	}
+	c.issueArmed = true
+	c.eng.ScheduleLateCall(at, issueClassKey|c.key, c.issueFn)
+}
+
 // decode splits an address into its bank and row. It runs once per
 // request at enqueue; the scheduler and service path read the cached
 // fields.
@@ -325,23 +343,7 @@ func (c *Channel) decode(addr uint64) (bank int32, row int64) {
 	return int32(rem), int64(q)
 }
 
-func (c *Channel) armIssue(at uint64) {
-	if c.issueArmed && c.issueAt <= at {
-		return
-	}
-	c.issueArmed = true
-	c.issueAt = at
-	c.eng.ScheduleLateCall(at, issueClassKey|c.key, c.issueFn)
-}
-
 func (c *Channel) issueEvent(now uint64) {
-	// An enqueue arms an issue event at its own tick over a pending
-	// later one (the bus-busy re-arm in tryIssue); the later event is
-	// then stale. Exactly one live event (the one at issueAt) does work,
-	// so stale ones cost O(1) and never re-arm.
-	if !c.issueArmed || c.issueAt != now {
-		return
-	}
 	c.issueArmed = false
 	c.tryIssue(now)
 }
@@ -391,8 +393,8 @@ func (c *Channel) pick(now uint64) int {
 
 func (c *Channel) tryIssue(now uint64) {
 	for c.qhead < len(c.queue) {
-		if la := c.lookahead(); c.busBusyUntil > now+la {
-			c.armIssue(c.busBusyUntil - la)
+		if c.busBusyUntil > now+c.lookahead() {
+			c.armIssue(now)
 			return
 		}
 		i := c.qhead + c.pick(now)

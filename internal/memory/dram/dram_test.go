@@ -354,3 +354,53 @@ func BenchmarkChannelThroughput(b *testing.B) {
 	}
 	eng.Run()
 }
+
+// TestIssueEventsOnlyWhenIssuing feeds a channel a backlog whose
+// arrivals land while the bus is reserved beyond the lookahead, and
+// checks the one-pending-issue-event invariant by counting events: every
+// issue event issues at least one request, so the engine runs at most one
+// completion and one issue event per request. The FR-FCFS order and
+// timing are pinned as in TestFRFCFSOrder.
+func TestIssueEventsOnlyWhenIssuing(t *testing.T) {
+	const n = 32
+	want := [n][2]uint64{ // {request, completion tick}, in issue order
+		{0, 28}, {1, 36}, {2, 44}, {12, 52}, {14, 60}, {3, 68}, {15, 76}, {4, 84},
+		{16, 92}, {5, 100}, {17, 108}, {26, 116}, {7, 124}, {19, 132}, {28, 140}, {29, 148},
+		{31, 156}, {8, 170}, {9, 178}, {21, 186}, {10, 194}, {22, 202}, {11, 210}, {23, 218},
+		{18, 232}, {30, 240}, {6, 248}, {13, 256}, {20, 264}, {24, 294}, {25, 302}, {27, 310},
+	}
+	eng := sim.New()
+	cfg := testConfig()
+	ch := NewChannel(eng, &cfg, 0)
+	var got [][2]uint64
+	done := func(i, now uint64) { got = append(got, [2]uint64{i, now}) }
+	for i := uint64(0); i < n; i++ {
+		// One arrival per tick; 256 B bursts hold the bus 8 ticks each,
+		// so from the second request on the bus is reserved past the
+		// lookahead when a request arrives.
+		eng.RunUntil(i)
+		row, bank := (i/4)%3, (5*i)%4
+		src := SourceGPU
+		if i%3 == 0 {
+			src = SourceCPU
+		}
+		ch.Enqueue(Request{
+			Addr: (row*uint64(cfg.BanksPerChannel) + bank) * cfg.RowBytes, Bytes: 256,
+			Source: src, Lo: i%7 == 6, DoneCtx: done, Ctx: i,
+		})
+	}
+	eng.Run()
+	if len(got) != n {
+		t.Fatalf("%d requests completed, want %d", len(got), n)
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("issue %d: request %d done at %d, want request %d at %d",
+				k, got[k][0], got[k][1], want[k][0], want[k][1])
+		}
+	}
+	if steps := eng.Steps(); steps > 2*n {
+		t.Fatalf("%d events for %d requests, want at most %d (one completion and one issue event each)",
+			steps, n, 2*n)
+	}
+}

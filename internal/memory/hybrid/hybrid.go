@@ -288,11 +288,12 @@ type Controller struct {
 	stats Stats
 }
 
-// access is the pooled per-request state: it replaces the two closures
-// (metadata-probe continuation and latency-accounting finish) that the
-// Access hot path used to allocate. A record is acquired in Access and
-// recycled inside finish, which runs exactly once per access; per the
-// pooled-event lifetime rules it must not be referenced after that.
+// access is the pooled per-request state: it replaces the closures
+// (metadata-probe continuation, remap-miss metadata read and
+// latency-accounting finish) that the Access hot path used to allocate.
+// A record is acquired in Access and recycled inside finish, which runs
+// exactly once per access; per the pooled-event lifetime rules it must
+// not be referenced after that.
 type access struct {
 	c     *Controller
 	start uint64
@@ -303,11 +304,15 @@ type access struct {
 	src   dram.Source
 	done  func(uint64)
 
-	probeFn  func()       // bound to (*access).probe once
-	finishFn func(uint64) // bound to (*access).finish once
+	probeFn    func()       // bound to (*access).probe once
+	metaReadFn func(uint64) // bound to (*access).metaRead once
+	finishFn   func(uint64) // bound to (*access).finish once
 }
 
 func (a *access) probe() { a.c.probe(a.blk, a.set, a.line, a.write, a.src, a.finishFn) }
+
+// metaRead runs when a remap-cache miss's metadata line arrives.
+func (a *access) metaRead(uint64) { a.c.eng.After(a.c.cfg.ExtraTagLat, a.probeFn) }
 
 func (a *access) finish(t uint64) {
 	c := a.c
@@ -328,6 +333,7 @@ func (c *Controller) getAccess() *access {
 	}
 	a := &access{c: c}
 	a.probeFn = a.probe
+	a.metaReadFn = a.metaRead
 	a.finishFn = a.finish
 	return a
 }
@@ -477,7 +483,7 @@ func (c *Controller) Access(addr uint64, write bool, src dram.Source, done func(
 	a.write = write
 	a.src = src
 	a.done = done
-	c.withMeta(set, a.probeFn)
+	c.withMeta(set, a.probeFn, a.metaReadFn)
 }
 
 // metaLine returns the metadata line index holding a set's remap entry,
@@ -495,7 +501,11 @@ func (c *Controller) metaLine(set uint64) (line uint64, ch *dram.Channel, devAdd
 // withMeta models the remap metadata probe: a remap-cache hit costs
 // RemapCacheHitLat cycles; a miss additionally reads one metadata line
 // from the fast tier (the remap table lives there) before continuing.
-func (c *Controller) withMeta(set uint64, cont func()) {
+// On a miss metaRead runs when the line arrives and must run cont
+// ExtraTagLat cycles later; Access passes both bound to its pooled
+// record, so neither path allocates. The chained probe passes a nil
+// metaRead and pays for a closure on a miss.
+func (c *Controller) withMeta(set uint64, cont func(), metaRead func(uint64)) {
 	line, ch, devAddr := c.metaLine(set)
 	if c.remap.Access(line*LineBytes, false) {
 		c.stats.RemapHits++
@@ -509,11 +519,10 @@ func (c *Controller) withMeta(set uint64, cont func()) {
 		_, wch, wAddr := c.metaLine(v.Addr / LineBytes * setsPerMetaLine)
 		wch.Enqueue(dram.Request{Addr: wAddr, Bytes: LineBytes, Write: true, Source: dram.SourceCPU})
 	}
-	extra := c.cfg.ExtraTagLat
-	ch.Enqueue(dram.Request{
-		Addr: devAddr, Bytes: LineBytes, Source: dram.SourceCPU,
-		Done: func(uint64) { c.eng.After(extra, cont) },
-	})
+	if metaRead == nil {
+		metaRead = func(uint64) { c.eng.After(c.cfg.ExtraTagLat, cont) }
+	}
+	ch.Enqueue(dram.Request{Addr: devAddr, Bytes: LineBytes, Source: dram.SourceCPU, Done: metaRead})
 }
 
 // touchMeta marks the set's remap entry dirty so its eventual remap-cache
@@ -545,7 +554,7 @@ func (c *Controller) probe(blk, set, line uint64, write bool, src dram.Source, f
 		if cw := findWay(&c.entries[chainSet], blk); cw >= 0 {
 			c.stats.ChainHits++
 			// The chained probe costs a second metadata access.
-			c.withMeta(chainSet, func() { c.hitPath(blk, chainSet, cw, line, write, src, finish) })
+			c.withMeta(chainSet, func() { c.hitPath(blk, chainSet, cw, line, write, src, finish) }, nil)
 			return
 		}
 	}
