@@ -20,6 +20,7 @@ func TestValidate(t *testing.T) {
 		{Name: "b", SizeBytes: 1024, Assoc: 2, BlockBytes: 60},
 		{Name: "c", SizeBytes: 64, Assoc: 2, BlockBytes: 64},
 		{Name: "d", SizeBytes: 1024 + 64, Assoc: 2, BlockBytes: 64},
+		{Name: "e", SizeBytes: 257 * 64, Assoc: 257, BlockBytes: 64}, // way numbers are one byte
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -187,5 +188,30 @@ func BenchmarkAccessHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Access(uint64(i%16384)*64, false)
+	}
+}
+
+// BenchmarkCacheMissFill times the miss path, Access then Fill, on the
+// quick configuration's LLC and GPU L1 shapes. A sequential stream over
+// four times the capacity misses on every access, and every fourth
+// access is a write, so a quarter of the victims are dirty.
+func BenchmarkCacheMissFill(b *testing.B) {
+	for _, cfg := range []Config{
+		{Name: "LLC", SizeBytes: 512 << 10, Assoc: 16, BlockBytes: 64},
+		{Name: "GPUL1", SizeBytes: 64 << 10, Assoc: 8, BlockBytes: 64},
+	} {
+		b.Run(cfg.Name, func(b *testing.B) {
+			c := New(cfg)
+			span := 4 * cfg.SizeBytes
+			var addr uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				write := i&3 == 0
+				if !c.Access(addr, write) {
+					c.Fill(addr, write)
+				}
+				addr = (addr + 64) % span
+			}
+		})
 	}
 }

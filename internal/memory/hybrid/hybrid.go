@@ -165,31 +165,51 @@ func (s Stats) AvgLatency(src dram.Source) float64 {
 	return float64(s.LatencySum[src]) / float64(s.Demand[src])
 }
 
+// way is one fast-tier way's remap entry in 16 bytes, so a 4-way set
+// fills exactly one 64-byte host cache line. meta packs the block index
+// above four flag bits; a block index is an address shifted right by at
+// least 6 bits, so the shift back left by 4 cannot overflow. An invalid
+// way is the zero value.
 type way struct {
-	tag     uint64 // block index; the full index, so chained hits work
-	valid   bool
-	dirty   bool
-	busy    bool // fill in flight
+	meta    uint64 // blk<<wayTagShift | wayGPU | wayBusy | wayDirty | wayValid
 	lastUse uint64
-	src     dram.Source
 }
 
-type entry struct {
-	ways []way
-	// ptags mirrors ways for the tag probe: (tag<<1)|1 when the way is
-	// valid, 0 otherwise, so findWay scans one dense word per way
-	// instead of a 32-byte struct. Every tag/valid mutation must call
-	// sync; dirty/busy/lastUse changes don't affect it.
-	ptags []uint64
-}
+const (
+	wayValid uint64 = 1 << iota
+	wayDirty
+	wayBusy // fill in flight
+	wayGPU  // inserted by dram.SourceGPU
 
-// sync refreshes way w's probe-mirror word after a tag or valid change.
-func (e *entry) sync(w int) {
-	if y := &e.ways[w]; y.valid {
-		e.ptags[w] = y.tag<<1 | 1
-	} else {
-		e.ptags[w] = 0
+	// wayState is the flag bits a tag probe ignores: findWay compares
+	// the rest of meta against blk<<wayTagShift | wayValid.
+	wayState = wayDirty | wayBusy | wayGPU
+)
+
+// wayTagShift places the block index above the four flag bits.
+const wayTagShift = 4
+
+// newWay is the entry of a block just installed by src: valid, with its
+// fill in flight.
+func newWay(blk uint64, src dram.Source, now uint64) way {
+	m := blk<<wayTagShift | wayValid | wayBusy
+	if src == dram.SourceGPU {
+		m |= wayGPU
 	}
+	return way{meta: m, lastUse: now}
+}
+
+func (w *way) valid() bool         { return w.meta&wayValid != 0 }
+func (w *way) dirty() bool         { return w.meta&wayDirty != 0 }
+func (w *way) busy() bool          { return w.meta&wayBusy != 0 }
+func (w *way) blk() uint64         { return w.meta >> wayTagShift }
+func (w *way) holds(b uint64) bool { return w.meta&^wayState == b<<wayTagShift|wayValid }
+
+func (w *way) src() dram.Source {
+	if w.meta&wayGPU != 0 {
+		return dram.SourceGPU
+	}
+	return dram.SourceCPU
 }
 
 // fill is one in-flight block migration. Fill records live in a pooled
@@ -205,6 +225,17 @@ type fill struct {
 	remaining uint32 // fast-tier line writes still draining
 	// Intrusive FIFO waiter list: indices into Controller.wnodes.
 	whead, wtail int32
+}
+
+// copyRec is one in-flight block copy: a victim writeback to the slow
+// home, or a swap move into way w of set. Like fills, copy records live
+// in a pooled slab and completion callbacks address them by slot index.
+type copyRec struct {
+	blk       uint64
+	set       uint64
+	w         int32
+	src       dram.Source
+	remaining uint32 // line reads still outstanding
 }
 
 // waiterNode is one pooled waiter: an access coalesced onto an in-flight
@@ -264,13 +295,16 @@ type Controller struct {
 	slowChDiv  bitmath.Div // len(slow.Channels)
 	perWay     uint64      // BlockBytes / GroupSize
 
-	entries []entry
-	remap   *caches.Cache
+	ways  []way // numSets*Assoc remap entries, set-major
+	remap *caches.Cache
 
 	pendingFill container.Table // block index -> fill slab slot
 	fills       []fill          // fill slab; freeFills indexes unused slots
 	freeFills   []int32
 	fillsBySrc  [2]int // in-flight fills per source
+
+	copies     []copyRec // copy slab; freeCopies indexes unused slots
+	freeCopies []int32
 
 	pendingLine container.Table // line key -> packed waiter chain (head<<32 | tail)
 	wnodes      []waiterNode
@@ -284,6 +318,8 @@ type Controller struct {
 	lineDoneFn     func(ctx, now uint64)
 	refillDoneFn   func(ctx, now uint64)
 	fillLineDoneFn func(ctx, now uint64)
+	wbLineDoneFn   func(ctx, now uint64)
+	moveLineDoneFn func(ctx, now uint64)
 
 	stats Stats
 }
@@ -312,7 +348,7 @@ type access struct {
 func (a *access) probe() { a.c.probe(a.blk, a.set, a.line, a.write, a.src, a.finishFn) }
 
 // metaRead runs when a remap-cache miss's metadata line arrives.
-func (a *access) metaRead(uint64) { a.c.eng.After(a.c.cfg.ExtraTagLat, a.probeFn) }
+func (a *access) metaRead(uint64) { a.c.afterTag(a.probeFn) }
 
 func (a *access) finish(t uint64) {
 	c := a.c
@@ -374,13 +410,9 @@ func New(eng *sim.Engine, cfg Config, fast, slow *dram.Tier, pol Policy) (*Contr
 	c.lineDoneFn = c.lineDone
 	c.refillDoneFn = c.refillDone
 	c.fillLineDoneFn = c.fillLineDone
-	c.entries = make([]entry, c.numSets)
-	backing := make([]way, c.numSets*uint64(cfg.Assoc))
-	tagBacking := make([]uint64, c.numSets*uint64(cfg.Assoc))
-	for i := range c.entries {
-		c.entries[i].ways, backing = backing[:cfg.Assoc], backing[cfg.Assoc:]
-		c.entries[i].ptags, tagBacking = tagBacking[:cfg.Assoc], tagBacking[cfg.Assoc:]
-	}
+	c.wbLineDoneFn = c.wbLineDone
+	c.moveLineDoneFn = c.moveLineDone
+	c.ways = make([]way, c.numSets*uint64(cfg.Assoc))
 	c.remap = caches.New(caches.Config{
 		Name:       "remap",
 		SizeBytes:  cfg.RemapCacheBytes,
@@ -405,17 +437,23 @@ func (c *Controller) Policy() Policy { return c.pol }
 // Stats returns a snapshot of the controller counters.
 func (c *Controller) Stats() Stats { return c.stats }
 
+// set returns set s's ways.
+func (c *Controller) set(s uint64) []way {
+	a := uint64(c.cfg.Assoc)
+	return c.ways[s*a : (s+1)*a : (s+1)*a]
+}
+
 // views builds the policy-visible view of a set in the controller's
 // reused buffer. The engine is single-threaded and no policy retains the
 // slice, so one buffer serves every call.
 func (c *Controller) views(set uint64) []WayView {
-	e := &c.entries[set]
 	buf := c.viewBuf[:0]
-	for i := range e.ways {
-		w := &e.ways[i]
+	ws := c.set(set)
+	for i := range ws {
+		w := &ws[i]
 		buf = append(buf, WayView{
-			Valid: w.valid, Dirty: w.dirty, Busy: w.busy,
-			LastUse: w.lastUse, Tag: w.tag, Src: w.src,
+			Valid: w.valid(), Dirty: w.dirty(), Busy: w.busy(),
+			LastUse: w.lastUse, Tag: w.blk(), Src: w.src(),
 		})
 	}
 	c.viewBuf = buf
@@ -520,9 +558,21 @@ func (c *Controller) withMeta(set uint64, cont func(), metaRead func(uint64)) {
 		wch.Enqueue(dram.Request{Addr: wAddr, Bytes: LineBytes, Write: true, Source: dram.SourceCPU})
 	}
 	if metaRead == nil {
-		metaRead = func(uint64) { c.eng.After(c.cfg.ExtraTagLat, cont) }
+		metaRead = func(uint64) { c.afterTag(cont) }
 	}
 	ch.Enqueue(dram.Request{Addr: devAddr, Bytes: LineBytes, Source: dram.SourceCPU, Done: metaRead})
+}
+
+// afterTag runs cont ExtraTagLat cycles after a metadata line arrives.
+// Without a tag penalty it calls cont directly: a zero-delay event would
+// run next anyway, since the engine drains lane 0 right after the late
+// completion event that delivered the line.
+func (c *Controller) afterTag(cont func()) {
+	if c.cfg.ExtraTagLat == 0 {
+		cont()
+		return
+	}
+	c.eng.After(c.cfg.ExtraTagLat, cont)
 }
 
 // touchMeta marks the set's remap entry dirty so its eventual remap-cache
@@ -534,10 +584,10 @@ func (c *Controller) touchMeta(set uint64) {
 	}
 }
 
-func findWay(e *entry, blk uint64) int {
-	want := blk<<1 | 1
-	for i, t := range e.ptags {
-		if t == want {
+// findWay returns the way of ws holding blk, or -1.
+func findWay(ws []way, blk uint64) int {
+	for i := range ws {
+		if ws[i].holds(blk) {
 			return i
 		}
 	}
@@ -545,13 +595,12 @@ func findWay(e *entry, blk uint64) int {
 }
 
 func (c *Controller) probe(blk, set, line uint64, write bool, src dram.Source, finish func(uint64)) {
-	e := &c.entries[set]
-	w := findWay(e, blk)
+	w := findWay(c.set(set), blk)
 	if w < 0 && c.cfg.Chaining {
 		// HAShCache pseudo-associativity: probe the chained set too.
 		c.stats.ChainProbes++
 		chainSet := c.setDiv.Mod(set + 1)
-		if cw := findWay(&c.entries[chainSet], blk); cw >= 0 {
+		if cw := findWay(c.set(chainSet), blk); cw >= 0 {
 			c.stats.ChainHits++
 			// The chained probe costs a second metadata access.
 			c.withMeta(chainSet, func() { c.hitPath(blk, chainSet, cw, line, write, src, finish) }, nil)
@@ -587,14 +636,13 @@ func (c *Controller) slowLineReq(blk, line uint64) (*dram.Channel, uint64) {
 
 func (c *Controller) hitPath(blk, set uint64, w int, line uint64, write bool, src dram.Source, finish func(uint64)) {
 	c.stats.FastHits[src]++
-	e := &c.entries[set]
-	wy := &e.ways[w]
+	wy := &c.set(set)[w]
 	wy.lastUse = c.eng.Now()
 	if write {
-		wy.dirty = true
+		wy.meta |= wayDirty
 		c.touchMeta(set)
 	}
-	if wy.busy {
+	if wy.busy() {
 		// busy implies an in-flight fill; a way is only busy between
 		// install (which registers the fill) and finishFill (which clears
 		// busy and deregisters it in the same event), so the table lookup
@@ -623,52 +671,85 @@ func (c *Controller) afterHit(blk, set uint64, w int, src dram.Source) {
 	if c.lazy == nil && c.swapper == nil {
 		return
 	}
-	e := &c.entries[set]
+	ws := c.set(set)
 	views := c.views(set)
 
 	if c.lazy != nil && c.lazy.Misplaced(set, w, views[w]) {
 		c.stats.Misplaced++
-		wy := &e.ways[w]
-		if wy.dirty {
-			c.writebackBlock(set, w, wy.tag, src)
+		wy := &ws[w]
+		if wy.dirty() {
+			c.writebackBlock(set, w, wy.blk(), src)
 		}
 		*wy = way{}
-		e.sync(w)
 		c.touchMeta(set)
 		return
 	}
 
 	if sw := c.swapper; sw != nil {
-		if t := sw.SwapTarget(set, w, views, src); t >= 0 && t != w && !e.ways[t].busy {
+		if t := sw.SwapTarget(set, w, views, src); t >= 0 && t != w && !ws[t].busy() {
 			c.stats.Swaps++
-			a, b := e.ways[w], e.ways[t]
+			a, b := ws[w], ws[t]
 			if !sw.SwapIsFree() {
 				// Read both blocks from their current groups, then write
 				// them to each other's groups. Fast-tier traffic only.
-				c.moveBlock(set, w, a.tag, set, t, src)
-				if b.valid {
-					c.moveBlock(set, t, b.tag, set, w, src)
+				c.moveBlock(set, w, a.blk(), t, src)
+				if b.valid() {
+					c.moveBlock(set, t, b.blk(), w, src)
 				}
 			}
-			e.ways[w], e.ways[t] = b, a
-			e.sync(w)
-			e.sync(t)
+			ws[w], ws[t] = b, a
 			c.touchMeta(set)
 		}
 	}
 }
 
-// moveBlock reads a block from (fromSet,fromWay) and writes it to
-// (same set, toWay), line by line, modelling swap traffic.
-func (c *Controller) moveBlock(set uint64, fromWay int, blk uint64, toSet uint64, toWay int, src dram.Source) {
+// newCopy takes a copy record from the slab pool for a block copy of
+// blk whose line reads all complete before the record is freed.
+func (c *Controller) newCopy(blk, set uint64, w int, src dram.Source) uint64 {
+	var i int32
+	if n := len(c.freeCopies); n > 0 {
+		i = c.freeCopies[n-1]
+		c.freeCopies = c.freeCopies[:n-1]
+	} else {
+		c.copies = append(c.copies, copyRec{})
+		i = int32(len(c.copies) - 1)
+	}
+	c.copies[i] = copyRec{blk: blk, set: set, w: int32(w), src: src, remaining: uint32(c.linesPerBlock)}
+	return uint64(i)
+}
+
+// copyLineRead counts down a copy's line reads; on the last one it frees
+// the record and reports true.
+func (c *Controller) copyLineRead(ci uint64) bool {
+	r := &c.copies[ci]
+	r.remaining--
+	if r.remaining > 0 {
+		return false
+	}
+	c.freeCopies = append(c.freeCopies, int32(ci))
+	return true
+}
+
+// moveBlock reads a block from (set, fromWay) and writes it to (set,
+// toWay), line by line, modelling swap traffic. Each line read carries
+// its copy record and line number in Ctx; the write's channel is chosen
+// when the read completes, under the way-to-group mapping of that time.
+func (c *Controller) moveBlock(set uint64, fromWay int, blk uint64, toWay int, src dram.Source) {
+	ci := c.newCopy(blk, set, toWay, src)
 	for l := uint64(0); l < c.linesPerBlock; l++ {
 		rch, raddr := c.fastLineReq(set, fromWay, blk, l)
-		l := l
-		rch.Enqueue(dram.Request{Addr: raddr, Bytes: LineBytes, Source: src, Lo: true, Done: func(uint64) {
-			wch, waddr := c.fastLineReq(toSet, toWay, blk, l)
-			wch.Enqueue(dram.Request{Addr: waddr, Bytes: LineBytes, Write: true, Source: src, Lo: true})
-		}})
+		rch.Enqueue(dram.Request{Addr: raddr, Bytes: LineBytes, Source: src, Lo: true,
+			DoneCtx: c.moveLineDoneFn, Ctx: ci<<c.lpbShift | l})
 	}
+}
+
+// moveLineDone writes one moved line into its target way.
+func (c *Controller) moveLineDone(ctx, _ uint64) {
+	ci, l := ctx>>c.lpbShift, ctx&(c.linesPerBlock-1)
+	r := c.copies[ci]
+	wch, waddr := c.fastLineReq(r.set, int(r.w), r.blk, l)
+	wch.Enqueue(dram.Request{Addr: waddr, Bytes: LineBytes, Write: true, Source: r.src, Lo: true})
+	c.copyLineRead(ci)
 }
 
 // writebackBlock copies a (dirty or flat-mode) victim block from the
@@ -677,18 +758,21 @@ func (c *Controller) moveBlock(set uint64, fromWay int, blk uint64, toSet uint64
 // burst write to the slow channel once all lines have arrived.
 func (c *Controller) writebackBlock(set uint64, w int, blk uint64, src dram.Source) {
 	c.stats.Writebacks[src]++
-	remaining := c.linesPerBlock
-	// One closure per block (not per line): every line read shares it.
-	lineRead := func(uint64) {
-		remaining--
-		if remaining == 0 {
-			wch, waddr := c.slowLineReq(blk, 0)
-			wch.Enqueue(dram.Request{Addr: waddr, Bytes: c.cfg.BlockBytes, Write: true, Source: src, Lo: true})
-		}
-	}
+	ci := c.newCopy(blk, set, w, src)
 	for l := uint64(0); l < c.linesPerBlock; l++ {
 		rch, raddr := c.fastLineReq(set, w, blk, l)
-		rch.Enqueue(dram.Request{Addr: raddr, Bytes: LineBytes, Source: src, Lo: true, Done: lineRead})
+		rch.Enqueue(dram.Request{Addr: raddr, Bytes: LineBytes, Source: src, Lo: true,
+			DoneCtx: c.wbLineDoneFn, Ctx: ci})
+	}
+}
+
+// wbLineDone counts down a writeback's line reads and issues the slow
+// burst write after the last one.
+func (c *Controller) wbLineDone(ci, _ uint64) {
+	r := c.copies[ci]
+	if c.copyLineRead(ci) {
+		wch, waddr := c.slowLineReq(r.blk, 0)
+		wch.Enqueue(dram.Request{Addr: waddr, Bytes: c.cfg.BlockBytes, Write: true, Source: r.src, Lo: true})
 	}
 }
 
@@ -760,13 +844,13 @@ func (c *Controller) maybeMigrate(blk, set uint64, src dram.Source) {
 		c.stats.NoVictim[src]++
 		return
 	}
-	e := &c.entries[set]
-	victim := e.ways[v]
+	ws := c.set(set)
+	victim := ws[v]
 
 	cost := uint64(1)
 	if c.cfg.Mode == ModeFlat {
 		cost = 2 // a flat-mode migration is always a swap
-	} else if victim.valid && victim.dirty {
+	} else if victim.valid() && victim.dirty() {
 		cost = 2
 	}
 	if !c.pol.AllowMigration(src, cost, c.eng.Now()) {
@@ -777,15 +861,14 @@ func (c *Controller) maybeMigrate(blk, set uint64, src dram.Source) {
 
 	// Victim handling: dirty victims (cache mode) and every valid victim
 	// (flat mode, where the fast copy is the only copy) go home to slow.
-	if victim.valid {
-		if victim.dirty || c.cfg.Mode == ModeFlat {
-			c.writebackBlock(set, v, victim.tag, src)
+	if victim.valid() {
+		if victim.dirty() || c.cfg.Mode == ModeFlat {
+			c.writebackBlock(set, v, victim.blk(), src)
 		}
 	}
 
 	// Install the new mapping immediately; data follows.
-	e.ways[v] = way{tag: blk, valid: true, busy: true, lastUse: c.eng.Now(), src: src}
-	e.sync(v)
+	ws[v] = newWay(blk, src, c.eng.Now())
 	c.touchMeta(set)
 	fi := c.newFill(blk, set, int32(v), src)
 	c.fillsBySrc[src]++
@@ -805,11 +888,11 @@ func (c *Controller) maybeMigrate(blk, set uint64, src dram.Source) {
 func (c *Controller) refillDone(fi, t uint64) {
 	f := &c.fills[fi]
 	f.ready = true
-	e := &c.entries[f.set]
+	wy := &c.set(f.set)[f.w]
 	for i := f.whead; i >= 0; {
 		wt := &c.wnodes[i]
-		if wt.write && e.ways[f.w].valid && e.ways[f.w].tag == f.blk {
-			e.ways[f.w].dirty = true
+		if wt.write && wy.holds(f.blk) {
+			wy.meta |= wayDirty
 		}
 		c.eng.AfterCall(fillBufferLat, wt.done)
 		next := wt.next
@@ -839,16 +922,16 @@ func (c *Controller) finishFill(fi int32, t uint64) {
 	blk := f.blk
 	c.pendingFill.Delete(blk)
 	c.fillsBySrc[f.src]--
-	e := &c.entries[f.set]
-	if e.ways[f.w].valid && e.ways[f.w].tag == blk {
-		e.ways[f.w].busy = false
+	wy := &c.set(f.set)[f.w]
+	if wy.holds(blk) {
+		wy.meta &^= wayBusy
 	}
 	for i := f.whead; i >= 0; {
 		// Serve waiters from the freshly filled fast block.
 		wt := &c.wnodes[i]
 		ch, addr := c.fastLineReq(f.set, int(f.w), blk, wt.line)
-		if wt.write && e.ways[f.w].valid && e.ways[f.w].tag == blk {
-			e.ways[f.w].dirty = true
+		if wt.write && wy.holds(blk) {
+			wy.meta |= wayDirty
 		}
 		ch.Enqueue(dram.Request{Addr: addr, Bytes: LineBytes, Write: wt.write, Source: wt.src, Done: wt.done})
 		next := wt.next
@@ -863,33 +946,28 @@ func (c *Controller) finishFill(fi int32, t uint64) {
 // used by tests and by reconfiguration experiments that model flush-based
 // repartitioning.
 func (c *Controller) InvalidateAll() {
-	for s := range c.entries {
-		e := &c.entries[s]
-		for w := range e.ways {
-			wy := &e.ways[w]
-			if wy.valid && wy.dirty {
-				c.writebackBlock(uint64(s), w, wy.tag, wy.src)
-			}
-			*wy = way{}
-			e.sync(w)
+	a := c.cfg.Assoc
+	for i := range c.ways {
+		wy := &c.ways[i]
+		if wy.valid() && wy.dirty() {
+			c.writebackBlock(uint64(i/a), i%a, wy.blk(), wy.src())
 		}
+		*wy = way{}
 	}
 }
 
 // Occupancy returns how many valid blocks each source holds in the fast
 // tier; useful for tests and capacity analyses.
 func (c *Controller) Occupancy() (cpu, gpu uint64) {
-	for s := range c.entries {
-		for w := range c.entries[s].ways {
-			wy := &c.entries[s].ways[w]
-			if !wy.valid {
-				continue
-			}
-			if wy.src == dram.SourceCPU {
-				cpu++
-			} else {
-				gpu++
-			}
+	for i := range c.ways {
+		wy := &c.ways[i]
+		if !wy.valid() {
+			continue
+		}
+		if wy.src() == dram.SourceCPU {
+			cpu++
+		} else {
+			gpu++
 		}
 	}
 	return cpu, gpu

@@ -292,3 +292,46 @@ func TestStatsDelta(t *testing.T) {
 		t.Fatalf("delta %+v", d)
 	}
 }
+
+// swapEveryHit is Baseline plus a fast memory swap on every hit: the hit
+// way trades places with its neighbour, and both blocks move.
+type swapEveryHit struct{ *policy.Baseline }
+
+func (swapEveryHit) SwapTarget(_ uint64, w int, ways []hybrid.WayView, _ dram.Source) int {
+	return (w + 1) % len(ways)
+}
+
+func (swapEveryHit) SwapIsFree() bool { return false }
+
+// TestSteadyCopiesAllocateNothing streams migrations over dirty victims
+// and swaps through warmed-up pools: victim writebacks and swap moves
+// take pooled copy records, so a round allocates nothing.
+func TestSteadyCopiesAllocateNothing(t *testing.T) {
+	eng, ctl, _, _ := build(t, smallCfg(), swapEveryHit{policy.NewBaseline(2, 4)})
+	numSets := ctl.NumSets()
+	var next uint64
+	round := func() {
+		// Each of eight sets takes a new block, whose migration evicts a
+		// block a previous round dirtied; then a write hit dirties the
+		// new block and swaps it with its neighbour.
+		for _, write := range []bool{false, true} {
+			for s := uint64(0); s < 8; s++ {
+				ctl.Access((next*numSets+s)*256, write, dram.SourceCPU, nil)
+			}
+			eng.Run()
+		}
+		next++
+	}
+	for i := 0; i < 50; i++ {
+		round()
+	}
+	before := ctl.Stats()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("a round of migrations and swaps allocates %.1f times, want 0", n)
+	}
+	d := ctl.Stats().Delta(before)
+	if rounds := uint64(101 * 8); d.Writebacks[dram.SourceCPU] != rounds || d.Swaps != rounds || d.Migrations[dram.SourceCPU] != rounds {
+		t.Fatalf("over %d set-rounds: %d writebacks, %d swaps, %d migrations; want one each per set-round",
+			rounds, d.Writebacks[dram.SourceCPU], d.Swaps, d.Migrations[dram.SourceCPU])
+	}
+}

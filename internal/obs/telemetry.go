@@ -67,12 +67,13 @@ type EpochPoint struct {
 // one uncontended mutex (the writer is the simulation goroutine, the
 // readers are HTTP handlers taking snapshots); once full, the oldest
 // point is overwritten and counted as dropped, so a multi-day run can
-// stream forever in bounded memory.
+// stream forever in bounded memory. The buffer grows on append, so a
+// short run holds only the points it produced.
 type Ring struct {
 	mu      sync.Mutex
-	buf     []EpochPoint
-	start   int // index of the oldest element
-	n       int // elements held, <= len(buf)
+	buf     []EpochPoint // the points held; grows to limit, then wraps
+	limit   int
+	start   int // index of the oldest element; 0 until the ring is full
 	dropped uint64
 }
 
@@ -87,15 +88,20 @@ func NewRing(capacity int) *Ring {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Ring{buf: make([]EpochPoint, capacity)}
+	return &Ring{limit: capacity}
 }
 
 // Append records p, overwriting the oldest point when full.
 func (r *Ring) Append(p EpochPoint) {
 	r.mu.Lock()
-	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = p
-		r.n++
+	if n := len(r.buf); n < r.limit {
+		if n == cap(r.buf) {
+			// Double, but never past the limit.
+			grown := make([]EpochPoint, n, min(max(2*n, 4), r.limit))
+			copy(grown, r.buf)
+			r.buf = grown
+		}
+		r.buf = append(r.buf, p)
 	} else {
 		r.buf[r.start] = p
 		r.start = (r.start + 1) % len(r.buf)
@@ -109,28 +115,27 @@ func (r *Ring) Append(p EpochPoint) {
 func (r *Ring) Snapshot() []EpochPoint {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]EpochPoint, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.buf[(r.start+i)%len(r.buf)]
-	}
-	return out
+	out := make([]EpochPoint, 0, len(r.buf))
+	out = append(out, r.buf[r.start:]...)
+	return append(out, r.buf[:r.start]...)
 }
 
 // Last returns the most recent point, if any.
 func (r *Ring) Last() (EpochPoint, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.n == 0 {
+	n := len(r.buf)
+	if n == 0 {
 		return EpochPoint{}, false
 	}
-	return r.buf[(r.start+r.n-1)%len(r.buf)], true
+	return r.buf[(r.start+n-1)%n], true
 }
 
 // Len reports how many points the ring currently holds.
 func (r *Ring) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.n
+	return len(r.buf)
 }
 
 // Dropped reports how many points were overwritten since creation.

@@ -88,6 +88,39 @@ func TestRingMinimumCapacity(t *testing.T) {
 	}
 }
 
+// TestRingGrowsToCapacity walks a ring across its capacity edge: the
+// buffer grows with the points it holds and never past the capacity,
+// and the first append beyond it overwrites the oldest point.
+func TestRingGrowsToCapacity(t *testing.T) {
+	const capacity = 5
+	r := NewRing(capacity)
+	if c := cap(r.buf); c != 0 {
+		t.Fatalf("empty ring holds a buffer of %d points", c)
+	}
+	for i := 0; i < capacity+2; i++ {
+		r.Append(point(i))
+		if c := cap(r.buf); c > capacity {
+			t.Fatalf("after %d appends the buffer holds %d points, capacity %d", i+1, c, capacity)
+		}
+		held := min(i+1, capacity)
+		if got := r.Len(); got != held {
+			t.Fatalf("after %d appends Len = %d, want %d", i+1, got, held)
+		}
+		if got, want := r.Dropped(), uint64(i+1-held); got != want {
+			t.Fatalf("after %d appends Dropped = %d, want %d", i+1, got, want)
+		}
+		snap := r.Snapshot()
+		for j, p := range snap {
+			if want := i + 1 - held + j; p.Epoch != want {
+				t.Fatalf("after %d appends snap[%d].Epoch = %d, want %d", i+1, j, p.Epoch, want)
+			}
+		}
+		if last, ok := r.Last(); !ok || last.Epoch != i {
+			t.Fatalf("after %d appends Last = (%d, %v), want epoch %d", i+1, last.Epoch, ok, i)
+		}
+	}
+}
+
 // TestRingBoundedMemory appends far beyond capacity and checks the ring
 // never retains more than its bound — the property that lets a multi-day
 // run stream telemetry forever without growing the heap.

@@ -40,11 +40,15 @@ const (
 	// carved from one slab when a wheel is built. Without it every fresh
 	// engine re-grows all bucket slices from nil (tens of thousands of
 	// small allocations per simulation run); buckets that ever exceed it
-	// reallocate individually and keep the larger capacity. A late tick
-	// gathers every channel's completions and issue events, 18 to 35 of
-	// them in most slots of a bench run.
+	// reallocate individually and keep the larger capacity. In a 1.2 M-
+	// cycle system.Quick() run of C1 or C5, 99.5 % of late inserts land
+	// in a tick holding at most 8 events and none in one past 21. A late
+	// cap of 16 therefore regrows only a few buckets: each run allocates
+	// about 130 KB less than at 32, and 60 KB less than at 8, where
+	// regrowth outweighs the smaller slab. Lane 0 stays at 8: at 4, C1
+	// runs allocate 0.5 MB more.
 	bucketCap     = 8
-	lateBucketCap = 32
+	lateBucketCap = 16
 )
 
 // event is a scheduled callback in one of three closure-free forms:
