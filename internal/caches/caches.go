@@ -1,8 +1,9 @@
 // Package caches provides the SRAM cache models of the processor
-// hierarchy: per-core CPU L1/L2, per-subslice GPU L1, and the shared LLC
-// (Table I). The caches are functional — they decide hit/miss, maintain
-// LRU state and dirty bits, and surface dirty victims — while their
-// latency contribution is added by the core models on the request path.
+// hierarchy: the per-core CPU L2, the per-subslice GPU L1, and the
+// shared LLC (Table I). No CPU L1 is modelled: CPU traces are post-L1.
+// The caches are functional — they decide hit/miss, maintain LRU state
+// and dirty bits, and surface dirty victims — while their latency
+// contribution is added by the processor model on the request path.
 package caches
 
 import (

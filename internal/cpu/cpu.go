@@ -1,13 +1,22 @@
-// Package cpu models the latency-sensitive CPU cores of Table I: 8
-// trace-driven cores, each with a private L2 (1 MB, 9 cycles) behind the
-// shared LLC (16 MB, 38 cycles). The trace abstraction level is post-L1
-// (DESIGN.md): the L1 and the core pipeline are folded into the base IPC
-// and the instruction gaps of the trace.
+// Package cpu models the processors of Table I as one trace-driven
+// issuer, Core, in two shapes. The trace abstraction level is post-L1
+// for the CPU (DESIGN.md): its L1 and pipeline are folded into the base
+// IPC and the instruction gaps of the trace.
 //
-// The defining property the paper leans on (Section III-B): CPUs have a
-// small memory-level-parallelism window, so load misses serialize and
-// memory *latency* directly throttles IPC — which is why CPUs prefer
-// fast-memory capacity (more hits) over bandwidth.
+//   - A CPU core (New): 2-wide, a private L2 (1 MB, 9 cycles) behind the
+//     shared LLC (16 MB, 38 cycles), and a small memory-level-parallelism
+//     window, so load misses serialize and memory *latency* directly
+//     throttles IPC — why CPUs prefer fast-memory capacity (more hits)
+//     over bandwidth (Section III-B).
+//   - A GPU subslice (NewGPU): 16 EUs of the 96-EU Xe-LPG GPU
+//     (Section II-B) with a 128 kB L1. Massive thread-level parallelism
+//     hides its hit latency and gives it a deep miss window, so the GPU
+//     tolerates latency and is throttled by *bandwidth* — why it prefers
+//     fast-memory bandwidth over capacity.
+//
+// The two shapes differ only in their parameters: request source, issue
+// width, miss window, private cache, and the hit latencies a load waits
+// out.
 package cpu
 
 import (
@@ -18,7 +27,7 @@ import (
 	"github.com/hydrogen-sim/hydrogen/internal/trace"
 )
 
-// Config shapes one core.
+// Config shapes one CPU core.
 type Config struct {
 	BaseIPC uint32 // retire width on non-memory instructions (Table I class core: 2)
 	MLP     int    // outstanding load misses before the core stalls
@@ -39,21 +48,51 @@ func DefaultConfig() Config {
 	}
 }
 
-// Memory is the interface the core drives below the LLC; implemented by
+// GPUConfig shapes the integrated GPU. A subslice hides hit latency, so
+// neither L1.Latency nor LLCLat is charged; both stay only because they
+// are part of the configuration's wire form.
+type GPUConfig struct {
+	Subslices   int    // 6 in Table I (16 EUs each)
+	IssuePerCyc uint32 // GPU instructions retired per cycle per subslice
+	Window      int    // outstanding load misses per subslice
+	L1          caches.Config
+	LLCLat      uint64 // not charged
+}
+
+// DefaultGPUConfig returns the Table I GPU: 6 subslices, 128 kB L1 per
+// subslice.
+func DefaultGPUConfig() GPUConfig {
+	return GPUConfig{
+		Subslices:   6,
+		IssuePerCyc: 8,
+		Window:      128,
+		L1: caches.Config{
+			Name: "GPUL1", SizeBytes: 128 << 10, Assoc: 8, BlockBytes: 64, Latency: 4,
+		},
+		LLCLat: 38,
+	}
+}
+
+// Memory is the interface a core drives below the LLC; implemented by
 // hybrid.Controller.
 type Memory interface {
 	Access(addr uint64, write bool, src dram.Source, done func(uint64))
 }
 
-// Core is one trace-driven CPU core.
+// Core is one trace-driven issuer: a CPU core or a GPU subslice.
 type Core struct {
-	eng *sim.Engine
-	cfg Config
-	id  int
-	gen trace.Generator
-	l2  *caches.Cache
-	llc *caches.Cache
-	mem Memory
+	eng    *sim.Engine
+	src    dram.Source
+	width  uint64 // instructions retired per cycle between memory ops
+	window int    // outstanding load misses before issue stalls
+	// privLat and llcLat are the hit latencies a load waits out in the
+	// private cache and the LLC; a miss waits out both before the core
+	// issues on. Zero on a GPU subslice, whose threads hide them.
+	privLat, llcLat uint64
+	gen             trace.Generator
+	priv            *caches.Cache // private cache: CPU L2 or GPU L1
+	llc             *caches.Cache
+	mem             Memory
 
 	outstanding int
 	blocked     bool
@@ -68,12 +107,13 @@ type Core struct {
 	instrs uint64 // retired instructions
 	loads  uint64
 	stores uint64
-	stalls uint64 // times the MLP window filled
+	stalls uint64 // times the miss window filled
 }
 
 // loadToken carries one in-flight load miss so its completion callback
-// is allocated once per MLP slot, not once per miss. The token returns
-// to the pool inside complete, before completeLoad can issue new misses.
+// is allocated once per window slot, not once per miss. The token
+// returns to the pool inside complete, before completeLoad can issue
+// new misses.
 type loadToken struct {
 	c    *Core
 	addr uint64
@@ -98,12 +138,29 @@ func (c *Core) getToken(addr uint64) *loadToken {
 	return t
 }
 
-// New builds a core. llc is the shared last-level cache instance.
-func New(eng *sim.Engine, cfg Config, id int, gen trace.Generator, llc *caches.Cache, mem Memory) *Core {
-	c := &Core{
-		eng: eng, cfg: cfg, id: id, gen: gen,
-		l2: caches.New(cfg.L2), llc: llc, mem: mem,
+// New builds a CPU core. llc is the shared last-level cache instance.
+func New(eng *sim.Engine, cfg Config, gen trace.Generator, llc *caches.Cache, mem Memory) *Core {
+	return newCore(&Core{
+		src: dram.SourceCPU, width: uint64(cfg.BaseIPC), window: cfg.MLP,
+		privLat: cfg.L2.Latency, llcLat: cfg.LLCLat, priv: caches.New(cfg.L2),
+	}, eng, gen, llc, mem)
+}
+
+// NewGPU builds one GPU subslice per generator; llc is the shared LLC
+// instance.
+func NewGPU(eng *sim.Engine, cfg GPUConfig, gens []trace.Generator, llc *caches.Cache, mem Memory) []*Core {
+	subslices := make([]*Core, len(gens))
+	for i, gen := range gens {
+		subslices[i] = newCore(&Core{
+			src: dram.SourceGPU, width: uint64(cfg.IssuePerCyc), window: cfg.Window,
+			priv: caches.New(cfg.L1),
+		}, eng, gen, llc, mem)
 	}
+	return subslices
+}
+
+func newCore(c *Core, eng *sim.Engine, gen trace.Generator, llc *caches.Cache, mem Memory) *Core {
+	c.eng, c.gen, c.llc, c.mem = eng, gen, llc, mem
 	c.stepFn = c.step
 	return c
 }
@@ -114,11 +171,20 @@ func (c *Core) Start() { c.eng.After(1, c.stepFn) }
 // Instructions returns the retired instruction count.
 func (c *Core) Instructions() uint64 { return c.instrs }
 
+// Instructions returns the instructions retired across cores.
+func Instructions(cores []*Core) uint64 {
+	var total uint64
+	for _, c := range cores {
+		total += c.instrs
+	}
+	return total
+}
+
 // Stats returns (loads, stores, stall events).
 func (c *Core) Stats() (loads, stores, stalls uint64) { return c.loads, c.stores, c.stalls }
 
-// L2Stats exposes the private-cache counters.
-func (c *Core) L2Stats() caches.Stats { return c.l2.Stats() }
+// CacheStats exposes the private-cache counters.
+func (c *Core) CacheStats() caches.Stats { return c.priv.Stats() }
 
 // Exhausted reports whether the trace ended.
 func (c *Core) Exhausted() bool { return c.exhausted }
@@ -132,8 +198,8 @@ func (c *Core) step() {
 		c.exhausted = true
 		return
 	}
-	// Non-memory instructions retire at the base IPC.
-	cost := uint64(op.Gap) / uint64(c.cfg.BaseIPC)
+	// Non-memory instructions retire at the issue width.
+	cost := uint64(op.Gap) / c.width
 	if cost == 0 {
 		cost = 1
 	}
@@ -152,28 +218,29 @@ func (c *Core) step() {
 // store is fire-and-forget through the write buffer: dirty the caches on
 // a hit, write around to memory on a full miss.
 func (c *Core) store(addr uint64) {
-	if c.l2.Access(addr, true) {
+	if c.priv.Access(addr, true) {
 		return
 	}
 	if c.llc.Access(addr, true) {
 		return
 	}
-	c.mem.Access(addr, true, dram.SourceCPU, nil)
+	c.mem.Access(addr, true, c.src, nil)
 }
 
-// load walks L2 -> LLC -> memory. Hit latencies serialize (low MLP);
-// misses occupy an MLP slot and stall the core when the window fills.
+// load walks private cache -> LLC -> memory, waiting out the hit
+// latencies it is charged. A miss occupies a window slot and stalls
+// issue only when the window fills.
 func (c *Core) load(addr uint64, cost uint64) {
-	if c.l2.Access(addr, false) {
-		c.eng.After(cost+c.l2.Latency(), c.stepFn)
+	if c.priv.Access(addr, false) {
+		c.eng.After(cost+c.privLat, c.stepFn)
 		return
 	}
+	traversal := c.privLat + c.llcLat
 	if c.llc.Access(addr, false) {
-		c.fillL2(addr)
-		c.eng.After(cost+c.l2.Latency()+c.cfg.LLCLat, c.stepFn)
+		c.fillPriv(addr)
+		c.eng.After(cost+traversal, c.stepFn)
 		return
 	}
-	traversal := c.l2.Latency() + c.cfg.LLCLat
 	line := addr &^ 63
 	if c.pending.Has(line) {
 		// MSHR hit: the line is already on its way; don't issue a
@@ -183,8 +250,8 @@ func (c *Core) load(addr uint64, cost uint64) {
 	}
 	c.pending.Put(line, 0)
 	c.outstanding++
-	c.mem.Access(addr, false, dram.SourceCPU, c.getToken(addr).fn)
-	if c.outstanding >= c.cfg.MLP {
+	c.mem.Access(addr, false, c.src, c.getToken(addr).fn)
+	if c.outstanding >= c.window {
 		c.blocked = true
 		c.stalls++
 		return
@@ -196,20 +263,20 @@ func (c *Core) completeLoad(addr uint64) {
 	c.pending.Delete(addr &^ 63)
 	c.outstanding--
 	c.fillLLC(addr)
-	c.fillL2(addr)
+	c.fillPriv(addr)
 	if c.blocked {
 		c.blocked = false
 		c.eng.After(1, c.stepFn)
 	}
 }
 
-func (c *Core) fillL2(addr uint64) {
-	v := c.l2.Fill(addr, false)
+func (c *Core) fillPriv(addr uint64) {
+	v := c.priv.Fill(addr, false)
 	if v.Valid && v.Dirty {
-		// Dirty L2 victims land in the (inclusive-enough) LLC when
+		// Dirty private victims land in the (inclusive-enough) LLC when
 		// present, else go to memory.
 		if !c.llc.Access(v.Addr, true) {
-			c.mem.Access(v.Addr, true, dram.SourceCPU, nil)
+			c.mem.Access(v.Addr, true, c.src, nil)
 		}
 	}
 }
@@ -217,6 +284,6 @@ func (c *Core) fillL2(addr uint64) {
 func (c *Core) fillLLC(addr uint64) {
 	v := c.llc.Fill(addr, false)
 	if v.Valid && v.Dirty {
-		c.mem.Access(v.Addr, true, dram.SourceCPU, nil)
+		c.mem.Access(v.Addr, true, c.src, nil)
 	}
 }

@@ -15,6 +15,7 @@ type fakeMem struct {
 	latency uint64
 	reads   int
 	writes  int
+	bySrc   [2]int
 }
 
 func (m *fakeMem) Access(addr uint64, write bool, src dram.Source, done func(uint64)) {
@@ -23,6 +24,7 @@ func (m *fakeMem) Access(addr uint64, write bool, src dram.Source, done func(uin
 	} else {
 		m.reads++
 	}
+	m.bySrc[src]++
 	if done != nil {
 		m.eng.After(m.latency, func() { done(m.eng.Now()) })
 	}
@@ -57,7 +59,7 @@ func TestRetiresInstructions(t *testing.T) {
 	eng := sim.New()
 	mem := &fakeMem{eng: eng, latency: 100}
 	ops := []trace.Op{{Gap: 10, Addr: 0}, {Gap: 10, Addr: 64}, {Gap: 10, Addr: 128}}
-	c := New(eng, smallCfg(), 0, &scriptGen{ops: ops}, newLLC(), mem)
+	c := New(eng, smallCfg(), &scriptGen{ops: ops}, newLLC(), mem)
 	c.Start()
 	eng.Run()
 	if !c.Exhausted() {
@@ -78,13 +80,13 @@ func TestLoadMissGoesToMemoryOnceThenHits(t *testing.T) {
 	// The first op's gap retires over 150 cycles, past the 100-cycle
 	// memory latency, so the second access finds the line filled in L2.
 	ops := []trace.Op{{Gap: 300, Addr: 0x1000}, {Gap: 1, Addr: 0x1000}}
-	c := New(eng, smallCfg(), 0, &scriptGen{ops: ops}, newLLC(), mem)
+	c := New(eng, smallCfg(), &scriptGen{ops: ops}, newLLC(), mem)
 	c.Start()
 	eng.Run()
 	if mem.reads != 1 {
 		t.Fatalf("memory reads %d, want 1 (second access hits L2)", mem.reads)
 	}
-	l2 := c.L2Stats()
+	l2 := c.CacheStats()
 	if l2.Hits != 1 {
 		t.Fatalf("L2 hits %d, want 1", l2.Hits)
 	}
@@ -95,7 +97,7 @@ func TestMSHRCoalescesSameLine(t *testing.T) {
 	mem := &fakeMem{eng: eng, latency: 1000}
 	// Back-to-back accesses to one line while the miss is in flight.
 	ops := []trace.Op{{Gap: 1, Addr: 0x2000}, {Gap: 1, Addr: 0x2010}, {Gap: 1, Addr: 0x2020}}
-	c := New(eng, smallCfg(), 0, &scriptGen{ops: ops}, newLLC(), mem)
+	c := New(eng, smallCfg(), &scriptGen{ops: ops}, newLLC(), mem)
 	c.Start()
 	eng.Run()
 	if mem.reads != 1 {
@@ -110,7 +112,7 @@ func TestStoresDoNotStall(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		ops = append(ops, trace.Op{Gap: 1, Addr: uint64(i) * 4096, Write: true})
 	}
-	c := New(eng, smallCfg(), 0, &scriptGen{ops: ops}, newLLC(), mem)
+	c := New(eng, smallCfg(), &scriptGen{ops: ops}, newLLC(), mem)
 	c.Start()
 	eng.RunUntil(5000)
 	if !c.Exhausted() {
@@ -130,7 +132,7 @@ func TestMLPWindowStalls(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ops = append(ops, trace.Op{Gap: 1, Addr: uint64(i) * 4096})
 	}
-	c := New(eng, cfg, 0, &scriptGen{ops: ops}, newLLC(), mem)
+	c := New(eng, cfg, &scriptGen{ops: ops}, newLLC(), mem)
 	c.Start()
 	eng.RunUntil(5000)
 	// With MLP 2 and 10k-cycle memory, only 2 loads can be outstanding.
@@ -155,7 +157,7 @@ func TestLowerLatencyMeansHigherIPC(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			ops = append(ops, trace.Op{Gap: 20, Addr: uint64(i) * 4096})
 		}
-		c := New(eng, smallCfg(), 0, &scriptGen{ops: ops}, newLLC(), mem)
+		c := New(eng, smallCfg(), &scriptGen{ops: ops}, newLLC(), mem)
 		c.Start()
 		eng.Run()
 		return float64(c.Instructions()) / float64(eng.Now())
@@ -179,10 +181,178 @@ func TestDirtyL2VictimWritesBack(t *testing.T) {
 		ops = append(ops, trace.Op{Gap: 1, Addr: uint64(i) * 64})
 	}
 	llc := caches.New(caches.Config{Name: "LLC", SizeBytes: 512, Assoc: 2, BlockBytes: 64, Latency: 38})
-	c := New(eng, cfg, 0, &scriptGen{ops: ops}, llc, mem)
+	c := New(eng, cfg, &scriptGen{ops: ops}, llc, mem)
 	c.Start()
 	eng.Run()
 	if mem.writes == 0 {
 		t.Fatal("dirty eviction chain produced no memory writes")
+	}
+}
+
+// GPU subslices: the same Core in its NewGPU shape.
+
+func streamGens(n int, length uint64) []trace.Generator {
+	gens := make([]trace.Generator, n)
+	for i := range gens {
+		gens[i] = &trace.Limit{
+			G: trace.NewGPU(trace.GPUParams{Region: 1 << 22, MeanGap: 10}, uint64(i)<<24, int64(i+1)),
+			N: length,
+		}
+	}
+	return gens
+}
+
+func smallGPUCfg() GPUConfig {
+	cfg := DefaultGPUConfig()
+	cfg.Subslices = 2
+	cfg.L1.SizeBytes = 8 << 10
+	return cfg
+}
+
+func startAll(cores []*Core) {
+	for _, c := range cores {
+		c.Start()
+	}
+}
+
+func allExhausted(cores []*Core) bool {
+	for _, c := range cores {
+		if !c.Exhausted() {
+			return false
+		}
+	}
+	return true
+}
+
+func totalStats(cores []*Core) (loads, stores, stalls uint64) {
+	for _, c := range cores {
+		l, s, st := c.Stats()
+		loads, stores, stalls = loads+l, stores+s, stalls+st
+	}
+	return
+}
+
+func TestAllSubslicesRun(t *testing.T) {
+	eng := sim.New()
+	mem := &fakeMem{eng: eng, latency: 50}
+	g := NewGPU(eng, smallGPUCfg(), streamGens(2, 100), newLLC(), mem)
+	startAll(g)
+	eng.Run()
+	if !allExhausted(g) {
+		t.Fatal("subslices did not drain their traces")
+	}
+	if Instructions(g) == 0 {
+		t.Fatal("no GPU instructions retired")
+	}
+	if loads, _, _ := totalStats(g); loads == 0 {
+		t.Fatal("no loads issued")
+	}
+	if mem.bySrc[dram.SourceCPU] != 0 {
+		t.Fatal("GPU issued requests tagged as CPU")
+	}
+}
+
+func TestLatencyToleranceVsCPU(t *testing.T) {
+	// The defining GPU property: throughput barely moves between 50 and
+	// 500-cycle memory while the window is deep enough.
+	run := func(lat uint64, window int) float64 {
+		eng := sim.New()
+		mem := &fakeMem{eng: eng, latency: lat}
+		cfg := smallGPUCfg()
+		cfg.Window = window
+		g := NewGPU(eng, cfg, streamGens(2, 3000), newLLC(), mem)
+		startAll(g)
+		eng.Run()
+		return float64(Instructions(g)) / float64(eng.Now())
+	}
+	deepFast, deepSlow := run(50, 512), run(500, 512)
+	if deepSlow < deepFast*0.5 {
+		t.Fatalf("deep-window GPU IPC fell from %.2f to %.2f with 10x latency; not latency-tolerant",
+			deepFast, deepSlow)
+	}
+	shallowSlow := run(500, 2)
+	if shallowSlow >= deepSlow {
+		t.Fatalf("window 2 IPC %.2f >= window 512 IPC %.2f at 500 cycles; window has no effect",
+			shallowSlow, deepSlow)
+	}
+}
+
+func TestL1FiltersRepeats(t *testing.T) {
+	eng := sim.New()
+	mem := &fakeMem{eng: eng, latency: 20}
+	// Two passes over a tiny region that fits L1.
+	gen := &trace.Limit{
+		G: trace.NewGPU(trace.GPUParams{Region: 4 << 10, MeanGap: 10}, 0, 3),
+		N: 256, // 4 passes of 64 lines
+	}
+	cfg := smallGPUCfg()
+	cfg.Subslices = 1
+	g := NewGPU(eng, cfg, []trace.Generator{gen}, newLLC(), mem)
+	startAll(g)
+	eng.Run()
+	if st := g[0].CacheStats(); st.Hits == 0 {
+		t.Fatal("repeated scan never hit GPU L1")
+	}
+	if mem.reads > 80 {
+		t.Fatalf("%d memory reads for a 64-line region; L1 not filtering", mem.reads)
+	}
+}
+
+func TestStallAccounting(t *testing.T) {
+	eng := sim.New()
+	mem := &fakeMem{eng: eng, latency: 100_000}
+	cfg := smallGPUCfg()
+	cfg.Window = 4
+	g := NewGPU(eng, cfg, streamGens(2, 1000), newLLC(), mem)
+	startAll(g)
+	eng.RunUntil(50_000)
+	if _, _, stalls := totalStats(g); stalls == 0 {
+		t.Fatal("no stalls with a 4-deep window and 100k-cycle memory")
+	}
+	if mem.reads != 2*4 {
+		t.Fatalf("reads %d, want per-subslice window limit 2x4", mem.reads)
+	}
+}
+
+func TestExhaustedEmptyGPU(t *testing.T) {
+	eng := sim.New()
+	g := NewGPU(eng, smallGPUCfg(), nil, newLLC(), &fakeMem{eng: eng, latency: 1})
+	startAll(g)
+	eng.Run()
+	if !allExhausted(g) {
+		t.Fatal("GPU with no subslices should be trivially exhausted")
+	}
+}
+
+// TestOnlyCPUWaitsOutHitLatency: the two shapes differ in the hit
+// latencies a load is charged. On a trace of repeated loads to one line
+// a CPU core waits out the L2 latency on every hit; a subslice issues on.
+func TestOnlyCPUWaitsOutHitLatency(t *testing.T) {
+	ops := make([]trace.Op, 100)
+	for i := range ops {
+		ops[i] = trace.Op{Gap: 1, Addr: 0x40}
+	}
+	run := func(build func(*sim.Engine, *fakeMem) *Core) uint64 {
+		eng := sim.New()
+		build(eng, &fakeMem{eng: eng, latency: 10}).Start()
+		eng.Run()
+		return eng.Now()
+	}
+	cpuCycles := run(func(eng *sim.Engine, mem *fakeMem) *Core {
+		return New(eng, smallCfg(), &scriptGen{ops: ops}, newLLC(), mem)
+	})
+	gpuCycles := run(func(eng *sim.Engine, mem *fakeMem) *Core {
+		return NewGPU(eng, smallGPUCfg(), []trace.Generator{&scriptGen{ops: ops}}, newLLC(), mem)[0]
+	})
+	// Most of the 100 loads hit L2 (the GPU's first few are MSHR hits
+	// on the line still in flight), so the CPU core waits out the L2
+	// latency about 100 times while the subslice issues about one load
+	// a cycle.
+	l2 := smallCfg().L2.Latency
+	if want := uint64(len(ops)/2) * l2; cpuCycles < want {
+		t.Fatalf("CPU took %d cycles, want %d or more (L2 latency %d per hit)", cpuCycles, want, l2)
+	}
+	if limit := uint64(2 * len(ops)); gpuCycles > limit {
+		t.Fatalf("GPU took %d cycles for %d loads, want at most %d: hit latency is charged", gpuCycles, len(ops), limit)
 	}
 }

@@ -392,9 +392,34 @@ func mustGetJSON(t *testing.T, url string, v any) {
 	}
 }
 
+// pinnedCacheKeys holds, per system.ModelVersion, the literal content
+// addresses of two stock configs. They pin the wire form of a job: a
+// change that moves or renames config types must leave them as they
+// are, and only a model-version bump adds entries under the new version.
+var pinnedCacheKeys = map[string]map[string]string{
+	"1": {
+		"Quick Hydrogen C1": "1a74be1b0b61884b192582242ea67a4b25cafe952758d7b04d5a395f165eda69",
+		"Paper Baseline C5": "a23e2a3a0f9f2c9d5e9acdf6e00212695650c3c78fc098e162f460e465d6c1b9",
+	},
+}
+
 // TestCacheKeyStability: the content address ignores per-run workload
-// assignment fields and weight spellings that canonicalize identically.
+// assignment fields and weight spellings that canonicalize identically,
+// and the stock configs hash to their pinned addresses.
 func TestCacheKeyStability(t *testing.T) {
+	pinned, ok := pinnedCacheKeys[system.ModelVersion]
+	if !ok {
+		t.Fatalf("no pinned cache keys for model version %q", system.ModelVersion)
+	}
+	for name, got := range map[string]string{
+		"Quick Hydrogen C1": serve.CacheKey(system.Quick(), "Hydrogen", serve.ComboSpec{ID: "C1"}),
+		"Paper Baseline C5": serve.CacheKey(system.Paper(), "Baseline", serve.ComboSpec{ID: "C5"}),
+	} {
+		if got != pinned[name] {
+			t.Errorf("%s: cache key %s, pinned %s", name, got, pinned[name])
+		}
+	}
+
 	cfg := tinyConfig()
 	spec := serve.ComboSpec{ID: "C1", CPU: []string{"a"}, GPU: "b"}
 	k1 := serve.CacheKey(cfg, "Hydrogen", spec)

@@ -413,14 +413,18 @@ func (s *Server) resolveRequest(req *JobRequest) (submission, error) {
 	if sub.design, err = system.ParseDesign(req.Design, req.Hydrogen); err != nil {
 		return sub, err
 	}
+	if sub.combo, sub.spec, err = req.Combo.resolve(); err != nil {
+		return sub, err
+	}
+	// Validate the machine the run will build, so a bad shape is a 400
+	// here rather than a worker panic or a silently GPU-less run later.
 	probe := sub.cfg
+	probe.CPUProfiles = sub.combo.CPUAssignment(probe.Cores)
+	probe.GPUProfile = sub.combo.GPU
 	if _, err := sub.design.Apply(&probe); err != nil {
 		return sub, err
 	}
-	if err := sub.cfg.Hybrid.Validate(); err != nil {
-		return sub, err
-	}
-	if sub.combo, sub.spec, err = req.Combo.resolve(); err != nil {
+	if err := probe.Validate(); err != nil {
 		return sub, err
 	}
 	sub.id = specKey(system.ModelVersion, sub.cfg, sub.design, sub.spec)

@@ -1,12 +1,14 @@
 package serve_test
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"github.com/hydrogen-sim/hydrogen/internal/serve"
+	"github.com/hydrogen-sim/hydrogen/internal/system"
 )
 
 // TestHostileSubmissions: every malformed, type-confused, or hostile
@@ -45,9 +47,29 @@ func TestHostileSubmissions(t *testing.T) {
 		{"hydrogen options on Baseline", `{"design":"Baseline","hydrogen":{},"combo":"C1"}`},
 		{"hydrogen options on an alias", `{"design":"Hydrogen-DP","hydrogen":{"tokens":true},"combo":"C1"}`},
 		{"hydrogen wrong type", `{"design":"Hydrogen","hydrogen":"full","combo":"C1"}`},
+		{"combo without CPU workloads", `{"design":"Baseline","combo":{"id":"mine","gpu":"bert"}}`},
 		{"config invalid hybrid", `{"design":"Hydrogen","combo":"C1","config":{"hybrid":{"fast_capacity_bytes":-1}}}`},
 		{"huge nesting", `{"design":` + strings.Repeat(`[`, 1000) + strings.Repeat(`]`, 1000) + `,"combo":"C1"}`},
 		{"long string field", `{"design":"` + strings.Repeat("A", 1<<16) + `","combo":"C1"}`},
+	}
+	// Machine shapes system.New rejects: each would otherwise reach a
+	// worker and panic there, or run without its GPU.
+	for name, mutate := range map[string]func(*system.Config){
+		"config CPU base IPC 0":    func(c *system.Config) { c.CPU.BaseIPC = 0 },
+		"config GPU issue width 0": func(c *system.Config) { c.GPU.IssuePerCyc = 0 },
+		"config CPU L2 assoc 0":    func(c *system.Config) { c.CPU.L2.Assoc = 0 },
+		"config GPU L1 assoc 300":  func(c *system.Config) { c.GPU.L1.Assoc = 300 },
+		"config LLC 1000 bytes":    func(c *system.Config) { c.LLC.SizeBytes = 1000 },
+		"config GPU subslices 0":   func(c *system.Config) { c.GPU.Subslices = 0 },
+		"config negative cores":    func(c *system.Config) { c.Cores = -1 },
+	} {
+		cfg := tinyConfig()
+		mutate(&cfg)
+		body, err := json.Marshal(serve.JobRequest{Config: &cfg, Design: "Baseline", Combo: serve.ComboSpec{ID: "C1"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, struct{ name, body string }{name, string(body)})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,12 +7,10 @@ package system
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/hydrogen-sim/hydrogen/internal/caches"
 	"github.com/hydrogen-sim/hydrogen/internal/core"
 	"github.com/hydrogen-sim/hydrogen/internal/cpu"
-	"github.com/hydrogen-sim/hydrogen/internal/gpu"
 	"github.com/hydrogen-sim/hydrogen/internal/memory/dram"
 	"github.com/hydrogen-sim/hydrogen/internal/memory/hybrid"
 	"github.com/hydrogen-sim/hydrogen/internal/obs"
@@ -56,9 +54,9 @@ type Config struct {
 	SlowBWScale float64
 
 	Hybrid hybrid.Config
-	LLC    caches.Config
+	LLC    caches.Config // LLC.Latency is not charged: a CPU core charges CPU.LLCLat
 	CPU    cpu.Config
-	GPU    gpu.Config
+	GPU    cpu.GPUConfig
 
 	// Weights for the weighted-IPC objective, CPU:GPU. Zero selects the
 	// paper default 12:1 (the core-count ratio).
@@ -92,7 +90,7 @@ type Config struct {
 func Quick() Config {
 	cpuCfg := cpu.DefaultConfig()
 	cpuCfg.L2.SizeBytes = 256 << 10 // scaled with the fast tier
-	gpuCfg := gpu.DefaultConfig()
+	gpuCfg := cpu.DefaultGPUConfig()
 	gpuCfg.L1.SizeBytes = 64 << 10
 	return Config{
 		Cores: 8,
@@ -223,7 +221,7 @@ type System struct {
 	ctl        *hybrid.Controller
 	llc        *caches.Cache
 	cores      []*cpu.Core
-	gpu        *gpu.GPU
+	subslices  []*cpu.Core
 
 	epochs     []EpochSample
 	lastCPUIns uint64
@@ -251,8 +249,8 @@ type System struct {
 // New builds a system with the policy produced by factory, creating
 // synthetic trace generators from cfg's workload profile names.
 func New(cfg Config, factory PolicyFactory) (*System, error) {
-	if cfg.Cores > 0 && len(cfg.CPUProfiles) != cfg.Cores {
-		return nil, fmt.Errorf("system: %d cores but %d CPU profiles", cfg.Cores, len(cfg.CPUProfiles))
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	cfg = Canonical(cfg)
 
@@ -306,7 +304,7 @@ func New(cfg Config, factory PolicyFactory) (*System, error) {
 		}
 		synth := trace.NewCPU(params, alloc(params.Footprint), cfg.Seed+int64(i)*7919)
 		gen := trace.NewPaged(synth, cfg.Seed+int64(i)*15013+1)
-		s.cores = append(s.cores, cpu.New(eng, cfg.CPU, i, gen, llc, ctl))
+		s.cores = append(s.cores, cpu.New(eng, cfg.CPU, gen, llc, ctl))
 	}
 
 	if cfg.GPUProfile != "" {
@@ -315,9 +313,6 @@ func New(cfg Config, factory PolicyFactory) (*System, error) {
 			return nil, err
 		}
 		n := cfg.GPU.Subslices
-		if n <= 0 {
-			n = 6
-		}
 		gens := make([]trace.Generator, n)
 		for i := 0; i < n; i++ {
 			p := total
@@ -327,7 +322,7 @@ func New(cfg Config, factory PolicyFactory) (*System, error) {
 				trace.NewGPU(p, alloc(p.Region), cfg.Seed+1_000_003+int64(i)*104729),
 				cfg.Seed+int64(i)*70117+2_000_029)
 		}
-		s.gpu = gpu.New(eng, cfg.GPU, gens, llc, ctl)
+		s.subslices = cpu.NewGPU(eng, cfg.GPU, gens, llc, ctl)
 	}
 	return s, nil
 }
@@ -356,8 +351,8 @@ func (s *System) Run() Results {
 	for _, c := range s.cores {
 		c.Start()
 	}
-	if s.gpu != nil {
-		s.gpu.Start()
+	for _, c := range s.subslices {
+		c.Start()
 	}
 	s.scheduleEpoch()
 	s.eng.RunUntil(s.cfg.Cycles)
@@ -383,8 +378,8 @@ func (s *System) scheduleEpoch() {
 
 func (s *System) epochTick() {
 	now := s.eng.Now()
-	cpuIns := s.cpuInstrs()
-	gpuIns := s.gpuInstrs()
+	cpuIns := cpu.Instructions(s.cores)
+	gpuIns := cpu.Instructions(s.subslices)
 	el := float64(s.cfg.EpochLen)
 	sample := EpochSample{
 		EndCycle: now,
@@ -470,28 +465,13 @@ func (s *System) telemetryPoint(sample EpochSample) obs.EpochPoint {
 	return p
 }
 
-func (s *System) cpuInstrs() uint64 {
-	var total uint64
-	for _, c := range s.cores {
-		total += c.Instructions()
-	}
-	return total
-}
-
-func (s *System) gpuInstrs() uint64 {
-	if s.gpu == nil {
-		return 0
-	}
-	return s.gpu.Instructions()
-}
-
 func (s *System) results() Results {
 	cycles := s.cfg.Cycles
 	r := Results{
 		PolicyName: s.ctl.Policy().Name(),
 		Cycles:     cycles,
-		CPUInstrs:  s.cpuInstrs(),
-		GPUInstrs:  s.gpuInstrs(),
+		CPUInstrs:  cpu.Instructions(s.cores),
+		GPUInstrs:  cpu.Instructions(s.subslices),
 		Hybrid:     s.ctl.Stats(),
 		Fast:       s.fast.Stats(),
 		Slow:       s.slow.Stats(),

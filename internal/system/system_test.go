@@ -181,3 +181,49 @@ func TestCacheKeyKnobs(t *testing.T) {
 		t.Fatal("SimParallel leaked into the canonical JSON; it would split the result cache")
 	}
 }
+
+// TestNewRejectsInvalidShapes: a processor or cache shape the machine
+// cannot be built with is an error from New — not a panic in a cache
+// constructor or the issue loop, and not a run without its GPU. The
+// processor checks apply only to processors the run has.
+func TestNewRejectsInvalidShapes(t *testing.T) {
+	c1, err := workloads.ComboByID("C1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(mutate func(*Config)) error {
+		cfg := tiny()
+		cfg.CPUProfiles = c1.CPUAssignment(cfg.Cores)
+		cfg.GPUProfile = c1.GPU
+		mutate(&cfg)
+		factory, err := DesignSpec{Policy: DesignBaseline}.Apply(&cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = New(cfg, factory)
+		return err
+	}
+	for name, mutate := range map[string]func(*Config){
+		"CPU base IPC 0":    func(c *Config) { c.CPU.BaseIPC = 0 },
+		"GPU issue width 0": func(c *Config) { c.GPU.IssuePerCyc = 0 },
+		"CPU L2 assoc 0":    func(c *Config) { c.CPU.L2.Assoc = 0 },
+		"GPU L1 assoc 300":  func(c *Config) { c.GPU.L1.Assoc = 300 },
+		"LLC 1000 bytes":    func(c *Config) { c.LLC.SizeBytes = 1000 },
+		"GPU subslices 0":   func(c *Config) { c.GPU.Subslices = 0 },
+		"negative cores":    func(c *Config) { c.Cores = -1 },
+		"no CPU profiles":   func(c *Config) { c.CPUProfiles = nil },
+	} {
+		if err := build(mutate); err == nil {
+			t.Errorf("%s: New returned no error", name)
+		}
+	}
+	for name, mutate := range map[string]func(*Config){
+		"stock":                  func(*Config) {},
+		"GPU-alone, CPU IPC 0":   func(c *Config) { c.Cores, c.CPUProfiles, c.CPU.BaseIPC = 0, nil, 0 },
+		"CPU-alone, 0 subslices": func(c *Config) { c.GPUProfile, c.GPU.Subslices = "", 0 },
+	} {
+		if err := build(mutate); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}

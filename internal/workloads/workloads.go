@@ -158,8 +158,13 @@ func ComboByID(id string) (Combo, error) {
 
 // CPUAssignment expands a combo's 4 workloads to cores rate-mode style:
 // core i runs CPU[i%4] (two copies each on the Table I 8-core machine;
-// other core counts cycle through the same list).
+// other core counts cycle through the same list). It is nil when the
+// combo has no CPU workloads or cores is negative, which system.New
+// rejects for a run with cores.
 func (c Combo) CPUAssignment(cores int) []string {
+	if len(c.CPU) == 0 || cores < 0 {
+		return nil
+	}
 	out := make([]string, cores)
 	for i := range out {
 		out[i] = c.CPU[i%len(c.CPU)]

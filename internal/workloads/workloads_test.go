@@ -110,6 +110,13 @@ func TestCPUAssignmentRateMode(t *testing.T) {
 	if n := len(c.CPUAssignment(4)); n != 4 {
 		t.Fatalf("4-core assignment has %d entries", n)
 	}
+	// Nothing to assign: nil, for system.New to reject, never a panic.
+	if got := (Combo{GPU: "bert"}).CPUAssignment(8); got != nil {
+		t.Fatalf("combo without CPU workloads assigned %v", got)
+	}
+	if got := c.CPUAssignment(-1); got != nil {
+		t.Fatalf("-1 cores assigned %v", got)
+	}
 }
 
 func TestProfilesScaleWithCapacity(t *testing.T) {
