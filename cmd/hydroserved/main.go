@@ -31,10 +31,10 @@
 // -cache-dir, and exits 0. A second signal kills it the default way.
 //
 // With -journal set, every accepted job is fsynced to an append-only
-// CRC-framed log before the submitter sees 202 — concurrent
-// submissions share fsyncs via group commit: after a crash
-// (kill -9, OOM) the restarted daemon replays the log, re-enqueues the
-// jobs that were queued or running, and compacts it. Job IDs are
+// CRC-framed log, one write and fsync per record, before the submitter
+// sees 202: after a crash (kill -9, OOM) the restarted daemon replays
+// the log, re-enqueues the jobs that were queued or running, and
+// compacts it. Job IDs are
 // content addresses, so replayed work that already reached the result
 // cache is not re-run. A job that keeps failing (e.g. a config that
 // panics the simulator) is quarantined after -quarantine failures

@@ -104,11 +104,6 @@ func writeTelemetryCSV(path string, points []obs.EpochPoint) error {
 	return f.Close()
 }
 
-// DefaultOptions returns quick-scale options over all combos.
-func DefaultOptions() Options {
-	return Options{Base: system.Quick()}
-}
-
 // combos resolves Options.Combos; an unknown ID is an error, so a typo
 // fails the experiment before any simulation starts.
 func (o *Options) combos() ([]workloads.Combo, error) {

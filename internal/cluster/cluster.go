@@ -146,16 +146,6 @@ func ParsePeers(spec, self string) (*Config, error) {
 	return cfg, nil
 }
 
-// SelfMember returns the Member entry for Self.
-func (c *Config) SelfMember() Member {
-	for _, m := range c.Members {
-		if m.ID == c.Self {
-			return m
-		}
-	}
-	return Member{ID: c.Self}
-}
-
 // Peers returns the member list without self, in ID order.
 func (c *Config) Peers() []Member {
 	out := make([]Member, 0, len(c.Members)-1)

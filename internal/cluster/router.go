@@ -49,9 +49,3 @@ func (r *Router) Owner(jobID string) Member {
 func (r *Router) Owns(memberID, jobID string) bool {
 	return r.Owner(jobID).ID == memberID
 }
-
-// Member resolves a member ID; ok is false for unknown IDs.
-func (r *Router) Member(id string) (Member, bool) {
-	m, ok := r.byID[id]
-	return m, ok
-}

@@ -95,14 +95,3 @@ func Hit(name string) (arg int, fired bool) {
 	}
 	return p.arg, true
 }
-
-// Armed reports whether name has charges left, without consuming one.
-func Armed(name string) bool {
-	if !armed.Load() {
-		return false
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	_, ok := points[name]
-	return ok
-}

@@ -5,9 +5,6 @@ import "testing"
 func TestHitConsumesCharges(t *testing.T) {
 	defer Reset()
 	Set("p", 2, 7)
-	if !Armed("p") {
-		t.Fatal("point not armed after Set")
-	}
 	for i := 0; i < 2; i++ {
 		arg, fired := Hit("p")
 		if !fired || arg != 7 {
@@ -17,16 +14,13 @@ func TestHitConsumesCharges(t *testing.T) {
 	if _, fired := Hit("p"); fired {
 		t.Fatal("point fired beyond its charges")
 	}
-	if Armed("p") {
-		t.Fatal("point still armed after charges spent")
-	}
 }
 
 func TestSetZeroDisarms(t *testing.T) {
 	defer Reset()
 	Set("p", 3, 0)
 	Set("p", 0, 0)
-	if Armed("p") {
+	if _, fired := Hit("p"); fired {
 		t.Fatal("Set(0) did not disarm")
 	}
 }

@@ -5,25 +5,19 @@
 //
 //	[4-byte LE payload length][4-byte LE CRC32-IEEE of payload][payload]
 //
-// Appends are group-committed: concurrent callers stage frames into a
-// shared batch, one of them (the leader) flushes the whole batch with a
-// single write(2) to an O_APPEND descriptor plus a single fsync, and
-// every waiter is released together once the batch is durable. The
-// commit window is exactly the duration of the previous flush, so an
-// uncontended append degenerates to the classic write+fsync and a
-// storm of submitters amortizes one fsync across the lot. On return
-// from Append the record is durable; on error the caller must assume
-// it is not (the file may hold a torn frame, which Replay tolerates).
+// Append writes one frame and fsyncs it under one lock: on return the
+// record is durable; on error the caller must assume it is not (the
+// file may hold a torn frame, which Replay tolerates).
 //
-// A flush failure is fail-stop: Replay stops at the first bad frame,
+// A write failure is fail-stop: Replay stops at the first bad frame,
 // so any frame appended after a torn or failed write would be durable
 // yet unreachable. Rather than ack such ghosts, the journal marks
 // itself broken and every later Append fails. Replay walks frames from
 // the start and stops at the first frame that does not check out — a
-// crash mid-flush leaves a torn tail, and everything before it is
-// intact by construction. Rewrite (the compaction primitive) replaces
-// the log atomically: temp file + fsync + rename, the same discipline
-// the result cache uses for spills.
+// crash mid-append leaves a torn tail, and everything before it is
+// intact by construction. Compact (and Rewrite, its closed-file form)
+// replaces the log atomically: temp file + fsync + rename, the same
+// discipline the result cache uses for spills.
 package journal
 
 import (
@@ -33,7 +27,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -46,40 +39,22 @@ const frameHeader = 8 // length + CRC
 // the frame is corrupt, not a 4 GB job description.
 const maxRecord = 16 << 20
 
-// batch is one group commit in the making: staged frames plus the
-// gate its waiters block on. err is written by the leader before done
-// is closed, so followers read it race-free.
-type batch struct {
-	buf  []byte
-	n    int // records staged
-	done chan struct{}
-	err  error
-}
+var errClosed = errors.New("journal: closed")
 
 // Journal is an open log accepting appends. Safe for concurrent use.
 type Journal struct {
 	path string
 
-	// mu guards batch formation (cur) and the broken latch; it is held
-	// only to stage bytes, never across I/O.
+	// mu serializes appends, compaction and close: it guards the file
+	// handle (which Compact swaps) and the broken latch.
 	mu     sync.Mutex
-	cur    *batch
+	f      *os.File
 	broken error
 
-	// flushMu serializes flushes; the leader of the next batch blocks
-	// here while the previous batch fsyncs, which is what gives later
-	// arrivals their window to join.
-	flushMu sync.Mutex
-	f       *os.File
-
 	appends atomic.Int64 // records made durable
-	syncs   atomic.Int64 // fsync batches issued
-
-	unbatched bool // every append flushes alone (baseline for benches)
 }
 
-// Open opens (creating if needed) the journal at path for appending
-// with group commit enabled.
+// Open opens (creating if needed) the journal at path for appending.
 func Open(path string) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -88,145 +63,81 @@ func Open(path string) (*Journal, error) {
 	return &Journal{path: path, f: f}, nil
 }
 
-// OpenUnbatched opens the journal with group commit disabled: every
-// Append performs its own write+fsync, the one-fsync-per-record
-// behavior group commit replaced. It exists as the baseline arm of the
-// benchmark's journal.append_us_serial metric (bench/); production
-// callers want Open.
-func OpenUnbatched(path string) (*Journal, error) {
-	j, err := Open(path)
-	if err != nil {
-		return nil, err
-	}
-	j.unbatched = true
-	return j, nil
-}
-
-// Path returns the file the journal appends to.
-func (j *Journal) Path() string { return j.path }
+// OpenUnbatched is Open. It remains only because the repository
+// benchmark (bench/cold.go) still times it as its journal.append_us_serial
+// arm; it goes when that benchmark drops the metric.
+func OpenUnbatched(path string) (*Journal, error) { return Open(path) }
 
 // Appends reports how many records have been made durable.
 func (j *Journal) Appends() int64 { return j.appends.Load() }
 
-// Syncs reports how many fsync batches (group commits) have been
-// issued; Appends()/Syncs() is the achieved batching factor.
-func (j *Journal) Syncs() int64 { return j.syncs.Load() }
+// Syncs reports how many fsyncs appends have issued: one per append,
+// so it equals Appends. It remains only because the repository
+// benchmark (bench/cold.go) still divides by the
+// hydroserved_journal_syncs_total metric it feeds.
+func (j *Journal) Syncs() int64 { return j.appends.Load() }
 
-// Append frames payload, stages it into the current batch, and returns
-// once the batch is durable: the first stager becomes the leader and
-// flushes everything staged behind one write + one fsync; later
-// stagers just wait. On nil return the record is on disk.
+// Append frames payload, writes it and fsyncs it. On nil return the
+// record is on disk.
 func (j *Journal) Append(payload []byte) error {
 	if _, fired := faultinject.Hit(faultinject.JournalAppendErr); fired {
 		return errors.New("journal: faultinject: append error")
 	}
+	frame := appendFrame(nil, payload)
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.broken != nil {
-		err := j.broken
-		j.mu.Unlock()
-		return err
+		return j.broken
 	}
-	if j.unbatched {
-		j.mu.Unlock()
-		return j.appendUnbatched(payload)
-	}
-	leader := j.cur == nil
-	if leader {
-		j.cur = &batch{done: make(chan struct{})}
-	}
-	b := j.cur
-	b.buf = binary.LittleEndian.AppendUint32(b.buf, uint32(len(payload)))
-	b.buf = binary.LittleEndian.AppendUint32(b.buf, crc32.ChecksumIEEE(payload))
-	b.buf = append(b.buf, payload...)
-	b.n++
-	j.mu.Unlock()
-
-	if !leader {
-		<-b.done
-		return b.err
-	}
-	// Leader: wait out any in-flight flush — appends arriving meanwhile
-	// join this batch — then detach the batch and make it durable. The
-	// yield matters on small hosts: when flushMu is free (no flush in
-	// flight), the leader would otherwise detach its batch before any
-	// runnable peer gets scheduled to join it, collapsing the group to
-	// one record per fsync.
-	runtime.Gosched()
-	j.flushMu.Lock()
-	j.mu.Lock()
-	j.cur = nil
-	j.mu.Unlock()
-	b.err = j.flush(b)
-	j.flushMu.Unlock()
-	close(b.done)
-	return b.err
-}
-
-// flush writes and fsyncs one detached batch; flushMu must be held.
-// Any failure latches the journal broken (see the package comment for
-// why acking appends past a bad frame would be a durability lie).
-func (j *Journal) flush(b *batch) error {
-	// Recheck the fail-stop latch: a leader that passed Append's broken
-	// check and then blocked on flushMu may only acquire it AFTER the
-	// previous batch's flush failed and latched. Writing now would put
-	// frames beyond the torn one — durable yet unreachable, since Replay
-	// stops at the first bad frame — so return the latched error instead.
-	j.mu.Lock()
-	if err := j.broken; err != nil {
-		j.mu.Unlock()
-		return err
-	}
-	j.mu.Unlock()
+	var err error
 	if _, fired := faultinject.Hit(faultinject.JournalTornWrite); fired {
-		// Simulate a crash mid-flush: the write tears inside the batch's
-		// FIRST frame, so no record in the batch survives replay and the
-		// whole batch reports failure. Tearing at the head (rather than
-		// halfway through the buffer) keeps chaos tests deterministic no
-		// matter how many submits happened to share the batch — a midway
-		// tear would leave a valid prefix of complete frames that replays
-		// records whose submitters were refused.
-		first := frameHeader + int(binary.LittleEndian.Uint32(b.buf))
-		j.f.Write(b.buf[:first/2])
-		j.f.Sync()
-		return j.breakWith(errors.New("journal: faultinject: torn write"))
+		// Simulate a crash mid-append: half the frame reaches the disk,
+		// so this record fails replay's checks.
+		writeSync(j.f, frame[:len(frame)/2])
+		err = errors.New("journal: faultinject: torn write")
+	} else {
+		err = writeSync(j.f, frame)
 	}
-	if _, err := j.f.Write(b.buf); err != nil {
-		return j.breakWith(fmt.Errorf("journal: append: %w", err))
+	if err != nil {
+		// See the package comment for why acking appends past a bad
+		// frame would be a durability lie.
+		j.broken = fmt.Errorf("journal: closed to writes after failed append: %w", err)
+		return err
 	}
-	if err := j.f.Sync(); err != nil {
-		return j.breakWith(fmt.Errorf("journal: fsync: %w", err))
-	}
-	j.appends.Add(int64(b.n))
-	j.syncs.Add(1)
+	j.appends.Add(1)
 	return nil
 }
 
-// breakWith latches the journal into the broken state and returns err.
-func (j *Journal) breakWith(err error) error {
+// Compact atomically replaces the log with the records snapshot
+// returns and keeps appending to the new file. It holds the append
+// lock throughout — snapshot, temp file write + fsync, rename, handle
+// swap — so no record lands between the snapshot and the rewritten
+// file, and no append can reach the old, unlinked inode. snapshot must
+// not call Append. On error the journal is unchanged.
+func (j *Journal) Compact(snapshot func() ([][]byte, error)) error {
 	j.mu.Lock()
-	j.broken = fmt.Errorf("journal: closed to writes after flush failure: %w", err)
-	j.mu.Unlock()
-	return err
-}
-
-// appendUnbatched is the group-commit-free arm: frame, write, fsync,
-// all under flushMu — the pre-group-commit serialization.
-func (j *Journal) appendUnbatched(payload []byte) error {
-	b := &batch{}
-	b.buf = binary.LittleEndian.AppendUint32(b.buf, uint32(len(payload)))
-	b.buf = binary.LittleEndian.AppendUint32(b.buf, crc32.ChecksumIEEE(payload))
-	b.buf = append(b.buf, payload...)
-	b.n = 1
-	j.flushMu.Lock()
-	defer j.flushMu.Unlock()
-	return j.flush(b)
+	defer j.mu.Unlock()
+	if j.broken != nil {
+		return j.broken
+	}
+	records, err := snapshot()
+	if err != nil {
+		return fmt.Errorf("journal: compact: %w", err)
+	}
+	f, err := replace(j.path, records)
+	if err != nil {
+		return err
+	}
+	j.f.Close()
+	j.f = f
+	return nil
 }
 
 // Size reports the journal file's current length in bytes — the
 // hydroserved_journal_bytes gauge. A stat failure reads as zero.
 func (j *Journal) Size() int64 {
-	j.flushMu.Lock()
-	defer j.flushMu.Unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	st, err := j.f.Stat()
 	if err != nil {
 		return 0
@@ -234,10 +145,12 @@ func (j *Journal) Size() int64 {
 	return st.Size()
 }
 
-// Close closes the underlying file. Appends after Close fail.
+// Close closes the underlying file. Appends and compactions after
+// Close fail.
 func (j *Journal) Close() error {
-	j.flushMu.Lock()
-	defer j.flushMu.Unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.broken = errClosed
 	return j.f.Close()
 }
 
@@ -275,42 +188,61 @@ func Replay(path string, fn func(payload []byte) error) (valid, size int64, err 
 	return int64(off), size, nil
 }
 
-// Rewrite atomically replaces the log at path with the given records:
-// the frames are written to a temp file in the same directory, fsynced,
-// and renamed over path, so a crash leaves either the old log or the
-// new one, never a mix. This is the compaction primitive.
+// Rewrite atomically replaces the log at path with the given records,
+// for a log no Journal has open: Compact without the handle swap.
 func Rewrite(path string, records [][]byte) error {
+	f, err := replace(path, records)
+	if err != nil {
+		return err
+	}
+	return f.Close()
+}
+
+// replace writes records to a temp file in path's directory, fsyncs
+// it, and renames it over path, so a crash leaves either the old log
+// or the new one, never a mix. It returns the temp file still open and
+// positioned at its end, ready for appends.
+func replace(path string, records [][]byte) (*os.File, error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
-		return fmt.Errorf("journal: compact: %w", err)
+		return nil, fmt.Errorf("journal: compact: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	var buf []byte
 	for _, payload := range records {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-		buf = append(buf, payload...)
+		buf = appendFrame(buf, payload)
 	}
-	if _, err := tmp.Write(buf); err != nil {
+	if err = writeSync(tmp, buf); err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
 		tmp.Close()
-		return fmt.Errorf("journal: compact: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("journal: compact: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("journal: compact: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("journal: compact: %w", err)
+		os.Remove(tmp.Name())
+		return nil, fmt.Errorf("journal: compact: %w", err)
 	}
 	// Durability of the rename itself: fsync the directory; best-effort
 	// on platforms where directories cannot be synced.
 	if d, err := os.Open(dir); err == nil {
 		d.Sync()
 		d.Close()
+	}
+	return tmp, nil
+}
+
+// appendFrame appends payload's frame to buf.
+func appendFrame(buf, payload []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	return append(buf, payload...)
+}
+
+// writeSync writes buf to f and fsyncs it.
+func writeSync(f *os.File, buf []byte) error {
+	if _, err := f.Write(buf); err != nil {
+		return fmt.Errorf("journal: write: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("journal: fsync: %w", err)
 	}
 	return nil
 }

@@ -399,10 +399,10 @@ func rawSubmit(url string, req serve.JobRequest) (id string, code int, err error
 	return id, resp.StatusCode, nil
 }
 
-// TestGroupCommitAckIsDurable is the group-commit durability proof: a
-// storm of concurrent submissions shares fsync batches, some appends
-// fail mid-window, and the crash that follows must recover exactly the
-// acked set — every 202 replays, no 503 leaves a ghost record.
+// TestGroupCommitAckIsDurable is the journal's durability proof: a
+// storm of concurrent submissions races for the journal, some appends
+// fail, and the crash that follows must recover exactly the acked set
+// — every 202 replays, no 503 leaves a ghost record.
 func TestGroupCommitAckIsDurable(t *testing.T) {
 	defer faultinject.Reset()
 	dir := t.TempDir()
@@ -418,8 +418,7 @@ func TestGroupCommitAckIsDurable(t *testing.T) {
 	waitState(t, ts1.URL, bst.ID, serve.StateRunning)
 
 	// Three of the sixteen concurrent submissions draw an append
-	// failure; each charge rejects exactly one caller, not a whole
-	// batch.
+	// failure; each charge rejects exactly one caller.
 	faultinject.Set(faultinject.JournalAppendErr, 3, 0)
 	const n = 16
 	type outcome struct {
@@ -474,11 +473,10 @@ func TestGroupCommitAckIsDurable(t *testing.T) {
 	}
 }
 
-// TestGroupCommitFailStopAfterTornBatch: a torn batch write fails every
-// waiter in that window AND all later appends (fail-stop) — because
-// replay stops at the torn frame, acking anything behind it would ack
-// a record recovery cannot see. Everything acked before the tear still
-// replays.
+// TestGroupCommitFailStopAfterTornBatch: a torn write fails its own
+// append AND all later appends (fail-stop) — because replay stops at
+// the torn frame, acking anything behind it would ack a record
+// recovery cannot see. Everything acked before the tear still replays.
 func TestGroupCommitFailStopAfterTornBatch(t *testing.T) {
 	defer faultinject.Reset()
 	dir := t.TempDir()
@@ -505,8 +503,8 @@ func TestGroupCommitFailStopAfterTornBatch(t *testing.T) {
 		wave1 = append(wave1, id)
 	}
 
-	// Wave 2: the next flush tears mid-frame; every submission in that
-	// batch and every one after it must be refused.
+	// Wave 2: the next append tears mid-frame; it and every submission
+	// after it must be refused.
 	faultinject.Set(faultinject.JournalTornWrite, 1, 0)
 	var wg sync.WaitGroup
 	codes := make([]int, 8)

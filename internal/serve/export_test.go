@@ -51,7 +51,7 @@ func (s *Server) LegacyStatusJSON(id string, hit bool) ([]byte, bool) {
 // chaos tests can stage precise on-disk states.
 func (s *Server) SpillForTest() error { return s.cache.SpillAll() }
 
-// Crash simulates a kill -9 for chaos tests: it detaches the journal
+// Crash simulates a kill -9 for chaos tests: it closes the journal
 // WITHOUT writing terminal records, force-cancels everything, and
 // waits for the workers to exit — leaving the journal and spill
 // directory exactly as a crashed process would have left them (submit
@@ -59,12 +59,7 @@ func (s *Server) SpillForTest() error { return s.cache.SpillAll() }
 // The server is unusable afterward; tests construct a fresh one over
 // the same paths to exercise recovery.
 func (s *Server) Crash() {
-	s.jlMu.Lock()
-	if s.jl != nil {
-		s.jl.Close()
-		s.jl = nil
-	}
-	s.jlMu.Unlock()
+	s.closeJournal()
 	s.beginShutdown()
 	s.cancelAll()
 	s.workers.Wait()

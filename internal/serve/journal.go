@@ -40,19 +40,13 @@ const (
 )
 
 // appendRecord journals one record, if a journal is configured. It is
-// called from handlers and workers; the journal serializes appends
-// internally. An append failure is surfaced to the caller (a job whose
-// submit record cannot be made durable must not be accepted) and
-// counted.
+// called from handlers and workers, never under s.mu or a job's mu:
+// the journal serializes appends internally, and its Compact holds the
+// append lock while liveRecords takes s.mu. An append failure is
+// surfaced to the caller (a job whose submit record cannot be made
+// durable must not be accepted) and counted.
 func (s *Server) appendRecord(rec journalRecord) error {
-	// The read lock is held across the Append itself: concurrent
-	// appenders still share group-commit batches (RLock admits them
-	// all), while the runtime compactor's write lock guarantees no
-	// record lands between its state snapshot and the rewritten file.
-	s.jlMu.RLock()
-	defer s.jlMu.RUnlock()
-	jl := s.jl
-	if jl == nil {
+	if s.jl == nil {
 		return nil
 	}
 	rec.Time = time.Now()
@@ -60,7 +54,7 @@ func (s *Server) appendRecord(rec journalRecord) error {
 	if err != nil {
 		return fmt.Errorf("serve: marshal journal record: %w", err)
 	}
-	if err := jl.Append(payload); err != nil {
+	if err := s.jl.Append(payload); err != nil {
 		s.m.journalErrors.Add(1)
 		return err
 	}
@@ -145,25 +139,35 @@ func replayJournal(path string) (pending []*replayedJob, fails map[string]int, t
 	return pending, fails, valid < size, nil
 }
 
-// compactRecords builds the minimal journal equivalent to the replayed
-// state: one submit record per still-pending job plus one aggregated
-// failed record per ID with a nonzero failure count.
-func compactRecords(pending []*replayedJob, fails map[string]int) ([][]byte, error) {
-	var out [][]byte
-	for _, j := range pending {
-		payload, err := json.Marshal(j.submit)
-		if err != nil {
-			return nil, err
+// liveRecords is the journal's compaction snapshot, at startup and at
+// the size watermark alike: one submit record per queued or running
+// job plus one aggregated failed record per ID with a nonzero failure
+// count — exactly what a restart's replay would rebuild. A job minted
+// but not yet journaled counts as queued, so its submit record cannot
+// fall between the snapshot and the compacted file.
+func (s *Server) liveRecords() ([][]byte, error) {
+	var live, fails []journalRecord
+	s.mu.Lock()
+	for _, id := range s.order {
+		j := s.jobs[id]
+		if j == nil {
+			continue
 		}
-		out = append(out, payload)
+		j.mu.Lock()
+		state := j.state
+		j.mu.Unlock()
+		if state == StateQueued || state == StateRunning {
+			live = append(live, j.submitRecord())
+		}
 	}
-	ids := make([]string, 0, len(fails))
-	for id := range fails {
-		ids = append(ids, id)
+	for id, n := range s.failCount {
+		fails = append(fails, journalRecord{Type: StateFailed, ID: id, Fails: n})
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		payload, err := json.Marshal(journalRecord{Type: StateFailed, ID: id, Fails: fails[id]})
+	s.mu.Unlock()
+	sort.Slice(fails, func(a, b int) bool { return fails[a].ID < fails[b].ID })
+	out := make([][]byte, 0, len(live)+len(fails))
+	for _, rec := range append(live, fails...) {
+		payload, err := json.Marshal(rec)
 		if err != nil {
 			return nil, err
 		}

@@ -219,9 +219,9 @@ func (s *Server) intake(sub *submission) (j *job, fresh bool, ref *refusal) {
 	j = s.mintLocked(sub)
 	s.mu.Unlock()
 
-	// Durability barrier (rule 1). The fsync runs OUTSIDE s.mu so
-	// concurrent submissions share group-commit batches in the journal
-	// instead of serializing one fsync each behind the server lock;
+	// Durability barrier (rule 1). The fsync runs OUTSIDE s.mu, so no
+	// disk round trip holds the server lock (and a compaction, which
+	// takes s.mu under the journal's lock, cannot deadlock against it);
 	// attachers that found the job meanwhile block on j.durable until
 	// the fate of this record is known.
 	if !sub.replayed {

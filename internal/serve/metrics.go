@@ -92,7 +92,11 @@ func newMetrics(cacheEntries, cacheBytes, journalBytes, journalSyncs, diskFree f
 	r.GaugeFunc("hydroserved_cache_entries", "Results held in memory.", cacheEntries)
 	r.GaugeFunc("hydroserved_cache_bytes", "Bytes of results held in memory.", cacheBytes)
 	r.GaugeFunc("hydroserved_journal_bytes", "Length of the job journal file.", journalBytes)
-	r.CounterFunc("hydroserved_journal_syncs_total", "Journal fsync batches (group commits).", journalSyncs)
+	// One fsync per append, so this equals
+	// hydroserved_journal_appends_total. It remains only because the
+	// repository benchmark (bench/cold.go) still divides by it for
+	// journal.appends_per_sync; it goes when that metric does.
+	r.CounterFunc("hydroserved_journal_syncs_total", "Journal fsyncs, one per durable append.", journalSyncs)
 	m.queued = r.Gauge("hydroserved_jobs_queued", "Jobs waiting in the queue.")
 	m.running = r.Gauge("hydroserved_jobs_running", "Jobs currently simulating.")
 	m.simCycles = r.Counter("hydroserved_sim_cycles_total", "Simulated cycles completed.")

@@ -131,18 +131,13 @@ type Server struct {
 	m       *metrics
 	log     *slog.Logger
 
-	// jlMu guards the journal handle. Appenders hold it shared (the
-	// journal serializes appends internally, and RLock keeps
-	// group-commit batching intact); the runtime compactor holds it
-	// exclusive so no append can land between its state snapshot and
-	// the rewritten file. Kept separate from mu so a crash-simulation
-	// hook can detach the journal without the server lock. Lock order:
-	// jlMu before mu.
-	jlMu sync.RWMutex
-	jl   *journal.Journal
-	// afterAppend is a test-only hook run after a record is durable
-	// (still under the shared jlMu), for staging the races that live
-	// between an fsync and what follows it. Nil in production.
+	// jl is the journal, nil when durability is off. recover sets it
+	// before any goroutine starts and nothing reassigns it; the journal
+	// serializes appends, compaction and close itself.
+	jl *journal.Journal
+	// afterAppend is a test-only hook run after a record is durable,
+	// for staging the races that live between an fsync and what follows
+	// it. Nil in production.
 	afterAppend func(journalRecord)
 
 	// diskCritical flips when free disk falls under DiskLowBytes; the
@@ -291,13 +286,10 @@ func New(opts Options) (*Server, error) {
 // source that reads zero while no journal is attached.
 func (s *Server) journalStat(read func(*journal.Journal) int64) func() int64 {
 	return func() int64 {
-		s.jlMu.RLock()
-		jl := s.jl
-		s.jlMu.RUnlock()
-		if jl == nil {
+		if s.jl == nil {
 			return 0
 		}
-		return read(jl)
+		return read(s.jl)
 	}
 }
 
@@ -306,8 +298,8 @@ func (s *Server) journalStat(read func(*journal.Journal) int64) func() int64 {
 // when the previous process died back to intake (unless its result
 // already reached the cache — the content-addressed ID makes replay
 // idempotent — or its ID is quarantined). Failure counts are restored,
-// and the log is compacted to the minimal equivalent state before being
-// reopened for appends.
+// and the log is compacted to the minimal equivalent state, the same
+// Compact the size watermark runs.
 func (s *Server) recover() error {
 	if s.opts.JournalPath == "" {
 		return nil
@@ -322,7 +314,6 @@ func (s *Server) recover() error {
 		s.logf("journal: torn tail detected (crash mid-append); discarding it")
 	}
 	s.failCount = fails
-	var still []*replayedJob
 	for _, r := range replayed {
 		rec := r.submit
 		design, err := system.ParseDesign(rec.Design, rec.Hydrogen)
@@ -354,22 +345,16 @@ func (s *Server) recover() error {
 		}
 		s.m.replayed.Add(1)
 		s.logj(j.id, "re-enqueued from journal", "design", j.design.String(), "combo", j.spec.ID)
-		still = append(still, r)
-	}
-	records, err := compactRecords(still, s.failCount)
-	if err != nil {
-		return err
-	}
-	if err := journal.Rewrite(s.opts.JournalPath, records); err != nil {
-		return err
 	}
 	jl, err := journal.Open(s.opts.JournalPath)
 	if err != nil {
 		return err
 	}
-	s.jlMu.Lock()
+	if err := jl.Compact(s.liveRecords); err != nil {
+		jl.Close()
+		return err
+	}
 	s.jl = jl
-	s.jlMu.Unlock()
 	return nil
 }
 
@@ -948,15 +933,11 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
-// closeJournal detaches and closes the journal handle; later appends
-// become no-ops. Idempotent.
+// closeJournal closes the journal; later appends fail without
+// writing. Idempotent.
 func (s *Server) closeJournal() {
-	s.jlMu.Lock()
-	jl := s.jl
-	s.jl = nil
-	s.jlMu.Unlock()
-	if jl != nil {
-		jl.Close()
+	if s.jl != nil {
+		s.jl.Close()
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"github.com/hydrogen-sim/hydrogen/internal/faultinject"
-	"github.com/hydrogen-sim/hydrogen/internal/journal"
 )
 
 // spillPruneBatch bounds how many spill files one watermark tick sheds;
@@ -91,75 +90,17 @@ func (s *Server) checkDisk() {
 	s.diskFree.Store(free)
 }
 
-// checkJournalSize triggers a live compaction once the journal outgrows
-// MaxJournalBytes.
+// checkJournalSize compacts the journal once it outgrows
+// MaxJournalBytes, with the same Compact and snapshot a restart uses.
 func (s *Server) checkJournalSize() {
 	max := s.opts.MaxJournalBytes
-	if max <= 0 {
+	if max <= 0 || s.jl == nil || s.jl.Size() <= max {
 		return
 	}
-	if s.journalStat((*journal.Journal).Size)() <= max {
-		return
-	}
-	if err := s.compactJournal(); err != nil {
+	if err := s.jl.Compact(s.liveRecords); err != nil {
 		s.logf("journal compaction failed: %v", err)
+		return
 	}
-}
-
-// compactJournal rewrites the live journal to the minimal equivalent
-// state — one submit record per queued/running job plus aggregated
-// failure counts — exactly what a restart's replay would produce. The
-// write lock on jlMu excludes every appender for the duration, so no
-// record can land between the state snapshot and the rewritten file;
-// lock order is jlMu before mu, matching the crash-simulation hook.
-func (s *Server) compactJournal() error {
-	s.jlMu.Lock()
-	defer s.jlMu.Unlock()
-	if s.jl == nil {
-		return nil
-	}
-
-	s.mu.Lock()
-	var still []*replayedJob
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if j == nil {
-			continue
-		}
-		j.mu.Lock()
-		state := j.state
-		j.mu.Unlock()
-		if state != StateQueued && state != StateRunning {
-			continue
-		}
-		still = append(still, &replayedJob{submit: j.submitRecord()})
-	}
-	fails := make(map[string]int, len(s.failCount))
-	for id, n := range s.failCount {
-		fails[id] = n
-	}
-	s.mu.Unlock()
-
-	records, err := compactRecords(still, fails)
-	if err != nil {
-		return err
-	}
-	// Rewrite replaces the path atomically while the old handle stays
-	// valid; only then is the old handle closed and the new file opened.
-	if err := journal.Rewrite(s.opts.JournalPath, records); err != nil {
-		return err
-	}
-	old := s.jl
-	jl, err := journal.Open(s.opts.JournalPath)
-	if err != nil {
-		// The rewritten file is good on disk but unopenable (e.g. fd
-		// exhaustion): keep appending to the detached old handle's
-		// journal rather than silently dropping durability.
-		return err
-	}
-	s.jl = jl
-	old.Close()
 	s.m.journalCompactions.Add(1)
-	s.logf("journal compacted: %d live submits, %d quarantine counts", len(still), len(fails))
-	return nil
+	s.logf("journal compacted to %d bytes", s.jl.Size())
 }

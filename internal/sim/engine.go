@@ -334,11 +334,6 @@ func (e *Engine) AfterCall(delay uint64, fn func(now uint64)) {
 	e.ScheduleCall(e.now+delay, fn)
 }
 
-// AfterCtx runs fn(ctx, firingTime) delay cycles from now.
-func (e *Engine) AfterCtx(delay uint64, fn func(ctx, now uint64), ctx uint64) {
-	e.ScheduleCtx(e.now+delay, fn, ctx)
-}
-
 // NextLateKey allocates an engine-unique late-lane key. Components that
 // schedule late events (DRAM channels) take one key each at build time,
 // so their same-tick order is their construction order.
