@@ -27,8 +27,10 @@
 //
 // On SIGINT/SIGTERM the daemon stops accepting jobs (503 with
 // Retry-After; /readyz goes unready), drains queued and running work
-// (up to -drain-timeout, then cancels), spills the result cache to
-// -cache-dir, and exits 0. A second signal kills it the default way.
+// (up to -drain-timeout, then cancels), and exits 0. A second signal
+// kills it the default way. Each finished result is written through to
+// -cache-dir (when set) before its terminal journal record, so any
+// restart, kill -9 included, serves it without re-running.
 //
 // With -journal set, every accepted job is fsynced to an append-only
 // CRC-framed log, one write and fsync per record, before the submitter
@@ -92,25 +94,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("hydroserved", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr         = fs.String("addr", ":8077", "listen address (use :0 for a random port)")
-		workers      = fs.Int("workers", 0, "simulation workers; 0 = GOMAXPROCS")
-		queueDepth   = fs.Int("queue", 64, "job queue depth; submissions beyond it get 429")
-		cacheEntries = fs.Int("cache", 256, "in-memory result cache entries")
-		cacheDir     = fs.String("cache-dir", "", "spill directory for evicted/drained results (optional)")
-		journalPath  = fs.String("journal", "", "durable job journal file; enables crash-safe replay of queued/running jobs (optional)")
-		quarantine   = fs.Int("quarantine", 3, "failures after which a job ID is quarantined")
-		paper        = fs.Bool("paper", false, "default jobs to the full Table I scale instead of quick")
-		drainTO      = fs.Duration("drain-timeout", 10*time.Minute, "max time to let jobs finish on shutdown before canceling")
-		quiet        = fs.Bool("q", false, "suppress per-job logging")
-		logJSON      = fs.Bool("log-json", false, "emit structured logs as JSON instead of text")
-		accessLog    = fs.Bool("access-log", false, "log one structured line per HTTP request")
-		debugAddr    = fs.String("debug-addr", "", "separate listener for /debug/pprof and /debug/runtimez (e.g. 127.0.0.1:6060); empty disables")
-		telemPoints  = fs.Int("telemetry-points", 0, "per-job telemetry ring size; 0 = default")
-		peers        = fs.String("peers", "", `static cluster member list as "id=url,id=url,..." including this daemon; empty runs standalone`)
-		self         = fs.String("self", "", "this daemon's member ID within -peers (required with -peers)")
-		peerProbe    = fs.Duration("peer-probe", 2*time.Second, "peer health probe interval")
-		maxJournal   = fs.Int64("max-journal-bytes", 0, "compact the journal in place once it grows past this many bytes (0 disables)")
-		diskLow      = fs.Int64("disk-low-watermark", 0, "free-bytes floor on the journal/cache filesystem: below 2x prune spills, below 1x reject durable submits with 503 (0 disables)")
+		addr        = fs.String("addr", ":8077", "listen address (use :0 for a random port)")
+		workers     = fs.Int("workers", 0, "simulation workers; 0 = GOMAXPROCS")
+		queueDepth  = fs.Int("queue", 64, "job queue depth; submissions beyond it get 429")
+		cacheDir    = fs.String("cache-dir", "", "directory every finished result is written through to; a restart, even after a crash, serves them without re-running (optional)")
+		journalPath = fs.String("journal", "", "durable job journal file; enables crash-safe replay of queued/running jobs (optional)")
+		quarantine  = fs.Int("quarantine", 3, "failures after which a job ID is quarantined")
+		paper       = fs.Bool("paper", false, "default jobs to the full Table I scale instead of quick")
+		drainTO     = fs.Duration("drain-timeout", 10*time.Minute, "max time to let jobs finish on shutdown before canceling")
+		quiet       = fs.Bool("q", false, "suppress per-job logging")
+		logJSON     = fs.Bool("log-json", false, "emit structured logs as JSON instead of text")
+		accessLog   = fs.Bool("access-log", false, "log one structured line per HTTP request")
+		debugAddr   = fs.String("debug-addr", "", "separate listener for /debug/pprof and /debug/runtimez (e.g. 127.0.0.1:6060); empty disables")
+		telemPoints = fs.Int("telemetry-points", 0, "per-job telemetry ring size; 0 = default")
+		peers       = fs.String("peers", "", `static cluster member list as "id=url,id=url,..." including this daemon; empty runs standalone`)
+		self        = fs.String("self", "", "this daemon's member ID within -peers (required with -peers)")
+		peerProbe   = fs.Duration("peer-probe", 2*time.Second, "peer health probe interval")
+		maxJournal  = fs.Int64("max-journal-bytes", 0, "compact the journal in place once it grows past this many bytes (0 disables)")
+		diskLow     = fs.Int64("disk-low-watermark", 0, "free-bytes floor on the journal/cache filesystem: below 2x prune spills, below 1x reject durable submits with 503 (0 disables)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -133,7 +134,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts := serve.Options{
 		Workers:         *workers,
 		QueueDepth:      *queueDepth,
-		CacheEntries:    *cacheEntries,
 		CacheDir:        *cacheDir,
 		JournalPath:     *journalPath,
 		QuarantineAfter: *quarantine,

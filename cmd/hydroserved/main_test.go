@@ -149,8 +149,9 @@ func TestSIGTERMDrainsRunningJobs(t *testing.T) {
 // the daemon dies the hard way: a real process is SIGKILLed mid-job —
 // no journal close, no waiting for in-flight flushes or workers — and
 // a daemon restarted on the same journal and cache directory re-runs
-// the job with no resubmission, drains on SIGTERM with exit 0, and
-// spills a result byte-identical to a clean run of the same request.
+// the job with no resubmission, has its result on disk as soon as the
+// job is done — byte-identical to a clean run of the same request —
+// and drains on SIGTERM with exit 0.
 func TestSIGKILLReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots three daemons and runs two multi-second simulations")
@@ -187,7 +188,7 @@ func TestSIGKILLReplay(t *testing.T) {
 	}
 
 	// Reference: the same request on a clean in-process daemon, run
-	// alongside the replay and spilled the same way, by a drain.
+	// alongside the replay and written through the same way.
 	refDir := t.TempDir()
 	srv, err := serve.New(serve.Options{Workers: 1, CacheDir: refDir})
 	if err != nil {
@@ -211,15 +212,15 @@ func TestSIGKILLReplay(t *testing.T) {
 	if done, err := cl.Wait(ctx, st.ID); err != nil || done.State != "done" {
 		t.Fatalf("replayed job: state %v, err %v; want done", done, err)
 	}
+	got, err := os.ReadFile(filepath.Join(cacheDir, st.ID+".json"))
+	if err != nil {
+		t.Fatalf("no result on disk once the job is done: %v", err)
+	}
 	if err := second.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
 	if err := second.Wait(); err != nil {
 		t.Fatalf("daemon exit after SIGTERM: %v, want 0", err)
-	}
-	got, err := os.ReadFile(filepath.Join(cacheDir, st.ID+".json"))
-	if err != nil {
-		t.Fatalf("no spilled result after drain: %v", err)
 	}
 
 	if _, err := ref.Wait(ctx, st.ID); err != nil {

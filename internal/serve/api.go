@@ -1,10 +1,10 @@
 // Package serve is the simulation-as-a-service layer: an HTTP/JSON API
-// over the simulator with a bounded job queue, a worker pool, a
-// content-addressed result cache (SHA-256 of the canonical job
-// payload) with singleflight dedupe and LRU + disk-spill eviction,
-// per-epoch telemetry snapshots, cancellation, graceful drain, and
-// Prometheus-text metrics. Clients follow a job by polling its status
-// and telemetry.
+// over the simulator with a bounded job queue, a worker pool,
+// content-addressed results (SHA-256 of the canonical job payload) with
+// singleflight dedupe, kept with their job records and optionally
+// written through to a directory (Options.CacheDir), per-epoch
+// telemetry snapshots, cancellation, graceful drain, and Prometheus-text
+// metrics. Clients follow a job by polling its status and telemetry.
 //
 // Sweep-style studies (the per-configuration tuning sweeps of Vaverka
 // et al. and the batch characterization campaigns of Schieffer et al.)
@@ -22,7 +22,7 @@
 //
 //	POST   /v1/jobs                submit {config?, design, hydrogen?,
 //	                               combo}; dedupes
-//	GET    /v1/jobs                list job records
+//	GET    /v1/jobs                list job statuses, without results
 //	GET    /v1/jobs/{id}           status + result when done; a done
 //	                               job's ETag is its content-addressed
 //	                               ID, and If-None-Match yields 304

@@ -1,47 +1,35 @@
 package serve
 
 import (
-	"container/list"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 
 	"github.com/hydrogen-sim/hydrogen/internal/faultinject"
+	"github.com/hydrogen-sim/hydrogen/internal/obs"
 )
 
-// resultCache is the content-addressed result store: an in-memory LRU
-// over marshaled Results, with optional spill of evicted entries to a
-// directory so a bounded heap still serves long sweep histories (and
-// so a restarted daemon starts warm). Keys are CacheKey hex strings.
+// resultCache is the on-disk tier of the result store. The job table
+// holds every finished result in memory; with a directory set, each one
+// is also written through to <dir>/<key>.json, so a restarted or
+// crashed daemon starts warm. Without a directory it stores nothing and
+// every Get misses. Keys are CacheKey hex strings.
 //
-// Spills are atomic (temp file + fsync + rename), so a crash mid-spill
-// can never leave a torn file under a valid key name; disk reads are
-// still validated and a corrupt entry is removed and reported as a
-// miss rather than served.
+// Writes are atomic (temp file + fsync + rename), so a crash mid-write
+// can never leave a torn file under a valid key name; reads are still
+// validated and a corrupt entry is removed and reported as a miss
+// rather than served.
 type resultCache struct {
-	mu      sync.Mutex
-	max     int
-	dir     string // "" disables disk spill
-	ll      *list.List
-	entries map[string]*list.Element
-	bytes   int64 // sum of in-memory entry payload sizes
-
-	onEvict   func(spilled bool) // metrics hook; cheap atomics only
-	onCorrupt func()             // corrupt spill file rejected
+	dir     string       // "" disables the cache
+	spills  *obs.Counter // results written through
+	corrupt *obs.Counter // corrupt files rejected (and removed)
 }
 
-type cacheEntry struct {
-	key  string
-	data []byte
-}
-
-func newResultCache(max int, dir string) *resultCache {
+func newResultCache(dir string, spills, corrupt *obs.Counter) *resultCache {
 	if dir != "" {
-		// Sweep temp files a crashed spill left behind; they were never
+		// Sweep temp files a crashed write left behind; they were never
 		// renamed into place, so they are garbage by construction.
 		if stale, err := filepath.Glob(filepath.Join(dir, "spill-*.tmp")); err == nil {
 			for _, p := range stale {
@@ -49,27 +37,13 @@ func newResultCache(max int, dir string) *resultCache {
 			}
 		}
 	}
-	return &resultCache{
-		max:     max,
-		dir:     dir,
-		ll:      list.New(),
-		entries: make(map[string]*list.Element),
-	}
+	return &resultCache{dir: dir, spills: spills, corrupt: corrupt}
 }
 
-// Get returns the stored bytes for key, consulting memory first and the
-// spill directory second; a disk hit is promoted back into memory. A
-// spill file that fails validation — a torn or bit-rotted write — is
-// removed and reported as a miss, never served.
+// Get returns the stored bytes for key. A file that fails validation —
+// a torn or bit-rotted write — is removed and reported as a miss, never
+// served.
 func (c *resultCache) Get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		data := el.Value.(*cacheEntry).data
-		c.mu.Unlock()
-		return data, true
-	}
-	c.mu.Unlock()
 	if c.dir == "" {
 		return nil, false
 	}
@@ -79,62 +53,21 @@ func (c *resultCache) Get(key string) ([]byte, bool) {
 	}
 	if len(data) == 0 || !json.Valid(data) {
 		os.Remove(c.spillPath(key))
-		if c.onCorrupt != nil {
-			c.onCorrupt()
-		}
+		c.corrupt.Add(1)
 		return nil, false
 	}
-	c.Put(key, data) // promote
 	return data, true
 }
 
-// Put stores data under key, evicting the least-recently-used entry
-// (spilling it to disk when configured) once the cache is full.
-func (c *resultCache) Put(key string, data []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		c.bytes += int64(len(data)) - int64(len(e.data))
-		e.data = data
-		return
+// Put writes data through to <dir>/<key>.json atomically: the bytes
+// land in a temp file in the directory, are fsynced, and are renamed
+// over the final name — so that name only ever refers to a complete
+// file, whatever the process does mid-write. Without a directory it is
+// a no-op.
+func (c *resultCache) Put(key string, data []byte) error {
+	if c.dir == "" {
+		return nil
 	}
-	c.entries[key] = c.ll.PushFront(&cacheEntry{key: key, data: data})
-	c.bytes += int64(len(data))
-	for c.max > 0 && c.ll.Len() > c.max {
-		el := c.ll.Back()
-		e := el.Value.(*cacheEntry)
-		c.ll.Remove(el)
-		delete(c.entries, e.key)
-		c.bytes -= int64(len(e.data))
-		spilled := c.dir != "" && c.writeSpill(e.key, e.data) == nil
-		if c.onEvict != nil {
-			c.onEvict(spilled)
-		}
-	}
-}
-
-// Len reports the number of in-memory entries.
-func (c *resultCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Bytes reports the total payload bytes held in memory — the
-// hydroserved_cache_bytes gauge.
-func (c *resultCache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
-// writeSpill persists one entry atomically: the bytes land in a temp
-// file in the spill directory, are fsynced, and are renamed over the
-// final <key>.json — so the final name only ever refers to a complete
-// file, whatever the process does mid-write.
-func (c *resultCache) writeSpill(key string, data []byte) error {
 	if _, fired := faultinject.Hit(faultinject.CacheSpillErr); fired {
 		return errors.New("serve: faultinject: cache-spill-error")
 	}
@@ -154,36 +87,21 @@ func (c *resultCache) writeSpill(key string, data []byte) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), c.spillPath(key))
-}
-
-// SpillAll persists every in-memory entry to the spill directory — the
-// shutdown path, so a drained daemon leaves its warm state on disk.
-// Without a spill directory it is a no-op.
-func (c *resultCache) SpillAll() error {
-	if c.dir == "" {
-		return nil
+	if err := os.Rename(tmp.Name(), c.spillPath(key)); err != nil {
+		return err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var first error
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		if err := c.writeSpill(e.key, e.data); err != nil && first == nil {
-			first = fmt.Errorf("serve: spill %s: %w", e.key[:12], err)
-		}
-	}
-	return first
+	c.spills.Add(1)
+	return nil
 }
 
 func (c *resultCache) spillPath(key string) string {
 	return filepath.Join(c.dir, key+".json")
 }
 
-// PruneSpills removes up to max of the oldest spill files — the disk
-// watermark's pressure valve. Spills are a cache tier, not durable
-// state: a pruned entry is re-simulated on demand, so shedding the
-// coldest ones is always safe. Returns how many files were removed.
+// PruneSpills removes up to max of the oldest result files — the disk
+// watermark's pressure valve. The directory is a cache tier, not
+// durable state: a pruned entry is re-simulated on demand, so shedding
+// the coldest ones is always safe. Returns how many files were removed.
 func (c *resultCache) PruneSpills(max int) int {
 	if c.dir == "" || max <= 0 {
 		return 0

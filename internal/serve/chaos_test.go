@@ -159,12 +159,10 @@ func TestCrashBetweenCacheAndJournal(t *testing.T) {
 	srv1, ts1 := chaosServer(t, serve.Options{Workers: 1, JournalPath: jpath, CacheDir: cacheDir})
 	st, _ := submit(t, ts1.URL, req)
 	done := waitState(t, ts1.URL, st.ID, serve.StateDone)
-	// Spill the result, then rewind the journal to just the submit +
-	// start records — exactly the on-disk state of a crash in the window
-	// between cache.Put and the terminal append.
-	if err := srv1.SpillForTest(); err != nil {
-		t.Fatal(err)
-	}
+	// The result was written through before the terminal record; rewind
+	// the journal to just the submit + start records — exactly the
+	// on-disk state of a crash in the window between cache.Put and the
+	// terminal append.
 	ts1.Close()
 	srv1.Crash()
 	truncateAfterRecords(t, jpath, 2)
@@ -183,6 +181,62 @@ func TestCrashBetweenCacheAndJournal(t *testing.T) {
 	}
 	if !bytes.Equal(got.Result, done.Result) {
 		t.Fatal("synthesized result differs from the original")
+	}
+}
+
+// TestCrashAfterDoneKeepsResult: a kill -9 after a job is done, with
+// its terminal record journaled, must not cost its result — the worker
+// wrote it through to the spill directory first — so the resubmission
+// after a restart is a cache hit that runs nothing.
+func TestCrashAfterDoneKeepsResult(t *testing.T) {
+	dir := t.TempDir()
+	cacheDir := filepath.Join(dir, "cache")
+	if err := os.MkdirAll(cacheDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	opts := serve.Options{Workers: 1, JournalPath: filepath.Join(dir, "jobs.wal"), CacheDir: cacheDir}
+	cfg := tinyConfig()
+	req := serve.JobRequest{Config: &cfg, Design: "Baseline", Combo: serve.ComboSpec{ID: "C4"}}
+
+	srv1, ts1 := chaosServer(t, opts)
+	st, _ := submit(t, ts1.URL, req)
+	done := waitState(t, ts1.URL, st.ID, serve.StateDone)
+	ts1.Close()
+	srv1.Crash()
+
+	srv2, ts2 := chaosServer(t, opts)
+	t.Cleanup(func() { ts2.Close(); srv2.Close() })
+	hit, code := submit(t, ts2.URL, req)
+	if code != http.StatusOK || !hit.Cached {
+		t.Fatalf("resubmit after kill -9: HTTP %d cached=%v, want 200 from the cache", code, hit.Cached)
+	}
+	if n := srv2.SimulationsStarted(); n != 0 {
+		t.Fatalf("restart ran %d simulations, want 0", n)
+	}
+	if !bytes.Equal(hit.Result, done.Result) {
+		t.Fatal("result served after the crash differs from the original")
+	}
+}
+
+// TestSpillFailureStillServes: a failed write-through is not a failed
+// job — it ends done and is served from memory, with nothing on disk
+// and nothing counted as spilled.
+func TestSpillFailureStillServes(t *testing.T) {
+	defer faultinject.Reset()
+	dir := t.TempDir()
+	_, ts := newTestServer(t, serve.Options{Workers: 1, CacheDir: dir})
+	faultinject.Set(faultinject.CacheSpillErr, 1, 0)
+	cfg := tinyConfig()
+	st, _ := submit(t, ts.URL, serve.JobRequest{Config: &cfg, Design: "Baseline", Combo: serve.ComboSpec{ID: "C5"}})
+	waitState(t, ts.URL, st.ID, serve.StateDone)
+	if got := getJob(t, ts.URL, st.ID); len(got.Result) == 0 {
+		t.Fatal("done job served without its result")
+	}
+	if _, err := os.Stat(filepath.Join(dir, st.ID+".json")); !os.IsNotExist(err) {
+		t.Fatalf("result file exists after a failed write (stat err: %v)", err)
+	}
+	if n := metric(t, ts.URL, "hydroserved_cache_spills_total"); n != 0 {
+		t.Fatalf("cache_spills_total = %d, want 0", n)
 	}
 }
 
@@ -303,8 +357,9 @@ func TestNegativeTimeoutRejected(t *testing.T) {
 	}
 }
 
-// TestCorruptSpillRejected: a torn or bit-rotted spill file is removed
-// and treated as a miss — the job re-runs rather than serving garbage.
+// TestCorruptSpillRejected: a torn or bit-rotted spill file is treated
+// as a miss — the job re-runs rather than serving garbage, and the
+// re-run writes the good result back over it.
 func TestCorruptSpillRejected(t *testing.T) {
 	dir := t.TempDir()
 	cfg := tinyConfig()
@@ -313,9 +368,6 @@ func TestCorruptSpillRejected(t *testing.T) {
 	srv1, ts1 := chaosServer(t, serve.Options{Workers: 1, CacheDir: dir})
 	st, _ := submit(t, ts1.URL, req)
 	first := waitState(t, ts1.URL, st.ID, serve.StateDone)
-	if err := srv1.SpillForTest(); err != nil {
-		t.Fatal(err)
-	}
 	ts1.Close()
 	srv1.Close()
 
@@ -339,8 +391,8 @@ func TestCorruptSpillRejected(t *testing.T) {
 	if srv2.SimulationsStarted() != 1 {
 		t.Fatalf("re-run started %d simulations, want 1", srv2.SimulationsStarted())
 	}
-	if _, err := os.Stat(spill); !os.IsNotExist(err) {
-		t.Fatalf("corrupt spill file not removed (stat err: %v)", err)
+	if data, err := os.ReadFile(spill); err != nil || !bytes.Equal(data, redone.Result) {
+		t.Fatalf("spill file does not hold the re-run's result (err: %v): %.80q", err, data)
 	}
 	if !strings.Contains(metricsText(t, ts2.URL), "hydroserved_cache_corrupt_total 1") {
 		t.Fatal("metrics missing hydroserved_cache_corrupt_total 1")
@@ -416,6 +468,14 @@ func TestGroupCommitAckIsDurable(t *testing.T) {
 		t.Fatalf("blocker submit: %d", code)
 	}
 	waitState(t, ts1.URL, bst.ID, serve.StateRunning)
+	// The worker appends the blocker's start record just after the job
+	// shows running; wait for it, or that append could draw a charge.
+	for deadline := time.Now().Add(10 * time.Second); metric(t, ts1.URL, "hydroserved_journal_appends_total") < 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("blocker's start record never reached the journal")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	// Three of the sixteen concurrent submissions draw an append
 	// failure; each charge rejects exactly one caller.

@@ -264,27 +264,33 @@ func relayRaw(w http.ResponseWriter, resp *http.Response, m cluster.Member, body
 }
 
 // peerFill parses a proxied response body and, when it carries a
-// finished result, installs it locally: cache entry plus a synthesized
-// done job record, so every subsequent hit for this ID is local. The
-// result bytes are stored verbatim — determinism plus content
-// addressing make them identical to the owner's.
+// finished result, installs it locally: a synthesized done job record,
+// written through to the spill directory like a local result, so every
+// subsequent hit for this ID is local. The result bytes are stored
+// verbatim — determinism plus content addressing make them identical to
+// the owner's.
 func (s *Server) peerFill(sub *submission, body []byte) {
 	var st JobStatus
 	if err := json.Unmarshal(body, &st); err != nil || st.State != StateDone || len(st.Result) == 0 || st.ID != sub.id {
 		return
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, exists := s.jobs[sub.id]; exists || s.draining {
+		s.mu.Unlock()
 		return
 	}
-	s.cache.Put(sub.id, st.Result)
 	s.synthesizeDoneLocked(sub, st.Result)
 	s.cl.cm.PeerFills.Add(1)
 	s.cl.mu.Lock()
 	delete(s.cl.forwarded, sub.id)
 	s.cl.mu.Unlock()
+	s.mu.Unlock()
 	s.logj(sub.id, "cache filled from peer")
+	// The fsync stays outside s.mu; nothing is journaled for a fill, so
+	// the write has no record to precede.
+	if err := s.cache.Put(sub.id, st.Result); err != nil {
+		s.logj(sub.id, "cache write-through failed", "err", err)
+	}
 }
 
 // clusterGet chases an unknown job ID down its rendezvous ranking. If

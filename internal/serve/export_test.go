@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 
 	"github.com/hydrogen-sim/hydrogen/internal/system"
@@ -15,12 +16,14 @@ func CacheKeyUnderModel(model string, cfg system.Config, design string, combo Co
 }
 
 // LegacyStatusJSON reconstructs a terminal job's response the way the
-// pre-memoization server did — fresh snapshot, cache fallback for an
-// evicted result, json.Encoder per call — so byte-identity tests can
-// prove the pre-encoded hit path emits exactly the old wire bytes.
+// pre-memoization server did — fresh snapshot, json.Encoder per call —
+// so byte-identity tests can prove the pre-encoded hit path emits
+// exactly the old wire bytes. The result comes from an independent
+// source: the job's config, design and combo are run again and the
+// results marshaled, which runs being deterministic must reproduce.
 // hit selects the POST cache-hit variant (Cached=true). The second
-// return is false when the job is missing, not done, or its result is
-// unrecoverable.
+// return is false when the job is missing, not done, or the re-run
+// fails.
 func (s *Server) LegacyStatusJSON(id string, hit bool) ([]byte, bool) {
 	j := s.lookup(id)
 	if j == nil {
@@ -30,12 +33,12 @@ func (s *Server) LegacyStatusJSON(id string, hit bool) ([]byte, bool) {
 	if st.State != StateDone {
 		return nil, false
 	}
-	if st.Result == nil {
-		data, ok := s.cache.Get(id)
-		if !ok {
-			return nil, false
-		}
-		st.Result = data
+	res, err := system.RunDesignObserved(context.Background(), j.cfg, j.design, j.combo, system.Hooks{})
+	if err != nil {
+		return nil, false
+	}
+	if st.Result, err = json.Marshal(res); err != nil {
+		return nil, false
 	}
 	if hit {
 		st.Cached = true
@@ -47,15 +50,12 @@ func (s *Server) LegacyStatusJSON(id string, hit bool) ([]byte, bool) {
 	return buf.Bytes(), true
 }
 
-// SpillForTest flushes the in-memory cache to the spill directory so
-// chaos tests can stage precise on-disk states.
-func (s *Server) SpillForTest() error { return s.cache.SpillAll() }
-
 // Crash simulates a kill -9 for chaos tests: it closes the journal
 // WITHOUT writing terminal records, force-cancels everything, and
 // waits for the workers to exit — leaving the journal and spill
-// directory exactly as a crashed process would have left them (submit
-// and start records present, no terminal records, nothing spilled).
+// directory exactly as a crashed process would have left them: records
+// appended before the crash present, none after, and every result
+// written through before the crash in the spill directory.
 // The server is unusable afterward; tests construct a fresh one over
 // the same paths to exercise recovery.
 func (s *Server) Crash() {

@@ -11,10 +11,11 @@ package serve
 //  1. Submit record before 202: intake fsyncs the submit record before
 //     it reports the job accepted, so an acknowledged job survives
 //     kill -9 and replays.
-//  2. Cache put before terminal record: a result is stored under the
-//     job's content address before terminate journals "done", so a crash
-//     between the two replays into a cache hit (synthesizeDoneLocked),
-//     not a second simulation.
+//  2. Cache put before terminal record: with Options.CacheDir set, a
+//     result is written through under the job's content address before
+//     terminate journals "done", so a crash at any point after the
+//     write replays into a cache hit (synthesizeDoneLocked), not a
+//     second simulation. Without a CacheDir a crash loses the result.
 //  3. Neutralize on any post-durable refusal: a job intake turns away
 //     after its submit record reached the disk gets a canceled record
 //     appended, so a restart never resurrects work whose submitter was
@@ -279,9 +280,9 @@ func (j *job) submitRecord() journalRecord {
 }
 
 // synthesizeDoneLocked registers a finished job for a result that
-// already exists — found in the spill directory, left behind by a crash
-// between cache put and terminal record (rule 2), or filled from a
-// peer — so every later hit is answered locally. The record describes
+// already exists — found in the spill directory, written there by an
+// earlier run of this daemon (rule 2), or filled from a peer — so every
+// later hit is answered locally. The record describes
 // the result, not the request that happened to find it: it carries no
 // request ID, and since nothing ran here nothing is journaled.
 // s.mu must be held.
@@ -302,7 +303,7 @@ func (s *Server) synthesizeDoneLocked(sub *submission, result []byte) *job {
 // worker pop, two cancels) one wins and the other gets false and does
 // nothing. The winner journals the terminal record, does all the
 // accounting a job's end implies, and wakes waiters. A result must
-// already be in the cache (rule 2).
+// already be written through (rule 2).
 func (s *Server) terminate(j *job, from, state, errMsg string, result []byte) bool {
 	journal := func() {
 		if err := s.appendRecord(journalRecord{Type: state, ID: j.id, Error: errMsg}); err != nil {

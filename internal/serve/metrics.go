@@ -31,11 +31,10 @@ type metrics struct {
 	journalAppends *obs.Counter
 	journalErrors  *obs.Counter
 
-	cacheHits      *obs.Counter
-	cacheMisses    *obs.Counter
-	cacheEvictions *obs.Counter
-	cacheSpills    *obs.Counter
-	cacheCorrupt   *obs.Counter // corrupt spill files rejected (and removed)
+	cacheHits    *obs.Counter
+	cacheMisses  *obs.Counter
+	cacheSpills  *obs.Counter // results written through to the spill directory
+	cacheCorrupt *obs.Counter // corrupt spill files rejected (and removed)
 
 	notModified *obs.Counter // conditional GETs answered 304 Not Modified
 	fastPath    *obs.Counter // submits served via the body-hash fast path
@@ -60,9 +59,9 @@ type metrics struct {
 }
 
 // newMetrics builds the daemon's registry. The function arguments feed
-// scrape-time series for state owned elsewhere (cache entry count and
-// bytes, journal file length and fsync-batch count, free disk).
-func newMetrics(cacheEntries, cacheBytes, journalBytes, journalSyncs, diskFree func() int64) *metrics {
+// scrape-time series for state owned elsewhere (journal file length and
+// fsync count, free disk).
+func newMetrics(journalBytes, journalSyncs, diskFree func() int64) *metrics {
 	r := obs.NewRegistry()
 	m := &metrics{reg: r}
 	m.submitted = r.Counter("hydroserved_jobs_submitted_total", "Job submissions accepted.")
@@ -80,8 +79,7 @@ func newMetrics(cacheEntries, cacheBytes, journalBytes, journalSyncs, diskFree f
 	m.journalErrors = r.Counter("hydroserved_journal_errors_total", "Journal append failures.")
 	m.cacheHits = r.Counter("hydroserved_cache_hits_total", "Submissions answered from the result cache.")
 	m.cacheMisses = r.Counter("hydroserved_cache_misses_total", "Submissions that required a simulation.")
-	m.cacheEvictions = r.Counter("hydroserved_cache_evictions_total", "Result-cache LRU evictions.")
-	m.cacheSpills = r.Counter("hydroserved_cache_spills_total", "Evicted or drained results written to the spill directory.")
+	m.cacheSpills = r.Counter("hydroserved_cache_spills_total", "Finished results written through to the spill directory.")
 	m.cacheCorrupt = r.Counter("hydroserved_cache_corrupt_total", "Corrupt spill files rejected and removed.")
 	m.notModified = r.Counter("hydroserved_http_not_modified_total", "Conditional requests answered 304 Not Modified.")
 	m.fastPath = r.Counter("hydroserved_submit_fastpath_total", "Submissions served from the body-hash fast path without JSON decode.")
@@ -89,8 +87,6 @@ func newMetrics(cacheEntries, cacheBytes, journalBytes, journalSyncs, diskFree f
 	m.diskLowRejects = r.Counter("hydroserved_disk_low_rejects_total", "Durable submissions refused while free disk was critically low.")
 	m.spillPrunes = r.Counter("hydroserved_cache_spill_prunes_total", "Spill files removed under disk pressure.")
 	r.GaugeFunc("hydroserved_disk_free_bytes", "Free bytes on the journal/spill filesystem at the last watermark check.", diskFree)
-	r.GaugeFunc("hydroserved_cache_entries", "Results held in memory.", cacheEntries)
-	r.GaugeFunc("hydroserved_cache_bytes", "Bytes of results held in memory.", cacheBytes)
 	r.GaugeFunc("hydroserved_journal_bytes", "Length of the job journal file.", journalBytes)
 	// One fsync per append, so this equals
 	// hydroserved_journal_appends_total. It remains only because the

@@ -335,7 +335,7 @@ func TestClusterPromoteQueueFullNeutralized(t *testing.T) {
 func TestDiskWatermarks(t *testing.T) {
 	defer faultinject.Reset()
 	dir := t.TempDir()
-	srv, ts := newTestServer(t, serve.Options{
+	_, ts := newTestServer(t, serve.Options{
 		Workers:           1,
 		JournalPath:       filepath.Join(dir, "journal"),
 		CacheDir:          filepath.Join(dir, "spill"),
@@ -347,16 +347,13 @@ func TestDiskWatermarks(t *testing.T) {
 	}
 	cfg := tinyConfig()
 
-	// A finished job spilled to disk gives the pressure path something
-	// to prune.
+	// A finished job, written through to disk, gives the pressure path
+	// something to prune.
 	st, code := submit(t, ts.URL, serve.JobRequest{Config: &cfg, Design: "Hydrogen", Combo: serve.ComboSpec{ID: "C1"}})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", code)
 	}
 	waitState(t, ts.URL, st.ID, serve.StateDone)
-	if err := srv.SpillForTest(); err != nil {
-		t.Fatal(err)
-	}
 
 	// Fake 1 byte free for every check until reset: the daemon must go
 	// critical, prune spills, and refuse durable submits with 503. Wait

@@ -348,6 +348,11 @@ func TestListingsAndMetrics(t *testing.T) {
 	if len(jobs) != 1 || jobs[0].ID != st.ID {
 		t.Fatalf("job listing: %+v", jobs)
 	}
+	// The listing carries statuses only: the done job's result is
+	// served by GET /v1/jobs/{id}.
+	if jobs[0].State != serve.StateDone || jobs[0].Result != nil {
+		t.Fatalf("listed done job: state %q, %d result bytes; want done, no result", jobs[0].State, len(jobs[0].Result))
+	}
 	var health map[string]any
 	mustGetJSON(t, ts.URL+"/livez", &health)
 	if health["ok"] != true {
@@ -368,7 +373,6 @@ func TestListingsAndMetrics(t *testing.T) {
 		"hydroserved_jobs_submitted_total 2",
 		"hydroserved_jobs_completed_total 1",
 		"hydroserved_cache_hits_total 1",
-		"hydroserved_cache_entries 1",
 		"# TYPE hydroserved_jobs_running gauge",
 	} {
 		if !strings.Contains(text, want) {

@@ -36,10 +36,9 @@ type Options struct {
 	// rejected with 429 so clients back off instead of piling onto an
 	// unbounded backlog. <=0 selects 64.
 	QueueDepth int
-	// CacheEntries bounds the in-memory result cache; <=0 selects 256.
-	CacheEntries int
-	// CacheDir, when set, receives evicted and drained results as
-	// <key>.json files and is consulted on cache misses, so restarts
+	// CacheDir, when set, receives every finished result as a
+	// <key>.json file, written before the job's terminal journal record,
+	// and is consulted on cache misses, so restarts (crashes included)
 	// keep the cache warm.
 	CacheDir string
 	// DefaultConfig is used for requests that omit their config; nil
@@ -191,9 +190,6 @@ func New(opts Options) (*Server, error) {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
 	}
-	if opts.CacheEntries <= 0 {
-		opts.CacheEntries = 256
-	}
 	if opts.QuarantineAfter <= 0 {
 		opts.QuarantineAfter = 3
 	}
@@ -206,7 +202,6 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:      opts,
 		mux:       http.NewServeMux(),
-		cache:     newResultCache(opts.CacheEntries, opts.CacheDir),
 		jobs:      make(map[string]*job),
 		failCount: make(map[string]int),
 		queue:     newJobQueue(opts.QueueDepth),
@@ -228,19 +223,11 @@ func New(opts Options) (*Server, error) {
 		s.log = obs.Discard()
 	}
 	s.m = newMetrics(
-		func() int64 { return int64(s.cache.Len()) },
-		s.cache.Bytes,
 		s.journalStat((*journal.Journal).Size),
 		s.journalStat((*journal.Journal).Syncs),
 		s.diskFree.Load,
 	)
-	s.cache.onEvict = func(spilled bool) {
-		s.m.cacheEvictions.Add(1)
-		if spilled {
-			s.m.cacheSpills.Add(1)
-		}
-	}
-	s.cache.onCorrupt = func() { s.m.cacheCorrupt.Add(1) }
+	s.cache = newResultCache(opts.CacheDir, s.m.cacheSpills, s.m.cacheCorrupt)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
@@ -609,15 +596,8 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeRaw(w, http.StatusOK, etag, enc...)
 		return
 	}
-	// Non-terminal (or done with the result evicted beyond recovery):
-	// marshal the live snapshot per request, as before.
-	st := j.snapshot()
-	if st.State == StateDone && st.Result == nil {
-		if data, ok := s.cache.Get(j.id); ok {
-			st.Result = data
-		}
-	}
-	writeJSON(w, http.StatusOK, st)
+	// Not done yet: marshal the live snapshot per request.
+	writeJSON(w, http.StatusOK, j.snapshot())
 }
 
 // encodedDone returns the job's memoized terminal wire encoding as
@@ -625,8 +605,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 // marshal-per-request path produced (json.Marshal of the status plus
 // the encoder's trailing newline) — building it on first use. hit
 // selects the POST cache-hit variant (Cached=true). Nil when the job
-// is not done, or its result bytes are gone from both cache and spill
-// (the caller falls back to the slow path).
+// is not done.
 func (s *Server) encodedDone(j *job, hit bool) [][]byte {
 	j.encMu.Lock()
 	defer j.encMu.Unlock()
@@ -634,13 +613,6 @@ func (s *Server) encodedDone(j *job, hit bool) [][]byte {
 		st := j.snapshot()
 		if st.State != StateDone {
 			return nil
-		}
-		if st.Result == nil {
-			data, ok := s.cache.Get(j.id)
-			if !ok {
-				return nil
-			}
-			st.Result = data
 		}
 		get, err := encodeJSON(st)
 		if err != nil {
@@ -671,7 +643,8 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	out := make([]JobStatus, len(jobs))
 	for i, j := range jobs {
-		out[i] = j.snapshot() // statuses only; results stay in the cache
+		out[i] = j.snapshot()
+		out[i].Result = nil // statuses only; GET /v1/jobs/{id} serves the result
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -867,12 +840,15 @@ func (s *Server) runJob(j *job) {
 			state, errMsg = StateFailed, "marshal results: "+merr.Error()
 			s.logj(j.id, "failed", "err", errMsg)
 		} else {
-			// The cache write precedes the terminal journal record: if
-			// the process dies between the two, replay finds the result
-			// under the job's content address and synthesizes done
-			// instead of re-running.
+			// The write-through precedes the terminal journal record: if
+			// the process dies between the two, or any time after, replay
+			// finds the result under the job's content address and
+			// synthesizes done instead of re-running. A failed write only
+			// costs that: the job still ends done, served from memory.
 			cspan := obs.StartSpan("cache.put")
-			s.cache.Put(j.id, data)
+			if err := s.cache.Put(j.id, data); err != nil {
+				s.logj(j.id, "cache write-through failed", "err", err)
+			}
 			cspan.EndInto(j.trace)
 			state, result = StateDone, data
 			s.m.simCycles.Add(int64(res.Cycles))
@@ -915,9 +891,9 @@ func (s *Server) beginShutdown() {
 
 // Drain stops accepting submissions, lets queued and running jobs
 // finish (canceling whatever is still unfinished when ctx expires),
-// waits for the worker pool to exit, and spills the in-memory cache to
-// the spill directory. It is the SIGTERM path of cmd/hydroserved and is
-// idempotent.
+// waits for the worker pool to exit, and closes the journal, returning
+// the close error. Finished results are already in the spill directory.
+// It is the SIGTERM path of cmd/hydroserved.
 func (s *Server) Drain(ctx context.Context) error {
 	s.beginShutdown()
 	idle := make(chan struct{})
@@ -928,17 +904,17 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.cancelAll()
 		<-idle // cancellation lands at the next epoch boundary
 	}
-	err := s.cache.SpillAll()
-	s.closeJournal()
-	return err
+	return s.closeJournal()
 }
 
 // closeJournal closes the journal; later appends fail without
-// writing. Idempotent.
-func (s *Server) closeJournal() {
-	if s.jl != nil {
-		s.jl.Close()
+// writing. A second close returns the file's already-closed error and
+// changes nothing.
+func (s *Server) closeJournal() error {
+	if s.jl == nil {
+		return nil
 	}
+	return s.jl.Close()
 }
 
 // Close force-cancels everything and waits for the workers; for tests

@@ -346,7 +346,6 @@ func TestMetricsExposition(t *testing.T) {
 		"hydroserved_jobs_completed_total 1",
 		"# TYPE hydroserved_jobs_queued gauge",
 		"# TYPE hydroserved_jobs_running gauge",
-		"# TYPE hydroserved_cache_bytes gauge",
 		"# TYPE hydroserved_journal_bytes gauge",
 	} {
 		if !strings.Contains(text, want+"\n") {
