@@ -3,6 +3,7 @@ package trace
 import (
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // xrng is the generators' inline random stream: splitmix64, chosen over
@@ -55,22 +56,63 @@ type zipfTable struct {
 	q []uint64 // len 2^zipfQuantBits + 1
 }
 
-// newZipfTable builds the sampler; construction is O(n) and runs once
-// per generator.
+// zipfMemoCap bounds the shared-table memo. The fast-tier size, and so
+// n, is user-set, so the key space is open; 64 tables of 64 kB cap the
+// memo at 4 MB, far above the handful of distinct (s, n) one run or
+// sweep uses.
+const zipfMemoCap = 64
+
+type zipfKey struct {
+	s float64
+	n uint64
+}
+
+// zipfMemo holds one table per (s, n) for the life of the process. A
+// table is read-only once built (draw only reads q), so every generator
+// with equal parameters, on any goroutine, shares it.
+var zipfMemo struct {
+	sync.Mutex
+	m map[zipfKey]*zipfTable
+}
+
+// sharedZipfTable returns the process-wide table for (s, n), building
+// it on first use. When the memo is full it is dropped whole: tables
+// already handed out stay valid, and the next lookups rebuild.
+func sharedZipfTable(s float64, n uint64) *zipfTable {
+	k := zipfKey{s, n}
+	zipfMemo.Lock()
+	defer zipfMemo.Unlock()
+	if z, ok := zipfMemo.m[k]; ok {
+		return z
+	}
+	z := newZipfTable(s, n)
+	if zipfMemo.m == nil || len(zipfMemo.m) >= zipfMemoCap {
+		zipfMemo.m = make(map[zipfKey]*zipfTable, zipfMemoCap)
+	}
+	zipfMemo.m[k] = z
+	return z
+}
+
+// newZipfTable builds the sampler in O(n); generators take their table
+// from sharedZipfTable, which calls this on a miss. Both passes sum the
+// exact weights block by block: an approximate CDF would move cells,
+// and with them the result goldens.
 func newZipfTable(s float64, n uint64) *zipfTable {
 	if n < 1 {
 		n = 1
 	}
 	const cells = 1 << zipfQuantBits
+	w := make([]float64, n)
 	total := 0.0
-	for k := uint64(0); k < n; k++ {
-		total += math.Pow(float64(k+1), -s)
+	for k := range w {
+		w[k] = math.Pow(float64(k+1), -s)
+		total += w[k]
 	}
 	q := make([]uint64, cells+1)
 	cum := 0.0
 	j := 0
 	for k := uint64(0); k < n && j <= cells; k++ {
-		cum += math.Pow(float64(k+1), -s)
+		cum += w[k]
 		f := cum / total
 		for j <= cells && float64(j)/cells <= f {
 			q[j] = k

@@ -80,7 +80,7 @@ func NewCPU(p CPUParams, base uint64, seed int64) *CPUGen {
 		p:    p,
 		base: base &^ 63,
 		rng:  newXrng(seed),
-		zipf: newZipfTable(p.ZipfS, hotBlocks),
+		zipf: sharedZipfTable(p.ZipfS, hotBlocks),
 	}
 }
 
@@ -227,15 +227,16 @@ func Slice(g Generator, n int) []Op {
 // Within a page, addresses stay sequential, preserving block spatial
 // locality and DRAM row locality.
 type Paged struct {
-	G         Generator
-	PageBytes uint64
-	Seed      uint64
-	pageShift uint8 // log2(PageBytes): page size is always a power of two
+	G    Generator
+	Seed uint64
 }
+
+// pageShift is log2 of Paged's page size, 4 kB.
+const pageShift = 12
 
 // NewPaged wraps g with a 4 kB page scatter.
 func NewPaged(g Generator, seed int64) *Paged {
-	return &Paged{G: g, PageBytes: 4096, Seed: uint64(seed), pageShift: 12}
+	return &Paged{G: g, Seed: uint64(seed)}
 }
 
 // Next implements Generator.
@@ -244,7 +245,7 @@ func (p *Paged) Next() (Op, bool) {
 	if !ok {
 		return op, false
 	}
-	vpage := op.Addr >> p.pageShift
+	vpage := op.Addr >> pageShift
 	// splitmix64-style hash of (seed, vpage) into a 2^31-page (8 TB)
 	// physical space: uniform set distribution, collision-free in
 	// practice for timing purposes.
@@ -255,6 +256,6 @@ func (p *Paged) Next() (Op, bool) {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	ppage := x % (1 << 31)
-	op.Addr = ppage<<p.pageShift | op.Addr&(p.PageBytes-1)
+	op.Addr = ppage<<pageShift | op.Addr&(1<<pageShift-1)
 	return op, true
 }
