@@ -28,10 +28,6 @@ type RetryPolicy struct {
 	// retry whose wait would exceed the remaining budget is abandoned
 	// and the last error returned. <=0 selects 30s.
 	Budget time.Duration
-	// PeerDownTTL is how long a base URL stays skipped after a
-	// transport error or a relayed peer failure (multi-base clients
-	// only); <=0 selects 15s.
-	PeerDownTTL time.Duration
 }
 
 // NoRetry disables retries entirely; assign it to Client.Retry when
@@ -50,9 +46,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.Budget <= 0 {
 		p.Budget = 30 * time.Second
-	}
-	if p.PeerDownTTL <= 0 {
-		p.PeerDownTTL = 15 * time.Second
 	}
 	return p
 }

@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/hydrogen-sim/hydrogen/internal/system"
@@ -271,5 +274,51 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 	if serial[0] != par[0] {
 		t.Fatalf("parallel execution changed results: %+v vs %+v", serial[0], par[0])
+	}
+}
+
+// TestOneBaselinePerConfigCombo: every speedup divides by a Baseline
+// run on the same (config, combo), and an experiment simulates each
+// such Baseline once, however many designs or factors divide by it.
+func TestOneBaselinePerConfigCombo(t *testing.T) {
+	o := tinyOptions()
+	o.Base.Cycles = 100_000
+	o.Base.EpochLen = 50_000
+	o.Combos = []string{"C1", "C5"}
+	var mu sync.Mutex
+	var counts map[string]int
+	o.Runner = func(cfg system.Config, d system.DesignSpec, c workloads.Combo) (system.Results, error) {
+		if d.String() == system.DesignBaseline {
+			key, err := json.Marshal(cfg)
+			if err != nil {
+				return system.Results{}, err
+			}
+			mu.Lock()
+			counts[string(key)+"/"+c.ID]++
+			mu.Unlock()
+		}
+		return system.RunDesignObserved(context.Background(), cfg, d, c, system.Hooks{})
+	}
+	for _, tc := range []struct {
+		name string
+		want int // distinct (config, combo) Baselines
+		run  func() error
+	}{
+		{"Fig7a", 2, func() error { _, err := Fig7a(o); return err }},
+		{"Fig8", 1, func() error { _, err := Fig8(o, "C5", Coarse); return err }},
+		{"Fig9Phase", 2, func() error { _, err := Fig9Phase(o, nil); return err }},
+	} {
+		counts = map[string]int{}
+		if err := tc.run(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(counts) != tc.want {
+			t.Errorf("%s: Baselines on %d (config, combo) pairs, want %d", tc.name, len(counts), tc.want)
+		}
+		for key, n := range counts {
+			if n != 1 {
+				t.Errorf("%s: Baseline ran %d times on %s", tc.name, n, key[strings.LastIndex(key, "/")+1:])
+			}
+		}
 	}
 }

@@ -8,31 +8,26 @@ import (
 	"github.com/hydrogen-sim/hydrogen/internal/workloads"
 )
 
-// speedup runs one combo under design and the baseline on cfg and
-// returns the weighted speedup.
-func (o *Options) speedup(cfg system.Config, design system.DesignSpec, combo workloads.Combo, wCPU, wGPU float64) (float64, error) {
-	baseline, err := o.run(cfg, named(system.DesignBaseline), combo)
-	if err != nil {
-		return 0, err
-	}
-	r, err := o.run(cfg, design, combo)
-	return WeightedSpeedup(r, baseline, wCPU, wGPU), err
+// baselines runs the Baseline design once per combo on cfg. Every
+// weighted speedup on cfg divides by these runs, so an experiment
+// simulates each (config, combo) Baseline once.
+func (o *Options) baselines(cfg system.Config, combos []workloads.Combo) ([]system.Results, error) {
+	return mapOrdered(o.parallelism(), len(combos), func(i int) (system.Results, error) {
+		return o.run(cfg, named(system.DesignBaseline), combos[i])
+	})
 }
 
-// variantGeomean evaluates a set of Hydrogen option variants over the
-// option's combos and returns geomean weighted speedups by variant name.
-func variantGeomean(o Options, variants map[string]system.HydrogenOptions) (map[string]float64, error) {
-	combos, err := o.combos()
-	if err != nil {
-		return nil, err
-	}
+// variantGeomean evaluates a set of Hydrogen option variants over
+// combos against their Baseline runs base and returns geomean weighted
+// speedups by variant name.
+func variantGeomean(o Options, combos []workloads.Combo, base []system.Results, variants map[string]system.HydrogenOptions) (map[string]float64, error) {
 	wCPU, wGPU := weightsOf(o.Base)
-
 	names := sortedKeys(variants)
 	speedups, err := mapOrdered(o.parallelism(), len(names)*len(combos), func(k int) (float64, error) {
-		name, combo := names[k/len(combos)], combos[k%len(combos)]
-		s, err := o.speedup(o.Base, system.HydrogenSpec(variants[name]), combo, wCPU, wGPU)
-		o.logf("fig7: %s %s speedup %.3f", name, combo.ID, s)
+		name, ci := names[k/len(combos)], k%len(combos)
+		r, err := o.run(o.Base, system.HydrogenSpec(variants[name]), combos[ci])
+		s := WeightedSpeedup(r, base[ci], wCPU, wGPU)
+		o.logf("fig7: %s %s speedup %.3f", name, combos[ci].ID, s)
 		return s, err
 	})
 	if err != nil {
@@ -57,13 +52,21 @@ func weightsOf(base system.Config) (float64, float64) {
 // methods": Ideal (free swaps), Hydrogen (default), Prob (half the swaps
 // bypassed), NoSwap. Geomean weighted speedups over the baseline.
 func Fig7a(o Options) (map[string]float64, error) {
+	combos, err := o.combos()
+	if err != nil {
+		return nil, err
+	}
+	base, err := o.baselines(o.Base, combos)
+	if err != nil {
+		return nil, err
+	}
 	full := system.HydrogenOptions{Tokens: true, TokIdx: 3, Climb: true}
 	mk := func(m core.SwapMode) system.HydrogenOptions {
 		v := full
 		v.Swap = m
 		return v
 	}
-	return variantGeomean(o, map[string]system.HydrogenOptions{
+	return variantGeomean(o, combos, base, map[string]system.HydrogenOptions{
 		"Ideal":    mk(core.SwapIdeal),
 		"Hydrogen": mk(core.SwapOn),
 		"Prob":     mk(core.SwapProb),
@@ -86,10 +89,18 @@ func Fig7aTable(m map[string]float64) *Table {
 // offline exhaustive search upper bound (best static operating point per
 // combo, the Fig. 8 oracle).
 func Fig7b(o Options) (map[string]float64, error) {
+	combos, err := o.combos()
+	if err != nil {
+		return nil, err
+	}
+	base, err := o.baselines(o.Base, combos)
+	if err != nil {
+		return nil, err
+	}
 	full := system.HydrogenOptions{Tokens: true, TokIdx: 3, Climb: true}
 	ideal := full
 	ideal.IdealReconfig = true
-	m, err := variantGeomean(o, map[string]system.HydrogenOptions{
+	m, err := variantGeomean(o, combos, base, map[string]system.HydrogenOptions{
 		"Hydrogen":         full,
 		"IdealReconfigure": ideal,
 	})
@@ -98,22 +109,13 @@ func Fig7b(o Options) (map[string]float64, error) {
 	}
 
 	// Offline exhaustive oracle over a coarse static grid.
-	combos, err := o.combos()
-	if err != nil {
-		return nil, err
-	}
 	wCPU, wGPU := weightsOf(o.Base)
+	points := StaticGrid(coarse)
 	var xs []float64
-	for _, combo := range combos {
-		combo := combo
-		points := StaticGrid(coarse)
-		baseline, err := o.run(o.Base, named(system.DesignBaseline), combo)
-		if err != nil {
-			return nil, err
-		}
+	for ci, combo := range combos {
 		speedups, err := mapOrdered(o.parallelism(), len(points), func(i int) (float64, error) {
 			r, err := o.run(o.Base, points[i].Spec(), combo)
-			return WeightedSpeedup(r, baseline, wCPU, wGPU), err
+			return WeightedSpeedup(r, base[ci], wCPU, wGPU), err
 		})
 		if err != nil {
 			return nil, err

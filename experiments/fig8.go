@@ -104,10 +104,11 @@ func Fig8(o Options, comboID string, d GridDensity) (*Fig8Result, error) {
 		return nil, err
 	}
 
-	hydro, err := o.speedup(o.Base, named(system.DesignHydrogen), combo, wCPU, wGPU)
+	r, err := o.run(o.Base, named(system.DesignHydrogen), combo)
 	if err != nil {
 		return nil, err
 	}
+	hydro := WeightedSpeedup(r, baseline, wCPU, wGPU)
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Speedup > rows[j].Speedup })
 	return &Fig8Result{Combo: comboID, Rows: rows, Hydrogen: hydro}, nil
 }

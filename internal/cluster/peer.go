@@ -20,17 +20,6 @@ const (
 	// even peers with momentarily divergent liveness views cannot bounce
 	// a request around the ring.
 	HeaderForwarded = "X-Hydro-Forwarded"
-	// HeaderPeer names, on a proxied response, the peer that actually
-	// produced (or failed to produce) it, so clients can tell which
-	// member a 502/503 is really about and skip it on retry.
-	HeaderPeer = "X-Hydro-Peer"
-	// HeaderPeerURL carries that peer's base URL alongside HeaderPeer, so
-	// a client holding a member URL list can match the dead peer without
-	// knowing the ID-to-URL mapping in advance.
-	HeaderPeerURL = "X-Hydro-Peer-Url"
-	// HeaderSelf is attached to every response a clustered daemon
-	// serves: its own member ID.
-	HeaderSelf = "X-Hydro-Self"
 )
 
 // The request ID crosses every cluster hop — proxy and failover — in

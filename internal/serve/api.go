@@ -21,7 +21,8 @@
 // Endpoints:
 //
 //	POST   /v1/jobs                submit {config?, design, hydrogen?,
-//	                               combo}; dedupes
+//	                               combo}; dedupes; a body over 1 MiB
+//	                               is refused with 413
 //	GET    /v1/jobs                list job statuses, without results
 //	GET    /v1/jobs/{id}           status + result when done; a done
 //	                               job's ETag is its content-addressed
@@ -45,9 +46,10 @@
 // rendezvous-hash owner (internal/chash); non-owners proxy submissions
 // and polls to it (loop-guarded by X-Hydro-Forwarded) and fill their
 // local caches from peer responses, so a hit anywhere is a hit
-// everywhere with identical result bytes and ETag. Relayed responses
-// carry X-Hydro-Peer/X-Hydro-Peer-Url; every clustered response carries
-// X-Hydro-Self. A job runs only on its owner; when the owner dies
+// everywhere with identical result bytes and ETag. A relayed response
+// carries the owner's status, body, ETag and Retry-After and nothing
+// else, so a client cannot tell which member answered and need not
+// care. A job runs only on its owner; when the owner dies
 // mid-job, the daemon that forwarded the submission promotes the job
 // into its own journal-backed queue — the 202-implies-replayable
 // contract survives owner loss.

@@ -81,13 +81,6 @@ func (s *Server) initCluster(cfg *cluster.Config) error {
 	)
 	s.cl = cl
 	s.mux.HandleFunc("GET /v1/peerz", s.handlePeerz)
-	// Every response names the daemon that produced it, so clients and
-	// tests can tell which member of the tier they reached.
-	inner := s.handler
-	s.handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(cluster.HeaderSelf, cfg.Self)
-		inner.ServeHTTP(w, r)
-	})
 	cl.prober.Start()
 	s.logf("cluster: joined as %s (%d members)", cfg.Self, len(cfg.Members))
 	return nil
@@ -225,7 +218,7 @@ func (s *Server) relayPeerResponse(w http.ResponseWriter, resp *http.Response, m
 			}
 		}
 	}
-	relayRaw(w, resp, m, body)
+	relayRaw(w, resp, body)
 }
 
 // readPeerBody drains and closes a proxied response. When the body
@@ -235,8 +228,6 @@ func (s *Server) readPeerBody(w http.ResponseWriter, resp *http.Response, m clus
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxRelayBody))
 	if err != nil {
 		s.cl.prober.MarkDead(m.ID, err)
-		w.Header().Set(cluster.HeaderPeer, m.ID)
-		w.Header().Set(cluster.HeaderPeerURL, m.URL)
 		httpError(w, http.StatusBadGateway, "peer %s: reading response: %v", m.ID, err)
 	}
 	return body, err == nil
@@ -245,10 +236,8 @@ func (s *Server) readPeerBody(w http.ResponseWriter, resp *http.Response, m clus
 // relayRaw writes a peer's response through to the client: status,
 // body bytes, and the headers that matter (ETag survives, so the
 // client sees the same strong validator no matter which peer answers).
-func relayRaw(w http.ResponseWriter, resp *http.Response, m cluster.Member, body []byte) {
+func relayRaw(w http.ResponseWriter, resp *http.Response, body []byte) {
 	hdr := w.Header()
-	hdr.Set(cluster.HeaderPeer, m.ID)
-	hdr.Set(cluster.HeaderPeerURL, m.URL)
 	for _, h := range []string{"Content-Type", "ETag", "Retry-After"} {
 		if v := resp.Header.Get(h); v != "" {
 			hdr.Set(h, v)
@@ -320,7 +309,7 @@ func (s *Server) clusterGet(w http.ResponseWriter, r *http.Request, id string) {
 		cl.cm.ProxiedGets.Add(1)
 		if resp.StatusCode == http.StatusNotModified {
 			resp.Body.Close()
-			relayRaw(w, resp, m, nil)
+			relayRaw(w, resp, nil)
 			return
 		}
 		body, ok := s.readPeerBody(w, resp, m)
@@ -332,7 +321,7 @@ func (s *Server) clusterGet(w http.ResponseWriter, r *http.Request, id string) {
 				s.peerFill(fw, body)
 			}
 		}
-		relayRaw(w, resp, m, body)
+		relayRaw(w, resp, body)
 		return
 	}
 	j, ref := s.promoteForwarded(id)

@@ -46,10 +46,7 @@ type metrics struct {
 	queued  *obs.Gauge
 	running *obs.Gauge
 
-	simCycles      *obs.Counter // simulated cycles completed
-	simNanos       *obs.Counter // wall time spent simulating
-	queueWaitNanos *obs.Counter
-	epochsStreamed *obs.Counter
+	simCycles *obs.Counter // simulated cycles completed
 
 	jobSeconds       *obs.Histogram // wall time per finished job
 	queueWaitSeconds *obs.Histogram // queue wait per started job
@@ -96,21 +93,6 @@ func newMetrics(journalBytes, journalSyncs, diskFree func() int64) *metrics {
 	m.queued = r.Gauge("hydroserved_jobs_queued", "Jobs waiting in the queue.")
 	m.running = r.Gauge("hydroserved_jobs_running", "Jobs currently simulating.")
 	m.simCycles = r.Counter("hydroserved_sim_cycles_total", "Simulated cycles completed.")
-	m.simNanos = &obs.Counter{}
-	r.CounterFunc("hydroserved_sim_seconds_total", "Wall-clock seconds spent simulating.",
-		func() int64 { return m.simNanos.Load() / 1e9 })
-	m.queueWaitNanos = &obs.Counter{}
-	r.CounterFunc("hydroserved_queue_wait_seconds_total", "Total seconds jobs spent queued before starting.",
-		func() int64 { return m.queueWaitNanos.Load() / 1e9 })
-	m.epochsStreamed = r.Counter("hydroserved_epochs_streamed_total", "Per-epoch progress samples recorded.")
-	// Derived throughput gauge: simulated cycles per wall second.
-	r.GaugeFunc("hydroserved_sim_cycles_per_second", "Aggregate simulation throughput.", func() int64 {
-		ns := m.simNanos.Load()
-		if ns <= 0 {
-			return 0
-		}
-		return int64(float64(m.simCycles.Load()) / (float64(ns) / 1e9))
-	})
 	// Cache hit ratio in millionths, so scrapers need no float parsing.
 	r.GaugeFunc("hydroserved_cache_hit_ratio_ppm", "Cache hit ratio in parts per million.", func() int64 {
 		hits := m.cacheHits.Load()
@@ -122,6 +104,15 @@ func newMetrics(journalBytes, journalSyncs, diskFree func() int64) *metrics {
 	})
 	m.jobSeconds = r.Histogram("hydroserved_job_seconds",
 		"Wall-clock duration of finished jobs.", obs.DurationBuckets)
+	// Derived throughput gauge: simulated cycles per wall second spent
+	// running jobs.
+	r.GaugeFunc("hydroserved_sim_cycles_per_second", "Aggregate simulation throughput.", func() int64 {
+		secs := m.jobSeconds.Sum()
+		if secs <= 0 {
+			return 0
+		}
+		return int64(float64(m.simCycles.Load()) / secs)
+	})
 	m.queueWaitSeconds = r.Histogram("hydroserved_queue_wait_seconds",
 		"Time jobs spent queued before a worker picked them up.", obs.DurationBuckets)
 	m.epochSeconds = r.Histogram("hydroserved_epoch_seconds",

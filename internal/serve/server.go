@@ -403,9 +403,18 @@ func (s *Server) resolveRequest(req *JobRequest) (submission, error) {
 	return sub, nil
 }
 
+// maxSubmitBody bounds a POST /v1/jobs body. The largest real request,
+// a Paper() config with a 12-core inline combo, is about 1.3 KB.
+const maxSubmitBody = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBody))
 	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, "job payload over %d bytes", maxSubmitBody)
+			return
+		}
 		httpError(w, http.StatusBadRequest, "bad job payload: %v", err)
 		return
 	}
@@ -784,7 +793,6 @@ func (s *Server) runJob(j *job) {
 	defer cancel()
 	s.m.queued.Add(-1)
 	s.m.running.Add(1)
-	s.m.queueWaitNanos.Add(wait.Nanoseconds())
 	s.m.queueWaitSeconds.Observe(wait.Seconds())
 	j.trace.AddInterval("queue", j.submitted, wait)
 	s.logj(j.id, "running", "queue_wait", wait.Round(time.Millisecond))
@@ -814,7 +822,6 @@ func (s *Server) runJob(j *job) {
 			now := time.Now()
 			s.m.epochSeconds.Observe(now.Sub(lastEpoch).Seconds())
 			lastEpoch = now
-			s.m.epochsStreamed.Add(1)
 			j.countEpoch()
 		},
 		OnTelemetry: j.telem.Append,
@@ -824,7 +831,6 @@ func (s *Server) runJob(j *job) {
 	runSpan.EndInto(j.trace)
 	elapsed := time.Since(j.started)
 	s.m.running.Add(-1)
-	s.m.simNanos.Add(elapsed.Nanoseconds())
 	s.m.jobSeconds.Observe(elapsed.Seconds())
 
 	var state, errMsg string

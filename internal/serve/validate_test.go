@@ -125,3 +125,29 @@ func FuzzSubmit(f *testing.F) {
 		}
 	})
 }
+
+// TestSubmitBodyCapped: a submit body past the 1 MiB cap is refused
+// with 413 before it is decoded, so it never reaches the queue even
+// when the oversized payload is an otherwise valid job.
+func TestSubmitBodyCapped(t *testing.T) {
+	srv, ts := newTestServer(t, serve.Options{Workers: 1})
+	cfg := tinyConfig()
+	req, err := json.Marshal(serve.JobRequest{Config: &cfg, Design: "Baseline", Combo: serve.ComboSpec{ID: "C1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Unknown fields are ignored on decode, so the padding leaves a
+	// runnable job.
+	body := string(req[:len(req)-1]) + `,"pad":"` + strings.Repeat("A", 2<<20) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("transport error: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("code %d, want 413", resp.StatusCode)
+	}
+	if n := srv.SimulationsStarted(); n != 0 {
+		t.Fatalf("SimulationsStarted = %d after an oversized submit, want 0", n)
+	}
+}
