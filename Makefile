@@ -10,9 +10,12 @@ tier1:
 	$(GO) build ./...
 	$(GO) test ./...
 
-# Static analysis: go vet always; staticcheck when installed (CI
-# installs it, local runs skip with a hint instead of failing).
+# Static analysis: gofmt and go vet always; staticcheck when installed
+# (CI installs it, local runs skip with a hint instead of failing).
 lint:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need gofmt -w:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

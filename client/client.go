@@ -304,15 +304,24 @@ func (c *Client) Wait(ctx context.Context, id string) (*JobStatus, error) {
 // Run submits a job, waits for completion, and decodes the results. A
 // failed or canceled job is reported as an error; the final status is
 // returned alongside so callers can inspect Cached/Deduped/timings.
+//
+// A daemon that restarted while Run waited holds no record of a job
+// that finished before the restart, and answers its poll 404. Run then
+// submits once more: content addressing makes the resubmission a cache
+// hit on the daemon's spill directory, or a re-run.
 func (c *Client) Run(ctx context.Context, req JobRequest) (hydrogen.Results, *JobStatus, error) {
 	st, err := c.Submit(ctx, req)
-	if err != nil {
-		return hydrogen.Results{}, nil, err
-	}
-	if st.State != serve.StateDone {
-		if st, err = c.Wait(ctx, st.ID); err != nil {
-			return hydrogen.Results{}, st, err
+	if err == nil && st.State != serve.StateDone {
+		st, err = c.Wait(ctx, st.ID)
+		var ae *apiError
+		if errors.As(err, &ae) && ae.Code == http.StatusNotFound {
+			if st, err = c.Submit(ctx, req); err == nil && st.State != serve.StateDone {
+				st, err = c.Wait(ctx, st.ID)
+			}
 		}
+	}
+	if err != nil {
+		return hydrogen.Results{}, st, err
 	}
 	switch st.State {
 	case serve.StateDone:

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -52,5 +53,41 @@ func TestIsQuarantinedWrapped(t *testing.T) {
 	}
 	if IsQuarantined(fmt.Errorf("other: %w", errors.New("x"))) {
 		t.Fatal("IsQuarantined true for a non-API error")
+	}
+}
+
+// TestRunResubmitsAfterRestart: a daemon that restarted after the job
+// finished answers the poll 404; Run resubmits once, and the
+// resubmission's cache hit is the answer. A second 404 is returned, not
+// chased.
+func TestRunResubmitsAfterRestart(t *testing.T) {
+	for _, restarts := range []int{1, 2} {
+		var posts atomic.Int32
+		mux := http.NewServeMux()
+		mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+			st := JobStatus{ID: "job1", State: "queued"}
+			if posts.Add(1) > int32(restarts) {
+				st = JobStatus{ID: "job1", State: "done", Cached: true, Result: json.RawMessage(`{}`)}
+			}
+			json.NewEncoder(w).Encode(st)
+		})
+		mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(http.StatusNotFound)
+			json.NewEncoder(w).Encode(map[string]string{"error": "no such job"})
+		})
+		ts := httptest.NewServer(mux)
+		c := New(ts.URL)
+		c.Retry = NoRetry
+		_, st, err := c.Run(context.Background(), JobRequest{Design: "Hydrogen", Combo: ComboSpec{ID: "C1"}})
+		ts.Close()
+		if n := posts.Load(); n != 2 {
+			t.Fatalf("%d restart(s): Run posted %d times, want 2", restarts, n)
+		}
+		switch {
+		case restarts == 1 && (err != nil || !st.Cached):
+			t.Fatalf("one restart: Run = (%+v, %v), want the cached result", st, err)
+		case restarts == 2 && (err == nil || !strings.Contains(err.Error(), "404")):
+			t.Fatalf("two restarts: Run error %v, want the second 404", err)
+		}
 	}
 }

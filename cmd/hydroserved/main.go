@@ -106,7 +106,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		logJSON     = fs.Bool("log-json", false, "emit structured logs as JSON instead of text")
 		accessLog   = fs.Bool("access-log", false, "log one structured line per HTTP request")
 		debugAddr   = fs.String("debug-addr", "", "separate listener for /debug/pprof and /debug/runtimez (e.g. 127.0.0.1:6060); empty disables")
-		telemPoints = fs.Int("telemetry-points", 0, "per-job telemetry ring size; 0 = default")
 		peers       = fs.String("peers", "", `static cluster member list as "id=url,id=url,..." including this daemon; empty runs standalone`)
 		self        = fs.String("self", "", "this daemon's member ID within -peers (required with -peers)")
 		peerProbe   = fs.Duration("peer-probe", 2*time.Second, "peer health probe interval")
@@ -138,7 +137,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		JournalPath:     *journalPath,
 		QuarantineAfter: *quarantine,
 		AccessLog:       *accessLog,
-		TelemetryPoints: *telemPoints,
 		MaxJournalBytes: *maxJournal,
 		DiskLowBytes:    *diskLow,
 	}
