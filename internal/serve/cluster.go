@@ -264,16 +264,17 @@ func (s *Server) peerFill(sub *submission, body []byte) {
 		return
 	}
 	s.mu.Lock()
-	if _, exists := s.jobs[sub.id]; exists || s.draining {
-		s.mu.Unlock()
+	_, exists := s.jobs[sub.id]
+	draining := s.draining
+	s.mu.Unlock()
+	if exists || draining {
 		return
 	}
-	s.synthesizeDoneLocked(sub, st.Result)
+	s.synthesizeDone(sub, st.Result)
 	s.cl.cm.PeerFills.Add(1)
 	s.cl.mu.Lock()
 	delete(s.cl.forwarded, sub.id)
 	s.cl.mu.Unlock()
-	s.mu.Unlock()
 	s.logj(sub.id, "cache filled from peer")
 	// The fsync stays outside s.mu; nothing is journaled for a fill, so
 	// the write has no record to precede.
@@ -335,7 +336,7 @@ func (s *Server) clusterGet(w http.ResponseWriter, r *http.Request, id string) {
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusServiceUnavailable, "owner unreachable; local adoption failed: %v", ref)
 	case j != nil:
-		writeJSON(w, http.StatusOK, j.snapshot())
+		s.serveJob(w, r, j)
 	default:
 		httpError(w, http.StatusNotFound, "no such job")
 	}
