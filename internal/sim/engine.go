@@ -3,13 +3,13 @@
 // callbacks at absolute times; the engine executes them in time order
 // (ties broken by scheduling order, so runs are deterministic).
 //
-// The scheduler is a timing wheel: events within wheelSpan ticks of
-// "now" go into a per-tick bucket (O(1) schedule and pop, the
-// overwhelmingly common case — cache latencies and core wake-ups are
-// all well under the span), while far-future events (epoch ticks, long
-// backoffs) wait in a small overflow heap and are promoted into the
-// wheel as time approaches them. Buckets are value slices whose capacity
-// is reused across ticks, so steady-state scheduling allocates nothing.
+// The scheduler is a timing wheel: events within span ticks of "now" go
+// into a per-tick bucket (O(1) schedule and pop, the overwhelmingly
+// common case — cache latencies and core wake-ups are all well under the
+// span), while far-future events (the epoch ticks) wait in a small
+// overflow heap and are promoted into the wheel as time approaches them.
+// Buckets are value slices whose capacity is reused across ticks, so
+// steady-state scheduling allocates nothing.
 //
 // Alongside the wheel ("lane 0", FIFO within a tick) the engine has a
 // late lane: events ordered by (time, key, scheduling order) that run
@@ -19,23 +19,20 @@
 // order set by the components' keys rather than by when the callbacks
 // were scheduled. That same-tick order is part of the model: the golden
 // result fingerprints pin it (DESIGN.md §8, "Same-tick order"). The late
-// lane is a second, shorter wheel (lateSpan ticks, since DRAM work lands
-// at most a few hundred cycles ahead) whose buckets are kept sorted by
-// key, with its own overflow heap beyond that span.
+// lane is a second wheel of the same span whose buckets are kept sorted
+// by key, with its own overflow heap beyond that span.
 package sim
 
 import "math/bits"
 
 const (
-	wheelBits = 12
-	// wheelSpan is how many ticks ahead of now the lane-0 wheel covers.
-	// Events at now+wheelSpan or later overflow into its heap.
-	wheelSpan = 1 << wheelBits
-	// lateSpan is the late wheel's span. DRAM completions land at most
-	// prep + queueing behind the bus lookahead + burst ahead (144 ticks
-	// in the bench's HBM2E/DDR4 runs); anything further waits in the
-	// late overflow heap.
-	lateSpan = 256
+	// span is how many ticks ahead of now each wheel covers; events at
+	// now+span or later wait in their lane's overflow heap. In 1.2 M-cycle
+	// system.Quick() runs of all twelve combos, lane-0 work lands at most
+	// 80 ticks ahead and DRAM completions, the farthest late work, at most
+	// 144 (prep + queueing behind the bus lookahead + burst), so only the
+	// epoch ticks overflow.
+	span = 256
 	// bucketCap and lateBucketCap are each bucket's initial capacity,
 	// carved from one slab when a wheel is built. Without it every fresh
 	// engine re-grows all bucket slices from nil (tens of thousands of
@@ -45,8 +42,8 @@ const (
 	// in a tick holding at most 8 events and none in one past 21. A late
 	// cap of 16 therefore regrows only a few buckets: each run allocates
 	// about 130 KB less than at 32, and 60 KB less than at 8, where
-	// regrowth outweighs the smaller slab. Lane 0 stays at 8: at 4, C1
-	// runs allocate 0.5 MB more.
+	// regrowth outweighs the smaller slab. Lane 0 stays at 8: at 4 every
+	// such run allocates 23-32 KB more, and at 16 C5 runs 62 KB more.
 	bucketCap     = 8
 	lateBucketCap = 16
 )
@@ -281,11 +278,11 @@ type Engine struct {
 	seq    uint64 // overflow-heap tie-breaker
 	nsteps uint64
 
-	wheel    wheel[event] // lane 0, wheelSpan ticks, FIFO per tick
-	overflow farHeap      // lane-0 events at now+wheelSpan or later
+	wheel    wheel[event] // lane 0, FIFO per tick
+	overflow farHeap      // lane-0 events at now+span or later
 
-	late         wheel[lateEvent] // late lane, lateSpan ticks, key-sorted per tick
-	lateOverflow farHeap          // late events at now+lateSpan or later
+	late         wheel[lateEvent] // late lane, key-sorted per tick
+	lateOverflow farHeap          // late events at now+span or later
 	lateKeys     uint64           // NextLateKey allocator
 }
 
@@ -360,7 +357,7 @@ func (e *Engine) schedule(at uint64, ev event) {
 	if at < e.now {
 		panic("sim: scheduling event in the past")
 	}
-	if at-e.now < wheelSpan {
+	if at-e.now < span {
 		e.wheelInsert(at, ev)
 	} else {
 		e.overflow.push(farEvent{event: ev, at: at, seq: e.seq})
@@ -370,7 +367,7 @@ func (e *Engine) schedule(at uint64, ev event) {
 
 func (e *Engine) wheelInsert(at uint64, ev event) {
 	if e.wheel.buckets == nil {
-		e.wheel.init(wheelSpan, bucketCap)
+		e.wheel.init(span, bucketCap)
 	}
 	b := e.wheel.add(at)
 	b.events = append(b.events, ev)
@@ -380,7 +377,7 @@ func (e *Engine) scheduleLate(at uint64, ev lateEvent) {
 	if at < e.now {
 		panic("sim: scheduling late event in the past")
 	}
-	if at-e.now < lateSpan {
+	if at-e.now < span {
 		e.lateInsert(at, ev)
 	} else {
 		far := event{ctx: ev.ctx, fnAt: ev.fnAt, fnCtx: ev.fnCtx}
@@ -396,7 +393,7 @@ func (e *Engine) scheduleLate(at uint64, ev lateEvent) {
 // exactly what a (time, key, seq) min-heap would pop next.
 func (e *Engine) lateInsert(at uint64, ev lateEvent) {
 	if e.late.buckets == nil {
-		e.late.init(lateSpan, lateBucketCap)
+		e.late.init(span, lateBucketCap)
 	}
 	b := e.late.add(at)
 	b.events = append(b.events, lateEvent{})
@@ -413,11 +410,11 @@ func (e *Engine) lateInsert(at uint64, ev lateEvent) {
 // order, so promoted events enter their buckets in scheduling order.
 func (e *Engine) advance(t uint64) {
 	e.now = t
-	for len(e.overflow) > 0 && e.overflow[0].at-t < wheelSpan {
+	for len(e.overflow) > 0 && e.overflow[0].at-t < span {
 		ev := e.overflow.pop()
 		e.wheelInsert(ev.at, ev.event)
 	}
-	for len(e.lateOverflow) > 0 && e.lateOverflow[0].at-t < lateSpan {
+	for len(e.lateOverflow) > 0 && e.lateOverflow[0].at-t < span {
 		ev := e.lateOverflow.pop()
 		e.lateInsert(ev.at, lateEvent{key: ev.key, ctx: ev.ctx, fnAt: ev.fnAt, fnCtx: ev.fnCtx})
 	}

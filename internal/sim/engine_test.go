@@ -165,7 +165,7 @@ func TestPropertyAllEventsRun(t *testing.T) {
 // scheduled directly into the wheel bucket later.
 func TestTieBreakAcrossOverflowPromotion(t *testing.T) {
 	e := New()
-	const tick = wheelSpan * 3
+	const tick = span * 3
 	var got []int
 	e.Schedule(tick, func() { got = append(got, 0) }) // overflow (far future)
 	e.Schedule(tick, func() { got = append(got, 1) }) // overflow, same tick
@@ -183,8 +183,8 @@ func TestTieBreakAcrossOverflowPromotion(t *testing.T) {
 func TestWheelOverflowPromotionAcrossLanes(t *testing.T) {
 	e := New()
 	times := []uint64{
-		1, wheelSpan - 1, wheelSpan, wheelSpan + 1,
-		2*wheelSpan + 7, 5*wheelSpan + 3, 17 * wheelSpan,
+		1, span - 1, span, span + 1,
+		2*span + 7, 5*span + 3, 17 * span,
 	}
 	var got []uint64
 	// Insert in scrambled order.
@@ -201,12 +201,12 @@ func TestWheelOverflowPromotionAcrossLanes(t *testing.T) {
 			t.Fatalf("events out of order: %v", got)
 		}
 	}
-	if e.Now() != 17*wheelSpan {
-		t.Fatalf("final time %d, want %d", e.Now(), 17*wheelSpan)
+	if e.Now() != 17*span {
+		t.Fatalf("final time %d, want %d", e.Now(), 17*span)
 	}
 }
 
-// A bucket slot is shared by ticks T and T+wheelSpan; an event for the
+// A bucket slot is shared by ticks T and T+span; an event for the
 // later tick scheduled while the earlier tick is executing must not run
 // early.
 func TestLaneAliasingDoesNotReorder(t *testing.T) {
@@ -214,11 +214,11 @@ func TestLaneAliasingDoesNotReorder(t *testing.T) {
 	var got []uint64
 	e.Schedule(10, func() {
 		got = append(got, e.Now())
-		e.Schedule(10+wheelSpan, func() { got = append(got, e.Now()) })
+		e.Schedule(10+span, func() { got = append(got, e.Now()) })
 		e.Schedule(11, func() { got = append(got, e.Now()) })
 	})
 	e.Run()
-	want := []uint64{10, 11, 10 + wheelSpan}
+	want := []uint64{10, 11, 10 + span}
 	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
 		t.Fatalf("aliased-slot events fired at %v, want %v", got, want)
 	}
@@ -228,13 +228,13 @@ func TestScheduleCallReceivesFiringTime(t *testing.T) {
 	e := New()
 	var at, ctx, ctxAt uint64
 	e.ScheduleCall(42, func(now uint64) { at = now })
-	e.ScheduleCtx(wheelSpan+9, func(c, now uint64) { ctx, ctxAt = c, now }, 7)
+	e.ScheduleCtx(span+9, func(c, now uint64) { ctx, ctxAt = c, now }, 7)
 	e.Run()
 	if at != 42 {
 		t.Fatalf("ScheduleCall fired with %d, want 42", at)
 	}
-	if ctx != 7 || ctxAt != wheelSpan+9 {
-		t.Fatalf("ScheduleCtx fired with (%d, %d), want (7, %d)", ctx, ctxAt, wheelSpan+9)
+	if ctx != 7 || ctxAt != span+9 {
+		t.Fatalf("ScheduleCtx fired with (%d, %d), want (7, %d)", ctx, ctxAt, span+9)
 	}
 }
 
@@ -242,7 +242,7 @@ func TestStopDrainsPendingEvents(t *testing.T) {
 	e := New()
 	ran := 0
 	e.Schedule(5, func() { ran++ })
-	e.Schedule(wheelSpan*2, func() { ran++ }) // overflow
+	e.Schedule(span*2, func() { ran++ }) // overflow
 	e.Stop()
 	if e.Pending() != 0 {
 		t.Fatalf("Pending after Stop = %d, want 0", e.Pending())
@@ -264,7 +264,7 @@ func TestStopMidRun(t *testing.T) {
 	var got []int
 	e.Schedule(1, func() { got = append(got, 1); e.Stop() })
 	e.Schedule(2, func() { got = append(got, 2) })
-	e.Schedule(wheelSpan+2, func() { got = append(got, 3) })
+	e.Schedule(span+2, func() { got = append(got, 3) })
 	e.Run()
 	if len(got) != 1 || got[0] != 1 {
 		t.Fatalf("Stop mid-run executed %v, want [1]", got)
@@ -283,7 +283,7 @@ func TestPropertyWheelMatchesReferenceOrder(t *testing.T) {
 		n := 200 + rng.Intn(400)
 		for i := 0; i < n; i++ {
 			// Mix near (wheel) and far (overflow) deltas.
-			at := uint64(rng.Intn(3 * wheelSpan))
+			at := uint64(rng.Intn(3 * span))
 			seq := uint64(i)
 			want = append(want, ref{at, seq})
 			e.Schedule(at, func() { got = append(got, ref{at, seq}) })

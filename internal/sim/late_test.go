@@ -128,7 +128,6 @@ func TestLateRunUntilBoundary(t *testing.T) {
 // point.
 func TestOverflowPromotionAcrossBoundary(t *testing.T) {
 	e := New()
-	const span = 4096 // wheelSpan
 	var got []uint64
 	// Beyond the wheel horizon: lands in the overflow heap.
 	e.Schedule(span+100, func() { got = append(got, e.Now()) })
@@ -315,9 +314,9 @@ func lateScript(seed int64, s sched, drive func(), cov *lateCoverage) []lateStep
 	if rng.Intn(2) == 0 {
 		keys = 3
 	}
-	// edge returns a delay just inside or just beyond a span, where
+	// edge returns a delay just inside or just beyond the span, where
 	// direct inserts meet promoted overflow events.
-	edge := func(span uint64) uint64 { return span - 1 + uint64(rng.Intn(2)) }
+	edge := func() uint64 { return span - 1 + uint64(rng.Intn(2)) }
 	randKey := func() uint64 {
 		k := uint64(rng.Intn(keys))
 		if rng.Intn(2) == 0 {
@@ -347,12 +346,12 @@ func lateScript(seed int64, s sched, drive func(), cov *lateCoverage) []lateStep
 						add(now, true, key-1-uint64(rng.Intn(int(key&^(1<<32)))))
 					}
 				case 3: // late, inside the late span
-					add(now+1+uint64(rng.Intn(lateSpan-1)), true, randKey())
+					add(now+1+uint64(rng.Intn(span-1)), true, randKey())
 				case 4: // late, at the edge of the late span
-					add(now+edge(lateSpan), true, randKey())
+					add(now+edge(), true, randKey())
 				case 5: // late, beyond the late span
 					cov.lateFar++
-					add(now+lateSpan+uint64(rng.Intn(3*lateSpan)), true, randKey())
+					add(now+span+uint64(rng.Intn(3*span)), true, randKey())
 				case 6: // lane-0 follow-up at this tick
 					if late {
 						cov.lane0FollowUp++
@@ -361,9 +360,9 @@ func lateScript(seed int64, s sched, drive func(), cov *lateCoverage) []lateStep
 				case 7:
 					add(now+uint64(rng.Intn(300)), false, 0)
 				default: // lane 0, at the wheel's edge or beyond it
-					d := edge(wheelSpan)
+					d := edge()
 					if rng.Intn(2) == 0 {
-						d = uint64(rng.Intn(2 * wheelSpan))
+						d = uint64(rng.Intn(2 * span))
 					}
 					add(now+d, false, 0)
 				}

@@ -8,40 +8,66 @@ import (
 )
 
 // footprintCeilings bounds, in KB, what New and then Run allocate for a
-// Quick() run of 1.2 M cycles, seed 1. Like the event
-// ceilings in fingerprint_test.go, the counts repeat run to run, so a
-// change that shrinks the footprint lowers a ceiling and one that grows
-// it must raise the ceiling here, in the open.
+// Quick() run of 1.2 M cycles, seed 1, and for one short job (see
+// footprintConfig). Like the event ceilings in fingerprint_test.go, the counts
+// repeat run to run (within 6 KB between test processes), so a change
+// that shrinks the footprint lowers a ceiling and one that grows it must
+// raise the ceiling here, in the open.
 // The ceilings sit about 3 % above the counts measured with Go 1.24 on
 // amd64 (New 1 513-1 518 KB with the Zipf tables already built, 1 715-
-// 2 012 KB when it builds them; Run 3 089, 3 129-3 135, 2 165 and
-// 2 091-2 097 KB), to absorb allocator size-class changes between Go
-// releases.
+// 2 012 KB when it builds them; Run 1 858-1 864, 1 899-1 904, 1 086
+// and 1 012 KB; the short job New 708 KB, Run 982 KB), to absorb
+// allocator size-class changes between Go releases.
 var footprintCeilings = map[string][2]uint64{
-	"C1 Baseline": {1560, 3180},
-	"C1 Hydrogen": {1565, 3225},
-	"C5 Baseline": {1560, 2230},
-	"C5 Hydrogen": {1565, 2160},
+	"C1 Baseline":       {1560, 1915},
+	"C1 Hydrogen":       {1565, 1960},
+	"C5 Baseline":       {1560, 1120},
+	"C5 Hydrogen":       {1565, 1045},
+	"short C1 Hydrogen": {730, 1015},
+}
+
+// footprintConfig returns the Quick() config of 1.2 M cycles, or of a
+// short job, for combo and design. A short job is the shape of the jobs
+// the benchmark's serving workloads submit (jobRequest in
+// bench/serve.go): two 10 k-cycle epochs on a 4 MB fast tier, so what it
+// costs is mostly what every job pays to be built and started.
+func footprintConfig(tb testing.TB, combo, design string, short bool) (Config, PolicyFactory) {
+	c, err := workloads.ComboByID(combo)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := Quick()
+	cfg.Cycles = 1_200_000
+	if short {
+		cfg.Hybrid.FastCapacityBytes = 4 << 20
+		cfg.Hybrid.RemapCacheBytes = 16 << 10
+		cfg.LLC.SizeBytes = 256 << 10
+		cfg.EpochLen = 10_000
+		cfg.Cycles = 20_000
+	}
+	cfg.CPUProfiles = c.CPUAssignment(cfg.Cores)
+	cfg.GPUProfile = c.GPU
+	factory, err := ApplyDesign(&cfg, design)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cfg, factory
 }
 
 func TestFootprintCeilings(t *testing.T) {
-	for _, tc := range []struct{ combo, design string }{
-		{"C1", DesignBaseline}, {"C1", DesignHydrogen},
-		{"C5", DesignBaseline}, {"C5", DesignHydrogen},
+	for _, tc := range []struct {
+		combo, design string
+		short         bool
+	}{
+		{"C1", DesignBaseline, false}, {"C1", DesignHydrogen, false},
+		{"C5", DesignBaseline, false}, {"C5", DesignHydrogen, false},
+		{"C1", DesignHydrogen, true},
 	} {
 		name := tc.combo + " " + tc.design
-		combo, err := workloads.ComboByID(tc.combo)
-		if err != nil {
-			t.Fatal(err)
+		if tc.short {
+			name = "short " + name
 		}
-		cfg := Quick()
-		cfg.Cycles = 1_200_000
-		cfg.CPUProfiles = combo.CPUAssignment(cfg.Cores)
-		cfg.GPUProfile = combo.GPU
-		factory, err := ApplyDesign(&cfg, tc.design)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg, factory := footprintConfig(t, tc.combo, tc.design, tc.short)
 		// The first New in a process also builds the CPU generators'
 		// shared Zipf tables (trace.sharedZipfTable), so its count
 		// depends on which test ran first; the ceiling bounds the
@@ -69,3 +95,26 @@ func TestFootprintCeilings(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkShortJob times New and Run of one short job, whose cost is
+// mostly what every simulation pays to be built and started.
+func BenchmarkShortJob(b *testing.B) {
+	cfg, factory := footprintConfig(b, "C1", DesignHydrogen, true)
+	// The first New in a process builds the shared Zipf tables, which a
+	// daemon pays once, not per job.
+	if _, err := New(cfg, factory); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys, err := New(cfg, factory)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys.Run()
+		shortJobSink = sys
+	}
+}
+
+var shortJobSink *System
