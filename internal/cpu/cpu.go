@@ -101,7 +101,7 @@ type Core struct {
 
 	// stepFn is c.step bound once; scheduling a bound method value each
 	// cycle would allocate it anew every time.
-	stepFn  func()
+	stepFn  func(ctx, now uint64)
 	tokFree []*loadToken // pooled per-miss completion records
 
 	instrs uint64 // retired instructions
@@ -166,7 +166,7 @@ func newCore(c *Core, eng *sim.Engine, gen trace.Generator, llc *caches.Cache, m
 }
 
 // Start schedules the core's first issue event.
-func (c *Core) Start() { c.eng.After(1, c.stepFn) }
+func (c *Core) Start() { c.eng.AfterCtx(1, c.stepFn, 0) }
 
 // Instructions returns the retired instruction count.
 func (c *Core) Instructions() uint64 { return c.instrs }
@@ -189,7 +189,7 @@ func (c *Core) CacheStats() caches.Stats { return c.priv.Stats() }
 // Exhausted reports whether the trace ended.
 func (c *Core) Exhausted() bool { return c.exhausted }
 
-func (c *Core) step() {
+func (c *Core) step(_, _ uint64) {
 	if c.blocked || c.exhausted {
 		return
 	}
@@ -208,7 +208,7 @@ func (c *Core) step() {
 	if op.Write {
 		c.stores++
 		c.store(op.Addr)
-		c.eng.After(cost, c.stepFn)
+		c.eng.AfterCtx(cost, c.stepFn, 0)
 		return
 	}
 	c.loads++
@@ -232,20 +232,20 @@ func (c *Core) store(addr uint64) {
 // issue only when the window fills.
 func (c *Core) load(addr uint64, cost uint64) {
 	if c.priv.Access(addr, false) {
-		c.eng.After(cost+c.privLat, c.stepFn)
+		c.eng.AfterCtx(cost+c.privLat, c.stepFn, 0)
 		return
 	}
 	traversal := c.privLat + c.llcLat
 	if c.llc.Access(addr, false) {
 		c.fillPriv(addr)
-		c.eng.After(cost+traversal, c.stepFn)
+		c.eng.AfterCtx(cost+traversal, c.stepFn, 0)
 		return
 	}
 	line := addr &^ 63
 	if c.pending.Has(line) {
 		// MSHR hit: the line is already on its way; don't issue a
 		// duplicate memory access or occupy another window slot.
-		c.eng.After(cost+traversal, c.stepFn)
+		c.eng.AfterCtx(cost+traversal, c.stepFn, 0)
 		return
 	}
 	c.pending.Put(line, 0)
@@ -256,7 +256,7 @@ func (c *Core) load(addr uint64, cost uint64) {
 		c.stalls++
 		return
 	}
-	c.eng.After(cost+traversal, c.stepFn)
+	c.eng.AfterCtx(cost+traversal, c.stepFn, 0)
 }
 
 func (c *Core) completeLoad(addr uint64) {
@@ -266,7 +266,7 @@ func (c *Core) completeLoad(addr uint64) {
 	c.fillPriv(addr)
 	if c.blocked {
 		c.blocked = false
-		c.eng.After(1, c.stepFn)
+		c.eng.AfterCtx(1, c.stepFn, 0)
 	}
 }
 

@@ -26,7 +26,7 @@ func (m *fakeMem) Access(addr uint64, write bool, src dram.Source, done func(uin
 	}
 	m.bySrc[src]++
 	if done != nil {
-		m.eng.After(m.latency, func() { done(m.eng.Now()) })
+		m.eng.AfterCtx(m.latency, func(_, now uint64) { done(now) }, 0)
 	}
 }
 

@@ -166,13 +166,14 @@ type Request struct {
 	// Lo marks background traffic (migration refills, writebacks, swap
 	// copies): the scheduler serves demand requests first, as real
 	// memory controllers prioritize demand over prefetch/migration.
-	Lo   bool
-	Done func(now uint64)
-	// DoneCtx is the allocation-free completion form: a long-lived bound
-	// function invoked as DoneCtx(Ctx, now). Used instead of Done when
-	// the issuer would otherwise allocate a closure to capture one word
-	// of context (a block index, a fill slot). At most one of Done and
-	// DoneCtx may be set.
+	Lo bool
+	// DoneCtx is the completion callback: a long-lived bound function
+	// invoked as DoneCtx(Ctx, now), Ctx naming the issuer's record (an
+	// access, a fill, a copy) so issuing allocates no closure. Done is
+	// the closure form, for drivers of a channel alone; the simulator's
+	// components do not set it. At most one of Done and DoneCtx may be
+	// set.
+	Done    func(now uint64)
 	DoneCtx func(ctx, now uint64)
 	Ctx     uint64
 
@@ -244,9 +245,9 @@ type Channel struct {
 	qhead        int
 	banks        []bank
 	busBusyUntil uint64
-	issueArmed   bool             // an issue event is pending (at most one is)
-	issueFn      func(now uint64) // issueEvent bound once, so arming never allocates
-	key          uint64           // engine-unique late-lane key, fixed at construction
+	issueArmed   bool                // an issue event is pending (at most one is)
+	issueFn      func(_, now uint64) // issueEvent bound once, so arming never allocates
+	key          uint64              // engine-unique late-lane key, fixed at construction
 
 	rowShift uint8       // log2(RowBytes); row size is validated pow2
 	bankDiv  bitmath.Div // strength-reduced division by BanksPerChannel
@@ -331,7 +332,7 @@ func (c *Channel) armIssue(now uint64) {
 		at = c.busBusyUntil - la
 	}
 	c.issueArmed = true
-	c.eng.ScheduleLateCall(at, issueClassKey|c.key, c.issueFn)
+	c.eng.ScheduleLateCtx(at, issueClassKey|c.key, c.issueFn, 0)
 }
 
 // decode splits an address into its bank and row. It runs once per
@@ -343,7 +344,7 @@ func (c *Channel) decode(addr uint64) (bank int32, row int64) {
 	return int32(rem), int64(q)
 }
 
-func (c *Channel) issueEvent(now uint64) {
+func (c *Channel) issueEvent(_, now uint64) {
 	c.issueArmed = false
 	c.tryIssue(now)
 }

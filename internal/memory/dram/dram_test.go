@@ -273,20 +273,21 @@ func TestFRFCFSOrder(t *testing.T) {
 	ch := NewChannel(eng, &cfg, 0)
 	var got [][2]uint64
 	done := func(i, now uint64) { got = append(got, [2]uint64{i, now}) }
-	for batch := uint64(0); batch < 8; batch++ {
-		eng.Schedule(32*batch, func() {
-			for i := 8 * batch; i < 8*batch+8; i++ {
-				row, bank := (i/8)%3, (3*i)%4
-				src := SourceGPU
-				if i%3 == 0 {
-					src = SourceCPU
-				}
-				ch.Enqueue(Request{
-					Addr: (row*uint64(cfg.BanksPerChannel) + bank) * cfg.RowBytes, Bytes: 64,
-					Source: src, Lo: i%5 == 4, DoneCtx: done, Ctx: i,
-				})
+	enqueueBatch := func(batch, _ uint64) {
+		for i := 8 * batch; i < 8*batch+8; i++ {
+			row, bank := (i/8)%3, (3*i)%4
+			src := SourceGPU
+			if i%3 == 0 {
+				src = SourceCPU
 			}
-		})
+			ch.Enqueue(Request{
+				Addr: (row*uint64(cfg.BanksPerChannel) + bank) * cfg.RowBytes, Bytes: 64,
+				Source: src, Lo: i%5 == 4, DoneCtx: done, Ctx: i,
+			})
+		}
+	}
+	for batch := uint64(0); batch < 8; batch++ {
+		eng.ScheduleCtx(32*batch, enqueueBatch, batch)
 	}
 	eng.Run()
 	if len(got) != len(want) {

@@ -223,7 +223,7 @@ type fill struct {
 	src       dram.Source
 	ready     bool   // block data has arrived in the fill buffer
 	remaining uint32 // fast-tier line writes still draining
-	// Intrusive FIFO waiter list: indices into Controller.wnodes.
+	// Intrusive FIFO waiter list: indices into Controller.accs.
 	whead, wtail int32
 }
 
@@ -236,17 +236,6 @@ type copyRec struct {
 	w         int32
 	src       dram.Source
 	remaining uint32 // line reads still outstanding
-}
-
-// waiterNode is one pooled waiter: an access coalesced onto an in-flight
-// line or block. Nodes chain through next (-1 terminates) both while
-// queued on a fill/line and while on the free list.
-type waiterNode struct {
-	line  uint64
-	write bool
-	src   dram.Source
-	done  func(uint64)
-	next  int32
 }
 
 // metaBase places remap-table metadata in a distinct fast-tier address
@@ -307,14 +296,16 @@ type Controller struct {
 	freeCopies []int32
 
 	pendingLine container.Table // line key -> packed waiter chain (head<<32 | tail)
-	wnodes      []waiterNode
-	wfree       int32 // waiter free-list head, -1 = empty
 
-	accFree []*access // pooled per-access records
+	accs    []access  // access slab; accFree heads its free list
+	accFree int32     // -1 = empty
 	viewBuf []WayView // reused policy-view buffer
 
 	// Bound methods created once so hot-path events schedule without
 	// allocating closures.
+	probeFn        func(ctx, now uint64)
+	metaReadFn     func(ctx, now uint64)
+	finishFn       func(ctx, now uint64)
 	lineDoneFn     func(ctx, now uint64)
 	refillDoneFn   func(ctx, now uint64)
 	fillLineDoneFn func(ctx, now uint64)
@@ -324,54 +315,54 @@ type Controller struct {
 	stats Stats
 }
 
-// access is the pooled per-request state: it replaces the closures
-// (metadata-probe continuation, remap-miss metadata read and
-// latency-accounting finish) that the Access hot path used to allocate.
-// A record is acquired in Access and recycled inside finish, which runs
-// exactly once per access; per the pooled-event lifetime rules it must
-// not be referenced after that.
+// access is the record of one processor-side access, from Access to
+// finish. Records live in the accs slab and are addressed by index, so
+// each event of the access path carries the index as its context word
+// and runs one of three controller-bound callbacks (probe, metaRead,
+// finish): the path allocates nothing. An access that waits on an
+// in-flight line read or block fill is its own waiter node, chained
+// through next; a free record is chained through next on the free list.
+//
+// No *access may be held across a call to finish or Access. finish
+// frees the record and then runs done, and done may re-enter Access
+// synchronously (a completed load's LLC fill writes a dirty victim
+// back), which may reuse the record or grow the slab. Keep the index,
+// and read what is still needed (such as next) before finish.
 type access struct {
-	c     *Controller
 	start uint64
 	blk   uint64
-	set   uint64
-	line  uint64
+	set   uint64 // set being probed: the chained set on a chained hit
+	line  uint64 // line within the block
+	done  func(uint64)
+	next  int32 // waiter chain or free list; -1 ends it
+	way   int32 // a chained hit's way in set, or -1
 	write bool
 	src   dram.Source
-	done  func(uint64)
-
-	probeFn    func()       // bound to (*access).probe once
-	metaReadFn func(uint64) // bound to (*access).metaRead once
-	finishFn   func(uint64) // bound to (*access).finish once
 }
 
-func (a *access) probe() { a.c.probe(a.blk, a.set, a.line, a.write, a.src, a.finishFn) }
+// newAccess takes a record off the free list, growing the slab when the
+// list is empty, and returns its index.
+func (c *Controller) newAccess() int32 {
+	i := c.accFree
+	if i < 0 {
+		c.accs = append(c.accs, access{})
+		return int32(len(c.accs) - 1)
+	}
+	c.accFree = c.accs[i].next
+	return i
+}
 
-// metaRead runs when a remap-cache miss's metadata line arrives.
-func (a *access) metaRead(uint64) { a.c.afterTag(a.probeFn) }
-
-func (a *access) finish(t uint64) {
-	c := a.c
+// finish completes access ai at t: it accounts the latency, frees the
+// record and then runs done (see access for why in that order).
+func (c *Controller) finish(ai, t uint64) {
+	a := &c.accs[ai]
 	c.stats.LatencySum[a.src] += t - a.start
 	done := a.done
-	a.done = nil
-	c.accFree = append(c.accFree, a)
+	*a = access{next: c.accFree} // drop the done reference
+	c.accFree = int32(ai)
 	if done != nil {
 		done(t)
 	}
-}
-
-func (c *Controller) getAccess() *access {
-	if n := len(c.accFree); n > 0 {
-		a := c.accFree[n-1]
-		c.accFree = c.accFree[:n-1]
-		return a
-	}
-	a := &access{c: c}
-	a.probeFn = a.probe
-	a.metaReadFn = a.metaRead
-	a.finishFn = a.finish
-	return a
 }
 
 // New builds a controller over the given tiers with the given policy.
@@ -393,7 +384,7 @@ func New(eng *sim.Engine, cfg Config, fast, slow *dram.Tier, pol Policy) (*Contr
 		numSets:       cfg.FastCapacityBytes / (cfg.BlockBytes * uint64(cfg.Assoc)),
 		linesPerBlock: cfg.BlockBytes / LineBytes,
 		groups:        len(fast.Channels) / cfg.GroupSize,
-		wfree:         -1,
+		accFree:       -1,
 	}
 	c.blockShift = uint8(bits.TrailingZeros64(cfg.BlockBytes))
 	c.blockMask = cfg.BlockBytes - 1
@@ -407,6 +398,9 @@ func New(eng *sim.Engine, cfg Config, fast, slow *dram.Tier, pol Policy) (*Contr
 	c.lazy, _ = pol.(Lazy)
 	c.swapper, _ = pol.(Swapper)
 	c.viewBuf = make([]WayView, 0, cfg.Assoc)
+	c.probeFn = c.probe
+	c.metaReadFn = c.metaRead
+	c.finishFn = c.finish
 	c.lineDoneFn = c.lineDone
 	c.refillDoneFn = c.refillDone
 	c.fillLineDoneFn = c.fillLineDone
@@ -460,25 +454,6 @@ func (c *Controller) views(set uint64) []WayView {
 	return buf
 }
 
-// newWaiter takes a node from the pool, growing the slab if needed.
-func (c *Controller) newWaiter(line uint64, write bool, src dram.Source, done func(uint64)) int32 {
-	var i int32
-	if c.wfree >= 0 {
-		i = c.wfree
-		c.wfree = c.wnodes[i].next
-	} else {
-		c.wnodes = append(c.wnodes, waiterNode{})
-		i = int32(len(c.wnodes) - 1)
-	}
-	c.wnodes[i] = waiterNode{line: line, write: write, src: src, done: done, next: -1}
-	return i
-}
-
-func (c *Controller) freeWaiter(i int32) {
-	c.wnodes[i] = waiterNode{next: c.wfree} // drop the done reference
-	c.wfree = i
-}
-
 // newFill takes a fill record from the slab pool and registers it under
 // blk, returning its slot index.
 func (c *Controller) newFill(blk, set uint64, w int32, src dram.Source) int32 {
@@ -495,16 +470,15 @@ func (c *Controller) newFill(blk, set uint64, w int32, src dram.Source) int32 {
 	return i
 }
 
-// fillAddWaiter appends an access to a fill's FIFO waiter chain.
-func (c *Controller) fillAddWaiter(fi int32, line uint64, write bool, src dram.Source, done func(uint64)) {
-	ni := c.newWaiter(line, write, src, done)
+// fillAddWaiter appends access ai to a fill's FIFO waiter chain.
+func (c *Controller) fillAddWaiter(fi, ai int32) {
 	f := &c.fills[fi]
 	if f.wtail < 0 {
-		f.whead, f.wtail = ni, ni
+		f.whead = ai
 	} else {
-		c.wnodes[f.wtail].next = ni
-		f.wtail = ni
+		c.accs[f.wtail].next = ai
 	}
+	f.wtail = ai
 }
 
 // Access is the processor-side entry point: one 64 B line request that
@@ -513,15 +487,12 @@ func (c *Controller) Access(addr uint64, write bool, src dram.Source, done func(
 	c.stats.Demand[src]++
 	blk := addr >> c.blockShift
 	set := c.setDiv.Mod(blk)
-	a := c.getAccess()
-	a.start = c.eng.Now()
-	a.blk = blk
-	a.set = set
-	a.line = (addr & c.blockMask) / LineBytes
-	a.write = write
-	a.src = src
-	a.done = done
-	c.withMeta(set, a.probeFn, a.metaReadFn)
+	ai := c.newAccess()
+	c.accs[ai] = access{
+		start: c.eng.Now(), blk: blk, set: set, line: (addr & c.blockMask) / LineBytes,
+		done: done, next: -1, way: -1, write: write, src: src,
+	}
+	c.withMeta(set, uint64(ai))
 }
 
 // metaLine returns the metadata line index holding a set's remap entry,
@@ -536,18 +507,15 @@ func (c *Controller) metaLine(set uint64) (line uint64, ch *dram.Channel, devAdd
 	return line, ch, devAddr
 }
 
-// withMeta models the remap metadata probe: a remap-cache hit costs
-// RemapCacheHitLat cycles; a miss additionally reads one metadata line
-// from the fast tier (the remap table lives there) before continuing.
-// On a miss metaRead runs when the line arrives and must run cont
-// ExtraTagLat cycles later; Access passes both bound to its pooled
-// record, so neither path allocates. The chained probe passes a nil
-// metaRead and pays for a closure on a miss.
-func (c *Controller) withMeta(set uint64, cont func(), metaRead func(uint64)) {
+// withMeta models access ai's remap metadata probe of set: a
+// remap-cache hit runs probe RemapCacheHitLat+ExtraTagLat cycles later;
+// a miss first reads one metadata line from the fast tier (the remap
+// table lives there), and metaRead continues when it arrives.
+func (c *Controller) withMeta(set, ai uint64) {
 	line, ch, devAddr := c.metaLine(set)
 	if c.remap.Access(line*LineBytes, false) {
 		c.stats.RemapHits++
-		c.eng.After(c.cfg.RemapCacheHitLat+c.cfg.ExtraTagLat, cont)
+		c.eng.AfterCtx(c.cfg.RemapCacheHitLat+c.cfg.ExtraTagLat, c.probeFn, ai)
 		return
 	}
 	c.stats.RemapMisses++
@@ -557,22 +525,19 @@ func (c *Controller) withMeta(set uint64, cont func(), metaRead func(uint64)) {
 		_, wch, wAddr := c.metaLine(v.Addr / LineBytes * setsPerMetaLine)
 		wch.Enqueue(dram.Request{Addr: wAddr, Bytes: LineBytes, Write: true, Source: dram.SourceCPU})
 	}
-	if metaRead == nil {
-		metaRead = func(uint64) { c.afterTag(cont) }
-	}
-	ch.Enqueue(dram.Request{Addr: devAddr, Bytes: LineBytes, Source: dram.SourceCPU, Done: metaRead})
+	ch.Enqueue(dram.Request{Addr: devAddr, Bytes: LineBytes, Source: dram.SourceCPU, DoneCtx: c.metaReadFn, Ctx: ai})
 }
 
-// afterTag runs cont ExtraTagLat cycles after a metadata line arrives.
-// Without a tag penalty it calls cont directly: a zero-delay event would
-// run next anyway, since the engine drains lane 0 right after the late
-// completion event that delivered the line.
-func (c *Controller) afterTag(cont func()) {
+// metaRead runs access ai's probe ExtraTagLat cycles after its metadata
+// line arrives. Without a tag penalty it probes directly: a zero-delay
+// event would run next anyway, since the engine drains lane 0 right
+// after the late completion event that delivered the line.
+func (c *Controller) metaRead(ai, now uint64) {
 	if c.cfg.ExtraTagLat == 0 {
-		cont()
+		c.probe(ai, now)
 		return
 	}
-	c.eng.After(c.cfg.ExtraTagLat, cont)
+	c.eng.AfterCtx(c.cfg.ExtraTagLat, c.probeFn, ai)
 }
 
 // touchMeta marks the set's remap entry dirty so its eventual remap-cache
@@ -594,24 +559,33 @@ func findWay(ws []way, blk uint64) int {
 	return -1
 }
 
-func (c *Controller) probe(blk, set, line uint64, write bool, src dram.Source, finish func(uint64)) {
-	w := findWay(c.set(set), blk)
+// probe looks up access ai's block once its set's metadata is known. A
+// hit in the chained set records the way and probes that set's metadata
+// too; the second probe lands here again and takes the hit.
+func (c *Controller) probe(ai, _ uint64) {
+	a := &c.accs[ai]
+	if a.way >= 0 {
+		c.hitPath(ai, int(a.way))
+		return
+	}
+	w := findWay(c.set(a.set), a.blk)
 	if w < 0 && c.cfg.Chaining {
 		// HAShCache pseudo-associativity: probe the chained set too.
 		c.stats.ChainProbes++
-		chainSet := c.setDiv.Mod(set + 1)
-		if cw := findWay(c.set(chainSet), blk); cw >= 0 {
+		chainSet := c.setDiv.Mod(a.set + 1)
+		if cw := findWay(c.set(chainSet), a.blk); cw >= 0 {
 			c.stats.ChainHits++
 			// The chained probe costs a second metadata access.
-			c.withMeta(chainSet, func() { c.hitPath(blk, chainSet, cw, line, write, src, finish) }, nil)
+			a.set, a.way = chainSet, int32(cw)
+			c.withMeta(chainSet, ai)
 			return
 		}
 	}
 	if w >= 0 {
-		c.hitPath(blk, set, w, line, write, src, finish)
+		c.hitPath(ai, w)
 		return
 	}
-	c.missPath(blk, set, line, write, src, finish)
+	c.missPath(ai)
 }
 
 // fastLineReq computes the physical channel and device address backing
@@ -634,11 +608,14 @@ func (c *Controller) slowLineReq(blk, line uint64) (*dram.Channel, uint64) {
 	return ch, addr
 }
 
-func (c *Controller) hitPath(blk, set uint64, w int, line uint64, write bool, src dram.Source, finish func(uint64)) {
+// hitPath serves access ai from way w of its set.
+func (c *Controller) hitPath(ai uint64, w int) {
+	a := &c.accs[ai]
+	blk, set, src := a.blk, a.set, a.src
 	c.stats.FastHits[src]++
 	wy := &c.set(set)[w]
 	wy.lastUse = c.eng.Now()
-	if write {
+	if a.write {
 		wy.meta |= wayDirty
 		c.touchMeta(set)
 	}
@@ -648,20 +625,19 @@ func (c *Controller) hitPath(blk, set uint64, w int, line uint64, write bool, sr
 		// busy and deregisters it in the same event), so the table lookup
 		// is skipped entirely on the non-busy fast path.
 		if fi, ok := c.pendingFill.Get(blk); ok {
-			f := &c.fills[fi]
-			if f.ready {
+			if c.fills[fi].ready {
 				// Critical-line forwarding: the block sits in the fill
 				// buffer; serve from there while the fast write-in drains.
-				c.eng.AfterCall(fillBufferLat, finish)
+				c.eng.AfterCtx(fillBufferLat, c.finishFn, ai)
 				return
 			}
 			// Block data still in flight: wait for it.
-			c.fillAddWaiter(int32(fi), line, write, src, finish)
+			c.fillAddWaiter(int32(fi), int32(ai))
 			return
 		}
 	}
-	ch, addr := c.fastLineReq(set, w, blk, line)
-	ch.Enqueue(dram.Request{Addr: addr, Bytes: LineBytes, Write: write, Source: src, Done: finish})
+	ch, addr := c.fastLineReq(set, w, blk, a.line)
+	ch.Enqueue(dram.Request{Addr: addr, Bytes: LineBytes, Write: a.write, Source: src, DoneCtx: c.finishFn, Ctx: ai})
 	c.afterHit(blk, set, w, src)
 }
 
@@ -776,45 +752,48 @@ func (c *Controller) wbLineDone(ci, _ uint64) {
 	}
 }
 
-func (c *Controller) missPath(blk, set, line uint64, write bool, src dram.Source, finish func(uint64)) {
-	if write {
+// missPath serves access ai, whose block is not in the fast tier.
+func (c *Controller) missPath(ai uint64) {
+	a := &c.accs[ai]
+	blk, set, line, src := a.blk, a.set, a.line, a.src
+	if a.write {
 		// Write miss (an LLC writeback to an uncached block): write through
 		// to the slow tier without allocating.
 		c.stats.SlowWrites[src]++
 		ch, addr := c.slowLineReq(blk, line)
-		ch.Enqueue(dram.Request{Addr: addr, Bytes: LineBytes, Write: true, Source: src, Done: finish})
+		ch.Enqueue(dram.Request{Addr: addr, Bytes: LineBytes, Write: true, Source: src, DoneCtx: c.finishFn, Ctx: ai})
 		return
 	}
 
 	// Coalesce with an in-flight fill of the same block.
 	if fi, ok := c.pendingFill.Get(blk); ok {
-		c.fillAddWaiter(int32(fi), line, write, src, finish)
+		c.fillAddWaiter(int32(fi), int32(ai))
 		return
 	}
 
 	// Demand read of the critical line from slow memory, coalesced with
-	// identical in-flight line reads. Waiters chain through pooled nodes;
-	// the table value packs the chain's head and tail indices.
+	// identical in-flight line reads. Waiting accesses chain through
+	// next; the table value packs the chain's head and tail indices.
 	c.stats.SlowDemandReads[src]++
-	ch, addr := c.slowLineReq(blk, line)
 	key := blk<<c.lpbShift | line
-	ni := c.newWaiter(line, write, src, finish)
 	if packed, ok := c.pendingLine.Get(key); ok {
-		tail := int32(packed)
-		c.wnodes[tail].next = ni
-		c.pendingLine.Put(key, packed&^0xFFFFFFFF|int64(ni))
+		c.accs[int32(packed)].next = int32(ai)
+		c.pendingLine.Put(key, packed&^0xFFFFFFFF|int64(ai))
 	} else {
-		c.pendingLine.Put(key, int64(ni)<<32|int64(ni))
+		c.pendingLine.Put(key, int64(ai)<<32|int64(ai))
+		ch, addr := c.slowLineReq(blk, line)
 		ch.Enqueue(dram.Request{Addr: addr, Bytes: LineBytes, Source: src, DoneCtx: c.lineDoneFn, Ctx: key})
 	}
 
 	c.maybeMigrate(blk, set, src)
 }
 
-// lineDone completes a coalesced slow-tier line read: it runs every
-// waiter chained under the line key. Waiter callbacks cannot re-enter
-// missPath for the same key synchronously (new accesses reach probe only
-// through a later metadata event), so deleting before draining is safe.
+// lineDone completes a coalesced slow-tier line read: it finishes every
+// access chained under the line key. A finished access's done cannot
+// re-enter missPath for the same key synchronously (new accesses reach
+// probe only through a later metadata event), so deleting before
+// draining is safe; it can re-enter Access, which may reuse the record
+// just freed, so each access's next is read before it finishes.
 func (c *Controller) lineDone(key, t uint64) {
 	packed, ok := c.pendingLine.Get(key)
 	if !ok {
@@ -822,10 +801,8 @@ func (c *Controller) lineDone(key, t uint64) {
 	}
 	c.pendingLine.Delete(key)
 	for i := int32(packed >> 32); i >= 0; {
-		done := c.wnodes[i].done
-		next := c.wnodes[i].next
-		c.freeWaiter(i)
-		done(t)
+		next := c.accs[i].next
+		c.finish(uint64(i), t)
 		i = next
 	}
 }
@@ -889,15 +866,11 @@ func (c *Controller) refillDone(fi, t uint64) {
 	f := &c.fills[fi]
 	f.ready = true
 	wy := &c.set(f.set)[f.w]
-	for i := f.whead; i >= 0; {
-		wt := &c.wnodes[i]
-		if wt.write && wy.holds(f.blk) {
+	for i := f.whead; i >= 0; i = c.accs[i].next {
+		if c.accs[i].write && wy.holds(f.blk) {
 			wy.meta |= wayDirty
 		}
-		c.eng.AfterCall(fillBufferLat, wt.done)
-		next := wt.next
-		c.freeWaiter(i)
-		i = next
+		c.eng.AfterCtx(fillBufferLat, c.finishFn, uint64(i))
 	}
 	f.whead, f.wtail = -1, -1
 	f.remaining = uint32(c.linesPerBlock)
@@ -926,17 +899,14 @@ func (c *Controller) finishFill(fi int32, t uint64) {
 	if wy.holds(blk) {
 		wy.meta &^= wayBusy
 	}
-	for i := f.whead; i >= 0; {
+	for i := f.whead; i >= 0; i = c.accs[i].next {
 		// Serve waiters from the freshly filled fast block.
-		wt := &c.wnodes[i]
-		ch, addr := c.fastLineReq(f.set, int(f.w), blk, wt.line)
-		if wt.write && wy.holds(blk) {
+		a := &c.accs[i]
+		ch, addr := c.fastLineReq(f.set, int(f.w), blk, a.line)
+		if a.write && wy.holds(blk) {
 			wy.meta |= wayDirty
 		}
-		ch.Enqueue(dram.Request{Addr: addr, Bytes: LineBytes, Write: wt.write, Source: wt.src, Done: wt.done})
-		next := wt.next
-		c.freeWaiter(i)
-		i = next
+		ch.Enqueue(dram.Request{Addr: addr, Bytes: LineBytes, Write: a.write, Source: a.src, DoneCtx: c.finishFn, Ctx: uint64(i)})
 	}
 	f.whead, f.wtail = -1, -1
 	c.freeFills = append(c.freeFills, fi)

@@ -3,6 +3,11 @@
 // callbacks at absolute times; the engine executes them in time order
 // (ties broken by scheduling order, so runs are deterministic).
 //
+// A callback has one form, fn(ctx, now): a long-lived bound function
+// plus one context word, usually the slab index of the record the
+// callback acts on (an in-flight access, a fill, a copy). Scheduling one
+// therefore allocates no closure, and an event is two words.
+//
 // The scheduler is a timing wheel: events within span ticks of "now" go
 // into a per-tick bucket (O(1) schedule and pop, the overwhelmingly
 // common case — cache latencies and core wake-ups are all well under the
@@ -20,7 +25,8 @@
 // were scheduled. That same-tick order is part of the model: the golden
 // result fingerprints pin it (DESIGN.md §8, "Same-tick order"). The late
 // lane is a second wheel of the same span whose buckets are kept sorted
-// by key, with its own overflow heap beyond that span.
+// by key, with its own overflow heap beyond that span. Its entries also
+// take a plain fn(now) form, which serves dram.Request.Done only.
 package sim
 
 import "math/bits"
@@ -43,43 +49,25 @@ const (
 	// cap of 16 therefore regrows only a few buckets: each run allocates
 	// about 130 KB less than at 32, and 60 KB less than at 8, where
 	// regrowth outweighs the smaller slab. Lane 0 stays at 8: at 4 every
-	// such run allocates 23-32 KB more, and at 16 C5 runs 62 KB more.
+	// such run allocates 13-18 KB more; at 16 C1 runs allocate 25 KB
+	// less, but C5 runs 31-36 KB more and the short serving job 8 KB more.
 	bucketCap     = 8
 	lateBucketCap = 16
 )
 
-// event is a scheduled callback in one of three closure-free forms:
-// fn(), fnAt(now), or fnCtx(ctx, now). Exactly one of the function
-// fields is non-nil. The two argument-taking forms exist so hot callers
-// can pass long-lived bound functions instead of allocating a fresh
-// closure per event.
-//
-// An event stores neither its time nor a sequence number: one in a
-// wheel bucket fires at the tick the bucket stands for (the engine's now
-// when it runs), and scheduling order is the bucket's order. Only the
-// overflow heaps need both (farEvent). Keeping the struct at four words
-// keeps the wheel's slab and the schedule-path copies small.
+// event is a lane-0 entry: fn(ctx, now). It stores neither its time
+// nor a sequence number: one in a wheel bucket fires at the tick the
+// bucket stands for (the engine's now when it runs), and scheduling
+// order is the bucket's order. Only the overflow heaps need both
+// (farEvent). At two words it keeps the wheel's slab at 32 KB and the
+// schedule-path copies small.
 type event struct {
-	ctx   uint64
-	fn    func()
-	fnAt  func(now uint64)
-	fnCtx func(ctx, now uint64)
+	ctx uint64
+	fn  func(ctx, now uint64)
 }
 
-func (ev *event) call(now uint64) {
-	switch {
-	case ev.fn != nil:
-		ev.fn()
-	case ev.fnAt != nil:
-		ev.fnAt(now)
-	default:
-		ev.fnCtx(ev.ctx, now)
-	}
-}
-
-// lateEvent is one late-wheel entry: a callback in one of the late
-// lane's two forms, fnAt(now) or fnCtx(ctx, now) — there is no plain
-// fn() form, which keeps the entry at four words — and its key. Within
+// lateEvent is one late-wheel entry: a callback, fnCtx(ctx, now) or,
+// for dram.Request.Done alone, fnAt(now), and its key. Within
 // a tick, late events run after all lane-0 events, in key order; events
 // that share a key run in scheduling order. The key is assigned by the
 // scheduling component (see NextLateKey) and makes same-tick order a
@@ -98,13 +86,13 @@ func (ev *lateEvent) call(now uint64) {
 	}
 }
 
-// farEvent is an event beyond its wheel's span. The overflow heaps
-// order by (at, key, seq); lane-0 events carry key 0, so theirs is
-// (at, seq). seq is the scheduling order that bucket order gives the
-// wheels implicitly.
+// farEvent is an event beyond its wheel's span. Both overflow heaps
+// hold late-lane entries and order them by (at, key, seq); a lane-0
+// event rides as fnCtx with key 0, so its order is (at, seq). seq is the
+// scheduling order that bucket order gives the wheels implicitly.
 type farEvent struct {
-	event
-	at, key, seq uint64
+	lateEvent
+	at, seq uint64
 }
 
 // farHeap is a min-heap of farEvents, hand-rolled over a value slice
@@ -301,34 +289,24 @@ func (e *Engine) Pending() int {
 	return e.wheel.n + len(e.overflow) + e.late.n + len(e.lateOverflow)
 }
 
-// Schedule runs fn at absolute time at. Scheduling in the past panics:
-// it always indicates a component bug that would silently corrupt timing.
-func (e *Engine) Schedule(at uint64, fn func()) {
-	e.schedule(at, event{fn: fn})
-}
-
-// ScheduleCall is Schedule for callbacks that want the firing time: fn
-// is invoked as fn(at). Passing a long-lived func(uint64) here avoids
-// the closure a plain Schedule caller would allocate to capture the
-// completion time.
-func (e *Engine) ScheduleCall(at uint64, fn func(now uint64)) {
-	e.schedule(at, event{fnAt: fn})
-}
-
-// ScheduleCtx is Schedule for callbacks that carry a caller context
-// word: fn is invoked as fn(ctx, at). Components use this with one
-// bound method per object (e.g. "fill #ctx completed") so the hot path
-// schedules events without allocating.
+// ScheduleCtx runs fn(ctx, at) at absolute time at. Scheduling in the
+// past panics: it always indicates a component bug that would silently
+// corrupt timing.
 func (e *Engine) ScheduleCtx(at uint64, fn func(ctx, now uint64), ctx uint64) {
-	e.schedule(at, event{fnCtx: fn, ctx: ctx})
+	if at < e.now {
+		panic("sim: scheduling event in the past")
+	}
+	if at-e.now < span {
+		e.wheelInsert(at, event{ctx: ctx, fn: fn})
+	} else {
+		e.overflow.push(farEvent{lateEvent: lateEvent{ctx: ctx, fnCtx: fn}, at: at, seq: e.seq})
+		e.seq++
+	}
 }
 
-// After runs fn delay cycles from now.
-func (e *Engine) After(delay uint64, fn func()) { e.Schedule(e.now+delay, fn) }
-
-// AfterCall runs fn(firingTime) delay cycles from now.
-func (e *Engine) AfterCall(delay uint64, fn func(now uint64)) {
-	e.ScheduleCall(e.now+delay, fn)
+// AfterCtx runs fn(ctx, now+delay) delay cycles from now.
+func (e *Engine) AfterCtx(delay uint64, fn func(ctx, now uint64), ctx uint64) {
+	e.ScheduleCtx(e.now+delay, fn, ctx)
 }
 
 // NextLateKey allocates an engine-unique late-lane key. Components that
@@ -340,29 +318,18 @@ func (e *Engine) NextLateKey() uint64 {
 	return k
 }
 
-// ScheduleLateCall runs fn(at) at time at on the late lane: after every
-// lane-0 event of that tick, ordered among late events by key and then
-// by scheduling order. Scheduling in the past panics, as in Schedule.
-func (e *Engine) ScheduleLateCall(at, key uint64, fn func(now uint64)) {
-	e.scheduleLate(at, lateEvent{key: key, fnAt: fn})
-}
-
-// ScheduleLateCtx is ScheduleLateCall for callbacks that carry a
-// context word (fn(ctx, at), like ScheduleCtx).
+// ScheduleLateCtx runs fn(ctx, at) at time at on the late lane: after
+// every lane-0 event of that tick, ordered among late events by key and
+// then by scheduling order. Scheduling in the past panics, as in
+// ScheduleCtx.
 func (e *Engine) ScheduleLateCtx(at, key uint64, fn func(ctx, now uint64), ctx uint64) {
 	e.scheduleLate(at, lateEvent{key: key, fnCtx: fn, ctx: ctx})
 }
 
-func (e *Engine) schedule(at uint64, ev event) {
-	if at < e.now {
-		panic("sim: scheduling event in the past")
-	}
-	if at-e.now < span {
-		e.wheelInsert(at, ev)
-	} else {
-		e.overflow.push(farEvent{event: ev, at: at, seq: e.seq})
-		e.seq++
-	}
+// ScheduleLateCall is ScheduleLateCtx for a plain fn(at) callback. It
+// serves dram.Request.Done, the closure form of a DRAM completion.
+func (e *Engine) ScheduleLateCall(at, key uint64, fn func(now uint64)) {
+	e.scheduleLate(at, lateEvent{key: key, fnAt: fn})
 }
 
 func (e *Engine) wheelInsert(at uint64, ev event) {
@@ -380,8 +347,7 @@ func (e *Engine) scheduleLate(at uint64, ev lateEvent) {
 	if at-e.now < span {
 		e.lateInsert(at, ev)
 	} else {
-		far := event{ctx: ev.ctx, fnAt: ev.fnAt, fnCtx: ev.fnCtx}
-		e.lateOverflow.push(farEvent{event: far, at: at, key: ev.key, seq: e.seq})
+		e.lateOverflow.push(farEvent{lateEvent: ev, at: at, seq: e.seq})
 		e.seq++
 	}
 }
@@ -412,11 +378,11 @@ func (e *Engine) advance(t uint64) {
 	e.now = t
 	for len(e.overflow) > 0 && e.overflow[0].at-t < span {
 		ev := e.overflow.pop()
-		e.wheelInsert(ev.at, ev.event)
+		e.wheelInsert(ev.at, event{ctx: ev.ctx, fn: ev.fnCtx})
 	}
 	for len(e.lateOverflow) > 0 && e.lateOverflow[0].at-t < span {
 		ev := e.lateOverflow.pop()
-		e.lateInsert(ev.at, lateEvent{key: ev.key, ctx: ev.ctx, fnAt: ev.fnAt, fnCtx: ev.fnCtx})
+		e.lateInsert(ev.at, ev.lateEvent)
 	}
 }
 
@@ -455,7 +421,7 @@ func (e *Engine) drainWheel() {
 	for e.wheel.ready(e.now) {
 		ev := e.wheel.pop(e.now)
 		e.nsteps++
-		ev.call(e.now)
+		ev.fn(ev.ctx, e.now)
 	}
 }
 
@@ -488,7 +454,7 @@ func (e *Engine) Step() bool {
 	e.nsteps++
 	if e.wheel.ready(e.now) {
 		ev := e.wheel.pop(e.now)
-		ev.call(e.now)
+		ev.fn(ev.ctx, e.now)
 	} else {
 		ev := e.late.pop(e.now)
 		ev.call(e.now)

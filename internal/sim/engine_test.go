@@ -5,7 +5,14 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// runAt schedules fn, which ignores its context word and firing time,
+// at time t.
+func runAt(e *Engine, t uint64, fn func()) {
+	e.ScheduleCtx(t, func(_, _ uint64) { fn() }, 0)
+}
 
 func TestZeroValueUsable(t *testing.T) {
 	var e Engine
@@ -20,9 +27,9 @@ func TestZeroValueUsable(t *testing.T) {
 func TestScheduleOrder(t *testing.T) {
 	e := New()
 	var got []int
-	e.Schedule(30, func() { got = append(got, 3) })
-	e.Schedule(10, func() { got = append(got, 1) })
-	e.Schedule(20, func() { got = append(got, 2) })
+	runAt(e, 30, func() { got = append(got, 3) })
+	runAt(e, 10, func() { got = append(got, 1) })
+	runAt(e, 20, func() { got = append(got, 2) })
 	e.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -40,7 +47,7 @@ func TestTieBreakBySchedulingOrder(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(5, func() { got = append(got, i) })
+		runAt(e, 5, func() { got = append(got, i) })
 	}
 	e.Run()
 	for i := 0; i < 10; i++ {
@@ -53,9 +60,9 @@ func TestTieBreakBySchedulingOrder(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	e := New()
 	var fired []uint64
-	e.Schedule(1, func() {
+	runAt(e, 1, func() {
 		fired = append(fired, e.Now())
-		e.After(4, func() { fired = append(fired, e.Now()) })
+		runAt(e, e.Now()+4, func() { fired = append(fired, e.Now()) })
 	})
 	e.Run()
 	if len(fired) != 2 || fired[0] != 1 || fired[1] != 5 {
@@ -65,13 +72,13 @@ func TestNestedScheduling(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := New()
-	e.Schedule(10, func() {
+	runAt(e, 10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.Schedule(5, func() {})
+		runAt(e, 5, func() {})
 	})
 	e.Run()
 }
@@ -81,7 +88,7 @@ func TestRunUntil(t *testing.T) {
 	var fired []uint64
 	for _, at := range []uint64{5, 10, 15, 20} {
 		at := at
-		e.Schedule(at, func() { fired = append(fired, at) })
+		runAt(e, at, func() { fired = append(fired, at) })
 	}
 	e.RunUntil(15)
 	if len(fired) != 2 {
@@ -102,7 +109,7 @@ func TestRunUntil(t *testing.T) {
 func TestRunUntilEventAtBoundaryNotRun(t *testing.T) {
 	e := New()
 	ran := false
-	e.Schedule(10, func() { ran = true })
+	runAt(e, 10, func() { ran = true })
 	e.RunUntil(10)
 	if ran {
 		t.Fatal("event at boundary time ran; RunUntil is exclusive")
@@ -115,7 +122,7 @@ func TestRunUntilEventAtBoundaryNotRun(t *testing.T) {
 func TestStepsCounter(t *testing.T) {
 	e := New()
 	for i := uint64(0); i < 7; i++ {
-		e.Schedule(i, func() {})
+		runAt(e, i, func() {})
 	}
 	e.Run()
 	if e.Steps() != 7 {
@@ -131,7 +138,7 @@ func TestPropertyTimeOrdered(t *testing.T) {
 		var got []uint64
 		for _, tm := range times {
 			at := uint64(tm)
-			e.Schedule(at, func() { got = append(got, at) })
+			runAt(e, at, func() { got = append(got, at) })
 		}
 		e.Run()
 		return sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] })
@@ -149,7 +156,7 @@ func TestPropertyAllEventsRun(t *testing.T) {
 		n := rng.Intn(500)
 		count := 0
 		for i := 0; i < n; i++ {
-			e.Schedule(uint64(rng.Intn(1000)), func() { count++ })
+			runAt(e, uint64(rng.Intn(1000)), func() { count++ })
 		}
 		e.Run()
 		if count != n {
@@ -167,10 +174,10 @@ func TestTieBreakAcrossOverflowPromotion(t *testing.T) {
 	e := New()
 	const tick = span * 3
 	var got []int
-	e.Schedule(tick, func() { got = append(got, 0) }) // overflow (far future)
-	e.Schedule(tick, func() { got = append(got, 1) }) // overflow, same tick
-	e.Schedule(tick-1, func() {                       // runs after promotion
-		e.Schedule(tick, func() { got = append(got, 2) }) // direct into wheel
+	runAt(e, tick, func() { got = append(got, 0) }) // overflow (far future)
+	runAt(e, tick, func() { got = append(got, 1) }) // overflow, same tick
+	runAt(e, tick-1, func() {                       // runs after promotion
+		runAt(e, tick, func() { got = append(got, 2) }) // direct into wheel
 	})
 	e.Run()
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
@@ -190,7 +197,7 @@ func TestWheelOverflowPromotionAcrossLanes(t *testing.T) {
 	// Insert in scrambled order.
 	for _, i := range []int{4, 0, 6, 2, 1, 5, 3} {
 		at := times[i]
-		e.Schedule(at, func() { got = append(got, at) })
+		runAt(e, at, func() { got = append(got, at) })
 	}
 	e.Run()
 	if len(got) != len(times) {
@@ -212,10 +219,10 @@ func TestWheelOverflowPromotionAcrossLanes(t *testing.T) {
 func TestLaneAliasingDoesNotReorder(t *testing.T) {
 	e := New()
 	var got []uint64
-	e.Schedule(10, func() {
+	runAt(e, 10, func() {
 		got = append(got, e.Now())
-		e.Schedule(10+span, func() { got = append(got, e.Now()) })
-		e.Schedule(11, func() { got = append(got, e.Now()) })
+		runAt(e, 10+span, func() { got = append(got, e.Now()) })
+		runAt(e, 11, func() { got = append(got, e.Now()) })
 	})
 	e.Run()
 	want := []uint64{10, 11, 10 + span}
@@ -226,23 +233,37 @@ func TestLaneAliasingDoesNotReorder(t *testing.T) {
 
 func TestScheduleCallReceivesFiringTime(t *testing.T) {
 	e := New()
-	var at, ctx, ctxAt uint64
-	e.ScheduleCall(42, func(now uint64) { at = now })
-	e.ScheduleCtx(span+9, func(c, now uint64) { ctx, ctxAt = c, now }, 7)
+	type fired struct{ ctx, at uint64 }
+	var got []fired
+	record := func(ctx, now uint64) { got = append(got, fired{ctx, now}) }
+	e.ScheduleCtx(42, record, 3)     // wheel
+	e.ScheduleCtx(span+9, record, 7) // overflow heap
+	e.AfterCtx(2*span+1, record, 11) // overflow heap, relative
 	e.Run()
-	if at != 42 {
-		t.Fatalf("ScheduleCall fired with %d, want 42", at)
+	want := []fired{{3, 42}, {7, span + 9}, {11, 2*span + 1}}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
 	}
-	if ctx != 7 || ctxAt != span+9 {
-		t.Fatalf("ScheduleCtx fired with (%d, %d), want (7, %d)", ctx, ctxAt, span+9)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired (ctx, at) %v, want %v", got, want)
+		}
+	}
+}
+
+// TestEventIsTwoWords pins the lane-0 entry at {ctx, fn}: it sizes the
+// wheel's slab (span × bucketCap entries) and every schedule-path copy.
+func TestEventIsTwoWords(t *testing.T) {
+	if got, want := unsafe.Sizeof(event{}), 2*unsafe.Sizeof(uintptr(0)); got != want {
+		t.Fatalf("lane-0 event is %d bytes, want %d", got, want)
 	}
 }
 
 func TestStopDrainsPendingEvents(t *testing.T) {
 	e := New()
 	ran := 0
-	e.Schedule(5, func() { ran++ })
-	e.Schedule(span*2, func() { ran++ }) // overflow
+	runAt(e, 5, func() { ran++ })
+	runAt(e, span*2, func() { ran++ }) // overflow
 	e.Stop()
 	if e.Pending() != 0 {
 		t.Fatalf("Pending after Stop = %d, want 0", e.Pending())
@@ -252,7 +273,7 @@ func TestStopDrainsPendingEvents(t *testing.T) {
 		t.Fatalf("%d stopped events still ran", ran)
 	}
 	// The engine stays usable after Stop.
-	e.Schedule(10, func() { ran++ })
+	runAt(e, 10, func() { ran++ })
 	e.Run()
 	if ran != 1 || e.Now() != 10 {
 		t.Fatalf("engine unusable after Stop: ran=%d now=%d", ran, e.Now())
@@ -262,9 +283,9 @@ func TestStopDrainsPendingEvents(t *testing.T) {
 func TestStopMidRun(t *testing.T) {
 	e := New()
 	var got []int
-	e.Schedule(1, func() { got = append(got, 1); e.Stop() })
-	e.Schedule(2, func() { got = append(got, 2) })
-	e.Schedule(span+2, func() { got = append(got, 3) })
+	runAt(e, 1, func() { got = append(got, 1); e.Stop() })
+	runAt(e, 2, func() { got = append(got, 2) })
+	runAt(e, span+2, func() { got = append(got, 3) })
 	e.Run()
 	if len(got) != 1 || got[0] != 1 {
 		t.Fatalf("Stop mid-run executed %v, want [1]", got)
@@ -286,7 +307,7 @@ func TestPropertyWheelMatchesReferenceOrder(t *testing.T) {
 			at := uint64(rng.Intn(3 * span))
 			seq := uint64(i)
 			want = append(want, ref{at, seq})
-			e.Schedule(at, func() { got = append(got, ref{at, seq}) })
+			runAt(e, at, func() { got = append(got, ref{at, seq}) })
 		}
 		sort.Slice(want, func(i, j int) bool {
 			if want[i].at != want[j].at {
@@ -308,12 +329,28 @@ func TestPropertyWheelMatchesReferenceOrder(t *testing.T) {
 
 func BenchmarkScheduleRun(b *testing.B) {
 	b.ReportAllocs()
+	noop := func(_, _ uint64) {}
 	for i := 0; i < b.N; i++ {
 		e := New()
 		for j := 0; j < 1024; j++ {
-			e.Schedule(uint64(j%64), func() {})
+			e.ScheduleCtx(uint64(j%64), noop, 0)
 		}
 		e.Run()
+	}
+}
+
+// deepChain is BenchmarkScheduleRunDeep's callback: a bound method that
+// schedules its successor, as components do.
+type deepChain struct {
+	e  *Engine
+	n  int
+	fn func(ctx, now uint64)
+}
+
+func (d *deepChain) step(_, _ uint64) {
+	d.n++
+	if d.n < 4096 {
+		d.e.AfterCtx(uint64(d.n%97)+1, d.fn, 0)
 	}
 }
 
@@ -321,17 +358,11 @@ func BenchmarkScheduleRun(b *testing.B) {
 // simulation: every event schedules a successor a small delta ahead.
 func BenchmarkScheduleRunDeep(b *testing.B) {
 	b.ReportAllocs()
+	d := &deepChain{}
+	d.fn = d.step
 	for i := 0; i < b.N; i++ {
-		e := New()
-		n := 0
-		var step func()
-		step = func() {
-			n++
-			if n < 4096 {
-				e.After(uint64(n%97)+1, step)
-			}
-		}
-		e.Schedule(0, step)
-		e.Run()
+		d.e, d.n = New(), 0
+		d.e.ScheduleCtx(0, d.fn, 0)
+		d.e.Run()
 	}
 }

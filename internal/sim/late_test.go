@@ -51,10 +51,10 @@ func TestLanePriority(t *testing.T) {
 		got = append(got, "late1")
 		// Zero-delay lane-0 follow-up must run before the next late
 		// event at this tick (the hybrid controller relies on this).
-		e.After(0, func() { got = append(got, "wheel-nested") })
+		runAt(e, e.Now(), func() { got = append(got, "wheel-nested") })
 	})
 	e.ScheduleLateCall(5, 2, func(uint64) { got = append(got, "late2") })
-	e.Schedule(5, func() { got = append(got, "wheel") })
+	runAt(e, 5, func() { got = append(got, "wheel") })
 	e.Run()
 
 	want := []string{"wheel", "late1", "wheel-nested", "late2"}
@@ -72,7 +72,7 @@ func TestLanePriority(t *testing.T) {
 // them.
 func TestLatePendingAndStop(t *testing.T) {
 	e := New()
-	e.Schedule(3, func() {})
+	runAt(e, 3, func() {})
 	e.ScheduleLateCall(5, 0, func(uint64) {})
 	e.ScheduleLateCall(9000, 1, func(uint64) {}) // far future
 	if got := e.Pending(); got != 3 {
@@ -95,7 +95,7 @@ func TestStopFromLateEvent(t *testing.T) {
 	ran := 0
 	e.ScheduleLateCall(5, 0, func(uint64) { ran++; e.Stop() })
 	e.ScheduleLateCall(5, 1, func(uint64) { ran++ })
-	e.Schedule(6, func() { ran++ })
+	runAt(e, 6, func() { ran++ })
 	e.RunUntil(100)
 	if ran != 1 {
 		t.Fatalf("%d events ran after mid-tick Stop, want 1", ran)
@@ -130,9 +130,9 @@ func TestOverflowPromotionAcrossBoundary(t *testing.T) {
 	e := New()
 	var got []uint64
 	// Beyond the wheel horizon: lands in the overflow heap.
-	e.Schedule(span+100, func() { got = append(got, e.Now()) })
+	runAt(e, span+100, func() { got = append(got, e.Now()) })
 	e.ScheduleLateCall(span+100, 0, func(uint64) { got = append(got, e.Now()+1_000_000) })
-	e.Schedule(5, func() { got = append(got, e.Now()) })
+	runAt(e, 5, func() { got = append(got, e.Now()) })
 
 	// Advance in windows that straddle the promotion boundary.
 	for end := uint64(0); end <= span+200; end += 64 {
@@ -163,7 +163,7 @@ func TestNextLateKeyUnique(t *testing.T) {
 // late lane.
 func TestSchedulePastLatePanics(t *testing.T) {
 	e := New()
-	e.Schedule(10, func() {
+	runAt(e, 10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling a late event in the past did not panic")
@@ -244,7 +244,8 @@ func (r *refSched) run() {
 }
 
 // engineSched adapts the engine, rotating through every scheduling
-// form and checking each callback's firing time against Now.
+// call and checking each callback's firing time against Now and its
+// context word against the one it was scheduled with.
 type engineSched struct {
 	t *testing.T
 	e *Engine
@@ -263,13 +264,18 @@ func (s *engineSched) check(at uint64) {
 
 func (s *engineSched) lane0(at uint64, fn func()) {
 	s.n++
-	switch s.n % 3 {
-	case 0:
-		s.e.Schedule(at, fn)
-	case 1:
-		s.e.ScheduleCall(at, func(now uint64) { s.check(now); fn() })
-	default:
-		s.e.ScheduleCtx(at, func(ctx, now uint64) { s.check(now); fn() }, 0)
+	want := uint64(s.n)
+	cb := func(ctx, now uint64) {
+		s.check(now)
+		if ctx != want {
+			s.t.Errorf("callback fired with ctx=%d, want %d", ctx, want)
+		}
+		fn()
+	}
+	if s.n%2 == 0 {
+		s.e.ScheduleCtx(at, cb, want)
+	} else {
+		s.e.AfterCtx(at-s.e.Now(), cb, want)
 	}
 }
 

@@ -373,11 +373,10 @@ func (s *System) RunContext(ctx context.Context) (Results, error) {
 }
 
 func (s *System) scheduleEpoch() {
-	s.eng.After(s.cfg.EpochLen, s.epochTick)
+	s.eng.AfterCtx(s.cfg.EpochLen, s.epochTick, 0)
 }
 
-func (s *System) epochTick() {
-	now := s.eng.Now()
+func (s *System) epochTick(_, now uint64) {
 	cpuIns := cpu.Instructions(s.cores)
 	gpuIns := cpu.Instructions(s.subslices)
 	el := float64(s.cfg.EpochLen)
