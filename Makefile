@@ -5,10 +5,10 @@ GO ?= go
 all: tier1
 
 # Tier-1 guard: everything must vet, build, and pass tests. bench/ is its
-# own module and calls simulator APIs directly (sim.New, the engine's
-# ScheduleCtx, Run, Step and Steps; dram.NewChannel, NewTier, Request.Done
-# and Enqueue; hybrid.New and Access), so vetting it here makes a change
-# to one of them fail tier-1 locally, not only in CI's bench job.
+# own module and calls simulator, service and journal APIs directly (the
+# frozen-bench/ finding in ROADMAP.md says which ones it keeps alive), so
+# vetting it here makes a change to one of them fail tier-1 locally, not
+# only in CI's bench job.
 tier1:
 	$(GO) vet ./...
 	$(GO) -C bench vet ./...

@@ -64,12 +64,12 @@ func (o *Options) run(cfg system.Config, design system.DesignSpec, combo workloa
 	if o.Runner != nil {
 		return o.Runner(cfg, design, combo)
 	}
-	var hooks system.Hooks
+	var observe func(obs.EpochPoint)
 	var points []obs.EpochPoint
 	if o.TelemetryDir != "" {
-		hooks.OnTelemetry = func(p obs.EpochPoint) { points = append(points, p) }
+		observe = func(p obs.EpochPoint) { points = append(points, p) }
 	}
-	res, err := system.RunDesignObserved(context.Background(), cfg, design, combo, hooks)
+	res, err := system.RunDesignObserved(context.Background(), cfg, design, combo, observe)
 	if err != nil || o.TelemetryDir == "" {
 		return res, err
 	}

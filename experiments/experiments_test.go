@@ -297,7 +297,7 @@ func TestOneBaselinePerConfigCombo(t *testing.T) {
 			counts[string(key)+"/"+c.ID]++
 			mu.Unlock()
 		}
-		return system.RunDesignObserved(context.Background(), cfg, d, c, system.Hooks{})
+		return system.RunDesignObserved(context.Background(), cfg, d, c, nil)
 	}
 	for _, tc := range []struct {
 		name string

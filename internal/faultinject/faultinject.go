@@ -28,7 +28,7 @@ const (
 	// SlowWorker makes a worker sleep arg milliseconds before running
 	// a job (default 100 when arg is 0).
 	SlowWorker = "slow-worker"
-	// PanicOnEpoch panics inside the per-epoch progress callback — a
+	// PanicOnEpoch panics inside a job's per-epoch observer — a
 	// stand-in for a simulation bug — exercising worker panic
 	// isolation and poison-job quarantine.
 	PanicOnEpoch = "panic-on-epoch"

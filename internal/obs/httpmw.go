@@ -36,14 +36,6 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return n, err
 }
 
-// Flush forwards to the underlying flusher so a handler that flushes
-// keeps working through the middleware.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
 // Middleware instruments an http.Handler: every request gets a request
 // ID (the caller's X-Request-ID, or a fresh one) echoed in the response
 // header and stored in the request context alongside a request-scoped

@@ -75,25 +75,6 @@ func TestMiddlewareLatencyAndAccessLog(t *testing.T) {
 	}
 }
 
-func TestStatusWriterFlushPassthrough(t *testing.T) {
-	// httptest.ResponseRecorder implements http.Flusher; the wrapper must
-	// forward Flush so SSE streaming works through the middleware.
-	rr := httptest.NewRecorder()
-	mw := &Middleware{Next: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		f, ok := w.(http.Flusher)
-		if !ok {
-			t.Error("statusWriter does not implement http.Flusher")
-			return
-		}
-		w.Write([]byte("data: x\n\n"))
-		f.Flush()
-	})}
-	mw.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/events", nil))
-	if !rr.Flushed {
-		t.Fatal("Flush did not reach the underlying writer")
-	}
-}
-
 func TestDebugMuxRuntimez(t *testing.T) {
 	ts := httptest.NewServer(DebugMux())
 	defer ts.Close()

@@ -120,17 +120,6 @@ func (r *Ring) Snapshot() []EpochPoint {
 	return append(out, r.buf[:r.start]...)
 }
 
-// Last returns the most recent point, if any.
-func (r *Ring) Last() (EpochPoint, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := len(r.buf)
-	if n == 0 {
-		return EpochPoint{}, false
-	}
-	return r.buf[(r.start+n-1)%n], true
-}
-
 // Len reports how many points the ring currently holds.
 func (r *Ring) Len() int {
 	r.mu.Lock()

@@ -23,6 +23,15 @@ func point(epoch int) EpochPoint {
 	}
 }
 
+// newest is the ring's most recent point: the last of its snapshot.
+func newest(r *Ring) (EpochPoint, bool) {
+	snap := r.Snapshot()
+	if len(snap) == 0 {
+		return EpochPoint{}, false
+	}
+	return snap[len(snap)-1], true
+}
+
 func TestRingWrapAround(t *testing.T) {
 	r := NewRing(4)
 	for i := 0; i < 10; i++ {
@@ -43,16 +52,16 @@ func TestRingWrapAround(t *testing.T) {
 			t.Errorf("snap[%d].Epoch = %d, want %d (oldest first)", i, p.Epoch, want)
 		}
 	}
-	last, ok := r.Last()
+	last, ok := newest(r)
 	if !ok || last.Epoch != 9 {
-		t.Fatalf("Last = (%v, %v), want epoch 9", last.Epoch, ok)
+		t.Fatalf("newest = (%v, %v), want epoch 9", last.Epoch, ok)
 	}
 }
 
 func TestRingPartialFill(t *testing.T) {
 	r := NewRing(8)
-	if _, ok := r.Last(); ok {
-		t.Fatal("Last on empty ring reported a point")
+	if _, ok := newest(r); ok {
+		t.Fatal("empty ring reported a newest point")
 	}
 	if snap := r.Snapshot(); len(snap) != 0 {
 		t.Fatalf("empty ring Snapshot len = %d", len(snap))
@@ -82,7 +91,7 @@ func TestRingMinimumCapacity(t *testing.T) {
 		if got := r.Len(); got != 1 {
 			t.Fatalf("NewRing(%d): Len = %d, want 1", capacity, got)
 		}
-		if last, _ := r.Last(); last.Epoch != 1 {
+		if last, _ := newest(r); last.Epoch != 1 {
 			t.Fatalf("NewRing(%d): kept epoch %d, want newest (1)", capacity, last.Epoch)
 		}
 	}
@@ -115,8 +124,8 @@ func TestRingGrowsToCapacity(t *testing.T) {
 				t.Fatalf("after %d appends snap[%d].Epoch = %d, want %d", i+1, j, p.Epoch, want)
 			}
 		}
-		if last, ok := r.Last(); !ok || last.Epoch != i {
-			t.Fatalf("after %d appends Last = (%d, %v), want epoch %d", i+1, last.Epoch, ok, i)
+		if last, ok := newest(r); !ok || last.Epoch != i {
+			t.Fatalf("after %d appends newest = (%d, %v), want epoch %d", i+1, last.Epoch, ok, i)
 		}
 	}
 }
@@ -167,7 +176,6 @@ func TestRingConcurrent(t *testing.T) {
 						return
 					}
 				}
-				r.Last()
 				r.Len()
 				r.Dropped()
 			}
@@ -178,8 +186,8 @@ func TestRingConcurrent(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	if last, ok := r.Last(); !ok || last.Epoch != appends-1 {
-		t.Fatalf("final Last = (%v, %v), want epoch %d", last.Epoch, ok, appends-1)
+	if last, ok := newest(r); !ok || last.Epoch != appends-1 {
+		t.Fatalf("final newest = (%v, %v), want epoch %d", last.Epoch, ok, appends-1)
 	}
 }
 

@@ -116,7 +116,6 @@ type HAShCache struct {
 
 	gpuMigProb float64
 	rng        *rand.Rand
-	prev       hybrid.Stats
 }
 
 // NewHAShCache returns the policy with full admission to start.
@@ -154,8 +153,7 @@ func (p *HAShCache) AllowMigration(src dram.Source, _ uint64, _ uint64) bool {
 // reuse: if migrated GPU blocks see fewer than ~2 hits per migration the
 // probability decays, otherwise it recovers.
 func (p *HAShCache) OnEpoch(m hybrid.EpochMetrics) {
-	d := m.Stats.Delta(p.prev)
-	p.prev = m.Stats
+	d := m.Stats
 	mig := d.Migrations[dram.SourceGPU]
 	if mig == 0 {
 		return
@@ -186,7 +184,6 @@ type Profess struct {
 
 	migProb [2]float64
 	rng     *rand.Rand
-	prev    hybrid.Stats
 }
 
 // NewProfess builds the policy ported to cache mode / shared capacity as
@@ -227,9 +224,7 @@ func (p *Profess) MigProb(src dram.Source) float64 { return p.migProb[src] }
 // estimated slowdown (fairness): the agent with the *smaller* slowdown
 // gets its migrations throttled so the other agent's traffic breathes.
 func (p *Profess) OnEpoch(m hybrid.EpochMetrics) {
-	d := m.Stats.Delta(p.prev)
-	p.prev = m.Stats
-
+	d := m.Stats
 	var slow [2]float64
 	for s := 0; s < 2; s++ {
 		slow[s] = d.AvgLatency(dram.Source(s)) / p.IdealLat

@@ -90,11 +90,12 @@ func TestHAShCacheBypassAdapts(t *testing.T) {
 		t.Fatal("CPU migration denied")
 	}
 	// Feed epochs where GPU migrations earn no reuse: admission decays.
-	var stats hybrid.Stats
+	// Each epoch's Stats is its delta, as the system delivers it.
+	var useless hybrid.Stats
+	useless.Migrations[dram.SourceGPU] = 1000
+	useless.FastHits[dram.SourceGPU] = 100 // 0.1 hits per migration
 	for i := 0; i < 10; i++ {
-		stats.Migrations[dram.SourceGPU] += 1000
-		stats.FastHits[dram.SourceGPU] += 100 // 0.1 hits per migration
-		p.OnEpoch(hybrid.EpochMetrics{Stats: stats})
+		p.OnEpoch(hybrid.EpochMetrics{Stats: useless})
 	}
 	granted := 0
 	for i := 0; i < 1000; i++ {
@@ -106,10 +107,11 @@ func TestHAShCacheBypassAdapts(t *testing.T) {
 		t.Fatalf("GPU admission %d/1000 after useless migrations, want heavy bypass", granted)
 	}
 	// Now migrations earn strong reuse: admission recovers.
+	var useful hybrid.Stats
+	useful.Migrations[dram.SourceGPU] = 1000
+	useful.FastHits[dram.SourceGPU] = 10000
 	for i := 0; i < 10; i++ {
-		stats.Migrations[dram.SourceGPU] += 1000
-		stats.FastHits[dram.SourceGPU] += 10000
-		p.OnEpoch(hybrid.EpochMetrics{Stats: stats})
+		p.OnEpoch(hybrid.EpochMetrics{Stats: useful})
 	}
 	granted = 0
 	for i := 0; i < 1000; i++ {
@@ -129,13 +131,13 @@ func TestProfessFairnessThrottling(t *testing.T) {
 	}
 	// GPU is comparatively fine (low latency), CPU suffers: the GPU's
 	// migrations should be throttled to give the CPU slow bandwidth.
-	var stats hybrid.Stats
+	var epoch hybrid.Stats
+	epoch.Demand[dram.SourceCPU] = 1000
+	epoch.LatencySum[dram.SourceCPU] = 1000 * 600 // avg 600
+	epoch.Demand[dram.SourceGPU] = 1000
+	epoch.LatencySum[dram.SourceGPU] = 1000 * 120 // avg 120
 	for i := 0; i < 12; i++ {
-		stats.Demand[dram.SourceCPU] += 1000
-		stats.LatencySum[dram.SourceCPU] += 1000 * 600 // avg 600
-		stats.Demand[dram.SourceGPU] += 1000
-		stats.LatencySum[dram.SourceGPU] += 1000 * 120 // avg 120
-		p.OnEpoch(hybrid.EpochMetrics{Stats: stats})
+		p.OnEpoch(hybrid.EpochMetrics{Stats: epoch})
 	}
 	if p.MigProb(dram.SourceGPU) > 0.5 {
 		t.Fatalf("GPU migration probability %.2f; fairness throttling inactive", p.MigProb(dram.SourceGPU))
@@ -147,16 +149,16 @@ func TestProfessFairnessThrottling(t *testing.T) {
 
 func TestProfessImproperMigrationPrevention(t *testing.T) {
 	p := NewProfess(4, 4, 2)
-	var stats hybrid.Stats
+	// Balanced latencies, but CPU migrations earn <1 hit each.
+	var epoch hybrid.Stats
+	epoch.Demand[dram.SourceCPU] = 1000
+	epoch.LatencySum[dram.SourceCPU] = 1000 * 200
+	epoch.Demand[dram.SourceGPU] = 1000
+	epoch.LatencySum[dram.SourceGPU] = 1000 * 200
+	epoch.Migrations[dram.SourceCPU] = 500
+	epoch.FastHits[dram.SourceCPU] = 100
 	for i := 0; i < 12; i++ {
-		// Balanced latencies, but CPU migrations earn <1 hit each.
-		stats.Demand[dram.SourceCPU] += 1000
-		stats.LatencySum[dram.SourceCPU] += 1000 * 200
-		stats.Demand[dram.SourceGPU] += 1000
-		stats.LatencySum[dram.SourceGPU] += 1000 * 200
-		stats.Migrations[dram.SourceCPU] += 500
-		stats.FastHits[dram.SourceCPU] += 100
-		p.OnEpoch(hybrid.EpochMetrics{Stats: stats})
+		p.OnEpoch(hybrid.EpochMetrics{Stats: epoch})
 	}
 	if p.MigProb(dram.SourceCPU) > 0.5 {
 		t.Fatalf("CPU migration probability %.2f despite useless migrations", p.MigProb(dram.SourceCPU))

@@ -33,7 +33,7 @@ func (s *Server) LegacyStatusJSON(id string, hit bool) ([]byte, bool) {
 	if st.State != StateDone {
 		return nil, false
 	}
-	res, err := system.RunDesignObserved(context.Background(), j.cfg, j.design, j.combo, system.Hooks{})
+	res, err := system.RunDesignObserved(context.Background(), j.cfg, j.design, j.combo, nil)
 	if err != nil {
 		return nil, false
 	}

@@ -57,20 +57,14 @@ type submission struct {
 // is what makes dedupe structural: an identical submission cannot mint
 // a second job while the first is in flight.
 type job struct {
-	// Copied from the submission at mint, immutable afterwards.
-	id       string
-	cfg      system.Config
-	design   system.DesignSpec
-	combo    workloads.Combo
-	spec     ComboSpec
-	timeout  time.Duration
-	replayed bool
-	reqID    string
-	seq      uint64 // mint order: listing and compaction walk jobs by it
+	submission        // copied at mint, immutable afterwards
+	seq        uint64 // mint order: listing and compaction walk jobs by it
 
 	// telem and trace carry their own locks: handlers snapshot them
-	// without j.mu, and the worker records spans into trace while
-	// handlers hold j.mu in snapshot().
+	// without j.mu, and the worker appends to telem and records spans
+	// into trace while handlers hold j.mu in snapshot(). telem is also
+	// the job's progress count: every epoch the run took is a point
+	// held or dropped.
 	telem *obs.Ring
 	trace *obs.Trace
 
@@ -80,7 +74,6 @@ type job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	epochs    int // progress samples taken so far
 	cancel    context.CancelFunc
 	refused   *refusal      // why intake abandoned the job, if it did
 	done      chan struct{} // closed on any terminal state
@@ -178,21 +171,14 @@ func (s *Server) refusalLocked(id string) *refusal {
 func (s *Server) mintLocked(sub *submission) *job {
 	s.minted++
 	j := &job{
-		id:        sub.id,
-		cfg:       sub.cfg,
-		design:    sub.design,
-		combo:     sub.combo,
-		spec:      sub.spec,
-		timeout:   sub.timeout,
-		replayed:  sub.replayed,
-		reqID:     sub.reqID,
-		seq:       s.minted,
-		telem:     obs.NewRing(obs.DefaultRingPoints),
-		trace:     obs.NewTrace(),
-		state:     StateQueued,
-		submitted: time.Now(),
-		done:      make(chan struct{}),
-		durable:   make(chan struct{}),
+		submission: *sub,
+		seq:        s.minted,
+		telem:      obs.NewRing(obs.DefaultRingPoints),
+		trace:      obs.NewTrace(),
+		state:      StateQueued,
+		submitted:  time.Now(),
+		done:       make(chan struct{}),
+		durable:    make(chan struct{}),
 	}
 	s.jobs[j.id] = j
 	return j
@@ -448,12 +434,9 @@ func (j *job) answer(hit bool) ([][]byte, JobStatus) {
 	return j.enc.get, JobStatus{}
 }
 
-// countEpoch records that the run took one more progress sample.
-func (j *job) countEpoch() {
-	j.mu.Lock()
-	j.epochs++
-	j.mu.Unlock()
-}
+// epochs is how many epochs the run has taken so far: the points its
+// telemetry ring holds plus those it dropped.
+func (j *job) epochs() int { return j.telem.Len() + int(j.telem.Dropped()) }
 
 // snapshot is the job's status without its result, which only a done
 // job's encoding carries.
@@ -475,7 +458,7 @@ func (j *job) statusLocked() JobStatus {
 		SubmittedAt: j.submitted,
 		StartedAt:   j.started,
 		FinishedAt:  j.finished,
-		Epochs:      j.epochs,
+		Epochs:      j.epochs(),
 		Error:       j.err,
 		Spans:       j.trace.Records(),
 	}

@@ -2,7 +2,7 @@ package serve
 
 import "testing"
 
-func qjob(id string) *job { return &job{id: id} }
+func qjob(id string) *job { return &job{submission: submission{id: id}} }
 
 func TestQueuePopsFIFO(t *testing.T) {
 	q := newJobQueue(8)

@@ -732,16 +732,16 @@ func (s *Server) worker() {
 }
 
 // simulate runs the job behind a recover barrier: a panic anywhere in
-// the simulation (or in the observation callbacks) becomes a failed-job
+// the simulation (or in its epoch observer) becomes a failed-job
 // error carrying the stack, instead of a dead daemon.
-func (s *Server) simulate(ctx context.Context, j *job, hooks system.Hooks) (res system.Results, err error, panicked bool) {
+func (s *Server) simulate(ctx context.Context, j *job, observe func(obs.EpochPoint)) (res system.Results, err error, panicked bool) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("worker panic: %v\n%s", p, debug.Stack())
 			panicked = true
 		}
 	}()
-	res, err = system.RunDesignObserved(ctx, j.cfg, j.design, j.combo, hooks)
+	res, err = system.RunDesignObserved(ctx, j.cfg, j.design, j.combo, observe)
 	return res, err, false
 }
 
@@ -786,23 +786,20 @@ func (s *Server) runJob(j *job) {
 		time.Sleep(time.Duration(ms) * time.Millisecond)
 	}
 
+	// The observer runs on the simulation goroutine, so the
+	// epoch-duration bookkeeping needs no lock.
 	lastEpoch := time.Now()
-	hooks := system.Hooks{
-		OnEpoch: func(system.EpochSample) {
-			if _, fired := faultinject.Hit(faultinject.PanicOnEpoch); fired {
-				panic("faultinject: panic-on-epoch")
-			}
-			// Both hooks run on the simulation goroutine, so the
-			// epoch-duration bookkeeping needs no lock.
-			now := time.Now()
-			s.m.epochSeconds.Observe(now.Sub(lastEpoch).Seconds())
-			lastEpoch = now
-			j.countEpoch()
-		},
-		OnTelemetry: j.telem.Append,
+	observe := func(p obs.EpochPoint) {
+		if _, fired := faultinject.Hit(faultinject.PanicOnEpoch); fired {
+			panic("faultinject: panic-on-epoch")
+		}
+		now := time.Now()
+		s.m.epochSeconds.Observe(now.Sub(lastEpoch).Seconds())
+		lastEpoch = now
+		j.telem.Append(p)
 	}
 	runSpan := obs.StartSpan("run")
-	res, err, panicked := s.simulate(ctx, j, hooks)
+	res, err, panicked := s.simulate(ctx, j, observe)
 	runSpan.EndInto(j.trace)
 	elapsed := time.Since(j.started)
 	s.m.running.Add(-1)
@@ -847,10 +844,7 @@ func (s *Server) runJob(j *job) {
 	}
 	s.terminate(j, StateRunning, state, errMsg, result)
 	if state == StateDone {
-		j.mu.Lock()
-		epochs := j.epochs
-		j.mu.Unlock()
-		s.logj(j.id, "done", "elapsed", elapsed.Round(time.Millisecond), "epochs", epochs)
+		s.logj(j.id, "done", "elapsed", elapsed.Round(time.Millisecond), "epochs", j.epochs())
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/hydrogen-sim/hydrogen/internal/cluster"
 	"github.com/hydrogen-sim/hydrogen/internal/obs"
@@ -24,7 +25,7 @@ import (
 // the server yields non-empty telemetry whose points — including the
 // final (cap, bw, tok) operating point the policy converged to — are
 // identical to a direct in-process run of the same configuration (the
-// simulator is deterministic per seed, and observation hooks must not
+// simulator is deterministic per seed, and the observer must not
 // perturb it).
 func TestTelemetryEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, serve.Options{Workers: 2, QueueDepth: 8, JournalPath: filepath.Join(t.TempDir(), "journal")})
@@ -41,7 +42,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	waitState(t, ts.URL, st.ID, serve.StateDone)
 
 	// Reference run: same config, same combo, direct through the system
-	// layer with only a telemetry hook attached.
+	// layer with only an observer attached.
 	combo, err := workloads.ComboByID("C1")
 	if err != nil {
 		t.Fatal(err)
@@ -51,8 +52,8 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want []obs.EpochPoint
-	if _, err := system.RunDesignObserved(context.Background(), cfg, hydro, combo, system.Hooks{
-		OnTelemetry: func(p obs.EpochPoint) { want = append(want, p) },
+	if _, err := system.RunDesignObserved(context.Background(), cfg, hydro, combo, func(p obs.EpochPoint) {
+		want = append(want, p)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -352,4 +353,42 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+}
+
+// TestEpochsCountTelemetry: a job's progress count is its telemetry
+// ring's count, so JobStatus.Epochs equals the telemetry endpoint's
+// len(points)+dropped, for a done job and for one canceled mid-run,
+// whose count includes the epoch the cancel landed on.
+func TestEpochsCountTelemetry(t *testing.T) {
+	_, ts := newTestServer(t, serve.Options{Workers: 1})
+	check := func(st serve.JobStatus) {
+		t.Helper()
+		var snap serve.TelemetrySnapshot
+		mustGetJSON(t, ts.URL+"/v1/jobs/"+st.ID+"/telemetry", &snap)
+		if n := len(snap.Points) + int(snap.Dropped); st.Epochs != n || n == 0 {
+			t.Fatalf("%s job reports %d epochs; telemetry holds %d points and dropped %d",
+				st.State, st.Epochs, len(snap.Points), snap.Dropped)
+		}
+	}
+
+	cfg := tinyConfig()
+	st, _ := submit(t, ts.URL, serve.JobRequest{Config: &cfg, Design: "Hydrogen", Combo: serve.ComboSpec{ID: "C1"}})
+	check(waitState(t, ts.URL, st.ID, serve.StateDone))
+
+	long := tinyConfig()
+	long.Cycles = 200_000_000 // far longer than the test will allow
+	st, _ = submit(t, ts.URL, serve.JobRequest{Config: &long, Design: "Baseline", Combo: serve.ComboSpec{ID: "C1"}})
+	for deadline := time.Now().Add(120 * time.Second); getJob(t, ts.URL, st.ID).Epochs == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("long job never took an epoch")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	hreq, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil)
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	check(waitState(t, ts.URL, st.ID, serve.StateCanceled))
 }

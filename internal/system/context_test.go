@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hydrogen-sim/hydrogen/internal/obs"
 	"github.com/hydrogen-sim/hydrogen/internal/workloads"
 )
 
@@ -25,7 +26,7 @@ func TestRunDesignContextDeadline(t *testing.T) {
 
 	epochs := 0
 	start := time.Now()
-	_, err = RunDesignObserved(ctx, cfg, aliases[DesignBaseline], combo, Hooks{OnEpoch: func(EpochSample) { epochs++ }})
+	_, err = RunDesignObserved(ctx, cfg, aliases[DesignBaseline], combo, func(obs.EpochPoint) { epochs++ })
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -49,7 +50,7 @@ func TestRunDesignContextCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err = RunDesignObserved(ctx, cfg, aliases[DesignBaseline], combo, Hooks{OnEpoch: func(EpochSample) { cancel() }})
+	_, err = RunDesignObserved(ctx, cfg, aliases[DesignBaseline], combo, func(obs.EpochPoint) { cancel() })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

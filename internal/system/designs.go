@@ -242,25 +242,15 @@ func (d DesignSpec) Apply(cfg *Config) (PolicyFactory, error) {
 // given workload combo.
 func RunDesign(cfg Config, design string, combo workloads.Combo) (Results, error) {
 	d, _ := ParseDesign(design, nil)
-	return RunDesignObserved(context.Background(), cfg, d, combo, Hooks{})
-}
-
-// Hooks bundles the observation callbacks a run can install. All
-// fields are optional; every hook runs on the simulation goroutine
-// between epochs and observes without perturbing results.
-type Hooks struct {
-	// OnEpoch receives every epoch's IPC sample (progress reporting).
-	OnEpoch func(EpochSample)
-	// OnTelemetry receives every epoch's full telemetry point: the
-	// (cap, bw, tok) trajectory, token-faucet and migration activity,
-	// and tier utilization (obs ring buffers, CSV artifacts).
-	OnTelemetry func(obs.EpochPoint)
+	return RunDesignObserved(context.Background(), cfg, d, combo, nil)
 }
 
 // RunDesignObserved runs one design spec on combo with cooperative
-// cancellation and the given observation hooks — the one entry point
-// that every figure run and every served job goes through.
-func RunDesignObserved(ctx context.Context, cfg Config, design DesignSpec, combo workloads.Combo, hooks Hooks) (Results, error) {
+// cancellation and an optional observer, which receives every epoch's
+// telemetry point on the simulation goroutine without perturbing
+// results — the one entry point that every figure run and every served
+// job goes through.
+func RunDesignObserved(ctx context.Context, cfg Config, design DesignSpec, combo workloads.Combo, observe func(obs.EpochPoint)) (Results, error) {
 	cfg.CPUProfiles = combo.CPUAssignment(cfg.Cores)
 	cfg.GPUProfile = combo.GPU
 	factory, err := design.Apply(&cfg)
@@ -271,11 +261,6 @@ func RunDesignObserved(ctx context.Context, cfg Config, design DesignSpec, combo
 	if err != nil {
 		return Results{}, err
 	}
-	if hooks.OnEpoch != nil {
-		sys.SetProgress(hooks.OnEpoch)
-	}
-	if hooks.OnTelemetry != nil {
-		sys.SetTelemetry(hooks.OnTelemetry)
-	}
+	sys.SetObserver(observe)
 	return sys.RunContext(ctx)
 }

@@ -226,21 +226,16 @@ type System struct {
 	epochs     []EpochSample
 	lastCPUIns uint64
 	lastGPUIns uint64
+	lastStats  hybrid.Stats // controller counters at the last epoch
 
-	// progress, when set, receives every epoch sample as it is taken;
 	// ctx, when set, is polled at epoch boundaries to cancel the run.
-	// Neither influences the simulated machine, so results stay
-	// bit-identical whether or not they are installed.
-	progress func(EpochSample)
-	ctx      context.Context
-
-	// telem, when set, receives one obs.EpochPoint per epoch: the
+	// observe, when set, receives one obs.EpochPoint per epoch: the
 	// sample's IPCs plus the policy operating point, token-faucet and
 	// migration activity, and tier utilization as deltas over the
-	// epoch. Pure observation — installing it cannot perturb results.
-	telem        func(obs.EpochPoint)
-	telemEpoch   int
-	lastHybridSt hybrid.Stats
+	// epoch. Neither influences the simulated machine, so results stay
+	// bit-identical whether or not they are installed.
+	ctx          context.Context
+	observe      func(obs.EpochPoint)
 	lastPolicySt core.Stats
 	lastFastBusy uint64
 	lastSlowBusy uint64
@@ -333,18 +328,13 @@ func (s *System) Engine() *sim.Engine { return s.eng }
 // Controller exposes the hybrid memory controller.
 func (s *System) Controller() *hybrid.Controller { return s.ctl }
 
-// SetProgress registers fn to receive every epoch sample as it is
-// recorded. fn runs on the simulation goroutine between epochs, so it
-// must return promptly; install it before Run.
-func (s *System) SetProgress(fn func(EpochSample)) { s.progress = fn }
-
-// SetTelemetry registers fn to receive one telemetry point per epoch —
+// SetObserver registers fn to receive one telemetry point per epoch —
 // the knob trajectory and contention counters Figures 8-11 visualize.
-// Like SetProgress, fn runs on the simulation goroutine between epochs
-// and must return promptly (obs.Ring.Append qualifies); install it
-// before Run. When unset the per-epoch delta bookkeeping is skipped
-// entirely, so runs without telemetry pay nothing.
-func (s *System) SetTelemetry(fn func(obs.EpochPoint)) { s.telem = fn }
+// fn runs on the simulation goroutine between epochs and must return
+// promptly (obs.Ring.Append qualifies); install it before Run. When
+// unset the policy, tier and point bookkeeping is skipped, so runs
+// without an observer pay nothing for it.
+func (s *System) SetObserver(fn func(obs.EpochPoint)) { s.observe = fn }
 
 // Run simulates the configured cycle budget and returns the results.
 func (s *System) Run() Results {
@@ -376,6 +366,11 @@ func (s *System) scheduleEpoch() {
 	s.eng.AfterCtx(s.cfg.EpochLen, s.epochTick, 0)
 }
 
+// epochTick builds the epoch's record once: the IPC sample appended to
+// the results, and the controller counters' delta over the epoch, which
+// the policy's listener and the observer's point both read. The ctx
+// check comes last, so the epoch that cancels a run is still delivered
+// to both.
 func (s *System) epochTick(_, now uint64) {
 	cpuIns := cpu.Instructions(s.cores)
 	gpuIns := cpu.Instructions(s.subslices)
@@ -388,60 +383,56 @@ func (s *System) epochTick(_, now uint64) {
 	sample.WeightedIPC = s.cfg.WeightCPU*sample.CPUIPC + s.cfg.WeightGPU*sample.GPUIPC
 	s.lastCPUIns, s.lastGPUIns = cpuIns, gpuIns
 	s.epochs = append(s.epochs, sample)
-	if s.progress != nil {
-		s.progress(sample)
-	}
-	if s.ctx != nil && s.ctx.Err() != nil {
-		s.eng.Stop() // abandon the run; RunUntil drains immediately
-		return
-	}
 
+	st := s.ctl.Stats()
+	delta := st.Delta(s.lastStats)
+	s.lastStats = st
 	if l, ok := s.ctl.Policy().(hybrid.EpochListener); ok {
 		l.OnEpoch(hybrid.EpochMetrics{
 			Now:         now,
-			Stats:       s.ctl.Stats(),
+			Stats:       delta,
 			CPUIPC:      sample.CPUIPC,
 			GPUIPC:      sample.GPUIPC,
 			WeightedIPC: sample.WeightedIPC,
 		})
 	}
-	if s.telem != nil {
+	if s.observe != nil {
 		// Captured after OnEpoch so the point reflects the climber's
 		// decision for the next epoch; the final point therefore equals
 		// the run's converged configuration.
-		s.telem(s.telemetryPoint(sample))
+		s.observe(s.epochPoint(sample, delta))
+	}
+	if s.ctx != nil && s.ctx.Err() != nil {
+		s.eng.Stop() // abandon the run; RunUntil drains immediately
+		return
 	}
 	if now < s.cfg.Cycles {
 		s.scheduleEpoch()
 	}
 }
 
-// telemetryPoint assembles the epoch's obs.EpochPoint from the deltas
-// of the controller, policy, and tier counters since the last epoch.
-func (s *System) telemetryPoint(sample EpochSample) obs.EpochPoint {
+// epochPoint assembles the epoch's obs.EpochPoint from its sample, the
+// controller's delta, and the deltas of the policy and tier counters
+// since the last epoch.
+func (s *System) epochPoint(sample EpochSample, hd hybrid.Stats) obs.EpochPoint {
 	p := obs.EpochPoint{
-		Epoch:       s.telemEpoch,
-		EndCycle:    sample.EndCycle,
-		CPUIPC:      sample.CPUIPC,
-		GPUIPC:      sample.GPUIPC,
-		WeightedIPC: sample.WeightedIPC,
-		CapWays:     -1,
-		BwGroups:    -1,
-		TokIdx:      -1,
+		Epoch:         len(s.epochs) - 1,
+		EndCycle:      sample.EndCycle,
+		CPUIPC:        sample.CPUIPC,
+		GPUIPC:        sample.GPUIPC,
+		WeightedIPC:   sample.WeightedIPC,
+		CapWays:       -1,
+		BwGroups:      -1,
+		TokIdx:        -1,
+		MigrationsCPU: hd.Migrations[0],
+		MigrationsGPU: hd.Migrations[1],
+		Bypassed:      hd.Bypasses[0] + hd.Bypasses[1],
+		Swaps:         hd.Swaps,
+		DemandCPU:     hd.Demand[0],
+		DemandGPU:     hd.Demand[1],
+		FastHitsCPU:   hd.FastHits[0],
+		FastHitsGPU:   hd.FastHits[1],
 	}
-	s.telemEpoch++
-
-	hs := s.ctl.Stats()
-	hd := hs.Delta(s.lastHybridSt)
-	s.lastHybridSt = hs
-	p.MigrationsCPU = hd.Migrations[0]
-	p.MigrationsGPU = hd.Migrations[1]
-	p.Bypassed = hd.Bypasses[0] + hd.Bypasses[1]
-	p.Swaps = hd.Swaps
-	p.DemandCPU = hd.Demand[0]
-	p.DemandGPU = hd.Demand[1]
-	p.FastHitsCPU = hd.FastHits[0]
-	p.FastHitsGPU = hd.FastHits[1]
 
 	if h, ok := s.ctl.Policy().(*core.Hydrogen); ok {
 		p.CapWays, p.BwGroups, p.TokIdx = h.Point()
