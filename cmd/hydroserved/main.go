@@ -52,10 +52,15 @@
 // promotes it into its own journal-backed queue. Any member can answer
 // any request.
 //
-// A request's X-Request-ID (client-minted, or minted here) rides every
-// proxy and failover hop, so one grep over the members' access
-// logs (-access-log) follows it; a job's status lists its timing spans
-// (queue, journal, run, cache put).
+// A request's X-Request-ID (client-minted, or minted by the first
+// daemon it reaches) rides every proxy and failover hop, so one grep
+// over the members' access logs (-access-log) follows it; a job's
+// status lists its timing spans (queue, journal, run, cache put).
+//
+// The daemon logs through one structured logger, as text or, with
+// -log-json, as JSON: job lifecycle events, access records and its own
+// lines (journal replay, drain, shutdown). -q silences the job and
+// access records; the daemon's own lines stay.
 //
 // Exit codes: 0 clean drain, 1 runtime error (bind failure, journal
 // replay failure), 2 flag error.
@@ -67,7 +72,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"log/slog"
 	"net"
 	"net/http"
@@ -129,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	logger := log.New(stderr, "hydroserved: ", log.LstdFlags)
+	logger := obs.NewLogger(stderr, *logJSON, slog.LevelInfo)
 	opts := serve.Options{
 		Workers:         *workers,
 		QueueDepth:      *queueDepth,
@@ -157,8 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if !*quiet {
-		// Lifecycle events go out as structured records (text or JSON).
-		opts.Logger = obs.NewLogger(stderr, *logJSON, slog.LevelInfo)
+		opts.Logger = logger
 	}
 	srv, err := serve.New(opts)
 	if err != nil {
@@ -166,7 +169,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if n := srv.ReplayedJobs(); n > 0 {
-		logger.Printf("journal replay re-enqueued %d interrupted job(s)", n)
+		logger.Info(fmt.Sprintf("journal replay re-enqueued %d interrupted job(s)", n))
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -191,7 +194,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		dbg := &http.Server{Handler: obs.DebugMux()}
 		go func() {
 			if err := dbg.Serve(dln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Printf("debug serve: %v", err)
+				logger.Error("debug serve", "err", err)
 			}
 		}()
 		defer dbg.Close()
@@ -211,20 +214,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case <-ctx.Done():
 	}
 	stop() // a second signal kills the process the default way
-	logger.Printf("signal received: draining (timeout %s)", *drainTO)
+	logger.Info("signal received: draining", "timeout", *drainTO)
 
 	dctx, cancel := context.WithTimeout(context.Background(), *drainTO)
 	if err := srv.Drain(dctx); err != nil {
-		logger.Printf("drain: %v", err)
+		logger.Error("drain", "err", err)
 	}
 	cancel()
 
 	sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := hs.Shutdown(sctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		logger.Printf("shutdown: %v", err)
+		logger.Error("shutdown", "err", err)
 	}
 	<-errCh // Serve has returned http.ErrServerClosed
-	logger.Printf("drained; bye")
+	logger.Info("drained; bye")
 	return 0
 }

@@ -37,16 +37,16 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 }
 
 // Middleware instruments an http.Handler: every request gets a request
-// ID (the caller's X-Request-ID, or a fresh one) echoed in the response
-// header and stored in the request context alongside a request-scoped
-// logger; the wall time of every request is observed into Latency; and
-// when AccessLog is set, one structured line per request is emitted
-// (method, path, status, bytes, duration, request ID).
+// ID (the caller's X-Request-ID, or a fresh one) set on the response
+// header, which is the ID's one carrier — a handler that forwards the
+// request reads it back from there; the wall time of every request is
+// observed into Latency; and when Logger is set, one structured access
+// record per request is emitted (request ID, method, path, status,
+// bytes, duration).
 type Middleware struct {
-	Next      http.Handler
-	Latency   *Histogram   // optional request-duration histogram (seconds)
-	Logger    *slog.Logger // base logger; nil disables access logging
-	AccessLog bool
+	Next    http.Handler
+	Latency *Histogram   // optional request-duration histogram (seconds)
+	Logger  *slog.Logger // access log; nil disables it
 }
 
 // ServeHTTP implements http.Handler.
@@ -58,27 +58,20 @@ func (m *Middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set(HeaderRequestID, reqID)
 
-	ctx := WithRequestID(r.Context(), reqID)
-	logger := m.Logger
-	if logger == nil {
-		logger = Discard()
-	}
-	reqLogger := logger.With("request_id", reqID)
-	ctx = WithLogger(ctx, reqLogger)
-
 	sw := &statusWriter{ResponseWriter: w}
-	m.Next.ServeHTTP(sw, r.WithContext(ctx))
+	m.Next.ServeHTTP(sw, r)
 
 	elapsed := time.Since(start)
 	if m.Latency != nil {
 		m.Latency.Observe(elapsed.Seconds())
 	}
-	if m.AccessLog && m.Logger != nil {
+	if m.Logger != nil {
 		status := sw.status
 		if status == 0 {
 			status = http.StatusOK
 		}
-		reqLogger.Info("http request",
+		m.Logger.Info("http request",
+			"request_id", reqID,
 			"method", r.Method,
 			"path", r.URL.Path,
 			"status", status,

@@ -10,21 +10,15 @@ import (
 )
 
 func TestMiddlewareRequestID(t *testing.T) {
-	var seenID string
 	mw := &Middleware{Next: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		seenID = RequestID(r.Context())
-		Logger(r.Context()).Info("handler ran") // discard logger; must not panic
 		w.WriteHeader(http.StatusTeapot)
 	})}
 
-	// A caller-supplied ID is propagated and echoed.
+	// A caller-supplied ID is echoed.
 	req := httptest.NewRequest(http.MethodGet, "/x", nil)
 	req.Header.Set(HeaderRequestID, "abc123")
 	rr := httptest.NewRecorder()
 	mw.ServeHTTP(rr, req)
-	if seenID != "abc123" {
-		t.Fatalf("context request ID = %q, want abc123", seenID)
-	}
 	if got := rr.Header().Get(HeaderRequestID); got != "abc123" {
 		t.Fatalf("echoed request ID = %q, want abc123", got)
 	}
@@ -32,15 +26,33 @@ func TestMiddlewareRequestID(t *testing.T) {
 		t.Fatalf("status = %d", rr.Code)
 	}
 
-	// Without one, the middleware mints a fresh ID.
+	// Without one, the middleware mints a fresh ID: 16 hex digits.
 	rr = httptest.NewRecorder()
 	mw.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/x", nil))
 	minted := rr.Header().Get(HeaderRequestID)
-	if minted == "" || minted == "abc123" {
-		t.Fatalf("minted request ID = %q", minted)
+	if len(minted) != 16 || strings.Trim(minted, "0123456789abcdef") != "" {
+		t.Fatalf("minted request ID = %q, want 16 hex digits", minted)
 	}
-	if seenID != minted {
-		t.Fatalf("context ID %q != echoed ID %q", seenID, minted)
+}
+
+// nopWriter is a ResponseWriter that allocates nothing of its own, so
+// AllocsPerRun counts only the middleware's work.
+type nopWriter struct{ h http.Header }
+
+func (w nopWriter) Header() http.Header         { return w.h }
+func (w nopWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w nopWriter) WriteHeader(int)             {}
+
+// TestMiddlewareAllocs bounds what the middleware allocates for a
+// request that brings its own ID: the status writer, plus the header
+// keys and value slice of reading the ID and echoing it.
+func TestMiddlewareAllocs(t *testing.T) {
+	mw := &Middleware{Next: http.HandlerFunc(func(http.ResponseWriter, *http.Request) {})}
+	req := httptest.NewRequest(http.MethodGet, "/x", nil)
+	req.Header.Set(HeaderRequestID, "abc123")
+	w := nopWriter{h: http.Header{}}
+	if n := testing.AllocsPerRun(100, func() { mw.ServeHTTP(w, req) }); n > 4 {
+		t.Fatalf("middleware allocates %v times per request, want <= 4", n)
 	}
 }
 
@@ -52,12 +64,12 @@ func TestMiddlewareLatencyAndAccessLog(t *testing.T) {
 		Next: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			w.Write([]byte("hello"))
 		}),
-		Latency:   lat,
-		Logger:    slog.New(slog.NewJSONHandler(&logBuf, nil)),
-		AccessLog: true,
+		Latency: lat,
+		Logger:  slog.New(slog.NewJSONHandler(&logBuf, nil)),
 	}
 	req := httptest.NewRequest(http.MethodGet, "/v1/jobs", nil)
-	mw.ServeHTTP(httptest.NewRecorder(), req)
+	rr := httptest.NewRecorder()
+	mw.ServeHTTP(rr, req)
 
 	if got := lat.Count(); got != 1 {
 		t.Fatalf("latency observations = %d, want 1", got)
@@ -70,7 +82,7 @@ func TestMiddlewareLatencyAndAccessLog(t *testing.T) {
 		line["status"] != float64(http.StatusOK) || line["bytes"] != float64(5) {
 		t.Fatalf("access log line = %v", line)
 	}
-	if line["request_id"] == "" || line["duration"] == nil {
+	if line["request_id"] != rr.Header().Get(HeaderRequestID) || line["duration"] == nil {
 		t.Fatalf("access log missing correlation fields: %v", line)
 	}
 }

@@ -1,20 +1,11 @@
 package obs
 
 import (
-	"context"
-	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"io"
 	"log/slog"
-	"sync/atomic"
-)
-
-// ctxKey keys the obs values carried in a context.
-type ctxKey int
-
-const (
-	loggerKey ctxKey = iota
-	requestIDKey
+	"math/rand/v2"
 )
 
 // NewLogger builds a slog.Logger writing to w, as JSON when jsonFormat
@@ -37,45 +28,14 @@ func Discard() *slog.Logger {
 	return slog.New(slog.DiscardHandler)
 }
 
-// WithLogger stores l in the context for handlers downstream.
-func WithLogger(ctx context.Context, l *slog.Logger) context.Context {
-	return context.WithValue(ctx, loggerKey, l)
-}
-
-// Logger extracts the context's logger, falling back to a discard
-// logger so call sites never nil-check.
-func Logger(ctx context.Context) *slog.Logger {
-	if l, ok := ctx.Value(loggerKey).(*slog.Logger); ok && l != nil {
-		return l
-	}
-	return Discard()
-}
-
-// WithRequestID stamps a request ID into the context.
-func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, requestIDKey, id)
-}
-
-// RequestID returns the context's request ID ("" when absent).
-func RequestID(ctx context.Context) string {
-	if id, ok := ctx.Value(requestIDKey).(string); ok {
-		return id
-	}
-	return ""
-}
-
-// reqCounter disambiguates IDs minted in the same process.
-var reqCounter atomic.Uint64
-
-// NewRequestID mints a short unique request ID: 8 random bytes, hex.
-// Falls back to a process-local counter if the OS entropy source fails.
+// NewRequestID mints a short unique request ID: 64 random bits as 16
+// zero-padded hex digits. An ID only has to be unique, not secret, so
+// it comes from math/rand/v2's per-thread generator and costs no
+// syscall.
 func NewRequestID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		n := reqCounter.Add(1)
-		for i := range b {
-			b[i] = byte(n >> (8 * i))
-		}
-	}
-	return hex.EncodeToString(b[:])
+	var raw [8]byte
+	binary.BigEndian.PutUint64(raw[:], rand.Uint64())
+	var id [16]byte
+	hex.Encode(id[:], raw[:])
+	return string(id[:])
 }

@@ -1,8 +1,8 @@
 // Package obs is the observability layer: per-epoch telemetry capture
 // into bounded ring buffers, lightweight span tracing, a small metrics
 // registry (counters, gauges, fixed-bucket histograms) rendered in
-// Prometheus text exposition format, structured logging helpers over
-// log/slog with request/job-ID correlation, and an opt-in debug mux
+// Prometheus text exposition format, a log/slog constructor, the HTTP
+// middleware that mints and echoes request IDs, and an opt-in debug mux
 // (net/http/pprof + runtime metrics).
 //
 // The package deliberately imports nothing from the simulator, so every
@@ -15,7 +15,7 @@
 package obs
 
 import (
-	"fmt"
+	"encoding/csv"
 	"io"
 	"strconv"
 	"sync"
@@ -153,9 +153,10 @@ func CSVHeader() []string { return append([]string(nil), csvHeader...) }
 // followed by one row per epoch. Floats use the shortest round-trip
 // representation.
 func WriteCSV(w io.Writer, points []EpochPoint) error {
-	if err := writeRow(w, csvHeader); err != nil {
-		return err
-	}
+	cw := csv.NewWriter(w)
+	// A failed write sticks in cw's buffer, so one Error after the
+	// Flush reports it.
+	_ = cw.Write(csvHeader)
 	row := make([]string, len(csvHeader))
 	for _, p := range points {
 		row[0] = strconv.Itoa(p.Epoch)
@@ -178,32 +179,10 @@ func WriteCSV(w io.Writer, points []EpochPoint) error {
 		row[17] = strconv.FormatUint(p.FastHitsGPU, 10)
 		row[18] = formatFloat(p.FastUtil)
 		row[19] = formatFloat(p.SlowUtil)
-		if err := writeRow(w, row); err != nil {
-			return err
-		}
+		_ = cw.Write(row)
 	}
-	return nil
-}
-
-func writeRow(w io.Writer, fields []string) error {
-	for i, f := range fields {
-		if i > 0 {
-			if _, err := io.WriteString(w, ","); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, f); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "\n")
-	return err
+	cw.Flush()
+	return cw.Error()
 }
 
 func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-
-// String renders a compact one-line summary for logs.
-func (p EpochPoint) String() string {
-	return fmt.Sprintf("epoch %d @%d wIPC=%.3f point=(%d,%d,%d)",
-		p.Epoch, p.EndCycle, p.WeightedIPC, p.CapWays, p.BwGroups, p.TokIdx)
-}

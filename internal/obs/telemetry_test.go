@@ -222,4 +222,20 @@ func TestWriteCSV(t *testing.T) {
 	if rows != len(pts) {
 		t.Fatalf("wrote %d rows, want %d", rows, len(pts))
 	}
+
+	// The exact bytes: integers in decimal, floats in their shortest
+	// round-trip form, a negative knob as -1, and LF line endings.
+	buf.Reset()
+	p := point(2)
+	p.CPUIPC, p.CapWays, p.BwGroups, p.TokIdx = 1.0/3, -1, -1, -1
+	if err := WriteCSV(&buf, []EpochPoint{p}); err != nil {
+		t.Fatal(err)
+	}
+	const wantCSV = "epoch,end_cycle,cpu_ipc,gpu_ipc,weighted_ipc,cap_ways,bw_groups,tok_idx," +
+		"tokens_granted,tokens_denied,migrations_cpu,migrations_gpu,bypassed,swaps," +
+		"demand_cpu,demand_gpu,fast_hits_cpu,fast_hits_gpu,fast_util,slow_util\n" +
+		"2,3000,0.3333333333333333,1.5,0.75,-1,-1,-1,10,3,7,2,1,4,100,900,80,500,0.625,0.25\n"
+	if got := buf.String(); got != wantCSV {
+		t.Fatalf("WriteCSV bytes:\n%q\nwant\n%q", got, wantCSV)
+	}
 }

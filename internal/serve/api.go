@@ -105,23 +105,22 @@ func (c *ComboSpec) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// resolve expands the spec to a runnable combo plus its canonical form:
-// a bare known ID becomes the full Table II definition, so "C1" and the
-// equivalent inline spec hash to the same cache key.
-func (c ComboSpec) resolve() (workloads.Combo, ComboSpec, error) {
+// resolve returns the spec's canonical form, which converts to the
+// runnable workloads.Combo: a bare known ID becomes the full Table II
+// definition, so "C1" and the equivalent inline spec hash to the same
+// cache key.
+func (c ComboSpec) resolve() (ComboSpec, error) {
 	if len(c.CPU) == 0 && c.GPU == "" {
 		combo, err := workloads.ComboByID(c.ID)
 		if err != nil {
-			return workloads.Combo{}, c, err
+			return c, err
 		}
-		return combo, ComboSpec{ID: combo.ID, CPU: combo.CPU, GPU: combo.GPU}, nil
+		return ComboSpec(combo), nil
 	}
-	id := c.ID
-	if id == "" {
-		id = "custom"
+	if c.ID == "" {
+		c.ID = "custom"
 	}
-	combo := workloads.Combo{ID: id, CPU: c.CPU, GPU: c.GPU}
-	return combo, ComboSpec{ID: id, CPU: c.CPU, GPU: c.GPU}, nil
+	return c, nil
 }
 
 // Duration wraps time.Duration for the wire: it marshals as a Go

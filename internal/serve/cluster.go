@@ -289,7 +289,7 @@ func (s *Server) peerFill(sub *submission, body []byte) {
 // promoted into the local journal-backed queue and re-run.
 func (s *Server) clusterGet(w http.ResponseWriter, r *http.Request, id string) {
 	cl := s.cl
-	reqID := r.Header.Get(obs.HeaderRequestID)
+	reqID := w.Header().Get(obs.HeaderRequestID)
 	for i, m := range cl.router.Rank(id) {
 		if m.ID == cl.cfg.Self {
 			break

@@ -544,7 +544,8 @@ func (w *syncWriter) String() string {
 // TestClusterRequestIDPropagation: a submission carrying an X-Request-ID
 // through a non-owner appears under that SAME request ID in both the
 // front's and the owner's access logs, so one grep correlates the hop
-// chain.
+// chain. A submission sent without one is logged by the owner under
+// the ID the front minted and echoed, not under a second one.
 func TestClusterRequestIDPropagation(t *testing.T) {
 	logs := make([]*syncWriter, 3)
 	tc := newTestCluster(t, 3, func(i int, o *serve.Options) {
@@ -552,6 +553,28 @@ func TestClusterRequestIDPropagation(t *testing.T) {
 		o.AccessLog = true
 		o.Logger = obs.NewLogger(logs[i], true, slog.LevelInfo)
 	})
+	// waitLogged waits for id to reach the access logs of members; the
+	// access line lands after the handler returns.
+	waitLogged := func(id string, members ...int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			missing := -1
+			for _, i := range members {
+				if !strings.Contains(logs[i].String(), id) {
+					missing = i
+					break
+				}
+			}
+			if missing < 0 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("request ID %s missing from member %d's access log", id, missing)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
 	cfg := tinyConfig()
 	req := serve.JobRequest{Config: &cfg, Design: "Hydrogen", Combo: serve.ComboSpec{ID: "C1"}}
 	key := jobKey(t, req)
@@ -563,18 +586,30 @@ func TestClusterRequestIDPropagation(t *testing.T) {
 		t.Fatalf("submit: HTTP %d", code)
 	}
 	waitState(t, tc.urls[front], key, serve.StateDone)
+	waitLogged(reqID, front, owner)
 
-	// The access line lands after the handler returns; give each log a
-	// beat to flush.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if strings.Contains(logs[front].String(), reqID) && strings.Contains(logs[owner].String(), reqID) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("request ID %s missing from access logs: front has it %v, owner has it %v",
-				reqID, strings.Contains(logs[front].String(), reqID), strings.Contains(logs[owner].String(), reqID))
-		}
-		time.Sleep(20 * time.Millisecond)
+	// No ID on the way in: the front mints one, echoes it, and forwards
+	// that same ID to the owner.
+	req.Seed = 7
+	key = jobKey(t, req)
+	owner = tc.ownerIdx(t, key)
+	front = (owner + 1) % 3
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
 	}
+	resp, err := http.Post(tc.urls[front]+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit without ID: HTTP %d", resp.StatusCode)
+	}
+	minted := resp.Header.Get(obs.HeaderRequestID)
+	if minted == "" {
+		t.Fatal("front echoed no request ID")
+	}
+	waitState(t, tc.urls[front], key, serve.StateDone)
+	waitLogged(minted, front, owner)
 }

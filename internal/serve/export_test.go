@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 
 	"github.com/hydrogen-sim/hydrogen/internal/system"
+	"github.com/hydrogen-sim/hydrogen/internal/workloads"
 )
 
 // CacheKeyUnderModel is CacheKey as a binary simulating another model
@@ -33,7 +34,7 @@ func (s *Server) LegacyStatusJSON(id string, hit bool) ([]byte, bool) {
 	if st.State != StateDone {
 		return nil, false
 	}
-	res, err := system.RunDesignObserved(context.Background(), j.cfg, j.design, j.combo, nil)
+	res, err := system.RunDesignObserved(context.Background(), j.cfg, j.design, workloads.Combo(j.spec), nil)
 	if err != nil {
 		return nil, false
 	}

@@ -29,7 +29,6 @@ import (
 
 	"github.com/hydrogen-sim/hydrogen/internal/obs"
 	"github.com/hydrogen-sim/hydrogen/internal/system"
-	"github.com/hydrogen-sim/hydrogen/internal/workloads"
 )
 
 // submission is a fully resolved request to run one simulation: what
@@ -39,12 +38,12 @@ type submission struct {
 	id      string // content address: specKey(model, cfg, design, spec)
 	cfg     system.Config
 	design  system.DesignSpec
-	combo   workloads.Combo
-	spec    ComboSpec
+	spec    ComboSpec     // canonical form; workloads.Combo(spec) is what runs
 	timeout time.Duration // execution deadline, 0 = none
 
-	// reqID is the original request's X-Request-ID, kept across proxy
-	// and failover hops so every node's logs join up.
+	// reqID is the original request's X-Request-ID — the caller's, or
+	// the one this daemon minted — kept across proxy and failover hops
+	// so every node's logs join up.
 	reqID string
 
 	// replayed marks a job coming back from this daemon's own journal:

@@ -242,12 +242,11 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /livez", s.handleLivez)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.handler = &obs.Middleware{
-		Next:      s.mux,
-		Latency:   s.m.httpSeconds,
-		Logger:    s.log,
-		AccessLog: opts.AccessLog,
+	mw := &obs.Middleware{Next: s.mux, Latency: s.m.httpSeconds}
+	if opts.AccessLog {
+		mw.Logger = s.log
 	}
+	s.handler = mw
 
 	if err := s.recover(); err != nil {
 		return nil, err
@@ -323,7 +322,7 @@ func (s *Server) recover() error {
 			s.synthesizeDone(sub, data)
 			continue
 		}
-		if sub.combo, sub.spec, err = rec.Combo.resolve(); err != nil {
+		if sub.spec, err = rec.Combo.resolve(); err != nil {
 			s.logj(rec.ID, "not replayed", "err", err)
 			continue
 		}
@@ -387,14 +386,14 @@ func (s *Server) resolveRequest(req *JobRequest) (submission, error) {
 	if sub.design, err = system.ParseDesign(req.Design, req.Hydrogen); err != nil {
 		return sub, err
 	}
-	if sub.combo, sub.spec, err = req.Combo.resolve(); err != nil {
+	if sub.spec, err = req.Combo.resolve(); err != nil {
 		return sub, err
 	}
 	// Validate the machine the run will build, so a bad shape is a 400
 	// here rather than a worker panic or a silently GPU-less run later.
 	probe := sub.cfg
-	probe.CPUProfiles = sub.combo.CPUAssignment(probe.Cores)
-	probe.GPUProfile = sub.combo.GPU
+	probe.CPUProfiles = workloads.Combo(sub.spec).CPUAssignment(probe.Cores)
+	probe.GPUProfile = sub.spec.GPU
 	if _, err := sub.design.Apply(&probe); err != nil {
 		return sub, err
 	}
@@ -420,7 +419,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad job payload: %v", err)
 		return
 	}
-	if s.fastHit(w, body) {
+	sum := sha256.Sum256(body)
+	if s.fastHit(w, sum) {
 		return
 	}
 	var req JobRequest
@@ -437,8 +437,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad job payload: %v", err)
 		return
 	}
-	sub.reqID = r.Header.Get(obs.HeaderRequestID)
-	s.rememberBody(body, sub.id)
+	sub.reqID = w.Header().Get(obs.HeaderRequestID)
+	s.rememberBody(sum, sub.id)
 	s.m.submitted.Add(1)
 
 	s.mu.Lock()
@@ -529,13 +529,13 @@ func (s *Server) answerExisting(w http.ResponseWriter, j *job) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// fastHit answers a POST whose raw body bytes hash to a known completed
-// job: the dominant traffic of a warmed-up sweep skips JSON decode and
-// config canonicalization entirely and is served from the memoized
-// response — the sub-millisecond submit hit path.
-func (s *Server) fastHit(w http.ResponseWriter, body []byte) bool {
+// fastHit answers a POST whose raw body bytes hash (sum) to a known
+// completed job: the dominant traffic of a warmed-up sweep skips JSON
+// decode and config canonicalization entirely and is served from the
+// memoized response — the sub-millisecond submit hit path.
+func (s *Server) fastHit(w http.ResponseWriter, sum [sha256.Size]byte) bool {
 	s.reqMu.Lock()
-	id, ok := s.reqMemo[sha256.Sum256(body)]
+	id, ok := s.reqMemo[sum]
 	s.reqMu.Unlock()
 	if !ok {
 		return false
@@ -555,10 +555,9 @@ func (s *Server) fastHit(w http.ResponseWriter, body []byte) bool {
 	return true
 }
 
-// rememberBody memoizes sha256(body) → job ID so an identical
+// rememberBody memoizes a body's sha256 sum → job ID so an identical
 // resubmission takes the fast path. FIFO-bounded at reqMemoMax.
-func (s *Server) rememberBody(body []byte, id string) {
-	sum := sha256.Sum256(body)
+func (s *Server) rememberBody(sum [sha256.Size]byte, id string) {
 	s.reqMu.Lock()
 	defer s.reqMu.Unlock()
 	if _, ok := s.reqMemo[sum]; ok {
@@ -741,7 +740,7 @@ func (s *Server) simulate(ctx context.Context, j *job, observe func(obs.EpochPoi
 			panicked = true
 		}
 	}()
-	res, err = system.RunDesignObserved(ctx, j.cfg, j.design, j.combo, observe)
+	res, err = system.RunDesignObserved(ctx, j.cfg, j.design, workloads.Combo(j.spec), observe)
 	return res, err, false
 }
 
