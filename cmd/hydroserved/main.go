@@ -44,18 +44,18 @@
 //
 // With -peers set (a static "id=url,..." member list including this
 // daemon, named by -self), N daemons form one deduplicating simulation
-// tier: content-addressed job IDs route to a rendezvous-hash owner,
-// non-owners proxy submissions and polls to it and fill their local
-// caches from peer responses (a hit anywhere is a hit everywhere, with
-// identical result bytes and ETag), a job runs only on its owner, and
-// when a member dies mid-job the daemon that forwarded the submission
-// promotes it into its own journal-backed queue. Any member can answer
-// any request.
+// tier: content-addressed job IDs route to a rendezvous-hash owner, and
+// a job runs only on its owner. Every other member is a stateless
+// relay for the job: it forwards submissions and polls to the owner
+// and relays the answer verbatim (same status, result bytes and ETag),
+// so any member can answer any request. While the owner cannot be
+// reached the relay answers 503 with Retry-After and keeps nothing;
+// the restarted owner replays its journal and answers again.
 //
-// A request's X-Request-ID (client-minted, or minted by the first
-// daemon it reaches) rides every proxy and failover hop, so one grep
-// over the members' access logs (-access-log) follows it; a job's
-// status lists its timing spans (queue, journal, run, cache put).
+// A request's X-Request-Id (client-minted, or minted by the first
+// daemon it reaches) rides the relay hop, so one grep over the
+// members' access logs (-access-log) follows it; a job's status lists
+// its timing spans (queue, journal, run, cache put).
 //
 // The daemon logs through one structured logger, as text or, with
 // -log-json, as JSON: job lifecycle events, access records and its own
@@ -112,7 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		debugAddr   = fs.String("debug-addr", "", "separate listener for /debug/pprof and /debug/runtimez (e.g. 127.0.0.1:6060); empty disables")
 		peers       = fs.String("peers", "", `static cluster member list as "id=url,id=url,..." including this daemon; empty runs standalone`)
 		self        = fs.String("self", "", "this daemon's member ID within -peers (required with -peers)")
-		peerProbe   = fs.Duration("peer-probe", 2*time.Second, "peer health probe interval")
 		maxJournal  = fs.Int64("max-journal-bytes", 0, "compact the journal in place once it grows past this many bytes (0 disables)")
 		diskLow     = fs.Int64("disk-low-watermark", 0, "free-bytes floor on the journal/cache filesystem: below 2x prune spills, below 1x reject durable submits with 503 (0 disables)")
 	)
@@ -154,7 +153,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "hydroserved: %v\n", err)
 			return 2
 		}
-		ccfg.ProbeInterval = *peerProbe
 		opts.Cluster = ccfg
 	} else if *self != "" {
 		fmt.Fprintf(stderr, "hydroserved: -self requires -peers\n")

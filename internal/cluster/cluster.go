@@ -1,5 +1,7 @@
 // Package cluster turns N hydroserved daemons into one deduplicating
-// simulation tier. It provides the pieces the serving layer composes:
+// simulation tier in which every job has one owner and every other
+// member relays to it. It provides the pieces the serving layer
+// composes:
 //
 //   - Membership: a static peer list (operator-chosen IDs + base URLs)
 //     with a designated self, parsed from the -peers flag.
@@ -8,13 +10,9 @@
 //     way-placement scheme (internal/chash, Section IV-D) reused for
 //     cluster placement, so adding or removing a peer relocates each
 //     job to at most one new owner.
-//   - PeerClient: the cluster-internal HTTP client for proxying
-//     submissions and polls to a job's owner and probing /v1/peerz.
-//   - Prober: a background health loop maintaining a live view of
-//     every peer's reachability, which drives failover.
-//   - Breaker: a per-peer circuit breaker that short-circuits calls to
-//     a peer that keeps failing.
-//   - Metrics: the hydro_cluster_* counter/gauge family.
+//   - PeerClient: the cluster-internal HTTP client that relays
+//     submissions and polls to a job's owner.
+//   - Metrics: the two hydro_cluster_* relay counters.
 //
 // The package is deliberately wire-agnostic about job payloads: proxied
 // bodies pass through as raw bytes, so cluster has no dependency on
@@ -24,7 +22,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -44,44 +41,17 @@ type Config struct {
 	// Members is the full static member list, self included.
 	Members []Member
 
-	// ProbeInterval is the peer health-probe cadence; <=0 selects 2s.
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one /v1/peerz probe; <=0 selects half the
-	// probe interval (capped at 2s).
-	ProbeTimeout time.Duration
-	// ProxyTimeout bounds one proxied submit or GET to a peer; <=0
-	// selects 15s.
+	// ProxyTimeout bounds one relayed submit or GET to a job's owner;
+	// <=0 selects 15s.
 	ProxyTimeout time.Duration
-	// StealInterval is ignored: a job runs only on its owner, or on the
-	// front that promotes it. The field remains so callers that still
-	// set it compile.
+	// StealInterval is ignored: a job runs only on its owner. The field
+	// remains so callers that still set it compile.
 	StealInterval time.Duration
-}
-
-// withDefaults fills the zero knobs.
-func (c *Config) withDefaults() {
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 2 * time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = c.ProbeInterval / 2
-		if c.ProbeTimeout > 2*time.Second {
-			c.ProbeTimeout = 2 * time.Second
-		}
-		// A tight probe interval must not imply a timeout so short that
-		// a loaded-but-healthy peer flaps dead on fsync jitter.
-		if c.ProbeTimeout < 500*time.Millisecond {
-			c.ProbeTimeout = 500 * time.Millisecond
-		}
-	}
-	if c.ProxyTimeout <= 0 {
-		c.ProxyTimeout = 15 * time.Second
-	}
 }
 
 // Validate checks the member list: self present, at least two members,
 // and no duplicate IDs or URLs. It also normalizes URLs (trailing
-// slashes stripped) and applies defaults to the timing knobs.
+// slashes stripped) and applies the ProxyTimeout default.
 func (c *Config) Validate() error {
 	if c.Self == "" {
 		return fmt.Errorf("cluster: no self ID configured")
@@ -121,7 +91,9 @@ func (c *Config) Validate() error {
 	if !selfSeen {
 		return fmt.Errorf("cluster: self ID %q is not in the member list", c.Self)
 	}
-	c.withDefaults()
+	if c.ProxyTimeout <= 0 {
+		c.ProxyTimeout = 15 * time.Second
+	}
 	return nil
 }
 
@@ -144,16 +116,4 @@ func ParsePeers(spec, self string) (*Config, error) {
 		return nil, err
 	}
 	return cfg, nil
-}
-
-// Peers returns the member list without self, in ID order.
-func (c *Config) Peers() []Member {
-	out := make([]Member, 0, len(c.Members)-1)
-	for _, m := range c.Members {
-		if m.ID != c.Self {
-			out = append(out, m)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }

@@ -5,21 +5,18 @@ import "github.com/hydrogen-sim/hydrogen/internal/chash"
 // Router places content-addressed job IDs onto members by rendezvous
 // hashing. Every peer computes the same ranking from the same static
 // member list, so ownership needs no coordination: the highest-ranked
-// member owns the job, and the rest of the ranking is the failover
-// order when owners die.
+// member owns the job, and only the owner ever runs it.
 type Router struct {
-	members []Member
-	ids     []string
-	byID    map[string]Member
+	ids  []string
+	byID map[string]Member
 }
 
 // NewRouter builds a router over the full member list (self included —
 // ownership is a property of the job, not of who is asking).
 func NewRouter(members []Member) *Router {
 	r := &Router{
-		members: append([]Member(nil), members...),
-		ids:     make([]string, len(members)),
-		byID:    make(map[string]Member, len(members)),
+		ids:  make([]string, len(members)),
+		byID: make(map[string]Member, len(members)),
 	}
 	for i, m := range members {
 		r.ids[i] = m.ID
@@ -29,7 +26,7 @@ func NewRouter(members []Member) *Router {
 }
 
 // Rank returns the members ordered by descending rendezvous score for
-// jobID: the head is the owner, the tail the failover order.
+// jobID; the head is the owner.
 func (r *Router) Rank(jobID string) []Member {
 	ranked := chash.RankStrings(jobID, r.ids)
 	out := make([]Member, len(ranked))
@@ -39,13 +36,9 @@ func (r *Router) Rank(jobID string) []Member {
 	return out
 }
 
-// Owner returns the member that owns jobID.
+// Owner returns the member that owns jobID, the head of Rank(jobID),
+// without building the ranking.
 func (r *Router) Owner(jobID string) Member {
 	id, _ := chash.OwnerString(jobID, r.ids)
 	return r.byID[id]
-}
-
-// Owns reports whether memberID is the owner of jobID.
-func (r *Router) Owns(memberID, jobID string) bool {
-	return r.Owner(jobID).ID == memberID
 }

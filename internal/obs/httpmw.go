@@ -10,8 +10,11 @@ import (
 )
 
 // HeaderRequestID is the request-ID header the middleware reads and
-// echoes, and the client propagates.
-const HeaderRequestID = "X-Request-ID"
+// echoes, and the client propagates. It is spelled in Go's canonical
+// form, so Header.Get and Header.Set use it as is instead of
+// canonicalizing it into a fresh string on every call; net/http sends
+// the canonical form on the wire either way.
+const HeaderRequestID = "X-Request-Id"
 
 // statusWriter records the status code and body bytes a handler wrote.
 type statusWriter struct {
@@ -37,7 +40,7 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 }
 
 // Middleware instruments an http.Handler: every request gets a request
-// ID (the caller's X-Request-ID, or a fresh one) set on the response
+// ID (the caller's X-Request-Id, or a fresh one) set on the response
 // header, which is the ID's one carrier — a handler that forwards the
 // request reads it back from there; the wall time of every request is
 // observed into Latency; and when Logger is set, one structured access

@@ -44,15 +44,16 @@ func (w nopWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w nopWriter) WriteHeader(int)             {}
 
 // TestMiddlewareAllocs bounds what the middleware allocates for a
-// request that brings its own ID: the status writer, plus the header
-// keys and value slice of reading the ID and echoing it.
+// request that brings its own ID: the status writer and the value slice
+// of echoing the ID. The header name is canonical, so neither reading
+// nor echoing it allocates a key.
 func TestMiddlewareAllocs(t *testing.T) {
 	mw := &Middleware{Next: http.HandlerFunc(func(http.ResponseWriter, *http.Request) {})}
 	req := httptest.NewRequest(http.MethodGet, "/x", nil)
 	req.Header.Set(HeaderRequestID, "abc123")
 	w := nopWriter{h: http.Header{}}
-	if n := testing.AllocsPerRun(100, func() { mw.ServeHTTP(w, req) }); n > 4 {
-		t.Fatalf("middleware allocates %v times per request, want <= 4", n)
+	if n := testing.AllocsPerRun(100, func() { mw.ServeHTTP(w, req) }); n > 2 {
+		t.Fatalf("middleware allocates %v times per request, want <= 2", n)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // are kept only because the benchmark module (bench/serve.go) still
 // compiles against them: it times a POST hit carrying this header. The
 // daemon ignores the header — no code in this module reads it — and
-// X-Request-ID is the one identity a request keeps across hops. They go
+// X-Request-Id is the one identity a request keeps across hops. They go
 // when that benchmark leg does.
 const HeaderTrace = "X-Hydro-Trace"
 

@@ -33,26 +33,20 @@
 //	GET    /v1/designs             design names
 //	GET    /v1/combos              Table II combo IDs
 //	GET    /livez                  liveness: 200 while the process serves
-//	GET    /readyz                 readiness: 503 while draining or replaying;
-//	                               clustered daemons stay 200 with
-//	                               degraded:true + per-peer state when a
-//	                               peer is unreachable
+//	GET    /readyz                 readiness: 503 while draining or replaying
 //	GET    /metrics                Prometheus text format
-//	GET    /v1/peerz               cluster only: self id and readiness +
-//	                               this daemon's view of every peer
 //
 // Clustering (Options.Cluster): N daemons with a static member list
 // form one deduplicating tier. Content-addressed job IDs route to a
-// rendezvous-hash owner (internal/chash); non-owners proxy submissions
-// and polls to it (loop-guarded by X-Hydro-Forwarded) and fill their
-// local caches from peer responses, so a hit anywhere is a hit
-// everywhere with identical result bytes and ETag. A relayed response
-// carries the owner's status, body, ETag and Retry-After and nothing
-// else, so a client cannot tell which member answered and need not
-// care. A job runs only on its owner; when the owner dies
-// mid-job, the daemon that forwarded the submission promotes the job
-// into its own journal-backed queue — the 202-implies-replayable
-// contract survives owner loss.
+// rendezvous-hash owner (internal/chash), and only the owner runs a
+// job. Every other member is a stateless relay for it: submissions and
+// polls go to the owner (loop-guarded by X-Hydro-Forwarded), and the
+// relayed response carries the owner's status, body, ETag and
+// Retry-After and nothing else, so a client cannot tell which member
+// answered and need not care. While the owner cannot be reached the
+// relay answers 503 + Retry-After and keeps nothing; the 202 a client
+// holds is the owner's journal's promise, kept when the owner
+// restarts and replays.
 //
 // Crash safety: with Options.JournalPath set, every accepted job is
 // recorded in an append-only CRC-framed journal (internal/journal)
@@ -226,8 +220,8 @@ type JobStatus struct {
 
 	// Spans are the job's finished timing intervals (queue wait, journal
 	// start record, the run itself, cache put, journal terminal record),
-	// in completion order. They are not journaled, so a replayed or
-	// promoted job lists only the spans recorded since.
+	// in completion order. They are not journaled, so a replayed job
+	// lists only the spans recorded since.
 	Spans []obs.SpanRecord `json:"spans,omitempty"`
 
 	Result json.RawMessage `json:"result,omitempty"`

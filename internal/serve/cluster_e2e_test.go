@@ -1,10 +1,9 @@
 package serve_test
 
 // Three-node in-process cluster tests: single simulation cluster-wide,
-// identical ETag/result bytes from every peer, journal-backed failover
-// when the owner is killed mid-job, a saturated owner keeping its own
-// jobs, the degraded /readyz surface, and one request ID across a proxy
-// hop.
+// identical ETag/result bytes from every member, a saturated owner
+// keeping its own jobs, the relay's 503 while a job's owner is down,
+// and one request ID across a relay hop.
 
 import (
 	"bytes"
@@ -12,11 +11,12 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"regexp"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -33,51 +33,13 @@ import (
 
 // testCluster is n hydroserved daemons wired into one peer group.
 // Listeners are reserved before the servers are built — every member
-// needs the full URL list up front. Each member's handler sits behind
-// a gate, open unless a test shuts it.
+// needs the full URL list up front.
 type testCluster struct {
 	ids     []string
 	urls    []string
+	opts    []serve.Options
 	servers []*serve.Server
 	https   []*httptest.Server
-	gates   []*gate
-}
-
-// gate holds every request to one member while shut, so a test can
-// turn the member into a listener that accepts and never answers —
-// what a SIGSTOPped process looks like from the other side.
-type gate struct {
-	mu   sync.Mutex
-	shut chan struct{} // non-nil while shut; closed to release
-}
-
-func (g *gate) close() {
-	g.mu.Lock()
-	if g.shut == nil {
-		g.shut = make(chan struct{})
-	}
-	g.mu.Unlock()
-}
-
-func (g *gate) open() {
-	g.mu.Lock()
-	if g.shut != nil {
-		close(g.shut)
-		g.shut = nil
-	}
-	g.mu.Unlock()
-}
-
-func (g *gate) wrap(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		g.mu.Lock()
-		shut := g.shut
-		g.mu.Unlock()
-		if shut != nil {
-			<-shut
-		}
-		h.ServeHTTP(w, r)
-	})
 }
 
 func newTestCluster(t *testing.T, n int, optsFn func(i int, o *serve.Options)) *testCluster {
@@ -98,11 +60,9 @@ func newTestCluster(t *testing.T, n int, optsFn func(i int, o *serve.Options)) *
 			Workers:     2,
 			JournalPath: filepath.Join(t.TempDir(), "journal"),
 			Cluster: &cluster.Config{
-				Self:          tc.ids[i],
-				Members:       append([]cluster.Member(nil), members...),
-				ProbeInterval: 50 * time.Millisecond,
-				ProbeTimeout:  2 * time.Second,
-				ProxyTimeout:  10 * time.Second,
+				Self:         tc.ids[i],
+				Members:      append([]cluster.Member(nil), members...),
+				ProxyTimeout: 10 * time.Second,
 			},
 		}
 		if optsFn != nil {
@@ -112,21 +72,46 @@ func newTestCluster(t *testing.T, n int, optsFn func(i int, o *serve.Options)) *
 		if err != nil {
 			t.Fatal(err)
 		}
+		tc.opts = append(tc.opts, opts)
 		tc.servers = append(tc.servers, srv)
-		tc.gates = append(tc.gates, &gate{})
-		tc.https[i].Config.Handler = tc.gates[i].wrap(srv)
+		tc.https[i].Config.Handler = srv
 		tc.https[i].Start()
 	}
 	t.Cleanup(func() {
-		for _, g := range tc.gates {
-			g.open() // a held request would stall Close forever
-		}
 		for i := range tc.servers {
 			tc.https[i].Close()
 			tc.servers[i].Close()
 		}
 	})
 	return tc
+}
+
+// kill is the in-process kill -9 of member i: journal detached with no
+// terminal records, listener and connections gone.
+func (tc *testCluster) kill(i int) {
+	tc.servers[i].Crash()
+	tc.https[i].CloseClientConnections()
+	tc.https[i].Close()
+}
+
+// restart boots member i again on its journal and at its old address,
+// as a supervisor restarting the killed process would.
+func (tc *testCluster) restart(t *testing.T, i int) {
+	t.Helper()
+	ln, err := net.Listen("tcp", strings.TrimPrefix(tc.urls[i], "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.New(tc.opts[i])
+	if err != nil {
+		ln.Close()
+		t.Fatal(err)
+	}
+	ts := httptest.NewUnstartedServer(srv)
+	ts.Listener.Close()
+	ts.Listener = ln
+	ts.Start()
+	tc.servers[i], tc.https[i] = srv, ts
 }
 
 // jobKey computes the content address the cluster routes by, so tests
@@ -265,9 +250,8 @@ func TestClusterSingleSimulation(t *testing.T) {
 	}
 	if started != 1 {
 		for i, srv := range tc.servers {
-			t.Logf("peer %s (owner=%v front=%v): enqueued=%d promoted=%d",
-				tc.ids[i], i == owner, i == front, srv.SimulationsStarted(),
-				metric(t, tc.urls[i], "hydro_cluster_promoted_jobs_total"))
+			t.Logf("peer %s (owner=%v front=%v): started=%d",
+				tc.ids[i], i == owner, i == front, srv.SimulationsStarted())
 		}
 		t.Fatalf("cluster ran %d simulations, want 1", started)
 	}
@@ -312,101 +296,86 @@ func TestClusterSingleSimulation(t *testing.T) {
 	if started != 1 {
 		t.Fatalf("after resubmissions the cluster ran %d simulations, want 1", started)
 	}
-	// The front proxied at least one submission and filled its cache
-	// from the peer response.
-	if n := metric(t, tc.urls[front], "hydro_cluster_proxied_submits_total"); n < 1 {
-		t.Fatalf("front proxied %d submissions, want >=1", n)
-	}
-	if n := metric(t, tc.urls[front], "hydro_cluster_peer_fills_total"); n < 1 {
-		t.Fatalf("front recorded %d peer fills, want >=1", n)
+	// The front relayed its first submission and its resubmission.
+	if n := metric(t, tc.urls[front], "hydro_cluster_proxied_submits_total"); n != 2 {
+		t.Fatalf("front relayed %d submissions, want 2", n)
 	}
 }
 
-// TestClusterFailoverOwnerKill kills the owner mid-job (journal
-// detached without terminal records, listener closed — the in-process
-// kill -9) and asserts the front promotes the forwarded job into its
-// own journal-backed queue and finishes it, that the other survivor
-// serves the same bytes, and that /readyz reports the cluster degraded.
-func TestClusterFailoverOwnerKill(t *testing.T) {
+// TestClusterRelayOwnerDown is the relay's failure contract: while a
+// job's owner cannot be reached, another member answers a POST and a
+// GET for it with 503 + Retry-After (never 404 or 202), starts no
+// simulation and journals nothing; once the owner restarts on its
+// journal, the same GET through that member returns the job done, with
+// the owner's ETag and result bytes.
+func TestClusterRelayOwnerDown(t *testing.T) {
 	tc := newTestCluster(t, 3, nil)
 	cfg := tinyConfig()
 	req := serve.JobRequest{Config: &cfg, Design: "Hydrogen", Combo: serve.ComboSpec{ID: "C2"}}
 	key := jobKey(t, req)
-	// The front is ranked right below the owner, so the third member's
-	// GET chase (owner, then front) reaches the promoted job; a member
-	// ranked above the front stops at itself and answers 404.
-	rank := chash.RankStrings(key, tc.ids)
-	owner, front, other := slices.Index(tc.ids, rank[0]), slices.Index(tc.ids, rank[1]), slices.Index(tc.ids, rank[2])
+	owner := tc.ownerIdx(t, key)
+	front := (owner + 1) % 3
 
-	// Hold the owner's worker for a while so the kill lands mid-job.
+	// Hold the owner's worker so the kill lands mid-job and the
+	// restarted owner replays the job from its journal.
 	faultinject.Set(faultinject.SlowWorker, 1, 2000)
 	defer faultinject.Reset()
-
-	st, code := submit(t, tc.urls[front], req)
-	if code != http.StatusAccepted {
+	if _, code := submit(t, tc.urls[front], req); code != http.StatusAccepted {
 		t.Fatalf("submit via non-owner: HTTP %d, want 202", code)
 	}
-	if st.ID != key {
-		t.Fatalf("job ID %s != key %s", st.ID, key)
-	}
 	waitState(t, tc.urls[front], key, serve.StateRunning)
+	tc.kill(owner)
 
-	// kill -9 the owner: journal detached with no terminal record,
-	// listener gone.
-	tc.servers[owner].Crash()
-	tc.https[owner].CloseClientConnections()
-	tc.https[owner].Close()
-
-	// Polling through the front must chase the ranking, find nobody,
-	// promote the forwarded job locally, and finish it.
-	final := waitState(t, tc.urls[front], key, serve.StateDone)
-	if len(final.Result) == 0 {
-		t.Fatal("failover result empty")
+	journalBefore, err := os.ReadFile(tc.opts[front].JournalPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := metric(t, tc.urls[front], "hydro_cluster_promoted_jobs_total"); n != 1 {
-		t.Fatalf("front promoted %d jobs, want 1", n)
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := tc.servers[front].SimulationsStarted(); got != 1 {
-		t.Fatalf("front started %d simulations, want 1 (the promoted re-run)", got)
-	}
-	_, etag, _ := getRaw(t, tc.urls[front], key)
-	if etag != `"`+key+`"` {
-		t.Fatalf("failover ETag %q, want the content address", etag)
-	}
-	if st, etag, _ := getRaw(t, tc.urls[other], key); etag != `"`+key+`"` || !bytes.Equal(st.Result, final.Result) {
-		t.Fatalf("survivor %s: ETag %q, result equal %v; want the front's", tc.ids[other], etag, bytes.Equal(st.Result, final.Result))
-	}
-
-	// /readyz stays 200 but reports the dead peer.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(tc.urls[front] + "/readyz")
+	for _, try := range []struct {
+		name string
+		do   func() (*http.Response, error)
+	}{
+		{"POST", func() (*http.Response, error) {
+			return http.Post(tc.urls[front]+"/v1/jobs", "application/json", bytes.NewReader(body))
+		}},
+		{"GET", func() (*http.Response, error) { return http.Get(tc.urls[front] + "/v1/jobs/" + key) }},
+	} {
+		resp, err := try.do()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var body struct {
-			Ready    bool                        `json:"ready"`
-			Degraded bool                        `json:"degraded"`
-			Peers    map[string]cluster.PeerView `json:"peers"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&body)
 		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s via %s with owner %s down: HTTP %d, Retry-After %q; want 503 with Retry-After",
+				try.name, tc.ids[front], tc.ids[owner], resp.StatusCode, resp.Header.Get("Retry-After"))
 		}
-		if resp.StatusCode != http.StatusOK || !body.Ready {
-			t.Fatalf("degraded readyz must stay 200/ready, got %d %+v", resp.StatusCode, body)
-		}
-		if body.Degraded {
-			if v, ok := body.Peers[tc.ids[owner]]; !ok || v.Alive {
-				t.Fatalf("dead owner %s not reported down: %+v", tc.ids[owner], body.Peers)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("front never reported the cluster degraded")
-		}
-		time.Sleep(20 * time.Millisecond)
+	}
+	if n := tc.servers[front].SimulationsStarted(); n != 0 {
+		t.Fatalf("front started %d simulations for a job it does not own, want 0", n)
+	}
+	journalAfter, err := os.ReadFile(tc.opts[front].JournalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(journalAfter, journalBefore) {
+		t.Fatalf("front's journal grew from %d to %d bytes while relaying", len(journalBefore), len(journalAfter))
+	}
+
+	tc.restart(t, owner)
+	final := waitState(t, tc.urls[front], key, serve.StateDone)
+	want, wantTag, _ := getRaw(t, tc.urls[owner], key)
+	got, gotTag, _ := getRaw(t, tc.urls[front], key)
+	if len(want.Result) == 0 || !bytes.Equal(got.Result, want.Result) || !bytes.Equal(final.Result, want.Result) {
+		t.Fatal("front relays other result bytes than the restarted owner's")
+	}
+	if gotTag != wantTag || gotTag != `"`+key+`"` {
+		t.Fatalf("front ETag %q, owner ETag %q; want both the content address", gotTag, wantTag)
+	}
+	if n := tc.servers[front].SimulationsStarted(); n != 0 {
+		t.Fatalf("front started %d simulations, want 0", n)
 	}
 }
 
@@ -479,49 +448,6 @@ func TestClusterSaturatedOwnerKeepsItsJobs(t *testing.T) {
 	}
 }
 
-// TestClusterPeerzGossip sanity-checks the gossip surface: every
-// member reports itself and its view of the others.
-func TestClusterPeerzGossip(t *testing.T) {
-	tc := newTestCluster(t, 3, nil)
-	deadline := time.Now().Add(5 * time.Second)
-	for _, u := range tc.urls {
-		for {
-			resp, err := http.Get(u + "/v1/peerz")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var pz cluster.PeerzPayload
-			err = json.NewDecoder(resp.Body).Decode(&pz)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !pz.Ready || pz.ID == "" {
-				t.Fatalf("peerz from %s: %+v", u, pz)
-			}
-			allSeen := len(pz.Peers) == 2
-			for _, v := range pz.Peers {
-				if !v.Alive || v.LastSeen.IsZero() {
-					allSeen = false
-				}
-			}
-			if allSeen {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("peerz from %s never saw both peers alive: %+v", u, pz.Peers)
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-	}
-	// Metrics gauges agree.
-	for _, u := range tc.urls {
-		if n := metric(t, u, "hydro_cluster_peers"); n != 3 {
-			t.Fatalf("hydro_cluster_peers = %d, want 3", n)
-		}
-	}
-}
-
 // syncWriter serializes concurrent slog writes into one buffer so the
 // test can read the accumulated log text race-free.
 type syncWriter struct {
@@ -541,7 +467,7 @@ func (w *syncWriter) String() string {
 	return w.buf.String()
 }
 
-// TestClusterRequestIDPropagation: a submission carrying an X-Request-ID
+// TestClusterRequestIDPropagation: a submission carrying an X-Request-Id
 // through a non-owner appears under that SAME request ID in both the
 // front's and the owner's access logs, so one grep correlates the hop
 // chain. A submission sent without one is logged by the owner under

@@ -1,12 +1,12 @@
 package serve
 
-// The job lifecycle, with no knowledge of the wire: handlers, the
-// journal replay and the cluster loops are adapters that build a
-// submission, call intake, and translate what comes back. Three entries
-// feed intake — local submit (acceptLocal), startup replay (recover),
-// a forwarded job whose owner died (promoteForwarded) — and every job
-// ends in terminate. DESIGN.md §10 has the state diagram. Three
-// ordering rules hold on every path:
+// The job lifecycle, with no knowledge of the wire: the submit handler
+// and the journal replay are adapters that build a submission, call
+// intake, and translate what comes back. Two entries feed intake —
+// local submit (acceptLocal) and startup replay (recover); a clustered
+// daemon relays a job it does not own to its owner and feeds intake
+// nothing for it — and every job ends in terminate. DESIGN.md §10 has
+// the state diagram. Three ordering rules hold on every path:
 //
 //  1. Submit record before 202: intake fsyncs the submit record before
 //     it reports the job accepted, so an acknowledged job survives
@@ -32,8 +32,7 @@ import (
 )
 
 // submission is a fully resolved request to run one simulation: what
-// every entry hands to intake, and what a front remembers about a job
-// it proxied out.
+// every entry hands to intake.
 type submission struct {
 	id      string // content address: specKey(model, cfg, design, spec)
 	cfg     system.Config
@@ -41,9 +40,9 @@ type submission struct {
 	spec    ComboSpec     // canonical form; workloads.Combo(spec) is what runs
 	timeout time.Duration // execution deadline, 0 = none
 
-	// reqID is the original request's X-Request-ID — the caller's, or
-	// the one this daemon minted — kept across proxy and failover hops
-	// so every node's logs join up.
+	// reqID is the original request's X-Request-Id — the caller's, or
+	// the one this daemon minted — kept across the relay hop so every
+	// node's logs join up.
 	reqID string
 
 	// replayed marks a job coming back from this daemon's own journal:
@@ -263,7 +262,7 @@ func (j *job) submitRecord() journalRecord {
 
 // synthesizeDone registers a finished job for a result that already
 // exists — found in the spill directory, written there by an earlier
-// run of this daemon (rule 2), or filled from a peer — so every later
+// run of this daemon (rule 2) — so every later
 // hit is answered locally; a record that already answers for the ID is
 // returned instead. The record describes the result, not the request
 // that happened to find it: it carries no request ID, and since nothing

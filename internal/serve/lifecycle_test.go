@@ -12,26 +12,15 @@ import (
 	"testing"
 	"time"
 
-	"github.com/hydrogen-sim/hydrogen/internal/cluster"
 	"github.com/hydrogen-sim/hydrogen/internal/faultinject"
 	"github.com/hydrogen-sim/hydrogen/internal/journal"
 	"github.com/hydrogen-sim/hydrogen/internal/system"
 )
 
-// newLifecycleServer boots a journaled daemon that believes it has one
-// peer (nothing listens there), so the promote entry has the cluster
-// state it needs without any traffic.
+// newLifecycleServer boots a journaled daemon with one worker.
 func newLifecycleServer(t *testing.T, journal string) *Server {
 	t.Helper()
-	s, err := New(Options{
-		Workers:     1,
-		JournalPath: journal,
-		Cluster: &cluster.Config{
-			Self:          "a",
-			Members:       []cluster.Member{{ID: "a", URL: "http://127.0.0.1:1"}, {ID: "b", URL: "http://127.0.0.1:2"}},
-			ProbeInterval: time.Hour,
-		},
-	})
+	s, err := New(Options{Workers: 1, JournalPath: journal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,27 +38,23 @@ func lifecycleRequest(cycles uint64) JobRequest {
 	return JobRequest{Config: &cfg, Design: "Hydrogen", Combo: ComboSpec{ID: "C1"}}
 }
 
-// TestIntakeRefusalNeutralizes drives every entry that can be refused
-// through every way intake can refuse a job, before minting it
-// (quarantine, low disk) or after, and requires the same outcome each
-// time: the refusal's answer, no record left in the job table, and
-// a journal that replays to zero pending jobs — a refused job must stay
-// dead across a restart no matter which door it came in by.
+// TestIntakeRefusalNeutralizes drives a submission through every way
+// intake can refuse a job, before minting it (quarantine, low disk) or
+// after, and requires the same outcome each time: the refusal's answer,
+// no record left in the job table, and a journal that replays to zero
+// pending jobs — a refused job must stay dead across a restart. (The
+// other intake entry, journal replay, journals nothing and is never
+// refused for depth; TestCrashReplayByteIdentical covers it.)
 func TestIntakeRefusalNeutralizes(t *testing.T) {
-	type fault struct {
+	faults := []struct {
 		name   string
 		arm    func(s *Server, id string)
 		status int    // what a submitter is told
-		body   string // the refusal's text, as every HTTP entry relays it
-		// promoteStatus is what a poller of a refused promote is told:
-		// 503 + Retry-After while the refusal is transient, 404 for a
-		// quarantined ID, which no retry could satisfy.
-		promoteStatus int
-	}
-	faults := []fault{
+		body   string // the refusal's text
+	}{
 		{"journal append error", func(*Server, string) {
 			faultinject.Set(faultinject.JournalAppendErr, 1, 0)
-		}, http.StatusServiceUnavailable, "journal write failed", http.StatusServiceUnavailable},
+		}, http.StatusServiceUnavailable, "journal write failed"},
 		{"drain after durable", func(s *Server, _ string) {
 			// Drain wins the race in the window between the submit
 			// record's fsync and the push.
@@ -78,93 +63,58 @@ func TestIntakeRefusalNeutralizes(t *testing.T) {
 					s.beginShutdown()
 				}
 			}
-		}, http.StatusServiceUnavailable, "draining: not accepting new jobs", http.StatusServiceUnavailable},
+		}, http.StatusServiceUnavailable, "draining: not accepting new jobs"},
 		{"queue full", func(s *Server, _ string) {
 			s.queue.mu.Lock()
 			s.queue.cap = 0
 			s.queue.mu.Unlock()
-		}, http.StatusTooManyRequests, "job queue full", http.StatusServiceUnavailable},
+		}, http.StatusTooManyRequests, "job queue full"},
 		{"quarantined", func(s *Server, id string) {
 			s.mu.Lock()
 			s.failCount[id] = s.opts.QuarantineAfter
 			s.mu.Unlock()
-		}, http.StatusUnprocessableEntity, "job quarantined", http.StatusNotFound},
+		}, http.StatusUnprocessableEntity, "job quarantined"},
 		{"disk low", func(s *Server, _ string) {
 			s.diskCritical.Store(true)
-		}, http.StatusServiceUnavailable, "disk critically low", http.StatusServiceUnavailable},
-	}
-	// Each entry reports the HTTP answer its client saw; nil when the
-	// entry checked the answer itself.
-	entries := []struct {
-		name string
-		run  func(*testing.T, *Server, *submission, []byte, fault) *httptest.ResponseRecorder
-	}{
-		{"submit", func(t *testing.T, s *Server, sub *submission, raw []byte, _ fault) *httptest.ResponseRecorder {
-			r := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(raw))
-			r.Header.Set(cluster.HeaderForwarded, "b") // loop guard: accept here, do not proxy
-			w := httptest.NewRecorder()
-			s.ServeHTTP(w, r)
-			return w
-		}},
-		{"promote", func(t *testing.T, s *Server, sub *submission, raw []byte, f fault) *httptest.ResponseRecorder {
-			s.cl.mu.Lock()
-			s.cl.forwarded[sub.id] = sub
-			s.cl.mu.Unlock()
-			// Polling a job this daemon forwarded walks to the dead owner,
-			// fails, and promotes. The poller holds a 202, so a transient
-			// refusal tells it to retry, never that the job is unknown.
-			w := httptest.NewRecorder()
-			s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+sub.id, nil))
-			if w.Code != f.promoteStatus {
-				t.Errorf("refused promote answered %d, want %d", w.Code, f.promoteStatus)
-			}
-			if f.promoteStatus == http.StatusNotFound {
-				return nil // the refusal itself is not relayed
-			}
-			if w.Header().Get("Retry-After") == "" {
-				t.Error("refused promote answered without Retry-After")
-			}
-			w.Code = 0 // checked above; differs from the submitter's status by design
-			return w
-		}},
+		}, http.StatusServiceUnavailable, "disk critically low"},
 	}
 	for _, f := range faults {
-		for _, e := range entries {
-			t.Run(f.name+"/"+e.name, func(t *testing.T) {
-				defer faultinject.Reset()
-				path := filepath.Join(t.TempDir(), "journal")
-				s := newLifecycleServer(t, path)
-				req := lifecycleRequest(200_000)
-				raw, err := json.Marshal(req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sub, err := s.resolveRequest(&req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				f.arm(s, sub.id)
-				if w := e.run(t, s, &sub, raw, f); w != nil {
-					if w.Code != 0 && w.Code != f.status {
-						t.Errorf("HTTP %d, want %d", w.Code, f.status)
-					}
-					if !strings.Contains(w.Body.String(), f.body) {
-						t.Errorf("response %q does not carry the refusal %q", w.Body, f.body)
-					}
-				}
-				if s.lookup(sub.id) != nil {
-					t.Error("refused job still in the job table")
-				}
-				s.Close()
-				pending, _, _, err := replayJournal(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(pending) != 0 {
-					t.Errorf("journal replays %d pending job(s) after the refusal, want 0: a restart would resurrect it", len(pending))
-				}
-			})
-		}
+		// Each subtest is named fault/entry, and POST /v1/jobs is the
+		// entry a client can be refused at.
+		t.Run(f.name+"/submit", func(t *testing.T) {
+			defer faultinject.Reset()
+			path := filepath.Join(t.TempDir(), "journal")
+			s := newLifecycleServer(t, path)
+			req := lifecycleRequest(200_000)
+			raw, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub, err := s.resolveRequest(&req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.arm(s, sub.id)
+			w := httptest.NewRecorder()
+			s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(raw)))
+			if w.Code != f.status {
+				t.Errorf("HTTP %d, want %d", w.Code, f.status)
+			}
+			if !strings.Contains(w.Body.String(), f.body) {
+				t.Errorf("response %q does not carry the refusal %q", w.Body, f.body)
+			}
+			if s.lookup(sub.id) != nil {
+				t.Error("refused job still in the job table")
+			}
+			s.Close()
+			pending, _, _, err := replayJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pending) != 0 {
+				t.Errorf("journal replays %d pending job(s) after the refusal, want 0: a restart would resurrect it", len(pending))
+			}
+		})
 	}
 }
 

@@ -1,8 +1,7 @@
 package serve_test
 
 // Back-pressure and resilience tests: the one FIFO queue's submit
-// contract, circuit-breaker peer routing, refused adoption on a full
-// queue, disk watermarks, and live journal compaction.
+// contract, disk watermarks, and live journal compaction.
 
 import (
 	"bytes"
@@ -13,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/hydrogen-sim/hydrogen/internal/cluster"
 	"github.com/hydrogen-sim/hydrogen/internal/faultinject"
 	"github.com/hydrogen-sim/hydrogen/internal/serve"
 )
@@ -104,231 +102,6 @@ func TestPriorityAndDeadlineIgnored(t *testing.T) {
 	}
 	if !bytes.Equal(got.Result, bare.Result) {
 		t.Fatal("result bytes differ from the bare request's")
-	}
-}
-
-// TestClusterBreakerTripsOnDeadPeer takes node 2 out of service two
-// ways — refused (crashed, listener closed) and hung (every request
-// held behind its gate, the SIGSTOPped-process case) — and requires
-// that the front keeps accepting every submission while its breaker
-// for node 2 trips open and short-circuits; a hung peer that comes
-// back closes the breaker again on the next half-open probe.
-func TestClusterBreakerTripsOnDeadPeer(t *testing.T) {
-	const dead, front = 2, 0
-	for _, tt := range []struct {
-		name string
-		// stop takes node dead out of service and returns the function
-		// that brings it back, or nil when it stays down.
-		stop func(tc *testCluster) (resume func())
-	}{
-		{"refused", func(tc *testCluster) func() {
-			tc.servers[dead].Crash()
-			tc.https[dead].CloseClientConnections()
-			tc.https[dead].Close()
-			return nil
-		}},
-		{"hung", func(tc *testCluster) func() {
-			tc.gates[dead].close()
-			return tc.gates[dead].open
-		}},
-	} {
-		t.Run(tt.name, func(t *testing.T) {
-			tc := newTestCluster(t, 3, func(i int, o *serve.Options) {
-				o.Cluster.ProbeTimeout = 500 * time.Millisecond
-			})
-			cfg := tinyConfig()
-			// ownedByDead returns the next n jobs, from seed on, that
-			// rendezvous onto the dead node, so every submit through the
-			// front attempts (or short-circuits) the dead peer first.
-			seed := int64(0)
-			ownedByDead := func(n int) []serve.JobRequest {
-				var owned []serve.JobRequest
-				for len(owned) < n {
-					seed++
-					c := cfg
-					c.Seed = seed
-					r := serve.JobRequest{Config: &c, Design: "Hydrogen", Combo: serve.ComboSpec{ID: "C1"}}
-					if tc.ownerIdx(t, jobKey(t, r)) == dead {
-						owned = append(owned, r)
-					}
-				}
-				return owned
-			}
-			submitAll := func(reqs []serve.JobRequest) {
-				t.Helper()
-				for i, r := range reqs {
-					if _, code := submit(t, tc.urls[front], r); code != http.StatusAccepted && code != http.StatusOK {
-						t.Fatalf("submit %d with node %d down: HTTP %d, want 202/200", i, dead, code)
-					}
-				}
-			}
-
-			resume := tt.stop(tc)
-			waitPeerDown(t, tc.urls[front], tc.ids[dead])
-
-			// Every submit succeeds despite the dead owner: the first few
-			// burn a failed call each, then the breaker opens and the rest
-			// skip the wire entirely.
-			submitAll(ownedByDead(5))
-			if n := metric(t, tc.urls[front], "hydro_cluster_breaker_opens_total"); n != 1 {
-				t.Fatalf("breaker_opens_total = %d, want 1", n)
-			}
-			if n := metric(t, tc.urls[front], "hydro_cluster_breaker_short_circuits_total"); n < 1 {
-				t.Fatalf("breaker_short_circuits_total = %d, want >= 1", n)
-			}
-			if n := metric(t, tc.urls[front], "hydro_cluster_breakers_open"); n != 1 {
-				t.Fatalf("breakers_open gauge = %d, want 1", n)
-			}
-			// Node 1's breaker is untouched by node 2's death: peers isolate.
-			if n := metric(t, tc.urls[1], "hydro_cluster_breaker_opens_total"); n != 0 {
-				t.Fatalf("bystander breaker_opens_total = %d, want 0", n)
-			}
-			if resume == nil {
-				return
-			}
-
-			// Breaker state only advances on routed calls: keep submitting
-			// until the half-open probe (after the 5s open window) reaches
-			// the resumed peer and closes the breaker.
-			resume()
-			deadline := time.Now().Add(10 * time.Second)
-			for metric(t, tc.urls[front], "hydro_cluster_breakers_open") != 0 {
-				if time.Now().After(deadline) {
-					t.Fatal("breaker still open 10s after the peer resumed")
-				}
-				submitAll(ownedByDead(1))
-				time.Sleep(250 * time.Millisecond)
-			}
-		})
-	}
-}
-
-// waitPeerDown polls base's /readyz until it reports peer id not alive.
-func waitPeerDown(t *testing.T, base, id string) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(base + "/readyz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var body struct {
-			Peers map[string]cluster.PeerView `json:"peers"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v, ok := body.Peers[id]; ok && !v.Alive {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s/readyz never marked %s alive:false: %+v", base, id, body.Peers)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// TestClusterPromoteQueueFullNeutralized is the satellite regression
-// test: when a daemon adopts a forwarded job after its owner dies but
-// cannot enqueue it (queue full), the adoption must fail OBSERVABLY —
-// 503 to the poller, neutralizing cancel record in the journal — and a
-// restart must not resurrect the job.
-func TestClusterPromoteQueueFullNeutralized(t *testing.T) {
-	defer faultinject.Reset()
-	journals := make([]string, 2)
-	tc := newTestCluster(t, 2, func(i int, o *serve.Options) {
-		o.Workers = 1
-		o.QueueDepth = 1
-		journals[i] = o.JournalPath
-	})
-	cfg := tinyConfig()
-	mkReq := func(seed int64) serve.JobRequest {
-		c := cfg
-		c.Seed = seed
-		return serve.JobRequest{Config: &c, Design: "Hydrogen", Combo: serve.ComboSpec{ID: "C1"}}
-	}
-
-	// Orient: the target job's owner is one node; the other is the front
-	// that proxies it and will be asked to adopt it later.
-	target := mkReq(1)
-	targetKey := jobKey(t, target)
-	owner := tc.ownerIdx(t, targetKey)
-	front := 1 - owner
-
-	// Fill jobs owned by the FRONT keep its single worker busy and its
-	// one-deep queue full.
-	var fill []serve.JobRequest
-	for seed := int64(50); len(fill) < 2; seed++ {
-		r := mkReq(seed)
-		if tc.ownerIdx(t, jobKey(t, r)) == front {
-			fill = append(fill, r)
-		}
-	}
-
-	// Two slow-worker charges: one for the front's worker (fill #1), one
-	// for the owner's worker (the target), so both stay in flight.
-	faultinject.Set(faultinject.SlowWorker, 2, 8000)
-
-	f1, code := submit(t, tc.urls[front], fill[0])
-	if code != http.StatusAccepted {
-		t.Fatalf("fill 1: HTTP %d", code)
-	}
-	waitState(t, tc.urls[front], f1.ID, serve.StateRunning)
-
-	st, code := submit(t, tc.urls[front], target)
-	if code != http.StatusAccepted {
-		t.Fatalf("target submit via front: HTTP %d", code)
-	}
-	waitState(t, tc.urls[front], st.ID, serve.StateRunning)
-
-	if _, code = submit(t, tc.urls[front], fill[1]); code != http.StatusAccepted {
-		t.Fatalf("fill 2: HTTP %d", code)
-	}
-
-	// Kill the owner mid-run.
-	tc.servers[owner].Crash()
-	tc.https[owner].CloseClientConnections()
-	tc.https[owner].Close()
-
-	// Polling the target through the front now walks to the dead owner,
-	// fails, and tries local adoption — which must be refused honestly:
-	// the queue is full, so the poller gets 503 + Retry-After, never a
-	// silent drop.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(tc.urls[front] + "/v1/jobs/" + targetKey)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			if resp.Header.Get("Retry-After") == "" {
-				t.Fatal("failed adoption 503 carries no Retry-After")
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("front never reported failed adoption (last HTTP %d)", resp.StatusCode)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-
-	// Crash the front and replay its journal standalone: the fill jobs
-	// (no terminal record) resurrect; the refused adoption must NOT —
-	// its submit record was neutralized by the cancel record.
-	tc.servers[front].Crash()
-	tc.https[front].Close()
-	faultinject.Reset() // replayed jobs should run at full speed
-
-	srv, err := serve.New(serve.Options{Workers: 1, QueueDepth: 4, JournalPath: journals[front]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if n := srv.ReplayedJobs(); n != 2 {
-		t.Fatalf("replay resurrected %d jobs, want 2 (the fills, not the refused adoption)", n)
 	}
 }
 

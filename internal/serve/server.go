@@ -65,9 +65,8 @@ type Options struct {
 	AccessLog bool
 	// Cluster, when set, joins this daemon to a static peer group:
 	// content-addressed job IDs route to their rendezvous-hash owner,
-	// non-owners proxy submissions and polls (filling their local cache
-	// from peer responses), and a front whose owner dies promotes
-	// forwarded jobs into its own journal-backed queue. Nil runs the
+	// and a non-owner relays submissions and polls to it, answering 503
+	// + Retry-After while the owner cannot be reached. Nil runs the
 	// daemon standalone.
 	Cluster *cluster.Config
 
@@ -177,8 +176,8 @@ type Server struct {
 	designsJSON []byte
 	combosJSON  []byte
 
-	// cl holds the peer-cluster state (router, prober, peer client,
-	// forwarded-job ledger); nil when Options.Cluster is unset.
+	// cl holds the peer-cluster state (router, peer client, relay
+	// counters); nil when Options.Cluster is unset.
 	cl *clusterState
 }
 
@@ -261,8 +260,6 @@ func New(opts Options) (*Server, error) {
 		s.wmStop = make(chan struct{})
 		go s.watermarkLoop()
 	}
-	// The cluster joins last: a promoted job feeds intake, so the workers
-	// must exist before any peer traffic arrives.
 	if opts.Cluster != nil {
 		if err := s.initCluster(opts.Cluster); err != nil {
 			s.Close()
@@ -456,14 +453,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Unknown here. In a cluster the job belongs to its rendezvous owner:
-	// proxy unless this request was itself forwarded (the loop guard) or
-	// this daemon is the owner. A false return means every live candidate
-	// ranked above this daemon is gone — fail over and accept locally.
-	if s.cl != nil && r.Header.Get(cluster.HeaderForwarded) == "" && !s.cl.router.Owns(s.cl.cfg.Self, sub.id) {
-		if s.clusterProxySubmit(w, r, body, &sub) {
-			return
-		}
+	// Unknown here. In a cluster a job another member owns is relayed
+	// to that owner, never accepted here.
+	if owner, ok := s.relayOwner(r, sub.id); ok {
+		s.relaySubmit(w, r, owner, body, &sub)
+		return
 	}
 	s.acceptLocal(w, &sub)
 }
@@ -580,13 +574,12 @@ func (s *Server) lookup(id string) *job {
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
+	id := r.PathValue("id")
+	j := s.lookup(id)
 	if j == nil {
-		// In a cluster an unknown ID usually lives on another peer: chase
-		// it down the rendezvous ranking (unless this request was itself
-		// forwarded — a peer asking means the job should be here).
-		if s.cl != nil && r.Header.Get(cluster.HeaderForwarded) == "" {
-			s.clusterGet(w, r, r.PathValue("id"))
+		// In a cluster an unknown ID is relayed to its owner.
+		if owner, ok := s.relayOwner(r, id); ok {
+			s.relayGet(w, r, owner, id)
 			return
 		}
 		httpError(w, http.StatusNotFound, "no such job")
@@ -684,20 +677,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		}
 		w.Header().Set("Retry-After", "5")
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": reason})
-		return
-	}
-	// Clustered readiness is still 200 with a dead peer — this daemon can
-	// serve and fail over — but the degraded flag and per-peer state let
-	// orchestrators and operators see the cluster is running short-handed.
-	if s.cl != nil {
-		peers := s.cl.prober.Snapshot()
-		degraded := s.cl.prober.Degraded()
-		writeJSON(w, http.StatusOK, map[string]any{
-			"ready":    true,
-			"degraded": degraded,
-			"self":     s.cl.cfg.Self,
-			"peers":    peers,
-		})
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"ready": true})
@@ -847,11 +826,10 @@ func (s *Server) runJob(j *job) {
 	}
 }
 
-// beginShutdown stops the cluster loops, refuses new work, closes the
-// queue (workers keep draining what is already in it) and ends the
-// watermark loop. Idempotent.
+// beginShutdown refuses new work, closes the queue (workers keep
+// draining what is already in it) and ends the watermark loop.
+// Idempotent.
 func (s *Server) beginShutdown() {
-	s.stopCluster()
 	s.mu.Lock()
 	if !s.draining {
 		s.draining = true

@@ -67,7 +67,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	if resp.Header.Get(obs.HeaderRequestID) == "" {
-		t.Error("telemetry response missing X-Request-ID echo")
+		t.Error("telemetry response missing X-Request-Id echo")
 	}
 	var snap serve.TelemetrySnapshot
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
@@ -185,7 +185,7 @@ func TestTraceHeaderIgnored(t *testing.T) {
 // TestRemovedRoutesGone: a daemon serves no trace lookup, federated
 // cluster view, trace listing or per-job event stream, even for a job
 // submitted with a sampled X-Hydro-Trace header, and a cluster member
-// takes no steal request.
+// takes no steal request and serves no /v1/peerz.
 func TestRemovedRoutesGone(t *testing.T) {
 	_, ts := newTestServer(t, serve.Options{Workers: 1})
 	cfg := tinyConfig()
@@ -220,6 +220,13 @@ func TestRemovedRoutesGone(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("POST /v1/steal on a cluster member: HTTP %d, want 404", resp.StatusCode)
+	}
+	if resp, err = http.Get(tc.urls[0] + "/v1/peerz"); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/peerz on a cluster member: HTTP %d, want 404", resp.StatusCode)
 	}
 }
 
