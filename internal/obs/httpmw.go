@@ -45,7 +45,8 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // request reads it back from there; the wall time of every request is
 // observed into Latency; and when Logger is set, one structured access
 // record per request is emitted (request ID, method, path, status,
-// bytes, duration).
+// bytes, duration). Only the access record needs the status and byte
+// count, so only then is the writer wrapped to record them.
 type Middleware struct {
 	Next    http.Handler
 	Latency *Histogram   // optional request-duration histogram (seconds)
@@ -61,28 +62,33 @@ func (m *Middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set(HeaderRequestID, reqID)
 
-	sw := &statusWriter{ResponseWriter: w}
-	m.Next.ServeHTTP(sw, r)
+	var sw *statusWriter
+	if m.Logger != nil {
+		sw = &statusWriter{ResponseWriter: w}
+		w = sw
+	}
+	m.Next.ServeHTTP(w, r)
 
 	elapsed := time.Since(start)
 	if m.Latency != nil {
 		m.Latency.Observe(elapsed.Seconds())
 	}
-	if m.Logger != nil {
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		m.Logger.Info("http request",
-			"request_id", reqID,
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", status,
-			"bytes", sw.bytes,
-			"duration", elapsed,
-			"remote", r.RemoteAddr,
-		)
+	if sw == nil {
+		return
 	}
+	status := sw.status
+	if status == 0 {
+		status = http.StatusOK
+	}
+	m.Logger.Info("http request",
+		"request_id", reqID,
+		"method", r.Method,
+		"path", r.URL.Path,
+		"status", status,
+		"bytes", sw.bytes,
+		"duration", elapsed,
+		"remote", r.RemoteAddr,
+	)
 }
 
 // RuntimeStats is the /debug/runtimez payload: the process-health

@@ -44,16 +44,17 @@ func (w nopWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w nopWriter) WriteHeader(int)             {}
 
 // TestMiddlewareAllocs bounds what the middleware allocates for a
-// request that brings its own ID: the status writer and the value slice
+// request that brings its own ID and has no access log: the value slice
 // of echoing the ID. The header name is canonical, so neither reading
-// nor echoing it allocates a key.
+// nor echoing it allocates a key, and without a Logger the writer is
+// not wrapped.
 func TestMiddlewareAllocs(t *testing.T) {
 	mw := &Middleware{Next: http.HandlerFunc(func(http.ResponseWriter, *http.Request) {})}
 	req := httptest.NewRequest(http.MethodGet, "/x", nil)
 	req.Header.Set(HeaderRequestID, "abc123")
 	w := nopWriter{h: http.Header{}}
-	if n := testing.AllocsPerRun(100, func() { mw.ServeHTTP(w, req) }); n > 2 {
-		t.Fatalf("middleware allocates %v times per request, want <= 2", n)
+	if n := testing.AllocsPerRun(100, func() { mw.ServeHTTP(w, req) }); n > 1 {
+		t.Fatalf("middleware allocates %v times per request, want <= 1", n)
 	}
 }
 
@@ -85,6 +86,25 @@ func TestMiddlewareLatencyAndAccessLog(t *testing.T) {
 	}
 	if line["request_id"] != rr.Header().Get(HeaderRequestID) || line["duration"] == nil {
 		t.Fatalf("access log missing correlation fields: %v", line)
+	}
+
+	// Without a Logger the request is still timed, and the handler
+	// writes to the caller's writer as it is.
+	mw.Logger = nil
+	logged := logBuf.Len()
+	rr = httptest.NewRecorder()
+	mw.Next = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if w != http.ResponseWriter(rr) {
+			t.Errorf("handler got %T, want the caller's writer", w)
+		}
+		w.Write([]byte("hello"))
+	})
+	mw.ServeHTTP(rr, req)
+	if got := lat.Count(); got != 2 {
+		t.Fatalf("latency observations without a Logger = %d, want 2", got)
+	}
+	if rr.Body.String() != "hello" || logBuf.Len() != logged {
+		t.Fatalf("without a Logger: body %q, access log grew to %q", rr.Body.String(), logBuf.String())
 	}
 }
 

@@ -415,21 +415,17 @@ func (j *job) finish(state, errMsg string, result []byte) string {
 }
 
 // answer reads the job in one hold of j.mu. A done job answers with its
-// wire encoding as spans to write in order — concatenated, json.Marshal
-// of the final status plus the encoder's trailing newline; hit selects
-// the POST cache-hit variant (Cached=true). Any other job answers with
-// its status. One hold is what keeps a done status from going out
-// without its result.
-func (j *job) answer(hit bool) ([][]byte, JobStatus) {
+// wire encoding — both variants, json.Marshal of the final status plus
+// the encoder's trailing newline, and their headers; any other job
+// answers with its status. One hold is what keeps a done status from
+// going out without its result.
+func (j *job) answer() (*jobEnc, JobStatus) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	switch {
-	case j.enc == nil:
-		return nil, j.statusLocked()
-	case hit:
-		return j.enc.hit, JobStatus{}
+	if j.enc != nil {
+		return j.enc, JobStatus{}
 	}
-	return j.enc.get, JobStatus{}
+	return nil, j.statusLocked()
 }
 
 // epochs is how many epochs the run has taken so far: the points its

@@ -196,8 +196,8 @@ func TestReplayIgnoresJournaledSpans(t *testing.T) {
 	}
 	<-j.done
 	var done JobStatus
-	enc, _ := j.answer(false)
-	if err := json.Unmarshal(bytes.Join(enc, nil), &done); err != nil {
+	enc, _ := j.answer()
+	if err := json.Unmarshal(bytes.Join(enc.get, nil), &done); err != nil {
 		t.Fatal(err)
 	}
 	want := done.Result
@@ -370,7 +370,7 @@ func TestUnencodableDoneEndsFailed(t *testing.T) {
 	if st := j.snapshot(); st.State != StateFailed || !strings.HasPrefix(st.Error, "encode result: ") {
 		t.Fatalf("job ended %s (%q), want failed with the encode error", st.State, st.Error)
 	}
-	if enc, _ := j.answer(false); enc != nil {
+	if enc, _ := j.answer(); enc != nil {
 		t.Fatal("failed job carries a done encoding")
 	}
 }

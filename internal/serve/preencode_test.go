@@ -164,7 +164,10 @@ func TestConditionalGetSemantics(t *testing.T) {
 	jobURL := ts.URL + "/v1/jobs/" + st.ID
 	etag := `"` + st.ID + `"`
 
-	for _, inm := range []string{etag, "*", `W/` + etag, `"other", ` + etag} {
+	for _, inm := range []string{
+		etag, "*", `W/` + etag, `"other", ` + etag,
+		`"a" ,  ` + etag + ` , "b"`, `"a",,` + etag, etag + `,`,
+	} {
 		resp, body := rawFetch(t, http.MethodGet, jobURL, map[string]string{"If-None-Match": inm}, nil)
 		if resp.StatusCode != http.StatusNotModified {
 			t.Fatalf("If-None-Match %q: %d, want 304", inm, resp.StatusCode)
@@ -177,9 +180,11 @@ func TestConditionalGetSemantics(t *testing.T) {
 		}
 	}
 
-	resp, body := rawFetch(t, http.MethodGet, jobURL, map[string]string{"If-None-Match": `"mismatch"`}, nil)
-	if resp.StatusCode != http.StatusOK || len(body) == 0 {
-		t.Fatalf("mismatched If-None-Match: %d with %d-byte body, want full 200", resp.StatusCode, len(body))
+	for _, inm := range []string{`"mismatch"`, `W/"other"`} {
+		resp, body := rawFetch(t, http.MethodGet, jobURL, map[string]string{"If-None-Match": inm}, nil)
+		if resp.StatusCode != http.StatusOK || len(body) == 0 {
+			t.Fatalf("mismatched If-None-Match %q: %d with %d-byte body, want full 200", inm, resp.StatusCode, len(body))
+		}
 	}
 
 	// POST ignores If-None-Match: a resubmission always gets the result.
@@ -187,7 +192,7 @@ func TestConditionalGetSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, body = rawFetch(t, http.MethodPost, ts.URL+"/v1/jobs", map[string]string{"If-None-Match": etag}, payload)
+	resp, body := rawFetch(t, http.MethodPost, ts.URL+"/v1/jobs", map[string]string{"If-None-Match": etag}, payload)
 	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"cached":true`)) {
 		t.Fatalf("POST with If-None-Match: %d, want full 200 hit", resp.StatusCode)
 	}

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -91,11 +90,26 @@ type Options struct {
 // and the POST cache-hit body differ only by the "cached":true field,
 // so both variants are spans over one shared buffer — get = pre+post,
 // hit = pre+ins+post — rather than two full result-sized copies pinned
-// in the unbounded jobs table.
+// in the unbounded jobs table. Beside the bodies it keeps the header
+// values they are served with, so an answer assigns them instead of
+// formatting them per request.
 type jobEnc struct {
 	get [][]byte
 	hit [][]byte
+
+	// etag is the job's strong entity tag: the content-addressed ID is
+	// the SHA-256 of the request's canonical form and a done job's
+	// encoding never changes, so the ID validates the representation
+	// for free. getLen and hitLen are the variants' Content-Length.
+	// These slices go into response header maps as they are, shared by
+	// every response for the job; no code mutates them.
+	etag           []string
+	getLen, hitLen []string
 }
+
+// jsonType is the Content-Type value of every pre-encoded answer,
+// shared like jobEnc's header values and likewise never mutated.
+var jsonType = []string{"application/json"}
 
 // buildJobEnc encodes a done job's final status with its result, as
 // GET and as POST cache hit, and derives the shared-span form: only
@@ -114,17 +128,44 @@ func buildJobEnc(st JobStatus, result []byte) (*jobEnc, error) {
 	if err != nil {
 		return nil, err
 	}
+	enc := &jobEnc{
+		get:    [][]byte{get},
+		hit:    [][]byte{hit},
+		etag:   []string{`"` + st.ID + `"`},
+		getLen: []string{strconv.Itoa(len(get))},
+		hitLen: []string{strconv.Itoa(len(hit))},
+	}
 	d := len(hit) - len(get)
 	i := 0
 	for i < len(get) && get[i] == hit[i] {
 		i++
 	}
-	if d <= 0 || !bytes.Equal(hit[i+d:], get[i:]) {
-		return &jobEnc{get: [][]byte{get}, hit: [][]byte{hit}}, nil
+	if d > 0 && bytes.Equal(hit[i+d:], get[i:]) {
+		ins := append([]byte(nil), hit[i:i+d]...) // copy: don't pin hit's buffer
+		pre, post := get[:i:i], get[i:]
+		enc.get, enc.hit = [][]byte{pre, post}, [][]byte{pre, ins, post}
 	}
-	ins := append([]byte(nil), hit[i:i+d]...) // copy: don't pin hit's buffer
-	pre, post := get[:i:i], get[i:]
-	return &jobEnc{get: [][]byte{pre, post}, hit: [][]byte{pre, ins, post}}, nil
+	return enc, nil
+}
+
+// write serves the encoding's GET or, with hit, its POST cache-hit
+// variant: 200 with the pre-built headers under their canonical keys,
+// then the spans in order through the server's buffered writer.
+func (e *jobEnc) write(w http.ResponseWriter, hit bool) {
+	body, n := e.get, e.getLen
+	if hit {
+		body, n = e.hit, e.hitLen
+	}
+	h := w.Header()
+	h["Content-Type"] = jsonType
+	h["Content-Length"] = n
+	h["Etag"] = e.etag
+	w.WriteHeader(http.StatusOK)
+	for _, b := range body {
+		if _, err := w.Write(b); err != nil {
+			return
+		}
+	}
 }
 
 // Server implements the serving API over http.Handler.
@@ -405,8 +446,18 @@ func (s *Server) resolveRequest(req *JobRequest) (submission, error) {
 // a Paper() config with a 12-core inline combo, is about 1.3 KB.
 const maxSubmitBody = 1 << 20
 
+// submitBufs recycles the buffers submit bodies are read into, so a
+// resubmission answered by the fast path reads its body without
+// allocating. A buffer that grew past maxPooledBody is left to the
+// garbage collector rather than pinned in the pool.
+var submitBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 64 << 10
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBody))
+	buf := submitBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxSubmitBody))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -416,8 +467,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad job payload: %v", err)
 		return
 	}
+	body := buf.Bytes()
 	sum := sha256.Sum256(body)
 	if s.fastHit(w, sum) {
+		// Only the fast hit is done with the bytes here. Every other
+		// path still decodes them, and the relay to an owner hands them
+		// to a transport that may read them after the call returns, so
+		// those paths leave the buffer to the garbage collector.
+		if buf.Cap() <= maxPooledBody {
+			submitBufs.Put(buf)
+		}
 		return
 	}
 	var req JobRequest
@@ -512,10 +571,10 @@ func (s *Server) answerExisting(w http.ResponseWriter, j *job) {
 		s.writeRefusal(w, ref)
 		return
 	}
-	enc, st := j.answer(true)
+	enc, st := j.answer()
 	if enc != nil {
 		s.m.cacheHits.Add(1)
-		writeRaw(w, http.StatusOK, etagFor(j.id), enc...)
+		enc.write(w, true)
 		return
 	}
 	s.m.deduped.Add(1)
@@ -538,14 +597,14 @@ func (s *Server) fastHit(w http.ResponseWriter, sum [sha256.Size]byte) bool {
 	if j == nil {
 		return false
 	}
-	enc, _ := j.answer(true)
+	enc, _ := j.answer()
 	if enc == nil {
 		return false
 	}
 	s.m.submitted.Add(1)
 	s.m.cacheHits.Add(1)
 	s.m.fastPath.Add(1)
-	writeRaw(w, http.StatusOK, etagFor(id), enc...)
+	enc.write(w, true)
 	return true
 }
 
@@ -593,16 +652,15 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 // doubles as a free strong validator — a poll that already has the
 // result is a 304.
 func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, j *job) {
-	enc, st := j.answer(false)
+	enc, st := j.answer()
 	if enc != nil {
-		etag := etagFor(j.id)
-		if etagMatches(r.Header.Get("If-None-Match"), etag) {
+		if etagMatches(r.Header.Get("If-None-Match"), enc.etag[0]) {
 			s.m.notModified.Add(1)
-			w.Header().Set("ETag", etag)
+			w.Header()["Etag"] = enc.etag
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
-		writeRaw(w, http.StatusOK, etag, enc...)
+		enc.write(w, false)
 		return
 	}
 	// Not done yet: marshal the live status per request.
@@ -648,11 +706,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // both tables are process-constant, so re-marshaling them per request
 // bought nothing.
 func (s *Server) handleDesigns(w http.ResponseWriter, r *http.Request) {
-	writeRaw(w, http.StatusOK, "", s.designsJSON)
+	writeRaw(w, http.StatusOK, s.designsJSON)
 }
 
 func (s *Server) handleCombos(w http.ResponseWriter, r *http.Request) {
-	writeRaw(w, http.StatusOK, "", s.combosJSON)
+	writeRaw(w, http.StatusOK, s.combosJSON)
 }
 
 // handleLivez reports process liveness: 200 as long as the handler can
@@ -958,46 +1016,25 @@ func encodeJSON(v any) ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// writeRaw serves a pre-encoded JSON body — given as one or more spans
-// written in order through the server's buffered writer — with
-// Content-Length (and a strong ETag when one applies); no per-request
-// marshaling or reassembly.
-func writeRaw(w http.ResponseWriter, code int, etag string, body ...[]byte) {
-	n := 0
-	for _, b := range body {
-		n += len(b)
-	}
+// writeRaw serves a pre-encoded JSON body with its Content-Length; no
+// per-request marshaling.
+func writeRaw(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(n))
-	if etag != "" {
-		w.Header().Set("ETag", etag)
-	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	for _, b := range body {
-		if _, err := w.Write(b); err != nil {
-			return
-		}
-	}
+	_, _ = w.Write(body)
 }
-
-// etagFor is a job's strong entity tag: the content-addressed ID is the
-// SHA-256 of the request's canonical form and a done job's encoding
-// never changes, so the ID validates the representation for free.
-func etagFor(id string) string { return `"` + id + `"` }
 
 // etagMatches reports whether an If-None-Match header matches the given
 // strong ETag: "*" or any listed entity tag, comparing weak tags by
-// their opaque part (RFC 9110 §8.8.3.2).
+// their opaque part (RFC 9110 §8.8.3.2). It walks the comma list in
+// place.
 func etagMatches(header, etag string) bool {
-	if header == "" {
-		return false
-	}
-	for _, part := range strings.Split(header, ",") {
+	for header != "" {
+		var part string
+		part, header, _ = strings.Cut(header, ",")
 		part = strings.TrimSpace(part)
-		if part == "*" {
-			return true
-		}
-		if strings.TrimPrefix(part, "W/") == etag {
+		if part == "*" || strings.TrimPrefix(part, "W/") == etag {
 			return true
 		}
 	}
