@@ -51,7 +51,7 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 }
 
 // retryableStatus: the server sends 429 (queue full) and 503
-// (draining, replaying, journal write failed) as explicit
+// (draining, owner unreachable, journal write failed) as explicit
 // back-off-and-retry signals; 502/504 are the proxy equivalents.
 func retryableStatus(code int) bool {
 	switch code {

@@ -112,8 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		debugAddr   = fs.String("debug-addr", "", "separate listener for /debug/pprof and /debug/runtimez (e.g. 127.0.0.1:6060); empty disables")
 		peers       = fs.String("peers", "", `static cluster member list as "id=url,id=url,..." including this daemon; empty runs standalone`)
 		self        = fs.String("self", "", "this daemon's member ID within -peers (required with -peers)")
-		maxJournal  = fs.Int64("max-journal-bytes", 0, "compact the journal in place once it grows past this many bytes (0 disables)")
-		diskLow     = fs.Int64("disk-low-watermark", 0, "free-bytes floor on the journal/cache filesystem: below 2x prune spills, below 1x reject durable submits with 503 (0 disables)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -140,8 +138,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		JournalPath:     *journalPath,
 		QuarantineAfter: *quarantine,
 		AccessLog:       *accessLog,
-		MaxJournalBytes: *maxJournal,
-		DiskLowBytes:    *diskLow,
 	}
 	if *paper {
 		cfg := system.Paper()

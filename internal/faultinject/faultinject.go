@@ -32,10 +32,6 @@ const (
 	// stand-in for a simulation bug — exercising worker panic
 	// isolation and poison-job quarantine.
 	PanicOnEpoch = "panic-on-epoch"
-	// DiskCritical makes the disk-watermark check read arg bytes of
-	// free space instead of asking the filesystem, exercising the
-	// refuse-durable-acks (503) and spill-pruning paths.
-	DiskCritical = "disk-critical"
 )
 
 type point struct {

@@ -15,9 +15,10 @@
 // itself broken and every later Append fails. Replay walks frames from
 // the start and stops at the first frame that does not check out — a
 // crash mid-append leaves a torn tail, and everything before it is
-// intact by construction. Compact (and Rewrite, its closed-file form)
-// replaces the log atomically: temp file + fsync + rename, the same
-// discipline the result cache uses for spills.
+// intact by construction. Rewrite replaces a log no Journal has open
+// atomically: temp file + fsync + rename, the same discipline the
+// result cache uses for spills. Nothing shrinks an open log; a
+// failed append stays failed until the file is reopened.
 package journal
 
 import (
@@ -45,8 +46,8 @@ var errClosed = errors.New("journal: closed")
 type Journal struct {
 	path string
 
-	// mu serializes appends, compaction and close: it guards the file
-	// handle (which Compact swaps) and the broken latch.
+	// mu serializes appends and close: it guards the file handle and
+	// the broken latch.
 	mu     sync.Mutex
 	f      *os.File
 	broken error
@@ -108,31 +109,6 @@ func (j *Journal) Append(payload []byte) error {
 	return nil
 }
 
-// Compact atomically replaces the log with the records snapshot
-// returns and keeps appending to the new file. It holds the append
-// lock throughout — snapshot, temp file write + fsync, rename, handle
-// swap — so no record lands between the snapshot and the rewritten
-// file, and no append can reach the old, unlinked inode. snapshot must
-// not call Append. On error the journal is unchanged.
-func (j *Journal) Compact(snapshot func() ([][]byte, error)) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.broken != nil {
-		return j.broken
-	}
-	records, err := snapshot()
-	if err != nil {
-		return fmt.Errorf("journal: compact: %w", err)
-	}
-	f, err := replace(j.path, records)
-	if err != nil {
-		return err
-	}
-	j.f.Close()
-	j.f = f
-	return nil
-}
-
 // Size reports the journal file's current length in bytes — the
 // hydroserved_journal_bytes gauge. A stat failure reads as zero.
 func (j *Journal) Size() int64 {
@@ -145,8 +121,7 @@ func (j *Journal) Size() int64 {
 	return st.Size()
 }
 
-// Close closes the underlying file. Appends and compactions after
-// Close fail.
+// Close closes the underlying file. Appends after Close fail.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -189,36 +164,29 @@ func Replay(path string, fn func(payload []byte) error) (valid, size int64, err 
 }
 
 // Rewrite atomically replaces the log at path with the given records,
-// for a log no Journal has open: Compact without the handle swap.
+// for a log no Journal has open. It writes them to a temp file in
+// path's directory, fsyncs it, and renames it over path, so a crash
+// leaves either the old log or the new one, never a mix.
 func Rewrite(path string, records [][]byte) error {
-	f, err := replace(path, records)
-	if err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// replace writes records to a temp file in path's directory, fsyncs
-// it, and renames it over path, so a crash leaves either the old log
-// or the new one, never a mix. It returns the temp file still open and
-// positioned at its end, ready for appends.
-func replace(path string, records [][]byte) (*os.File, error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
-		return nil, fmt.Errorf("journal: compact: %w", err)
+		return fmt.Errorf("journal: rewrite: %w", err)
 	}
 	var buf []byte
 	for _, payload := range records {
 		buf = appendFrame(buf, payload)
 	}
-	if err = writeSync(tmp, buf); err == nil {
+	err = writeSync(tmp, buf)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
 		err = os.Rename(tmp.Name(), path)
 	}
 	if err != nil {
-		tmp.Close()
 		os.Remove(tmp.Name())
-		return nil, fmt.Errorf("journal: compact: %w", err)
+		return fmt.Errorf("journal: rewrite: %w", err)
 	}
 	// Durability of the rename itself: fsync the directory; best-effort
 	// on platforms where directories cannot be synced.
@@ -226,7 +194,7 @@ func replace(path string, records [][]byte) (*os.File, error) {
 		d.Sync()
 		d.Close()
 	}
-	return tmp, nil
+	return nil
 }
 
 // appendFrame appends payload's frame to buf.

@@ -2,7 +2,6 @@ package journal_test
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -281,138 +280,5 @@ func TestRewriteEmpty(t *testing.T) {
 	got, valid, size := replayAll(t, path)
 	if len(got) != 0 || valid != 0 || size != 0 {
 		t.Fatalf("empty rewrite: records=%d valid=%d size=%d", len(got), valid, size)
-	}
-}
-
-// TestCompactRacesAppends: appenders race repeated compactions. Each
-// appender marks its record pending before Append, the way the server
-// mints a job before journaling its submit record, and the snapshot
-// returns the pending records plus the acked ones. Since Compact holds
-// the append lock from snapshot to handle swap, every acked record
-// must replay from the final file, and the file must end on a whole
-// frame.
-func TestCompactRacesAppends(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.wal")
-	j, err := journal.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	pending := make(map[string]bool)
-	acked := make(map[string]bool)
-	snapshot := func() ([][]byte, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		var out [][]byte
-		for rec := range pending {
-			out = append(out, []byte(rec))
-		}
-		for rec := range acked {
-			out = append(out, []byte(rec))
-		}
-		return out, nil
-	}
-
-	const workers, per = 8, 40
-	var wg sync.WaitGroup
-	errs := make(chan error, workers+1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for k := 0; k < per; k++ {
-				rec := fmt.Sprintf("w%02d-k%02d", w, k)
-				mu.Lock()
-				pending[rec] = true
-				mu.Unlock()
-				err := j.Append([]byte(rec))
-				mu.Lock()
-				delete(pending, rec)
-				if err == nil {
-					acked[rec] = true
-				}
-				mu.Unlock()
-				if err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(w)
-	}
-	stop := make(chan struct{})
-	compacted := make(chan int)
-	go func() {
-		n := 0
-		for {
-			select {
-			case <-stop:
-				compacted <- n
-				return
-			default:
-			}
-			if err := j.Compact(snapshot); err != nil {
-				errs <- err
-				compacted <- n
-				return
-			}
-			n++
-		}
-	}()
-	wg.Wait()
-	close(stop)
-	n := <-compacted
-	select {
-	case err := <-errs:
-		t.Fatal(err)
-	default:
-	}
-	if n == 0 {
-		t.Fatal("no compaction ran while the appenders did")
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, valid, size := replayAll(t, path)
-	if valid != size {
-		t.Fatalf("torn tail after compactions: valid=%d size=%d", valid, size)
-	}
-	seen := make(map[string]bool, len(got))
-	for _, p := range got {
-		seen[string(p)] = true
-	}
-	for rec := range acked {
-		if !seen[rec] {
-			t.Fatalf("acked record %q missing after %d compactions", rec, n)
-		}
-	}
-	if len(acked) != workers*per {
-		t.Fatalf("%d records acked, want %d", len(acked), workers*per)
-	}
-}
-
-// TestCompactFailureLeavesJournal: a failed snapshot leaves the log
-// and the append handle as they were.
-func TestCompactFailureLeavesJournal(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.wal")
-	j, err := journal.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append([]byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Compact(func() ([][]byte, error) { return nil, errors.New("no snapshot") }); err == nil {
-		t.Fatal("Compact with a failing snapshot returned nil")
-	}
-	if err := j.Append([]byte("b")); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	if err := j.Compact(func() ([][]byte, error) { return nil, nil }); err == nil {
-		t.Fatal("Compact after Close returned nil")
-	}
-	got, _, _ := replayAll(t, path)
-	if len(got) != 2 || string(got[0]) != "a" || string(got[1]) != "b" {
-		t.Fatalf("log after failed compactions: %q", got)
 	}
 }

@@ -33,7 +33,7 @@
 //	GET    /v1/designs             design names
 //	GET    /v1/combos              Table II combo IDs
 //	GET    /livez                  liveness: 200 while the process serves
-//	GET    /readyz                 readiness: 503 while draining or replaying
+//	GET    /readyz                 readiness: 503 while draining
 //	GET    /metrics                Prometheus text format
 //
 // Clustering (Options.Cluster): N daemons with a static member list

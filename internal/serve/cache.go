@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"github.com/hydrogen-sim/hydrogen/internal/faultinject"
 	"github.com/hydrogen-sim/hydrogen/internal/obs"
@@ -96,41 +95,4 @@ func (c *resultCache) Put(key string, data []byte) error {
 
 func (c *resultCache) spillPath(key string) string {
 	return filepath.Join(c.dir, key+".json")
-}
-
-// PruneSpills removes up to max of the oldest result files — the disk
-// watermark's pressure valve. The directory is a cache tier, not
-// durable state: a pruned entry is re-simulated on demand, so shedding
-// the coldest ones is always safe. Returns how many files were removed.
-func (c *resultCache) PruneSpills(max int) int {
-	if c.dir == "" || max <= 0 {
-		return 0
-	}
-	paths, err := filepath.Glob(filepath.Join(c.dir, "*.json"))
-	if err != nil || len(paths) == 0 {
-		return 0
-	}
-	type aged struct {
-		path string
-		mod  int64
-	}
-	files := make([]aged, 0, len(paths))
-	for _, p := range paths {
-		fi, err := os.Stat(p)
-		if err != nil {
-			continue
-		}
-		files = append(files, aged{p, fi.ModTime().UnixNano()})
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mod < files[j].mod })
-	n := 0
-	for _, f := range files {
-		if n >= max {
-			break
-		}
-		if os.Remove(f.path) == nil {
-			n++
-		}
-	}
-	return n
 }

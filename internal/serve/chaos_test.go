@@ -218,6 +218,99 @@ func TestCrashAfterDoneKeepsResult(t *testing.T) {
 	}
 }
 
+// TestStartupCompaction: a restart rewrites the journal to what the
+// crash left live — the interrupted job's submit record and the
+// aggregated failure counts, nothing of the finished jobs — and the
+// rewritten journal keeps accepting durable work: a job acked after the
+// restart replays after a second crash, beside the interrupted one.
+func TestStartupCompaction(t *testing.T) {
+	defer faultinject.Reset()
+	jpath := filepath.Join(t.TempDir(), "jobs.wal")
+	opts := serve.Options{Workers: 1, JournalPath: jpath}
+	req := func(seed int64, cycles uint64) serve.JobRequest {
+		cfg := tinyConfig()
+		cfg.Seed = seed
+		if cycles != 0 {
+			cfg.Cycles = cycles
+		}
+		return serve.JobRequest{Config: &cfg, Design: "Hydrogen", Combo: serve.ComboSpec{ID: "C1"}}
+	}
+
+	srv1, ts1 := chaosServer(t, opts)
+	for seed := int64(1); seed <= 3; seed++ {
+		st, code := submit(t, ts1.URL, req(seed, 0))
+		if code != http.StatusAccepted {
+			t.Fatalf("submit seed %d: HTTP %d", seed, code)
+		}
+		waitState(t, ts1.URL, st.ID, serve.StateDone)
+	}
+	faultinject.Set(faultinject.PanicOnEpoch, 1, 0)
+	poison, _ := submit(t, ts1.URL, req(4, 0))
+	waitState(t, ts1.URL, poison.ID, serve.StateFailed)
+	blocker, code := submit(t, ts1.URL, req(5, 40_000_000)) // still running at the crash
+	if code != http.StatusAccepted {
+		t.Fatalf("blocker submit: HTTP %d", code)
+	}
+	waitState(t, ts1.URL, blocker.ID, serve.StateRunning)
+	ts1.Close()
+	srv1.Crash()
+	before, err := os.Stat(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, ts2 := chaosServer(t, opts)
+	var recs []map[string]any
+	if _, _, err := journal.Replay(jpath, func(payload []byte) error {
+		var rec map[string]any
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return err
+		}
+		recs = append(recs, rec)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// The replayed blocker is running again, so its start record may
+	// already follow the rewritten prefix.
+	if len(recs) < 2 || recs[0]["t"] != "submit" || recs[0]["id"] != blocker.ID ||
+		recs[1]["t"] != serve.StateFailed || recs[1]["id"] != poison.ID || recs[1]["fails"] != 1.0 {
+		t.Fatalf("restarted journal holds %v, want the blocker's submit record, then the poison job's failure count", recs)
+	}
+	for _, rec := range recs[2:] {
+		if rec["t"] != "start" || rec["id"] != blocker.ID {
+			t.Fatalf("restarted journal holds %v past its rewritten prefix, want only the blocker's start", rec)
+		}
+	}
+	after, err := os.Stat(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Size() >= before.Size() {
+		t.Fatalf("journal is %d bytes after the restart, %d before: not compacted", after.Size(), before.Size())
+	}
+
+	// Durable work after the rewrite: queued behind the blocker, acked,
+	// and replayed by a third daemon together with the blocker.
+	late, code := submit(t, ts2.URL, req(6, 0))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit after the restart: HTTP %d", code)
+	}
+	ts2.Close()
+	srv2.Crash()
+
+	srv3, ts3 := chaosServer(t, opts)
+	t.Cleanup(func() { ts3.Close(); srv3.Close() })
+	if n := srv3.ReplayedJobs(); n != 2 {
+		t.Fatalf("third daemon replayed %d jobs, want 2 (the blocker and the job acked after the restart)", n)
+	}
+	for _, id := range []string{blocker.ID, late.ID} {
+		if st := getJob(t, ts3.URL, id); !st.Replayed {
+			t.Fatalf("job %s came back unreplayed (state %q)", id[:12], st.State)
+		}
+	}
+}
+
 // TestSpillFailureStillServes: a failed write-through is not a failed
 // job — it ends done and is served from memory, with nothing on disk
 // and nothing counted as spilled.
@@ -303,7 +396,7 @@ func TestPanicQuarantine(t *testing.T) {
 	srv1.Close()
 
 	// The failure count rides the journal: a restarted daemon refuses the
-	// poison job immediately, without replaying it.
+	// poison job immediately, without running it again.
 	srv2, ts2 := chaosServer(t, opts)
 	t.Cleanup(func() { ts2.Close(); srv2.Close() })
 	if n := srv2.ReplayedJobs(); n != 0 {
@@ -400,8 +493,12 @@ func TestCorruptSpillRejected(t *testing.T) {
 }
 
 // TestJournalAppendFailureRejectsSubmit: when the durable submit record
-// cannot be written, the job must be refused (503 + Retry-After), and
-// the next attempt — disk recovered — accepted.
+// cannot be written, the job must be refused (503 + Retry-After). The
+// failpoint fails the append before it reaches the file, so the journal
+// stays open and the next attempt is accepted. A real write error sets
+// the journal's fail-stop latch instead, and every later submit gets
+// the same 503 until a restart reopens the journal
+// (TestGroupCommitFailStopAfterTornBatch).
 func TestJournalAppendFailureRejectsSubmit(t *testing.T) {
 	defer faultinject.Reset()
 	dir := t.TempDir()
@@ -431,24 +528,24 @@ func TestJournalAppendFailureRejectsSubmit(t *testing.T) {
 
 // rawSubmit posts a prepared request without failing the test on
 // non-2xx statuses, so chaos storms can count rejections.
-func rawSubmit(url string, req serve.JobRequest) (id string, code int, err error) {
+func rawSubmit(url string, req serve.JobRequest) (id string, code int, hdr http.Header, err error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return "", 0, err
+		return "", 0, nil, err
 	}
 	resp, err := http.Post(url+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
-		return "", 0, err
+		return "", 0, nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusAccepted || resp.StatusCode == http.StatusOK {
 		var st serve.JobStatus
 		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			return "", resp.StatusCode, err
+			return "", resp.StatusCode, resp.Header, err
 		}
 		id = st.ID
 	}
-	return id, resp.StatusCode, nil
+	return id, resp.StatusCode, resp.Header, nil
 }
 
 // TestGroupCommitAckIsDurable is the journal's durability proof: a
@@ -494,7 +591,7 @@ func TestGroupCommitAckIsDurable(t *testing.T) {
 			defer wg.Done()
 			cfg := tinyConfig()
 			req := serve.JobRequest{Config: &cfg, Design: "Baseline", Combo: serve.ComboSpec{ID: "C2"}, Seed: int64(i + 1)}
-			outs[i].id, outs[i].code, outs[i].err = rawSubmit(ts1.URL, req)
+			outs[i].id, outs[i].code, _, outs[i].err = rawSubmit(ts1.URL, req)
 		}(i)
 	}
 	wg.Wait()
@@ -556,7 +653,7 @@ func TestGroupCommitFailStopAfterTornBatch(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		cfg := tinyConfig()
 		req := serve.JobRequest{Config: &cfg, Design: "Baseline", Combo: serve.ComboSpec{ID: "C3"}, Seed: int64(100 + i)}
-		id, code, err := rawSubmit(ts1.URL, req)
+		id, code, _, err := rawSubmit(ts1.URL, req)
 		if err != nil || code != http.StatusAccepted {
 			t.Fatalf("wave1 submit %d: code=%d err=%v", i, code, err)
 		}
@@ -564,10 +661,12 @@ func TestGroupCommitFailStopAfterTornBatch(t *testing.T) {
 	}
 
 	// Wave 2: the next append tears mid-frame; it and every submission
-	// after it must be refused.
+	// after it must be refused, each with a Retry-After: this 503 is the
+	// daemon's only answer to a disk that can no longer take the journal.
 	faultinject.Set(faultinject.JournalTornWrite, 1, 0)
 	var wg sync.WaitGroup
 	codes := make([]int, 8)
+	hdrs := make([]http.Header, 8)
 	errs := make([]error, 8)
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -575,7 +674,7 @@ func TestGroupCommitFailStopAfterTornBatch(t *testing.T) {
 			defer wg.Done()
 			cfg := tinyConfig()
 			req := serve.JobRequest{Config: &cfg, Design: "Baseline", Combo: serve.ComboSpec{ID: "C2"}, Seed: int64(200 + i)}
-			_, codes[i], errs[i] = rawSubmit(ts1.URL, req)
+			_, codes[i], hdrs[i], errs[i] = rawSubmit(ts1.URL, req)
 		}(i)
 	}
 	wg.Wait()
@@ -586,10 +685,17 @@ func TestGroupCommitFailStopAfterTornBatch(t *testing.T) {
 		if codes[i] != http.StatusServiceUnavailable {
 			t.Fatalf("wave2 submit %d: status %d, want 503 after the journal tore", i, codes[i])
 		}
+		if hdrs[i].Get("Retry-After") == "" {
+			t.Fatalf("wave2 submit %d: 503 without Retry-After", i)
+		}
 	}
 	cfg := tinyConfig()
-	if _, code, err := rawSubmit(ts1.URL, serve.JobRequest{Config: &cfg, Design: "Baseline", Combo: serve.ComboSpec{ID: "C1"}, Seed: 999}); err != nil || code != http.StatusServiceUnavailable {
+	_, code, hdr, err := rawSubmit(ts1.URL, serve.JobRequest{Config: &cfg, Design: "Baseline", Combo: serve.ComboSpec{ID: "C1"}, Seed: 999})
+	if err != nil || code != http.StatusServiceUnavailable {
 		t.Fatalf("submit after fail-stop: code=%d err=%v, want 503", code, err)
+	}
+	if hdr.Get("Retry-After") == "" {
+		t.Fatal("503 after fail-stop without Retry-After")
 	}
 
 	ts1.Close()

@@ -10,8 +10,8 @@ package serve
 //
 // When the owner cannot be reached the relay answers 503 + Retry-After
 // and keeps nothing: no job record, no journal record, no simulation.
-// The client retries; once the owner is back (replaying its journal)
-// the same request gets its answer. One simulation per content address
+// The client retries; once the owner is back (its journal replayed
+// at startup) the same request gets its answer. One simulation per content address
 // holds by construction.
 
 import (

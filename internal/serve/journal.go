@@ -40,11 +40,11 @@ const (
 )
 
 // appendRecord journals one record, if a journal is configured. It is
-// called from handlers and workers, never under s.mu or a job's mu:
-// the journal serializes appends internally, and its Compact holds the
-// append lock while liveRecords takes s.mu. An append failure is
-// surfaced to the caller (a job whose submit record cannot be made
-// durable must not be accepted) and counted.
+// called from handlers and workers, never under s.mu or a job's mu, so
+// no fsync holds a lock the request path needs; the journal serializes
+// appends internally. An append failure is surfaced to the caller (a
+// job whose submit record cannot be made durable must not be accepted)
+// and counted.
 func (s *Server) appendRecord(rec journalRecord) error {
 	if s.jl == nil {
 		return nil
@@ -139,12 +139,10 @@ func replayJournal(path string) (pending []*replayedJob, fails map[string]int, t
 	return pending, fails, valid < size, nil
 }
 
-// liveRecords is the journal's compaction snapshot, at startup and at
-// the size watermark alike: one submit record per queued or running
-// job, in mint order, plus one aggregated failed record per ID with a
-// nonzero failure count — exactly what a restart's replay would
-// rebuild. A job minted but not yet journaled counts as queued, so its
-// submit record cannot fall between the snapshot and the compacted file.
+// liveRecords is the journal's startup compaction snapshot: one submit
+// record per queued or running job, in mint order, plus one aggregated
+// failed record per ID with a nonzero failure count — exactly what a
+// restart's replay would rebuild.
 func (s *Server) liveRecords() ([][]byte, error) {
 	var live []*job
 	var fails []journalRecord

@@ -96,7 +96,6 @@ type refusalKind int
 const (
 	refusedDraining refusalKind = iota + 1
 	refusedQuarantined
-	refusedDiskLow
 	refusedJournal
 	refusedQueueFull
 )
@@ -116,8 +115,6 @@ func (r *refusal) Error() string {
 		return "draining: not accepting new jobs"
 	case refusedQuarantined:
 		return fmt.Sprintf("job quarantined after %d failures; refusing to run it again", r.n)
-	case refusedDiskLow:
-		return "disk critically low: refusing durable work"
 	case refusedJournal:
 		return fmt.Sprintf("journal write failed: %v", r.err)
 	default:
@@ -156,10 +153,6 @@ func (s *Server) refusalLocked(id string) *refusal {
 		return &refusal{kind: refusedDraining}
 	case n >= s.opts.QuarantineAfter:
 		return &refusal{kind: refusedQuarantined, n: n}
-	case s.diskCritical.Load() && s.opts.JournalPath != "":
-		// Accepting now would promise a journal write the disk is about
-		// to refuse; turning the job away first is the honest order.
-		return &refusal{kind: refusedDiskLow}
 	}
 	return nil
 }
@@ -193,19 +186,15 @@ func (s *Server) intake(sub *submission) (j *job, fresh bool, ref *refusal) {
 	}
 	if ref := s.refusalLocked(sub.id); ref != nil {
 		s.mu.Unlock()
-		if ref.kind == refusedDiskLow {
-			s.m.diskLowRejects.Add(1)
-		}
 		return nil, false, ref
 	}
 	j = s.mintLocked(sub)
 	s.mu.Unlock()
 
 	// Durability barrier (rule 1). The fsync runs OUTSIDE s.mu, so no
-	// disk round trip holds the server lock (and a compaction, which
-	// takes s.mu under the journal's lock, cannot deadlock against it);
-	// attachers that found the job meanwhile block on j.durable until
-	// the fate of this record is known.
+	// disk round trip holds the server lock; attachers that found the
+	// job meanwhile block on j.durable until the fate of this record is
+	// known.
 	if !sub.replayed {
 		if err := s.appendRecord(j.submitRecord()); err != nil {
 			ref = &refusal{kind: refusedJournal, err: err}
@@ -247,7 +236,8 @@ func (s *Server) intake(sub *submission) (j *job, fresh bool, ref *refusal) {
 
 // submitRecord is the job's journal submit record: everything needed
 // to re-run it after a crash without the original request. Written by
-// intake and rewritten by live compaction, so both agree on every field.
+// intake and rewritten by startup compaction, so both agree on every
+// field.
 func (j *job) submitRecord() journalRecord {
 	return journalRecord{
 		Type:     recSubmit,

@@ -39,8 +39,8 @@ func lifecycleRequest(cycles uint64) JobRequest {
 }
 
 // TestIntakeRefusalNeutralizes drives a submission through every way
-// intake can refuse a job, before minting it (quarantine, low disk) or
-// after, and requires the same outcome each time: the refusal's answer,
+// intake can refuse a job, before minting it (quarantine) or after,
+// and requires the same outcome each time: the refusal's answer,
 // no record left in the job table, and a journal that replays to zero
 // pending jobs — a refused job must stay dead across a restart. (The
 // other intake entry, journal replay, journals nothing and is never
@@ -74,9 +74,6 @@ func TestIntakeRefusalNeutralizes(t *testing.T) {
 			s.failCount[id] = s.opts.QuarantineAfter
 			s.mu.Unlock()
 		}, http.StatusUnprocessableEntity, "job quarantined"},
-		{"disk low", func(s *Server, _ string) {
-			s.diskCritical.Store(true)
-		}, http.StatusServiceUnavailable, "disk critically low"},
 	}
 	for _, f := range faults {
 		// Each subtest is named fault/entry, and POST /v1/jobs is the
@@ -283,10 +280,9 @@ func TestReplayIgnoresJournaledSpans(t *testing.T) {
 // refuseThenAccept submits one job twice to a journaled daemon: first
 // against a full queue (429), then with room (202). The accepted job
 // runs until the daemon closes, so it is still live afterwards.
-func refuseThenAccept(t *testing.T) (s *Server, path, id string) {
+func refuseThenAccept(t *testing.T) (s *Server, id string) {
 	t.Helper()
-	path = filepath.Join(t.TempDir(), "journal")
-	s, err := New(Options{Workers: 1, JournalPath: path})
+	s, err := New(Options{Workers: 1, JournalPath: filepath.Join(t.TempDir(), "journal")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,13 +306,13 @@ func refuseThenAccept(t *testing.T) (s *Server, path, id string) {
 			id = st.ID
 		}
 	}
-	return s, path, id
+	return s, id
 }
 
 // TestRefusedThenAcceptedListedOnce: a submission refused at intake and
 // later accepted is one job, so GET /v1/jobs lists it once.
 func TestRefusedThenAcceptedListedOnce(t *testing.T) {
-	s, _, id := refuseThenAccept(t)
+	s, id := refuseThenAccept(t)
 	w := httptest.NewRecorder()
 	s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/jobs", nil))
 	var list []JobStatus
@@ -328,25 +324,23 @@ func TestRefusedThenAcceptedListedOnce(t *testing.T) {
 	}
 }
 
-// TestRefusedThenAcceptedCompactsOnce: compacting the journal while
-// that job is live writes one submit record for it.
+// TestRefusedThenAcceptedCompactsOnce: the compaction snapshot taken
+// while that job is live holds one submit record for it.
 func TestRefusedThenAcceptedCompactsOnce(t *testing.T) {
-	s, path, id := refuseThenAccept(t)
-	if err := s.jl.Compact(s.liveRecords); err != nil {
+	s, id := refuseThenAccept(t)
+	live, err := s.liveRecords()
+	if err != nil {
 		t.Fatal(err)
 	}
 	submits := map[string]int{}
-	if _, _, err := journal.Replay(path, func(payload []byte) error {
+	for _, payload := range live {
 		var rec journalRecord
 		if err := json.Unmarshal(payload, &rec); err != nil {
-			return err
+			t.Fatal(err)
 		}
 		if rec.Type == recSubmit {
 			submits[rec.ID]++
 		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
 	if len(submits) != 1 || submits[id] != 1 {
 		t.Fatalf("compacted journal holds submit records %v, want one for %s", submits, short(id))

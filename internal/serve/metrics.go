@@ -39,10 +39,6 @@ type metrics struct {
 	notModified *obs.Counter // conditional GETs answered 304 Not Modified
 	fastPath    *obs.Counter // submits served via the body-hash fast path
 
-	journalCompactions *obs.Counter // runtime journal rewrites (size watermark)
-	diskLowRejects     *obs.Counter // durable submits refused on critical disk
-	spillPrunes        *obs.Counter // spill files removed under disk pressure
-
 	queued  *obs.Gauge
 	running *obs.Gauge
 
@@ -57,8 +53,8 @@ type metrics struct {
 
 // newMetrics builds the daemon's registry. The function arguments feed
 // scrape-time series for state owned elsewhere (journal file length and
-// fsync count, free disk).
-func newMetrics(journalBytes, journalSyncs, diskFree func() int64) *metrics {
+// fsync count).
+func newMetrics(journalBytes, journalSyncs func() int64) *metrics {
 	r := obs.NewRegistry()
 	m := &metrics{reg: r}
 	m.submitted = r.Counter("hydroserved_jobs_submitted_total", "Job submissions accepted.")
@@ -80,10 +76,6 @@ func newMetrics(journalBytes, journalSyncs, diskFree func() int64) *metrics {
 	m.cacheCorrupt = r.Counter("hydroserved_cache_corrupt_total", "Corrupt spill files rejected and removed.")
 	m.notModified = r.Counter("hydroserved_http_not_modified_total", "Conditional requests answered 304 Not Modified.")
 	m.fastPath = r.Counter("hydroserved_submit_fastpath_total", "Submissions served from the body-hash fast path without JSON decode.")
-	m.journalCompactions = r.Counter("hydroserved_journal_compactions_total", "Runtime journal rewrites triggered by the size watermark.")
-	m.diskLowRejects = r.Counter("hydroserved_disk_low_rejects_total", "Durable submissions refused while free disk was critically low.")
-	m.spillPrunes = r.Counter("hydroserved_cache_spill_prunes_total", "Spill files removed under disk pressure.")
-	r.GaugeFunc("hydroserved_disk_free_bytes", "Free bytes on the journal/spill filesystem at the last watermark check.", diskFree)
 	r.GaugeFunc("hydroserved_journal_bytes", "Length of the job journal file.", journalBytes)
 	// One fsync per append, so this equals
 	// hydroserved_journal_appends_total. It remains only because the

@@ -15,7 +15,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/hydrogen-sim/hydrogen/internal/cluster"
@@ -68,22 +67,6 @@ type Options struct {
 	// + Retry-After while the owner cannot be reached. Nil runs the
 	// daemon standalone.
 	Cluster *cluster.Config
-
-	// MaxJournalBytes triggers live journal compaction: when the
-	// journal file outgrows it, the log is rewritten in place to the
-	// minimal equivalent state (one submit record per queued/running
-	// job plus aggregated failure counts) without a restart. <=0
-	// disables runtime compaction (startup compaction still runs).
-	MaxJournalBytes int64
-	// DiskLowBytes is the free-disk watermark. Below 2x, the spill
-	// directory sheds its oldest entries each check; below 1x, the
-	// daemon refuses new durable work with 503 rather than ack 202s
-	// whose journal writes are about to hit ENOSPC. <=0 disables disk
-	// watermarking.
-	DiskLowBytes int64
-	// WatermarkInterval is the disk/journal watermark check cadence;
-	// <=0 selects 5s.
-	WatermarkInterval time.Duration
 }
 
 // jobEnc is a done job's terminal wire encoding. The GET body
@@ -179,20 +162,12 @@ type Server struct {
 
 	// jl is the journal, nil when durability is off. recover sets it
 	// before any goroutine starts and nothing reassigns it; the journal
-	// serializes appends, compaction and close itself.
+	// serializes appends and close itself.
 	jl *journal.Journal
 	// afterAppend is a test-only hook run after a record is durable,
 	// for staging the races that live between an fsync and what follows
 	// it. Nil in production.
 	afterAppend func(journalRecord)
-
-	// diskCritical flips when free disk falls under DiskLowBytes; the
-	// submit path then refuses durable work with 503. diskFree mirrors
-	// the last free-bytes sample for /metrics. wmStop ends the
-	// watermark loop.
-	diskCritical atomic.Bool
-	diskFree     atomic.Int64
-	wmStop       chan struct{}
 
 	mu        sync.Mutex
 	jobs      map[string]*job
@@ -200,7 +175,6 @@ type Server struct {
 	failCount map[string]int
 	queue     *jobQueue
 	draining  bool
-	replaying bool
 	workers   sync.WaitGroup
 
 	// reqMemo maps sha256(raw POST body) → job ID: a resubmission whose
@@ -240,9 +214,6 @@ func New(opts Options) (*Server, error) {
 	if opts.QuarantineAfter <= 0 {
 		opts.QuarantineAfter = 3
 	}
-	if opts.WatermarkInterval <= 0 {
-		opts.WatermarkInterval = 5 * time.Second
-	}
 	s := &Server{
 		opts:      opts,
 		mux:       http.NewServeMux(),
@@ -269,7 +240,6 @@ func New(opts Options) (*Server, error) {
 	s.m = newMetrics(
 		s.journalStat((*journal.Journal).Size),
 		s.journalStat((*journal.Journal).Syncs),
-		s.diskFree.Load,
 	)
 	s.cache = newResultCache(opts.CacheDir, s.m.cacheSpills, s.m.cacheCorrupt)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -294,12 +264,6 @@ func New(opts Options) (*Server, error) {
 	for i := 0; i < opts.Workers; i++ {
 		s.workers.Add(1)
 		go s.worker()
-	}
-	// The watermark loop polices disk headroom and journal growth in the
-	// background; it only starts when either knob is set.
-	if opts.DiskLowBytes > 0 || opts.MaxJournalBytes > 0 {
-		s.wmStop = make(chan struct{})
-		go s.watermarkLoop()
 	}
 	if opts.Cluster != nil {
 		if err := s.initCluster(opts.Cluster); err != nil {
@@ -326,14 +290,12 @@ func (s *Server) journalStat(read func(*journal.Journal) int64) func() int64 {
 // when the previous process died back to intake (unless its result
 // already reached the cache — the content-addressed ID makes replay
 // idempotent — or its ID is quarantined). Failure counts are restored,
-// and the log is compacted to the minimal equivalent state, the same
-// Compact the size watermark runs.
+// and the log is rewritten to the minimal equivalent state before it is
+// opened for appends: the only time the journal shrinks.
 func (s *Server) recover() error {
 	if s.opts.JournalPath == "" {
 		return nil
 	}
-	s.replaying = true
-	defer func() { s.replaying = false }()
 	replayed, fails, torn, err := replayJournal(s.opts.JournalPath)
 	if err != nil {
 		return err
@@ -372,16 +334,15 @@ func (s *Server) recover() error {
 		s.m.replayed.Add(1)
 		s.logj(j.id, "re-enqueued from journal", "design", j.design.String(), "combo", j.spec.ID)
 	}
-	jl, err := journal.Open(s.opts.JournalPath)
+	live, err := s.liveRecords()
 	if err != nil {
 		return err
 	}
-	if err := jl.Compact(s.liveRecords); err != nil {
-		jl.Close()
+	if err := journal.Rewrite(s.opts.JournalPath, live); err != nil {
 		return err
 	}
-	s.jl = jl
-	return nil
+	s.jl, err = journal.Open(s.opts.JournalPath)
+	return err
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
@@ -721,20 +682,17 @@ func (s *Server) handleLivez(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz reports whether the daemon is accepting work: false
-// (503, with Retry-After) while draining toward shutdown or replaying
-// the journal at startup, so load balancers stop routing submissions
-// before they start bouncing off 503s from the submit path itself.
+// (503, with Retry-After) while draining toward shutdown, so load
+// balancers stop routing submissions before they start bouncing off
+// 503s from the submit path itself. Journal replay finishes inside New,
+// before the handler can be reached.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	draining, replaying := s.draining, s.replaying
+	draining := s.draining
 	s.mu.Unlock()
-	if draining || replaying {
-		reason := "draining"
-		if replaying {
-			reason = "replaying journal"
-		}
+	if draining {
 		w.Header().Set("Retry-After", "5")
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": reason})
+		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": "draining"})
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"ready": true})
@@ -884,17 +842,13 @@ func (s *Server) runJob(j *job) {
 	}
 }
 
-// beginShutdown refuses new work, closes the queue (workers keep
-// draining what is already in it) and ends the watermark loop.
-// Idempotent.
+// beginShutdown refuses new work and closes the queue (workers keep
+// draining what is already in it). Idempotent.
 func (s *Server) beginShutdown() {
 	s.mu.Lock()
 	if !s.draining {
 		s.draining = true
 		s.queue.Close()
-		if s.wmStop != nil {
-			close(s.wmStop)
-		}
 	}
 	s.mu.Unlock()
 }
