@@ -156,8 +156,9 @@ func DDR4() Config {
 }
 
 // Request is a single transfer on one channel, passed by value so the
-// hot path never heap-allocates request records: the channel's queue is
-// a reusable value slice. Done (or DoneCtx) runs at the completion time.
+// hot path never heap-allocates request records; Enqueue copies what
+// the channel needs into its queue. DoneCtx (or Done) runs at the
+// completion time.
 type Request struct {
 	Addr   uint64
 	Bytes  uint64
@@ -171,17 +172,68 @@ type Request struct {
 	// invoked as DoneCtx(Ctx, now), Ctx naming the issuer's record (an
 	// access, a fill, a copy) so issuing allocates no closure. Done is
 	// the closure form, for drivers of a channel alone; the simulator's
-	// components do not set it. At most one of Done and DoneCtx may be
-	// set.
+	// components do not set it. The channel parks a Done closure in a
+	// slot until the request completes, and completes it through a
+	// DoneCtx-form callback of its own with the same key and order. At
+	// most one of Done and DoneCtx may be set.
 	Done    func(now uint64)
 	DoneCtx func(ctx, now uint64)
 	Ctx     uint64
+}
 
-	arrive uint64
-	// bank and row are decoded once at enqueue so the FR-FCFS pick()
-	// scan compares open rows without re-dividing per queue entry.
-	bank int32
-	row  int64
+// queued is a waiting request as the channel's queue holds it, in 48
+// bytes: one completion form instead of two and the decoded bank and
+// row instead of the address, where a Request plus its arrival, bank
+// and row took 72. Queues stand hundreds of requests deep under
+// contention, and their growth is the largest allocation of a
+// simulation. done and ctx are the completion (for a Done-form request,
+// the channel's slot callback and slot index); bank and row are decoded
+// once at enqueue so the FR-FCFS pick() scan compares open rows without
+// re-dividing per queue entry.
+type queued struct {
+	done      func(ctx, now uint64)
+	ctx       uint64
+	arrive    uint64
+	row       int64
+	bytes     uint64
+	bank      int32
+	write, lo bool
+	src       Source
+}
+
+// doneSlots parks the Done closures of a channel's requests from
+// Enqueue until completion, in a slab whose free slots are chained
+// through next. A channel builds it on its first Done-form request.
+type doneSlots struct {
+	slots    []doneSlot
+	free     int32                  // -1 = empty
+	complete func(slot, now uint64) // run, bound once
+}
+
+type doneSlot struct {
+	fn   func(now uint64)
+	next int32
+}
+
+// park stores fn in a free slot, growing the slab when none is free,
+// and returns the slot's index.
+func (d *doneSlots) park(fn func(now uint64)) uint64 {
+	i := d.free
+	if i < 0 {
+		d.slots = append(d.slots, doneSlot{fn: fn})
+		return uint64(len(d.slots) - 1)
+	}
+	d.free = d.slots[i].next
+	d.slots[i].fn = fn
+	return uint64(i)
+}
+
+// run frees slot i and then runs its closure, which may enqueue again.
+func (d *doneSlots) run(i, now uint64) {
+	fn := d.slots[i].fn
+	d.slots[i] = doneSlot{next: d.free}
+	d.free = int32(i)
+	fn(now)
 }
 
 type bank struct {
@@ -241,17 +293,20 @@ type Channel struct {
 
 	// queue[qhead:] holds the waiting requests, oldest first; tryIssue
 	// advances qhead and Enqueue compacts (see the package comment).
-	queue        []Request
+	queue        []queued
 	qhead        int
+	dones        *doneSlots // nil until the first Done-form request
 	banks        []bank
 	busBusyUntil uint64
-	issueArmed   bool                // an issue event is pending (at most one is)
 	issueFn      func(_, now uint64) // issueEvent bound once, so arming never allocates
 	key          uint64              // engine-unique late-lane key, fixed at construction
 
-	rowShift uint8       // log2(RowBytes); row size is validated pow2
-	bankDiv  bitmath.Div // strength-reduced division by BanksPerChannel
-	bpcDiv   bitmath.Div // strength-reduced division by BytesPerCycle
+	// issueArmed shares rowShift's word, which keeps Channel in the
+	// 320-byte allocation size class.
+	rowShift   uint8       // log2(RowBytes); row size is validated pow2
+	issueArmed bool        // an issue event is pending (at most one is)
+	bankDiv    bitmath.Div // strength-reduced division by BanksPerChannel
+	bpcDiv     bitmath.Div // strength-reduced division by BytesPerCycle
 
 	stats Stats
 }
@@ -302,19 +357,29 @@ func (c *Channel) QueueLen() int { return len(c.queue) - c.qhead }
 // work, or, while the bus is reserved beyond the lookahead, the first
 // tick the reservation lets it issue.
 func (c *Channel) Enqueue(r Request) {
-	if r.Bytes == 0 {
-		r.Bytes = 64
+	q := queued{
+		done: r.DoneCtx, ctx: r.Ctx, arrive: c.eng.Now(), bytes: r.Bytes,
+		write: r.Write, lo: r.Lo, src: r.Source,
 	}
-	r.arrive = c.eng.Now()
-	r.bank, r.row = c.decode(r.Addr)
+	if q.bytes == 0 {
+		q.bytes = 64
+	}
+	q.bank, q.row = c.decode(r.Addr)
+	if r.Done != nil {
+		if c.dones == nil {
+			c.dones = &doneSlots{free: -1}
+			c.dones.complete = c.dones.run
+		}
+		q.done, q.ctx = c.dones.complete, c.dones.park(r.Done)
+	}
 	if len(c.queue) == cap(c.queue) && c.qhead > 0 {
 		n := copy(c.queue, c.queue[c.qhead:])
-		clear(c.queue[n:]) // release Done refs
+		clear(c.queue[n:]) // release completion refs
 		c.queue = c.queue[:n]
 		c.qhead = 0
 	}
-	c.queue = append(c.queue, r)
-	c.armIssue(r.arrive)
+	c.queue = append(c.queue, q)
+	c.armIssue(q.arrive)
 }
 
 // armIssue ensures an issue event is pending at the first tick from now
@@ -376,10 +441,10 @@ func (c *Channel) pick(now uint64) int {
 		// Rank: demand beats background, then (optionally) CPU beats
 		// GPU, then row hits beat misses, then age (scan order).
 		rank := 0
-		if !r.Lo {
+		if !r.lo {
 			rank += 4
 		}
-		if c.cfg.CPUPriority && r.Source == SourceCPU {
+		if c.cfg.CPUPriority && r.src == SourceCPU {
 			rank += 2
 		}
 		if c.banks[r.bank].openRow == r.row {
@@ -401,7 +466,7 @@ func (c *Channel) tryIssue(now uint64) {
 		i := c.qhead + c.pick(now)
 		r := c.queue[i]
 		copy(c.queue[c.qhead+1:i+1], c.queue[c.qhead:i])
-		c.queue[c.qhead] = Request{} // release Done refs
+		c.queue[c.qhead] = queued{} // release completion refs
 		c.qhead++
 		if c.qhead == len(c.queue) {
 			c.queue = c.queue[:0]
@@ -411,7 +476,7 @@ func (c *Channel) tryIssue(now uint64) {
 	}
 }
 
-func (c *Channel) service(r *Request, now uint64) {
+func (c *Channel) service(r *queued, now uint64) {
 	b := &c.banks[r.bank]
 	row := r.row
 
@@ -443,7 +508,7 @@ func (c *Channel) service(r *Request, now uint64) {
 	}
 	b.openRow = row
 
-	burst := c.bpcDiv.Div(r.Bytes + c.cfg.BytesPerCycle - 1)
+	burst := c.bpcDiv.Div(r.bytes + c.cfg.BytesPerCycle - 1)
 	dataStart := dataReady
 	if c.busBusyUntil > dataStart {
 		dataStart = c.busBusyUntil
@@ -455,24 +520,22 @@ func (c *Channel) service(r *Request, now uint64) {
 	c.stats.BusBusyCycles += burst
 	c.stats.QueueDelaySum += dataStart - r.arrive
 	c.stats.ServiceSum += done - r.arrive
-	bits := float64(r.Bytes * 8)
-	if r.Write {
+	bits := float64(r.bytes * 8)
+	if r.write {
 		c.stats.Writes++
-		c.stats.BytesWritten += r.Bytes
+		c.stats.BytesWritten += r.bytes
 		c.stats.DynamicPJ += bits * c.cfg.WritePJPerBit
 	} else {
 		c.stats.Reads++
-		c.stats.BytesRead += r.Bytes
+		c.stats.BytesRead += r.bytes
 		c.stats.DynamicPJ += bits * c.cfg.ReadPJPerBit
 	}
-	c.stats.ReqsBySource[r.Source]++
-	c.stats.BytesBySource[r.Source] += r.Bytes
-	c.stats.DelayBySource[r.Source] += done - r.arrive
+	c.stats.ReqsBySource[r.src]++
+	c.stats.BytesBySource[r.src] += r.bytes
+	c.stats.DelayBySource[r.src] += done - r.arrive
 
-	if r.Done != nil {
-		c.eng.ScheduleLateCall(done, c.key, r.Done)
-	} else if r.DoneCtx != nil {
-		c.eng.ScheduleLateCtx(done, c.key, r.DoneCtx, r.Ctx)
+	if r.done != nil {
+		c.eng.ScheduleLateCtx(done, c.key, r.done, r.ctx)
 	}
 }
 

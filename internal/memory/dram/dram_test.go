@@ -3,6 +3,7 @@ package dram
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/hydrogen-sim/hydrogen/internal/sim"
 )
@@ -307,38 +308,163 @@ func TestFRFCFSOrder(t *testing.T) {
 // TestChannelSteadyStateAllocs checks that a channel with a standing
 // backlog allocates nothing once warm: every dequeue shifts within the
 // window and Enqueue compacts the queue in place instead of growing it,
-// and completions go through the engine without allocating.
+// and completions go through the engine without allocating. The Done
+// row sends every request in closure form, whose slot slab must stop
+// growing at the peak number of requests in flight and be all free once
+// the channel drains.
 func TestChannelSteadyStateAllocs(t *testing.T) {
-	eng := sim.New()
-	cfg := testConfig()
-	ch := NewChannel(eng, &cfg, 0)
-	var completed, addr uint64
-	done := func(_, _ uint64) { completed++ }
-	// Each round enqueues 8 requests but runs only long enough to issue
-	// about 5, so the backlog grows until the queue's capacity is
-	// reached; from then on only compaction keeps it in place.
-	round := func() {
-		for i := 0; i < 8; i++ {
-			ch.Enqueue(Request{Addr: addr, Bytes: 64, Write: i&1 == 1, Source: Source(i & 1), Lo: i%4 == 3, DoneCtx: done})
-			addr += 768 // walks banks and rows: a mix of hits and conflicts
+	for _, closures := range []bool{false, true} {
+		name := "DoneCtx"
+		if closures {
+			name = "Done"
 		}
-		eng.RunUntil(eng.Now() + 12)
-		for ch.QueueLen() > 48 {
-			eng.RunUntil(eng.Now() + 12)
+		t.Run(name, func(t *testing.T) {
+			eng := sim.New()
+			cfg := testConfig()
+			ch := NewChannel(eng, &cfg, 0)
+			var completed, addr uint64
+			done := func(_, _ uint64) { completed++ }
+			doneAt := func(uint64) { completed++ }
+			// Each round enqueues 8 requests but runs only long enough to
+			// issue about 5, so the backlog grows until the queue's
+			// capacity is reached; from then on only compaction keeps it
+			// in place.
+			round := func() {
+				for i := 0; i < 8; i++ {
+					r := Request{Addr: addr, Bytes: 64, Write: i&1 == 1, Source: Source(i & 1), Lo: i%4 == 3}
+					if closures {
+						r.Done = doneAt
+					} else {
+						r.DoneCtx = done
+					}
+					ch.Enqueue(r)
+					addr += 768 // walks banks and rows: a mix of hits and conflicts
+				}
+				eng.RunUntil(eng.Now() + 12)
+				for ch.QueueLen() > 48 {
+					eng.RunUntil(eng.Now() + 12)
+				}
+			}
+			for i := 0; i < 200; i++ {
+				round()
+			}
+			warm, before := cap(ch.queue), completed
+			slots := func() int {
+				if ch.dones == nil {
+					return 0
+				}
+				return len(ch.dones.slots)
+			}
+			warmSlots := slots()
+			if n := testing.AllocsPerRun(500, round); n != 0 {
+				t.Fatalf("steady state allocates %.1f per round, want 0", n)
+			}
+			if cap(ch.queue) != warm {
+				t.Fatalf("queue grew from capacity %d to %d under a bounded backlog", warm, cap(ch.queue))
+			}
+			if completed-before < 2000 {
+				t.Fatalf("%d requests completed in 501 rounds, want the backlog to keep moving", completed-before)
+			}
+			if slots() != warmSlots {
+				t.Fatalf("Done slots grew from %d to %d under a bounded backlog", warmSlots, slots())
+			}
+			eng.Run()
+			if closures {
+				if warmSlots == 0 {
+					t.Fatal("no Done closure was parked in a slot")
+				}
+				free := 0
+				for i := ch.dones.free; i >= 0; i = ch.dones.slots[i].next {
+					free++
+				}
+				if free != warmSlots {
+					t.Fatalf("%d of %d Done slots free after the channel drained", free, warmSlots)
+				}
+			}
+		})
+	}
+}
+
+// TestDoneFormMatchesDoneCtx runs one request stream over a 4-channel
+// tier twice: with every request in DoneCtx form, and with every third
+// one in Done (closure) form. Each channel gets the same requests, so
+// completions meet at the same ticks and must run in channel (key)
+// order whichever form each one takes; each of the first 256 requests
+// enqueues a follow-up when it completes, so Done slots are freed and
+// reused mid-run. Both runs must log the same (request, tick) sequence.
+func TestDoneFormMatchesDoneCtx(t *testing.T) {
+	run := func(closures bool) [][2]uint64 {
+		eng := sim.New()
+		cfg := testConfig()
+		cfg.Channels = 4
+		tier, err := NewTier(eng, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [][2]uint64
+		var enqueue func(id uint64)
+		complete := func(id, now uint64) {
+			got = append(got, [2]uint64{id, now})
+			if id < 256 {
+				enqueue(id + 128)
+			}
+		}
+		enqueue = func(id uint64) {
+			n := id / 4 // same request n on every channel
+			r := Request{
+				Addr: n * 832, Bytes: 64 << (n % 2), Write: n%5 == 0,
+				Source: Source(n & 1), Lo: n%7 == 6,
+			}
+			if closures && id%3 == 0 {
+				r.Done = func(now uint64) { complete(id, now) }
+			} else {
+				r.DoneCtx, r.Ctx = complete, id
+			}
+			tier.Channels[id%4].Enqueue(r)
+		}
+		for batch := uint64(0); batch < 4; batch++ {
+			eng.ScheduleCtx(40*batch, func(batch, _ uint64) {
+				for id := 32 * batch; id < 32*batch+32; id++ {
+					enqueue(id)
+				}
+			}, batch)
+		}
+		eng.Run()
+		return got
+	}
+	want, got := run(false), run(true)
+	if len(want) != 384 {
+		t.Fatalf("%d requests completed, want 384", len(want))
+	}
+	sameTick := 0
+	for k := 1; k < len(want); k++ {
+		if want[k][1] == want[k-1][1] {
+			sameTick++
 		}
 	}
-	for i := 0; i < 200; i++ {
-		round()
+	if sameTick < 256 {
+		t.Fatalf("only %d completions shared a tick with the previous one; the stream must test same-tick order", sameTick)
 	}
-	warm, before := cap(ch.queue), completed
-	if n := testing.AllocsPerRun(500, round); n != 0 {
-		t.Fatalf("steady state allocates %.1f per round, want 0", n)
+	if len(got) != len(want) {
+		t.Fatalf("mixed forms completed %d requests, DoneCtx alone %d", len(got), len(want))
 	}
-	if cap(ch.queue) != warm {
-		t.Fatalf("queue grew from capacity %d to %d under a bounded backlog", warm, cap(ch.queue))
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("completion %d: request %d at %d with Done closures, request %d at %d with DoneCtx alone",
+				k, got[k][0], got[k][1], want[k][0], want[k][1])
+		}
 	}
-	if completed-before < 2000 {
-		t.Fatalf("%d requests completed in 501 rounds, want the backlog to keep moving", completed-before)
+}
+
+// TestQueuedSize pins the queue entry at 48 bytes. Channel queues run
+// hundreds of requests deep under contention, so a field added to
+// queued shows up here first.
+func TestQueuedSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(queued{}); got != 48 {
+		t.Fatalf("queued is %d bytes, want 48", got)
 	}
 }
 
@@ -354,6 +480,43 @@ func BenchmarkChannelThroughput(b *testing.B) {
 		}
 	}
 	eng.Run()
+}
+
+// BenchmarkChannelBacklog holds one HBM2E channel at a standing backlog
+// of about 600 requests, the depth the fast tier's channels reach in a
+// C1 run (BenchmarkChannelThroughput's queue never passes 64). One op
+// enqueues a request and runs the channel until the backlog is back
+// to 600, which takes one issue on average. The stream mixes row hits
+// with bank and row conflicts, writes, both sources and background
+// traffic.
+func BenchmarkChannelBacklog(b *testing.B) {
+	const backlog = 600
+	eng := sim.New()
+	cfg := HBM2E()
+	ch := NewChannel(eng, &cfg, 0)
+	var addr uint64
+	done := func(_, _ uint64) {}
+	enqueue := func(i int) {
+		addr += 64
+		if i&3 == 3 {
+			addr += cfg.RowBytes * 7
+		}
+		ch.Enqueue(Request{
+			Addr: addr, Bytes: 64, Write: i&7 == 0, Source: Source(i & 1),
+			Lo: i%8 == 5, DoneCtx: done,
+		})
+	}
+	for i := 0; i < backlog; i++ {
+		enqueue(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		enqueue(i)
+		for ch.QueueLen() > backlog {
+			eng.RunUntil(eng.Now() + 1)
+		}
+	}
 }
 
 // TestIssueEventsOnlyWhenIssuing feeds a channel a backlog whose

@@ -2,10 +2,20 @@ package hybrid
 
 import (
 	"testing"
+	"unsafe"
 
 	"github.com/hydrogen-sim/hydrogen/internal/memory/dram"
 	"github.com/hydrogen-sim/hydrogen/internal/sim"
 )
+
+// TestWaySize pins a remap entry at 16 bytes: four ways fill one
+// 64-byte host cache line, and the tag store is 16 bytes per fast way
+// (1 MB of a 16 MB fast tier's system.New).
+func TestWaySize(t *testing.T) {
+	if got := unsafe.Sizeof(way{}); got != 16 {
+		t.Fatalf("way is %d bytes, want 16", got)
+	}
+}
 
 // The white-box tests below follow access records through the
 // controller's internals. They cannot use internal/policy, which imports

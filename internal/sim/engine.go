@@ -25,8 +25,8 @@
 // were scheduled. That same-tick order is part of the model: the golden
 // result fingerprints pin it (DESIGN.md §8, "Same-tick order"). The late
 // lane is a second wheel of the same span whose buckets are kept sorted
-// by key, with its own overflow heap beyond that span. Its entries also
-// take a plain fn(now) form, which serves dram.Request.Done only.
+// by key, with its own overflow heap beyond that span. Its entries take
+// the same fn(ctx, now) form plus the key, three words.
 package sim
 
 import "math/bits"
@@ -46,11 +46,14 @@ const (
 	// reallocate individually and keep the larger capacity. In a 1.2 M-
 	// cycle system.Quick() run of C1 or C5, 99.5 % of late inserts land
 	// in a tick holding at most 8 events and none in one past 21. A late
-	// cap of 16 therefore regrows only a few buckets: each run allocates
-	// about 130 KB less than at 32, and 60 KB less than at 8, where
-	// regrowth outweighs the smaller slab. Lane 0 stays at 8: at 4 every
-	// such run allocates 13-18 KB more; at 16 C1 runs allocate 25 KB
-	// less, but C5 runs 31-36 KB more and the short serving job 8 KB more.
+	// cap of 16 (a 96 KB slab of 24-byte events) therefore regrows only a
+	// few buckets: each such run allocates 96 KB less than at 32, and
+	// 48 KB less than at 8, where regrowth outweighs the smaller slab.
+	// The short serving job (TestFootprintCeilings) is the exception: it
+	// allocates 27 KB more at 16 than at 8 (785 against 758 KB), and
+	// 96 KB less than at 32. Lane 0 stays at 8: at 4 every such run
+	// allocates 13-18 KB more; at 16 C1 runs allocate 25 KB less, but C5
+	// runs 31-36 KB more and the short serving job 8 KB more.
 	bucketCap     = 8
 	lateBucketCap = 16
 )
@@ -66,29 +69,19 @@ type event struct {
 	fn  func(ctx, now uint64)
 }
 
-// lateEvent is one late-wheel entry: a callback, fnCtx(ctx, now) or,
-// for dram.Request.Done alone, fnAt(now), and its key. Within
+// lateEvent is one late-wheel entry: fn(ctx, now) and its key. Within
 // a tick, late events run after all lane-0 events, in key order; events
 // that share a key run in scheduling order. The key is assigned by the
 // scheduling component (see NextLateKey) and makes same-tick order a
 // property of the simulated system rather than of scheduling order.
 type lateEvent struct {
 	key, ctx uint64
-	fnAt     func(now uint64)
-	fnCtx    func(ctx, now uint64)
-}
-
-func (ev *lateEvent) call(now uint64) {
-	if ev.fnAt != nil {
-		ev.fnAt(now)
-	} else {
-		ev.fnCtx(ev.ctx, now)
-	}
+	fn       func(ctx, now uint64)
 }
 
 // farEvent is an event beyond its wheel's span. Both overflow heaps
 // hold late-lane entries and order them by (at, key, seq); a lane-0
-// event rides as fnCtx with key 0, so its order is (at, seq). seq is the
+// event rides with key 0, so its order is (at, seq). seq is the
 // scheduling order that bucket order gives the wheels implicitly.
 type farEvent struct {
 	lateEvent
@@ -299,7 +292,7 @@ func (e *Engine) ScheduleCtx(at uint64, fn func(ctx, now uint64), ctx uint64) {
 	if at-e.now < span {
 		e.wheelInsert(at, event{ctx: ctx, fn: fn})
 	} else {
-		e.overflow.push(farEvent{lateEvent: lateEvent{ctx: ctx, fnCtx: fn}, at: at, seq: e.seq})
+		e.overflow.push(farEvent{lateEvent: lateEvent{ctx: ctx, fn: fn}, at: at, seq: e.seq})
 		e.seq++
 	}
 }
@@ -323,13 +316,16 @@ func (e *Engine) NextLateKey() uint64 {
 // then by scheduling order. Scheduling in the past panics, as in
 // ScheduleCtx.
 func (e *Engine) ScheduleLateCtx(at, key uint64, fn func(ctx, now uint64), ctx uint64) {
-	e.scheduleLate(at, lateEvent{key: key, fnCtx: fn, ctx: ctx})
-}
-
-// ScheduleLateCall is ScheduleLateCtx for a plain fn(at) callback. It
-// serves dram.Request.Done, the closure form of a DRAM completion.
-func (e *Engine) ScheduleLateCall(at, key uint64, fn func(now uint64)) {
-	e.scheduleLate(at, lateEvent{key: key, fnAt: fn})
+	if at < e.now {
+		panic("sim: scheduling late event in the past")
+	}
+	ev := lateEvent{key: key, ctx: ctx, fn: fn}
+	if at-e.now < span {
+		e.lateInsert(at, ev)
+	} else {
+		e.lateOverflow.push(farEvent{lateEvent: ev, at: at, seq: e.seq})
+		e.seq++
+	}
 }
 
 func (e *Engine) wheelInsert(at uint64, ev event) {
@@ -338,18 +334,6 @@ func (e *Engine) wheelInsert(at uint64, ev event) {
 	}
 	b := e.wheel.add(at)
 	b.events = append(b.events, ev)
-}
-
-func (e *Engine) scheduleLate(at uint64, ev lateEvent) {
-	if at < e.now {
-		panic("sim: scheduling late event in the past")
-	}
-	if at-e.now < span {
-		e.lateInsert(at, ev)
-	} else {
-		e.lateOverflow.push(farEvent{lateEvent: ev, at: at, seq: e.seq})
-		e.seq++
-	}
 }
 
 // lateInsert places ev into its tick's bucket by a stable insertion
@@ -378,7 +362,7 @@ func (e *Engine) advance(t uint64) {
 	e.now = t
 	for len(e.overflow) > 0 && e.overflow[0].at-t < span {
 		ev := e.overflow.pop()
-		e.wheelInsert(ev.at, event{ctx: ev.ctx, fn: ev.fnCtx})
+		e.wheelInsert(ev.at, event{ctx: ev.ctx, fn: ev.fn})
 	}
 	for len(e.lateOverflow) > 0 && e.lateOverflow[0].at-t < span {
 		ev := e.lateOverflow.pop()
@@ -436,7 +420,7 @@ func (e *Engine) runTick() {
 	for e.late.ready(e.now) {
 		ev := e.late.pop(e.now)
 		e.nsteps++
-		ev.call(e.now)
+		ev.fn(ev.ctx, e.now)
 		e.drainWheel()
 	}
 }
@@ -457,7 +441,7 @@ func (e *Engine) Step() bool {
 		ev.fn(ev.ctx, e.now)
 	} else {
 		ev := e.late.pop(e.now)
-		ev.call(e.now)
+		ev.fn(ev.ctx, e.now)
 	}
 	return true
 }

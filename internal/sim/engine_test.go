@@ -259,6 +259,22 @@ func TestEventIsTwoWords(t *testing.T) {
 	}
 }
 
+// TestLateEventSize pins the late-lane entry at {key, ctx, fn}, 24
+// bytes: it sizes the late wheel's slab (span × lateBucketCap entries)
+// and each key-sorted insert's shifts, and with {at, seq} every
+// overflow entry, 40 bytes.
+func TestLateEventSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(lateEvent{}); got != 24 {
+		t.Fatalf("late event is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(farEvent{}); got != 40 {
+		t.Fatalf("overflow event is %d bytes, want 40", got)
+	}
+}
+
 func TestStopDrainsPendingEvents(t *testing.T) {
 	e := New()
 	ran := 0

@@ -12,7 +12,7 @@ func TestLateOrderByKey(t *testing.T) {
 	var got []int
 	for _, k := range []uint64{3, 0, 2, 1} {
 		k := k
-		e.ScheduleLateCall(10, k, func(uint64) { got = append(got, int(k)) })
+		e.ScheduleLateCtx(10, k, func(_, _ uint64) { got = append(got, int(k)) }, 0)
 	}
 	e.Run()
 	for i, k := range got {
@@ -32,7 +32,7 @@ func TestLateOrderSeqTiebreak(t *testing.T) {
 	var got []int
 	for i := 0; i < 4; i++ {
 		i := i
-		e.ScheduleLateCall(10, 7, func(uint64) { got = append(got, i) })
+		e.ScheduleLateCtx(10, 7, func(_, _ uint64) { got = append(got, i) }, 0)
 	}
 	e.Run()
 	for i, v := range got {
@@ -47,13 +47,13 @@ func TestLateOrderSeqTiebreak(t *testing.T) {
 func TestLanePriority(t *testing.T) {
 	e := New()
 	var got []string
-	e.ScheduleLateCall(5, 1, func(uint64) {
+	e.ScheduleLateCtx(5, 1, func(_, _ uint64) {
 		got = append(got, "late1")
 		// Zero-delay lane-0 follow-up must run before the next late
 		// event at this tick (the hybrid controller relies on this).
 		runAt(e, e.Now(), func() { got = append(got, "wheel-nested") })
-	})
-	e.ScheduleLateCall(5, 2, func(uint64) { got = append(got, "late2") })
+	}, 0)
+	e.ScheduleLateCtx(5, 2, func(_, _ uint64) { got = append(got, "late2") }, 0)
 	runAt(e, 5, func() { got = append(got, "wheel") })
 	e.Run()
 
@@ -73,8 +73,8 @@ func TestLanePriority(t *testing.T) {
 func TestLatePendingAndStop(t *testing.T) {
 	e := New()
 	runAt(e, 3, func() {})
-	e.ScheduleLateCall(5, 0, func(uint64) {})
-	e.ScheduleLateCall(9000, 1, func(uint64) {}) // far future
+	e.ScheduleLateCtx(5, 0, func(_, _ uint64) {}, 0)
+	e.ScheduleLateCtx(9000, 1, func(_, _ uint64) {}, 0) // far future
 	if got := e.Pending(); got != 3 {
 		t.Fatalf("Pending = %d, want 3", got)
 	}
@@ -93,8 +93,8 @@ func TestLatePendingAndStop(t *testing.T) {
 func TestStopFromLateEvent(t *testing.T) {
 	e := New()
 	ran := 0
-	e.ScheduleLateCall(5, 0, func(uint64) { ran++; e.Stop() })
-	e.ScheduleLateCall(5, 1, func(uint64) { ran++ })
+	e.ScheduleLateCtx(5, 0, func(_, _ uint64) { ran++; e.Stop() }, 0)
+	e.ScheduleLateCtx(5, 1, func(_, _ uint64) { ran++ }, 0)
 	runAt(e, 6, func() { ran++ })
 	e.RunUntil(100)
 	if ran != 1 {
@@ -108,7 +108,7 @@ func TestStopFromLateEvent(t *testing.T) {
 func TestLateRunUntilBoundary(t *testing.T) {
 	e := New()
 	ran := false
-	e.ScheduleLateCall(10, 0, func(uint64) { ran = true })
+	e.ScheduleLateCtx(10, 0, func(_, _ uint64) { ran = true }, 0)
 	e.RunUntil(10)
 	if ran {
 		t.Fatal("event at window end ran inside the window")
@@ -131,7 +131,7 @@ func TestOverflowPromotionAcrossBoundary(t *testing.T) {
 	var got []uint64
 	// Beyond the wheel horizon: lands in the overflow heap.
 	runAt(e, span+100, func() { got = append(got, e.Now()) })
-	e.ScheduleLateCall(span+100, 0, func(uint64) { got = append(got, e.Now()+1_000_000) })
+	e.ScheduleLateCtx(span+100, 0, func(_, _ uint64) { got = append(got, e.Now()+1_000_000) }, 0)
 	runAt(e, 5, func() { got = append(got, e.Now()) })
 
 	// Advance in windows that straddle the promotion boundary.
@@ -169,7 +169,7 @@ func TestSchedulePastLatePanics(t *testing.T) {
 				t.Error("scheduling a late event in the past did not panic")
 			}
 		}()
-		e.ScheduleLateCall(5, 0, func(uint64) {})
+		e.ScheduleLateCtx(5, 0, func(_, _ uint64) {}, 0)
 	})
 	e.Run()
 }
@@ -281,11 +281,14 @@ func (s *engineSched) lane0(at uint64, fn func()) {
 
 func (s *engineSched) late(at, key uint64, fn func()) {
 	s.n++
-	if s.n%2 == 0 {
-		s.e.ScheduleLateCall(at, key, func(now uint64) { s.check(now); fn() })
-	} else {
-		s.e.ScheduleLateCtx(at, key, func(ctx, now uint64) { s.check(now); fn() }, 0)
-	}
+	want := uint64(s.n)
+	s.e.ScheduleLateCtx(at, key, func(ctx, now uint64) {
+		s.check(now)
+		if ctx != want {
+			s.t.Errorf("late callback fired with ctx=%d, want %d", ctx, want)
+		}
+		fn()
+	}, want)
 }
 
 // lateStep is one executed event of a script: its id, the time it ran

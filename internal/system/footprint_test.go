@@ -15,17 +15,15 @@ import (
 // raise the ceiling here, in the open.
 // The ceilings sit about 3 % above the counts measured with Go 1.24 on
 // amd64 (New 1 513-1 518 KB with the Zipf tables already built, 1 715-
-// 2 012 KB when it builds them; Run 1 745, 1 786, 992 and 918 KB; the
-// short job New 708 KB, Run 900 KB), to absorb allocator size-class
-// changes between Go releases. The Run counts fell by 82-113 KB when
-// each in-flight access became one slab record and lane-0 events two
-// words.
+// 2 012 KB when it builds them; Run 1 345-1 351, 1 369-1 375, 776 and
+// 766 KB; the short job New 708 KB, Run 785 KB), to absorb allocator
+// size-class changes between Go releases.
 var footprintCeilings = map[string][2]uint64{
-	"C1 Baseline":       {1560, 1800},
-	"C1 Hydrogen":       {1565, 1840},
-	"C5 Baseline":       {1560, 1025},
-	"C5 Hydrogen":       {1565, 950},
-	"short C1 Hydrogen": {730, 930},
+	"C1 Baseline":       {1560, 1390},
+	"C1 Hydrogen":       {1565, 1415},
+	"C5 Baseline":       {1560, 800},
+	"C5 Hydrogen":       {1565, 790},
+	"short C1 Hydrogen": {730, 810},
 }
 
 // footprintConfig returns the Quick() config of 1.2 M cycles, or of a
