@@ -9,12 +9,19 @@
 // occupancy. Bandwidth contention emerges from bus serialization and
 // queueing, which is the effect the paper's partitioning schemes target.
 //
-// The scheduler is FR-FCFS over a window of the schedWindow oldest
-// waiting requests. Because only the window is ever picked from, the
-// queue is a value slice with a head offset: taking a request shifts
-// just the older requests of the window, and the slice is compacted in
-// place rather than grown, so a channel under a standing backlog
-// allocates nothing.
+// The scheduler is FR-FCFS over the schedWindow oldest waiting
+// requests, so a channel keeps only its oldest requests where the
+// scheduler reads them: a fixed slice of windowCap entries with a head
+// offset, from which taking a request shifts just the older requests
+// of the scheduling window. Arrivals that find no free slot at the
+// slice's end wait in a backlog, a FIFO of fixed-size chunks drawn from
+// and returned to one free list shared by the channels of a Tier. When
+// a take leaves fewer than schedWindow requests in the slice, it is
+// compacted and refilled from the backlog in bulk, so whenever the
+// backlog is non-empty the scheduler sees the same schedWindow oldest
+// requests as over one unbounded queue. Queue memory then follows the
+// tier's simultaneous backlog, not the sum of every channel's peak, and
+// a channel under a standing backlog allocates nothing.
 //
 // A channel schedules all of its work through the engine's late lane
 // under a key fixed at construction, so at any tick DRAM work runs
@@ -181,15 +188,15 @@ type Request struct {
 	Ctx     uint64
 }
 
-// queued is a waiting request as the channel's queue holds it, in 48
-// bytes: one completion form instead of two and the decoded bank and
-// row instead of the address, where a Request plus its arrival, bank
-// and row took 72. Queues stand hundreds of requests deep under
-// contention, and their growth is the largest allocation of a
-// simulation. done and ctx are the completion (for a Done-form request,
-// the channel's slot callback and slot index); bank and row are decoded
-// once at enqueue so the FR-FCFS pick() scan compares open rows without
-// re-dividing per queue entry.
+// queued is a waiting request as a channel's window and backlog hold
+// it, in 48 bytes: one completion form instead of two and the decoded
+// bank and row instead of the address, where a Request plus its
+// arrival, bank and row took 72. Channels stand hundreds of requests
+// deep under contention, so the entry's size sets the size of the
+// backlog chunks. done and ctx are the completion (for a Done-form
+// request, the channel's slot callback and slot index); bank and row
+// are decoded once at enqueue so the FR-FCFS pick() scan compares open
+// rows without re-dividing per entry.
 type queued struct {
 	done      func(ctx, now uint64)
 	ctx       uint64
@@ -199,6 +206,47 @@ type queued struct {
 	bank      int32
 	write, lo bool
 	src       Source
+}
+
+// windowCap is the capacity of a channel's window slice, allocated on
+// its first Enqueue. It is several times schedWindow, so a refill moves
+// tens of backlog entries at once and a queue up to windowCap deep
+// (BenchmarkChannelThroughput's batches) never reaches the backlog.
+const windowCap = 64
+
+// chunkLen is a backlog chunk's entry count: 63 entries and the link
+// fill the 3 072-byte allocation size class.
+const chunkLen = 63
+
+// chunk is a run of backlog entries, linked oldest to newest in a
+// channel's backlog and through next in its pool's free list. Every
+// entry that leaves a chunk is zeroed, so a chunk in the free list
+// holds no completion references.
+type chunk struct {
+	next *chunk
+	q    [chunkLen]queued
+}
+
+// chunkPool is the free list the channels of one Tier draw their
+// backlog chunks from. Chunks are never released, so a pool grows to
+// its tier's peak simultaneous backlog.
+type chunkPool struct {
+	free   *chunk
+	chunks int // chunks allocated
+}
+
+func (p *chunkPool) get() *chunk {
+	k := p.free
+	if k == nil {
+		p.chunks++
+		return new(chunk)
+	}
+	p.free, k.next = k.next, nil
+	return k
+}
+
+func (p *chunkPool) put(k *chunk) {
+	k.next, p.free = p.free, k
 }
 
 // doneSlots parks the Done closures of a channel's requests from
@@ -291,18 +339,26 @@ type Channel struct {
 	cfg *Config
 	id  int
 
-	// queue[qhead:] holds the waiting requests, oldest first; tryIssue
-	// advances qhead and Enqueue compacts (see the package comment).
-	queue        []queued
-	qhead        int
+	// The waiting requests, oldest first, are win[whead:] and then the
+	// backlog: bhead.q[bfirst:] through btail.q[:bend], nback entries in
+	// chunks from pool (see the package comment). bhead is nil when the
+	// backlog is empty (btail is then stale), and while it is not,
+	// win[whead:] holds at least schedWindow requests.
+	win          []queued
+	whead        int
 	dones        *doneSlots // nil until the first Done-form request
 	banks        []bank
 	busBusyUntil uint64
 	issueFn      func(_, now uint64) // issueEvent bound once, so arming never allocates
 	key          uint64              // engine-unique late-lane key, fixed at construction
+	pool         *chunkPool
+	bhead, btail *chunk
+	bfirst, bend int
+	nback        int // backlog entries
 
-	// issueArmed shares rowShift's word, which keeps Channel in the
-	// 320-byte allocation size class.
+	// issueArmed shares rowShift's word. Channel is 368 bytes, in the
+	// 384-byte allocation size class (TestChannelSize), whose objects
+	// start on 64-byte cache-line boundaries as the 320-byte class's do.
 	rowShift   uint8       // log2(RowBytes); row size is validated pow2
 	issueArmed bool        // an issue event is pending (at most one is)
 	bankDiv    bitmath.Div // strength-reduced division by BanksPerChannel
@@ -322,10 +378,15 @@ func (c *Channel) lookahead() uint64 {
 
 // NewChannel creates channel id of the given device kind on eng. The
 // channel draws its late-lane key from eng, so every channel built on
-// the same engine gets a distinct key even across tiers.
+// the same engine gets a distinct key even across tiers. A channel
+// built alone draws its backlog chunks from a pool of its own.
 func NewChannel(eng *sim.Engine, cfg *Config, id int) *Channel {
+	return newChannel(eng, cfg, id, new(chunkPool))
+}
+
+func newChannel(eng *sim.Engine, cfg *Config, id int, pool *chunkPool) *Channel {
 	c := &Channel{
-		eng: eng, cfg: cfg, id: id,
+		eng: eng, cfg: cfg, id: id, pool: pool,
 		banks:    make([]bank, cfg.BanksPerChannel),
 		key:      eng.NextLateKey(),
 		rowShift: uint8(bits.TrailingZeros64(cfg.RowBytes)),
@@ -349,7 +410,7 @@ func (c *Channel) Config() *Config { return c.cfg }
 func (c *Channel) Stats() Stats { return c.stats }
 
 // QueueLen returns the number of requests waiting to issue.
-func (c *Channel) QueueLen() int { return len(c.queue) - c.qhead }
+func (c *Channel) QueueLen() int { return len(c.win) - c.whead + c.nback }
 
 // Enqueue submits a request to the channel's scheduler queue. The
 // channel picks it up at its next issue event: this tick's (no latency
@@ -357,8 +418,16 @@ func (c *Channel) QueueLen() int { return len(c.queue) - c.qhead }
 // work, or, while the bus is reserved beyond the lookahead, the first
 // tick the reservation lets it issue.
 func (c *Channel) Enqueue(r Request) {
-	q := queued{
-		done: r.DoneCtx, ctx: r.Ctx, arrive: c.eng.Now(), bytes: r.Bytes,
+	now := c.eng.Now()
+	var q *queued
+	if n := len(c.win); c.bhead == nil && n < cap(c.win) {
+		c.win = c.win[:n+1]
+		q = &c.win[n]
+	} else {
+		q = c.slot()
+	}
+	*q = queued{
+		done: r.DoneCtx, ctx: r.Ctx, arrive: now, bytes: r.Bytes,
 		write: r.Write, lo: r.Lo, src: r.Source,
 	}
 	if q.bytes == 0 {
@@ -372,14 +441,69 @@ func (c *Channel) Enqueue(r Request) {
 		}
 		q.done, q.ctx = c.dones.complete, c.dones.park(r.Done)
 	}
-	if len(c.queue) == cap(c.queue) && c.qhead > 0 {
-		n := copy(c.queue, c.queue[c.qhead:])
-		clear(c.queue[n:]) // release completion refs
-		c.queue = c.queue[:n]
-		c.qhead = 0
+	c.armIssue(now)
+}
+
+// slot returns the entry an arrival is written to when the window has
+// no free slot at its end or the backlog is non-empty. Behind a
+// non-empty backlog, or a window holding schedWindow requests, the
+// arrival joins the backlog, which takes a chunk from the pool when its
+// tail chunk is full. Otherwise the window is allocated or compacted,
+// which then moves fewer than schedWindow entries.
+func (c *Channel) slot() *queued {
+	switch {
+	case c.bhead != nil || len(c.win)-c.whead >= schedWindow:
+		if c.bhead == nil || c.bend == chunkLen {
+			k := c.pool.get()
+			if c.bhead == nil {
+				c.bhead, c.bfirst = k, 0
+			} else {
+				c.btail.next = k
+			}
+			c.btail, c.bend = k, 0
+		}
+		c.bend++
+		c.nback++
+		return &c.btail.q[c.bend-1]
+	case c.win == nil:
+		c.win = make([]queued, 0, windowCap)
+	default:
+		c.compact()
 	}
-	c.queue = append(c.queue, q)
-	c.armIssue(q.arrive)
+	n := len(c.win)
+	c.win = c.win[:n+1]
+	return &c.win[n]
+}
+
+// compact moves the window's waiting requests to the front of its slice.
+func (c *Channel) compact() {
+	n := copy(c.win, c.win[c.whead:])
+	clear(c.win[n:]) // release completion refs
+	c.win, c.whead = c.win[:n], 0
+}
+
+// refill compacts the window and fills it from the backlog, a
+// contiguous run of the head chunk at a time, until the slice is full
+// or the backlog empty. Entries leaving a chunk are zeroed, and a
+// drained chunk goes back to the pool.
+func (c *Channel) refill() {
+	c.compact()
+	for c.bhead != nil && len(c.win) < cap(c.win) {
+		k, end := c.bhead, chunkLen
+		if k == c.btail {
+			end = c.bend
+		}
+		run := k.q[c.bfirst:end]
+		n := copy(c.win[len(c.win):cap(c.win)], run)
+		clear(run[:n])
+		c.win = c.win[:len(c.win)+n]
+		c.bfirst += n
+		c.nback -= n
+		if c.bfirst == end {
+			c.bhead, c.bfirst = k.next, 0
+			c.pool.put(k)
+		}
+	}
 }
 
 // armIssue ensures an issue event is pending at the first tick from now
@@ -422,10 +546,10 @@ const schedWindow = 16
 // pick implements FR-FCFS with optional CPU priority: choose the oldest
 // row-hitting request within the scheduling window; if none hits, the
 // oldest request. With CPUPriority, CPU requests are considered strictly
-// before GPU ones. It returns an index into the waiting requests
-// (queue[qhead:]), which must not be empty.
+// before GPU ones. It returns an index into the window's waiting
+// requests (win[whead:]), which must not be empty.
 func (c *Channel) pick(now uint64) int {
-	window := c.queue[c.qhead:]
+	window := c.win[c.whead:]
 	// Starvation bound: the oldest request wins outright once it has
 	// waited too long, so streaming row hits cannot lock out row misses.
 	if now-window[0].arrive >= c.cfg.maxStarve() {
@@ -458,19 +582,22 @@ func (c *Channel) pick(now uint64) int {
 }
 
 func (c *Channel) tryIssue(now uint64) {
-	for c.qhead < len(c.queue) {
+	for c.whead < len(c.win) {
 		if c.busBusyUntil > now+c.lookahead() {
 			c.armIssue(now)
 			return
 		}
-		i := c.qhead + c.pick(now)
-		r := c.queue[i]
-		copy(c.queue[c.qhead+1:i+1], c.queue[c.qhead:i])
-		c.queue[c.qhead] = queued{} // release completion refs
-		c.qhead++
-		if c.qhead == len(c.queue) {
-			c.queue = c.queue[:0]
-			c.qhead = 0
+		i := c.whead + c.pick(now)
+		r := c.win[i]
+		copy(c.win[c.whead+1:i+1], c.win[c.whead:i])
+		c.win[c.whead] = queued{} // release completion refs
+		c.whead++
+		if c.bhead != nil {
+			if len(c.win)-c.whead < schedWindow {
+				c.refill()
+			}
+		} else if c.whead == len(c.win) {
+			c.win, c.whead = c.win[:0], 0
 		}
 		c.service(&r, now)
 	}
@@ -545,15 +672,17 @@ type Tier struct {
 	Channels []*Channel
 }
 
-// NewTier builds cfg.Channels channels on eng.
+// NewTier builds cfg.Channels channels on eng, which draw their
+// backlog chunks from one shared pool.
 func NewTier(eng *sim.Engine, cfg Config) (*Tier, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	t := &Tier{Cfg: cfg}
 	t.Channels = make([]*Channel, cfg.Channels)
+	pool := new(chunkPool)
 	for i := range t.Channels {
-		t.Channels[i] = NewChannel(eng, &t.Cfg, i)
+		t.Channels[i] = newChannel(eng, &t.Cfg, i, pool)
 	}
 	return t, nil
 }

@@ -1,6 +1,9 @@
 package dram
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -307,7 +310,7 @@ func TestFRFCFSOrder(t *testing.T) {
 
 // TestChannelSteadyStateAllocs checks that a channel with a standing
 // backlog allocates nothing once warm: every dequeue shifts within the
-// window and Enqueue compacts the queue in place instead of growing it,
+// window slice, the backlog's chunks cycle through the channel's pool,
 // and completions go through the engine without allocating. The Done
 // row sends every request in closure form, whose slot slab must stop
 // growing at the peak number of requests in flight and be all free once
@@ -326,9 +329,8 @@ func TestChannelSteadyStateAllocs(t *testing.T) {
 			done := func(_, _ uint64) { completed++ }
 			doneAt := func(uint64) { completed++ }
 			// Each round enqueues 8 requests but runs only long enough to
-			// issue about 5, so the backlog grows until the queue's
-			// capacity is reached; from then on only compaction keeps it
-			// in place.
+			// issue about 5, and then until at most 48 wait, so the
+			// requests past the window's end wait in backlog chunks.
 			round := func() {
 				for i := 0; i < 8; i++ {
 					r := Request{Addr: addr, Bytes: 64, Write: i&1 == 1, Source: Source(i & 1), Lo: i%4 == 3}
@@ -348,7 +350,10 @@ func TestChannelSteadyStateAllocs(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				round()
 			}
-			warm, before := cap(ch.queue), completed
+			warm, warmChunks, before := cap(ch.win), ch.pool.chunks, completed
+			if warmChunks == 0 {
+				t.Fatal("the backlog never took a chunk")
+			}
 			slots := func() int {
 				if ch.dones == nil {
 					return 0
@@ -359,8 +364,9 @@ func TestChannelSteadyStateAllocs(t *testing.T) {
 			if n := testing.AllocsPerRun(500, round); n != 0 {
 				t.Fatalf("steady state allocates %.1f per round, want 0", n)
 			}
-			if cap(ch.queue) != warm {
-				t.Fatalf("queue grew from capacity %d to %d under a bounded backlog", warm, cap(ch.queue))
+			if cap(ch.win) != warm || ch.pool.chunks != warmChunks {
+				t.Fatalf("window capacity went from %d to %d and backlog chunks from %d to %d under a bounded backlog",
+					warm, cap(ch.win), warmChunks, ch.pool.chunks)
 			}
 			if completed-before < 2000 {
 				t.Fatalf("%d requests completed in 501 rounds, want the backlog to keep moving", completed-before)
@@ -382,6 +388,146 @@ func TestChannelSteadyStateAllocs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTierPoolSharesChunks has the two channels of a tier take turns
+// holding a 500-deep backlog. The backlog chunks the first turn takes
+// go back to the tier's pool as its channel drains, so the later turns,
+// on either channel, allocate nothing: the tier holds the chunks of one
+// backlog, not of two.
+func TestTierPoolSharesChunks(t *testing.T) {
+	const depth = 500
+	eng := sim.New()
+	cfg := testConfig()
+	cfg.Channels = 2
+	tier, err := NewTier(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := func(_, _ uint64) {}
+	var addr uint64
+	turn := func(ch *Channel) {
+		for i := 0; i < depth; i++ {
+			ch.Enqueue(Request{Addr: addr, Bytes: 64, Write: i%5 == 0, DoneCtx: done})
+			addr += 832
+		}
+		if ch.QueueLen() != depth {
+			t.Fatalf("%d requests waiting, want %d", ch.QueueLen(), depth)
+		}
+		eng.Run()
+	}
+	for _, ch := range tier.Channels { // allocate both windows
+		ch.Enqueue(Request{DoneCtx: done})
+	}
+	eng.Run()
+	turn(tier.Channels[0])
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for k := 0; k < 4; k++ {
+		turn(tier.Channels[(k+1)%2])
+	}
+	runtime.ReadMemStats(&m1)
+	if got, chunkBytes := m1.TotalAlloc-m0.TotalAlloc, uint64(unsafe.Sizeof(chunk{})); got >= chunkBytes {
+		t.Fatalf("later turns allocated %d bytes, want less than one %d-byte chunk", got, chunkBytes)
+	}
+	pool := tier.Channels[0].pool
+	if tier.Channels[1].pool != pool {
+		t.Fatal("the tier's channels draw from different pools")
+	}
+	if want := (depth - windowCap + chunkLen - 1) / chunkLen; pool.chunks != want {
+		t.Fatalf("pool holds %d chunks, want %d for one %d-deep backlog", pool.chunks, want, depth)
+	}
+}
+
+// TestDeepBacklogOrder drives a two-channel tier with bursts that stack
+// channel 0's backlog at least three chunks deep while channel 1 also
+// holds one, out of phase, so chunks are refilled from, returned and
+// re-taken across channels mid-run; a starvation bound of 1 000 cycles
+// lets FR-FCFS reorder within the window while a backlog waits. A last
+// phase holds channel 0 about 12 deep, below schedWindow at the
+// window's end. The test hashes every (request, completion tick) pair
+// in completion order, across both channels. The golden hash was
+// captured when each channel's queue was one unbounded slice; every
+// request issues, and completes, as it did there.
+func TestDeepBacklogOrder(t *testing.T) {
+	eng := sim.New()
+	cfg := testConfig()
+	cfg.Channels = 2
+	cfg.MaxStarve = 1000
+	cfg.CPUPriority = true
+	tier, err := NewTier(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf [16]byte
+	n, last := 0, uint64(0)
+	complete := func(id, now uint64) {
+		binary.LittleEndian.PutUint64(buf[:8], id)
+		binary.LittleEndian.PutUint64(buf[8:], now)
+		h.Write(buf[:])
+		n++
+		last = now
+	}
+	var id uint64
+	enqueue := func(ch int) {
+		i := id
+		id++
+		r := Request{
+			Addr:  (i*64 + (i/4)*7*cfg.RowBytes) % (1 << 22),
+			Bytes: 64 << (i % 3 / 2), Write: i%6 == 1,
+			Source: Source(i % 3 % 2), Lo: i%5 == 4,
+		}
+		if i%7 == 3 {
+			r.Done = func(now uint64) { complete(i, now) }
+		} else {
+			r.DoneCtx, r.Ctx = complete, i
+		}
+		tier.Channels[ch].Enqueue(r)
+	}
+	deep := 0 // bursts after which both backlogs stand, channel 0's 3+ chunks deep
+	burst := func(b, _ uint64) {
+		n0, n1 := 30, 10
+		if b%3 == 0 {
+			n0 = 330
+		}
+		if b%2 == 1 {
+			n1 = 220
+		}
+		for k := 0; k < n0 || k < n1; k++ {
+			if k < n0 {
+				enqueue(0)
+			}
+			if k < n1 {
+				enqueue(1)
+			}
+		}
+		if tier.Channels[0].QueueLen() >= windowCap+3*chunkLen && tier.Channels[1].QueueLen() > windowCap {
+			deep++
+		}
+	}
+	for b := uint64(0); b < 12; b++ {
+		eng.ScheduleCtx(700*b, burst, b)
+	}
+	eng.Run()
+	// Then hold channel 0 at about 12 waiting requests, so its window
+	// slice fills to its end with fewer than schedWindow waiting.
+	for k := 0; k < 400; k++ {
+		for tier.Channels[0].QueueLen() < 12 {
+			enqueue(0)
+		}
+		eng.RunUntil(eng.Now() + 4)
+	}
+	eng.Run()
+	if deep == 0 {
+		t.Fatal("the two backlogs never stood at once")
+	}
+	if n != 3205 || last != 11388 {
+		t.Fatalf("%d requests completed by tick %d, want 3205 by 11388", n, last)
+	}
+	if got := h.Sum64(); got != 0x4666592a58ece72d {
+		t.Fatalf("completion order hash %#x, want 0x4666592a58ece72d", got)
 	}
 }
 
@@ -468,6 +614,18 @@ func TestQueuedSize(t *testing.T) {
 	}
 }
 
+// TestChannelSize pins Channel at 368 bytes, in the 384-byte allocation
+// size class: a field added to it shows up here first, and one that
+// takes it past 384 moves every channel to a larger class.
+func TestChannelSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(Channel{}); got != 368 {
+		t.Fatalf("Channel is %d bytes, want 368", got)
+	}
+}
+
 func BenchmarkChannelThroughput(b *testing.B) {
 	eng := sim.New()
 	cfg := testConfig()
@@ -517,6 +675,63 @@ func BenchmarkChannelBacklog(b *testing.B) {
 			eng.RunUntil(eng.Now() + 1)
 		}
 	}
+}
+
+// BenchmarkTierBacklog runs one HBM2E tier whose 16 channels hold
+// standing backlogs that rise and fall out of phase: every 64 ticks
+// each channel is topped up to a depth that follows a triangle wave
+// between 0 and 640 requests, channel c's wave 1/16 of a period behind
+// channel c-1's. One op is one period of 8 192 ticks, so a single op
+// already returns chunks to the tier's pool and takes them again on
+// other channels. It reports ns per request and the pool's peak KB,
+// which follows the tier's simultaneous backlog rather than the sum of
+// the channels' peaks.
+func BenchmarkTierBacklog(b *testing.B) {
+	const (
+		steps    = 128 // per period
+		stepLen  = 64  // ticks
+		perStep  = 10  // depth change per step
+		channels = 16
+	)
+	eng := sim.New()
+	tier, err := NewTier(eng, HBM2E())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rowBytes := tier.Cfg.RowBytes
+	var addrs [channels]uint64
+	done := func(_, _ uint64) {}
+	reqs := 0
+	period := func() {
+		for s := 0; s < steps; s++ {
+			for c, ch := range tier.Channels {
+				phase := (s + c*steps/channels) % steps
+				target := perStep * min(phase, steps-phase)
+				for i := ch.QueueLen(); i < target; i++ {
+					a := &addrs[c]
+					*a += 64
+					if i&3 == 3 {
+						*a += rowBytes * 7
+					}
+					ch.Enqueue(Request{
+						Addr: *a, Bytes: 64, Write: i&7 == 0, Source: Source(i & 1),
+						Lo: i%8 == 5, DoneCtx: done,
+					})
+					reqs++
+				}
+			}
+			eng.RunUntil(eng.Now() + stepLen)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		period()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(reqs), "ns/req")
+	pool := tier.Channels[0].pool
+	b.ReportMetric(float64(uintptr(pool.chunks)*unsafe.Sizeof(chunk{}))/1024, "pool-KB")
 }
 
 // TestIssueEventsOnlyWhenIssuing feeds a channel a backlog whose

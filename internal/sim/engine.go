@@ -47,13 +47,14 @@ const (
 	// cycle system.Quick() run of C1 or C5, 99.5 % of late inserts land
 	// in a tick holding at most 8 events and none in one past 21. A late
 	// cap of 16 (a 96 KB slab of 24-byte events) therefore regrows only a
-	// few buckets: each such run allocates 96 KB less than at 32, and
-	// 48 KB less than at 8, where regrowth outweighs the smaller slab.
-	// The short serving job (TestFootprintCeilings) is the exception: it
-	// allocates 27 KB more at 16 than at 8 (785 against 758 KB), and
-	// 96 KB less than at 32. Lane 0 stays at 8: at 4 every such run
-	// allocates 13-18 KB more; at 16 C1 runs allocate 25 KB less, but C5
-	// runs 31-36 KB more and the short serving job 8 KB more.
+	// few buckets: each such run allocates 87-102 KB less than at 32,
+	// and 48-54 KB less than at 8, where regrowth outweighs the smaller
+	// slab. The short serving job (TestFootprintCeilings) is the
+	// exception: it allocates 26 KB more at 16 than at 8 (705 against
+	// 679 KB), and 96 KB less than at 32. Lane 0 stays at 8: at 4 every
+	// such run allocates 13-18 KB more; at 16 C1 runs allocate 25 KB
+	// less, but C5 runs 31-36 KB more and the short serving job 8 KB
+	// more.
 	bucketCap     = 8
 	lateBucketCap = 16
 )
