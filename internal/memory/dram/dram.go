@@ -13,8 +13,9 @@
 // requests, so a channel keeps only its oldest requests where the
 // scheduler reads them: a fixed slice of windowCap entries with a head
 // offset, from which taking a request shifts just the older requests
-// of the scheduling window. Arrivals that find no free slot at the
-// slice's end wait in a backlog, a FIFO of fixed-size chunks drawn from
+// of the scheduling window. An arrival that finds no free slot at the
+// slice's end, and too many waiting requests to compact the slice
+// cheaply, waits in a backlog, a FIFO of fixed-size chunks drawn from
 // and returned to one free list shared by the channels of a Tier. When
 // a take leaves fewer than schedWindow requests in the slice, it is
 // compacted and refilled from the backlog in bulk, so whenever the
@@ -426,10 +427,10 @@ func (c *Channel) Enqueue(r Request) {
 	} else {
 		q = c.slot()
 	}
-	*q = queued{
-		done: r.DoneCtx, ctx: r.Ctx, arrive: now, bytes: r.Bytes,
-		write: r.Write, lo: r.Lo, src: r.Source,
-	}
+	// Field by field, as slots are zeroed: a composite literal would be
+	// built on the stack and then copied.
+	q.done, q.ctx, q.arrive, q.bytes = r.DoneCtx, r.Ctx, now, r.Bytes
+	q.write, q.lo, q.src = r.Write, r.Lo, r.Source
 	if q.bytes == 0 {
 		q.bytes = 64
 	}
@@ -445,14 +446,19 @@ func (c *Channel) Enqueue(r Request) {
 }
 
 // slot returns the entry an arrival is written to when the window has
-// no free slot at its end or the backlog is non-empty. Behind a
-// non-empty backlog, or a window holding schedWindow requests, the
-// arrival joins the backlog, which takes a chunk from the pool when its
-// tail chunk is full. Otherwise the window is allocated or compacted,
-// which then moves fewer than schedWindow entries.
+// no free slot at its end or the backlog is non-empty. The window is
+// allocated on first use, and compacted when the backlog is empty and
+// that frees at least as many slots as it moves, so compaction copies
+// at most one entry per arrival. Otherwise the arrival joins the
+// backlog, which takes a chunk from the pool when its tail chunk is
+// full; the window then holds more than windowCap/2 waiting requests.
 func (c *Channel) slot() *queued {
 	switch {
-	case c.bhead != nil || len(c.win)-c.whead >= schedWindow:
+	case c.win == nil:
+		c.win = make([]queued, 0, windowCap)
+	case c.bhead == nil && len(c.win)-c.whead <= c.whead:
+		c.compact()
+	default:
 		if c.bhead == nil || c.bend == chunkLen {
 			k := c.pool.get()
 			if c.bhead == nil {
@@ -465,10 +471,6 @@ func (c *Channel) slot() *queued {
 		c.bend++
 		c.nback++
 		return &c.btail.q[c.bend-1]
-	case c.win == nil:
-		c.win = make([]queued, 0, windowCap)
-	default:
-		c.compact()
 	}
 	n := len(c.win)
 	c.win = c.win[:n+1]
