@@ -17,6 +17,17 @@ func TestWaySize(t *testing.T) {
 	}
 }
 
+// TestAccessChunkSize pins an access-slab chunk at 14 336 bytes, one
+// allocation size class, so a chunk wastes nothing to rounding.
+func TestAccessChunkSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit targets")
+	}
+	if got := unsafe.Sizeof([accChunk]access{}); got != 14336 {
+		t.Fatalf("access chunk is %d bytes, want 14336", got)
+	}
+}
+
 // The white-box tests below follow access records through the
 // controller's internals. They cannot use internal/policy, which imports
 // this package, so they run under lruPolicy.
@@ -69,20 +80,20 @@ func (c *Controller) lineAddr(blk, l uint64) uint64 { return blk<<c.blockShift +
 // free list exactly once and holds no done reference.
 func checkAllFree(t *testing.T, c *Controller) {
 	t.Helper()
-	seen := make([]bool, len(c.accs))
-	n := 0
-	for i := c.accFree; i >= 0; i = c.accs[i].next {
+	seen := make([]bool, c.accN)
+	n := int32(0)
+	for i := c.accFree; i >= 0; i = c.acc(i).next {
 		if seen[i] {
 			t.Fatalf("record %d is on the free list twice", i)
 		}
 		seen[i] = true
-		if c.accs[i].done != nil {
+		if c.acc(i).done != nil {
 			t.Fatalf("free record %d still holds its done", i)
 		}
 		n++
 	}
-	if n != len(c.accs) {
-		t.Fatalf("free list holds %d of %d records", n, len(c.accs))
+	if n != c.accN {
+		t.Fatalf("free list holds %d of %d records", n, c.accN)
 	}
 }
 
@@ -127,8 +138,8 @@ func TestChainedHit(t *testing.T) {
 	if s.LatencySum[dram.SourceCPU] != want {
 		t.Fatalf("latency sum %d, want %d", s.LatencySum[dram.SourceCPU], want)
 	}
-	if len(c.accs) != 1 {
-		t.Fatalf("access slab holds %d records, want 1", len(c.accs))
+	if c.accN != 1 {
+		t.Fatalf("access slab holds %d records, want 1", c.accN)
 	}
 	checkAllFree(t, c)
 }
@@ -300,6 +311,81 @@ func TestAccessRecordLifetime(t *testing.T) {
 	if r.eng.Pending() != 0 || c.pendingLine.Len() != 0 || c.pendingFill.Len() != 0 {
 		t.Fatalf("after the drain: %d events, %d line reads, %d fills pending",
 			r.eng.Pending(), c.pendingLine.Len(), c.pendingFill.Len())
+	}
+	checkAllFree(t, c)
+}
+
+// chainLen returns the length of the waiter chain from head and whether
+// it links a record of a chunk past the first.
+func (c *Controller) chainLen(head int32) (n int, pastFirst bool) {
+	for i := head; i >= 0; i = c.acc(i).next {
+		n++
+		pastFirst = pastFirst || i >= accChunk
+	}
+	return n, pastFirst
+}
+
+// TestAccessesAcrossChunks puts more accesses in flight at once than
+// one chunk of the access slab holds: a chained HAShCache hit, GPU reads
+// of one line, which coalesce on its line read (the policy refuses GPU
+// migrations), and CPU reads of one block, which migrates, so the reads
+// that probe after its fill is registered wait on the fill. Both waiter
+// chains link records of both chunks; every access must finish exactly
+// once and every record come back to the free list.
+func TestAccessesAcrossChunks(t *testing.T) {
+	cfg := Config{FastCapacityBytes: 1 << 20, RemapCacheBytes: 8 << 10, Assoc: 1, Chaining: true}
+	eng, c, _ := newController(t, cfg)
+	xBlk := 7 * c.numSets // home set 0
+	c.set(1)[0] = way{meta: xBlk<<wayTagShift | wayValid}
+	gBlk, aBlk := 9*c.numSets+64, 11*c.numSets+128
+
+	const per = 150
+	fired := make([]int, 0, 2*per+1)
+	issue := func(blk, line uint64, src dram.Source) {
+		id := len(fired)
+		fired = append(fired, 0)
+		c.Access(c.lineAddr(blk, line), false, src, func(uint64) { fired[id]++ })
+	}
+	issue(xBlk, 2, dram.SourceCPU)
+	for k := uint64(0); k < per; k++ {
+		issue(gBlk, 0, dram.SourceGPU)
+		issue(aBlk, k%c.linesPerBlock, dram.SourceCPU)
+	}
+	if c.accN != 2*per+1 || len(c.accs) != 2 {
+		t.Fatalf("%d records in %d chunks, want %d in 2", c.accN, len(c.accs), 2*per+1)
+	}
+
+	var lineChain, fillChain int
+	var lineCrosses, fillCrosses bool
+	for eng.Step() {
+		if packed, ok := c.pendingLine.Get(gBlk << c.lpbShift); ok {
+			n, cross := c.chainLen(int32(packed >> 32))
+			lineChain, lineCrosses = max(lineChain, n), lineCrosses || cross
+		}
+		if fi, ok := c.pendingFill.Get(aBlk); ok {
+			n, cross := c.chainLen(c.fills[fi].whead)
+			fillChain, fillCrosses = max(fillChain, n), fillCrosses || cross
+		}
+	}
+	// Every GPU read chains on the line; every CPU read but the one that
+	// started the migration waits on the fill.
+	if lineChain != per || !lineCrosses || fillChain != per-1 || !fillCrosses {
+		t.Fatalf("longest line chain %d (second chunk %v), fill chain %d (second chunk %v); want %d and %d, both across chunks",
+			lineChain, lineCrosses, fillChain, fillCrosses, per, per-1)
+	}
+	if s := c.Stats(); s.ChainHits != 1 {
+		t.Fatalf("chain hits %d, want 1", s.ChainHits)
+	}
+	for id, n := range fired {
+		if n != 1 {
+			t.Fatalf("access %d finished %d times, want once", id, n)
+		}
+	}
+	if c.accN != 2*per+1 {
+		t.Fatalf("slab grew to %d records after the drain, want %d", c.accN, 2*per+1)
+	}
+	if c.pendingLine.Len() != 0 || c.pendingFill.Len() != 0 {
+		t.Fatalf("after the drain: %d line reads, %d fills pending", c.pendingLine.Len(), c.pendingFill.Len())
 	}
 	checkAllFree(t, c)
 }

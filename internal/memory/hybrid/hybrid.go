@@ -297,9 +297,10 @@ type Controller struct {
 
 	pendingLine container.Table // line key -> packed waiter chain (head<<32 | tail)
 
-	accs    []access  // access slab; accFree heads its free list
-	accFree int32     // -1 = empty
-	viewBuf []WayView // reused policy-view buffer
+	accs    []*[accChunk]access // access slab in fixed chunks; see acc
+	accN    int32               // records carved from the chunks
+	accFree int32               // free-list head, -1 = empty
+	viewBuf []WayView           // reused policy-view buffer
 
 	// Bound methods created once so hot-path events schedule without
 	// allocating closures.
@@ -326,8 +327,8 @@ type Controller struct {
 // No *access may be held across a call to finish or Access. finish
 // frees the record and then runs done, and done may re-enter Access
 // synchronously (a completed load's LLC fill writes a dirty victim
-// back), which may reuse the record or grow the slab. Keep the index,
-// and read what is still needed (such as next) before finish.
+// back), which may reuse the record. Keep the index, and read what is
+// still needed (such as next) before finish.
 type access struct {
 	start uint64
 	blk   uint64
@@ -340,22 +341,34 @@ type access struct {
 	src   dram.Source
 }
 
-// newAccess takes a record off the free list, growing the slab when the
-// list is empty, and returns its index.
+// accChunk is how many access records one chunk of the slab holds:
+// 256 records of 56 bytes fill the 14 336-byte allocation size class.
+// The slab grows a chunk at a time and never copies a record, so its
+// allocation is what the run's peak in-flight accesses need.
+const accChunk = 256
+
+// acc returns access record i.
+func (c *Controller) acc(i int32) *access { return &c.accs[uint32(i)/accChunk][uint32(i)%accChunk] }
+
+// newAccess takes a record off the free list, carving a new one when
+// the list is empty, and returns its index.
 func (c *Controller) newAccess() int32 {
 	i := c.accFree
 	if i < 0 {
-		c.accs = append(c.accs, access{})
-		return int32(len(c.accs) - 1)
+		if c.accN%accChunk == 0 {
+			c.accs = append(c.accs, new([accChunk]access))
+		}
+		c.accN++
+		return c.accN - 1
 	}
-	c.accFree = c.accs[i].next
+	c.accFree = c.acc(i).next
 	return i
 }
 
 // finish completes access ai at t: it accounts the latency, frees the
 // record and then runs done (see access for why in that order).
 func (c *Controller) finish(ai, t uint64) {
-	a := &c.accs[ai]
+	a := c.acc(int32(ai))
 	c.stats.LatencySum[a.src] += t - a.start
 	done := a.done
 	*a = access{next: c.accFree} // drop the done reference
@@ -476,7 +489,7 @@ func (c *Controller) fillAddWaiter(fi, ai int32) {
 	if f.wtail < 0 {
 		f.whead = ai
 	} else {
-		c.accs[f.wtail].next = ai
+		c.acc(f.wtail).next = ai
 	}
 	f.wtail = ai
 }
@@ -488,7 +501,7 @@ func (c *Controller) Access(addr uint64, write bool, src dram.Source, done func(
 	blk := addr >> c.blockShift
 	set := c.setDiv.Mod(blk)
 	ai := c.newAccess()
-	c.accs[ai] = access{
+	*c.acc(ai) = access{
 		start: c.eng.Now(), blk: blk, set: set, line: (addr & c.blockMask) / LineBytes,
 		done: done, next: -1, way: -1, write: write, src: src,
 	}
@@ -563,7 +576,7 @@ func findWay(ws []way, blk uint64) int {
 // hit in the chained set records the way and probes that set's metadata
 // too; the second probe lands here again and takes the hit.
 func (c *Controller) probe(ai, _ uint64) {
-	a := &c.accs[ai]
+	a := c.acc(int32(ai))
 	if a.way >= 0 {
 		c.hitPath(ai, int(a.way))
 		return
@@ -610,7 +623,7 @@ func (c *Controller) slowLineReq(blk, line uint64) (*dram.Channel, uint64) {
 
 // hitPath serves access ai from way w of its set.
 func (c *Controller) hitPath(ai uint64, w int) {
-	a := &c.accs[ai]
+	a := c.acc(int32(ai))
 	blk, set, src := a.blk, a.set, a.src
 	c.stats.FastHits[src]++
 	wy := &c.set(set)[w]
@@ -754,7 +767,7 @@ func (c *Controller) wbLineDone(ci, _ uint64) {
 
 // missPath serves access ai, whose block is not in the fast tier.
 func (c *Controller) missPath(ai uint64) {
-	a := &c.accs[ai]
+	a := c.acc(int32(ai))
 	blk, set, line, src := a.blk, a.set, a.line, a.src
 	if a.write {
 		// Write miss (an LLC writeback to an uncached block): write through
@@ -777,7 +790,7 @@ func (c *Controller) missPath(ai uint64) {
 	c.stats.SlowDemandReads[src]++
 	key := blk<<c.lpbShift | line
 	if packed, ok := c.pendingLine.Get(key); ok {
-		c.accs[int32(packed)].next = int32(ai)
+		c.acc(int32(packed)).next = int32(ai)
 		c.pendingLine.Put(key, packed&^0xFFFFFFFF|int64(ai))
 	} else {
 		c.pendingLine.Put(key, int64(ai)<<32|int64(ai))
@@ -801,7 +814,7 @@ func (c *Controller) lineDone(key, t uint64) {
 	}
 	c.pendingLine.Delete(key)
 	for i := int32(packed >> 32); i >= 0; {
-		next := c.accs[i].next
+		next := c.acc(i).next
 		c.finish(uint64(i), t)
 		i = next
 	}
@@ -866,8 +879,8 @@ func (c *Controller) refillDone(fi, t uint64) {
 	f := &c.fills[fi]
 	f.ready = true
 	wy := &c.set(f.set)[f.w]
-	for i := f.whead; i >= 0; i = c.accs[i].next {
-		if c.accs[i].write && wy.holds(f.blk) {
+	for i := f.whead; i >= 0; i = c.acc(i).next {
+		if c.acc(i).write && wy.holds(f.blk) {
 			wy.meta |= wayDirty
 		}
 		c.eng.AfterCtx(fillBufferLat, c.finishFn, uint64(i))
@@ -899,9 +912,9 @@ func (c *Controller) finishFill(fi int32, t uint64) {
 	if wy.holds(blk) {
 		wy.meta &^= wayBusy
 	}
-	for i := f.whead; i >= 0; i = c.accs[i].next {
+	for i := f.whead; i >= 0; i = c.acc(i).next {
 		// Serve waiters from the freshly filled fast block.
-		a := &c.accs[i]
+		a := c.acc(i)
 		ch, addr := c.fastLineReq(f.set, int(f.w), blk, a.line)
 		if a.write && wy.holds(blk) {
 			wy.meta |= wayDirty

@@ -9,12 +9,14 @@
 // therefore allocates no closure, and an event is two words.
 //
 // The scheduler is a timing wheel: events within span ticks of "now" go
-// into a per-tick bucket (O(1) schedule and pop, the overwhelmingly
+// into a per-tick list (O(1) schedule and pop, the overwhelmingly
 // common case — cache latencies and core wake-ups are all well under the
 // span), while far-future events (the epoch ticks) wait in a small
 // overflow heap and are promoted into the wheel as time approaches them.
-// Buckets are value slices whose capacity is reused across ticks, so
-// steady-state scheduling allocates nothing.
+// A wheel keeps its pending events in one node slab with a free list;
+// each tick's list is a head and a tail index into it. The slab grows to
+// the most events the wheel ever holds at once and is reused from then
+// on, so steady-state scheduling allocates nothing.
 //
 // Alongside the wheel ("lane 0", FIFO within a tick) the engine has a
 // late lane: events ordered by (time, key, scheduling order) that run
@@ -24,47 +26,27 @@
 // order set by the components' keys rather than by when the callbacks
 // were scheduled. That same-tick order is part of the model: the golden
 // result fingerprints pin it (DESIGN.md §8, "Same-tick order"). The late
-// lane is a second wheel of the same span whose buckets are kept sorted
-// by key, with its own overflow heap beyond that span. Its entries take
-// the same fn(ctx, now) form plus the key, three words.
+// lane is a second wheel of the same span whose tick lists are kept
+// sorted by key, with its own overflow heap beyond that span. Its entries
+// take the same fn(ctx, now) form plus the key, three words.
 package sim
 
 import "math/bits"
 
-const (
-	// span is how many ticks ahead of now each wheel covers; events at
-	// now+span or later wait in their lane's overflow heap. In 1.2 M-cycle
-	// system.Quick() runs of all twelve combos, lane-0 work lands at most
-	// 80 ticks ahead and DRAM completions, the farthest late work, at most
-	// 144 (prep + queueing behind the bus lookahead + burst), so only the
-	// epoch ticks overflow.
-	span = 256
-	// bucketCap and lateBucketCap are each bucket's initial capacity,
-	// carved from one slab when a wheel is built. Without it every fresh
-	// engine re-grows all bucket slices from nil (tens of thousands of
-	// small allocations per simulation run); buckets that ever exceed it
-	// reallocate individually and keep the larger capacity. In a 1.2 M-
-	// cycle system.Quick() run of C1 or C5, 99.5 % of late inserts land
-	// in a tick holding at most 8 events and none in one past 21. A late
-	// cap of 16 (a 96 KB slab of 24-byte events) therefore regrows only a
-	// few buckets: each such run allocates 87-102 KB less than at 32,
-	// and 48-54 KB less than at 8, where regrowth outweighs the smaller
-	// slab. The short serving job (TestFootprintCeilings) is the
-	// exception: it allocates 26 KB more at 16 than at 8 (705 against
-	// 679 KB), and 96 KB less than at 32. Lane 0 stays at 8: at 4 every
-	// such run allocates 13-18 KB more; at 16 C1 runs allocate 25 KB
-	// less, but C5 runs 31-36 KB more and the short serving job 8 KB
-	// more.
-	bucketCap     = 8
-	lateBucketCap = 16
-)
+// span is how many ticks ahead of now each wheel covers; events at
+// now+span or later wait in their lane's overflow heap. In 1.2 M-cycle
+// system.Quick() runs of all twelve combos, lane-0 work lands at most 80
+// ticks ahead and DRAM completions, the farthest late work, at most 144
+// (prep + queueing behind the bus lookahead + burst), so only the epoch
+// ticks overflow.
+const span = 256
 
 // event is a lane-0 entry: fn(ctx, now). It stores neither its time
-// nor a sequence number: one in a wheel bucket fires at the tick the
-// bucket stands for (the engine's now when it runs), and scheduling
-// order is the bucket's order. Only the overflow heaps need both
-// (farEvent). At two words it keeps the wheel's slab at 32 KB and the
-// schedule-path copies small.
+// nor a sequence number: one in a tick's list fires at the tick the
+// list stands for (the engine's now when it runs), and scheduling
+// order is the list's order. Only the overflow heaps need both
+// (farEvent). At two words, its wheel node is three and the
+// schedule-path copies stay small.
 type event struct {
 	ctx uint64
 	fn  func(ctx, now uint64)
@@ -83,7 +65,7 @@ type lateEvent struct {
 // farEvent is an event beyond its wheel's span. Both overflow heaps
 // hold late-lane entries and order them by (at, key, seq); a lane-0
 // event rides with key 0, so its order is (at, seq). seq is the
-// scheduling order that bucket order gives the wheels implicitly.
+// scheduling order that list order gives the wheels implicitly.
 type farEvent struct {
 	lateEvent
 	at, seq uint64
@@ -150,75 +132,115 @@ func (h *farHeap) clear() {
 	*h = (*h)[:0]
 }
 
-// bucket holds the events of a single tick; events[head:] have yet to
-// run. Capacity is reused once the bucket drains.
-type bucket[T any] struct {
-	events []T
-	head   int
+// node is one pending event in a wheel's slab. A pending node is linked
+// into its tick's list through next and prev (-1 ends the list; the
+// head's prev is never read), a free one into the free list through
+// next. prev fills what would be padding, so a node is the event plus
+// 8 bytes.
+type node[T any] struct {
+	ev         T
+	next, prev int32
 }
 
-// wheel is a ring of per-tick buckets covering [now, now+span) with an
-// occupancy bitmap (bit set iff the bucket holds an event that has not
-// run), so the next busy tick is a few TrailingZeros64 calls away.
+// tickList is one tick's pending events: its first and last node. head
+// is -1 when the list is empty, and tail is then meaningless.
+type tickList struct{ head, tail int32 }
+
+// wheel is a ring of per-tick lists covering [now, now+span) with an
+// occupancy bitmap (bit set iff the tick's list holds an event that has
+// not run), so the next busy tick is a few TrailingZeros64 calls away.
 // Every event in it lies within one span of now, so a slot never holds
-// two ticks at once. The zero value is empty; init allocates it.
+// two ticks at once. The zero value is empty; init builds the lists.
 type wheel[T any] struct {
-	buckets  []bucket[T]
+	nodes    []node[T] // grows to the most events ever pending at once
+	free     int32     // free-list head, -1 = empty
+	lists    []tickList
 	occupied []uint64
 	mask     uint64
 	n        int // events held
 }
 
-func (w *wheel[T]) init(span, capacity int) {
-	w.buckets = make([]bucket[T], span)
-	w.occupied = make([]uint64, span/64)
-	w.mask = uint64(span - 1)
-	slab := make([]T, span*capacity)
-	for i := range w.buckets {
-		w.buckets[i].events, slab = slab[:0:capacity], slab[capacity:]
+func (w *wheel[T]) init() {
+	w.lists = make([]tickList, span)
+	for i := range w.lists {
+		w.lists[i].head = -1
 	}
+	w.occupied = make([]uint64, span/64)
+	w.mask = span - 1
+	w.free = -1
 }
 
-// add returns tick's bucket for an insert, counted and marked occupied.
-func (w *wheel[T]) add(tick uint64) *bucket[T] {
-	i := tick & w.mask
-	w.occupied[i>>6] |= 1 << (i & 63)
+// alloc returns a node holding ev and ending a list, taken off the free
+// list or, when that is empty, appended to the slab; the caller links
+// it.
+func (w *wheel[T]) alloc(ev T) int32 {
+	i := w.free
+	if i < 0 {
+		w.nodes = append(w.nodes, node[T]{ev: ev, next: -1})
+		return int32(len(w.nodes) - 1)
+	}
+	nd := &w.nodes[i]
+	w.free = nd.next
+	nd.ev, nd.next = ev, -1
+	return i
+}
+
+// pushBack links node i at the end of slot s's list.
+func (w *wheel[T]) pushBack(s uint64, i int32) {
+	l := &w.lists[s]
+	if l.head >= 0 {
+		w.nodes[i].prev = l.tail
+		w.nodes[l.tail].next = i
+	} else {
+		w.occupied[s>>6] |= 1 << (s & 63)
+		l.head = i
+	}
+	l.tail = i
 	w.n++
-	return &w.buckets[i]
 }
 
-// ready reports whether tick's bucket holds an event that has not run.
+// insertBefore links node i into slot s's list just before node p.
+func (w *wheel[T]) insertBefore(s uint64, i, p int32) {
+	l := &w.lists[s]
+	nd, succ := &w.nodes[i], &w.nodes[p]
+	nd.next = p
+	if p == l.head {
+		l.head = i
+	} else {
+		nd.prev = succ.prev
+		w.nodes[succ.prev].next = i
+	}
+	succ.prev = i
+	w.n++
+}
+
+// ready reports whether tick's list holds an event that has not run.
 // tick must be the engine's now.
 func (w *wheel[T]) ready(tick uint64) bool {
-	if w.n == 0 {
-		return false
-	}
-	b := &w.buckets[tick&w.mask]
-	return b.head < len(b.events)
+	return w.n > 0 && w.lists[tick&w.mask].head >= 0
 }
 
-// pop removes and returns the next event of tick's bucket, which must
-// be ready. A bucket that empties is reset for reuse; a callback may
-// refill it.
+// pop unlinks and returns the first event of tick's list, which must be
+// ready, and frees its node. A callback may refill the list.
 func (w *wheel[T]) pop(tick uint64) T {
-	i := tick & w.mask
-	b := &w.buckets[i]
-	ev := b.events[b.head]
-	var zero T
-	b.events[b.head] = zero // release callback references for the GC
-	b.head++
-	if b.head == len(b.events) {
-		b.events = b.events[:0]
-		b.head = 0
-		w.occupied[i>>6] &^= 1 << (i & 63)
+	s := tick & w.mask
+	l := &w.lists[s]
+	i := l.head
+	nd := &w.nodes[i]
+	ev := nd.ev
+	if nd.next < 0 {
+		w.occupied[s>>6] &^= 1 << (s & 63)
 	}
+	l.head = nd.next
+	*nd = node[T]{next: w.free} // release callback references for the GC
+	w.free = i
 	w.n--
 	return ev
 }
 
 // next returns the earliest tick holding an event. It must only be
 // called when n > 0: every event lies in [now, now+span), so the first
-// occupied bucket at or after now's slot (wrapping) is the earliest.
+// occupied list at or after now's slot (wrapping) is the earliest.
 func (w *wheel[T]) next(now uint64) uint64 {
 	p := now & w.mask
 	word := int(p >> 6)
@@ -237,12 +259,14 @@ func (w *wheel[T]) next(now uint64) uint64 {
 	panic("sim: next on empty wheel")
 }
 
+// clear drops every event, releasing its callback references. The slab
+// keeps its capacity for the events scheduled after.
 func (w *wheel[T]) clear() {
-	for i := range w.buckets {
-		b := &w.buckets[i]
-		clear(b.events[b.head:])
-		b.events = b.events[:0]
-		b.head = 0
+	clear(w.nodes)
+	w.nodes = w.nodes[:0]
+	w.free = -1
+	for i := range w.lists {
+		w.lists[i].head = -1
 	}
 	clear(w.occupied)
 	w.n = 0
@@ -253,7 +277,7 @@ func (w *wheel[T]) clear() {
 //
 // Invariant: each overflow heap holds only events at or beyond its
 // wheel's span from now. Time changes only in advance, which promotes,
-// so a direct schedule into a bucket always comes after every overflow
+// so a direct schedule into a tick's list always comes after every overflow
 // event of that tick (which was scheduled earlier) has been promoted.
 type Engine struct {
 	now    uint64
@@ -329,36 +353,50 @@ func (e *Engine) ScheduleLateCtx(at, key uint64, fn func(ctx, now uint64), ctx u
 	}
 }
 
+// wheelInsert appends ev to its tick's lane-0 list.
 func (e *Engine) wheelInsert(at uint64, ev event) {
-	if e.wheel.buckets == nil {
-		e.wheel.init(span, bucketCap)
+	w := &e.wheel
+	if w.lists == nil {
+		w.init()
 	}
-	b := e.wheel.add(at)
-	b.events = append(b.events, ev)
+	w.pushBack(at&w.mask, w.alloc(ev))
 }
 
-// lateInsert places ev into its tick's bucket by a stable insertion
-// sort over the events that have yet to run, so equal keys keep
-// scheduling order. At the running tick, an event whose key sorts
-// before the one now running lands at the bucket head and runs next —
+// lateInsert links ev into its tick's late list after the last event
+// whose key is at most ev's, so the list stays in key order and equal
+// keys keep scheduling order. Appending is the common case, so the tail
+// is checked first; otherwise the walk goes back from the tail, as
+// issue-class keys sort after the completions already in a tick. At the
+// running tick the list holds only the events yet to run, so an event
+// whose key sorts before all of them lands at the head and runs next —
 // exactly what a (time, key, seq) min-heap would pop next.
 func (e *Engine) lateInsert(at uint64, ev lateEvent) {
-	if e.late.buckets == nil {
-		e.late.init(span, lateBucketCap)
+	w := &e.late
+	if w.lists == nil {
+		w.init()
 	}
-	b := e.late.add(at)
-	b.events = append(b.events, lateEvent{})
-	j := len(b.events) - 1
-	for j > b.head && b.events[j-1].key > ev.key {
-		b.events[j] = b.events[j-1]
-		j--
+	i := w.alloc(ev)
+	s := at & w.mask
+	l := &w.lists[s]
+	if l.head < 0 || w.nodes[l.tail].ev.key <= ev.key {
+		w.pushBack(s, i)
+		return
 	}
-	b.events[j] = ev
+	// Find the first node whose key exceeds ev's: the tail's does.
+	p := l.tail
+	for p != l.head {
+		q := w.nodes[p].prev
+		if w.nodes[q].ev.key <= ev.key {
+			break
+		}
+		p = q
+	}
+	w.insertBefore(s, i, p)
 }
 
 // advance moves time to t and promotes the overflow events that have
 // come within their wheel's span. The heaps pop in (at, key, seq)
-// order, so promoted events enter their buckets in scheduling order.
+// order, so promoted events enter their lists in scheduling order.
 func (e *Engine) advance(t uint64) {
 	e.now = t
 	for len(e.overflow) > 0 && e.overflow[0].at-t < span {
@@ -399,8 +437,8 @@ func (e *Engine) nextWork() (uint64, bool) {
 	return n, true
 }
 
-// drainWheel runs the current tick's lane-0 bucket to empty. Callbacks
-// may append to the bucket (zero-delay schedules), so readiness is
+// drainWheel runs the current tick's lane-0 list to empty. Callbacks
+// may append to the list (zero-delay schedules), so readiness is
 // re-checked every iteration.
 func (e *Engine) drainWheel() {
 	for e.wheel.ready(e.now) {

@@ -251,18 +251,24 @@ func TestScheduleCallReceivesFiringTime(t *testing.T) {
 	}
 }
 
-// TestEventIsTwoWords pins the lane-0 entry at {ctx, fn}: it sizes the
-// wheel's slab (span × bucketCap entries) and every schedule-path copy.
+// TestEventIsTwoWords pins the lane-0 entry at {ctx, fn} and its wheel
+// node at 24 bytes with the link: the node is what each pending lane-0
+// event holds of the slab, and the entry every schedule-path copy moves.
 func TestEventIsTwoWords(t *testing.T) {
 	if got, want := unsafe.Sizeof(event{}), 2*unsafe.Sizeof(uintptr(0)); got != want {
 		t.Fatalf("lane-0 event is %d bytes, want %d", got, want)
 	}
+	if unsafe.Sizeof(uintptr(0)) == 8 {
+		if got := unsafe.Sizeof(node[event]{}); got != 24 {
+			t.Fatalf("lane-0 node is %d bytes, want 24", got)
+		}
+	}
 }
 
 // TestLateEventSize pins the late-lane entry at {key, ctx, fn}, 24
-// bytes: it sizes the late wheel's slab (span × lateBucketCap entries)
-// and each key-sorted insert's shifts, and with {at, seq} every
-// overflow entry, 40 bytes.
+// bytes, and its wheel node at 32 with the link: the node is what each
+// pending late event holds of the slab, and with {at, seq} the entry is
+// every overflow entry, 40 bytes.
 func TestLateEventSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit targets")
@@ -270,8 +276,48 @@ func TestLateEventSize(t *testing.T) {
 	if got := unsafe.Sizeof(lateEvent{}); got != 24 {
 		t.Fatalf("late event is %d bytes, want 24", got)
 	}
+	if got := unsafe.Sizeof(node[lateEvent]{}); got != 32 {
+		t.Fatalf("late node is %d bytes, want 32", got)
+	}
 	if got := unsafe.Sizeof(farEvent{}); got != 40 {
 		t.Fatalf("overflow event is %d bytes, want 40", got)
+	}
+}
+
+// TestLaneSlabFollowsPending schedules a burst of K same-tick events in
+// each lane (late keys out of order), drains it and refills it: each
+// lane's slab holds exactly K nodes, the events run in lane and key
+// order, and a refill allocates nothing.
+func TestLaneSlabFollowsPending(t *testing.T) {
+	const k = 100
+	e := New()
+	var got []uint64
+	record := func(ctx, _ uint64) { got = append(got, ctx) }
+	burst := func() {
+		got = got[:0]
+		at := e.Now() + 1
+		for i := uint64(0); i < k; i++ {
+			e.ScheduleCtx(at, record, i)
+			key := i * 37 % k // a permutation of 0..k-1
+			e.ScheduleLateCtx(at, key, record, k+key)
+		}
+		e.RunUntil(at + 1)
+	}
+	got = make([]uint64, 0, 2*k)
+	burst()
+	for i, ctx := range got {
+		if ctx != uint64(i) {
+			t.Fatalf("event %d ran with ctx %d: want lane 0 in scheduling order, then late keys in order", i, ctx)
+		}
+	}
+	if len(got) != 2*k || e.Pending() != 0 {
+		t.Fatalf("ran %d of %d events, %d pending", len(got), 2*k, e.Pending())
+	}
+	if n := testing.AllocsPerRun(20, burst); n != 0 {
+		t.Fatalf("a refill allocates %.1f times, want 0", n)
+	}
+	if len(e.wheel.nodes) != k || len(e.late.nodes) != k {
+		t.Fatalf("slabs hold %d lane-0 and %d late nodes, want %d each", len(e.wheel.nodes), len(e.late.nodes), k)
 	}
 }
 
@@ -293,6 +339,51 @@ func TestStopDrainsPendingEvents(t *testing.T) {
 	e.Run()
 	if ran != 1 || e.Now() != 10 {
 		t.Fatalf("engine unusable after Stop: ran=%d now=%d", ran, e.Now())
+	}
+}
+
+// TestStopReleasesAndReuses stops an engine with events pending in both
+// lanes' slabs: no node keeps a callback reference, and events scheduled
+// afterwards run in (time, lane, key) order from the same slabs.
+func TestStopReleasesAndReuses(t *testing.T) {
+	e := New()
+	noop := func(_, _ uint64) {}
+	for i := uint64(0); i < 8; i++ {
+		e.ScheduleCtx(3+i%2, noop, i)
+		e.ScheduleLateCtx(3+i%2, 8-i, noop, i)
+	}
+	lane0, late := cap(e.wheel.nodes), cap(e.late.nodes)
+	e.Stop()
+	for i, nd := range e.wheel.nodes[:cap(e.wheel.nodes)] {
+		if nd.ev.fn != nil {
+			t.Fatalf("lane-0 node %d still holds its callback after Stop", i)
+		}
+	}
+	for i, nd := range e.late.nodes[:cap(e.late.nodes)] {
+		if nd.ev.fn != nil {
+			t.Fatalf("late node %d still holds its callback after Stop", i)
+		}
+	}
+	var got []uint64
+	record := func(ctx, _ uint64) { got = append(got, ctx) }
+	e.ScheduleLateCtx(5, 2, record, 4)
+	e.ScheduleLateCtx(5, 1, record, 3)
+	e.ScheduleCtx(5, record, 1)
+	e.ScheduleCtx(4, record, 0)
+	e.ScheduleCtx(5, record, 2)
+	e.ScheduleLateCtx(6, 0, record, 5)
+	e.Run()
+	for i, ctx := range got {
+		if ctx != uint64(i) {
+			t.Fatalf("after Stop, events ran in order %v", got)
+		}
+	}
+	if len(got) != 6 {
+		t.Fatalf("after Stop, ran %d of 6 events", len(got))
+	}
+	if cap(e.wheel.nodes) != lane0 || cap(e.late.nodes) != late {
+		t.Fatalf("slabs regrew after Stop: capacity %d and %d, was %d and %d",
+			cap(e.wheel.nodes), cap(e.late.nodes), lane0, late)
 	}
 }
 
