@@ -11,6 +11,11 @@
 // row of raw counters (hit rates, tier traffic, migrations, latencies,
 // energy) per combo and design. It is not part of all.
 //
+// One invocation makes each distinct run once, whichever experiments
+// ask for it (`fig5a fig6 counters` simulates the fig5a runs once).
+// Unless -q is given, the last stderr line counts the runs made and the
+// requests served from the run memo.
+//
 // Examples:
 //
 //	hydroexp fig5a                      # main comparison, quick scale
@@ -20,9 +25,9 @@
 //	hydroexp -server http://:8077 fig5a # run against a hydroserved daemon
 //	hydroexp -telemetry /tmp/telem fig8 # dump per-run epoch telemetry CSVs
 //
-// With -server, every simulation is submitted to the daemon instead of
-// running in-process, so repeated sweeps hit its content-addressed
-// result cache.
+// With -server, every distinct run is submitted to the daemon instead
+// of running in-process, so repeated sweeps hit its content-addressed
+// result cache; its job IDs are the same content addresses.
 //
 // Exit codes: 0 success, 1 experiment error (including an unknown
 // -combos ID), 2 usage error (bad flag, unknown experiment).
@@ -83,7 +88,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	base.Seed = *seed
 
-	opts := experiments.Options{Base: base, Parallel: *parallel}
+	// One run memo for the whole invocation: every distinct run is made
+	// once, whichever experiments ask for it.
+	opts := experiments.Options{Base: base, Parallel: *parallel}.ShareRuns()
 	if !*quiet {
 		opts.Progress = stderr
 	}
@@ -151,17 +158,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout)
 	}
 
-	// fig6 and counters reuse the fig5a runs; cache them across requested experiments.
-	var fig5Cache *experiments.Fig5Result
-	fig5a := func() (*experiments.Fig5Result, error) {
-		if fig5Cache != nil {
-			return fig5Cache, nil
-		}
-		r, err := experiments.Fig5(opts, false)
-		fig5Cache = r
-		return r, err
-	}
-
 	for _, name := range names {
 		var err error
 		switch name {
@@ -186,7 +182,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		case "fig5a":
 			var r *experiments.Fig5Result
-			if r, err = fig5a(); err == nil {
+			if r, err = experiments.Fig5(opts, false); err == nil {
 				emit(r.Table("Fig. 5(a): weighted speedup over baseline (HBM2E)"))
 				ratio, best := r.HydrogenVsBest()
 				fmt.Fprintf(stdout, "Hydrogen vs best baseline (%s): %.3fx geomean\n\n", best, ratio)
@@ -198,12 +194,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		case "fig6":
 			var r *experiments.Fig5Result
-			if r, err = fig5a(); err == nil {
+			if r, err = experiments.Fig5(opts, false); err == nil {
 				emit(r.Fig6Table())
 			}
 		case "counters":
 			var r *experiments.Fig5Result
-			if r, err = fig5a(); err == nil {
+			if r, err = experiments.Fig5(opts, false); err == nil {
 				emit(r.CountersTable())
 			}
 		case "fig7a":
@@ -256,6 +252,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "hydroexp: %s: %v\n", name, err)
 			return 1
 		}
+	}
+	if !*quiet {
+		made, reused := opts.RunCounts()
+		fmt.Fprintf(stderr, "hydroexp: %d simulations, %d served from the run memo\n", made, reused)
 	}
 	return 0
 }

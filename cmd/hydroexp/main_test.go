@@ -2,13 +2,16 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"github.com/hydrogen-sim/hydrogen/client"
 	"github.com/hydrogen-sim/hydrogen/experiments"
 	"github.com/hydrogen-sim/hydrogen/internal/serve"
 	"github.com/hydrogen-sim/hydrogen/internal/system"
+	"github.com/hydrogen-sim/hydrogen/internal/workloads"
 )
 
 // TestCountersPrintsEveryDesign runs the counters view end to end: one
@@ -34,6 +37,21 @@ func TestCountersPrintsEveryDesign(t *testing.T) {
 		if !designs[d] {
 			t.Errorf("no row for design %s", d)
 		}
+	}
+}
+
+// TestRunMemoLine: with progress on, the last stderr line counts the
+// runs made and the requests the run memo served. fig6 asks for the
+// fig5a runs again; each of the seven designs' speedups asks for its
+// run and the combo's Baseline.
+func TestRunMemoLine(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-cycles", "10000", "-combos", "C1", "fig5a", "fig6"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
+	}
+	lines := strings.Split(strings.TrimSpace(stderr.String()), "\n")
+	if last, want := lines[len(lines)-1], "hydroexp: 7 simulations, 21 served from the run memo"; last != want {
+		t.Fatalf("last stderr line %q, want %q", last, want)
 	}
 }
 
@@ -100,4 +118,45 @@ func TestServerParity(t *testing.T) {
 	if n := srv.SimulationsStarted(); n != started {
 		t.Fatalf("second -server run started %d simulations, want 0", n-started)
 	}
+
+	// The daemon's job ID of a run is system.ContentAddress, the key the
+	// run memo uses: Fig. 10(a)'s alone runs, one of its weight
+	// settings, and a Fig. 8 fixed point are each a done job there.
+	cfg := system.Quick()
+	cfg.Cycles, cfg.Seed = 10000, 1
+	c5, c6 := combo(t, "C5"), combo(t, "C6")
+	cpuOnly := c6
+	cpuOnly.GPU = ""
+	gpuAlone := cfg
+	gpuAlone.Cores = 0
+	weighted := cfg
+	weighted.WeightCPU, weighted.WeightGPU = 32, 1
+	baseline, _ := system.ParseDesign(system.DesignBaseline, nil)
+	hydrogen, _ := system.ParseDesign(system.DesignHydrogen, nil)
+	cl := client.New(ts.URL)
+	for name, r := range map[string]struct {
+		cfg    system.Config
+		design system.DesignSpec
+		combo  workloads.Combo
+	}{
+		"cpu alone":        {cfg, baseline, cpuOnly},
+		"gpu alone":        {gpuAlone, baseline, c6},
+		"weights 32:1":     {weighted, hydrogen, c6},
+		"fig8 fixed point": {cfg, experiments.StaticGrid(experiments.Full)[0].Spec(), c5},
+	} {
+		id := system.ContentAddress(system.ModelVersion, r.cfg, r.design, r.combo)
+		st, err := cl.Job(context.Background(), id)
+		if err != nil || st.State != serve.StateDone {
+			t.Errorf("%s: no done job at its content address %s: %v %v", name, id[:12], st, err)
+		}
+	}
+}
+
+func combo(t *testing.T, id string) workloads.Combo {
+	t.Helper()
+	c, err := workloads.ComboByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }

@@ -10,13 +10,14 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -36,17 +37,106 @@ type Options struct {
 	// Runner overrides how simulations execute. nil runs them
 	// in-process; `hydroexp -server` installs a hydroserved client here
 	// so sweep re-runs hit the daemon's content-addressed result cache.
-	// Every simulation an experiment makes goes through it. Runner must
-	// be safe for concurrent use.
+	// Every distinct run an experiment makes goes through it once.
+	// Runner must be safe for concurrent use.
 	Runner func(cfg system.Config, design system.DesignSpec, combo workloads.Combo) (system.Results, error)
 
-	// TelemetryDir, when set, makes every locally executed simulation
-	// dump its per-epoch telemetry to
-	// telemetry_<seq>_<design>_<combo>.csv in that directory — the raw
-	// material of the knob-trajectory views (Figs. 8-11). Runs routed
-	// through Runner (a remote daemon) are not captured; stream those via
+	// TelemetryDir, when set, gets one CSV of per-epoch telemetry per
+	// distinct locally executed run, named
+	// telemetry_<seq>_<design>_<combo>.csv — the raw material of the
+	// knob-trajectory views (Figs. 8-11). Runs routed through Runner (a
+	// remote daemon) are not captured; stream those via
 	// GET /v1/jobs/{id}/telemetry instead.
 	TelemetryDir string
+
+	// memo holds the runs made so far; every copy of o shares it. See
+	// ShareRuns.
+	memo *runMemo
+}
+
+// ShareRuns returns o with a fresh run memo that every copy of the
+// result shares, so a run one experiment made is not made again by the
+// next. Options without one get a memo of their own per experiment
+// call.
+func (o Options) ShareRuns() Options {
+	o.memo = new(runMemo)
+	return o
+}
+
+// RunCounts reports, for options from ShareRuns, how many runs were
+// made (simulated, or sent to Runner) and how many requests were served
+// one of those runs from the memo instead.
+func (o Options) RunCounts() (made, reused int) {
+	if o.memo == nil {
+		return 0, 0
+	}
+	o.memo.mu.Lock()
+	defer o.memo.mu.Unlock()
+	return o.memo.made, o.memo.reused
+}
+
+// memoize gives o a memo of its own for one experiment call unless it
+// shares one.
+func (o *Options) memoize() {
+	if o.memo == nil {
+		o.memo = new(runMemo)
+	}
+}
+
+// runMemo maps a run's system.ContentAddress to the run. It is
+// singleflight: concurrent requests for one address share one run. A
+// failed run is forgotten, so asking for it again runs it again.
+type runMemo struct {
+	mu           sync.Mutex
+	runs         map[string]*memoRun
+	made, reused int
+}
+
+type memoRun struct {
+	done chan struct{}
+	res  system.Results
+	err  error
+}
+
+var errRunPanicked = errors.New("experiments: run panicked")
+
+// do returns the run at key, calling run to make it unless it is made
+// or in flight.
+func (m *runMemo) do(key string, run func() (system.Results, error)) (system.Results, error) {
+	m.mu.Lock()
+	r, ok := m.runs[key]
+	if ok {
+		m.reused++
+		m.mu.Unlock()
+		<-r.done
+		return r.result()
+	}
+	if m.runs == nil {
+		m.runs = map[string]*memoRun{}
+	}
+	r = &memoRun{done: make(chan struct{}), err: errRunPanicked}
+	m.runs[key] = r
+	m.made++
+	m.mu.Unlock()
+
+	defer func() {
+		if r.err != nil {
+			m.mu.Lock()
+			delete(m.runs, key)
+			m.mu.Unlock()
+		}
+		close(r.done)
+	}()
+	r.res, r.err = run()
+	return r.result()
+}
+
+// result hands out the run with its own Epochs slice, so no caller can
+// change what the memo serves the next.
+func (r *memoRun) result() (system.Results, error) {
+	res := r.res
+	res.Epochs = slices.Clone(res.Epochs)
+	return res, r.err
 }
 
 // telemetrySeq numbers telemetry artifacts across concurrent runs.
@@ -58,12 +148,58 @@ func named(design string) system.DesignSpec {
 	return d
 }
 
-// run executes one simulation through the configured Runner (or
-// locally when none is set).
+// run returns the run of design on (cfg, combo), made once per content
+// address through the configured Runner (or locally when none is set).
 func (o *Options) run(cfg system.Config, design system.DesignSpec, combo workloads.Combo) (system.Results, error) {
-	if o.Runner != nil {
-		return o.Runner(cfg, design, combo)
+	key := system.ContentAddress(system.ModelVersion, cfg, design, combo)
+	return o.memo.do(key, func() (system.Results, error) {
+		if o.Runner != nil {
+			return o.Runner(cfg, design, combo)
+		}
+		return o.simulate(cfg, design, combo)
+	})
+}
+
+// speedup returns design's weighted speedup on (cfg, combo) over the
+// Baseline on the same (cfg, combo), at cfg's IPC weights (12:1 when
+// unset, as the simulator runs it), and the design's run.
+func (o *Options) speedup(cfg system.Config, design system.DesignSpec, combo workloads.Combo) (float64, system.Results, error) {
+	r, err := o.run(cfg, design, combo)
+	if err != nil {
+		return 0, r, err
 	}
+	base, err := o.run(cfg, named(system.DesignBaseline), combo)
+	if err != nil {
+		return 0, r, err
+	}
+	w := system.Canonical(cfg)
+	return WeightedSpeedup(r, base, w.WeightCPU, w.WeightGPU), r, nil
+}
+
+// geomeanSpeedups returns, for each of n points, the geomean over
+// combos of its speedup; point(i) gives the i-th point's config, design
+// and progress label. All n x combos runs go in one parallel list.
+func (o *Options) geomeanSpeedups(n int, combos []workloads.Combo, point func(i int) (system.Config, system.DesignSpec, string)) ([]float64, error) {
+	nc := len(combos)
+	speedups, err := mapOrdered(o.parallelism(), n*nc, func(k int) (float64, error) {
+		cfg, design, label := point(k / nc)
+		s, _, err := o.speedup(cfg, design, combos[k%nc])
+		o.logf("%s %s: %.3f", label, combos[k%nc].ID, s)
+		return s, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = Geomean(speedups[i*nc : (i+1)*nc])
+	}
+	return out, nil
+}
+
+// simulate runs one simulation in-process, writing its telemetry CSV
+// when TelemetryDir is set.
+func (o *Options) simulate(cfg system.Config, design system.DesignSpec, combo workloads.Combo) (system.Results, error) {
 	var observe func(obs.EpochPoint)
 	var points []obs.EpochPoint
 	if o.TelemetryDir != "" {
@@ -142,24 +278,20 @@ func (o *Options) parallelism() int {
 	return o.Parallel
 }
 
-// runIndexed executes fn(0..n-1), with at most par concurrent calls.
-// Worker panics are captured and the first one re-panics in the caller
-// after every in-flight worker has finished, instead of crashing the
-// process from a bare goroutine (or, worse, leaking semaphore slots and
-// deadlocking the remaining jobs).
-func runIndexed(par, n int, fn func(int)) {
-	if par <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	sem := make(chan struct{}, par)
+// mapOrdered runs fn for every index 0..n-1, at most par calls at a
+// time, and collects the results in index order; the error returned is
+// the lowest failing index's, so error reporting is deterministic under
+// parallelism. A worker's panic re-panics in the caller once every
+// in-flight worker has finished, rather than crash the process from a
+// bare goroutine.
+func mapOrdered[T any](par, n int, fn func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	errs := make([]error, n)
+	sem := make(chan struct{}, max(par, 1))
 	var wg sync.WaitGroup
 	var panicOnce sync.Once
 	var panicVal any
-	for i := 0; i < n; i++ {
-		i := i
+	for i := range n {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
@@ -170,25 +302,13 @@ func runIndexed(par, n int, fn func(int)) {
 				<-sem
 				wg.Done()
 			}()
-			fn(i)
+			out[i], errs[i] = fn(i)
 		}()
 	}
 	wg.Wait()
 	if panicVal != nil {
 		panic(panicVal)
 	}
-}
-
-// mapOrdered runs fn for every index 0..n-1 (in parallel up to par) and
-// collects the results in index order. Each call owns its result slot,
-// so fn needs no locking; the error returned is the one from the lowest
-// failing index, making error reporting deterministic under parallelism.
-func mapOrdered[T any](par, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	errs := make([]error, n)
-	runIndexed(par, n, func(i int) {
-		out[i], errs[i] = fn(i)
-	})
 	for _, err := range errs {
 		if err != nil {
 			return out, err
@@ -280,14 +400,4 @@ func (t *Table) WriteCSV(w io.Writer) {
 	for _, row := range t.Rows {
 		fmt.Fprintln(w, strings.Join(row, ","))
 	}
-}
-
-// sortedKeys returns map keys in sorted order for deterministic output.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

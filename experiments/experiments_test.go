@@ -6,10 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/hydrogen-sim/hydrogen/internal/system"
 	"github.com/hydrogen-sim/hydrogen/internal/workloads"
@@ -319,6 +322,142 @@ func TestOneBaselinePerConfigCombo(t *testing.T) {
 			if n != 1 {
 				t.Errorf("%s: Baseline ran %d times on %s", tc.name, n, key[strings.LastIndex(key, "/")+1:])
 			}
+		}
+	}
+}
+
+// TestAllRunsOnce drives the experiments of `hydroexp all`, with its
+// combo subsets, through one shared memo: every content address reaches
+// the Runner exactly once, 394 runs where calling each figure on its
+// own makes 461.
+func TestAllRunsOnce(t *testing.T) {
+	base := system.Quick()
+	base.Seed = 1
+	opts := Options{Base: base}.ShareRuns()
+	var mu sync.Mutex
+	calls := map[string]int{}
+	opts.Runner = func(cfg system.Config, d system.DesignSpec, c workloads.Combo) (system.Results, error) {
+		mu.Lock()
+		calls[system.ContentAddress(system.ModelVersion, cfg, d, c)]++
+		mu.Unlock()
+		return system.Results{CPUIPC: 1, GPUIPC: 1}, nil
+	}
+	subset := func(ids ...string) Options {
+		o := opts
+		o.Combos = ids
+		return o
+	}
+	for _, run := range []func() error{
+		func() error { _, err := Fig2a(opts); return err },
+		func() error { _, err := Fig2Sensitivity(opts, "C1", KnobFastBW, nil); return err },
+		func() error { _, err := Fig2Sensitivity(opts, "C1", KnobFastCapacity, nil); return err },
+		func() error { _, err := Fig2Sensitivity(opts, "C1", KnobSlowBW, nil); return err },
+		func() error { _, err := Fig5(opts, false); return err },
+		func() error { _, err := Fig5(opts, true); return err },
+		func() error { _, err := Fig5(opts, false); return err }, // fig6
+		func() error { _, err := Fig7a(subset("C1", "C5", "C8", "C11")); return err },
+		func() error { _, err := Fig7b(subset("C1", "C5")); return err },
+		func() error { _, err := Fig8(opts, "C5", Full); return err },
+		func() error { _, err := Fig9Phase(subset("C1", "C5"), nil); return err },
+		func() error { _, err := Fig9Epoch(subset("C1", "C5"), nil); return err },
+		func() error { _, err := Fig10a(opts, "C6", nil); return err },
+		func() error { _, err := Fig10b(subset("C1", "C5"), nil); return err },
+		func() error { _, err := Fig11(subset("C1", "C5"), nil); return err },
+	} {
+		if err := run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for key, n := range calls {
+		if n != 1 {
+			t.Errorf("address %s reached the Runner %d times", key[:12], n)
+		}
+	}
+	if len(calls) != 394 {
+		t.Errorf("%d distinct runs, want 394", len(calls))
+	}
+	if made, _ := opts.RunCounts(); made != len(calls) {
+		t.Errorf("RunCounts made %d, Runner saw %d addresses", made, len(calls))
+	}
+}
+
+// TestConcurrentRequestsShareOneRun: with Parallel 2, two requests for
+// one address in flight together make one Runner call, both get its
+// Results, and neither can change what the memo serves.
+func TestConcurrentRequestsShareOneRun(t *testing.T) {
+	o := tinyOptions()
+	o.Parallel = 2
+	o.memoize()
+	want := system.Results{CPUIPC: 1.5, GPUIPC: 0.5, Epochs: []system.EpochSample{{EndCycle: 7}}}
+	var calls atomic.Int32
+	entered, release := make(chan struct{}), make(chan struct{})
+	o.Runner = func(system.Config, system.DesignSpec, workloads.Combo) (system.Results, error) {
+		if calls.Add(1) == 1 {
+			close(entered)
+		}
+		<-release
+		return want, nil
+	}
+	c1, err := workloads.ComboByID("C1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := func(int) (system.Results, error) { return o.run(o.Base, named(system.DesignBaseline), c1) }
+	var got []system.Results
+	done := make(chan error)
+	go func() {
+		var err error
+		got, err = mapOrdered(o.parallelism(), 2, req)
+		done <- err
+	}()
+	<-entered
+	// Release the run once both requests have reached the memo.
+	for made, reused := o.RunCounts(); made+reused < 2; made, reused = o.RunCounts() {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("%d Runner calls for one address, want 1", n)
+	}
+	for i, r := range got {
+		if !reflect.DeepEqual(r, want) {
+			t.Fatalf("request %d got %+v, want %+v", i, r, want)
+		}
+	}
+	got[0].Epochs[0].EndCycle = 0
+	if again, _ := req(0); !reflect.DeepEqual(again, want) || got[1].Epochs[0].EndCycle != 7 {
+		t.Fatal("a caller's change to its Epochs reached the memo")
+	}
+}
+
+// TestFailedRunIsNotMemoized: a run that fails reaches the Runner again
+// when it is asked for again; once it succeeds it is made no more.
+func TestFailedRunIsNotMemoized(t *testing.T) {
+	o := tinyOptions()
+	o.memoize()
+	boom := errors.New("daemon unavailable")
+	calls := 0
+	o.Runner = func(system.Config, system.DesignSpec, workloads.Combo) (system.Results, error) {
+		calls++
+		if calls <= 2 {
+			return system.Results{}, boom
+		}
+		return system.Results{CPUIPC: 1}, nil
+	}
+	c1, err := workloads.ComboByID("C1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []struct {
+		err   error
+		calls int
+	}{{boom, 1}, {boom, 2}, {nil, 3}, {nil, 3}} {
+		_, err := o.run(o.Base, named(system.DesignHydrogen), c1)
+		if !errors.Is(err, want.err) || calls != want.calls {
+			t.Fatalf("request %d: err %v after %d Runner calls, want %v after %d", i, err, calls, want.err, want.calls)
 		}
 	}
 }

@@ -19,6 +19,7 @@ type Fig10aRow struct {
 // weights" on one combo (the paper uses C6): higher CPU weights reduce
 // the CPU slowdown at a small GPU cost. Lower slowdown is better.
 func Fig10a(o Options, comboID string, weights [][2]float64) ([]Fig10aRow, error) {
+	o.memoize()
 	combo, err := workloads.ComboByID(comboID)
 	if err != nil {
 		return nil, err
@@ -27,7 +28,7 @@ func Fig10a(o Options, comboID string, weights [][2]float64) ([]Fig10aRow, error
 		weights = [][2]float64{{1, 1}, {4, 1}, {12, 1}, {32, 1}}
 	}
 	// Alone runs are weight-independent.
-	cpuAlone, gpuAlone, _, err := aloneAndTogether(&o, o.Base, combo)
+	cpuAlone, gpuAlone, err := o.alone(o.Base, combo)
 	if err != nil {
 		return nil, err
 	}
@@ -72,6 +73,7 @@ type Fig10bRow struct {
 // core count scales while the GPU stays at 96 EUs, with IPC weights
 // following the core-count ratio (wCPU = 96/cores).
 func Fig10b(o Options, counts []int) ([]Fig10bRow, error) {
+	o.memoize()
 	if len(counts) == 0 {
 		counts = []int{4, 8, 16}
 	}
@@ -79,41 +81,20 @@ func Fig10b(o Options, counts []int) ([]Fig10bRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	type pair struct{ hydro, prof float64 }
-	pairs, err := mapOrdered(o.parallelism(), len(counts)*len(combos), func(k int) (pair, error) {
-		n, combo := counts[k/len(combos)], combos[k%len(combos)]
+	// Hydrogen and Profess at each count.
+	gm, err := o.geomeanSpeedups(2*len(counts), combos, func(i int) (system.Config, system.DesignSpec, string) {
+		n, d := counts[i/2], []string{system.DesignHydrogen, system.DesignProfess}[i%2]
 		cfg := o.Base
 		cfg.Cores = n
 		cfg.WeightCPU, cfg.WeightGPU = 96/float64(n), 1
-		baseline, err := o.run(cfg, named(system.DesignBaseline), combo)
-		if err != nil {
-			return pair{}, err
-		}
-		h, err := o.run(cfg, named(system.DesignHydrogen), combo)
-		if err != nil {
-			return pair{}, err
-		}
-		p, err := o.run(cfg, named(system.DesignProfess), combo)
-		if err != nil {
-			return pair{}, err
-		}
-		o.logf("fig10b cores=%d %s done", n, combo.ID)
-		return pair{
-			hydro: WeightedSpeedup(h, baseline, cfg.WeightCPU, cfg.WeightGPU),
-			prof:  WeightedSpeedup(p, baseline, cfg.WeightCPU, cfg.WeightGPU),
-		}, nil
+		return cfg, named(d), fmt.Sprintf("fig10b cores=%d %s", n, d)
 	})
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]Fig10bRow, len(counts))
 	for i, n := range counts {
-		var hydro, prof []float64
-		for _, pr := range pairs[i*len(combos) : (i+1)*len(combos)] {
-			hydro = append(hydro, pr.hydro)
-			prof = append(prof, pr.prof)
-		}
-		rows[i] = Fig10bRow{Cores: n, Speedup: Geomean(hydro), Profess: Geomean(prof)}
+		rows[i] = Fig10bRow{Cores: n, Speedup: gm[2*i], Profess: gm[2*i+1]}
 	}
 	return rows, nil
 }

@@ -36,6 +36,7 @@ type Fig11Row struct {
 // A1-B64 HAShCache's chaining wins; everywhere else Hydrogen leads, and
 // at large blocks its migration throttling matters most.
 func Fig11(o Options, configs []Fig11Config) ([]Fig11Row, error) {
+	o.memoize()
 	if len(configs) == 0 {
 		configs = DefaultFig11Configs()
 	}
@@ -43,50 +44,23 @@ func Fig11(o Options, configs []Fig11Config) ([]Fig11Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	wCPU, wGPU := weightsOf(o.Base)
-
-	sps, err := mapOrdered(o.parallelism(), len(configs)*len(combos), func(k int) ([3]float64, error) {
-		fc, combo := configs[k/len(combos)], combos[k%len(combos)]
+	designs := []string{system.DesignHAShCache, system.DesignProfess, system.DesignHydrogen}
+	gm, err := o.geomeanSpeedups(len(configs)*len(designs), combos, func(i int) (system.Config, system.DesignSpec, string) {
+		fc, d := configs[i/len(designs)], designs[i%len(designs)]
 		cfg := o.Base
 		cfg.Hybrid.Assoc = fc.Assoc
 		cfg.Hybrid.BlockBytes = fc.BlockBytes
 		// Keep capacity a multiple of the set size.
 		setBytes := fc.BlockBytes * uint64(fc.Assoc)
 		cfg.Hybrid.FastCapacityBytes = cfg.Hybrid.FastCapacityBytes / setBytes * setBytes
-
-		baseline, err := o.run(cfg, named(system.DesignBaseline), combo)
-		if err != nil {
-			return [3]float64{}, err
-		}
-		var sp [3]float64
-		for j, d := range []string{system.DesignHAShCache, system.DesignProfess, system.DesignHydrogen} {
-			r, err := o.run(cfg, named(d), combo)
-			if err != nil {
-				return sp, err
-			}
-			sp[j] = WeightedSpeedup(r, baseline, wCPU, wGPU)
-		}
-		o.logf("fig11 %s %s done", fc, combo.ID)
-		return sp, nil
+		return cfg, named(d), fmt.Sprintf("fig11 %s %s", fc, d)
 	})
 	if err != nil {
 		return nil, err
 	}
-
 	rows := make([]Fig11Row, len(configs))
 	for i, fc := range configs {
-		var hash, prof, hydro []float64
-		for _, sp := range sps[i*len(combos) : (i+1)*len(combos)] {
-			hash = append(hash, sp[0])
-			prof = append(prof, sp[1])
-			hydro = append(hydro, sp[2])
-		}
-		rows[i] = Fig11Row{
-			Config:    fc,
-			HAShCache: Geomean(hash),
-			Profess:   Geomean(prof),
-			Hydrogen:  Geomean(hydro),
-		}
+		rows[i] = Fig11Row{Config: fc, HAShCache: gm[3*i], Profess: gm[3*i+1], Hydrogen: gm[3*i+2]}
 	}
 	return rows, nil
 }

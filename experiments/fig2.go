@@ -7,26 +7,17 @@ import (
 	"github.com/hydrogen-sim/hydrogen/internal/workloads"
 )
 
-// aloneAndTogether runs a combo's CPU-alone, GPU-alone, and co-run
-// configurations under the baseline design (the alone runs just blank
-// out the other processor's workload).
-func aloneAndTogether(o *Options, base system.Config, combo workloads.Combo) (cpuAlone, gpuAlone, together system.Results, err error) {
+// alone runs a combo's CPU workloads without its GPU workload and the
+// GPU workload without the CPU cores, on the Baseline design.
+func (o *Options) alone(cfg system.Config, combo workloads.Combo) (cpu, gpu system.Results, err error) {
 	design := named(system.DesignBaseline)
 	cpuOnly := combo
 	cpuOnly.GPU = ""
-	cpuAlone, err = o.run(base, design, cpuOnly)
-	if err != nil {
+	if cpu, err = o.run(cfg, design, cpuOnly); err != nil {
 		return
 	}
-
-	ga := base
-	ga.Cores = 0
-	gpuAlone, err = o.run(ga, design, combo)
-	if err != nil {
-		return
-	}
-
-	together, err = o.run(base, design, combo)
+	cfg.Cores = 0
+	gpu, err = o.run(cfg, design, combo)
 	return
 }
 
@@ -41,13 +32,18 @@ type Fig2aRow struct {
 // running them together compared to running each alone" on the
 // unpartitioned baseline.
 func Fig2a(o Options) ([]Fig2aRow, error) {
+	o.memoize()
 	combos, err := o.combos()
 	if err != nil {
 		return nil, err
 	}
 	return mapOrdered(o.parallelism(), len(combos), func(i int) (Fig2aRow, error) {
 		c := combos[i]
-		ca, ga, tog, err := aloneAndTogether(&o, o.Base, c)
+		ca, ga, err := o.alone(o.Base, c)
+		if err != nil {
+			return Fig2aRow{}, err
+		}
+		tog, err := o.run(o.Base, named(system.DesignBaseline), c)
 		if err != nil {
 			return Fig2aRow{}, err
 		}
@@ -104,6 +100,7 @@ type Fig2SensRow struct {
 // GPU workloads in one combo (the paper uses C1) as one memory resource
 // is scaled down, normalized to the full-resource point.
 func Fig2Sensitivity(o Options, comboID string, knob SensitivityKnob, scales []float64) ([]Fig2SensRow, error) {
+	o.memoize()
 	combo, err := workloads.ComboByID(comboID)
 	if err != nil {
 		return nil, err
@@ -123,10 +120,8 @@ func Fig2Sensitivity(o Options, comboID string, knob SensitivityKnob, scales []f
 			// Shrink the tier, not the workloads.
 			cfg.ProfileScaleBytes = cfg.Hybrid.FastCapacityBytes
 			cap := uint64(float64(cfg.Hybrid.FastCapacityBytes) * sc)
-			setBytes := cfg.Hybrid.BlockBytes * uint64(cfg.Hybrid.Assoc)
-			if setBytes == 0 {
-				setBytes = 1024
-			}
+			env := cfg.Env()
+			setBytes := env.BlockBytes * uint64(env.Assoc)
 			cfg.Hybrid.FastCapacityBytes = cap / setBytes * setBytes
 		}
 		r, err := o.run(cfg, named(system.DesignBaseline), combo)

@@ -5,7 +5,6 @@ import (
 
 	"github.com/hydrogen-sim/hydrogen/internal/memory/dram"
 	"github.com/hydrogen-sim/hydrogen/internal/system"
-	"github.com/hydrogen-sim/hydrogen/internal/workloads"
 )
 
 // Fig5Result holds the full Figure 5 (and Figure 6) dataset: per-combo,
@@ -27,14 +26,12 @@ type Fig5Result struct {
 // no-partitioning baseline. Setting hbm3 reproduces Fig. 5(b), which
 // swaps the fast tier for HBM3 with doubled bandwidth.
 func Fig5(o Options, hbm3 bool) (*Fig5Result, error) {
+	o.memoize()
 	base := o.Base
 	if hbm3 {
 		base.Fast = dram.HBM3()
 	}
-	wCPU, wGPU := base.WeightCPU, base.WeightGPU
-	if wCPU == 0 && wGPU == 0 {
-		wCPU, wGPU = 12, 1
-	}
+	w := system.Canonical(base)
 
 	combos, err := o.combos()
 	if err != nil {
@@ -45,7 +42,7 @@ func Fig5(o Options, hbm3 bool) (*Fig5Result, error) {
 		Designs: designs,
 		Speedup: map[string]map[string]float64{},
 		Raw:     map[string]map[string]system.Results{},
-		WCPU:    wCPU, WGPU: wGPU,
+		WCPU:    w.WeightCPU, WGPU: w.WeightGPU,
 	}
 	for _, c := range combos {
 		res.Combos = append(res.Combos, c.ID)
@@ -53,37 +50,26 @@ func Fig5(o Options, hbm3 bool) (*Fig5Result, error) {
 		res.Raw[c.ID] = map[string]system.Results{}
 	}
 
-	type job struct {
-		combo  workloads.Combo
-		design string
+	type run struct {
+		speedup float64
+		raw     system.Results
 	}
-	var list []job
-	for _, c := range combos {
-		for _, d := range designs {
-			list = append(list, job{c, d})
-		}
-	}
-	raw, err := mapOrdered(o.parallelism(), len(list), func(i int) (system.Results, error) {
-		j := list[i]
-		r, err := o.run(base, named(j.design), j.combo)
+	nd := len(designs)
+	runs, err := mapOrdered(o.parallelism(), len(combos)*nd, func(k int) (run, error) {
+		c, d := combos[k/nd], designs[k%nd]
+		s, r, err := o.speedup(base, named(d), c)
 		if err != nil {
-			return r, err
+			return run{}, err
 		}
-		o.logf("fig5: %s %s done (cpu %.2f gpu %.2f)", j.combo.ID, j.design, r.CPUIPC, r.GPUIPC)
-		return r, nil
+		o.logf("fig5: %s %s done (cpu %.2f gpu %.2f)", c.ID, d, r.CPUIPC, r.GPUIPC)
+		return run{s, r}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, j := range list {
-		res.Raw[j.combo.ID][j.design] = raw[i]
-	}
-
-	for _, c := range combos {
-		baseRun := res.Raw[c.ID][system.DesignBaseline]
-		for _, d := range designs {
-			res.Speedup[c.ID][d] = WeightedSpeedup(res.Raw[c.ID][d], baseRun, wCPU, wGPU)
-		}
+	for k, r := range runs {
+		c, d := combos[k/nd].ID, designs[k%nd]
+		res.Speedup[c][d], res.Raw[c][d] = r.speedup, r.raw
 	}
 	return res, nil
 }

@@ -24,13 +24,11 @@ type GridDensity int
 
 // Grid densities.
 const (
-	coarse GridDensity = iota
+	// Coarse is the reduced grid used by the Fig. 7(b) oracle.
+	Coarse GridDensity = iota
 	// Full enumerates every feasible (cap, bw, tok) combination.
 	Full
 )
-
-// Coarse is the reduced grid used by the Fig. 7(b) oracle.
-const Coarse = coarse
 
 // StaticGrid enumerates static operating points for a 4-way, 4-group
 // system. The full grid is what Fig. 8 sweeps; the coarse grid samples
@@ -45,7 +43,7 @@ func StaticGrid(d GridDensity) []StaticPoint {
 	var out []StaticPoint
 	for cap := 1; cap <= 3; cap++ {
 		for bw := 0; bw <= cap && bw <= 3; bw++ {
-			if d == coarse && bw != 1 && bw != cap {
+			if d == Coarse && bw != 1 && bw != cap {
 				continue
 			}
 			for _, tok := range toks {
@@ -82,35 +80,31 @@ type Fig8Result struct {
 // uses C5). Rows are normalized to Hydrogen in the rendered table, as in
 // the figure.
 func Fig8(o Options, comboID string, d GridDensity) (*Fig8Result, error) {
+	o.memoize()
 	combo, err := workloads.ComboByID(comboID)
 	if err != nil {
 		return nil, err
 	}
-	wCPU, wGPU := weightsOf(o.Base)
-	baseline, err := o.run(o.Base, named(system.DesignBaseline), combo)
-	if err != nil {
-		return nil, err
-	}
-
+	// The static points, then online Hydrogen last.
 	points := StaticGrid(d)
-	rows, err := mapOrdered(o.parallelism(), len(points), func(i int) (Fig8Row, error) {
-		p := points[i]
-		r, err := o.run(o.Base, p.Spec(), combo)
-		s := WeightedSpeedup(r, baseline, wCPU, wGPU)
-		o.logf("fig8: %s -> %.3f", p, s)
-		return Fig8Row{Point: p, Speedup: s}, err
+	speedups, err := mapOrdered(o.parallelism(), len(points)+1, func(i int) (float64, error) {
+		if i == len(points) {
+			s, _, err := o.speedup(o.Base, named(system.DesignHydrogen), combo)
+			return s, err
+		}
+		s, _, err := o.speedup(o.Base, points[i].Spec(), combo)
+		o.logf("fig8: %s -> %.3f", points[i], s)
+		return s, err
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	r, err := o.run(o.Base, named(system.DesignHydrogen), combo)
-	if err != nil {
-		return nil, err
+	rows := make([]Fig8Row, len(points))
+	for i, p := range points {
+		rows[i] = Fig8Row{Point: p, Speedup: speedups[i]}
 	}
-	hydro := WeightedSpeedup(r, baseline, wCPU, wGPU)
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Speedup > rows[j].Speedup })
-	return &Fig8Result{Combo: comboID, Rows: rows, Hydrogen: hydro}, nil
+	return &Fig8Result{Combo: comboID, Rows: rows, Hydrogen: speedups[len(points)]}, nil
 }
 
 // Best returns the best static configuration.

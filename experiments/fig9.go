@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"reflect"
-	"slices"
 
 	"github.com/hydrogen-sim/hydrogen/internal/system"
 )
@@ -46,49 +44,22 @@ func Fig9Phase(o Options, factors []float64) ([]Fig9Row, error) {
 
 // fig9sweep runs the (config, design) point of each factor on every
 // combo and reports geomean speedups over the baseline on that config.
-// Factors with equal configs share one set of Baseline runs, so
-// Fig9Phase, which varies only the design, runs one Baseline per combo.
 func fig9sweep(o Options, factors []float64, label string, point func(float64) (system.Config, system.DesignSpec)) ([]Fig9Row, error) {
-	wCPU, wGPU := weightsOf(o.Base)
+	o.memoize()
 	combos, err := o.combos()
 	if err != nil {
 		return nil, err
 	}
-	// baseCfgs holds each distinct config once; factor i divides by the
-	// Baseline runs of baseCfgs[baseOf[i]].
-	cfgs := make([]system.Config, len(factors))
-	designs := make([]system.DesignSpec, len(factors))
-	baseOf := make([]int, len(factors))
-	var baseCfgs []system.Config
-	for i, f := range factors {
-		cfgs[i], designs[i] = point(f)
-		baseOf[i] = slices.IndexFunc(baseCfgs, func(c system.Config) bool { return reflect.DeepEqual(c, cfgs[i]) })
-		if baseOf[i] < 0 {
-			baseOf[i] = len(baseCfgs)
-			baseCfgs = append(baseCfgs, cfgs[i])
-		}
-	}
-	nc := len(combos)
-	base, err := mapOrdered(o.parallelism(), len(baseCfgs)*nc, func(k int) (system.Results, error) {
-		return o.run(baseCfgs[k/nc], named(system.DesignBaseline), combos[k%nc])
-	})
-	if err != nil {
-		return nil, err
-	}
-	speedups, err := mapOrdered(o.parallelism(), len(factors)*nc, func(k int) (float64, error) {
-		i, ci := k/nc, k%nc
-		r, err := o.run(cfgs[i], designs[i], combos[ci])
-		s := WeightedSpeedup(r, base[baseOf[i]*nc+ci], wCPU, wGPU)
-		o.logf("fig9 %s x%.2f %s: %.3f", label, factors[i], combos[ci].ID, s)
-		return s, err
+	gm, err := o.geomeanSpeedups(len(factors), combos, func(i int) (system.Config, system.DesignSpec, string) {
+		cfg, design := point(factors[i])
+		return cfg, design, fmt.Sprintf("fig9 %s x%.2f", label, factors[i])
 	})
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]Fig9Row, len(factors))
 	for i, f := range factors {
-		xs := speedups[i*nc : (i+1)*nc]
-		rows[i] = Fig9Row{Label: fmt.Sprintf("%s x%.2f", label, f), Factor: f, Speedup: Geomean(xs)}
+		rows[i] = Fig9Row{Label: fmt.Sprintf("%s x%.2f", label, f), Factor: f, Speedup: gm[i]}
 	}
 	return rows, nil
 }

@@ -28,18 +28,11 @@ func Table1(base system.Config) *Table {
 		base.Slow.Name, base.Slow.Channels, base.Slow.BanksPerChannel,
 		base.Slow.TRCD, base.Slow.TCAS, base.Slow.TRP, base.Slow.BytesPerCycle))
 	t.Add("Hybrid memory", fmt.Sprintf("%d MB fast tier, %d B blocks, %d-way sets, %d kB remap cache",
-		base.Hybrid.FastCapacityBytes>>20, blockBytesOr(base), base.Hybrid.Assoc,
+		base.Hybrid.FastCapacityBytes>>20, base.Env().BlockBytes, base.Hybrid.Assoc,
 		base.Hybrid.RemapCacheBytes>>10))
 	t.Add("Energy", fmt.Sprintf("fast %.1f pJ/bit, slow %.1f pJ/bit, ACT/PRE %.0f nJ",
 		base.Fast.ReadPJPerBit, base.Slow.ReadPJPerBit, base.Fast.ActPrePJ/1000))
 	return t
-}
-
-func blockBytesOr(base system.Config) uint64 {
-	if base.Hybrid.BlockBytes == 0 {
-		return 256
-	}
-	return base.Hybrid.BlockBytes
 }
 
 // Table2 renders the workload combinations (paper Table II).

@@ -60,8 +60,6 @@
 package serve
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"time"
 
@@ -227,35 +225,10 @@ type JobStatus struct {
 	Result json.RawMessage `json:"result,omitempty"`
 }
 
-// CacheKey derives the content address of a named-design job: the
-// address the daemon gives a request naming design with no options.
+// CacheKey is the content address (system.ContentAddress) of a
+// named-design job: the job ID the daemon gives a request naming
+// design with no options.
 func CacheKey(cfg system.Config, design string, combo ComboSpec) string {
 	d, _ := system.ParseDesign(design, nil)
-	return specKey(system.ModelVersion, cfg, d, combo)
-}
-
-// specKey derives a job's content address: the SHA-256 of the
-// canonical JSON encoding of (model version, normalized config,
-// canonical design spec, resolved combo). The config is canonicalized
-// with system.Canonical and its per-run workload-assignment fields
-// cleared (the run re-derives them from the combo), so configs that
-// simulate identically share a key, as do an alias and its spelled-out
-// spec. encoding/json emits struct fields in declaration order, which
-// makes the encoding deterministic.
-func specKey(model string, cfg system.Config, design system.DesignSpec, combo ComboSpec) string {
-	c := system.Canonical(cfg)
-	c.CPUProfiles = nil
-	c.GPUProfile = ""
-	payload, err := json.Marshal(struct {
-		Model  string            `json:"model"`
-		Config system.Config     `json:"config"`
-		Design system.DesignSpec `json:"design"`
-		Combo  ComboSpec         `json:"combo"`
-	}{model, c, design, combo})
-	if err != nil {
-		// system.Config contains only plain data; Marshal cannot fail.
-		panic("serve: marshal cache key: " + err.Error())
-	}
-	sum := sha256.Sum256(payload)
-	return hex.EncodeToString(sum[:])
+	return system.ContentAddress(system.ModelVersion, cfg, d, workloads.Combo(combo))
 }

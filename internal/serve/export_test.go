@@ -13,7 +13,7 @@ import (
 // version computes it.
 func CacheKeyUnderModel(model string, cfg system.Config, design string, combo ComboSpec) string {
 	d, _ := system.ParseDesign(design, nil)
-	return specKey(model, cfg, d, combo)
+	return system.ContentAddress(model, cfg, d, workloads.Combo(combo))
 }
 
 // LegacyStatusJSON reconstructs a terminal job's response the way the

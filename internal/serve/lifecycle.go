@@ -34,7 +34,7 @@ import (
 // submission is a fully resolved request to run one simulation: what
 // every entry hands to intake.
 type submission struct {
-	id      string // content address: specKey(model, cfg, design, spec)
+	id      string // content address: system.ContentAddress(model, cfg, design, spec)
 	cfg     system.Config
 	design  system.DesignSpec
 	spec    ComboSpec     // canonical form; workloads.Combo(spec) is what runs

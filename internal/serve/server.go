@@ -399,7 +399,7 @@ func (s *Server) resolveRequest(req *JobRequest) (submission, error) {
 	if err := probe.Validate(); err != nil {
 		return sub, err
 	}
-	sub.id = specKey(system.ModelVersion, sub.cfg, sub.design, sub.spec)
+	sub.id = system.ContentAddress(system.ModelVersion, sub.cfg, sub.design, workloads.Combo(sub.spec))
 	return sub, nil
 }
 

@@ -7,6 +7,9 @@ package system
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 
 	"github.com/hydrogen-sim/hydrogen/internal/caches"
 	"github.com/hydrogen-sim/hydrogen/internal/core"
@@ -170,6 +173,35 @@ func Canonical(cfg Config) Config {
 		cfg.EpochLen = 250_000
 	}
 	return cfg
+}
+
+// ContentAddress is a run's identity, the daemon's job ID and the
+// experiment run memo's key: the SHA-256 of the JSON of (model version,
+// canonical config without its per-run workload assignment, design
+// spec, combo), so configs that simulate identically share an address,
+// as do an alias and its spelled-out spec. JSON emits struct fields in
+// declaration order, so the encoding is deterministic.
+func ContentAddress(model string, cfg Config, design DesignSpec, combo workloads.Combo) string {
+	c := Canonical(cfg)
+	c.CPUProfiles = nil
+	c.GPUProfile = ""
+	type comboKey struct {
+		ID  string   `json:"id,omitempty"`
+		CPU []string `json:"cpu,omitempty"`
+		GPU string   `json:"gpu,omitempty"`
+	}
+	payload, err := json.Marshal(struct {
+		Model  string     `json:"model"`
+		Config Config     `json:"config"`
+		Design DesignSpec `json:"design"`
+		Combo  comboKey   `json:"combo"`
+	}{model, c, design, comboKey(combo)})
+	if err != nil {
+		// Config contains only plain data; Marshal cannot fail.
+		panic("system: marshal content address: " + err.Error())
+	}
+	sum := sha256.Sum256(payload)
+	return hex.EncodeToString(sum[:])
 }
 
 // EpochSample records one sampling epoch's measurements.
