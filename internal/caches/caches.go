@@ -49,20 +49,20 @@ type Stats struct {
 // Cache is a set-associative write-back SRAM cache with LRU replacement.
 //
 // Line state is kept structure-of-arrays, one slot per way, set-major.
-// A way's entry in tags is (tag<<1)|1 when valid and 0 when empty — the
-// low bit is the valid bit, so a probe is a single compare; the shift
-// costs one bit of tag headroom, which simulated physical addresses
-// (< 2^48) never approach. Replacement state is each set's recency
-// order: its way numbers, most recently used first, one byte each. A
-// touched way moves to the front, so the valid ways stand in LRU order
-// and, in a full set, the last entry is the victim. Invalidated ways
-// keep their place; a fill takes an empty way before consulting the
-// order.
+// A way's entry in tags is its tag word, tag<<2 | dirty<<1 | 1, when
+// valid and 0 when empty: bit 0 is the valid bit and bit 1 the dirty
+// bit, so a probe is one compare of the word with the dirty bit masked
+// off. The shift costs two bits of tag headroom, which simulated
+// physical addresses (< 2^48) never approach. Replacement state is each
+// set's recency order: its way numbers, most recently used first, one
+// byte each. A touched way moves to the front, so the valid ways stand
+// in LRU order and, in a full set, the last entry is the victim.
+// Invalidated ways keep their place; a fill takes an empty way before
+// consulting the order.
 type Cache struct {
 	cfg        Config
-	tags       []uint64 // numSets*assoc; (tag<<1)|1, or 0 when invalid
-	dirty      []bool
-	order      []uint8 // numSets*assoc; per set, way numbers by recency
+	tags       []uint64 // numSets*assoc; tag<<2 | dirty<<1 | 1, or 0 when invalid
+	order      []uint8  // numSets*assoc; per set, way numbers by recency
 	assoc      int
 	numSets    uint64
 	blockShift uint8       // log2(BlockBytes); block size is validated pow2
@@ -81,7 +81,6 @@ func New(cfg Config) *Cache {
 	c := &Cache{
 		cfg: cfg, numSets: numSets, assoc: cfg.Assoc,
 		tags:       make([]uint64, ways),
-		dirty:      make([]bool, ways),
 		order:      make([]uint8, ways),
 		blockShift: uint8(bits.TrailingZeros64(cfg.BlockBytes)),
 		setDiv:     bitmath.New(numSets),
@@ -106,6 +105,22 @@ func (c *Cache) Latency() uint64 { return c.cfg.Latency }
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
+// A tag word's flag bits, and the shift that places the tag above them.
+const (
+	lineValid uint64 = 1
+	lineDirty uint64 = 2
+	tagShift         = 2
+)
+
+// tagWord returns the tag word of a valid line holding tag, dirty or not.
+func tagWord(tag uint64, dirty bool) uint64 {
+	w := tag<<tagShift | lineValid
+	if dirty {
+		w |= lineDirty
+	}
+	return w
+}
+
 func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
 	blk := addr >> c.blockShift
 	tag, set = c.setDiv.DivMod(blk)
@@ -117,10 +132,10 @@ func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
 // runs its own scan, which also notes the first empty way.
 func (c *Cache) probe(set, tag uint64) int {
 	base := int(set) * c.assoc
-	want := tag<<1 | 1
+	want := tagWord(tag, false)
 	// Range over a subslice so the compiler drops per-way bounds checks.
 	for i, v := range c.tags[base : base+c.assoc] {
-		if v == want {
+		if v&^lineDirty == want {
 			return base + i
 		}
 	}
@@ -160,7 +175,7 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 		base := int(set) * c.assoc
 		c.touch(base, i-base)
 		if write {
-			c.dirty[i] = true
+			c.tags[i] |= lineDirty
 		}
 		c.stats.Hits++
 		return true
@@ -182,11 +197,11 @@ func (c *Cache) Contains(addr uint64) bool {
 func (c *Cache) Fill(addr uint64, dirty bool) Victim {
 	set, tag := c.index(addr)
 	base := int(set) * c.assoc
-	want := tag<<1 | 1
+	want := tagWord(tag, dirty)
 	w := -1
 	for i, v := range c.tags[base : base+c.assoc] {
-		if v == want {
-			c.dirty[base+i] = c.dirty[base+i] || dirty
+		if v&^lineDirty == want&^lineDirty {
+			c.tags[base+i] = v | want
 			c.touch(base, i)
 			return Victim{}
 		}
@@ -196,19 +211,18 @@ func (c *Cache) Fill(addr uint64, dirty bool) Victim {
 	}
 	if w >= 0 {
 		c.tags[base+w] = want
-		c.dirty[base+w] = dirty
 		c.touch(base, w)
 		return Victim{}
 	}
 	o := c.order[base : base+c.assoc]
 	i := base + int(o[len(o)-1])
-	out := Victim{Addr: c.addrOf(set, c.tags[i]>>1), Dirty: c.dirty[i], Valid: true}
+	old := c.tags[i]
+	out := Victim{Addr: c.addrOf(set, old>>tagShift), Dirty: old&lineDirty != 0, Valid: true}
 	c.stats.Evictions++
-	if c.dirty[i] {
+	if out.Dirty {
 		c.stats.Writebacks++
 	}
 	c.tags[i] = want
-	c.dirty[i] = dirty
 	toFront(o, len(o)-1)
 	return out
 }
@@ -218,9 +232,8 @@ func (c *Cache) Fill(addr uint64, dirty bool) Victim {
 func (c *Cache) Invalidate(addr uint64) Victim {
 	set, tag := c.index(addr)
 	if i := c.probe(set, tag); i >= 0 {
-		out := Victim{Addr: c.addrOf(set, tag), Dirty: c.dirty[i], Valid: true}
+		out := Victim{Addr: c.addrOf(set, tag), Dirty: c.tags[i]&lineDirty != 0, Valid: true}
 		c.tags[i] = 0
-		c.dirty[i] = false
 		return out
 	}
 	return Victim{}

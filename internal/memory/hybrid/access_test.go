@@ -6,14 +6,40 @@ import (
 
 	"github.com/hydrogen-sim/hydrogen/internal/memory/dram"
 	"github.com/hydrogen-sim/hydrogen/internal/sim"
+	"github.com/hydrogen-sim/hydrogen/internal/trace"
 )
 
-// TestWaySize pins a remap entry at 16 bytes: four ways fill one
-// 64-byte host cache line, and the tag store is 16 bytes per fast way
-// (1 MB of a 16 MB fast tier's system.New).
+// TestWaySize pins a remap entry at 8 bytes: two 4-way sets share one
+// 64-byte host cache line, and the tag store is 8 bytes per fast way
+// (512 KB of a 16 MB fast tier's system.New).
 func TestWaySize(t *testing.T) {
-	if got := unsafe.Sizeof(way{}); got != 16 {
-		t.Fatalf("way is %d bytes, want 16", got)
+	if got := unsafe.Sizeof(way{}); got != 8 {
+		t.Fatalf("way is %d bytes, want 8", got)
+	}
+}
+
+// TestTagBelowStamp checks the bound the remap entry's layout relies
+// on: the largest address trace.Paged returns, at the smallest valid
+// block size (one 64 B line), gives a block index below 2^44, so
+// blk<<wayTagShift stays below the stamp bits, and a way holding that
+// block keeps its tag, flags and stamp apart.
+func TestTagBelowStamp(t *testing.T) {
+	if small := (Config{FastCapacityBytes: 1 << 20, BlockBytes: LineBytes / 2}); small.Validate() == nil {
+		t.Fatalf("block size %d below a line accepted", small.BlockBytes)
+	}
+	maxBlk := uint64(1<<trace.AddrBits-1) / LineBytes
+	if maxBlk >= 1<<44 || maxBlk<<wayTagShift >= 1<<wayStampShift {
+		t.Fatalf("block index %#x reaches the stamp bits", maxBlk)
+	}
+	w := newWay(maxBlk, dram.SourceGPU, stampMax)
+	w.meta |= wayDirty
+	if !w.holds(maxBlk) || w.holds(maxBlk-1) || w.blk() != maxBlk || w.stamp() != stampMax ||
+		!w.valid() || !w.dirty() || !w.busy() || w.src() != dram.SourceGPU {
+		t.Fatalf("way %#x: block %#x, stamp %d", w.meta, w.blk(), w.stamp())
+	}
+	w.setStamp(1)
+	if !w.holds(maxBlk) || w.blk() != maxBlk || w.stamp() != 1 || !w.dirty() || !w.busy() {
+		t.Fatalf("restamped way %#x: block %#x, stamp %d", w.meta, w.blk(), w.stamp())
 	}
 }
 
@@ -131,9 +157,10 @@ func TestChainedHit(t *testing.T) {
 	if len(fired) != 1 || fired[0] != want {
 		t.Fatalf("done ran at %v, want once at %d", fired, want)
 	}
-	// The hit took the chained set's way, at the second probe's tick.
-	if hit := c.set(1)[0]; !hit.holds(blk) || hit.lastUse != read+2 || c.set(0)[0] != (way{}) {
-		t.Fatalf("chained way %+v, home way %+v; want the hit on the chained way at %d", hit, c.set(0)[0], read+2)
+	// The hit took the chained set's way and gave it its set's newest
+	// stamp.
+	if hit := c.set(1)[0]; !hit.holds(blk) || hit.stamp() == 0 || hit.stamp() != topStamp(c.set(1)) || c.set(0)[0] != (way{}) {
+		t.Fatalf("chained way %+v, home way %+v; want the hit on the chained way, with its set's newest stamp", hit, c.set(0)[0])
 	}
 	if s.LatencySum[dram.SourceCPU] != want {
 		t.Fatalf("latency sum %d, want %d", s.LatencySum[dram.SourceCPU], want)

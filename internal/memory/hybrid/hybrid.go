@@ -165,14 +165,15 @@ func (s Stats) AvgLatency(src dram.Source) float64 {
 	return float64(s.LatencySum[src]) / float64(s.Demand[src])
 }
 
-// way is one fast-tier way's remap entry in 16 bytes, so a 4-way set
-// fills exactly one 64-byte host cache line. meta packs the block index
-// above four flag bits; a block index is an address shifted right by at
-// least 6 bits, so the shift back left by 4 cannot overflow. An invalid
-// way is the zero value.
+// way is one fast-tier way's remap entry in one 8-byte word, so two
+// 4-way sets share a 64-byte host cache line. The word packs a 16-bit
+// recency stamp in its top bits, the block index above four flag bits,
+// and the flags. Every simulated address comes from trace.Paged and is
+// below 2^trace.AddrBits = 2^43, so even at the smallest block size
+// (64 B) a block index is below 2^37 and blk<<wayTagShift stays below
+// the stamp bits. An invalid way is the zero value.
 type way struct {
-	meta    uint64 // blk<<wayTagShift | wayGPU | wayBusy | wayDirty | wayValid
-	lastUse uint64
+	meta uint64 // stamp<<wayStampShift | blk<<wayTagShift | wayGPU | wayBusy | wayDirty | wayValid
 }
 
 const (
@@ -181,29 +182,42 @@ const (
 	wayBusy // fill in flight
 	wayGPU  // inserted by dram.SourceGPU
 
-	// wayState is the flag bits a tag probe ignores: findWay compares
-	// the rest of meta against blk<<wayTagShift | wayValid.
-	wayState = wayDirty | wayBusy | wayGPU
+	// wayState is the bits a tag probe ignores: findWay compares the
+	// rest of meta against blk<<wayTagShift | wayValid.
+	wayState = wayDirty | wayBusy | wayGPU | wayStampMask
 )
 
-// wayTagShift places the block index above the four flag bits.
-const wayTagShift = 4
+const (
+	// wayTagShift places the block index above the four flag bits.
+	wayTagShift = 4
+	// wayStampShift places the recency stamp in meta's top 16 bits.
+	wayStampShift = 48
+	wayStampMask  = uint64(stampMax) << wayStampShift
+)
+
+// stampMax is the largest recency stamp; a set whose next stamp would
+// pass it is compacted first (see stamp).
+const stampMax = 1<<16 - 1
 
 // newWay is the entry of a block just installed by src: valid, with its
-// fill in flight.
-func newWay(blk uint64, src dram.Source, now uint64) way {
-	m := blk<<wayTagShift | wayValid | wayBusy
+// fill in flight, and touched with recency stamp st.
+func newWay(blk uint64, src dram.Source, st uint64) way {
+	m := st<<wayStampShift | blk<<wayTagShift | wayValid | wayBusy
 	if src == dram.SourceGPU {
 		m |= wayGPU
 	}
-	return way{meta: m, lastUse: now}
+	return way{meta: m}
 }
 
 func (w *way) valid() bool         { return w.meta&wayValid != 0 }
 func (w *way) dirty() bool         { return w.meta&wayDirty != 0 }
 func (w *way) busy() bool          { return w.meta&wayBusy != 0 }
-func (w *way) blk() uint64         { return w.meta >> wayTagShift }
+func (w *way) blk() uint64         { return (w.meta &^ wayStampMask) >> wayTagShift }
+func (w *way) stamp() uint64       { return w.meta >> wayStampShift }
 func (w *way) holds(b uint64) bool { return w.meta&^wayState == b<<wayTagShift|wayValid }
+
+// setStamp gives w recency stamp st.
+func (w *way) setStamp(st uint64) { w.meta = w.meta&^wayStampMask | st<<wayStampShift }
 
 func (w *way) src() dram.Source {
 	if w.meta&wayGPU != 0 {
@@ -286,6 +300,11 @@ type Controller struct {
 
 	ways  []way // numSets*Assoc remap entries, set-major
 	remap *caches.Cache
+
+	// Recency stamps (see stamp): the cycle of the latest touch, and the
+	// sets touched in that cycle with the stamp each took.
+	stampCycle uint64
+	stamped    []touchedSet
 
 	pendingFill container.Table // block index -> fill slab slot
 	fills       []fill          // fill slab; freeFills indexes unused slots
@@ -460,11 +479,76 @@ func (c *Controller) views(set uint64) []WayView {
 		w := &ws[i]
 		buf = append(buf, WayView{
 			Valid: w.valid(), Dirty: w.dirty(), Busy: w.busy(),
-			LastUse: w.lastUse, Tag: w.blk(), Src: w.src(),
+			LastUse: w.stamp(), Tag: w.blk(), Src: w.src(),
 		})
 	}
 	c.viewBuf = buf
 	return buf
+}
+
+// touchedSet is a set touched in the current cycle and the stamp it took.
+type touchedSet struct {
+	set, stamp uint64
+}
+
+// stamp returns the recency stamp of a touch (a fast hit or an install)
+// of set at cycle now. Stamps order a set's ways as their last-use
+// cycles would: a touch takes one above the set's highest stamp, unless
+// the set was already touched in this cycle, when it takes that touch's
+// stamp, since ways touched in one cycle tie. A set whose next stamp
+// would pass stampMax is compacted first.
+func (c *Controller) stamp(set, now uint64) uint64 {
+	if now != c.stampCycle {
+		c.stampCycle, c.stamped = now, c.stamped[:0]
+	}
+	for _, s := range c.stamped {
+		if s.set == set {
+			return s.stamp
+		}
+	}
+	ws := c.set(set)
+	top := topStamp(ws)
+	if top == stampMax {
+		top = compactStamps(ws)
+	}
+	c.stamped = append(c.stamped, touchedSet{set, top + 1})
+	return top + 1
+}
+
+// topStamp returns the highest stamp of ws; invalid ways hold 0.
+func topStamp(ws []way) uint64 {
+	top := uint64(0)
+	for i := range ws {
+		top = max(top, ws[i].stamp())
+	}
+	return top
+}
+
+// compactStamps renumbers the stamps of ws as dense ranks from 1,
+// keeping their order and their ties, and returns the highest. Ranks
+// are taken in rising stamp order, and the r-th smallest distinct stamp
+// is at least r, so a renumbered way never exceeds the stamps still to
+// be renumbered and the scan for the next one skips it.
+func compactStamps(ws []way) uint64 {
+	var prev, rank uint64
+	for {
+		next := uint64(stampMax + 1)
+		for i := range ws {
+			if st := ws[i].stamp(); st > prev && st < next {
+				next = st
+			}
+		}
+		if next > stampMax {
+			return rank
+		}
+		rank++
+		for i := range ws {
+			if ws[i].stamp() == next {
+				ws[i].setStamp(rank)
+			}
+		}
+		prev = next
+	}
 }
 
 // newFill takes a fill record from the slab pool and registers it under
@@ -627,7 +711,7 @@ func (c *Controller) hitPath(ai uint64, w int) {
 	blk, set, src := a.blk, a.set, a.src
 	c.stats.FastHits[src]++
 	wy := &c.set(set)[w]
-	wy.lastUse = c.eng.Now()
+	wy.setStamp(c.stamp(set, c.eng.Now()))
 	if a.write {
 		wy.meta |= wayDirty
 		c.touchMeta(set)
@@ -858,7 +942,7 @@ func (c *Controller) maybeMigrate(blk, set uint64, src dram.Source) {
 	}
 
 	// Install the new mapping immediately; data follows.
-	ws[v] = newWay(blk, src, c.eng.Now())
+	ws[v] = newWay(blk, src, c.stamp(set, c.eng.Now()))
 	c.touchMeta(set)
 	fi := c.newFill(blk, set, int32(v), src)
 	c.fillsBySrc[src]++

@@ -25,12 +25,14 @@ func (o Owner) String() string {
 }
 
 // WayView is the controller's read-only view of one way of a set, handed
-// to policies for victim selection and swap decisions.
+// to policies for victim selection and swap decisions. LastUse is the
+// way's recency stamp, which compares only with the other ways of its
+// set: lower is older, and two ways touched in the same cycle are equal.
 type WayView struct {
 	Valid   bool
 	Dirty   bool
-	Busy    bool // an in-flight fill targets this way; never evict it
-	LastUse uint64
+	Busy    bool        // an in-flight fill targets this way; never evict it
+	LastUse uint64      // recency stamp within the set
 	Tag     uint64      // block index currently cached
 	Src     dram.Source // which processor inserted the block
 }

@@ -14,16 +14,16 @@ import (
 // that shrinks the footprint lowers a ceiling and one that grows it must
 // raise the ceiling here, in the open.
 // The ceilings sit about 3 % above the counts measured with Go 1.24 on
-// amd64 (New 1 514-1 520 KB with the Zipf tables already built, 1 716-
-// 2 013 KB when it builds them; Run 521-527, 564, 392 and 416-417 KB;
-// the short job New 709 KB, Run 431 KB), to absorb allocator size-class
-// changes between Go releases.
+// amd64 (New 955-961 KB with the Zipf tables already built, 1 158-
+// 1 455 KB when it builds them; Run 520-527, 564, 392-398 and 416-422
+// KB; the short job New 539 KB, Run 431-432 KB), to absorb allocator
+// size-class changes between Go releases.
 var footprintCeilings = map[string][2]uint64{
-	"C1 Baseline":       {1560, 543},
-	"C1 Hydrogen":       {1565, 581},
-	"C5 Baseline":       {1560, 404},
-	"C5 Hydrogen":       {1565, 430},
-	"short C1 Hydrogen": {730, 444},
+	"C1 Baseline":       {985, 543},
+	"C1 Hydrogen":       {990, 581},
+	"C5 Baseline":       {985, 404},
+	"C5 Hydrogen":       {990, 430},
+	"short C1 Hydrogen": {555, 444},
 }
 
 // footprintConfig returns the Quick() config of 1.2 M cycles, or of a

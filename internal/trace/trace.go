@@ -234,6 +234,12 @@ type Paged struct {
 // pageShift is log2 of Paged's page size, 4 kB.
 const pageShift = 12
 
+// AddrBits bounds Paged's physical space: every address Paged returns
+// is below 1<<AddrBits, 2^31 pages of 4 kB (8 TB). The hybrid memory's
+// remap entries rely on the bound to pack a block index and a recency
+// stamp into one word.
+const AddrBits = 43
+
 // NewPaged wraps g with a 4 kB page scatter.
 func NewPaged(g Generator, seed int64) *Paged {
 	return &Paged{G: g, Seed: uint64(seed)}
@@ -246,7 +252,7 @@ func (p *Paged) Next() (Op, bool) {
 		return op, false
 	}
 	vpage := op.Addr >> pageShift
-	// splitmix64-style hash of (seed, vpage) into a 2^31-page (8 TB)
+	// splitmix64-style hash of (seed, vpage) into the 2^31-page (8 TB)
 	// physical space: uniform set distribution, collision-free in
 	// practice for timing purposes.
 	x := vpage*0x9e3779b97f4a7c15 + p.Seed*0xda942042e4dd58b5
@@ -255,7 +261,7 @@ func (p *Paged) Next() (Op, bool) {
 	x ^= x >> 27
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
-	ppage := x % (1 << 31)
+	ppage := x % (1 << (AddrBits - pageShift))
 	op.Addr = ppage<<pageShift | op.Addr&(1<<pageShift-1)
 	return op, true
 }

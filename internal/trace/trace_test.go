@@ -147,3 +147,40 @@ func TestLimit(t *testing.T) {
 		t.Fatalf("limit yielded %d ops, want 5", n)
 	}
 }
+
+// addrGen replays a fixed list of addresses.
+type addrGen []uint64
+
+func (g *addrGen) Next() (Op, bool) {
+	if len(*g) == 0 {
+		return Op{}, false
+	}
+	op := Op{Addr: (*g)[0]}
+	*g = (*g)[1:]
+	return op, true
+}
+
+// TestPagedBelowAddrBits feeds Paged virtual addresses from all over the
+// 64-bit space, under many seeds: every physical address it returns is
+// below 1<<AddrBits and keeps its page offset.
+func TestPagedBelowAddrBits(t *testing.T) {
+	r := newXrng(3)
+	in := []uint64{0, 1<<pageShift - 1, 1<<AddrBits - 1, 1 << AddrBits, 1 << 63, ^uint64(0)}
+	for len(in) < 4096 {
+		in = append(in, r.next())
+	}
+	for seed := int64(0); seed < 64; seed++ {
+		g := addrGen(in)
+		p := NewPaged(&g, seed)
+		for i := range in {
+			op, ok := p.Next()
+			if !ok {
+				t.Fatalf("seed %d: stream ended after %d of %d ops", seed, i, len(in))
+			}
+			if op.Addr >= 1<<AddrBits || op.Addr&(1<<pageShift-1) != in[i]&(1<<pageShift-1) {
+				t.Fatalf("seed %d: virtual %#x maps to %#x; want below %#x with the same page offset",
+					seed, in[i], op.Addr, uint64(1)<<AddrBits)
+			}
+		}
+	}
+}
