@@ -24,11 +24,11 @@
 // tier's simultaneous backlog, not the sum of every channel's peak, and
 // a channel under a standing backlog allocates nothing.
 //
-// A channel schedules all of its work through the engine's late lane
-// under a key fixed at construction, so at any tick DRAM work runs
-// after the tick's core, cache and hybrid-controller work, completions
-// before issues, channels in construction order. That same-tick order
-// is a property of the model that the golden result fingerprints pin.
+// A channel schedules all of its work as late events under a key fixed
+// at construction, so at any tick DRAM work runs after the tick's core,
+// cache and hybrid-controller work, completions before issues, channels
+// in construction order. That same-tick order is a property of the
+// model that the golden result fingerprints pin.
 package dram
 
 import (
@@ -327,7 +327,7 @@ func (s *Stats) Add(other *Stats) {
 	}
 }
 
-// issueClassKey is OR-ed into the late-lane key of issue events so that
+// issueClassKey is OR-ed into the late-event key of issue events so that
 // at any tick every completion (keyed by bare channel key) sorts before
 // every issue event: a request that completes at t has left the bus
 // before any channel picks new work at t.
@@ -351,7 +351,7 @@ type Channel struct {
 	banks        []bank
 	busBusyUntil uint64
 	issueFn      func(_, now uint64) // issueEvent bound once, so arming never allocates
-	key          uint64              // engine-unique late-lane key, fixed at construction
+	key          uint64              // engine-unique late-event key, fixed at construction
 	pool         *chunkPool
 	bhead, btail *chunk
 	bfirst, bend int
@@ -378,7 +378,7 @@ func (c *Channel) lookahead() uint64 {
 }
 
 // NewChannel creates channel id of the given device kind on eng. The
-// channel draws its late-lane key from eng, so every channel built on
+// channel draws its late-event key from eng, so every channel built on
 // the same engine gets a distinct key even across tiers. A channel
 // built alone draws its backlog chunks from a pool of its own.
 func NewChannel(eng *sim.Engine, cfg *Config, id int) *Channel {
@@ -415,7 +415,7 @@ func (c *Channel) QueueLen() int { return len(c.win) - c.whead + c.nback }
 
 // Enqueue submits a request to the channel's scheduler queue. The
 // channel picks it up at its next issue event: this tick's (no latency
-// is added), which runs on the late lane after the tick's core and cache
+// is added), which runs as a late event after the tick's core and cache
 // work, or, while the bus is reserved beyond the lookahead, the first
 // tick the reservation lets it issue.
 func (c *Channel) Enqueue(r Request) {

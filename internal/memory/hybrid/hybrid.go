@@ -627,8 +627,9 @@ func (c *Controller) withMeta(set, ai uint64) {
 
 // metaRead runs access ai's probe ExtraTagLat cycles after its metadata
 // line arrives. Without a tag penalty it probes directly: a zero-delay
-// event would run next anyway, since the engine drains lane 0 right
-// after the late completion event that delivered the line.
+// event would run next anyway, since it would sort before the tick's
+// remaining late events, the completion that delivered the line among
+// them.
 func (c *Controller) metaRead(ai, now uint64) {
 	if c.cfg.ExtraTagLat == 0 {
 		c.probe(ai, now)

@@ -251,42 +251,42 @@ func TestScheduleCallReceivesFiringTime(t *testing.T) {
 	}
 }
 
-// TestEventIsTwoWords pins the lane-0 entry at {ctx, fn} and its wheel
-// node at 24 bytes with the link: the node is what each pending lane-0
-// event holds of the slab, and the entry every schedule-path copy moves.
+// TestEventIsTwoWords pins an event's callback at two words, {ctx, fn},
+// beside its key: a plain event is key 0 of the same entry and carries
+// nothing else.
 func TestEventIsTwoWords(t *testing.T) {
-	if got, want := unsafe.Sizeof(event{}), 2*unsafe.Sizeof(uintptr(0)); got != want {
-		t.Fatalf("lane-0 event is %d bytes, want %d", got, want)
+	var ev event
+	word := unsafe.Sizeof(uintptr(0))
+	if got := unsafe.Sizeof(ev.ctx) + unsafe.Sizeof(ev.fn); got != 2*word {
+		t.Fatalf("event callback is %d bytes, want %d", got, 2*word)
 	}
-	if unsafe.Sizeof(uintptr(0)) == 8 {
-		if got := unsafe.Sizeof(node[event]{}); got != 24 {
-			t.Fatalf("lane-0 node is %d bytes, want 24", got)
-		}
+	if got, want := unsafe.Sizeof(ev), unsafe.Sizeof(ev.key)+2*word; got != want {
+		t.Fatalf("event is %d bytes, want %d", got, want)
 	}
 }
 
-// TestLateEventSize pins the late-lane entry at {key, ctx, fn}, 24
-// bytes, and its wheel node at 32 with the link: the node is what each
-// pending late event holds of the slab, and with {at, seq} the entry is
-// every overflow entry, 40 bytes.
+// TestLateEventSize pins the entry a late event shares with every event
+// at {key, ctx, fn}, 24 bytes, and its wheel node at 32 with the links:
+// the node is what each pending event holds of the slab, and with
+// {at, seq} the entry is every overflow entry, 40 bytes.
 func TestLateEventSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit targets")
 	}
-	if got := unsafe.Sizeof(lateEvent{}); got != 24 {
-		t.Fatalf("late event is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(event{}); got != 24 {
+		t.Fatalf("event is %d bytes, want 24", got)
 	}
-	if got := unsafe.Sizeof(node[lateEvent]{}); got != 32 {
-		t.Fatalf("late node is %d bytes, want 32", got)
+	if got := unsafe.Sizeof(node{}); got != 32 {
+		t.Fatalf("node is %d bytes, want 32", got)
 	}
 	if got := unsafe.Sizeof(farEvent{}); got != 40 {
 		t.Fatalf("overflow event is %d bytes, want 40", got)
 	}
 }
 
-// TestLaneSlabFollowsPending schedules a burst of K same-tick events in
-// each lane (late keys out of order), drains it and refills it: each
-// lane's slab holds exactly K nodes, the events run in lane and key
+// TestLaneSlabFollowsPending schedules a burst of K same-tick plain and
+// K late events (late keys out of order), drains it and refills it: the
+// slab holds exactly 2K nodes, the events run plain first, then in key
 // order, and a refill allocates nothing.
 func TestLaneSlabFollowsPending(t *testing.T) {
 	const k = 100
@@ -316,8 +316,8 @@ func TestLaneSlabFollowsPending(t *testing.T) {
 	if n := testing.AllocsPerRun(20, burst); n != 0 {
 		t.Fatalf("a refill allocates %.1f times, want 0", n)
 	}
-	if len(e.wheel.nodes) != k || len(e.late.nodes) != k {
-		t.Fatalf("slabs hold %d lane-0 and %d late nodes, want %d each", len(e.wheel.nodes), len(e.late.nodes), k)
+	if len(e.wheel.nodes) != 2*k {
+		t.Fatalf("slab holds %d nodes, want %d", len(e.wheel.nodes), 2*k)
 	}
 }
 
@@ -342,9 +342,9 @@ func TestStopDrainsPendingEvents(t *testing.T) {
 	}
 }
 
-// TestStopReleasesAndReuses stops an engine with events pending in both
-// lanes' slabs: no node keeps a callback reference, and events scheduled
-// afterwards run in (time, lane, key) order from the same slabs.
+// TestStopReleasesAndReuses stops an engine with plain and late events
+// pending in its slab: no node keeps a callback reference, and events
+// scheduled afterwards run in (time, key) order from the same slab.
 func TestStopReleasesAndReuses(t *testing.T) {
 	e := New()
 	noop := func(_, _ uint64) {}
@@ -352,16 +352,11 @@ func TestStopReleasesAndReuses(t *testing.T) {
 		e.ScheduleCtx(3+i%2, noop, i)
 		e.ScheduleLateCtx(3+i%2, 8-i, noop, i)
 	}
-	lane0, late := cap(e.wheel.nodes), cap(e.late.nodes)
+	slab := cap(e.wheel.nodes)
 	e.Stop()
-	for i, nd := range e.wheel.nodes[:cap(e.wheel.nodes)] {
+	for i, nd := range e.wheel.nodes[:slab] {
 		if nd.ev.fn != nil {
-			t.Fatalf("lane-0 node %d still holds its callback after Stop", i)
-		}
-	}
-	for i, nd := range e.late.nodes[:cap(e.late.nodes)] {
-		if nd.ev.fn != nil {
-			t.Fatalf("late node %d still holds its callback after Stop", i)
+			t.Fatalf("node %d still holds its callback after Stop", i)
 		}
 	}
 	var got []uint64
@@ -381,9 +376,8 @@ func TestStopReleasesAndReuses(t *testing.T) {
 	if len(got) != 6 {
 		t.Fatalf("after Stop, ran %d of 6 events", len(got))
 	}
-	if cap(e.wheel.nodes) != lane0 || cap(e.late.nodes) != late {
-		t.Fatalf("slabs regrew after Stop: capacity %d and %d, was %d and %d",
-			cap(e.wheel.nodes), cap(e.late.nodes), lane0, late)
+	if cap(e.wheel.nodes) != slab {
+		t.Fatalf("slab regrew after Stop: capacity %d, was %d", cap(e.wheel.nodes), slab)
 	}
 }
 

@@ -42,14 +42,14 @@ func TestLateOrderSeqTiebreak(t *testing.T) {
 	}
 }
 
-// TestLanePriority checks the wheel lane drains before the late lane at
-// every tick, including zero-delay work scheduled BY a late event.
+// TestLanePriority checks plain events run before late events at every
+// tick, including zero-delay work scheduled BY a late event.
 func TestLanePriority(t *testing.T) {
 	e := New()
 	var got []string
 	e.ScheduleLateCtx(5, 1, func(_, _ uint64) {
 		got = append(got, "late1")
-		// Zero-delay lane-0 follow-up must run before the next late
+		// A zero-delay plain follow-up must run before the next late
 		// event at this tick (the hybrid controller relies on this).
 		runAt(e, e.Now(), func() { got = append(got, "wheel-nested") })
 	}, 0)
@@ -104,7 +104,7 @@ func TestStopFromLateEvent(t *testing.T) {
 
 // TestLateRunUntilBoundary checks RunUntil(t) excludes late events AT t
 // but leaves the clock parked there, and a later RunUntil picks them
-// up — the same boundary contract RunUntil gives lane-0 events.
+// up — the same boundary contract RunUntil gives plain events.
 func TestLateRunUntilBoundary(t *testing.T) {
 	e := New()
 	ran := false
@@ -122,7 +122,7 @@ func TestLateRunUntilBoundary(t *testing.T) {
 	}
 }
 
-// TestOverflowPromotionAcrossBoundary schedules wheel work beyond the
+// TestOverflowPromotionAcrossBoundary schedules plain work beyond the
 // wheel span (forcing the overflow heap) interleaved with late events,
 // and drives the engine in small RunUntil windows across the promotion
 // point.
@@ -299,9 +299,12 @@ type lateStep struct {
 }
 
 // lateCoverage counts the script features a run exercised, so the test
-// can assert that the cases it exists for did occur.
+// can assert that the cases it exists for did occur. lane0IntoLate
+// counts lane-0 events scheduled into a tick whose wheel list already
+// holds a late event: the only case in which a lane-0 insert walks the
+// list instead of appending.
 type lateCoverage struct {
-	belowRunning, lateFar, lane0FollowUp, stops int
+	belowRunning, lateFar, lane0FollowUp, lane0IntoLate, stops int
 }
 
 // lateScript schedules a random program on s and records the run order.
@@ -333,15 +336,26 @@ func lateScript(seed int64, s sched, drive func(), cov *lateCoverage) []lateStep
 		}
 		return k
 	}
+	lateAt := map[uint64]int{} // pending late events per tick
 	var add func(at uint64, late bool, key uint64)
 	add = func(at uint64, late bool, key uint64) {
 		id := nextID
 		nextID++
+		switch {
+		case late:
+			lateAt[at]++
+		case at-s.now() < span && lateAt[at] > 0:
+			cov.lane0IntoLate++
+		}
 		body := func() {
 			now := s.now()
 			trace = append(trace, lateStep{id, now, s.pending()})
+			if late {
+				lateAt[at]--
+			}
 			if id == stopID {
 				cov.stops++
+				clear(lateAt)
 				s.stop()
 				return
 			}
@@ -407,47 +421,66 @@ func lateScript(seed int64, s sched, drive func(), cov *lateCoverage) []lateStep
 	return trace
 }
 
-// TestPropertyLateMatchesReference checks the engine's run order and
-// Pending against refSched on random programs mixing both lanes: keys
-// 0–40 with and without the issue-class bit, late events inside and
-// beyond the late span, same-tick late inserts from late callbacks
-// (some sorting below the running key), lane-0 follow-ups, and a
-// mid-tick Stop. The engine runs each program twice: event at a time
-// (Run) and tick at a time in RunUntil windows.
-func TestPropertyLateMatchesReference(t *testing.T) {
-	var cov lateCoverage
-	for trial := int64(0); trial < 40; trial++ {
-		ref := &refSched{}
-		want := lateScript(trial, ref, ref.run, &cov)
-		for _, windows := range []bool{false, true} {
-			es := &engineSched{t: t, e: New()}
-			e := es.e
-			drive := e.Run
-			if windows {
-				drive = func() {
-					for e.Pending() > 0 {
-						e.RunUntil(e.Now() + 37)
-					}
+// matchReference runs lateScript(seed) on refSched, then on the engine
+// twice: event at a time (Run) and tick at a time in RunUntil windows.
+// Each engine run must match the reference's run order and Pending step
+// for step and leave nothing pending.
+func matchReference(t *testing.T, seed int64, cov *lateCoverage) {
+	ref := &refSched{}
+	want := lateScript(seed, ref, ref.run, cov)
+	for _, windows := range []bool{false, true} {
+		es := &engineSched{t: t, e: New()}
+		e := es.e
+		drive := e.Run
+		if windows {
+			drive = func() {
+				for e.Pending() > 0 {
+					e.RunUntil(e.Now() + 37)
 				}
-			}
-			got := lateScript(trial, es, drive, &lateCoverage{})
-			if len(got) != len(want) {
-				t.Fatalf("trial %d windows=%v: ran %d events, reference %d", trial, windows, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d windows=%v: step %d = %+v, reference %+v", trial, windows, i, got[i], want[i])
-				}
-			}
-			if e.Pending() != 0 {
-				t.Fatalf("trial %d windows=%v: %d events pending after drain", trial, windows, e.Pending())
 			}
 		}
+		got := lateScript(seed, es, drive, &lateCoverage{})
+		if len(got) != len(want) {
+			t.Fatalf("seed %d windows=%v: ran %d events, reference %d", seed, windows, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d windows=%v: step %d = %+v, reference %+v", seed, windows, i, got[i], want[i])
+			}
+		}
+		if e.Pending() != 0 {
+			t.Fatalf("seed %d windows=%v: %d events pending after drain", seed, windows, e.Pending())
+		}
 	}
-	if cov.belowRunning == 0 || cov.lateFar == 0 || cov.lane0FollowUp == 0 || cov.stops == 0 {
+}
+
+// TestPropertyLateMatchesReference checks the engine's run order and
+// Pending against refSched on random programs mixing lane-0 and late
+// events: keys 0–40 with and without the issue-class bit, late events
+// inside and beyond the wheel's span, same-tick late inserts from late
+// callbacks (some sorting below the running key), lane-0 follow-ups,
+// lane-0 events joining ticks that hold late events, and a mid-tick
+// Stop.
+func TestPropertyLateMatchesReference(t *testing.T) {
+	var cov lateCoverage
+	for seed := int64(0); seed < 40; seed++ {
+		matchReference(t, seed, &cov)
+	}
+	if cov.belowRunning == 0 || cov.lateFar == 0 || cov.lane0FollowUp == 0 || cov.lane0IntoLate == 0 || cov.stops == 0 {
 		t.Fatalf("programs missed a case: %+v", cov)
 	}
-	t.Logf("coverage over all trials: %+v", cov)
+	t.Logf("coverage over all seeds: %+v", cov)
+}
+
+// FuzzEngineOrder is matchReference over fuzzed seeds. The seeds added
+// here run in every go test; -fuzz draws more.
+func FuzzEngineOrder(f *testing.F) {
+	for _, seed := range []int64{40, 41, 1 << 40, -7} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		matchReference(t, seed, &lateCoverage{})
+	})
 }
 
 // BenchmarkLateLane times the late lane the way the DRAM channels use
@@ -476,6 +509,43 @@ func BenchmarkLateLane(b *testing.B) {
 		}
 		for ch := uint64(0); ch < channels; ch++ {
 			e.ScheduleLateCtx(0, 1<<32|ch, issue, ch)
+		}
+		e.RunUntil(1 << 40)
+		if e.Pending() != 0 {
+			b.Fatalf("%d events left", e.Pending())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+}
+
+// BenchmarkLaneMix times a lane-0-heavy mix: 24 lane-0 chains, each
+// scheduling its successor 1–40 ticks ahead, as cores and caches do,
+// and a quarter of their events adding one late event 20–144 ticks
+// ahead under one of 20 channel keys, as a DRAM request does. One op is
+// a fresh engine running 1<<16 events; ns/event is the layer's number.
+func BenchmarkLaneMix(b *testing.B) {
+	const chains, channels, events = 24, 20, 1 << 16
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := New()
+		x := uint64(1)
+		draw := func(n uint64) uint64 {
+			x = x*6364136223846793005 + 1442695040888963407 // LCG
+			return (x >> 33) % n
+		}
+		complete := func(_, _ uint64) {}
+		var step func(chain, now uint64)
+		step = func(chain, now uint64) {
+			if e.Steps() >= events {
+				return
+			}
+			if draw(4) == 0 {
+				e.ScheduleLateCtx(now+20+draw(125), draw(channels), complete, chain)
+			}
+			e.ScheduleCtx(now+1+draw(40), step, chain)
+		}
+		for c := uint64(0); c < chains; c++ {
+			e.ScheduleCtx(0, step, c)
 		}
 		e.RunUntil(1 << 40)
 		if e.Pending() != 0 {

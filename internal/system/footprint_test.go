@@ -15,9 +15,9 @@ import (
 // raise the ceiling here, in the open.
 // The ceilings sit about 3 % above the counts measured with Go 1.24 on
 // amd64 (New 955-961 KB with the Zipf tables already built, 1 158-
-// 1 455 KB when it builds them; Run 520-527, 564, 392-398 and 416-422
-// KB; the short job New 539 KB, Run 431-432 KB), to absorb allocator
-// size-class changes between Go releases.
+// 1 455 KB when it builds them; Run 516, 561-566, 389 and 413 KB; the
+// short job New 539 KB, Run 428 KB), to absorb allocator size-class
+// changes between Go releases.
 var footprintCeilings = map[string][2]uint64{
 	"C1 Baseline":       {985, 543},
 	"C1 Hydrogen":       {990, 581},
